@@ -50,10 +50,11 @@ func newFedShard(t *testing.T, agg ldp.Aggregator, w ldp.Workload) *fedShard {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := ldp.NewCollectorServer(col, ldp.MechanismInfoOf(agg))
+	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(agg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	handler := svc.Handler()
 	sh := &fedShard{col: col}
 	sh.hs = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if sh.down.Load() {

@@ -32,7 +32,6 @@ import (
 // period, however often it is polled; see BenchmarkSnapshotCached.
 type Collector struct {
 	agg    Aggregator
-	est    *Estimator
 	info   MechanismInfo
 	shards []collectorShard
 	mask   uint64
@@ -89,7 +88,7 @@ type collectorShard struct {
 // checkpointed crash recovery (prior state in the directory is restored
 // before the collector is returned).
 func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOption) (*Collector, error) {
-	est, err := NewEstimator(agg, w) // validates agg and the domain match
+	info, err := checkedInfo(agg, w)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +99,7 @@ func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOptio
 	for n < shards {
 		n <<= 1
 	}
-	c := &Collector{agg: agg, est: est, info: est.Info(), shards: make([]collectorShard, n), mask: uint64(n - 1)}
+	c := &Collector{agg: agg, info: info, shards: make([]collectorShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
 		c.shards[i].acc = make([]float64, agg.StateLen())
 	}
@@ -114,18 +113,6 @@ func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOptio
 		}
 	}
 	return c, nil
-}
-
-// NewStrategyCollector is NewAggregator + NewCollector in one step.
-//
-// Deprecated: kept for pre-streaming-API callers; new code should build the
-// Aggregator explicitly so it can be shared with a Server or the simulator.
-func NewStrategyCollector(s *Strategy, w Workload, shards int) (*Collector, error) {
-	agg, err := NewAggregator(s)
-	if err != nil {
-		return nil, err
-	}
-	return NewCollector(agg, w, shards)
 }
 
 // Shards returns the number of shards the accumulator is split across.
@@ -219,25 +206,6 @@ func (c *Collector) absorbValidatedLocked(sh *collectorShard, reports []Report) 
 	// One atomic add for the whole batch: the counter is the publication
 	// point, so readers see the batch all at once.
 	sh.count.Add(int64(len(reports)))
-}
-
-// Add records one bare output index.
-//
-// Deprecated: index-carrying mechanisms only; use Ingest.
-func (c *Collector) Add(response int) error {
-	return c.Ingest(Report{Index: response})
-}
-
-// AddBatch records a batch of bare output indices with the same
-// all-or-nothing validation as IngestBatch.
-//
-// Deprecated: index-carrying mechanisms only; use IngestBatch.
-func (c *Collector) AddBatch(responses []int) error {
-	reports := make([]Report, len(responses))
-	for i, r := range responses {
-		reports[i] = Report{Index: r}
-	}
-	return c.IngestBatch(reports)
 }
 
 // Handle is an ingestion endpoint pinned to one shard: its hot path takes an
@@ -382,61 +350,9 @@ func (c *Collector) Snap() Snapshot {
 	return Snapshot{state: acc, count: count, epoch: epoch, info: c.info}
 }
 
-// Snapshot returns the merged aggregation accumulator and the number of
-// reports it contains as one consistent view. The slice is caller-owned.
-//
-// Deprecated: use Snap, which carries the mechanism identity and epoch the
-// bare pair lacks.
-func (c *Collector) Snapshot() (state []float64, count float64) {
-	state, count, _ = c.snapshot()
-	return state, count
-}
-
 // Count returns the number of reports collected so far. It only sums the
 // per-shard atomic counters — no lock is taken and no accumulator merge is
 // paid, so Count can be polled at any rate.
 func (c *Collector) Count() float64 {
 	return float64(c.totalCount())
-}
-
-// State returns the merged aggregation accumulator (for strategy mechanisms,
-// the response histogram y) from a consistent snapshot.
-//
-// Deprecated: use Snap().State().
-func (c *Collector) State() []float64 {
-	acc, _, _ := c.snapshot()
-	return acc
-}
-
-// DataEstimate returns the unbiased estimate of the data vector from a
-// consistent snapshot.
-//
-// Deprecated: use an Estimator — NewEstimator(agg, w) then
-// est.DataEstimate(c.Snap()) — which answers local, remote, and merged
-// snapshots alike.
-func (c *Collector) DataEstimate() []float64 {
-	xh, err := c.est.DataEstimate(c.Snap())
-	if err != nil {
-		panic(err) // unreachable: the snapshot comes from this very mechanism
-	}
-	return xh
-}
-
-// Answers returns unbiased workload estimates from a consistent snapshot.
-//
-// Deprecated: use an Estimator — est.Answers(c.Snap()).
-func (c *Collector) Answers() []float64 {
-	answers, err := c.est.Answers(c.Snap())
-	if err != nil {
-		panic(err) // unreachable: the snapshot comes from this very mechanism
-	}
-	return answers
-}
-
-// ConsistentAnswers returns WNNLS-post-processed estimates from a consistent
-// snapshot.
-//
-// Deprecated: use an Estimator — est.ConsistentAnswers(c.Snap()).
-func (c *Collector) ConsistentAnswers() ([]float64, error) {
-	return c.est.ConsistentAnswers(c.Snap())
 }

@@ -31,6 +31,28 @@ func buildStrategyPipeline(t *testing.T, n int, eps float64, seed int64) (ldp.Ra
 	return rz, agg, w
 }
 
+// estimatorFor builds the read path for a test pipeline.
+func estimatorFor(t testing.TB, agg ldp.Aggregator, w ldp.Workload) *ldp.Estimator {
+	t.Helper()
+	est, err := ldp.NewEstimator(agg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// mustRead unwraps an Estimator read, failing the test on error:
+// mustRead(t)(est.Answers(snap)).
+func mustRead(t testing.TB) func([]float64, error) []float64 {
+	return func(v []float64, err error) []float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
 func TestCollectorConcurrentIngest(t *testing.T) {
 	n := 8
 	rz, agg, w := buildStrategyPipeline(t, n, 2.0, 21)
@@ -74,10 +96,11 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	if got := col.Count(); got != goroutines*perG {
 		t.Fatalf("count = %v, want %d", got, goroutines*perG)
 	}
-	if ans := col.Answers(); len(ans) != n {
+	est := estimatorFor(t, agg, w)
+	if ans := mustRead(t)(est.Answers(col.Snap())); len(ans) != n {
 		t.Fatal("answers shape wrong")
 	}
-	cons, err := col.ConsistentAnswers()
+	cons, err := est.ConsistentAnswers(col.Snap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +169,14 @@ func TestShardedMatchesSerial(t *testing.T) {
 	if col.Count() != server.Count() {
 		t.Fatalf("count: sharded %v, serial %v", col.Count(), server.Count())
 	}
-	ss, cs := server.State(), col.State()
+	ss, cs := server.Snap().State(), col.Snap().State()
 	for i := range ss {
 		if ss[i] != cs[i] {
 			t.Fatalf("state[%d]: sharded %v, serial %v", i, cs[i], ss[i])
 		}
 	}
-	sd, cd := server.DataEstimate(), col.DataEstimate()
+	est := estimatorFor(t, agg, w)
+	sd, cd := mustRead(t)(est.DataEstimate(server.Snap())), mustRead(t)(est.DataEstimate(col.Snap()))
 	for i := range sd {
 		if math.Abs(sd[i]-cd[i]) > 1e-9 {
 			t.Fatalf("estimate[%d]: sharded %v, serial %v", i, cd[i], sd[i])
@@ -191,6 +215,7 @@ func TestCollectorSnapshotCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	est := estimatorFor(t, agg, w)
 	equal := func(a, b []float64) bool {
 		for i := range a {
 			if a[i] != b[i] {
@@ -202,27 +227,27 @@ func TestCollectorSnapshotCache(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ingestOne()
 		// Several reads per write: all but the first hit the cache.
-		first, _ := col.Snapshot()
+		first := col.Snap().State()
 		for j := 0; j < 3; j++ {
-			again, count := col.Snapshot()
-			if count != float64(i+1) || !equal(first, again) {
+			again := col.Snap()
+			if again.Count() != float64(i+1) || !equal(first, again.State()) {
 				t.Fatalf("step %d: cached snapshot diverged", i)
 			}
 		}
-		if !equal(first, ref.State()) {
+		if !equal(first, ref.Snap().State()) {
 			t.Fatalf("step %d: cached snapshot != cache-free reference", i)
 		}
-		if !equal(col.DataEstimate(), ref.DataEstimate()) {
+		if !equal(mustRead(t)(est.DataEstimate(col.Snap())), mustRead(t)(est.DataEstimate(ref.Snap()))) {
 			t.Fatalf("step %d: estimates diverged", i)
 		}
 	}
 	// The snapshot is caller-owned: scribbling on it must not poison the
 	// cache behind later reads.
-	st, _ := col.Snapshot()
+	st := col.Snap().State()
 	for i := range st {
 		st[i] = -1
 	}
-	if again, _ := col.Snapshot(); !equal(again, ref.State()) {
+	if again := col.Snap().State(); !equal(again, ref.Snap().State()) {
 		t.Fatal("mutating a returned snapshot corrupted the cache")
 	}
 }
@@ -262,15 +287,15 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			st, count := col.Snapshot()
+			snap := col.Snap()
 			var mass float64
-			for _, v := range st {
+			for _, v := range snap.State() {
 				mass += v
 			}
 			// Strategy accumulators hold one histogram increment per
 			// report, so mass must equal the count the snapshot claims —
 			// a torn or half-merged view would break this.
-			if math.Abs(mass-count) > 1e-9 {
+			if math.Abs(mass-snap.Count()) > 1e-9 {
 				readerErr <- nil
 				return
 			}
@@ -304,11 +329,12 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, count := col.Snapshot()
+	final := col.Snap()
+	st, count := final.State(), final.Count()
 	if count != writers*perWriter {
 		t.Fatalf("count %v, want %d", count, writers*perWriter)
 	}
-	refSt := ref.State()
+	refSt := ref.Snap().State()
 	for i := range refSt {
 		if st[i] != refSt[i] {
 			t.Fatalf("state[%d]: concurrent %v != serial %v", i, st[i], refSt[i])
@@ -323,21 +349,21 @@ func TestCollectorBatchAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.AddBatch([]int{0, 1, 0, 1}); err != nil {
+	if err := col.IngestBatch([]ldp.Report{{Index: 0}, {Index: 1}, {Index: 0}, {Index: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if col.Count() != 4 {
 		t.Fatalf("count = %v", col.Count())
 	}
-	before := col.State()
+	before := col.Snap().State()
 	// Valid prefix, invalid tail: nothing of the batch may be applied.
-	if err := col.AddBatch([]int{0, 1, 99999}); err == nil {
+	if err := col.IngestBatch([]ldp.Report{{Index: 0}, {Index: 1}, {Index: 99999}}); err == nil {
 		t.Fatal("expected error for out-of-range response in batch")
 	}
 	if col.Count() != 4 {
 		t.Fatalf("failed batch mutated count: %v", col.Count())
 	}
-	after := col.State()
+	after := col.Snap().State()
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("failed batch mutated state[%d]: %v -> %v", i, before[i], after[i])
@@ -348,7 +374,7 @@ func TestCollectorBatchAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.AddAll([]int{1, 99999}); err == nil {
+	if err := server.IngestBatch([]ldp.Report{{Index: 1}, {Index: 99999}}); err == nil {
 		t.Fatal("expected error")
 	}
 	if server.Count() != 0 {
@@ -431,7 +457,8 @@ func TestOraclesThroughPipeline(t *testing.T) {
 			if col.Count() != users {
 				t.Fatalf("count = %v, want %d", col.Count(), users)
 			}
-			est := col.Answers()
+			reader := estimatorFor(t, o, w)
+			est := mustRead(t)(reader.Answers(col.Snap()))
 			// Noise floor at ε=4, N=4000: well under 300 per cell for every
 			// oracle here.
 			for i := range truth {
@@ -439,7 +466,7 @@ func TestOraclesThroughPipeline(t *testing.T) {
 					t.Fatalf("%s: answer[%d] = %v, truth %v", o.Name(), i, est[i], truth[i])
 				}
 			}
-			cons, err := col.ConsistentAnswers()
+			cons, err := reader.ConsistentAnswers(col.Snap())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,7 +501,7 @@ func TestOracleBatchAtomicity(t *testing.T) {
 	if col.Count() != 0 {
 		t.Fatalf("failed batch mutated count: %v", col.Count())
 	}
-	for i, v := range col.State() {
+	for i, v := range col.Snap().State() {
 		if v != 0 {
 			t.Fatalf("failed batch mutated state[%d] = %v", i, v)
 		}
@@ -501,8 +528,8 @@ func TestOptimizeForPriorFacade(t *testing.T) {
 	w := ldp.Histogram(n)
 	prior := make([]float64, n)
 	prior[0], prior[1] = 0.7, 0.3
-	// The deprecated wrapper must behave exactly like Optimize+WithPrior.
-	mech, err := ldp.OptimizeForPrior(w, 1.0, prior, &ldp.OptimizeOptions{Iters: 150, Seed: 24})
+	mech, err := ldp.Optimize(context.Background(), w, 1.0,
+		ldp.WithPrior(prior), ldp.WithIterations(150), ldp.WithSeed(24))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package ldp
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,7 +241,11 @@ func (c *Collector) durableAbsorb(sh *collectorShard, reports []Report, key stri
 	d.gate.RLock()
 	if err := d.store.Append(reports, key); err != nil {
 		d.gate.RUnlock()
-		return fmt.Errorf("ldp: write-ahead log: %w", err)
+		// The batch was valid; the log could not take it (ENOSPC, EIO, a
+		// closed store). That is the server's weather, not the client's
+		// fault: a transport front answers a retryable 503 and keeps the
+		// idempotency key unclaimed instead of caching a 400.
+		return statusErrorf(http.StatusServiceUnavailable, "ldp: write-ahead log: %v", err)
 	}
 	sh.mu.Lock()
 	c.absorbValidatedLocked(sh, reports)
@@ -396,7 +401,7 @@ func (c *Collector) armDurabilityMetrics(reg *obs.Registry) {
 
 // recoveredIdempotencyKeys returns the idempotency keys the WAL proved
 // absorbed before the last restart, oldest first, with the report counts
-// absorbed under them — what NewCollectorServer seeds the transport's
+// absorbed under them — what NewCollectorService seeds the transport's
 // idempotency cache with.
 func (c *Collector) recoveredIdempotencyKeys() []transport.SeededKey {
 	if c.dur == nil {

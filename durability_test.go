@@ -243,17 +243,14 @@ func TestDurableRestartReplaysIdempotencyKey(t *testing.T) {
 	m := e2eMechanisms(t, n)["OUE"]
 	reports := randomBatches(t, m.rz, n, []int{10}, 13)[0]
 	dir := t.TempDir()
-	info := ldp.ServerInfo{Mechanism: "OUE", Domain: n, Epsilon: 1}
+	info := ldp.MechanismInfo{Mechanism: "OUE", Domain: n, Epsilon: 1}
 	ctx := context.Background()
 
 	col1, err := ldp.NewCollector(m.agg, w, 0, ldp.WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := ldp.NewCollectorServer(col1, info)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1 := collectorHandler(t, col1, info)
 	hs1 := httptest.NewServer(h1)
 	tc1, err := transport.NewClient(hs1.URL, hs1.Client())
 	if err != nil {
@@ -276,10 +273,7 @@ func TestDurableRestartReplaysIdempotencyKey(t *testing.T) {
 	if got := col2.Count(); got != float64(len(reports)) {
 		t.Fatalf("recovered count %v, want %d", got, len(reports))
 	}
-	h2, err := ldp.NewCollectorServer(col2, info)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := collectorHandler(t, col2, info)
 	hs2 := httptest.NewServer(h2)
 	defer hs2.Close()
 	tc2, err := transport.NewClient(hs2.URL, hs2.Client())
@@ -319,6 +313,36 @@ func TestDurableRestartReplaysIdempotencyKey(t *testing.T) {
 	}
 }
 
+// A batch the write-ahead log cannot take (here: the store is closed; in
+// production ENOSPC or EIO) was valid, so the served collector answers a
+// retryable 503 — not a 400 the client would take as a verdict on the batch.
+func TestDurableWALFailureAnswersRetryable(t *testing.T) {
+	const n = 16
+	w := ldp.Histogram(n)
+	m := e2eMechanisms(t, n)["OUE"]
+	col, err := ldp.NewCollector(m.agg, w, 0, ldp.WithDurability(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(collectorHandler(t, col, ldp.MechanismInfoOf(m.agg)))
+	defer hs.Close()
+	tc, err := transport.NewClient(hs.URL, hs.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tc.PostReportsKeyed(context.Background(), randomBatches(t, m.rz, n, []int{5}, 3)[0], "during-outage")
+	var se *ldp.StatusError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusServiceUnavailable || !se.Temporary() {
+		t.Fatalf("ingest with the WAL closed: %v, want a retryable 503", err)
+	}
+	if col.Count() != 0 {
+		t.Fatalf("a batch the WAL refused was absorbed: count %v", col.Count())
+	}
+}
+
 // A keyed ingest whose WAL records straddle a checkpoint cut must still seed
 // its FULL absorbed count after a restart — the checkpoint carries the key
 // table forward — so the retrying client trims everything that landed
@@ -352,10 +376,7 @@ func TestDurableRestartSeedsKeysAcrossCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col2.Close()
-	h2, err := ldp.NewCollectorServer(col2, ldp.ServerInfo{Domain: n})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := collectorHandler(t, col2, ldp.MechanismInfo{Domain: n})
 	hs := httptest.NewServer(h2)
 	defer hs.Close()
 	tc, err := transport.NewClient(hs.URL, hs.Client())

@@ -40,13 +40,24 @@ type Estimator struct {
 // NewEstimator prepares the read path for a mechanism aggregator and a
 // workload over the same domain.
 func NewEstimator(agg Aggregator, w Workload) (*Estimator, error) {
+	info, err := checkedInfo(agg, w)
+	if err != nil {
+		return nil, err
+	}
+	return &Estimator{agg: agg, work: w, info: info}, nil
+}
+
+// checkedInfo validates a mechanism/workload pairing — the one precondition
+// every collector and estimator constructor shares — and returns the
+// mechanism's identity.
+func checkedInfo(agg Aggregator, w Workload) (MechanismInfo, error) {
 	if agg == nil {
-		return nil, errors.New("ldp: nil aggregator")
+		return MechanismInfo{}, errors.New("ldp: nil aggregator")
 	}
 	if agg.Domain() != w.Domain() {
-		return nil, fmt.Errorf("ldp: mechanism domain %d != workload domain %d", agg.Domain(), w.Domain())
+		return MechanismInfo{}, fmt.Errorf("ldp: mechanism domain %d != workload domain %d", agg.Domain(), w.Domain())
 	}
-	return &Estimator{agg: agg, work: w, info: MechanismInfoOf(agg)}, nil
+	return MechanismInfoOf(agg), nil
 }
 
 // Workload returns the workload the estimator answers.

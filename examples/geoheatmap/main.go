@@ -105,7 +105,11 @@ func main() {
 			}
 		}
 	}
-	est, err := server.ConsistentAnswers()
+	reader, err := ldp.NewEstimator(agg, w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	est, err := reader.ConsistentAnswers(server.Snap())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -92,7 +92,11 @@ func main() {
 			}
 		}
 	}
-	consistent, err := server.ConsistentAnswers()
+	est, err := ldp.NewEstimator(agg, w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	consistent, err := est.ConsistentAnswers(server.Snap())
 	if err != nil {
 		log.Fatal(err)
 	}

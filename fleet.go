@@ -961,88 +961,9 @@ func (f *Fleet) FlushAll(ctx context.Context) error {
 // quorum returns *QuorumError. A fleet with no members, or one where nothing
 // at all contributed, returns an error rather than a zero snapshot.
 func (f *Fleet) Snap(ctx context.Context) (Snapshot, Coverage, error) {
-	members := f.list()
-	cov := Coverage{Total: len(members), Shards: make([]ShardCoverage, len(members))}
-	if len(members) == 0 {
-		return Snapshot{}, cov, errors.New("ldp: fleet has no members")
-	}
-
-	type result struct {
-		snap Snapshot
-		ok   bool
-	}
-	results := make([]result, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *fleetMember) {
-			defer wg.Done()
-			sc := ShardCoverage{Endpoint: m.endpoint}
-			var snap Snapshot
-			var err error
-			if berr := m.breaker.Allow(); berr != nil {
-				err = berr
-			} else if snap, err = m.rc.Snap(ctx); err == nil {
-				m.breaker.Success()
-				m.mu.Lock()
-				m.lastGood, m.hasLastGood = snap, true
-				m.mu.Unlock()
-				sc.Status, sc.Epoch, sc.Count = CoverageFresh, snap.Epoch(), snap.Count()
-				results[i] = result{snap, true}
-				cov.Shards[i] = sc
-				return
-			} else {
-				m.breaker.Failure()
-			}
-			// Degraded path: stale fallback or an honest gap.
-			sc.Err = err.Error()
-			m.mu.Lock()
-			hasLast, last := m.hasLastGood, m.lastGood
-			m.mu.Unlock()
-			if f.staleFallback && hasLast {
-				sc.Status, sc.Epoch, sc.Count = CoverageStale, last.Epoch(), last.Count()
-				results[i] = result{last, true}
-			} else {
-				sc.Status = CoverageMissing
-				if hasLast {
-					sc.Epoch, sc.Count = last.Epoch(), last.Count()
-				}
-			}
-			cov.Shards[i] = sc
-		}(i, m)
-	}
-	wg.Wait()
-
-	var snaps []Snapshot
-	for i := range results {
-		if results[i].ok {
-			snaps = append(snaps, results[i].snap)
-			if cov.Shards[i].Status == CoverageFresh {
-				cov.Fresh++
-			} else {
-				cov.Stale++
-			}
-		}
-	}
-	if len(snaps) == 0 {
-		f.observeMerge("empty", cov)
-		return Snapshot{}, cov, fmt.Errorf("ldp: no shard contributed a snapshot (%s)", cov)
-	}
-	if f.quorum > 0 && len(snaps) < f.quorum {
-		f.observeMerge("quorum_refused", cov)
-		return Snapshot{}, cov, &QuorumError{Merged: len(snaps), Quorum: f.quorum, Coverage: cov}
-	}
-	merged, err := MergeSnapshots(snaps...)
-	if err != nil {
-		f.observeMerge("error", cov)
-		return Snapshot{}, cov, err
-	}
-	if cov.Complete() {
-		f.observeMerge("complete", cov)
-	} else {
-		f.observeMerge("degraded", cov)
-	}
-	return merged, cov, nil
+	return f.gather(true, "a snapshot", func(rc *RemoteCollector) (Snapshot, error) {
+		return rc.Snap(ctx)
+	})
 }
 
 // SnapAt merges the fleet's retained history as of epoch: every member is
@@ -1058,60 +979,90 @@ func (f *Fleet) Snap(ctx context.Context) (Snapshot, Coverage, error) {
 // not retained) is reported missing with the error. Quorum applies as in
 // Snap; a fleet where nothing answered returns an error.
 func (f *Fleet) SnapAt(ctx context.Context, epoch uint64) (Snapshot, Coverage, error) {
+	return f.gather(false, fmt.Sprintf("a historical snapshot at epoch %d", epoch), func(rc *RemoteCollector) (Snapshot, error) {
+		return rc.SnapAtNearest(ctx, epoch)
+	})
+}
+
+// gather is the one fan-in behind Snap and SnapAt: fetch runs against every
+// member concurrently (breaker permitting), the answers merge, and the
+// quorum and merge-outcome accounting apply. live selects the live read's
+// rules — an answer refreshes the member's last-good snapshot, a failed
+// member falls back on it (stale) when the fleet allows, and every failure
+// counts against the breaker. A historical read (live false) has no fallback,
+// and a definitive answer ("epoch not retained", "no history") means the
+// shard is alive and talking, so only transport-level failure counts against
+// its breaker. what names the read in the nothing-contributed error.
+func (f *Fleet) gather(live bool, what string, fetch func(*RemoteCollector) (Snapshot, error)) (Snapshot, Coverage, error) {
 	members := f.list()
 	cov := Coverage{Total: len(members), Shards: make([]ShardCoverage, len(members))}
 	if len(members) == 0 {
 		return Snapshot{}, cov, errors.New("ldp: fleet has no members")
 	}
 
-	type result struct {
-		snap Snapshot
-		ok   bool
-	}
-	results := make([]result, len(members))
+	contributed := make([]*Snapshot, len(members))
 	var wg sync.WaitGroup
 	for i, m := range members {
 		wg.Add(1)
 		go func(i int, m *fleetMember) {
 			defer wg.Done()
-			sc := ShardCoverage{Endpoint: m.endpoint}
-			var snap Snapshot
-			var err error
-			if berr := m.breaker.Allow(); berr != nil {
-				err = berr
-			} else if snap, err = m.rc.SnapAtNearest(ctx, epoch); err == nil {
-				m.breaker.Success()
-				sc.Status, sc.Epoch, sc.Count = CoverageFresh, snap.Epoch(), snap.Count()
-				results[i] = result{snap, true}
-				cov.Shards[i] = sc
-				return
-			} else {
-				// A definitive answer ("epoch not retained", "no history")
-				// means the shard is alive and talking — only transport-level
-				// failure counts against its breaker.
+			sc := &cov.Shards[i]
+			sc.Endpoint = m.endpoint
+			err := m.breaker.Allow()
+			if err == nil {
+				var snap Snapshot
+				if snap, err = fetch(m.rc); err == nil {
+					m.breaker.Success()
+					if live {
+						m.mu.Lock()
+						m.lastGood, m.hasLastGood = snap, true
+						m.mu.Unlock()
+					}
+					sc.Status, sc.Epoch, sc.Count = CoverageFresh, snap.Epoch(), snap.Count()
+					contributed[i] = &snap
+					return
+				}
 				var se *StatusError
-				if errors.As(err, &se) && !se.Temporary() {
+				if !live && errors.As(err, &se) && !se.Temporary() {
 					m.breaker.Success()
 				} else {
 					m.breaker.Failure()
 				}
 			}
+			// Degraded path: stale fallback (live reads only) or an honest gap.
 			sc.Status, sc.Err = CoverageMissing, err.Error()
-			cov.Shards[i] = sc
+			if !live {
+				return
+			}
+			m.mu.Lock()
+			hasLast, last := m.hasLastGood, m.lastGood
+			m.mu.Unlock()
+			if hasLast {
+				sc.Epoch, sc.Count = last.Epoch(), last.Count()
+				if f.staleFallback {
+					sc.Status = CoverageStale
+					contributed[i] = &last
+				}
+			}
 		}(i, m)
 	}
 	wg.Wait()
 
 	var snaps []Snapshot
-	for i := range results {
-		if results[i].ok {
-			snaps = append(snaps, results[i].snap)
+	for i, snap := range contributed {
+		if snap == nil {
+			continue
+		}
+		snaps = append(snaps, *snap)
+		if cov.Shards[i].Status == CoverageFresh {
 			cov.Fresh++
+		} else {
+			cov.Stale++
 		}
 	}
 	if len(snaps) == 0 {
 		f.observeMerge("empty", cov)
-		return Snapshot{}, cov, fmt.Errorf("ldp: no shard contributed a historical snapshot at epoch %d (%s)", epoch, cov)
+		return Snapshot{}, cov, fmt.Errorf("ldp: no shard contributed %s (%s)", what, cov)
 	}
 	if f.quorum > 0 && len(snaps) < f.quorum {
 		f.observeMerge("quorum_refused", cov)

@@ -345,12 +345,9 @@ func TestRemoteSnapAtEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	col := historyCollector(t, dir, m.agg, w)
 	defer col.Close()
-	handler, err := ldp.NewCollectorServer(col, ldp.ServerInfo{
+	handler := collectorHandler(t, col, ldp.MechanismInfo{
 		Mechanism: "strategy", Domain: m.agg.Domain(), Epsilon: m.rz.Epsilon(), Digest: m.digest,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hs := httptest.NewServer(handler)
 	defer hs.Close()
 	rc, err := ldp.NewRemoteCollector(hs.URL, m.agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
@@ -573,10 +570,7 @@ func TestFleetSnapAtHistoricalMerge(t *testing.T) {
 	for i := range shards {
 		col := historyCollector(t, t.TempDir(), m.agg, w)
 		t.Cleanup(func() { col.Close() })
-		handler, err := ldp.NewCollectorServer(col, ldp.MechanismInfoOf(m.agg))
-		if err != nil {
-			t.Fatal(err)
-		}
+		handler := collectorHandler(t, col, ldp.MechanismInfoOf(m.agg))
 		hs := httptest.NewServer(handler)
 		t.Cleanup(hs.Close)
 		sh := &durShard{col: col, hs: hs}
@@ -598,10 +592,7 @@ func TestFleetSnapAtHistoricalMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memHandler, err := ldp.NewCollectorServer(memless, ldp.MechanismInfoOf(m.agg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	memHandler := collectorHandler(t, memless, ldp.MechanismInfoOf(m.agg))
 	memHS := httptest.NewServer(memHandler)
 	defer memHS.Close()
 	ingest(memless, perRound/2)

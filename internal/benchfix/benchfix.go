@@ -198,7 +198,7 @@ func SnapshotCached(cached bool) func(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if st := col.State(); len(st) != n {
+			if col.Snap().StateLen() != n {
 				b.Fatal("bad snapshot")
 			}
 		}

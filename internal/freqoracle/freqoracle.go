@@ -22,8 +22,6 @@ import (
 	"math/rand"
 
 	"repro/internal/protocol"
-	"repro/internal/simulate"
-	"repro/internal/workload"
 )
 
 // Epsilon bounds every oracle constructor enforces. ε must be a positive
@@ -418,19 +416,4 @@ func (o *OLH) EstimateCounts(acc []float64, count float64) []float64 {
 		out[v] = (acc[v] - o.qs*count) / d
 	}
 	return out
-}
-
-// Run executes a full protocol for integer data vector x and returns the
-// estimated counts. It is the shared simulator (internal/simulate) driving
-// the oracle as both protocol halves, so the execution loop exists once.
-func Run(o Oracle, x []float64, seed int64) ([]float64, error) {
-	p, err := simulate.New(o, o, workload.NewHistogram(o.Domain()))
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Run(x, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	return out.XEstimate, nil
 }

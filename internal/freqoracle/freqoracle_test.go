@@ -7,7 +7,24 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/protocol"
+	"repro/internal/simulate"
+	"repro/internal/workload"
 )
+
+// run executes a full protocol for integer data vector x through the shared
+// simulator, driving the oracle as both protocol halves, and returns the
+// estimated counts.
+func run(o Oracle, x []float64, seed int64) ([]float64, error) {
+	p, err := simulate.New(o, o, workload.NewHistogram(o.Domain()))
+	if err != nil {
+		return nil, err
+	}
+	out, err := p.Run(x, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
+	return out.XEstimate, nil
+}
 
 func oracles(t *testing.T, n int, eps float64) []Oracle {
 	t.Helper()
@@ -164,7 +181,7 @@ func TestEstimatorsUnbiased(t *testing.T) {
 		mean := make([]float64, n)
 		const runs = 60
 		for r := 0; r < runs; r++ {
-			est, err := Run(o, x, int64(r))
+			est, err := run(o, x, int64(r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +206,7 @@ func TestVarianceMatchesClosedForm(t *testing.T) {
 		var sumsq float64
 		const runs = 150
 		for r := 0; r < runs; r++ {
-			est, err := Run(o, x, int64(1000+r))
+			est, err := run(o, x, int64(1000+r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,13 +286,13 @@ func TestByName(t *testing.T) {
 
 func TestRunValidatesData(t *testing.T) {
 	oue, _ := NewOUE(3, 1)
-	if _, err := Run(oue, []float64{1, 2}, 1); err == nil {
+	if _, err := run(oue, []float64{1, 2}, 1); err == nil {
 		t.Fatal("expected length error")
 	}
-	if _, err := Run(oue, []float64{1, 2.5, 0}, 1); err == nil {
+	if _, err := run(oue, []float64{1, 2.5, 0}, 1); err == nil {
 		t.Fatal("expected non-integer error")
 	}
-	if _, err := Run(oue, []float64{1, -2, 0}, 1); err == nil {
+	if _, err := run(oue, []float64{1, -2, 0}, 1); err == nil {
 		t.Fatal("expected negativity error")
 	}
 }

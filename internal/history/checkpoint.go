@@ -83,7 +83,7 @@ func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []KeyCo
 	if _, err := w.Write(b[:]); err != nil {
 		return err
 	}
-	if err := transport.EncodeSnapshotFrameStream(w, snap); err != nil {
+	if err := transport.EncodeSnapshotFrame(w, snap); err != nil {
 		return err
 	}
 	var kc [4]byte
@@ -243,7 +243,7 @@ func ReadCheckpointFile(path string, wantSeq uint64) (transport.Snapshot, []KeyC
 		return fail("truncated at its sequence")
 	}
 	seq := binary.BigEndian.Uint64(seqBuf[:])
-	snap, err := transport.DecodeSnapshotFrameStream(body)
+	snap, err := transport.DecodeSnapshotFrame(body)
 	if err != nil {
 		return fail("%v", err)
 	}

@@ -202,18 +202,6 @@ func (c *Client) SnapAt(ctx context.Context, epoch uint64, nearest bool) (Snapsh
 	return DecodeSnapshotFrame(resp.Body)
 }
 
-// Snapshot fetches the server's merged accumulator and report count.
-//
-// Deprecated: use Snap, which also carries the snapshot's epoch and
-// mechanism identity.
-func (c *Client) Snapshot(ctx context.Context) (state []float64, count float64, err error) {
-	s, err := c.Snap(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.State, s.Count, nil
-}
-
 // Healthz fetches the server's liveness report and mechanism identity.
 func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	resp, err := c.get(ctx, "/healthz")

@@ -127,49 +127,46 @@ func writeFrame(w io.Writer, version, kind byte, payload []byte) error {
 	return err
 }
 
-// maxVersionOf returns the newest frame version readable for a kind. Report
-// frames are still version 1; snapshot frames read 1 (bare accumulator) and
-// 2 (identity-prefixed).
+// maxVersionOf returns the newest frame version readFrame accepts for a
+// kind. Report frames are still version 1; snapshot frames (versions 1 and 2)
+// have their own streaming reader, DecodeSnapshotFrame.
 func maxVersionOf(kind byte) byte {
 	switch kind {
-	case kindSnapshot:
-		return snapshotVersion
 	case kindQuery, kindQueryResult:
 		return queryVersion
 	}
 	return frameVersion
 }
 
-// readFrame reads one frame of the wanted kind and returns its payload
-// together with the version byte the frame declared (the caller dispatches
-// the payload layout on it). A reader exhausted exactly at a frame boundary
-// returns ErrFrameEOF, so callers can loop over a stream.
-func readFrame(r io.Reader, wantKind byte) ([]byte, byte, error) {
+// readFrame reads one frame of the wanted kind and returns its payload. A
+// reader exhausted exactly at a frame boundary returns ErrFrameEOF, so
+// callers can loop over a stream.
+func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return nil, 0, ErrFrameEOF
+			return nil, ErrFrameEOF
 		}
-		return nil, 0, fmt.Errorf("transport: truncated frame header: %w", err)
+		return nil, fmt.Errorf("transport: truncated frame header: %w", err)
 	}
 	if string(hdr[:4]) != frameMagic {
-		return nil, 0, fmt.Errorf("transport: bad frame magic %q", hdr[:4])
+		return nil, fmt.Errorf("transport: bad frame magic %q", hdr[:4])
 	}
 	if hdr[4] < 1 || hdr[4] > maxVersionOf(wantKind) {
-		return nil, 0, fmt.Errorf("transport: unsupported frame version %d (this library reads versions 1..%d)", hdr[4], maxVersionOf(wantKind))
+		return nil, fmt.Errorf("transport: unsupported frame version %d (this library reads versions 1..%d)", hdr[4], maxVersionOf(wantKind))
 	}
 	if hdr[5] != wantKind {
-		return nil, 0, fmt.Errorf("transport: frame kind %d, want %d", hdr[5], wantKind)
+		return nil, fmt.Errorf("transport: frame kind %d, want %d", hdr[5], wantKind)
 	}
 	n := binary.BigEndian.Uint32(hdr[6:])
 	if int64(n) > int64(payloadLimit(wantKind)) {
-		return nil, 0, fmt.Errorf("transport: %d-byte payload exceeds the %d-byte frame limit", n, payloadLimit(wantKind))
+		return nil, fmt.Errorf("transport: %d-byte payload exceeds the %d-byte frame limit", n, payloadLimit(wantKind))
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("transport: truncated frame payload: %w", err)
+		return nil, fmt.Errorf("transport: truncated frame payload: %w", err)
 	}
-	return payload, hdr[4], nil
+	return payload, nil
 }
 
 const (
@@ -324,7 +321,7 @@ func decodeUvarint(buf []byte) (uint64, int, error) {
 // frame boundary returns (nil, ErrFrameEOF). Allocation is proportional to
 // the bytes actually present, never to a declared length alone.
 func DecodeReports(r io.Reader) ([]protocol.Report, error) {
-	payload, _, err := readFrame(r, kindReports)
+	payload, err := readFrame(r, kindReports)
 	if err != nil {
 		return nil, err
 	}
@@ -443,15 +440,26 @@ func snapshotFrameError(s Snapshot) error {
 	return nil
 }
 
+// snapshotChunkFloats is how many state entries the snapshot codec moves per
+// write/read — 32 KiB of wire bytes, small enough to live on one buffer
+// regardless of accumulator size.
+const snapshotChunkFloats = 4096
+
 // EncodeSnapshotFrame writes one version-2 snapshot frame carrying the full
 // snapshot: identity and epoch first, state last, so a reader can reject a
-// mismatched shard from the fixed-size prefix alone.
+// mismatched shard from the fixed-size prefix alone. The frame streams
+// through one chunk-sized buffer (sized down to the frame for small
+// snapshots), so a checkpoint of any accumulator size never materializes its
+// payload and a small HTTP snapshot costs one allocation and one write.
 func EncodeSnapshotFrame(w io.Writer, s Snapshot) error {
-	if err := snapshotFrameError(s); err != nil {
+	total, err := SnapshotFrameLen(s)
+	if err != nil {
 		return err
 	}
-	meta := 8 + 8 + 4 + 8 + 1 + len(s.Info.Mechanism) + 1 + len(s.Info.Digest) + 4
-	buf := make([]byte, 0, meta+8*len(s.State))
+	buf := make([]byte, 0, min(total, 8*snapshotChunkFloats))
+	buf = append(buf, frameMagic...)
+	buf = append(buf, snapshotVersion, kindSnapshot)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(total-headerLen))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Count))
 	buf = binary.BigEndian.AppendUint64(buf, s.Epoch)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Info.Domain))
@@ -462,65 +470,21 @@ func EncodeSnapshotFrame(w io.Writer, s Snapshot) error {
 	buf = append(buf, s.Info.Digest...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.State)))
 	for _, v := range s.State {
+		if len(buf)+8 > cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return writeFrame(w, snapshotVersion, kindSnapshot, buf)
+	_, err = w.Write(buf)
+	return err
 }
 
-// snapshotChunkFloats is how many state entries the streaming snapshot codec
-// moves per write/read — 32 KiB of wire bytes, small enough to live on one
-// buffer regardless of accumulator size.
-const snapshotChunkFloats = 4096
-
-// EncodeSnapshotFrameStream writes the identical bytes EncodeSnapshotFrame
-// would, but streams the state through a fixed-size chunk instead of
-// materializing the whole payload — the writer for checkpoint files whose
-// accumulators are far larger than any sensible single allocation.
-func EncodeSnapshotFrameStream(w io.Writer, s Snapshot) error {
-	if err := snapshotFrameError(s); err != nil {
-		return err
-	}
-	meta := 8 + 8 + 4 + 8 + 1 + len(s.Info.Mechanism) + 1 + len(s.Info.Digest) + 4
-	var hdr [headerLen]byte
-	copy(hdr[:4], frameMagic)
-	hdr[4] = snapshotVersion
-	hdr[5] = kindSnapshot
-	binary.BigEndian.PutUint32(hdr[6:], uint32(meta+8*len(s.State)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 8*snapshotChunkFloats)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Count))
-	buf = binary.BigEndian.AppendUint64(buf, s.Epoch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Info.Domain))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Info.Epsilon))
-	buf = append(buf, byte(len(s.Info.Mechanism)))
-	buf = append(buf, s.Info.Mechanism...)
-	buf = append(buf, byte(len(s.Info.Digest)))
-	buf = append(buf, s.Info.Digest...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.State)))
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	for off := 0; off < len(s.State); off += snapshotChunkFloats {
-		end := off + snapshotChunkFloats
-		if end > len(s.State) {
-			end = len(s.State)
-		}
-		buf = buf[:0]
-		for _, v := range s.State[off:end] {
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SnapshotFrameLen returns the exact byte length EncodeSnapshotFrame(Stream)
-// produces for s, header included — what a streaming checkpoint writer needs
-// to frame its payload before a single state entry moves.
+// SnapshotFrameLen returns the exact byte length EncodeSnapshotFrame produces
+// for s, header included — what a streaming checkpoint writer needs to frame
+// its payload before a single state entry moves.
 func SnapshotFrameLen(s Snapshot) (int, error) {
 	if err := snapshotFrameError(s); err != nil {
 		return 0, err
@@ -529,11 +493,11 @@ func SnapshotFrameLen(s Snapshot) (int, error) {
 	return headerLen + meta + 8*len(s.State), nil
 }
 
-// DecodeSnapshotFrameStream reads one snapshot frame of either version
-// directly from r, converting the state chunk by chunk — unlike
-// DecodeSnapshotFrame it never holds a second whole-state byte buffer. The
-// validation is identical; the two are equivalence-tested.
-func DecodeSnapshotFrameStream(r io.Reader) (Snapshot, error) {
+// DecodeSnapshotFrame reads one snapshot frame of either version directly
+// from r, converting the state chunk by chunk — it never holds a second
+// whole-state byte buffer. Version-1 frames decode with zero Epoch and Info —
+// the state and count are all they carry.
+func DecodeSnapshotFrame(r io.Reader) (Snapshot, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -557,8 +521,13 @@ func DecodeSnapshotFrameStream(r io.Reader) (Snapshot, error) {
 	}
 	lr := &io.LimitedReader{R: r, N: int64(plen)}
 	var s Snapshot
-	scratch := make([]byte, 8*snapshotChunkFloats)
+	scratch := make([]byte, min(int(plen), 8*snapshotChunkFloats))
 	take := func(n int, what string) ([]byte, error) {
+		// n <= lr.N also keeps n within scratch: the identity fields are at
+		// most 255 bytes and scratch is the smaller of a chunk and the payload.
+		if int64(n) > lr.N {
+			return nil, fmt.Errorf("transport: snapshot frame truncated at its %s", what)
+		}
 		if _, err := io.ReadFull(lr, scratch[:n]); err != nil {
 			return nil, fmt.Errorf("transport: snapshot frame truncated at its %s", what)
 		}
@@ -610,10 +579,7 @@ func DecodeSnapshotFrameStream(r io.Reader) (Snapshot, error) {
 	}
 	s.State = make([]float64, stateLen)
 	for off := 0; off < len(s.State); off += snapshotChunkFloats {
-		end := off + snapshotChunkFloats
-		if end > len(s.State) {
-			end = len(s.State)
-		}
+		end := min(off+snapshotChunkFloats, len(s.State))
 		chunk := scratch[:8*(end-off)]
 		if _, err := io.ReadFull(lr, chunk); err != nil {
 			return Snapshot{}, fmt.Errorf("transport: snapshot frame truncated in its state: %w", err)
@@ -623,91 +589,6 @@ func DecodeSnapshotFrameStream(r io.Reader) (Snapshot, error) {
 		}
 	}
 	return s, nil
-}
-
-// DecodeSnapshotFrame reads one snapshot frame of either version. Version-1
-// frames decode with zero Epoch and Info — the state and count are all they
-// carry.
-func DecodeSnapshotFrame(r io.Reader) (Snapshot, error) {
-	payload, version, err := readFrame(r, kindSnapshot)
-	if err != nil {
-		if err == ErrFrameEOF {
-			err = errors.New("transport: empty snapshot response")
-		}
-		return Snapshot{}, err
-	}
-	var s Snapshot
-	buf := payload
-	take := func(n int, what string) ([]byte, error) {
-		if len(buf) < n {
-			return nil, fmt.Errorf("transport: snapshot frame truncated at its %s", what)
-		}
-		out := buf[:n]
-		buf = buf[n:]
-		return out, nil
-	}
-	b, err := take(8, "count")
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s.Count = math.Float64frombits(binary.BigEndian.Uint64(b))
-	if version >= snapshotVersion {
-		if b, err = take(8, "epoch"); err != nil {
-			return Snapshot{}, err
-		}
-		s.Epoch = binary.BigEndian.Uint64(b)
-		if b, err = take(4, "domain"); err != nil {
-			return Snapshot{}, err
-		}
-		s.Info.Domain = int(binary.BigEndian.Uint32(b))
-		if b, err = take(8, "epsilon"); err != nil {
-			return Snapshot{}, err
-		}
-		s.Info.Epsilon = math.Float64frombits(binary.BigEndian.Uint64(b))
-		if math.IsNaN(s.Info.Epsilon) || math.IsInf(s.Info.Epsilon, 0) || s.Info.Epsilon < 0 {
-			return Snapshot{}, fmt.Errorf("transport: snapshot ε %v is not a non-negative finite number", s.Info.Epsilon)
-		}
-		for _, field := range []struct {
-			what string
-			dst  *string
-		}{{"mechanism", &s.Info.Mechanism}, {"digest", &s.Info.Digest}} {
-			if b, err = take(1, field.what+" length"); err != nil {
-				return Snapshot{}, err
-			}
-			if b, err = take(int(b[0]), field.what); err != nil {
-				return Snapshot{}, err
-			}
-			*field.dst = string(b)
-		}
-	}
-	if b, err = take(4, "state length"); err != nil {
-		return Snapshot{}, err
-	}
-	stateLen := binary.BigEndian.Uint32(b)
-	if int64(len(buf)) != 8*int64(stateLen) {
-		return Snapshot{}, fmt.Errorf("transport: snapshot declares %d state entries but carries %d payload bytes", stateLen, len(buf))
-	}
-	if math.IsNaN(s.Count) || math.IsInf(s.Count, 0) || s.Count < 0 {
-		return Snapshot{}, fmt.Errorf("transport: snapshot count %v is not a non-negative finite number", s.Count)
-	}
-	s.State = make([]float64, stateLen)
-	for i := range s.State {
-		s.State[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[8*i:]))
-	}
-	return s, nil
-}
-
-// DecodeSnapshot reads one snapshot frame of either version and returns the
-// bare accumulator view.
-//
-// Deprecated: use DecodeSnapshotFrame, which also surfaces the snapshot's
-// epoch and mechanism identity.
-func DecodeSnapshot(r io.Reader) (state []float64, count float64, err error) {
-	s, err := DecodeSnapshotFrame(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.State, s.Count, nil
 }
 
 // encodeReportsBytes is EncodeReports into memory (the client's request-body

@@ -178,20 +178,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := EncodeSnapshot(&buf, state, 12345); err != nil {
 		t.Fatal(err)
 	}
-	got, count, err := DecodeSnapshot(&buf)
+	got, err := DecodeSnapshotFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 12345 || !reflect.DeepEqual(got, state) {
-		t.Fatalf("snapshot round trip: count %v, state %v", count, got)
+	if got.Count != 12345 || !reflect.DeepEqual(got.State, state) {
+		t.Fatalf("snapshot round trip: count %v, state %v", got.Count, got.State)
 	}
 	// Zero-length state round-trips too.
 	buf.Reset()
 	if err := EncodeSnapshot(&buf, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, count, err = DecodeSnapshot(&buf); err != nil || count != 0 || len(got) != 0 {
-		t.Fatalf("empty snapshot round trip: %v %v %v", got, count, err)
+	if got, err = DecodeSnapshotFrame(&buf); err != nil || got.Count != 0 || len(got.State) != 0 {
+		t.Fatalf("empty snapshot round trip: %+v %v", got, err)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 		"length mismatch": lengthened(base),
 		"nan count":       mutate(base, headerLen, 0x7F, 0xF8, 0, 0, 0, 0, 0, 1),
 	} {
-		if _, _, err := DecodeSnapshot(bytes.NewReader(data)); err == nil {
+		if _, err := DecodeSnapshotFrame(bytes.NewReader(data)); err == nil {
 			t.Fatalf("%s: decoded without error", name)
 		}
 	}

@@ -146,7 +146,7 @@ func checkQueryLevel(level float64, wantCI bool) error {
 // be consumed exactly, and the decoded fields must satisfy the same
 // invariants the encoder enforces.
 func DecodeQueryFrame(r io.Reader) (QueryRequest, error) {
-	payload, _, err := readFrame(r, kindQuery)
+	payload, err := readFrame(r, kindQuery)
 	if err != nil {
 		return QueryRequest{}, err
 	}
@@ -325,7 +325,7 @@ func DecodeQueryResult(r io.Reader, fn func(QueryRow) bool) (QueryResultInfo, er
 		if !first && seen >= info.TotalRows {
 			return info, nil
 		}
-		payload, _, err := readFrame(r, kindQueryResult)
+		payload, err := readFrame(r, kindQueryResult)
 		if err != nil {
 			if err == ErrFrameEOF {
 				if first {

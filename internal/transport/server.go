@@ -285,6 +285,9 @@ func (c *idemCache) outcome(entry *idemOutcome) (int, ingestResponse, bool) {
 //	                 response carries the number of reports accepted; a
 //	                 malformed or rejected frame aborts the request with
 //	                 status 400 after the preceding frames have been applied.
+//	                 A backend error carrying a *StatusError answers with
+//	                 that status; a Temporary one (a failed WAL append) is
+//	                 retryable and is not remembered.
 //	                 A request stamped with IdempotencyKeyHeader is absorbed
 //	                 at most once: a duplicate replays the recorded response.
 //	GET  /snapshot — one v2 snapshot frame: merged accumulator, count, epoch,
@@ -582,7 +585,29 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := ingest(reports); err != nil {
-			finish(http.StatusBadRequest, ingestResponse{Accepted: accepted, Error: err.Error()})
+			status := http.StatusBadRequest
+			var se *StatusError
+			if errors.As(err, &se) {
+				status = se.StatusCode
+			}
+			resp := ingestResponse{Accepted: accepted, Error: err.Error()}
+			if se != nil && se.Temporary() {
+				if accepted == 0 {
+					// The backend cannot absorb right now (a failed WAL append)
+					// and nothing of this request was applied: answer retryable
+					// and leave the claim to the deferred abort, so a same-key
+					// retry reaches the backend again instead of a cached error.
+					w.Header().Set("Retry-After", "1")
+					writeJSON(w, status, resp)
+					return
+				}
+				// Earlier frames of this request are already absorbed, so a
+				// same-key retry of the whole body would re-apply them. Answer
+				// definitively with the applied prefix — as after a restart —
+				// and the client re-sends only the rest under a fresh key.
+				status = http.StatusConflict
+			}
+			finish(status, resp)
 			return
 		}
 		accepted += len(reports)

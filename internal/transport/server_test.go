@@ -3,7 +3,10 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -19,6 +22,10 @@ type memBackend struct {
 	mu      sync.Mutex
 	reports []protocol.Report
 	reject  bool
+	// failWith, when set, is what IngestBatch returns once passFirst batches
+	// have been absorbed.
+	failWith  error
+	passFirst int
 }
 
 func (m *memBackend) IngestBatch(reports []protocol.Report) error {
@@ -26,6 +33,12 @@ func (m *memBackend) IngestBatch(reports []protocol.Report) error {
 	defer m.mu.Unlock()
 	if m.reject {
 		return errors.New("backend says no")
+	}
+	if m.failWith != nil {
+		if m.passFirst == 0 {
+			return m.failWith
+		}
+		m.passFirst--
 	}
 	m.reports = append(m.reports, reports...)
 	return nil
@@ -94,12 +107,12 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("accepted %d, want %d", accepted, len(batch))
 	}
 
-	state, count, err := c.Snapshot(ctx)
+	snap, err := c.Snap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 3 || !reflect.DeepEqual(state, []float64{0, 2, 0, 0, 0, 1, 0, 0}) {
-		t.Fatalf("snapshot: count %v, state %v", count, state)
+	if snap.Count != 3 || !reflect.DeepEqual(snap.State, []float64{0, 2, 0, 0, 0, 1, 0, 0}) {
+		t.Fatalf("snapshot: count %v, state %v", snap.Count, snap.State)
 	}
 }
 
@@ -220,6 +233,72 @@ func TestIdempotencyKeyReplaysRejection(t *testing.T) {
 	}
 	if got := backend.Count(); got != 0 {
 		t.Fatalf("backend absorbed %v reports through a replayed rejection", got)
+	}
+}
+
+// A backend that cannot absorb right now — a failed WAL append surfaces as a
+// Temporary *StatusError — is answered with its status plus Retry-After and
+// is NOT remembered: the same key retried after the outage reaches the
+// backend again. Once earlier frames of the request are applied the answer
+// turns definitive (409 with the applied prefix) and is remembered, because
+// a same-key retry of the whole body would absorb that prefix twice.
+func TestTemporaryBackendErrorIsRetryableNotCached(t *testing.T) {
+	outage := fmt.Errorf("ldp: %w", &StatusError{StatusCode: http.StatusServiceUnavailable, Msg: "write-ahead log: no space left on device"})
+	backend := &memBackend{failWith: outage}
+	hs, c := newTestServer(t, backend)
+	ctx := context.Background()
+	batch := []protocol.Report{{Index: 1}, {Index: 2}}
+
+	_, err := c.PostReportsKeyed(ctx, batch, "wal-key")
+	var se *StatusError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusServiceUnavailable || se.RetryAfter <= 0 {
+		t.Fatalf("want a 503 with Retry-After, got %v", err)
+	}
+	backend.mu.Lock()
+	backend.failWith = nil
+	backend.mu.Unlock()
+	accepted, err := c.PostReportsKeyed(ctx, batch, "wal-key")
+	if err != nil || accepted != len(batch) {
+		t.Fatalf("same-key retry after the outage: accepted %d, err %v", accepted, err)
+	}
+	if got := backend.Count(); got != float64(len(batch)) {
+		t.Fatalf("backend holds %v reports, want %d — the 503 was cached", got, len(batch))
+	}
+
+	// Two frames, the outage hitting the second: the first is applied.
+	backend.mu.Lock()
+	backend.failWith, backend.passFirst = outage, 1
+	backend.mu.Unlock()
+	post := func() (int, ingestResponse) {
+		var body bytes.Buffer
+		for _, frame := range [][]protocol.Report{batch, {{Index: 3}}} {
+			if err := EncodeReports(&body, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/reports", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(IdempotencyKeyHeader, "partial-key")
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ir ingestResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, ir
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		if status, ir := post(); status != http.StatusConflict || ir.Accepted != len(batch) {
+			t.Fatalf("attempt %d: status %d accepted %d, want a definitive 409 carrying the applied prefix %d", attempt, status, ir.Accepted, len(batch))
+		}
+	}
+	if got := backend.Count(); got != float64(2*len(batch)) {
+		t.Fatalf("backend holds %v reports, want %d — the applied prefix was absorbed twice", got, 2*len(batch))
 	}
 }
 

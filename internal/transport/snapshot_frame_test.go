@@ -18,11 +18,23 @@ func sampleSnapshot() Snapshot {
 	}
 }
 
+// multiChunkSnapshot spans several of the codec's fixed-size chunks with a
+// ragged tail, so the chunk-boundary paths run.
+func multiChunkSnapshot() Snapshot {
+	s := sampleSnapshot()
+	s.State = make([]float64, 2*snapshotChunkFloats+3)
+	for i := range s.State {
+		s.State[i] = float64(i) - 0.5
+	}
+	return s
+}
+
 func TestSnapshotFrameV2RoundTrip(t *testing.T) {
 	for name, snap := range map[string]Snapshot{
-		"full":     sampleSnapshot(),
-		"bareInfo": {State: []float64{7}, Count: 7},
-		"empty":    {},
+		"full":       sampleSnapshot(),
+		"bareInfo":   {State: []float64{7}, Count: 7},
+		"empty":      {},
+		"multiChunk": multiChunkSnapshot(),
 	} {
 		var buf bytes.Buffer
 		if err := EncodeSnapshotFrame(&buf, snap); err != nil {
@@ -61,15 +73,6 @@ func TestSnapshotFrameV1StillDecodes(t *testing.T) {
 	}
 	if got.Count != 12 || got.Epoch != 0 || got.Info != (Info{}) || !reflect.DeepEqual(got.State, state) {
 		t.Fatalf("v1 decode: %+v", got)
-	}
-	// The deprecated pair-returning reader sees the same view.
-	buf.Reset()
-	if err := EncodeSnapshot(&buf, state, 12); err != nil {
-		t.Fatal(err)
-	}
-	st, count, err := DecodeSnapshot(&buf)
-	if err != nil || count != 12 || !reflect.DeepEqual(st, state) {
-		t.Fatalf("DecodeSnapshot on v1: %v %v %v", st, count, err)
 	}
 }
 
@@ -144,13 +147,18 @@ func TestDecodeSnapshotFrameRejectsMalformed(t *testing.T) {
 	if err := writeFrame(&shortMeta, snapshotVersion, kindSnapshot, make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
+	var multi bytes.Buffer
+	if err := EncodeSnapshotFrame(&multi, multiChunkSnapshot()); err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{
-		"truncated metadata": base[:headerLen+10],
-		"truncated state":    base[:len(base)-1],
-		"length mismatch":    lengthened(base),
-		"nan epsilon":        nanEps,
-		"future version":     mutate(base, 4, 3),
-		"short v2 metadata":  shortMeta.Bytes(),
+		"truncated metadata":  base[:headerLen+10],
+		"truncated state":     base[:len(base)-1],
+		"length mismatch":     lengthened(base),
+		"nan epsilon":         nanEps,
+		"future version":      mutate(base, 4, 3),
+		"short v2 metadata":   shortMeta.Bytes(),
+		"truncated mid-chunk": multi.Bytes()[:multi.Len()-8*snapshotChunkFloats-1],
 	} {
 		if _, err := DecodeSnapshotFrame(bytes.NewReader(data)); err == nil {
 			t.Fatalf("%s: decoded without error", name)

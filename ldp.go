@@ -37,8 +37,7 @@
 // pipeline runs with `ldp.NewOUE(n, eps)` in place of the two strategy
 // adapters. Snapshots from several collectors (local or remote ldpserve
 // shards) merge with Snapshot.Merge into one answerable view — see
-// cmd/ldpfed. See README.md for the full tour and the migration table from
-// the pre-streaming API.
+// cmd/ldpfed. See README.md for the full tour.
 //
 // All heavy computation is expressed against the workload's Gram matrix WᵀW,
 // so workloads with millions of rows (e.g. AllRange) remain cheap.
@@ -133,12 +132,6 @@ func WorkloadByName(name string, n int) (Workload, error) { return workload.ByNa
 // order.
 var PaperWorkloads = workload.PaperWorkloads
 
-// OptimizeOptions is the pre-functional-options configuration struct.
-//
-// Deprecated: new code should pass OptimizeOption values (WithIterations,
-// WithSeed, ...) to Optimize; this alias backs the deprecated wrappers only.
-type OptimizeOptions = core.Options
-
 // Optimized is the workload-adaptive mechanism produced by Optimize. It
 // embeds Factorization (so it satisfies Mechanism) and carries the
 // optimization diagnostics.
@@ -166,11 +159,7 @@ func Optimize(ctx context.Context, w Workload, eps float64, opts ...OptimizeOpti
 			opt(&s)
 		}
 	}
-	// A context carried in by the deprecated OptimizeOptions.Ctx (through the
-	// legacy wrappers) wins over the background context those wrappers pass.
-	if ctx != nil && s.core.Ctx == nil {
-		s.core.Ctx = ctx
-	}
+	s.core.Ctx = ctx
 
 	var res *core.Result
 	if s.warmStarts {
@@ -210,20 +199,6 @@ func Optimize(ctx context.Context, w Workload, eps float64, opts ...OptimizeOpti
 		Iterations:    res.Iters,
 		History:       res.History,
 	}, nil
-}
-
-// OptimizeForPrior optimizes for a prior distribution over user types.
-//
-// Deprecated: use Optimize with WithPrior.
-func OptimizeForPrior(w Workload, eps float64, prior []float64, opts *OptimizeOptions) (*Optimized, error) {
-	return Optimize(context.Background(), w, eps, withLegacyOptions(opts), WithPrior(prior))
-}
-
-// OptimizeBest is Optimize hardened with baseline warm starts.
-//
-// Deprecated: use Optimize with WithWarmStarts.
-func OptimizeBest(w Workload, eps float64, opts *OptimizeOptions) (*Optimized, error) {
-	return Optimize(context.Background(), w, eps, withLegacyOptions(opts), WithWarmStarts())
 }
 
 // OptimizeStrategy is Optimize returning the raw strategy matrix, for callers

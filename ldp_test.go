@@ -107,12 +107,12 @@ func TestOptimizeCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled context: err = %v", err)
 	}
 
-	// The deprecated wrappers must honor a context carried in through the
-	// legacy OptimizeOptions.Ctx field.
-	legacy, cancel3 := context.WithCancel(context.Background())
+	// The warm-start path runs several optimizations; each must honor the
+	// context too.
+	warm, cancel3 := context.WithCancel(context.Background())
 	cancel3()
-	if _, err := ldp.OptimizeBest(w, 1.0, &ldp.OptimizeOptions{Iters: 50, Ctx: legacy}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("legacy Ctx ignored by wrapper: err = %v", err)
+	if _, err := ldp.Optimize(warm, w, 1.0, ldp.WithIterations(50), ldp.WithWarmStarts()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("context ignored by the warm-start path: err = %v", err)
 	}
 }
 
@@ -234,13 +234,20 @@ func TestClientServerProtocol(t *testing.T) {
 	if server.Count() != 3000 {
 		t.Fatalf("count = %v", server.Count())
 	}
-	answers := server.Answers()
+	est, err := ldp.NewEstimator(agg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := est.Answers(server.Snap())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range truth {
 		if math.Abs(answers[i]-truth[i]) > 0.25*3000 {
 			t.Fatalf("answer[%d] = %v, truth %v — far beyond plausible noise", i, answers[i], truth[i])
 		}
 	}
-	consistent, err := server.ConsistentAnswers()
+	consistent, err := est.ConsistentAnswers(server.Snap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,42 +263,6 @@ func TestClientServerProtocol(t *testing.T) {
 	// Family confusion rejected: a unary report has no meaning here.
 	if err := server.Ingest(ldp.Report{Bits: make([]bool, n)}); err == nil {
 		t.Fatal("expected family error")
-	}
-}
-
-// TestDeprecatedStrategyWrappers keeps the pre-streaming entry points
-// working: NewStrategyClient/Respond and NewStrategyServer/Add must behave
-// like the explicit pipeline.
-func TestDeprecatedStrategyWrappers(t *testing.T) {
-	n := 4
-	w := ldp.Histogram(n)
-	mech, err := ldp.Optimize(context.Background(), w, 2.0,
-		ldp.WithIterations(30), ldp.WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := ldp.NewStrategyClient(mech.Strategy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := ldp.NewStrategyServer(mech.Strategy(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		if err := server.Add(client.Respond(i%n, rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if server.Count() != 100 {
-		t.Fatalf("count = %v", server.Count())
-	}
-	if err := server.Add(99999); err == nil {
-		t.Fatal("expected range error")
-	}
-	if got := len(server.ResponseVector()); got != mech.Strategy().Outputs() {
-		t.Fatalf("response vector length %d", got)
 	}
 }
 

@@ -80,20 +80,3 @@ func WithWarmStarts() OptimizeOption {
 func WithProgress(fn func(iter int, objective float64)) OptimizeOption {
 	return func(s *optimizeSettings) { s.core.OnIteration = fn }
 }
-
-// withLegacyOptions seeds the settings from a pre-functional-options struct;
-// it backs the deprecated Optimize* wrappers.
-func withLegacyOptions(opts *OptimizeOptions) OptimizeOption {
-	return func(s *optimizeSettings) {
-		if opts != nil {
-			prior, ctx := s.core.Prior, s.core.Ctx
-			s.core = *opts
-			if s.core.Prior == nil {
-				s.core.Prior = prior
-			}
-			if s.core.Ctx == nil {
-				s.core.Ctx = ctx
-			}
-		}
-	}
-}

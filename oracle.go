@@ -32,12 +32,3 @@ func NewRAPPOROracle(n int, eps float64) (FrequencyOracle, error) {
 func OracleByName(name string, n int, eps float64) (FrequencyOracle, error) {
 	return freqoracle.ByName(name, n, eps)
 }
-
-// RunFrequencyOracle executes a full oracle protocol on an integer data
-// vector and returns the estimated counts.
-//
-// Deprecated: oracles speak the streaming protocol; use SimulateProtocol(o,
-// o, Histogram(n), x, seed) or the Client/Collector pipeline directly.
-func RunFrequencyOracle(o FrequencyOracle, x []float64, seed int64) ([]float64, error) {
-	return freqoracle.Run(o, x, seed)
-}

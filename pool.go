@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,14 +32,17 @@ import (
 //
 // An EstimatorPool is safe for concurrent use.
 type EstimatorPool struct {
-	dir        string // strategy cache directory; "" keeps the cache in memory only
-	maxEntries int    // per-cache LRU bound; 0 = unbounded
-	gcBudget   int64  // disk-cache byte budget; 0 = unbounded
+	dir string // strategy cache directory; "" keeps the cache in memory only
 
-	mu         sync.Mutex
-	clock      uint64 // LRU clock: bumped on every cache touch under mu
-	estimators map[string]*estimatorCall
-	strategies map[string]*strategyCall
+	estimators flightCache[*Estimator]
+	strategies flightCache[*Strategy]
+	// named holds the one instance of each paper workload /query has resolved,
+	// keyed by (name, domain), so the per-instance digest memo hits on every
+	// later request. Bounded by the six families times the service's domain
+	// (an invalid name fails its build and is not remembered).
+	named flightCache[Workload]
+
+	mu sync.Mutex
 	// answers caches AnswerBatch results per mechanism identity, valid for
 	// exactly one observed snapshot: an advance of the snapshot (epoch, count,
 	// state fingerprint) drops the identity's entries wholesale.
@@ -56,25 +58,48 @@ type EstimatorPool struct {
 	stats poolCounters
 }
 
-// estimatorCall is one in-flight or completed estimator build; waiters block
-// on done. used is the LRU timestamp (pool clock, written under the pool
-// lock); settled flips once the build finished, gating eviction — an
-// in-flight singleflight entry is never evicted out from under its waiters.
-type estimatorCall struct {
-	done    chan struct{}
-	est     *Estimator
-	err     error
-	used    uint64
-	settled bool
+// flightCache is a singleflight memo: the first resolver of a key runs the
+// build, concurrent resolvers of the same key wait for it and share the
+// result, and later resolvers hit the completed entry. A failed build is
+// dropped so it cannot poison the key — a later caller (perhaps with a
+// corrected workload) retries.
+type flightCache[V any] struct {
+	mu    sync.Mutex
+	calls map[string]*flightCall[V]
 }
 
-// strategyCall is one in-flight or completed strategy resolution.
-type strategyCall struct {
-	done    chan struct{}
-	s       *Strategy
-	err     error
-	used    uint64
-	settled bool
+// flightCall is one in-flight or completed build; waiters block on done.
+type flightCall[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// get resolves key, running build at most once however many goroutines ask
+// concurrently. hit reports that another call's build (completed or still in
+// flight) served this one.
+func (c *flightCache[V]) get(key string, build func() (V, error)) (v V, hit bool, err error) {
+	c.mu.Lock()
+	if call, ok := c.calls[key]; ok {
+		c.mu.Unlock()
+		<-call.done
+		return call.v, true, call.err
+	}
+	call := &flightCall[V]{done: make(chan struct{})}
+	if c.calls == nil {
+		c.calls = make(map[string]*flightCall[V])
+	}
+	c.calls[key] = call
+	c.mu.Unlock()
+
+	call.v, call.err = build()
+	if call.err != nil {
+		c.mu.Lock()
+		delete(c.calls, key)
+		c.mu.Unlock()
+	}
+	close(call.done)
+	return call.v, false, call.err
 }
 
 // answerHolder is one mechanism identity's cached batch answers, pinned to a
@@ -102,9 +127,6 @@ type poolCounters struct {
 	strategyMemHits     atomic.Uint64
 	strategyDiskHits    atomic.Uint64
 	sharedRowHits       atomic.Uint64
-	estimatorEvictions  atomic.Uint64
-	strategyEvictions   atomic.Uint64
-	diskGCRemoved       atomic.Uint64
 	answerHits          atomic.Uint64
 	answerInvalidations atomic.Uint64
 }
@@ -125,13 +147,6 @@ type PoolStats struct {
 	// SharedRowHits counts batch variance rows served from another query's
 	// identical W·B row instead of recomputed.
 	SharedRowHits uint64
-	// EstimatorEvictions and StrategyEvictions count completed entries the
-	// WithPoolMaxEntries LRU bound pushed out.
-	EstimatorEvictions uint64
-	StrategyEvictions  uint64
-	// DiskGCRemoved counts persisted strategy entries the cache-directory GC
-	// deleted to stay inside the WithPoolCacheGCBudget byte budget.
-	DiskGCRemoved uint64
 	// AnswerHits counts AnswerBatch workloads served from the snapshot-pinned
 	// answer cache; AnswerInvalidations counts identities whose cached answers
 	// were dropped because the observed snapshot advanced.
@@ -151,32 +166,12 @@ func WithPoolCacheDir(dir string) PoolOption {
 	return func(p *EstimatorPool) { p.dir = dir }
 }
 
-// WithPoolMaxEntries bounds the estimator and strategy caches at n completed
-// entries each, evicting least-recently-used entries as new keys arrive. An
-// in-flight singleflight build is never evicted (its waiters hold the entry);
-// an evicted key simply rebuilds — and singleflights again — on next use.
-// n <= 0 leaves the caches unbounded.
-func WithPoolMaxEntries(n int) PoolOption {
-	return func(p *EstimatorPool) { p.maxEntries = n }
-}
-
-// WithPoolCacheGCBudget bounds the strategy cache directory at roughly budget
-// bytes: after each persist, the oldest entries (by modification time) are
-// deleted until the directory fits. The newest entry always survives, even
-// when it alone exceeds the budget — GC protects the disk, never correctness.
-// budget <= 0 leaves the directory unbounded.
-func WithPoolCacheGCBudget(budget int64) PoolOption {
-	return func(p *EstimatorPool) { p.gcBudget = budget }
-}
-
 // NewEstimatorPool returns an empty pool.
 func NewEstimatorPool(opts ...PoolOption) *EstimatorPool {
 	p := &EstimatorPool{
-		estimators: make(map[string]*estimatorCall),
-		strategies: make(map[string]*strategyCall),
-		answers:    make(map[string]*answerHolder),
-		digests:    make(map[Workload]string),
-		idkeys:     make(map[Aggregator]string),
+		answers: make(map[string]*answerHolder),
+		digests: make(map[Workload]string),
+		idkeys:  make(map[Aggregator]string),
 	}
 	for _, o := range opts {
 		o(p)
@@ -216,9 +211,6 @@ func (p *EstimatorPool) Stats() PoolStats {
 		StrategyMemHits:     p.stats.strategyMemHits.Load(),
 		StrategyDiskHits:    p.stats.strategyDiskHits.Load(),
 		SharedRowHits:       p.stats.sharedRowHits.Load(),
-		EstimatorEvictions:  p.stats.estimatorEvictions.Load(),
-		StrategyEvictions:   p.stats.strategyEvictions.Load(),
-		DiskGCRemoved:       p.stats.diskGCRemoved.Load(),
 		AnswerHits:          p.stats.answerHits.Load(),
 		AnswerInvalidations: p.stats.answerInvalidations.Load(),
 	}
@@ -255,6 +247,17 @@ func (p *EstimatorPool) workloadDigest(w Workload) string {
 	return d
 }
 
+// namedWorkload is WorkloadByName resolved once per (name, domain): /query
+// names its workload on every request, and a fresh instance each time would
+// miss the per-instance digest memo (re-hashing the materialized W) and park
+// a new key in it forever.
+func (p *EstimatorPool) namedWorkload(name string, n int) (Workload, error) {
+	w, _, err := p.named.get(fmt.Sprintf("%s|%d", name, n), func() (Workload, error) {
+		return WorkloadByName(name, n)
+	})
+	return w, err
+}
+
 // identityKeyOf is identityKey(MechanismInfoOf(agg)) memoized per aggregator
 // instance, under the same comparable-type guard as workloadDigest: the
 // mechanism info hashes the strategy matrix, which is stable for the life of
@@ -288,85 +291,15 @@ func (p *EstimatorPool) Estimator(agg Aggregator, w Workload) (*Estimator, error
 		return nil, fmt.Errorf("ldp: pool: nil aggregator")
 	}
 	key := p.identityKeyOf(agg) + "|" + p.workloadDigest(w)
-	p.mu.Lock()
-	if c, ok := p.estimators[key]; ok {
-		p.clock++
-		c.used = p.clock
-		p.mu.Unlock()
-		<-c.done
-		if c.err == nil {
-			p.stats.estimatorHits.Add(1)
-		}
-		return c.est, c.err
-	}
-	c := &estimatorCall{done: make(chan struct{})}
-	p.clock++
-	c.used = p.clock
-	p.estimators[key] = c
-	p.evictEstimatorsLocked()
-	p.mu.Unlock()
-
-	est, err := NewEstimator(agg, w)
-	p.mu.Lock()
-	c.est, c.err = est, err
-	c.settled = true
-	if err != nil {
-		// A failed build must not poison the key: drop it so a later caller
-		// (perhaps with a corrected workload) retries. Only remove our own
-		// entry — an eviction may already have replaced it.
-		if cur, ok := p.estimators[key]; ok && cur == c {
-			delete(p.estimators, key)
-		}
-	}
-	p.mu.Unlock()
-	if err == nil {
+	est, hit, err := p.estimators.get(key, func() (*Estimator, error) { return NewEstimator(agg, w) })
+	switch {
+	case err != nil:
+	case hit:
+		p.stats.estimatorHits.Add(1)
+	default:
 		p.stats.estimatorBuilds.Add(1)
 	}
-	close(c.done)
-	return c.est, c.err
-}
-
-// evictEstimatorsLocked enforces the LRU bound; caller holds mu. Only settled
-// entries are candidates — an in-flight build has waiters parked on it.
-func (p *EstimatorPool) evictEstimatorsLocked() {
-	if p.maxEntries <= 0 {
-		return
-	}
-	for len(p.estimators) > p.maxEntries {
-		victim := ""
-		var oldest uint64
-		for k, c := range p.estimators {
-			if c.settled && (victim == "" || c.used < oldest) {
-				victim, oldest = k, c.used
-			}
-		}
-		if victim == "" {
-			return // everything in flight; bound is best-effort
-		}
-		delete(p.estimators, victim)
-		p.stats.estimatorEvictions.Add(1)
-	}
-}
-
-// evictStrategiesLocked is evictEstimatorsLocked for the strategy cache.
-func (p *EstimatorPool) evictStrategiesLocked() {
-	if p.maxEntries <= 0 {
-		return
-	}
-	for len(p.strategies) > p.maxEntries {
-		victim := ""
-		var oldest uint64
-		for k, c := range p.strategies {
-			if c.settled && (victim == "" || c.used < oldest) {
-				victim, oldest = k, c.used
-			}
-		}
-		if victim == "" {
-			return
-		}
-		delete(p.strategies, victim)
-		p.stats.strategyEvictions.Add(1)
-	}
+	return est, err
 }
 
 // Strategy returns the optimized strategy for (w, eps), running the
@@ -380,36 +313,13 @@ func (p *EstimatorPool) evictStrategiesLocked() {
 func (p *EstimatorPool) Strategy(ctx context.Context, w Workload, eps float64, opts ...OptimizeOption) (*Strategy, error) {
 	wd := p.workloadDigest(w)
 	key := fmt.Sprintf("%s|%016x", wd, math.Float64bits(eps))
-	p.mu.Lock()
-	if c, ok := p.strategies[key]; ok {
-		p.clock++
-		c.used = p.clock
-		p.mu.Unlock()
-		<-c.done
-		if c.err == nil {
-			p.stats.strategyMemHits.Add(1)
-		}
-		return c.s, c.err
+	s, hit, err := p.strategies.get(key, func() (*Strategy, error) {
+		return p.resolveStrategy(ctx, w, eps, wd, opts)
+	})
+	if hit && err == nil {
+		p.stats.strategyMemHits.Add(1)
 	}
-	c := &strategyCall{done: make(chan struct{})}
-	p.clock++
-	c.used = p.clock
-	p.strategies[key] = c
-	p.evictStrategiesLocked()
-	p.mu.Unlock()
-
-	s, err := p.resolveStrategy(ctx, w, eps, wd, opts)
-	p.mu.Lock()
-	c.s, c.err = s, err
-	c.settled = true
-	if err != nil {
-		if cur, ok := p.strategies[key]; ok && cur == c {
-			delete(p.strategies, key)
-		}
-	}
-	p.mu.Unlock()
-	close(c.done)
-	return c.s, c.err
+	return s, err
 }
 
 // resolveStrategy is the singleflight leader's path: disk, then optimizer
@@ -530,53 +440,7 @@ func (p *EstimatorPool) storeCachedStrategy(wd string, eps float64, s *Strategy)
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(p.dir, name)); err != nil {
-		return err
-	}
-	p.gcCacheDir(filepath.Join(p.dir, name))
-	return nil
-}
-
-// gcCacheDir enforces the disk byte budget after a persist: oldest entries
-// (by mtime) go first until the directory fits. keep — the entry just
-// written — is never deleted, so GC can shrink the cache but never lose the
-// strategy the current caller computed.
-func (p *EstimatorPool) gcCacheDir(keep string) {
-	if p.gcBudget <= 0 {
-		return
-	}
-	matches, err := filepath.Glob(filepath.Join(p.dir, "*.strategy"))
-	if err != nil {
-		return
-	}
-	type entry struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var total int64
-	entries := make([]entry, 0, len(matches))
-	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			continue
-		}
-		total += fi.Size()
-		entries = append(entries, entry{m, fi.Size(), fi.ModTime().UnixNano()})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
-	for _, e := range entries {
-		if total <= p.gcBudget {
-			return
-		}
-		if e.path == keep {
-			continue
-		}
-		if os.Remove(e.path) == nil {
-			total -= e.size
-			p.stats.diskGCRemoved.Add(1)
-		}
-	}
+	return os.Rename(tmp.Name(), filepath.Join(p.dir, name))
 }
 
 // BatchAnswer is one workload's result in an AnswerBatch: the workload, its

@@ -74,35 +74,10 @@ func NewClient(r Randomizer) (*Client, error) {
 	return &Client{r: r}, nil
 }
 
-// NewStrategyClient is NewRandomizer + NewClient in one step.
-//
-// Deprecated: kept for pre-streaming-API callers; new code should build the
-// Randomizer explicitly so it can be shared with SimulateProtocol.
-func NewStrategyClient(s *Strategy) (*Client, error) {
-	r, err := NewRandomizer(s)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(r)
-}
-
 // Randomize encodes user type u (0 ≤ u < Domain) into one report using the
 // supplied randomness source. Client itself satisfies Randomizer.
 func (c *Client) Randomize(u int, rng *rand.Rand) (Report, error) {
 	return c.r.Randomize(u, rng)
-}
-
-// Respond randomizes user type u into a bare output index.
-//
-// Deprecated: only meaningful for index-carrying mechanisms (strategy
-// matrices); use Randomize, which serves every mechanism. Respond panics if
-// the underlying randomizer rejects u.
-func (c *Client) Respond(u int, rng *rand.Rand) int {
-	rep, err := c.r.Randomize(u, rng)
-	if err != nil {
-		panic(err)
-	}
-	return rep.Index
 }
 
 // Epsilon returns the privacy budget the client's reports satisfy.
@@ -112,19 +87,19 @@ func (c *Client) Epsilon() float64 { return c.r.Epsilon() }
 func (c *Client) Domain() int { return c.r.Domain() }
 
 // Server is a single-goroutine collector: it absorbs reports into the
-// mechanism's accumulator and reconstructs workload answers. For concurrent
-// ingestion use Collector, which shards the same state across goroutines.
+// mechanism's accumulator and hands out Snapshots for an Estimator to answer.
+// For concurrent ingestion use Collector, which shards the same state across
+// goroutines.
 type Server struct {
 	agg   Aggregator
-	est   *Estimator
+	info  MechanismInfo
 	acc   []float64
 	count float64
 
 	// epoch/snapCount implement the monotonic snapshot sequence: the epoch
 	// advances exactly when Snap observes a count the previous Snap did not.
-	// snapMu guards them so the read side (Snap and the deprecated wrappers
-	// over it) stays safe to fan out across goroutines, as the old pure-read
-	// methods were — ingestion remains single-goroutine.
+	// snapMu guards them so Snap stays safe to fan out across goroutines —
+	// ingestion remains single-goroutine.
 	snapMu    sync.Mutex
 	epoch     uint64
 	snapCount float64
@@ -135,23 +110,11 @@ type Server struct {
 // over their domain is answerable — the same W·x̂ reconstruction used by
 // strategy mechanisms.
 func NewServer(agg Aggregator, w Workload) (*Server, error) {
-	est, err := NewEstimator(agg, w)
+	info, err := checkedInfo(agg, w)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{agg: agg, est: est, acc: make([]float64, agg.StateLen())}, nil
-}
-
-// NewStrategyServer is NewAggregator + NewServer in one step.
-//
-// Deprecated: kept for pre-streaming-API callers; new code should build the
-// Aggregator explicitly so it can be shared with a Collector.
-func NewStrategyServer(s *Strategy, w Workload) (*Server, error) {
-	agg, err := NewAggregator(s)
-	if err != nil {
-		return nil, err
-	}
-	return NewServer(agg, w)
+	return &Server{agg: agg, info: info, acc: make([]float64, agg.StateLen())}, nil
 }
 
 // Ingest records one client report.
@@ -182,25 +145,6 @@ func (sv *Server) IngestBatch(reports []Report) error {
 	return nil
 }
 
-// Add records one bare output index.
-//
-// Deprecated: index-carrying mechanisms only; use Ingest.
-func (sv *Server) Add(response int) error {
-	return sv.Ingest(Report{Index: response})
-}
-
-// AddAll records a batch of bare output indices with the same all-or-nothing
-// validation as IngestBatch.
-//
-// Deprecated: index-carrying mechanisms only; use IngestBatch.
-func (sv *Server) AddAll(responses []int) error {
-	reports := make([]Report, len(responses))
-	for i, r := range responses {
-		reports[i] = Report{Index: r}
-	}
-	return sv.IngestBatch(reports)
-}
-
 // Count returns the number of reports collected so far.
 func (sv *Server) Count() float64 { return sv.count }
 
@@ -216,57 +160,7 @@ func (sv *Server) Snap() Snapshot {
 	}
 	epoch := sv.epoch
 	sv.snapMu.Unlock()
-	return NewSnapshot(sv.acc, sv.count, epoch, sv.est.Info())
-}
-
-// State returns a copy of the aggregation accumulator (for strategy
-// mechanisms, the response histogram y).
-//
-// Deprecated: use Snap().State().
-func (sv *Server) State() []float64 {
-	out := make([]float64, len(sv.acc))
-	copy(out, sv.acc)
-	return out
-}
-
-// ResponseVector returns a copy of the aggregated response histogram.
-//
-// Deprecated: use State, which is defined for every mechanism.
-func (sv *Server) ResponseVector() []float64 { return sv.State() }
-
-// DataEstimate returns the unbiased estimate of the data vector (B·y for
-// strategy mechanisms, the channel-inverted histogram for oracles).
-//
-// Deprecated: use an Estimator — NewEstimator(agg, w) then
-// est.DataEstimate(sv.Snap()) — which answers local, remote, and merged
-// snapshots alike.
-func (sv *Server) DataEstimate() []float64 {
-	xh, err := sv.est.DataEstimate(sv.Snap())
-	if err != nil {
-		panic(err) // unreachable: the snapshot comes from this very mechanism
-	}
-	return xh
-}
-
-// Answers returns the unbiased workload answer estimates W·x̂.
-//
-// Deprecated: use an Estimator — est.Answers(sv.Snap()).
-func (sv *Server) Answers() []float64 {
-	answers, err := sv.est.Answers(sv.Snap())
-	if err != nil {
-		panic(err) // unreachable: the snapshot comes from this very mechanism
-	}
-	return answers
-}
-
-// ConsistentAnswers applies WNNLS post-processing (Appendix A): it returns
-// workload answers derived from the non-negative data vector closest to the
-// unbiased estimate, additionally scaled to the known respondent count.
-// Post-processing never weakens the privacy guarantee.
-//
-// Deprecated: use an Estimator — est.ConsistentAnswers(sv.Snap()).
-func (sv *Server) ConsistentAnswers() ([]float64, error) {
-	return sv.est.ConsistentAnswers(sv.Snap())
+	return NewSnapshot(sv.acc, sv.count, epoch, sv.info)
 }
 
 // SimulateProtocol runs the complete protocol for any mechanism on an integer
@@ -275,22 +169,6 @@ func (sv *Server) ConsistentAnswers() ([]float64, error) {
 // the same path.
 func SimulateProtocol(r Randomizer, agg Aggregator, w Workload, x []float64, seed int64) ([]float64, error) {
 	p, err := simulate.New(r, agg, w)
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Run(x, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	return out.Estimates, nil
-}
-
-// SimulateStrategyProtocol is SimulateProtocol for a bare strategy matrix.
-//
-// Deprecated: kept for pre-streaming-API callers; use SimulateProtocol with
-// NewRandomizer/NewAggregator.
-func SimulateStrategyProtocol(s *Strategy, w Workload, x []float64, seed int64) ([]float64, error) {
-	p, err := simulate.NewProtocol(s, w)
 	if err != nil {
 		return nil, err
 	}

@@ -8,9 +8,10 @@ import (
 	"repro/internal/transport"
 )
 
-// queryStatusf builds an error the transport's /query handler maps to an HTTP
-// status, so validation failures answer cleanly instead of 422.
-func queryStatusf(status int, format string, args ...any) error {
+// statusErrorf builds an error the transport's handlers map to an HTTP
+// status: /query validation failures answer cleanly instead of 422, and a
+// failed WAL append answers /reports a retryable 503 instead of 400.
+func statusErrorf(status int, format string, args ...any) error {
 	return &transport.StatusError{StatusCode: status, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -22,15 +23,15 @@ func queryStatusf(status int, format string, args ...any) error {
 func answerQuery(pool *EstimatorPool, agg Aggregator, snap Snapshot, q transport.QueryRequest, out io.Writer) error {
 	domain := agg.Domain()
 	if q.Domain != 0 && q.Domain != domain {
-		return queryStatusf(http.StatusBadRequest, "query names domain %d, this collector aggregates domain %d", q.Domain, domain)
+		return statusErrorf(http.StatusBadRequest, "query names domain %d, this collector aggregates domain %d", q.Domain, domain)
 	}
-	w, err := WorkloadByName(q.Workload, domain)
+	w, err := pool.namedWorkload(q.Workload, domain)
 	if err != nil {
-		return queryStatusf(http.StatusBadRequest, "%v", err)
+		return statusErrorf(http.StatusBadRequest, "%v", err)
 	}
 	if q.Digest != "" {
-		if got := WorkloadDigest(w); got != q.Digest {
-			return queryStatusf(http.StatusBadRequest,
+		if got := pool.workloadDigest(w); got != q.Digest {
+			return statusErrorf(http.StatusBadRequest,
 				"workload %q at domain %d digests %s, query expects %s — client and server disagree on the workload", q.Workload, domain, got, q.Digest)
 		}
 	}
@@ -39,7 +40,7 @@ func answerQuery(pool *EstimatorPool, agg Aggregator, snap Snapshot, q transport
 		return err
 	}
 	if err := est.Check(snap); err != nil {
-		return queryStatusf(http.StatusConflict, "%v", err)
+		return statusErrorf(http.StatusConflict, "%v", err)
 	}
 	info := transport.QueryResultInfo{
 		Count:       snap.Count(),

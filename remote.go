@@ -40,7 +40,6 @@ const DefaultRemoteBatch = 4096
 type RemoteCollector struct {
 	client *transport.Client
 	agg    Aggregator
-	est    *Estimator
 	info   MechanismInfo
 	batch  int
 	policy RetryPolicy
@@ -185,7 +184,7 @@ func WithRemoteRetryPolicy(p RetryPolicy) RemoteOption {
 // mechanism the server was started with — Verify (or a /healthz check)
 // confirms it.
 func NewRemoteCollector(baseURL string, agg Aggregator, w Workload, opts ...RemoteOption) (*RemoteCollector, error) {
-	est, err := NewEstimator(agg, w)
+	info, err := checkedInfo(agg, w)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +192,7 @@ func NewRemoteCollector(baseURL string, agg Aggregator, w Workload, opts ...Remo
 	if err != nil {
 		return nil, fmt.Errorf("ldp: %w", err)
 	}
-	rc := &RemoteCollector{client: tc, agg: agg, est: est, info: est.Info(),
+	rc := &RemoteCollector{client: tc, agg: agg, info: info,
 		batch: DefaultRemoteBatch, policy: DefaultRemoteRetryPolicy()}
 	for _, o := range opts {
 		o(rc)
@@ -469,56 +468,6 @@ func (rc *RemoteCollector) snapAt(ctx context.Context, epoch uint64, nearest boo
 	return Snapshot{state: ts.State, count: ts.Count, epoch: ts.Epoch, info: mergeInfo(ts.Info, rc.info)}, nil
 }
 
-// Snapshot fetches the server's merged accumulator and report count.
-//
-// Deprecated: use Snap, which carries the mechanism identity and epoch the
-// bare pair lacks.
-func (rc *RemoteCollector) Snapshot(ctx context.Context) (state []float64, count float64, err error) {
-	s, err := rc.Snap(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.state, s.count, nil
-}
-
-// DataEstimate fetches one snapshot and returns the unbiased estimate of the
-// data vector.
-//
-// Deprecated: use an Estimator — NewEstimator(agg, w) then
-// est.DataEstimate(snap) — which answers local, remote, and merged snapshots
-// alike.
-func (rc *RemoteCollector) DataEstimate(ctx context.Context) ([]float64, error) {
-	s, err := rc.Snap(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rc.est.DataEstimate(s)
-}
-
-// Answers fetches one snapshot and returns unbiased workload estimates.
-//
-// Deprecated: use an Estimator — est.Answers(snap).
-func (rc *RemoteCollector) Answers(ctx context.Context) ([]float64, error) {
-	s, err := rc.Snap(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rc.est.Answers(s)
-}
-
-// ConsistentAnswers fetches one snapshot and returns WNNLS-post-processed
-// workload estimates, exactly as Collector.ConsistentAnswers would for the
-// same reports.
-//
-// Deprecated: use an Estimator — est.ConsistentAnswers(snap).
-func (rc *RemoteCollector) ConsistentAnswers(ctx context.Context) ([]float64, error) {
-	s, err := rc.Snap(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rc.est.ConsistentAnswers(s)
-}
-
 // collectorBackend adapts a Collector to the transport's Backend contract by
 // unpacking its Snapshot value. The pool backs the /query endpoint: cached
 // estimators survive across requests, so only the first query for a workload
@@ -647,22 +596,3 @@ func (s *CollectorService) Drain() { s.ts.Drain() }
 // of router membership with the given reason while it stays alive). A
 // draining service never reports ready again.
 func (s *CollectorService) SetReady(ready bool, reason string) { s.ts.SetReady(ready, reason) }
-
-// NewCollectorServer binds an in-process Collector to the HTTP transport and
-// returns just the handler — NewCollectorService without the lifecycle
-// controls, kept for embedders that never drain.
-func NewCollectorServer(c *Collector, info transport.Info) (http.Handler, error) {
-	s, err := NewCollectorService(c, info)
-	if err != nil {
-		return nil, err
-	}
-	return s.Handler(), nil
-}
-
-// ServerInfo describes a served mechanism for /healthz; it is the transport's
-// Info re-exported so callers of NewCollectorServer need not import an
-// internal package.
-//
-// Deprecated: use the equivalent MechanismInfo, the identity type snapshots
-// carry.
-type ServerInfo = transport.Info

@@ -47,10 +47,7 @@ func retryHarness(t *testing.T, n int, loseResponse func(post int64) bool) (*ldp
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := ldp.NewCollectorServer(col, ldp.MechanismInfoOf(agg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := collectorHandler(t, col, ldp.MechanismInfoOf(agg))
 	var posts atomic.Int64
 	outer := http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if req.Method == http.MethodPost && loseResponse(posts.Add(1)) {

@@ -47,19 +47,25 @@ func e2eMechanisms(t *testing.T, n int) map[string]e2eMechanism {
 	return out
 }
 
+// collectorHandler binds col to the HTTP transport and returns the handler.
+func collectorHandler(t testing.TB, col *ldp.Collector, info ldp.MechanismInfo) http.Handler {
+	t.Helper()
+	svc, err := ldp.NewCollectorService(col, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc.Handler()
+}
+
 // startCollectorServer serves a fresh sharded collector for agg over a
 // loopback HTTP listener — an in-test cmd/ldpserve.
-func startCollectorServer(t *testing.T, agg ldp.Aggregator, w ldp.Workload, info ldp.ServerInfo) *httptest.Server {
+func startCollectorServer(t *testing.T, agg ldp.Aggregator, w ldp.Workload, info ldp.MechanismInfo) *httptest.Server {
 	t.Helper()
 	col, err := ldp.NewCollector(agg, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := ldp.NewCollectorServer(col, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(handler)
+	hs := httptest.NewServer(collectorHandler(t, col, info))
 	t.Cleanup(hs.Close)
 	return hs
 }
@@ -110,7 +116,7 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 
 			// Remote pipeline: loopback ldpserve + RemoteCollector, with a
 			// batch size that forces several frames.
-			hs := startCollectorServer(t, m.agg, w, ldp.ServerInfo{
+			hs := startCollectorServer(t, m.agg, w, ldp.MechanismInfo{
 				Mechanism: name, Domain: m.agg.Domain(), Epsilon: m.rz.Epsilon(),
 				Digest: m.digest,
 			})
@@ -137,24 +143,20 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 			if count != float64(len(reports)) {
 				t.Fatalf("remote count %v, want %d", count, len(reports))
 			}
-			remoteUnbiased, err := rcol.Answers(ctx)
+			est := estimatorFor(t, m.agg, w)
+			remoteSnap, err := rcol.Snap(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			localUnbiased := local.Answers()
+			remoteUnbiased := mustRead(t)(est.Answers(remoteSnap))
+			localUnbiased := mustRead(t)(est.Answers(local.Snap()))
 			for i := range localUnbiased {
 				if remoteUnbiased[i] != localUnbiased[i] {
 					t.Fatalf("unbiased[%d]: remote %v != local %v", i, remoteUnbiased[i], localUnbiased[i])
 				}
 			}
-			remoteCons, err := rcol.ConsistentAnswers(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			localCons, err := local.ConsistentAnswers()
-			if err != nil {
-				t.Fatal(err)
-			}
+			remoteCons := mustRead(t)(est.ConsistentAnswers(remoteSnap))
+			localCons := mustRead(t)(est.ConsistentAnswers(local.Snap()))
 			for i := range localCons {
 				if remoteCons[i] != localCons[i] {
 					t.Fatalf("consistent[%d]: remote %v != local %v", i, remoteCons[i], localCons[i])
@@ -186,7 +188,7 @@ func TestVerifyRejectsStrategyDigestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := startCollectorServer(t, agg, w, ldp.ServerInfo{
+	hs := startCollectorServer(t, agg, w, ldp.MechanismInfo{
 		Mechanism: "strategy", Domain: n, Epsilon: 1, Digest: ldp.StrategyDigest(served),
 	})
 	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
@@ -218,10 +220,7 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := ldp.NewCollectorServer(col, ldp.ServerInfo{Domain: n})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := collectorHandler(t, col, ldp.MechanismInfo{Domain: n})
 	// Fail every other POST /reports before it reaches the collector. The
 	// toggle is atomic: handlers usually serialize on one keep-alive
 	// connection, but a reconnect mid-test would run them concurrently.
@@ -255,10 +254,11 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 			break
 		}
 	}
-	state, count, err := rcol.Snapshot(ctx)
+	snap, err := rcol.Snap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	state, count := snap.State(), snap.Count()
 	if count != total {
 		t.Fatalf("server holds %v reports after retries, want exactly %d", count, total)
 	}
@@ -305,7 +305,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 		}
 	}
 
-	hs := startCollectorServer(t, agg, w, ldp.ServerInfo{Mechanism: "strategy", Domain: n, Epsilon: 1})
+	hs := startCollectorServer(t, agg, w, ldp.MechanismInfo{Mechanism: "strategy", Domain: n, Epsilon: 1})
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -330,7 +330,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, _, err := rcol.Snapshot(ctx); err != nil {
+				if _, err := rcol.Snap(ctx); err != nil {
 					errs <- err
 					return
 				}
@@ -360,14 +360,15 @@ func TestTransportConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, count, err := rcol.Snapshot(context.Background())
+	snap, err := rcol.Snap(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	state, count := snap.State(), snap.Count()
 	if count != clients*perClient {
 		t.Fatalf("snapshot count %v, want %d", count, clients*perClient)
 	}
-	refState := ref.State()
+	refState := ref.Snap().State()
 	for i := range refState {
 		if state[i] != refState[i] {
 			t.Fatalf("state[%d]: concurrent %v != serial %v", i, state[i], refState[i])
