@@ -12,15 +12,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	ldp "repro"
 	"repro/internal/benchfix"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/freqoracle"
+	"repro/internal/history"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/strategy"
+	"repro/internal/protocol"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -240,7 +246,7 @@ func BenchmarkAblationRelaxation(b *testing.B) {
 // against warm-starting from randomized response, reporting final objectives.
 func BenchmarkAblationInit(b *testing.B) {
 	w := workload.NewPrefix(16)
-	rrQ := rrStrategyBench(16, 1.0)
+	rrQ := benchfix.RRStrategy(16, 1.0)
 	for i := 0; i < b.N; i++ {
 		random, err := core.Optimize(w, 1.0, core.Options{Iters: 150, Seed: 6})
 		if err != nil {
@@ -272,44 +278,11 @@ func BenchmarkAblationStepSize(b *testing.B) {
 }
 
 // --- micro benchmarks -------------------------------------------------------
-
-// BenchmarkOptimizeEndToEnd times complete strategy optimization. The
-// allocation report is the headline number for the workspace refactor: the
-// seed burned 135,571 allocs / 357 MB per n=64 call; the workspace-based
-// loop allocates only at setup. The body is shared with
-// `cmd/ldpbench -exp bench` via internal/benchfix.
-func BenchmarkOptimizeEndToEnd(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), benchfix.Optimize(n))
-	}
-}
-
-// BenchmarkObjectiveGrad times one objective + analytic gradient evaluation
-// through the reusable workspace (the optimizer's per-iteration linear
-// algebra). Steady state must report 0 allocs/op.
-func BenchmarkObjectiveGrad(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), benchfix.ObjectiveGrad(n))
-	}
-}
-
-// BenchmarkProjectMatrixInto times Algorithm 1 over a full strategy matrix
-// through the reusable projection buffers. Steady state must report
-// 0 allocs/op.
-func BenchmarkProjectMatrixInto(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), benchfix.Projection(n))
-	}
-}
-
-// BenchmarkParallelMatMul times the shared goroutine-parallel matmul kernel
-// backing Mul/MulAtB/MulABt at the optimizer's shapes (it fans out above a
-// flop threshold; at GOMAXPROCS=1 it reports the serial kernel).
-func BenchmarkParallelMatMul(b *testing.B) {
-	for _, sh := range [][2]int{{256, 64}, {1024, 256}} {
-		b.Run(fmt.Sprintf("m=%d,n=%d", sh[0], sh[1]), benchfix.MulAtB(sh[0], sh[1]))
-	}
-}
+//
+// The calls a per_layer metric of BENCHMARK.json times (Optimize,
+// Workspace.ObjectiveGrad, ProjectMatrixInto, MulAtBTo, cached Snap, WAL
+// append, recovery replay, raw SnapAt/checkpoint, pooled AnswerBatch) are
+// measured by `go run ./bench` and have no Benchmark* twin here.
 
 // BenchmarkProjection times Algorithm 1 over a full strategy matrix.
 func BenchmarkProjection(b *testing.B) {
@@ -337,7 +310,7 @@ func BenchmarkProjection(b *testing.B) {
 func BenchmarkVarianceProfile(b *testing.B) {
 	n := 64
 	w := workload.NewAllRange(n)
-	rr := rrStrategyBench(n, 1.0)
+	rr := benchfix.RRStrategy(n, 1.0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rr.Variances(w.Gram(), w.Queries()); err != nil {
@@ -350,7 +323,7 @@ func BenchmarkVarianceProfile(b *testing.B) {
 // through the streaming protocol's report path).
 func BenchmarkClientRandomize(b *testing.B) {
 	n := 256
-	rz, err := ldp.NewRandomizer(rrStrategyBench(n, 1.0))
+	rz, err := ldp.NewRandomizer(benchfix.RRStrategy(n, 1.0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,93 +343,178 @@ func BenchmarkClientRandomize(b *testing.B) {
 // BenchmarkCollectorIngest measures concurrent ingest throughput: the sharded
 // collector against the single-mutex configuration (shards=1) it replaced, at
 // 1, 4 and 8 ingesting goroutines. The headline claim: sharded ingest scales
-// with goroutines where the single mutex serializes them. The body is shared
-// with `cmd/ldpbench -exp bench` via internal/benchfix.
+// with goroutines where the single mutex serializes them. GOMAXPROCS is
+// raised to the goroutine count for the duration so the goroutines actually
+// contend even when the harness machine has fewer cores. The per-report
+// critical section (one histogram increment) is the worst case for a global
+// lock — there is nothing to amortize it.
 func BenchmarkCollectorIngest(b *testing.B) {
 	for _, g := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("sharded-g=%d", g), benchfix.CollectorIngest(g, 0))
-		b.Run(fmt.Sprintf("mutex-g=%d", g), benchfix.CollectorIngest(g, 1))
+		b.Run(fmt.Sprintf("sharded-g=%d", g), func(b *testing.B) { benchCollectorIngest(b, g, 0) })
+		b.Run(fmt.Sprintf("mutex-g=%d", g), func(b *testing.B) { benchCollectorIngest(b, g, 1) })
 	}
 }
 
-// BenchmarkSnapshotCached measures the collector read path: a cache hit (no
-// ingest since the last read — one copy, no shard locks) against a forced
-// miss (one report ingested per read — the pre-cache full lock-all remerge of
-// all 32 shards). The body is shared with `cmd/ldpbench -exp bench` via
-// internal/benchfix.
-func BenchmarkSnapshotCached(b *testing.B) {
-	b.Run("hit", benchfix.SnapshotCached(true))
-	b.Run("miss", benchfix.SnapshotCached(false))
+func benchCollectorIngest(b *testing.B, goroutines, shards int) {
+	prev := runtime.GOMAXPROCS(0)
+	if goroutines > prev {
+		runtime.GOMAXPROCS(goroutines)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	const n = 64
+	col := benchCollector(b, n, shards)
+	const pool = 1 << 14
+	rng := rand.New(rand.NewSource(9))
+	reports := make([]ldp.Report, pool)
+	for i := range reports {
+		reports[i] = ldp.Report{Index: rng.Intn(n)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	per, extra := b.N/goroutines, b.N%goroutines
+	for g := 0; g < goroutines; g++ {
+		cnt := per
+		if g < extra {
+			cnt++
+		}
+		wg.Add(1)
+		go func(g, cnt int) {
+			defer wg.Done()
+			for i := 0; i < cnt; i++ {
+				if err := col.Ingest(reports[(g*7+i)&(pool-1)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(g, cnt)
+	}
+	wg.Wait()
+}
+
+// benchCollector opens a randomized-response collector over Histogram(n),
+// closed when the benchmark ends.
+func benchCollector(b *testing.B, n, shards int, opts ...ldp.CollectorOption) *ldp.Collector {
+	b.Helper()
+	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	col, err := ldp.NewCollector(agg, workload.NewHistogram(n), shards, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { col.Close() })
+	return col
 }
 
 // BenchmarkOLHAbsorb compares OLH's candidate-enumeration absorb (invert the
 // report's hash, visit ~p/g field elements) against the classic all-types
-// scan it replaced. Both produce identical accumulators. The body is shared
-// with `cmd/ldpbench -exp bench` via internal/benchfix.
+// scan it replaced. Both produce identical accumulators (equivalence-tested
+// in freqoracle); the ratio is the aggregation speedup.
 func BenchmarkOLHAbsorb(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("candidates/n=%d", n), benchfix.OLHAbsorb(true, n))
-		b.Run(fmt.Sprintf("scan/n=%d", n), benchfix.OLHAbsorb(false, n))
-	}
-}
-
-// BenchmarkWALAppend measures the durable ingest path: one batch per op
-// through the in-memory collector ("memory"), the group-commit buffered
-// write-ahead log ("buffered" — the production default, within 2× of memory
-// at the transport's 4096-report default batch), and per-commit fsync
-// ("fsync"). The body is shared with `cmd/ldpbench -exp bench` via
-// internal/benchfix.
-func BenchmarkWALAppend(b *testing.B) {
-	for _, batch := range []int{64, 4096} {
-		for _, mode := range []string{"memory", "buffered", "fsync"} {
-			b.Run(fmt.Sprintf("batch%d-%s", batch, mode), benchfix.WALAppend(mode, batch))
+		o, err := freqoracle.NewOLH(n, 1.0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(12))
+		reports := make([]protocol.Report, 256)
+		for i := range reports {
+			if reports[i], err = o.Randomize(rng.Intn(n), rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, v := range []struct {
+			name   string
+			absorb func([]float64, protocol.Report) error
+		}{{"candidates", o.Absorb}, {"scan", o.AbsorbScan}} {
+			b.Run(fmt.Sprintf("%s/n=%d", v.name, n), func(b *testing.B) {
+				acc := make([]float64, o.StateLen())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := v.absorb(acc, reports[i%len(reports)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
 
-// BenchmarkRecoverReplay measures crash recovery: per op, open a data
-// directory holding 256 WAL records × 64 reports and rebuild the collector
-// state by replay. The body is shared with `cmd/ldpbench -exp bench` via
-// internal/benchfix.
-func BenchmarkRecoverReplay(b *testing.B) {
-	b.Run("records=256x64", benchfix.RecoverReplay())
+// BenchmarkSnapAtGzip measures the historical read path over gzip history:
+// serve the oldest of 8 retained n=256 epochs from the checkpoint ladder
+// (file read + CRC + gunzip + decode, no replay). The raw path is the
+// ledger's history.snapat_ms; this isolates the decompression share.
+func BenchmarkSnapAtGzip(b *testing.B) {
+	const n, perEpoch, epochs = 256, 512, 8
+	col := benchCollector(b, n, 0,
+		ldp.WithDurability(b.TempDir(), ldp.CheckpointEvery(0), ldp.HistoryKeep(2), ldp.GzipHistory(true)))
+	rng := rand.New(rand.NewSource(31))
+	for e := 0; e < epochs; e++ {
+		for i := 0; i < perEpoch; i++ {
+			if err := col.Ingest(ldp.Report{Index: rng.Intn(n)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := col.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	oldest := col.RetainedEpochs()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := col.SnapAt(oldest); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
-// BenchmarkSnapAt measures the historical read path: serve the oldest
-// retained epoch from the checkpoint ladder (file read + CRC + decode, no
-// replay), raw and gzip. The body is shared with `cmd/ldpbench -exp bench`
-// via internal/benchfix.
-func BenchmarkSnapAt(b *testing.B) {
-	b.Run("raw", benchfix.SnapAt(false))
-	b.Run("gzip", benchfix.SnapAt(true))
+// BenchmarkCheckpointStreamGzip measures the streaming checkpoint writer with
+// the gzip layer the unary mechanisms opt into: per op, one n=4096 snapshot
+// through WriteCheckpointFile (header patch, CRC, atomic rename, fsync dance
+// included). The raw writer is the ledger's durable.checkpoint_ms.
+func BenchmarkCheckpointStreamGzip(b *testing.B) {
+	const n = 4096
+	snap := transport.Snapshot{
+		State: make([]float64, n),
+		Count: 1 << 17,
+		Epoch: 5,
+		Info:  transport.Info{Mechanism: "OUE", Domain: n, Epsilon: 1},
+	}
+	for i := range snap.State {
+		snap.State[i] = float64(i % 7)
+	}
+	keys := []history.KeyCount{{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 1 << 17}}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := history.WriteCheckpointFile(dir, 3, snap, keys, true); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
-// BenchmarkCheckpointStream measures the streaming checkpoint writer at
-// n=4096 — the per-cut cost the checkpoint interval amortizes — raw and
-// gzip. The body is shared with `cmd/ldpbench -exp bench` via
-// internal/benchfix.
-func BenchmarkCheckpointStream(b *testing.B) {
-	b.Run("raw", benchfix.CheckpointStream(false))
-	b.Run("gzip", benchfix.CheckpointStream(true))
-}
-
-// BenchmarkPoolAnswerBatch measures the query engine's shared-computation
-// batch answering against the pool-less baseline: four workloads over one
-// snapshot, shared = EstimatorPool.AnswerBatch (x̂ once, repeated W·B rows
-// shared, estimators cached), naive = fresh estimator + separate reads per
-// workload. The body is shared with `cmd/ldpbench -exp bench` via
-// internal/benchfix.
-func BenchmarkPoolAnswerBatch(b *testing.B) {
-	b.Run("shared", benchfix.PoolAnswerBatch(true))
-	b.Run("naive", benchfix.PoolAnswerBatch(false))
-}
-
-// BenchmarkMetricsHotPath pins the per-request cost of armed telemetry — a
-// pre-resolved counter increment, a gauge set, and a histogram observation —
-// at 0 allocs/op. The body is shared with `cmd/ldpbench -exp bench` via
-// internal/benchfix and the benchgate enforces the allocation pin in CI.
+// BenchmarkMetricsHotPath times one hot-path telemetry step — a pre-resolved
+// labeled counter increment, a gauge set, and a latency-histogram
+// observation — the exact operations every instrumented ingest pays. Its
+// 0 allocs/op is pinned by internal/obs's TestHotPathAllocs.
 func BenchmarkMetricsHotPath(b *testing.B) {
-	benchfix.MetricsHotPath()(b)
+	reg := obs.NewRegistry()
+	c := reg.CounterVec("ldp_bench_requests_total", "Benchmark counter.", "endpoint", "code").
+		With("reports", "200")
+	g := reg.Gauge("ldp_bench_level", "Benchmark gauge.")
+	h := reg.Histogram("ldp_bench_duration_seconds", "Benchmark latency in seconds.", obs.LatencyBounds())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+		g.Set(float64(i))
+		h.Observe(12e-6)
+	}
 }
 
 // BenchmarkWNNLS times consistency post-processing on the AllRange workload
@@ -491,8 +549,4 @@ func BenchmarkSingularValues(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func rrStrategyBench(n int, eps float64) *strategy.Strategy {
-	return benchfix.RRStrategy(n, eps)
 }

@@ -1,5 +1,5 @@
-// Command ldpbench regenerates the paper's experiments as text tables and
-// tracks the optimizer's performance over time.
+// Command ldpbench regenerates the paper's experiments as text tables.
+// Performance is measured by the ledger in bench/ (see bench/README.md).
 //
 // Usage:
 //
@@ -13,13 +13,6 @@
 //	ldpbench -exp all               # everything
 //	ldpbench -exp fig1 -full        # paper-scale parameters (slow)
 //	ldpbench -exp fig1 -workers 4   # bound the sweep worker pool (0 = all CPUs)
-//	ldpbench -exp bench             # optimizer micro-benchmarks → BENCH_optimizer.json
-//	ldpbench -exp benchgate         # hot-path regression gate vs BENCH_optimizer.json
-//
-// The bench experiment measures the optimizer hot path (end-to-end optimize,
-// objective+gradient, projection, parallel matmul) with ns/op, B/op and
-// allocs/op, and writes a machine-readable JSON file (-benchjson sets the
-// path) so successive PRs have a perf trajectory to compare against.
 package main
 
 import (
@@ -32,13 +25,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1, fig2, fig3a, fig3b, fig3c, fig4, table1, bench, benchgate, all")
+	exp := flag.String("exp", "all", "experiment: fig1, fig2, fig3a, fig3b, fig3c, fig4, table1, all")
 	full := flag.Bool("full", false, "paper-scale parameters (much slower)")
 	seed := flag.Int64("seed", 0, "random seed")
 	iters := flag.Int("iters", 0, "optimizer iterations (0 = default)")
 	alpha := flag.Float64("alpha", 0.01, "target normalized variance for sample complexity")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = one per CPU, 1 = serial)")
-	benchJSON := flag.String("benchjson", "BENCH_optimizer.json", "output path for -exp bench results")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -107,16 +99,6 @@ func main() {
 				return err
 			}
 			experiments.WriteTable1(out, rows)
-		case "bench":
-			fmt.Fprintln(out, "== Optimizer micro-benchmarks ==")
-			if err := runBenchSuite(out, *benchJSON); err != nil {
-				return err
-			}
-		case "benchgate":
-			fmt.Fprintln(out, "== Bench regression gate ==")
-			if err := runBenchGate(out, *benchJSON); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

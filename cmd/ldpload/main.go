@@ -3,7 +3,8 @@
 // clients at it — zipfian time-shifting items, bursty arrivals, abandonment,
 // retry storms, and a chaos schedule that kills, drains, and degrades shards
 // mid-run — then scores the result against the generator's own ground truth
-// and emits a BENCH_loadgen.json scorecard.
+// and prints a correctness scorecard. It measures no latency or throughput:
+// performance is the bench/ ledger's job (see bench/README.md).
 //
 // The deterministic sections of the scorecard (counts, estimate scoring) are
 // bit-identical across repeats at the same seed; -repeat 2 proves it on the
@@ -13,9 +14,8 @@
 //
 // Usage:
 //
-//	ldpload -scenario smoke -seed 1 -out BENCH_loadgen.json
-//	ldpload -scenario soak -clients 1000000 -shards 5
-//	ldpload -evolve -clients 20000          # strategy-evolution search loop
+//	ldpload -scenario smoke -seed 1 -repeat 2
+//	ldpload -scenario soak -clients 1000000 -shards 5 -out scorecard.json
 //
 // Shards run as real subprocesses (this binary re-execs itself), so kill
 // events are true SIGKILLs and restart recovery replays a real WAL;
@@ -35,7 +35,6 @@ import (
 
 	ldp "repro"
 	"repro/internal/loadgen"
-	"repro/internal/loadgen/evolve"
 )
 
 func main() {
@@ -57,11 +56,9 @@ func main() {
 	rps := flag.Float64("rps", 0, "target offered reports/sec (0 = unpaced)")
 	ckptEvery := flag.Int("checkpoint-every", 5000, "shard checkpoint interval (reports)")
 	fsync := flag.Bool("fsync", false, "shards fsync every WAL group commit")
-	commitWindow := flag.Duration("commit-window", 0, "shard group-commit gathering window")
-	out := flag.String("out", "BENCH_loadgen.json", "scorecard output path (empty = stdout only)")
+	out := flag.String("out", "", "also write the scorecard to this path (empty = stdout only)")
 	repeat := flag.Int("repeat", 1, "run the scenario this many times and require bit-identical deterministic sections")
 	inproc := flag.Bool("inprocess", false, "run shards in-process (quick iteration; kills quiesce instead of SIGKILL)")
-	doEvolve := flag.Bool("evolve", false, "run the strategy-evolution search loop and print the principles table")
 	settle := flag.Duration("settle-timeout", 2*time.Minute, "bound on the post-run settle (flush + recovery) phase")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -92,33 +89,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ldpload: "+format+"\n", args...)
 	}
 
-	if *doEvolve {
-		runs := 0
-		rep, err := evolve.Run(ctx, evolve.Config{
-			Scenario: scn,
-			Baseline: evolve.Params{
-				Shards: *shards, Batch: scn.Batch, CheckpointEvery: *ckptEvery,
-				Fsync: *fsync, CommitWindow: *commitWindow,
-			},
-			BaseDirs: func() string {
-				runs++
-				dir := filepath.Join(scratch, fmt.Sprintf("run-%d", runs))
-				_ = os.MkdirAll(dir, 0o755)
-				return dir
-			},
-			Spawn: spawn,
-			Logf:  logf,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep.PrinciplesTable())
-		if *out != "" {
-			writeJSON(*out, rep)
-		}
-		return
-	}
-
 	var first *loadgen.Scorecard
 	for i := 0; i < max(*repeat, 1); i++ {
 		card, err := loadgen.Run(ctx, loadgen.RunConfig{
@@ -130,7 +100,6 @@ func main() {
 				Shard: loadgen.ShardConfig{
 					CheckpointEvery: *ckptEvery,
 					Fsync:           *fsync,
-					CommitWindow:    *commitWindow,
 				},
 			},
 			TargetRPS:     *rps,

@@ -54,7 +54,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable ingest directory (write-ahead log + checkpoints); empty serves in-memory only")
 	ckptEvery := flag.Int("checkpoint-every", ldp.DefaultCheckpointEvery, "reports between automatic checkpoints (with -data-dir; 0 disables)")
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit before acknowledging (with -data-dir): survives power loss, not just process crashes")
-	commitWindow := flag.Duration("commit-window", 0, "group-commit gathering window (with -data-dir): trades per-append latency for larger WAL commits; durability is unchanged")
 	historyKeep := flag.Int("history-keep", 0, "full-resolution window of the checkpoint retention ladder (with -data-dir); older checkpoints coarsen geometrically and GET /snapshot?epoch= serves any retained one; <2 uses the default")
 	gzipHistory := flag.Bool("gzip-history", false, "gzip checkpoint payloads and closed retained WAL segments (with -data-dir)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this side address (never the main listener); empty disables")
@@ -83,8 +82,7 @@ func main() {
 	if *dataDir != "" {
 		copts = append(copts, ldp.WithDurability(*dataDir,
 			ldp.CheckpointEvery(*ckptEvery), ldp.FsyncEachCommit(*fsync),
-			ldp.CommitWindow(*commitWindow), ldp.HistoryKeep(*historyKeep),
-			ldp.GzipHistory(*gzipHistory)))
+			ldp.HistoryKeep(*historyKeep), ldp.GzipHistory(*gzipHistory)))
 	}
 	col, err := ldp.NewCollector(agg, w, *shards, copts...)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	ldp "repro"
+	"repro/internal/benchfix"
 )
 
 // buildStrategyPipeline optimizes a small mechanism and returns its two
@@ -249,6 +250,35 @@ func TestCollectorSnapshotCache(t *testing.T) {
 	}
 	if again := col.Snap().State(); !equal(again, ref.Snap().State()) {
 		t.Fatal("mutating a returned snapshot corrupted the cache")
+	}
+}
+
+// A cache hit costs exactly one allocation — the caller-owned copy of the
+// merged state — and takes no shard lock. More means the read path started
+// rebuilding something per call.
+func TestCollectorSnapCacheHitAllocs(t *testing.T) {
+	const n = 256
+	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := ldp.NewCollector(agg, ldp.Histogram(n), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4096; i++ {
+		if err := col.Ingest(ldp.Report{Index: i % n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col.Snap() // the merge; every later read is a hit
+	allocs := testing.AllocsPerRun(100, func() {
+		if col.Snap().StateLen() != n {
+			t.Fatal("bad snapshot")
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("cached Snap allocates %v times, want 1 (the state copy)", allocs)
 	}
 }
 

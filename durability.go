@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/obs"
@@ -23,12 +22,11 @@ const DefaultCheckpointEvery = 1 << 16
 type CollectorOption func(*collectorConfig)
 
 type collectorConfig struct {
-	durDir       string
-	fsync        bool
-	commitWindow time.Duration
-	ckptEvery    int64
-	historyKeep  int
-	gzip         bool
+	durDir      string
+	fsync       bool
+	ckptEvery   int64
+	historyKeep int
+	gzip        bool
 }
 
 // WithDurability gives the collector a write-ahead log and checkpointed crash
@@ -69,20 +67,6 @@ func CheckpointEvery(n int) DurabilityOption {
 // records are written to the OS before acknowledgment but not synced.
 func FsyncEachCommit(on bool) DurabilityOption {
 	return func(cfg *collectorConfig) { cfg.fsync = on }
-}
-
-// CommitWindow holds each WAL group commit open for d before writing, so
-// concurrent ingests stage behind the flusher and share one write (and one
-// fsync, with FsyncEachCommit). Zero (the default) flushes immediately. The
-// window adds up to d of ingest latency per commit in exchange for fewer,
-// larger commits — worth measuring (ldpload -evolve sweeps it), never a
-// durability trade: acknowledgment still waits for the covering write.
-func CommitWindow(d time.Duration) DurabilityOption {
-	return func(cfg *collectorConfig) {
-		if d > 0 {
-			cfg.commitWindow = d
-		}
-	}
 }
 
 // HistoryKeep sets the retention ladder's full-resolution window: the n
@@ -177,13 +161,12 @@ func (c *Collector) openDurable(cfg collectorConfig) error {
 		return nil
 	}
 	store, rec, err := durable.Open(cfg.durDir, durable.Options{
-		Digest:       walDigest(c.info),
-		Fsync:        cfg.fsync,
-		CommitWindow: cfg.commitWindow,
-		Restore:      restore,
-		Replay:       replay,
-		HistoryKeep:  cfg.historyKeep,
-		Gzip:         cfg.gzip,
+		Digest:      walDigest(c.info),
+		Fsync:       cfg.fsync,
+		Restore:     restore,
+		Replay:      replay,
+		HistoryKeep: cfg.historyKeep,
+		Gzip:        cfg.gzip,
 	})
 	if err != nil {
 		return fmt.Errorf("ldp: open durable store: %w", err)

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	ldp "repro"
+	"repro/internal/benchfix"
 	"repro/internal/transport"
 )
 
@@ -491,6 +492,39 @@ func TestDurableRecoveryRejectsMechanismMismatch(t *testing.T) {
 				t.Fatalf("%s: foreign history recovered without error", name)
 			}
 		})
+	}
+}
+
+// Steady-state durable ingest with the buffered WAL (the production default)
+// must not allocate: the record is encoded into a recycled buffer and the
+// group commit swaps, not grows, its pending slice.
+func TestDurableIngestBatchKeyedAllocs(t *testing.T) {
+	const n, batch = 64, 64
+	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoints off: the pin isolates the append path.
+	col, err := ldp.NewCollector(agg, ldp.Histogram(n), 0,
+		ldp.WithDurability(t.TempDir(), ldp.CheckpointEvery(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	reports := make([]ldp.Report, batch)
+	for i := range reports {
+		reports[i] = ldp.Report{Index: (i * 7) % n}
+	}
+	ingest := func() {
+		if err := col.IngestBatchKeyed(reports, "00f1e2d3c4b5a6978877665544332211"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // touch every shard's buffers before measuring
+		ingest()
+	}
+	if allocs := testing.AllocsPerRun(100, ingest); allocs != 0 {
+		t.Fatalf("buffered-WAL IngestBatchKeyed allocates %v times per batch, want 0", allocs)
 	}
 }
 

@@ -898,10 +898,21 @@ func (f *Fleet) bindMember(key string) (*fleetMember, error) {
 // idempotency key end to end. The first forward of a key binds it to the
 // chosen shard; every retry (the client's or this call's internal backoff)
 // replays on that same shard, where the key is remembered, so an ambiguous
-// failure can never double-absorb on a neighbor. It returns the shard's
-// accepted count; the error, if any, carries the shard's *StatusError for
-// status relay (or ErrNoReadyShards when a fresh key had nowhere to go).
+// failure can never double-absorb on a neighbor. A request the shard would
+// not deduplicate — no key, or one over transport.MaxIdempotencyKeyLen, which
+// the shard ignores — is forwarded unkeyed, never bound, and attempted once:
+// re-POSTing it after an ambiguous failure would absorb it twice, so the
+// failure surfaces and the client decides. It returns the shard's accepted
+// count; the error, if any, carries the shard's *StatusError for status relay
+// (or ErrNoReadyShards when a fresh key had nowhere to go).
 func (f *Fleet) IngestKeyed(ctx context.Context, reports []Report, key string) (int, error) {
+	if len(key) > transport.MaxIdempotencyKeyLen {
+		key = ""
+	}
+	pol := f.retryPolicy()
+	if key == "" {
+		pol.MaxAttempts = 1
+	}
 	m, err := f.bindMember(key)
 	if err != nil {
 		// The binding could not be made durable; refuse the forward as
@@ -912,7 +923,7 @@ func (f *Fleet) IngestKeyed(ctx context.Context, reports []Report, key string) (
 		return 0, ErrNoReadyShards
 	}
 	var accepted int
-	err = retry.Do(ctx, f.retryPolicy(), func(actx context.Context) error {
+	err = retry.Do(ctx, pol, func(actx context.Context) error {
 		a, perr := m.rc.client.PostReportsKeyed(actx, reports, key)
 		accepted = a
 		return classifyTransportErr(perr)

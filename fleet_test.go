@@ -12,16 +12,20 @@ import (
 
 	ldp "repro"
 	"repro/internal/benchfix"
+	"repro/internal/chaos"
 )
 
 // fleetShard is a controllable in-process shard: a real collector behind a
 // switch that makes the endpoint unreachable (connection aborted mid-flight)
-// on demand, plus the service handle for readiness control.
+// on demand, plus the service handle for readiness control. reportsVia, when
+// set, takes over POST /reports only (a chaos proxy around svc.Handler()), so
+// probes and the handshake stay healthy while ingest misbehaves.
 type fleetShard struct {
-	col  *ldp.Collector
-	svc  *ldp.CollectorService
-	hs   *httptest.Server
-	down atomic.Bool
+	col        *ldp.Collector
+	svc        *ldp.CollectorService
+	hs         *httptest.Server
+	down       atomic.Bool
+	reportsVia atomic.Pointer[chaos.Proxy]
 }
 
 func newFleetShard(t *testing.T, agg ldp.Aggregator, w ldp.Workload) *fleetShard {
@@ -38,6 +42,10 @@ func newFleetShard(t *testing.T, agg ldp.Aggregator, w ldp.Workload) *fleetShard
 	sh.hs = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if sh.down.Load() {
 			panic(http.ErrAbortHandler) // connection reset: unreachable, not a clean 5xx
+		}
+		if p := sh.reportsVia.Load(); p != nil && req.Method == http.MethodPost && req.URL.Path == "/reports" {
+			p.ServeHTTP(rw, req)
+			return
 		}
 		svc.Handler().ServeHTTP(rw, req)
 	}))

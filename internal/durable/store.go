@@ -61,13 +61,6 @@ type Options struct {
 	// are written (not buffered in-process) on acknowledgment: a process
 	// crash loses nothing, a power failure can lose the OS-cached tail.
 	Fsync bool
-	// CommitWindow holds each group commit open this long before writing, so
-	// concurrent appenders stage behind the flusher and share one syscall
-	// pair (and one fsync, in fsync mode). Zero flushes immediately. Every
-	// append still blocks until the write covering its bytes completes —
-	// the window trades per-append latency for commit batching, never
-	// durability.
-	CommitWindow time.Duration
 	// Restore is called once, before any Replay, with the snapshot of the
 	// latest valid checkpoint — the caller seeds its accumulator from it and
 	// rejects a mechanism mismatch by returning an error.
@@ -155,7 +148,6 @@ type Store struct {
 	dir    string
 	digest string
 	fsync  bool
-	window time.Duration
 
 	// mu orders Append (read side) against Rotate (write side); the WAL file
 	// itself serializes concurrent appends internally via group commit.
@@ -286,12 +278,12 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	if len(replay) > 0 {
 		active = replay[len(replay)-1]
 	}
-	wal, err := openWALFile(filepath.Join(dir, segmentName(active)), opts.Fsync, opts.CommitWindow)
+	wal, err := openWALFile(filepath.Join(dir, segmentName(active)), opts.Fsync)
 	if err != nil {
 		return nil, rec, fmt.Errorf("durable: open WAL segment: %w", err)
 	}
 	s := &Store{
-		dir: dir, digest: opts.Digest, fsync: opts.Fsync, window: opts.CommitWindow,
+		dir: dir, digest: opts.Digest, fsync: opts.Fsync,
 		wal: wal, seq: active, keys: keys,
 		ladder:   history.Ladder{FullRes: opts.HistoryKeep},
 		compress: opts.Gzip,
@@ -555,7 +547,7 @@ func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	next := s.seq + 1
-	nf, err := openWALFile(filepath.Join(s.dir, segmentName(next)), s.fsync, s.window)
+	nf, err := openWALFile(filepath.Join(s.dir, segmentName(next)), s.fsync)
 	if err != nil {
 		return fmt.Errorf("durable: rotate WAL: %w", err)
 	}

@@ -268,8 +268,7 @@ func decodePayload(payload []byte) (Record, error) {
 // (and synced, in fsync mode) — that write is the acknowledgment the
 // collector's absorb waits for.
 type walFile struct {
-	fsync  bool
-	window time.Duration // group-commit gather window (0 = flush immediately)
+	fsync bool
 
 	// metrics, when armed, observes each flush's syscall time and group size.
 	metrics atomic.Pointer[storeMetrics]
@@ -287,7 +286,7 @@ type walFile struct {
 
 // openWALFile opens (creating if needed) a segment for appending. The caller
 // has already truncated any torn tail, so the file ends at a record boundary.
-func openWALFile(path string, fsync bool, window time.Duration) (*walFile, error) {
+func openWALFile(path string, fsync bool) (*walFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -297,7 +296,7 @@ func openWALFile(path string, fsync bool, window time.Duration) (*walFile, error
 		f.Close()
 		return nil, err
 	}
-	w := &walFile{fsync: fsync, window: window, f: f, appended: st.Size(), flushed: st.Size()}
+	w := &walFile{fsync: fsync, f: f, appended: st.Size(), flushed: st.Size()}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -339,16 +338,6 @@ func (w *walFile) waitFlushedLocked(target int64) {
 // next group behind it. Caller holds w.mu with w.flushing == false.
 func (w *walFile) flushLocked() {
 	w.flushing = true
-	if w.window > 0 {
-		// Group-commit window: hold the flush open briefly so concurrent
-		// appenders can stage behind it and amortize the syscall (and fsync)
-		// across a bigger group. flushing == true keeps a second flusher from
-		// starting; durability semantics are unchanged — every append still
-		// waits for the write covering its bytes.
-		w.mu.Unlock()
-		time.Sleep(w.window)
-		w.mu.Lock()
-	}
 	buf := w.pend
 	w.pend = nil
 	goal := w.flushed + int64(len(buf))

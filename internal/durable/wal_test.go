@@ -140,7 +140,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	for _, fsync := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal-00000000.log")
-			w, err := openWALFile(path, fsync, 0)
+			w, err := openWALFile(path, fsync)
 			if err != nil {
 				t.Fatal(err)
 			}

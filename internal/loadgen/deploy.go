@@ -21,8 +21,7 @@ import (
 	"repro/internal/transport"
 )
 
-// ShardConfig is one shard's serving configuration — the durable-ingest
-// config space the evolve loop sweeps.
+// ShardConfig is one shard's serving configuration.
 type ShardConfig struct {
 	Mechanism string
 	Domain    int
@@ -33,7 +32,6 @@ type ShardConfig struct {
 	// collector default, < 0 disables).
 	CheckpointEvery int
 	Fsync           bool
-	CommitWindow    time.Duration
 	// CollectorShards is the in-process accumulator shard count (0 = auto).
 	CollectorShards int
 }
@@ -425,40 +423,52 @@ func startInProcShard(cfg ShardConfig) (*inProcShard, error) {
 }
 
 func (s *inProcShard) start() error {
-	mech, err := BuildMechanism(s.cfg.Mechanism, s.cfg.Domain, s.cfg.Epsilon)
+	col, srv, ln, err := openShard(s.cfg)
 	if err != nil {
 		return err
 	}
-	w, err := ldp.WorkloadByName(s.cfg.Workload, s.cfg.Domain)
-	if err != nil {
-		return err
-	}
-	dopts := []ldp.DurabilityOption{ldp.FsyncEachCommit(s.cfg.Fsync)}
-	if s.cfg.CheckpointEvery != 0 {
-		dopts = append(dopts, ldp.CheckpointEvery(s.cfg.CheckpointEvery))
-	}
-	if s.cfg.CommitWindow > 0 {
-		dopts = append(dopts, ldp.CommitWindow(s.cfg.CommitWindow))
-	}
-	col, err := ldp.NewCollector(mech.Agg, w, s.cfg.CollectorShards,
-		ldp.WithDurability(s.cfg.DataDir, dopts...))
-	if err != nil {
-		return err
-	}
-	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(mech.Agg))
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	s.mu.Lock()
 	s.srv, s.col, s.url = srv, col, "http://"+ln.Addr().String()
 	s.mu.Unlock()
 	return nil
+}
+
+// openShard builds one shard from cfg — the durable collector (recovering
+// whatever cfg.DataDir holds), its HTTP server, and a loopback listener — the
+// same way for an in-process shard and a subprocess one.
+func openShard(cfg ShardConfig) (*ldp.Collector, *http.Server, net.Listener, error) {
+	mech, err := BuildMechanism(cfg.Mechanism, cfg.Domain, cfg.Epsilon)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if cfg.Workload == "" {
+		cfg.Workload = "Histogram"
+	}
+	w, err := ldp.WorkloadByName(cfg.Workload, cfg.Domain)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	dopts := []ldp.DurabilityOption{ldp.FsyncEachCommit(cfg.Fsync)}
+	if cfg.CheckpointEvery != 0 {
+		dopts = append(dopts, ldp.CheckpointEvery(cfg.CheckpointEvery))
+	}
+	col, err := ldp.NewCollector(mech.Agg, w, cfg.CollectorShards,
+		ldp.WithDurability(cfg.DataDir, dopts...))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(mech.Agg))
+	if err != nil {
+		col.Close()
+		return nil, nil, nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		col.Close()
+		return nil, nil, nil, err
+	}
+	return col, &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}, ln, nil
 }
 
 func (s *inProcShard) URL() string {
@@ -518,7 +528,6 @@ const (
 	shardEnvAddrFile  = "LDPLOAD_ADDR_FILE"
 	shardEnvCkpt      = "LDPLOAD_CKPT_EVERY"
 	shardEnvFsync     = "LDPLOAD_FSYNC"
-	shardEnvWindowUS  = "LDPLOAD_COMMIT_WINDOW_US"
 	shardEnvColShards = "LDPLOAD_COLLECTOR_SHARDS"
 )
 
@@ -569,7 +578,6 @@ func (s *subprocShard) start(ctx context.Context) error {
 		shardEnvAddrFile+"="+addrFile,
 		shardEnvCkpt+"="+strconv.Itoa(s.cfg.CheckpointEvery),
 		shardEnvFsync+"="+strconv.FormatBool(s.cfg.Fsync),
-		shardEnvWindowUS+"="+strconv.FormatInt(s.cfg.CommitWindow.Microseconds(), 10),
 		shardEnvColShards+"="+strconv.Itoa(s.cfg.CollectorShards),
 	)
 	cmd.Stdout = os.Stderr
@@ -648,9 +656,6 @@ func RunShardFromEnv() bool {
 	cfg.Epsilon, _ = strconv.ParseFloat(os.Getenv(shardEnvEps), 64)
 	cfg.CheckpointEvery, _ = strconv.Atoi(os.Getenv(shardEnvCkpt))
 	cfg.Fsync = os.Getenv(shardEnvFsync) == "true"
-	if us, err := strconv.ParseInt(os.Getenv(shardEnvWindowUS), 10, 64); err == nil {
-		cfg.CommitWindow = time.Duration(us) * time.Microsecond
-	}
 	cfg.CollectorShards, _ = strconv.Atoi(os.Getenv(shardEnvColShards))
 	addrFile := os.Getenv(shardEnvAddrFile)
 	if err := serveShardProcess(cfg, addrFile); err != nil {
@@ -664,34 +669,7 @@ func RunShardFromEnv() bool {
 // serveShardProcess is the subprocess shard's whole life: build the durable
 // collector, listen, publish the address, serve until killed.
 func serveShardProcess(cfg ShardConfig, addrFile string) error {
-	mech, err := BuildMechanism(cfg.Mechanism, cfg.Domain, cfg.Epsilon)
-	if err != nil {
-		return err
-	}
-	if cfg.Workload == "" {
-		cfg.Workload = "Histogram"
-	}
-	w, err := ldp.WorkloadByName(cfg.Workload, cfg.Domain)
-	if err != nil {
-		return err
-	}
-	dopts := []ldp.DurabilityOption{ldp.FsyncEachCommit(cfg.Fsync)}
-	if cfg.CheckpointEvery != 0 {
-		dopts = append(dopts, ldp.CheckpointEvery(cfg.CheckpointEvery))
-	}
-	if cfg.CommitWindow > 0 {
-		dopts = append(dopts, ldp.CommitWindow(cfg.CommitWindow))
-	}
-	col, err := ldp.NewCollector(mech.Agg, w, cfg.CollectorShards,
-		ldp.WithDurability(cfg.DataDir, dopts...))
-	if err != nil {
-		return err
-	}
-	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(mech.Agg))
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	_, srv, ln, err := openShard(cfg)
 	if err != nil {
 		return err
 	}
@@ -703,6 +681,5 @@ func serveShardProcess(cfg ShardConfig, addrFile string) error {
 	if err := os.Rename(tmp, addrFile); err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	return srv.Serve(ln)
 }

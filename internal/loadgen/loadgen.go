@@ -3,8 +3,9 @@
 // the traffic shape production LDP collection actually sees — zipfian and
 // time-shifting item popularity, bursty arrivals, retry storms, client
 // abandonment, and shards that slow down, 503, or die mid-run — while a
-// scorer tracks throughput, tail latency, WAL lag, coverage, and estimate
-// error against the generator's known ground truth.
+// scorer checks exactly-once accounting, estimate error against the
+// generator's known ground truth, and /metrics against /healthz. It is a
+// correctness harness: latency and throughput are measured by bench/.
 //
 // # Determinism
 //
@@ -16,9 +17,9 @@
 // report exactly once (the run settles: faults heal, killed shards recover,
 // and Flush loops until every batch is acknowledged), the scorecard's counts
 // and estimates are bit-reproducible at a fixed seed — across worker counts,
-// machine speeds, and fault timing. Only the timing section (latency
-// percentiles, throughput, WAL lag) varies run to run; reproducibility
-// checks compare the deterministic sections and ignore timing.
+// machine speeds, and fault timing. Only the ops section (duration, WAL
+// lag, coverage dips, chaos counters) varies run to run; reproducibility
+// checks compare the deterministic sections and ignore it.
 //
 // # Progress-indexed faults
 //

@@ -77,20 +77,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	card.Counts.TruthTotal = float64(pop.Participants)
 	card.Counts.ScheduleEvents = len(scn.Schedule)
 
-	// Shared (lock-free) scoring state the transport observers feed.
-	var hist latencyHist
-	var requests, reportPosts, retried atomic.Int64
-	observer := func(op string, dur time.Duration, status int, err error) {
-		requests.Add(1)
-		if op == "reports" {
-			reportPosts.Add(1)
-			hist.observe(dur)
-		}
-		if err != nil || status >= 300 || status == 0 {
-			retried.Add(1)
-		}
-	}
-
 	policy := ldp.DefaultRemoteRetryPolicy()
 	if scn.RetryStorm {
 		// Storm discipline: many fast attempts. Combined with lossy fault
@@ -106,13 +92,10 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	}
 
 	// One RemoteCollector per worker: private buffers (deterministic batch
-	// composition from the static client partition), shared scoring.
+	// composition from the static client partition).
 	collectors := make([]*ldp.RemoteCollector, scn.Workers)
 	for i := range collectors {
-		opts := []ldp.RemoteOption{
-			ldp.WithRemoteObserver(observer),
-			ldp.WithRemoteRetryPolicy(policy),
-		}
+		opts := []ldp.RemoteOption{ldp.WithRemoteRetryPolicy(policy)}
 		if scn.Batch > 0 {
 			opts = append(opts, ldp.WithRemoteBatch(scn.Batch))
 		}
@@ -229,18 +212,8 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		return nil, err
 	}
 
-	// Ops: timing, coverage, WAL facts, chaos counters.
+	// Ops: duration, coverage, WAL facts, chaos counters.
 	card.Ops.DurationSec = elapsed.Seconds()
-	if s := elapsed.Seconds(); s > 0 {
-		card.Ops.Throughput = float64(card.Counts.AckedReports) / s
-	}
-	card.Ops.P50Ms = hist.quantile(0.50)
-	card.Ops.P99Ms = hist.quantile(0.99)
-	card.Ops.P999Ms = hist.quantile(0.999)
-	card.Ops.MaxMs = float64(hist.maxNs.Load()) / 1e6
-	card.Ops.Requests = requests.Load()
-	card.Ops.ReportPosts = reportPosts.Load()
-	card.Ops.Retried = retried.Load()
 	card.Ops.ShardsMerged = cov.Merged()
 	card.Ops.ShardsTotal = cov.Total
 	card.Ops.ShardsStale = cov.Stale
@@ -261,10 +234,10 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	card.Ops.Metrics = d.MetricsCheck(settleCtx, healths)
 	card.Ops.Chaos = d.ChaosStats()
 
-	logf("scorecard: acked=%d absorbed=%d exactly-once=%v max-cell-err=%.1f (envelope %.1f) in-envelope=%v p99=%.1fms throughput=%.0f rps",
+	logf("scorecard: acked=%d absorbed=%d exactly-once=%v max-cell-err=%.1f (envelope %.1f) in-envelope=%v metrics-agree=%v",
 		card.Counts.AckedReports, card.Counts.AbsorbedReports, card.Counts.ExactlyOnce,
 		card.Estimates.MaxAbsCellError, card.Estimates.CellEnvelope, card.Estimates.InEnvelope,
-		card.Ops.P99Ms, card.Ops.Throughput)
+		card.Ops.Metrics.Agree)
 	return card, nil
 }
 

@@ -2,58 +2,9 @@ package loadgen
 
 import (
 	"math"
-	"math/bits"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/chaos"
 )
-
-// latencyBuckets is the log₂-microsecond histogram width: bucket i holds
-// samples in [2^(i-1), 2^i) µs, so 48 buckets cover nanoseconds to days.
-const latencyBuckets = 48
-
-// latencyHist is a lock-free log₂ latency histogram. Percentiles come from
-// bucket interpolation — coarse (≤2× error), which is exactly as much
-// precision as a load test's tail numbers deserve.
-type latencyHist struct {
-	counts [latencyBuckets]atomic.Int64
-	total  atomic.Int64
-	maxNs  atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	b := bits.Len64(uint64(us)) // 0µs → bucket 0, 1µs → 1, 2-3µs → 2, ...
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
-	}
-	h.counts[b].Add(1)
-	h.total.Add(1)
-	for {
-		cur := h.maxNs.Load()
-		if int64(d) <= cur || h.maxNs.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
-}
-
-// quantile returns the q-quantile in milliseconds (bucket upper bound).
-func (h *latencyHist) quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	var seen int64
-	for b := 0; b < latencyBuckets; b++ {
-		seen += h.counts[b].Load()
-		if seen >= target {
-			return float64(uint64(1)<<uint(b)) / 1000.0 // bucket bound in ms
-		}
-	}
-	return float64(h.maxNs.Load()) / 1e6
-}
 
 // Counts is the deterministic accounting of a run: at a fixed seed these
 // values are bit-identical across repeats, worker counts, and machines —
@@ -90,25 +41,12 @@ type Estimates struct {
 	InEnvelope      bool    `json:"in_envelope"`
 }
 
-// Ops is the operational (timing-dependent) half of the scorecard: latency,
-// throughput, WAL lag, coverage, chaos counters. Varies run to run; excluded
-// from reproducibility comparisons.
+// Ops is the operational (timing-dependent) half of the scorecard: WAL lag,
+// coverage, telemetry reconciliation, chaos counters. Varies run to run;
+// excluded from reproducibility comparisons. It carries no latency or
+// throughput numbers — performance is the bench/ ledger's job.
 type Ops struct {
 	DurationSec float64 `json:"duration_sec"`
-	// Throughput is acknowledged reports per second over the whole run
-	// (including settle).
-	Throughput float64 `json:"throughput_rps"`
-	// Report-POST latency percentiles, milliseconds (log₂-bucket bounds).
-	P50Ms  float64 `json:"p50_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	MaxMs  float64 `json:"max_ms"`
-	// Requests counts every HTTP request workers issued; ReportPosts the
-	// POST /reports subset; Retried the non-2xx or transport-failed ones
-	// (each is one retry the discipline absorbed).
-	Requests    int64 `json:"requests"`
-	ReportPosts int64 `json:"report_posts"`
-	Retried     int64 `json:"retried"`
 	// Coverage of the final merged snapshot, plus the worst (lowest ready
 	// count) moment observed during the run — the degradation the scenario
 	// drove.
@@ -127,9 +65,8 @@ type Ops struct {
 	Chaos []chaos.Stats `json:"chaos,omitempty"`
 }
 
-// Scorecard is the emitted BENCH_loadgen.json shape: scenario identity, the
-// deterministic counts and estimate scoring, and the timing-dependent ops
-// section.
+// Scorecard is what a run emits: scenario identity, the deterministic counts
+// and estimate scoring, and the timing-dependent ops section.
 type Scorecard struct {
 	Scenario  string  `json:"scenario"`
 	Seed      uint64  `json:"seed"`

@@ -97,6 +97,25 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// The armed hot path — a pre-resolved labeled counter increment, a gauge set
+// and a latency-histogram observation, what every instrumented ingest pays —
+// must not allocate: instrumentation that starts allocating per request is a
+// regression even when no scraper is attached.
+func TestHotPathAllocs(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterVec("ldp_requests_total", "Requests.", "endpoint", "code").With("reports", "200")
+	g := r.Gauge("ldp_level", "Level.")
+	h := r.Histogram("ldp_duration_seconds", "Latency in seconds.", LatencyBounds())
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		g.Set(3)
+		h.Observe(12e-6)
+	})
+	if allocs != 0 {
+		t.Fatalf("armed counter+gauge+histogram step allocates %v times, want 0", allocs)
+	}
+}
+
 func TestHandlerServesText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ldp_served_total", "Served.").Inc()

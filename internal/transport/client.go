@@ -16,20 +16,11 @@ import (
 	"repro/internal/protocol"
 )
 
-// Observer receives one callback per HTTP request the client issues: the
-// operation name ("reports", "query", "snapshot", "healthz", "readyz"), the
-// wall time from request start to response headers (or failure), the HTTP
-// status (0 when the request never got a response), and the transport-level
-// error, if any. Callbacks run on the calling goroutine, so an observer must
-// be cheap and concurrency-safe.
-type Observer func(op string, d time.Duration, status int, err error)
-
 // Client speaks the transport's HTTP binding from the ingesting side. It is
 // safe for concurrent use; each call is one HTTP request.
 type Client struct {
 	base string
 	hc   *http.Client
-	obs  Observer
 }
 
 // NewClient returns a client for the server at base (e.g.
@@ -55,17 +46,11 @@ func (c *Client) SetHTTPClient(hc *http.Client) {
 	}
 }
 
-// SetObserver installs a per-request latency observer. Call before the first
-// request; the client is not otherwise synchronized. A nil observer removes
-// instrumentation.
-func (c *Client) SetObserver(obs Observer) { c.obs = obs }
-
-// do issues req, timing it for the observer. The duration covers request
-// start through response headers — body streaming is the caller's. Every
-// request carries an Ldp-Request-Id: the caller's context id when one is
-// there (a router forwarding keeps the edge's id), a freshly minted one
-// otherwise — so one logical request traces through every hop's logs.
-func (c *Client) do(req *http.Request, op string) (*http.Response, error) {
+// do issues req. Every request carries an Ldp-Request-Id: the caller's
+// context id when one is there (a router forwarding keeps the edge's id), a
+// freshly minted one otherwise — so one logical request traces through every
+// hop's logs.
+func (c *Client) do(req *http.Request) (*http.Response, error) {
 	if req.Header.Get(obs.RequestIDHeader) == "" {
 		id := obs.RequestID(req.Context())
 		if id == "" {
@@ -73,17 +58,7 @@ func (c *Client) do(req *http.Request, op string) (*http.Response, error) {
 		}
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
-	if c.obs == nil {
-		return c.hc.Do(req)
-	}
-	start := time.Now()
-	resp, err := c.hc.Do(req)
-	status := 0
-	if resp != nil {
-		status = resp.StatusCode
-	}
-	c.obs(op, time.Since(start), status, err)
-	return resp, err
+	return c.hc.Do(req)
 }
 
 // PostReports sends a batch of reports, chunked into as many frames as the
@@ -113,7 +88,7 @@ func (c *Client) PostReportsKeyed(ctx context.Context, reports []protocol.Report
 	if key != "" {
 		req.Header.Set(IdempotencyKeyHeader, key)
 	}
-	resp, err := c.do(req, "reports")
+	resp, err := c.do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -148,7 +123,7 @@ func (c *Client) PostQuery(ctx context.Context, q QueryRequest, fn func(QueryRow
 		return QueryResultInfo{}, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.do(req, "query")
+	resp, err := c.do(req)
 	if err != nil {
 		return QueryResultInfo{}, err
 	}
@@ -190,7 +165,7 @@ func (c *Client) SnapAt(ctx context.Context, epoch uint64, nearest bool) (Snapsh
 	if err != nil {
 		return Snapshot{}, err
 	}
-	resp, err := c.do(req, "snapshot")
+	resp, err := c.do(req)
 	if err != nil {
 		return Snapshot{}, err
 	}
@@ -265,7 +240,7 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(req, strings.TrimPrefix(path, "/"))
+	resp, err := c.do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -156,9 +156,10 @@ const (
 	// arriving after the key was evicted re-absorbs; size the cache up if a
 	// deployment retries across longer horizons.
 	idemCacheSize = 4096
-	// maxIdemKeyLen bounds an accepted key so a hostile client cannot park
-	// megabytes in the LRU; longer keys are ignored (treated as unkeyed).
-	maxIdemKeyLen = 64
+	// MaxIdempotencyKeyLen bounds an accepted key so a hostile client cannot
+	// park megabytes in the LRU; a longer key is ignored — the request is
+	// handled as unkeyed, by the shard and by a router in front of it alike.
+	MaxIdempotencyKeyLen = 64
 )
 
 // idemOutcome is one idempotency key's entry: the recorded response once
@@ -484,7 +485,7 @@ type SeededKey struct {
 // partial one is completed instead of silently losing its suffix.
 func (s *Server) SeedIdempotency(keys []SeededKey) {
 	for _, k := range keys {
-		if k.Key == "" || len(k.Key) > maxIdemKeyLen {
+		if k.Key == "" || len(k.Key) > MaxIdempotencyKeyLen {
 			continue
 		}
 		s.idem.seed(k.Key, http.StatusConflict, ingestResponse{
@@ -514,7 +515,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	// with the accepted count, so the client trims and re-sends the rest.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxRequestBytes)
 	key := r.Header.Get(IdempotencyKeyHeader)
-	if len(key) > maxIdemKeyLen {
+	if len(key) > MaxIdempotencyKeyLen {
 		key = ""
 	}
 	var claim *idemOutcome

@@ -158,17 +158,6 @@ func WithRemoteHTTPClient(hc *http.Client) RemoteOption {
 	}
 }
 
-// WithRemoteObserver installs a per-request latency observer on the
-// underlying transport client: one callback per HTTP request with the
-// operation name, wall time to response headers, HTTP status (0 when the
-// request never got a response), and transport error. Callbacks run on the
-// shipping goroutine — keep them cheap and concurrency-safe.
-func WithRemoteObserver(obs transport.Observer) RemoteOption {
-	return func(rc *RemoteCollector) {
-		rc.client.SetObserver(obs)
-	}
-}
-
 // WithRemoteRetryPolicy replaces the retry discipline (default
 // DefaultRemoteRetryPolicy) applied to shipped batches and snapshot fetches.
 // Tests pin MaxAttempts/backoff/Rand/Sleep for a deterministic schedule; a

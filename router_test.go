@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	ldp "repro"
 	"repro/internal/benchfix"
+	"repro/internal/chaos"
 )
 
 // routerFixture stands up n shards, a fleet over them, and the router tier.
@@ -141,6 +145,57 @@ func TestRouterKeyStickyReplay(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("shards absorbed %v reports across 4 sends of one key, want exactly 3", total)
+	}
+}
+
+// A request the shard will not deduplicate must not be re-POSTed by the
+// router after an ambiguous failure. The shard absorbs every POST /reports
+// and loses the response (chaos DropAfter: 1), so under the 4-attempt
+// forward policy a router that retried would leave four copies on the shard.
+// Unkeyed and over-long-key requests are forwarded once and surface the
+// retryable 503; an over-long key is also never bound, so a binding log that
+// could not even encode it stays empty instead of refusing the request
+// forever.
+func TestRouterNonIdempotentForwardedOnce(t *testing.T) {
+	const domain = 8
+	reports := []ldp.Report{{Index: 1}, {Index: 2}, {Index: 3}}
+	for _, tc := range []struct {
+		name    string
+		key     string
+		bindLog bool
+	}{
+		{"unkeyed", "", false},
+		{"key-100-bytes", strings.Repeat("k", 100), false},
+		{"key-300-bytes-binding-log", strings.Repeat("k", 300), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []ldp.FleetOption{ldp.WithFleetRetryPolicy(fastRetryPolicy(4, nil))}
+			logPath := filepath.Join(t.TempDir(), "bindings.log")
+			if tc.bindLog {
+				opts = append(opts, ldp.WithFleetBindingLog(logPath))
+			}
+			f, _, hs, shards, _, _ := routerFixture(t, domain, 1, opts...)
+			t.Cleanup(func() { f.Close() })
+			sh := shards[0]
+			lossy := chaos.New(sh.svc.Handler(), chaos.Plan{DropAfter: 1}, 1)
+			sh.reportsVia.Store(lossy)
+
+			status, _ := postFrame(t, hs, tc.key, reports)
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("status %d, want the retryable 503 of an ambiguous forward", status)
+			}
+			if got := lossy.Stats().DropsAfter; got != 1 {
+				t.Fatalf("router POSTed the batch %d times, want exactly 1", got)
+			}
+			if got := sh.col.Count(); got != float64(len(reports)) {
+				t.Fatalf("shard holds %v reports, want exactly one batch of %d", got, len(reports))
+			}
+			if tc.bindLog {
+				if st, err := os.Stat(logPath); err != nil || st.Size() != 0 {
+					t.Fatalf("binding log = (%v, %v), want present and empty: an over-long key is never bound", st, err)
+				}
+			}
+		})
 	}
 }
 
