@@ -220,7 +220,6 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 			Jitter:            0.5,
 			PerAttemptTimeout: 10 * time.Second,
 		}),
-		ldp.WithFleetRemoteOptions(ldp.WithRemoteBatch(chaosBatch)),
 		ldp.WithFleetUnhealthyAfter(2))
 	if err != nil {
 		t.Fatal(err)
@@ -237,14 +236,16 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	})
 
 	// Phase 1: sustained keyed ingest through the chaos. A batch whose
-	// retries exhaust stays queued against its shard — nothing is dropped.
+	// retries exhaust stays pending under its key, bound to its shard —
+	// nothing is dropped.
+	fwd := &keyedForwarder{f: fleet, name: "chaos"}
 	ingest := func(lo, hi int) {
 		for i := lo; i < hi; i += chaosBatch {
 			end := i + chaosBatch
 			if end > hi {
 				end = hi
 			}
-			_ = fleet.IngestBatch(ctx, reports[i:end]) // failures stay queued; FlushAll settles them
+			_ = fwd.forward(ctx, reports[i:end]) // failures stay pending; settle retries them under the same key
 			if (i/chaosBatch)%8 == 7 {
 				fleet.Probe(ctx)
 			}
@@ -252,7 +253,14 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	}
 	ingest(0, 12000)
 
-	// Phase 2: SIGKILL the durable shard mid-stream and keep ingesting.
+	// Phase 2: SIGKILL the durable shard mid-stream and keep ingesting. The
+	// shard is routable when it dies (an injected 503 may have gated it out a
+	// moment ago), so the next batches rotated onto it exhaust their retries
+	// and stay pending, bound to it, until it is back.
+	waitFleet(t, "all 4 shards routable before the kill", func() bool {
+		fleet.Probe(ctx)
+		return fleet.ReadyCount() == 4
+	})
 	if err := proc.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,21 +299,25 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	})
 	ingest(16000, chaosUsers)
 
-	// Phase 4: settle. Chaos off, then flush until every queue drains —
-	// including batches stranded on the killed shard across its restart.
+	// Phase 4: settle. Chaos off, then retry until every batch is
+	// acknowledged — including the ones bound to the killed shard across its
+	// restart, which its recovered idempotency keys answer.
 	for _, p := range proxies {
 		p.SetPlan(chaos.Plan{})
 	}
-	var flushErr error
+	if len(fwd.pending) == 0 {
+		t.Fatal("no batch was ever left pending: the kill stranded nothing, so same-key retry went unexercised")
+	}
+	var settleErr error
 	for attempt := 0; attempt < 30; attempt++ {
-		if flushErr = fleet.FlushAll(ctx); flushErr == nil {
+		if settleErr = fwd.settle(ctx); settleErr == nil {
 			break
 		}
 		fleet.Probe(ctx)
 		time.Sleep(10 * time.Millisecond)
 	}
-	if flushErr != nil {
-		t.Fatalf("queues never drained: %v", flushErr)
+	if settleErr != nil {
+		t.Fatalf("pending batches never settled: %v", settleErr)
 	}
 
 	// Acceptance: the chaos actually fired — every proxy injected faults,

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -228,7 +230,16 @@ type scriptBackend struct {
 	epoch uint64
 }
 
-func (b *scriptBackend) IngestBatch(reports []protocol.Report) error { return nil }
+func (b *scriptBackend) IngestBatch(reports []protocol.Report, key string) error { return nil }
+func (b *scriptBackend) Durability() (transport.DurabilityHealth, bool) {
+	return transport.DurabilityHealth{}, false
+}
+func (b *scriptBackend) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, error) {
+	return transport.Snapshot{}, &transport.EpochNotRetainedError{Requested: epoch}
+}
+func (b *scriptBackend) Query(transport.QueryRequest, io.Writer) error {
+	return errors.New("the scripted backend serves no queries")
+}
 func (b *scriptBackend) SnapshotEpoch() ([]float64, float64, uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -183,7 +183,8 @@ func queryFanIn(ctx context.Context, out io.Writer, servers string, names []stri
 			return err
 		}
 	}
-	// ws[0] seeds the fleet's estimator; the pool below answers all of them.
+	// The fleet only needs some workload over the domain to validate the
+	// mechanism against; the pool below answers all of them.
 	fleet, err := ldp.NewFleet(agg, ws[0])
 	if err != nil {
 		return err

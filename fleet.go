@@ -222,7 +222,6 @@ type Fleet struct {
 	staleFallback  bool
 	unhealthyAfter int
 	hc             *http.Client
-	remoteOpts     []RemoteOption
 
 	mu       sync.Mutex
 	members  map[string]*fleetMember
@@ -331,16 +330,13 @@ func (f *Fleet) observeMerge(outcome string, cov Coverage) {
 	m.covMissing.Set(float64(cov.Total - cov.Fresh - cov.Stale))
 }
 
-// bindingCap bounds the idempotency-key→shard binding LRU, matching the
-// shard-side idempotency cache horizon: a key evicted here would also be
-// forgotten by the shard that absorbed it.
-const bindingCap = 4096
-
 // keyBindings is a bounded LRU mapping an idempotency key to the shard it
 // was first routed to. A keyed request that failed ambiguously (the shard
 // may have absorbed it and the response was lost) MUST replay on the same
 // shard — any other shard's idempotency cache has never seen the key and
 // would absorb a second copy. Only a never-sent key may pick a fresh shard.
+// The fleet sizes it at transport.IdempotencyHorizon: a key evicted here is
+// one the shard that absorbed it has forgotten too.
 type keyBindings struct {
 	cap   int
 	byKey map[string]*list.Element
@@ -385,6 +381,17 @@ func (b *keyBindings) remove(key string) {
 		b.order.Remove(el)
 		delete(b.byKey, key)
 	}
+}
+
+// live lists the held bindings oldest first — the order that, replayed into
+// an empty LRU, rebuilds this one. It is what the binding log compacts to.
+func (b *keyBindings) live() []durable.Binding {
+	out := make([]durable.Binding, 0, b.order.Len())
+	for el := b.order.Back(); el != nil; el = el.Prev() {
+		kb := el.Value.(*keyBinding)
+		out = append(out, durable.Binding{Key: kb.key, Endpoint: kb.endpoint})
+	}
+	return out
 }
 
 // FleetOption configures a Fleet.
@@ -434,25 +441,21 @@ func WithFleetHTTPClient(hc *http.Client) FleetOption {
 	return func(f *Fleet) { f.hc = hc }
 }
 
-// WithFleetRemoteOptions appends extra options (batch size, etc.) to every
-// member's RemoteCollector. The fleet's retry policy and HTTP client are
-// applied first, so these can override them per deployment if needed.
-func WithFleetRemoteOptions(opts ...RemoteOption) FleetOption {
-	return func(f *Fleet) { f.remoteOpts = append(f.remoteOpts, opts...) }
-}
-
 // WithFleetBindingLog persists the idempotency-key→shard binding LRU through
 // an append-only log at path: NewFleet replays it (latest bind per key wins,
 // torn tail dropped), and every fresh bind is fsynced before its batch is
-// forwarded. Without it the bindings are in-memory only, and a keyed retry
-// that crosses a router restart may route to a different shard — whose
-// idempotency cache never saw the key — and double-absorb.
+// forwarded. The log is bounded like the LRU it backs: it is rewritten down
+// to the LRU's contents whenever it reaches twice the idempotency horizon, so
+// neither the file nor a restart's replay grows with traffic. Without it the
+// bindings are in-memory only, and a keyed retry that crosses a router
+// restart may route to a different shard — whose idempotency cache never saw
+// the key — and double-absorb.
 func WithFleetBindingLog(path string) FleetOption {
 	return func(f *Fleet) { f.bindingLogPath = path }
 }
 
 // NewFleet prepares an empty fleet aggregating under agg's mechanism and
-// answering w. Register shards with Register; route with IngestBatch; read
+// answering w. Register shards with Register; route with IngestKeyed; read
 // with Snap.
 func NewFleet(agg Aggregator, w Workload, opts ...FleetOption) (*Fleet, error) {
 	if agg == nil {
@@ -466,7 +469,7 @@ func NewFleet(agg Aggregator, w Workload, opts ...FleetOption) (*Fleet, error) {
 		staleFallback:  true,
 		unhealthyAfter: 2,
 		members:        make(map[string]*fleetMember),
-		bindings:       newKeyBindings(bindingCap),
+		bindings:       newKeyBindings(transport.IdempotencyHorizon),
 	}
 	for _, o := range opts {
 		o(f)
@@ -517,7 +520,11 @@ func (f *Fleet) Register(ctx context.Context, endpoint string) error {
 	}
 	f.mu.Unlock()
 
-	rc, err := NewRemoteCollector(endpoint, f.agg, f.w, f.remoteOptions()...)
+	opts := []RemoteOption{WithRemoteRetryPolicy(f.retryPolicy())}
+	if f.hc != nil {
+		opts = append(opts, WithRemoteHTTPClient(f.hc))
+	}
+	rc, err := NewRemoteCollector(endpoint, f.agg, f.w, opts...)
 	if err != nil {
 		return err
 	}
@@ -536,7 +543,7 @@ func (f *Fleet) Register(ctx context.Context, endpoint string) error {
 	}
 	if err := rc.Verify(ctx, f.info.Mechanism, f.info.Epsilon, f.info.Digest); err != nil {
 		var se *StatusError
-		if errors.As(err, &se) && !se.Temporary() || isMismatch(err) {
+		if errors.As(err, &se) && !se.Temporary() || errors.Is(err, errMechanismMismatch) {
 			// The shard answered and it is the wrong mechanism: refuse.
 			return fmt.Errorf("ldp: register %s: %w", endpoint, err)
 		}
@@ -573,31 +580,10 @@ func (f *Fleet) retryPolicy() retry.Policy {
 	return pol
 }
 
-// remoteOptions assembles the per-member client options.
-func (f *Fleet) remoteOptions() []RemoteOption {
-	opts := []RemoteOption{WithRemoteRetryPolicy(f.retryPolicy())}
-	if f.hc != nil {
-		opts = append(opts, WithRemoteHTTPClient(f.hc))
-	}
-	return append(opts, f.remoteOpts...)
-}
-
-// isMismatch reports whether err is the Verify handshake's identity
-// rejection (as opposed to the shard being unreachable): the shard answered
-// and declared a different mechanism or domain.
-func isMismatch(err error) bool {
-	if err == nil {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "different mechanism configuration") ||
-		strings.Contains(msg, "local mechanism domain")
-}
-
-// Deregister removes a shard from membership. Reports still queued in its
-// client are dropped with it — deregistration is the operator's statement
-// that the shard is gone, not a health event (health gating handles those).
-// It reports whether the endpoint was a member.
+// Deregister removes a shard from membership — the operator's statement that
+// the shard is gone, not a health event (health gating handles those). Keys
+// bound to it rebind on their next forward. It reports whether the endpoint
+// was a member.
 func (f *Fleet) Deregister(endpoint string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -814,47 +800,17 @@ func (f *Fleet) routable(m *fleetMember) bool {
 	return ready && m.breaker.State() != retry.BreakerOpen
 }
 
-// pick chooses the next routable member round-robin, or nil.
-func (f *Fleet) pick() *fleetMember {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pickLocked()
-}
-
+// pickLocked chooses the next routable member round-robin, or nil. Caller
+// holds f.mu.
 func (f *Fleet) pickLocked() *fleetMember {
 	n := len(f.order)
 	for i := 0; i < n; i++ {
 		m := f.members[f.order[(f.next+i)%n]]
-		m.mu.Lock()
-		ready := m.ready
-		m.mu.Unlock()
-		if ready && m.breaker.State() != retry.BreakerOpen {
+		if f.routable(m) {
 			f.next = (f.next + i + 1) % n
 			return m
 		}
 	}
-	return nil
-}
-
-// IngestBatch routes one batch of reports to a live shard. The batch becomes
-// the chosen member's responsibility: its client carves it into keyed
-// batches, retries transient failures with backoff under the same keys, and
-// keeps anything unacknowledged queued against that shard — so a retry after
-// an ambiguous failure (response lost mid-crash) replays on the SAME shard
-// and stays exactly-once, instead of double-absorbing on a neighbor. A later
-// FlushAll (or the next IngestBatch that picks this member) resumes the
-// queue; a batch is never silently dropped.
-func (f *Fleet) IngestBatch(ctx context.Context, reports []Report) error {
-	m := f.pick()
-	if m == nil {
-		return ErrNoReadyShards
-	}
-	err := m.rc.IngestBatch(ctx, reports)
-	if err != nil {
-		m.breaker.Failure()
-		return fmt.Errorf("ldp: shard %s: %w", m.endpoint, err)
-	}
-	m.breaker.Success()
 	return nil
 }
 
@@ -864,11 +820,11 @@ func (f *Fleet) IngestBatch(ctx context.Context, reports []Report) error {
 // the next routable member, binding the key to it atomically. An unkeyed
 // request just rotates. Returns nil when a fresh key has no routable shard.
 func (f *Fleet) bindMember(key string) (*fleetMember, error) {
-	if key == "" {
-		return f.pick(), nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if key == "" {
+		return f.pickLocked(), nil
+	}
 	if ep, ok := f.bindings.get(key); ok {
 		if m, ok := f.members[ep]; ok {
 			return m, nil
@@ -884,7 +840,7 @@ func (f *Fleet) bindMember(key string) (*fleetMember, error) {
 			// crossed a restart would let a retry land on a different shard
 			// and double-absorb. The fsync happens under f.mu, but only once
 			// per fresh key — replays and unkeyed traffic never pay it.
-			if err := f.bindingLog.Append(durable.Binding{Key: key, Endpoint: m.endpoint}); err != nil {
+			if err := f.bindingLog.Append(durable.Binding{Key: key, Endpoint: m.endpoint}, f.bindings.live); err != nil {
 				return nil, fmt.Errorf("ldp: persist key binding: %w", err)
 			}
 		}
@@ -934,29 +890,6 @@ func (f *Fleet) IngestKeyed(ctx context.Context, reports []Report, key string) (
 	}
 	m.breaker.Success()
 	return accepted, nil
-}
-
-// FlushAll ships every member's queued reports (concurrently), joining the
-// failures. Reports queued against a shard that is still down stay queued —
-// call FlushAll again once it recovers; keys make the replay exact.
-func (f *Fleet) FlushAll(ctx context.Context) error {
-	members := f.list()
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *fleetMember) {
-			defer wg.Done()
-			if err := m.rc.Flush(ctx); err != nil {
-				m.breaker.Failure()
-				errs[i] = fmt.Errorf("ldp: shard %s: %w", m.endpoint, err)
-			} else {
-				m.breaker.Success()
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Snap merges the fleet into one Snapshot with graceful degradation. Every

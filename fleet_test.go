@@ -3,6 +3,7 @@ package ldp_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -68,6 +69,67 @@ func fleetFixture(t *testing.T, domain, n int) (ldp.Aggregator, ldp.Workload, []
 	return agg, w, shards
 }
 
+// keyedForwarder drives Fleet.IngestKeyed the way the router's clients drive
+// the router: every batch travels under its own idempotency key, and a batch
+// the fleet did not acknowledge is forwarded again under the SAME key until
+// it is — the key binds it to the shard it first went to, whose idempotency
+// cache replays rather than re-absorbs. A definitive answer (a recovered
+// shard's 409 naming what its write-ahead log holds under the key) retires
+// the accepted prefix; any remainder continues under a fresh key.
+type keyedForwarder struct {
+	f       *ldp.Fleet
+	name    string
+	seq     int
+	pending []keyedBatch
+}
+
+type keyedBatch struct {
+	key     string
+	reports []ldp.Report
+}
+
+func (k *keyedForwarder) nextKey() string {
+	k.seq++
+	return fmt.Sprintf("%s-%d", k.name, k.seq)
+}
+
+// forward sends one batch under a fresh key. On failure the batch stays
+// pending, key intact, for settle to retry; the error is returned so a test
+// can see which forwards hit trouble.
+func (k *keyedForwarder) forward(ctx context.Context, reports []ldp.Report) error {
+	return k.try(ctx, keyedBatch{key: k.nextKey(), reports: reports})
+}
+
+func (k *keyedForwarder) try(ctx context.Context, b keyedBatch) error {
+	accepted, err := k.f.IngestKeyed(ctx, b.reports, b.key)
+	if err == nil {
+		return nil
+	}
+	var se *ldp.StatusError
+	if errors.As(err, &se) && !se.Temporary() {
+		if accepted >= len(b.reports) {
+			return nil // answered in full under this key before the response was lost
+		}
+		b = keyedBatch{key: k.nextKey(), reports: b.reports[max(accepted, 0):]}
+	}
+	k.pending = append(k.pending, b)
+	return err
+}
+
+// settle retries every pending batch once, each under its own key, and
+// reports what is still unacknowledged.
+func (k *keyedForwarder) settle(ctx context.Context) error {
+	pending := k.pending
+	k.pending = nil
+	var errs []error
+	for _, b := range pending {
+		if err := k.try(ctx, b); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 func registerAll(t *testing.T, ctx context.Context, f *ldp.Fleet, shards []*fleetShard) {
 	t.Helper()
 	for _, sh := range shards {
@@ -78,13 +140,13 @@ func registerAll(t *testing.T, ctx context.Context, f *ldp.Fleet, shards []*flee
 }
 
 // The healthy path end to end: keyed ingest round-robins across registered
-// shards, FlushAll delivers every queued batch, and the merged snapshot is
-// complete (every shard fresh) and holds exactly one copy of every report.
+// shards, every batch is acknowledged on its first forward, and the merged
+// snapshot is complete (every shard fresh) and holds exactly one copy of
+// every report.
 func TestFleetRoutesAndMergesComplete(t *testing.T) {
 	const domain, total = 16, 120
 	agg, w, shards := fleetFixture(t, domain, 3)
-	f, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(2, nil)),
-		ldp.WithFleetRemoteOptions(ldp.WithRemoteBatch(8)))
+	f, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(2, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +160,11 @@ func TestFleetRoutesAndMergesComplete(t *testing.T) {
 	for i := range reports {
 		reports[i] = ldp.Report{Index: i % domain}
 	}
+	fwd := &keyedForwarder{f: f, name: "complete"}
 	for i := 0; i < total; i += 10 {
-		if err := f.IngestBatch(ctx, reports[i:i+10]); err != nil {
+		if err := fwd.forward(ctx, reports[i:i+10]); err != nil {
 			t.Fatalf("ingest batch at %d: %v", i, err)
 		}
-	}
-	if err := f.FlushAll(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
 	}
 
 	snap, cov, err := f.Snap(ctx)
@@ -153,7 +213,25 @@ func TestFleetRefusesMismatchedShard(t *testing.T) {
 	if got := len(f.Members()); got != 0 {
 		t.Fatalf("mismatched shard joined the membership (%d members)", got)
 	}
-	_ = agg
+
+	// The refusal is decided by what the handshake found, not by what the
+	// error text says: a shard that is merely unavailable — here a 503 whose
+	// body happens to quote the mismatch wording — is weather, and is
+	// admitted gated-out like any other unreachable shard.
+	busy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		http.Error(rw, "restarting after: remote collector aggregates under a different mechanism configuration", http.StatusServiceUnavailable)
+	}))
+	defer busy.Close()
+	ok, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(1, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ok.Register(context.Background(), busy.URL); err != nil {
+		t.Fatalf("registering an unavailable shard = %v, want it admitted gated-out", err)
+	}
+	if ms := ok.Members(); len(ms) != 1 || ms[0].Ready || ms[0].Verified {
+		t.Fatalf("unavailable shard state = %+v, want admitted, not ready, unverified", ms)
+	}
 }
 
 // A shard that is down at registration is admitted gated-out — it may be
@@ -176,7 +254,8 @@ func TestFleetAdmitsUnreachableShardAndRecovers(t *testing.T) {
 	if len(ms) != 1 || ms[0].Ready || ms[0].Verified {
 		t.Fatalf("unreachable shard state = %+v, want admitted, not ready, unverified", ms)
 	}
-	if err := f.IngestBatch(ctx, []ldp.Report{{Index: 1}}); !errors.Is(err, ldp.ErrNoReadyShards) {
+	fwd := &keyedForwarder{f: f, name: "recovers"}
+	if err := fwd.forward(ctx, []ldp.Report{{Index: 1}}); !errors.Is(err, ldp.ErrNoReadyShards) {
 		t.Fatalf("ingest with no ready shard = %v, want ErrNoReadyShards", err)
 	}
 
@@ -185,8 +264,12 @@ func TestFleetAdmitsUnreachableShardAndRecovers(t *testing.T) {
 	if !ms[0].Ready || !ms[0].Verified {
 		t.Fatalf("after recovery probe, state = %+v, want ready and verified", ms[0])
 	}
-	if err := f.IngestBatch(ctx, []ldp.Report{{Index: 1}}); err != nil {
+	// The refused batch was never bound, so the same key now finds the shard.
+	if err := fwd.settle(ctx); err != nil {
 		t.Fatalf("ingest after recovery: %v", err)
+	}
+	if got := sh.col.Count(); got != 1 {
+		t.Fatalf("shard holds %v reports after the retried forward, want 1", got)
 	}
 }
 
@@ -243,8 +326,7 @@ func TestFleetHealthGating(t *testing.T) {
 func TestFleetDegradedMerge(t *testing.T) {
 	const domain = 16
 	agg, w, shards := fleetFixture(t, domain, 3)
-	f, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(1, nil)),
-		ldp.WithFleetRemoteOptions(ldp.WithRemoteBatch(4)))
+	f, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(1, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +335,11 @@ func TestFleetDegradedMerge(t *testing.T) {
 
 	// Seed every shard with distinct mass and take a complete snapshot so the
 	// fleet holds a last-good state per shard.
+	fwd := &keyedForwarder{f: f, name: "degraded"}
 	for i := 0; i < 30; i++ {
-		if err := f.IngestBatch(ctx, []ldp.Report{{Index: i % domain}, {Index: (i + 1) % domain}}); err != nil {
+		if err := fwd.forward(ctx, []ldp.Report{{Index: i % domain}, {Index: (i + 1) % domain}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := f.FlushAll(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if _, cov, err := f.Snap(ctx); err != nil || !cov.Complete() {
 		t.Fatalf("baseline snap = %v (%s), want complete", err, cov)
@@ -339,15 +419,14 @@ func TestFleetQuorumRefusal(t *testing.T) {
 	}
 }
 
-// Failover keeps exactly-once: a batch that fails to ship stays queued
-// against the shard it was keyed to (its idempotency keys must replay on the
-// SAME backend), later batches route around the outage, and once the shard
-// heals a flush delivers the stranded batch exactly once.
+// Failover keeps exactly-once: a batch whose forward fails stays bound to the
+// shard it was keyed to (its idempotency key must replay on the SAME
+// backend), later batches route around the outage, and once the shard heals
+// a same-key retry delivers the stranded batch exactly once.
 func TestFleetFailoverPreservesExactlyOnce(t *testing.T) {
 	const domain, total = 16, 90
 	agg, w, shards := fleetFixture(t, domain, 3)
 	f, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(2, nil)),
-		ldp.WithFleetRemoteOptions(ldp.WithRemoteBatch(5)),
 		ldp.WithFleetUnhealthyAfter(1))
 	if err != nil {
 		t.Fatal(err)
@@ -361,18 +440,19 @@ func TestFleetFailoverPreservesExactlyOnce(t *testing.T) {
 	}
 
 	// First third flows normally.
+	fwd := &keyedForwarder{f: f, name: "failover"}
 	for i := 0; i < 30; i += 5 {
-		if err := f.IngestBatch(ctx, reports[i:i+5]); err != nil {
+		if err := fwd.forward(ctx, reports[i:i+5]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Shard 0 dies mid-stream: the batch that was routed to it fails after
-	// retries and stays queued there; a probe gates it out and the rest of
+	// retries and stays bound there; a probe gates it out and the rest of
 	// the stream routes across the survivors.
 	shards[0].down.Store(true)
 	var failedAt int
 	for i := 30; i < 60; i += 5 {
-		if err := f.IngestBatch(ctx, reports[i:i+5]); err != nil {
+		if err := fwd.forward(ctx, reports[i:i+5]); err != nil {
 			failedAt++
 		}
 	}
@@ -384,21 +464,26 @@ func TestFleetFailoverPreservesExactlyOnce(t *testing.T) {
 		t.Fatalf("ReadyCount = %d after gating the dead shard, want 2", got)
 	}
 	for i := 60; i < total; i += 5 {
-		if err := f.IngestBatch(ctx, reports[i:i+5]); err != nil {
+		if err := fwd.forward(ctx, reports[i:i+5]); err != nil {
 			t.Fatalf("ingest after gating still failed: %v", err)
 		}
 	}
-	// A flush with the shard still down reports the failure but keeps its
-	// queue; nothing is lost and nothing re-routes to a different backend.
-	if err := f.FlushAll(ctx); err == nil {
-		t.Fatal("flush with a dead shard holding queued reports returned nil")
+	// A retry with the shard still down reports the failure and the batches
+	// stay pending; nothing is lost and nothing re-routes to a different
+	// backend — the survivors hold exactly what they held before the retry.
+	survivors := shards[1].col.Count() + shards[2].col.Count()
+	if err := fwd.settle(ctx); err == nil {
+		t.Fatal("retry with a dead shard holding bound batches returned nil")
+	}
+	if got := shards[1].col.Count() + shards[2].col.Count(); got != survivors {
+		t.Fatalf("survivors hold %v reports after the failed retry, want %v — a bound key re-routed", got, survivors)
 	}
 
-	// Heal, re-admit, and drain the stranded queue.
+	// Heal, re-admit, and deliver the stranded batches under their keys.
 	shards[0].down.Store(false)
 	f.Probe(ctx)
-	if err := f.FlushAll(ctx); err != nil {
-		t.Fatalf("flush after recovery: %v", err)
+	if err := fwd.settle(ctx); err != nil {
+		t.Fatalf("retry after recovery: %v", err)
 	}
 
 	snap, cov, err := f.Snap(ctx)
@@ -425,7 +510,6 @@ func TestFleetBreakerDegradesFlappingShard(t *testing.T) {
 	agg, w, shards := fleetFixture(t, 8, 2)
 	now := time.Unix(0, 0)
 	f, err := ldp.NewFleet(agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(1, nil)),
-		ldp.WithFleetRemoteOptions(ldp.WithRemoteBatch(4)),
 		ldp.WithFleetBreakerPolicy(ldp.BreakerPolicy{
 			FailureThreshold: 2,
 			Cooldown:         time.Minute,
@@ -437,13 +521,11 @@ func TestFleetBreakerDegradesFlappingShard(t *testing.T) {
 	ctx := context.Background()
 	registerAll(t, ctx, f, shards)
 
+	fwd := &keyedForwarder{f: f, name: "breaker"}
 	for i := 0; i < 8; i++ {
-		if err := f.IngestBatch(ctx, []ldp.Report{{Index: i % 8}, {Index: (i + 1) % 8}}); err != nil {
+		if err := fwd.forward(ctx, []ldp.Report{{Index: i % 8}, {Index: (i + 1) % 8}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := f.FlushAll(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if _, cov, err := f.Snap(ctx); err != nil || !cov.Complete() {
 		t.Fatalf("baseline snap = %v (%s)", err, cov)

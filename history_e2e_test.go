@@ -439,16 +439,16 @@ func TestRemoteSnapAtEndToEnd(t *testing.T) {
 	}
 }
 
-// scriptedHistoryBackend extends the scriptable epochBackend with a
+// scriptedHistory extends the scriptable epochBackend with a
 // SnapshotAt whose answer the test controls — the stand-in for a server whose
 // retained history disagrees with what it advertises.
-type scriptedHistoryBackend struct {
+type scriptedHistory struct {
 	epochBackend
 	mu   sync.Mutex
 	hist transport.Snapshot
 }
 
-func (b *scriptedHistoryBackend) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, error) {
+func (b *scriptedHistory) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	snap := b.hist
@@ -456,7 +456,7 @@ func (b *scriptedHistoryBackend) SnapshotAt(epoch uint64, nearest bool) (transpo
 	return snap, nil
 }
 
-func (b *scriptedHistoryBackend) setHist(count float64, epoch uint64, n int) {
+func (b *scriptedHistory) setHist(count float64, epoch uint64, n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.hist = transport.Snapshot{State: make([]float64, n), Count: count, Epoch: epoch}
@@ -474,7 +474,7 @@ func TestRemoteSnapAtRegressionAndHighWaterMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := &scriptedHistoryBackend{epochBackend: epochBackend{state: make([]float64, n), count: 40, epoch: 5}}
+	backend := &scriptedHistory{epochBackend: epochBackend{state: make([]float64, n), count: 40, epoch: 5}}
 	srv, err := transport.NewServer(backend, transport.Info{})
 	if err != nil {
 		t.Fatal(err)

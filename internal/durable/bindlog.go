@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/transport"
 )
 
 // The router's key→shard binding log reuses the WAL's record framing — the
@@ -23,6 +25,13 @@ import (
 // arrives after a router restart still routes to the shard whose idempotency
 // cache saw the key first, instead of double-absorbing on a neighbor.
 const bindingVersion = 2
+
+// The log is bounded by the idempotency horizon, like the LRU it backs: a key
+// older than the newest IdempotencyHorizon binds is one the shards' own
+// idempotency caches have forgotten too, so keeping its record buys nothing.
+// Open keeps the newest IdempotencyHorizon bindings, and the file is compacted
+// back to the live set before it would pass bindingLogMaxRecords.
+const bindingLogMaxRecords = 2*transport.IdempotencyHorizon + 64
 
 // Binding is one idempotency-key→shard-endpoint routing decision.
 type Binding struct {
@@ -57,36 +66,9 @@ func AppendBinding(buf []byte, b Binding) ([]byte, error) {
 // record boundary returns io.EOF; one exhausted mid-record returns
 // ErrTornRecord, the crash signature the tail policy drops.
 func DecodeBinding(r io.Reader) (Binding, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Binding{}, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return Binding{}, fmt.Errorf("%w: truncated header", ErrTornRecord)
-		}
-		return Binding{}, fmt.Errorf("durable: read binding record header: %w", err)
-	}
-	if string(hdr[:4]) != recordMagic {
-		return Binding{}, fmt.Errorf("%w: bad magic %q", errInvalidRecord, hdr[:4])
-	}
-	if hdr[4] != bindingVersion {
-		return Binding{}, fmt.Errorf("%w: unsupported binding version %d", errInvalidRecord, hdr[4])
-	}
-	wantCRC := binary.BigEndian.Uint32(hdr[5:])
-	plen := binary.BigEndian.Uint32(hdr[9:])
-	if plen > 2*(maxRecordMeta+1) {
-		return Binding{}, fmt.Errorf("%w: %d-byte payload exceeds a binding record's maximum", errInvalidRecord, plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Binding{}, fmt.Errorf("%w: truncated payload", ErrTornRecord)
-		}
-		return Binding{}, fmt.Errorf("durable: read binding record payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return Binding{}, fmt.Errorf("%w: CRC mismatch", errInvalidRecord)
+	payload, err := readEnvelope(r, bindingVersion, 2*(maxRecordMeta+1))
+	if err != nil {
+		return Binding{}, err
 	}
 	var b Binding
 	buf := payload
@@ -122,16 +104,15 @@ type BindingLog struct {
 	f       *os.File
 	path    string
 	fsync   bool
-	records int // records in the file (for the compaction trigger)
-	live    int // distinct keys at last open/compact
+	records int // records in the file (the compaction trigger)
 }
 
 // OpenBindingLog opens (creating if needed) the log at path, replays every
-// intact record, and returns the live bindings oldest-bind-first with
-// latest-wins per key — replaying them into an LRU in order reproduces the
-// pre-restart recency. A torn tail (the crash case) is truncated away; a log
-// that has accumulated far more records than live keys is compacted in place
-// via an atomic rewrite.
+// intact record, and returns the live bindings — latest-wins per key, the
+// newest IdempotencyHorizon of them — oldest-bind-first, so replaying them
+// into an LRU in order reproduces the pre-restart recency. A torn tail (the
+// crash case) is truncated away; a log that has accumulated far more records
+// than live keys is compacted in place via an atomic rewrite.
 func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -172,9 +153,12 @@ func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	l := &BindingLog{f: f, path: path, fsync: fsync, records: records, live: len(order)}
+	if len(order) > transport.IdempotencyHorizon {
+		order = order[len(order)-transport.IdempotencyHorizon:]
+	}
+	l := &BindingLog{f: f, path: path, fsync: fsync, records: records}
 	if records > 2*len(order)+64 {
-		if err := l.compactLocked(order); err != nil {
+		if err := l.compact(order); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -182,8 +166,13 @@ func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 	return l, order, nil
 }
 
-// Append durably records one (re)binding.
-func (l *BindingLog) Append(b Binding) error {
+// Append durably records one (re)binding. live returns the bindings the
+// caller's LRU holds right now, oldest first (b not yet among them); it is
+// called only when the file has reached bindingLogMaxRecords, to rewrite the
+// log down to that live set before b is appended — so the file never outgrows
+// the horizon however many distinct keys pass through. live runs under the
+// log's lock and must not call back into the log.
+func (l *BindingLog) Append(b Binding, live func() []Binding) error {
 	rec, err := AppendBinding(nil, b)
 	if err != nil {
 		return err
@@ -192,6 +181,11 @@ func (l *BindingLog) Append(b Binding) error {
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("durable: binding log is closed")
+	}
+	if l.records >= bindingLogMaxRecords {
+		if err := l.compact(live()); err != nil {
+			return err
+		}
 	}
 	if _, err := l.f.Write(rec); err != nil {
 		return err
@@ -205,9 +199,10 @@ func (l *BindingLog) Append(b Binding) error {
 	return nil
 }
 
-// compactLocked atomically rewrites the log to exactly the live bindings.
-// Caller guarantees exclusive access (open, before the log is shared).
-func (l *BindingLog) compactLocked(live []Binding) error {
+// compact atomically rewrites the log to exactly the live bindings. Caller
+// guarantees exclusive access (open, before the log is shared; Append, under
+// l.mu).
+func (l *BindingLog) compact(live []Binding) error {
 	dir := filepath.Dir(l.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".compact*")
 	if err != nil {
@@ -242,7 +237,7 @@ func (l *BindingLog) compactLocked(live []Binding) error {
 	}
 	old.Close()
 	l.f = f
-	l.records, l.live = len(live), len(live)
+	l.records = len(live)
 	return syncDir(dir)
 }
 

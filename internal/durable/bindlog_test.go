@@ -3,11 +3,14 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 func TestBindingRecordRoundTrip(t *testing.T) {
@@ -88,7 +91,7 @@ func TestBindingLogReplayLatestWins(t *testing.T) {
 		{Key: "c", Endpoint: "http://one"},
 	}
 	for _, b := range appends {
-		if err := l.Append(b); err != nil {
+		if err := l.Append(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,10 +127,10 @@ func TestBindingLogTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Binding{Key: "a", Endpoint: "http://one"}); err != nil {
+	if err := l.Append(Binding{Key: "a", Endpoint: "http://one"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Binding{Key: "b", Endpoint: "http://two"}); err != nil {
+	if err := l.Append(Binding{Key: "b", Endpoint: "http://two"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -166,7 +169,7 @@ func TestBindingLogTornTailTruncated(t *testing.T) {
 		t.Fatalf("torn tail not truncated: %d >= %d bytes", after.Size(), before.Size())
 	}
 	// The truncated log accepts appends cleanly at the new end.
-	if err := l2.Append(Binding{Key: "c", Endpoint: "http://three"}); err != nil {
+	if err := l2.Append(Binding{Key: "c", Endpoint: "http://three"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -192,7 +195,7 @@ func TestBindingLogCompaction(t *testing.T) {
 	// 3 live keys rebound many times: records ≫ 2·live+64.
 	for i := 0; i < 100; i++ {
 		for _, k := range []string{"a", "b", "c"} {
-			if err := l.Append(Binding{Key: k, Endpoint: "http://shard-" + k}); err != nil {
+			if err := l.Append(Binding{Key: k, Endpoint: "http://shard-" + k}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -229,5 +232,99 @@ func TestBindingLogCompaction(t *testing.T) {
 		if again[i] != got[i] {
 			t.Fatalf("compacted replay[%d] = %+v, want %+v", i, again[i], got[i])
 		}
+	}
+}
+
+// The log is bounded by the idempotency horizon however many distinct keys
+// pass through it: with per-request random keys every record is a distinct
+// key, so "compact when records ≫ live keys" alone never fires. Appending
+// three horizons of distinct keys must leave a file of at most
+// bindingLogMaxRecords records, and a reopen must hand back exactly the
+// newest horizon of them, oldest first — what the router's LRU would hold.
+func TestBindingLogBoundedByHorizon(t *testing.T) {
+	const horizon = transport.IdempotencyHorizon
+	path := filepath.Join(t.TempDir(), "bindings.log")
+	l, _, err := OpenBindingLog(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binding := func(i int) Binding {
+		return Binding{Key: fmt.Sprintf("key-%08d", i), Endpoint: "http://shard-0"}
+	}
+	one, err := AppendBinding(nil, binding(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxBytes := int64(bindingLogMaxRecords * len(one))
+
+	// lru mirrors the fleet's side of the contract: the newest horizon binds,
+	// oldest first, handed over when the log asks to compact.
+	var lru []Binding
+	for i := 0; i < 3*horizon; i++ {
+		b := binding(i)
+		if err := l.Append(b, func() []Binding { return lru }); err != nil {
+			t.Fatal(err)
+		}
+		if lru = append(lru, b); len(lru) > horizon {
+			lru = lru[1:]
+		}
+		if i%512 == 0 || i == 3*horizon-1 {
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() > maxBytes {
+				t.Fatalf("after %d binds the log is %d bytes, over the %d-record bound (%d bytes)", i+1, st.Size(), bindingLogMaxRecords, maxBytes)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, got, err := OpenBindingLog(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(got) != horizon {
+		t.Fatalf("reopen replayed %d bindings, want the newest %d", len(got), horizon)
+	}
+	for i, b := range got {
+		if want := binding(2*horizon + i); b != want {
+			t.Fatalf("replay[%d] = %+v, want %+v (newest horizon, oldest first)", i, b, want)
+		}
+	}
+}
+
+// An over-long log left by a build that never compacted — every record a
+// distinct key — is cut to the newest horizon on open, file included.
+func TestBindingLogOpenTrimsToHorizon(t *testing.T) {
+	const horizon = transport.IdempotencyHorizon
+	path := filepath.Join(t.TempDir(), "bindings.log")
+	var buf []byte
+	for i := 0; i < 3*horizon; i++ {
+		var err error
+		if buf, err = AppendBinding(buf, Binding{Key: fmt.Sprintf("key-%08d", i), Endpoint: "http://shard-0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, got, err := OpenBindingLog(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(got) != horizon || got[0].Key != fmt.Sprintf("key-%08d", 2*horizon) {
+		t.Fatalf("open replayed %d bindings starting at %q, want the newest %d", len(got), got[0].Key, horizon)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(buf) / 3); st.Size() != want {
+		t.Fatalf("log is %d bytes after open, want %d (one horizon of records)", st.Size(), want)
 	}
 }

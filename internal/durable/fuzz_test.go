@@ -65,3 +65,56 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBinding feeds arbitrary bytes to the binding-record decoder — the
+// bytes a router trusts, after a crash, to say which shard already holds a
+// key. Like the WAL decoder it must return an error or a binding, never
+// panic, never allocate past the record kind's cap, and never accept a record
+// of another version; anything it accepts must re-encode to bytes that decode
+// to the identical binding.
+func FuzzDecodeBinding(f *testing.F) {
+	valid, err := AppendBinding(nil, Binding{Key: "0123456789abcdef", Endpoint: "http://shard-1.internal:8089"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:recordHeaderLen-2]) // torn header
+	f.Add(valid[:len(valid)-3])      // torn payload
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0x01
+	f.Add(badCRC)
+	v1, err := EncodeRecord(sampleRecord()) // a WAL record is not a binding
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	// Two records back to back, so mutations explore the record boundary.
+	two, err := AppendBinding(append([]byte(nil), valid...), Binding{Key: "k", Endpoint: "e"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(two)
+	f.Add([]byte("LDPW"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			b, err := DecodeBinding(r)
+			if err != nil {
+				return // EOF, torn, invalid, or corrupt — all fine, no panic is the point
+			}
+			reenc, err := AppendBinding(nil, b)
+			if err != nil {
+				t.Fatalf("decoded binding %+v failed to re-encode: %v", b, err)
+			}
+			back, err := DecodeBinding(bytes.NewReader(reenc))
+			if err != nil {
+				t.Fatalf("re-encoded binding failed to decode: %v", err)
+			}
+			if back != b {
+				t.Fatalf("binding changed across re-encode: %+v != %+v", back, b)
+			}
+		}
+	})
+}

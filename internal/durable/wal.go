@@ -162,44 +162,61 @@ func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 	return out, nil
 }
 
+// readEnvelope reads one record of the WAL family — the "LDPW" magic, a
+// version byte, the payload's CRC and length, then the payload — and returns
+// the CRC-validated payload of a record of the wanted version. It is the one
+// place the envelope's failure modes are told apart: a reader exhausted
+// exactly at a record boundary returns io.EOF; one exhausted mid-record
+// returns ErrTornRecord; bytes that are present but not such a record (magic,
+// version, a length over maxPayload, CRC) return errInvalidRecord. The length
+// is checked against maxPayload before the payload is allocated, so a corrupt
+// prefix cannot reserve more than the record kind allows.
+func readEnvelope(r io.Reader, version byte, maxPayload uint32) ([]byte, error) {
+	var hdr [recordHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		if err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: truncated header", ErrTornRecord)
+		}
+		// A real read failure (EIO and friends) is not evidence of a torn
+		// record — surface it untranslated so recovery aborts instead of
+		// truncating data that may be perfectly intact.
+		return nil, fmt.Errorf("durable: read record header: %w", err)
+	}
+	if string(hdr[:4]) != recordMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", errInvalidRecord, hdr[:4])
+	}
+	if hdr[4] != version {
+		return nil, fmt.Errorf("%w: record version %d, want %d", errInvalidRecord, hdr[4], version)
+	}
+	wantCRC := binary.BigEndian.Uint32(hdr[5:])
+	plen := binary.BigEndian.Uint32(hdr[9:])
+	if plen > maxPayload {
+		return nil, fmt.Errorf("%w: %d-byte payload exceeds the %d-byte limit of a version-%d record", errInvalidRecord, plen, maxPayload, version)
+	}
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: truncated payload", ErrTornRecord)
+		}
+		return nil, fmt.Errorf("durable: read record payload: %w", err)
+	}
+	if crc32.ChecksumIEEE(payload) != wantCRC {
+		return nil, fmt.Errorf("%w: CRC mismatch", errInvalidRecord)
+	}
+	return payload, nil
+}
+
 // DecodeRecord reads one record. A reader exhausted exactly at a record
 // boundary returns io.EOF; one exhausted mid-record returns ErrTornRecord.
 // Malformed bytes return an error that is never a panic and never an
 // attacker-sized allocation.
 func DecodeRecord(r io.Reader) (Record, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return Record{}, fmt.Errorf("%w: truncated header", ErrTornRecord)
-		}
-		// A real read failure (EIO and friends) is not evidence of a torn
-		// record — surface it untranslated so recovery aborts instead of
-		// truncating data that may be perfectly intact.
-		return Record{}, fmt.Errorf("durable: read WAL record header: %w", err)
-	}
-	if string(hdr[:4]) != recordMagic {
-		return Record{}, fmt.Errorf("%w: bad magic %q", errInvalidRecord, hdr[:4])
-	}
-	if hdr[4] != recordVersion {
-		return Record{}, fmt.Errorf("%w: unsupported version %d", errInvalidRecord, hdr[4])
-	}
-	wantCRC := binary.BigEndian.Uint32(hdr[5:])
-	plen := binary.BigEndian.Uint32(hdr[9:])
-	if int64(plen) > MaxRecordPayload {
-		return Record{}, fmt.Errorf("%w: %d-byte payload exceeds the %d-byte record limit", errInvalidRecord, plen, MaxRecordPayload)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, fmt.Errorf("%w: truncated payload", ErrTornRecord)
-		}
-		return Record{}, fmt.Errorf("durable: read WAL record payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return Record{}, fmt.Errorf("%w: CRC mismatch", errInvalidRecord)
+	payload, err := readEnvelope(r, recordVersion, MaxRecordPayload)
+	if err != nil {
+		return Record{}, err
 	}
 	return decodePayload(payload)
 }

@@ -39,9 +39,9 @@ const (
 	checkpointV2        = 2
 	checkpointHeaderLen = 4 + 1 + 4 + 4
 
-	// MaxTrackedKeys bounds the idempotency-key table a checkpoint carries —
-	// the same horizon as the transport's idempotency LRU.
-	MaxTrackedKeys = 4096
+	// MaxTrackedKeys bounds the idempotency-key table a checkpoint carries:
+	// the idempotency horizon, which the transport states once.
+	MaxTrackedKeys = transport.IdempotencyHorizon
 
 	// maxCheckpointKey bounds one key's byte length (one length byte on the
 	// wire).

@@ -1,8 +1,9 @@
 // Package mechflag resolves the mechanism-selection flags shared by the
-// collector-facing commands (ldpserve, ldpfed): exactly one of an in-place
-// oracle spec, a strategy wire file, or an oracle wire file. Keeping the
-// resolution in one place guarantees a fed pointed at a shard's own flags
-// reconstructs under the shard's exact mechanism.
+// collector-facing commands (ldpserve, ldprouter, ldpfed, ldpquery): exactly
+// one of an in-place oracle spec, a strategy wire file, or an oracle wire
+// file. Keeping the resolution in one place guarantees a router, fed or query
+// client pointed at a shard's own flags aggregates and reconstructs under the
+// shard's exact mechanism.
 package mechflag
 
 import (

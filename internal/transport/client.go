@@ -61,18 +61,13 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 	return c.hc.Do(req)
 }
 
-// PostReports sends a batch of reports, chunked into as many frames as the
-// frame limits require (one frame for typical batches), and returns the
+// PostReportsKeyed sends a batch of reports, chunked into as many frames as
+// the frame limits require (one frame for typical batches), and returns the
 // server's accepted count. The server applies each frame atomically; on a
 // transport error the response's accepted count says how many reports of
-// this request landed.
-func (c *Client) PostReports(ctx context.Context, reports []protocol.Report) (int, error) {
-	return c.PostReportsKeyed(ctx, reports, "")
-}
-
-// PostReportsKeyed is PostReports with an idempotency key: a server that
-// already absorbed a request under this key replays its recorded response
-// instead of absorbing again, so a retry after a lost HTTP response cannot
+// this request landed. key is the request's idempotency key: a server that
+// already absorbed a request under it replays its recorded response instead
+// of absorbing again, so a retry after a lost HTTP response cannot
 // double-count. An empty key sends an unkeyed (non-idempotent) request.
 func (c *Client) PostReportsKeyed(ctx context.Context, reports []protocol.Report, key string) (int, error) {
 	var buf bytes.Buffer

@@ -48,7 +48,7 @@ func TestReadinessSplitsFromLiveness(t *testing.T) {
 	if h, err = c.Healthz(ctx); err != nil || h.Ready || h.Reason != "recovering" {
 		t.Fatalf("recovering healthz = %+v (err %v): liveness must stay 200 with ready=false", h, err)
 	}
-	if _, err := c.PostReports(ctx, []protocol.Report{{Index: 1}}); err == nil {
+	if _, err := c.PostReportsKeyed(ctx, []protocol.Report{{Index: 1}}, ""); err == nil {
 		t.Fatal("not-ready server accepted ingest")
 	} else {
 		var se *StatusError
@@ -65,7 +65,7 @@ func TestReadinessSplitsFromLiveness(t *testing.T) {
 	if ready, _, _ = c.Readyz(ctx); !ready {
 		t.Fatal("readyz still false after SetReady(true)")
 	}
-	if _, err := c.PostReports(ctx, []protocol.Report{{Index: 1}}); err != nil {
+	if _, err := c.PostReportsKeyed(ctx, []protocol.Report{{Index: 1}}, ""); err != nil {
 		t.Fatalf("ready server refused ingest: %v", err)
 	}
 
@@ -77,7 +77,7 @@ func TestReadinessSplitsFromLiveness(t *testing.T) {
 	if err != nil || ready || reason != "draining" {
 		t.Fatalf("draining readyz = (%v, %q, %v), want (false, draining)", ready, reason, err)
 	}
-	if _, err := c.PostReports(ctx, []protocol.Report{{Index: 2}}); err == nil {
+	if _, err := c.PostReportsKeyed(ctx, []protocol.Report{{Index: 2}}, ""); err == nil {
 		t.Fatal("draining server accepted ingest")
 	}
 	if h, err = c.Healthz(ctx); err != nil || h.Ready || h.Status != "draining" {
@@ -133,7 +133,7 @@ func TestReportsBodyBounded(t *testing.T) {
 	ctx := context.Background()
 
 	small := []protocol.Report{{Index: 1}, {Index: 2}}
-	if _, err := c.PostReports(ctx, small); err != nil {
+	if _, err := c.PostReportsKeyed(ctx, small, ""); err != nil {
 		t.Fatalf("small batch refused: %v", err)
 	}
 
@@ -141,7 +141,7 @@ func TestReportsBodyBounded(t *testing.T) {
 	for i := range big {
 		big[i] = protocol.Report{Index: i % 8}
 	}
-	_, err = c.PostReports(ctx, big)
+	_, err = c.PostReportsKeyed(ctx, big, "")
 	var se *StatusError
 	if !errors.As(err, &se) || se.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body error = %v, want 413", err)

@@ -16,14 +16,20 @@ import (
 	"repro/internal/protocol"
 )
 
-// Backend is what a transport server needs from a collector: batch ingestion
-// with all-or-nothing validation and a consistent point-in-time snapshot of
-// the merged accumulator. The root package's sharded Collector satisfies it
-// (through an adapter that unpacks its Snapshot value).
+// Backend is what a transport server needs from a collector. It is one
+// interface: a capability a particular collector lacks (durability, retained
+// history) is answered through the method's return values — ok == false, an
+// *EpochNotRetainedError — not by leaving the method out. The root package's
+// sharded Collector satisfies it through an adapter that unpacks its Snapshot
+// value.
 type Backend interface {
 	// IngestBatch records a batch of reports, validating the whole batch
-	// before any state changes.
-	IngestBatch(reports []protocol.Report) error
+	// before any state changes. key is the idempotency key the request
+	// declared ("" for an unkeyed request): a backend that persists batches
+	// (a write-ahead log) logs it alongside, so a client retry arriving after
+	// a crash-restart still absorbs exactly once — the recovered key seeds
+	// the idempotency cache via SeedIdempotency.
+	IngestBatch(reports []protocol.Report, key string) error
 	// SnapshotEpoch returns the merged accumulator, the number of absorbed
 	// reports, and the monotonic snapshot epoch — one consistent view: the
 	// epoch advances exactly when the returned state differs from the
@@ -32,17 +38,25 @@ type Backend interface {
 	// CountEpoch returns the same consistent (count, epoch) pair without
 	// materializing the state — the cheap view /healthz polls.
 	CountEpoch() (count float64, epoch uint64)
-}
-
-// KeyedBackend is optionally implemented by backends that persist ingested
-// batches (a write-ahead log): the transport hands the request's idempotency
-// key down with each frame so the key is logged alongside the batch, and a
-// client retry arriving after a crash-restart still absorbs exactly once —
-// the recovered key seeds the idempotency cache via SeedIdempotency.
-type KeyedBackend interface {
-	// IngestBatchKeyed is IngestBatch with the idempotency key the request
-	// declared (never empty; unkeyed requests use plain IngestBatch).
-	IngestBatchKeyed(reports []protocol.Report, key string) error
+	// Durability reports the durable-ingest status /healthz includes; ok is
+	// false for a purely in-memory collector.
+	Durability() (health DurabilityHealth, ok bool)
+	// SnapshotAt returns the snapshot retained for epoch, serving GET
+	// /snapshot?epoch= from the checkpoint ladder without replay. With
+	// nearest false the epoch must match a retained checkpoint exactly; with
+	// nearest true the newest retained epoch ≤ the requested one is served. A
+	// miss — including a collector that retains no history at all — returns
+	// *EpochNotRetainedError.
+	SnapshotAt(epoch uint64, nearest bool) (Snapshot, error)
+	// Query answers a workload query over the current snapshot: it resolves
+	// the request's workload, reconstructs answers from a consistent
+	// snapshot, and streams the result as query-result frames through a
+	// QueryResultWriter built on w. An error returned before the first frame
+	// is written maps to an HTTP status (StatusError chooses the code;
+	// anything else answers 422); an error after bytes are on the wire aborts
+	// the connection so the client sees a truncated stream rather than a
+	// silently short result.
+	Query(q QueryRequest, w io.Writer) error
 }
 
 // DurabilityHealth is the durable-ingest status a backend exposes through
@@ -71,36 +85,6 @@ type DurabilityHealth struct {
 	// LastError carries the most recent background checkpoint failure, if
 	// any — ingest continues on the WAL alone, but an operator should know.
 	LastError string `json:"last_error,omitempty"`
-}
-
-// DurableBackend is optionally implemented by backends with durable ingest;
-// /healthz includes the returned status when ok is true.
-type DurableBackend interface {
-	Durability() (health DurabilityHealth, ok bool)
-}
-
-// HistoryBackend is optionally implemented by backends that retain an epoch
-// history (a durable collector with checkpoint retention): GET /snapshot
-// gains the ?epoch= form, served from the retained checkpoint ladder without
-// replay.
-type HistoryBackend interface {
-	// SnapshotAt returns the snapshot retained for epoch. With nearest false
-	// the epoch must match a retained checkpoint exactly; with nearest true
-	// the newest retained epoch ≤ the requested one is served. A miss returns
-	// *EpochNotRetainedError.
-	SnapshotAt(epoch uint64, nearest bool) (Snapshot, error)
-}
-
-// QueryBackend is optionally implemented by backends that can answer workload
-// queries over their current snapshot. The implementation resolves the
-// request's workload, reconstructs answers from a consistent snapshot, and
-// streams the result as query-result frames through a QueryResultWriter built
-// on w. An error returned before the first frame is written maps to an HTTP
-// status (StatusError chooses the code; anything else answers 422); an error
-// after bytes are on the wire aborts the connection so the client sees a
-// truncated stream rather than a silently short result.
-type QueryBackend interface {
-	Query(q QueryRequest, w io.Writer) error
 }
 
 // Info describes the mechanism a server fronts; /healthz and every v2
@@ -150,12 +134,15 @@ type Health struct {
 const IdempotencyKeyHeader = "Ldp-Idempotency-Key"
 
 const (
-	// idemCacheSize bounds the remembered-key LRU. At the default 4096-report
-	// batches this spans ~17M reports of keyed history — far longer than any
-	// client retry loop — while capping memory at a few hundred KiB. A retry
-	// arriving after the key was evicted re-absorbs; size the cache up if a
-	// deployment retries across longer horizons.
-	idemCacheSize = 4096
+	// IdempotencyHorizon is how many idempotency keys the system remembers,
+	// stated once: it bounds the shard's remembered-key LRU here, the key
+	// table a checkpoint carries (history.MaxTrackedKeys), and the router's
+	// key→shard binding LRU and log — a key one of them had forgotten would
+	// not be deduplicated however long the others held it. At the default
+	// 4096-report batches it spans ~17M reports of keyed history — far longer
+	// than any client retry loop — while capping memory at a few hundred KiB.
+	// A retry arriving after the key was evicted re-absorbs.
+	IdempotencyHorizon = 4096
 	// MaxIdempotencyKeyLen bounds an accepted key so a hostile client cannot
 	// park megabytes in the LRU; a longer key is ignored — the request is
 	// handled as unkeyed, by the shard and by a router in front of it alike.
@@ -332,11 +319,10 @@ const DefaultMaxRequestBytes = 64 << 20
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	reg       *obs.Registry
-	logger    *slog.Logger
-	slow      time.Duration
-	component string
-	version   string
+	reg     *obs.Registry
+	logger  *slog.Logger
+	slow    time.Duration
+	version string
 }
 
 // WithMetrics shares reg as the server's metric registry: the HTTP families,
@@ -358,11 +344,6 @@ func WithSlowRequest(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.slow = d }
 }
 
-// WithComponent names the serving tier in log lines ("collector", "router").
-func WithComponent(name string) ServerOption {
-	return func(c *serverConfig) { c.component = name }
-}
-
 // WithVersion surfaces the build version in /healthz.
 func WithVersion(v string) ServerOption {
 	return func(c *serverConfig) { c.version = v }
@@ -377,14 +358,14 @@ func NewServer(b Backend, info Info, opts ...ServerOption) (*Server, error) {
 	if b == nil {
 		return nil, errors.New("transport: nil backend")
 	}
-	cfg := serverConfig{component: "collector"}
+	var cfg serverConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.reg == nil {
 		cfg.reg = obs.NewRegistry()
 	}
-	s := &Server{backend: b, info: info, mux: http.NewServeMux(), idem: newIdemCache(idemCacheSize),
+	s := &Server{backend: b, info: info, mux: http.NewServeMux(), idem: newIdemCache(IdempotencyHorizon),
 		maxRequestBytes: DefaultMaxRequestBytes,
 		metrics:         cfg.reg,
 		version:         cfg.version,
@@ -393,7 +374,7 @@ func NewServer(b Backend, info Info, opts ...ServerOption) (*Server, error) {
 		idemReplays: cfg.reg.Counter("ldp_ingest_idempotent_replays_total",
 			"Duplicate keyed ingest requests answered from the idempotency cache instead of re-absorbed."),
 	}
-	hm := obs.NewHTTPMetrics(cfg.reg, cfg.component, cfg.logger, cfg.slow)
+	hm := obs.NewHTTPMetrics(cfg.reg, "collector", cfg.logger, cfg.slow)
 	route := func(pattern, endpoint string, h http.HandlerFunc) {
 		s.mux.Handle(pattern, hm.Wrap(endpoint, h))
 	}
@@ -562,13 +543,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, status, resp)
 	}
-	// A keyed request against a durable backend logs the key with each frame,
-	// so the batch's idempotency survives a crash-restart (the recovered key
-	// re-seeds this cache).
-	ingest := s.backend.IngestBatch
-	if kb, ok := s.backend.(KeyedBackend); ok && key != "" {
-		ingest = func(reports []protocol.Report) error { return kb.IngestBatchKeyed(reports, key) }
-	}
 	accepted := 0
 	for {
 		reports, err := DecodeReports(r.Body)
@@ -585,7 +559,10 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			finish(status, ingestResponse{Accepted: accepted, Error: err.Error()})
 			return
 		}
-		if err := ingest(reports); err != nil {
+		// The key rides down with each frame: a durable backend logs it with
+		// the batch, so the request's idempotency survives a crash-restart
+		// (the recovered key re-seeds this cache).
+		if err := s.backend.IngestBatch(reports, key); err != nil {
 			status := http.StatusBadRequest
 			var se *StatusError
 			if errors.As(err, &se) {
@@ -631,14 +608,8 @@ func (t *trackingWriter) Write(p []byte) (int, error) {
 }
 
 // handleQuery serves POST /query: one query-request frame in, a stream of
-// query-result frames out. A backend without query support answers 404 so a
-// probing client can tell "old shard" from "bad request".
+// query-result frames out.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	qb, ok := s.backend.(QueryBackend)
-	if !ok {
-		http.Error(w, "transport: this collector does not serve queries", http.StatusNotFound)
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, headerLen+MaxQueryPayload)
 	q, err := DecodeQueryFrame(r.Body)
 	if err != nil {
@@ -647,7 +618,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tw := &trackingWriter{w: w}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := qb.Query(q, tw); err != nil {
+	if err := s.backend.Query(q, tw); err != nil {
 		if tw.wrote {
 			// The stream is committed; drop the connection so the client sees
 			// a truncated result instead of a silently short one.
@@ -665,18 +636,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var snap Snapshot
 	if eq := r.URL.Query().Get("epoch"); eq != "" {
-		hb, ok := s.backend.(HistoryBackend)
-		if !ok {
-			http.Error(w, "transport: this collector does not retain epoch history", http.StatusNotFound)
-			return
-		}
 		epoch, err := strconv.ParseUint(eq, 10, 64)
 		if err != nil {
 			http.Error(w, "transport: invalid epoch: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		nearest := r.URL.Query().Get("nearest") == "1"
-		snap, err = hb.SnapshotAt(epoch, nearest)
+		snap, err = s.backend.SnapshotAt(epoch, nearest)
 		if err != nil {
 			var enr *EpochNotRetainedError
 			if errors.As(err, &enr) {
@@ -716,10 +682,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = reason
 	}
 	h := Health{Status: status, Count: count, Epoch: epoch, Version: s.version, Ready: ready, Reason: reason, Info: s.info}
-	if db, ok := s.backend.(DurableBackend); ok {
-		if d, ok := db.Durability(); ok {
-			h.Durability = &d
-		}
+	if d, ok := s.backend.Durability(); ok {
+		h.Durability = &d
 	}
 	writeJSON(w, http.StatusOK, h)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -28,7 +29,7 @@ type memBackend struct {
 	passFirst int
 }
 
-func (m *memBackend) IngestBatch(reports []protocol.Report) error {
+func (m *memBackend) IngestBatch(reports []protocol.Report, key string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.reject {
@@ -62,6 +63,18 @@ func (m *memBackend) CountEpoch() (float64, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return float64(len(m.reports)), uint64(len(m.reports))
+}
+
+// memBackend is memory-only and serves no queries, said through the return
+// values the Backend contract gives those facts.
+func (m *memBackend) Durability() (DurabilityHealth, bool) { return DurabilityHealth{}, false }
+
+func (m *memBackend) SnapshotAt(epoch uint64, nearest bool) (Snapshot, error) {
+	return Snapshot{}, &EpochNotRetainedError{Requested: epoch}
+}
+
+func (m *memBackend) Query(QueryRequest, io.Writer) error {
+	return &StatusError{StatusCode: http.StatusNotFound, Msg: "memBackend serves no queries"}
 }
 
 func (m *memBackend) Count() float64 {
@@ -99,7 +112,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	batch := []protocol.Report{{Index: 1}, {Index: 1}, {Index: 5}}
-	accepted, err := c.PostReports(ctx, batch)
+	accepted, err := c.PostReportsKeyed(ctx, batch, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestServerRejectsMalformedBody(t *testing.T) {
 func TestClientSurfacesBackendRejection(t *testing.T) {
 	backend := &memBackend{reject: true}
 	_, c := newTestServer(t, backend)
-	_, err := c.PostReports(context.Background(), []protocol.Report{{Index: 1}})
+	_, err := c.PostReportsKeyed(context.Background(), []protocol.Report{{Index: 1}}, "")
 	if err == nil {
 		t.Fatal("backend rejection not surfaced")
 	}
@@ -198,10 +211,10 @@ func TestIdempotencyKeyReplaysResponse(t *testing.T) {
 		t.Fatalf("backend holds %v reports, want 6", got)
 	}
 	// Unkeyed requests never dedupe.
-	if _, err = c.PostReports(ctx, batch); err != nil {
+	if _, err = c.PostReportsKeyed(ctx, batch, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = c.PostReports(ctx, batch); err != nil {
+	if _, err = c.PostReportsKeyed(ctx, batch, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := backend.Count(); got != 12 {
@@ -358,10 +371,10 @@ type gatedBackend struct {
 	release chan struct{}
 }
 
-func (g *gatedBackend) IngestBatch(reports []protocol.Report) error {
+func (g *gatedBackend) IngestBatch(reports []protocol.Report, key string) error {
 	g.entered <- struct{}{}
 	<-g.release
-	return g.memBackend.IngestBatch(reports)
+	return g.memBackend.IngestBatch(reports, key)
 }
 
 // The in-flight window: a duplicate keyed request arriving while the
@@ -416,7 +429,7 @@ func TestHealthzReportsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PostReports(ctx, []protocol.Report{{Index: 1}}); err != nil {
+	if _, err := c.PostReportsKeyed(ctx, []protocol.Report{{Index: 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
 	h2, err := c.Healthz(ctx)

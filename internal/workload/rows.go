@@ -107,24 +107,6 @@ func (r *WidthRange) QueryRow(i int, dst []float64) {
 	}
 }
 
-// QueryRow writes the indicator of the r-th dyadic interval: levels ℓ = 0..k
-// in order, cells left to right within each level.
-func (d *Dyadic) QueryRow(r int, dst []float64) {
-	checkRow(r, d.Queries())
-	n := d.Domain()
-	checkLen(len(dst), n)
-	ell := 0
-	for r >= 1<<ell {
-		r -= 1 << ell
-		ell++
-	}
-	width := 1 << (d.k - ell)
-	clear(dst)
-	for u := r * width; u < (r+1)*width; u++ {
-		dst[u] = 1
-	}
-}
-
 // QueryRow copies row i of the wrapped matrix.
 func (e *Explicit) QueryRow(i int, dst []float64) {
 	checkRow(i, e.w.Rows())

@@ -28,32 +28,9 @@ func WithOutputs(m int) OptimizeOption {
 	return func(s *optimizeSettings) { s.core.Outputs = m }
 }
 
-// WithOutputFactor sets m = factor·n (ignored when WithOutputs is given).
-func WithOutputFactor(factor int) OptimizeOption {
-	return func(s *optimizeSettings) { s.core.OutputFactor = factor }
-}
-
-// WithStepSize fixes the gradient step size β instead of the automatic
-// pilot-run search.
-func WithStepSize(beta float64) OptimizeOption {
-	return func(s *optimizeSettings) { s.core.StepSize = beta }
-}
-
 // WithSeed drives the random initialization (and the step-size pilot runs).
 func WithSeed(seed int64) OptimizeOption {
 	return func(s *optimizeSettings) { s.core.Seed = seed }
-}
-
-// WithTolerance stops early when the relative objective improvement over 25
-// iterations falls below tol (default 1e-8).
-func WithTolerance(tol float64) OptimizeOption {
-	return func(s *optimizeSettings) { s.core.Tol = tol }
-}
-
-// WithInit seeds the optimization from an existing strategy (e.g. a baseline
-// mechanism) instead of the paper's random initialization.
-func WithInit(init *Strategy) OptimizeOption {
-	return func(s *optimizeSettings) { s.core.Init = init }
 }
 
 // WithPrior optimizes for a known (or estimated) prior distribution over user

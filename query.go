@@ -88,10 +88,9 @@ func answerQuery(pool *EstimatorPool, agg Aggregator, snap Snapshot, q transport
 	return qw.Close()
 }
 
-// Query satisfies transport.QueryBackend: POST /query against a served
-// collector answers a workload over the collector's current snapshot, with
-// the service's estimator pool amortizing variance-model construction across
-// queries and tenants.
+// Query serves POST /query: a workload answered over the collector's current
+// snapshot, with the service's estimator pool amortizing variance-model
+// construction across queries and tenants.
 func (b collectorBackend) Query(q transport.QueryRequest, w io.Writer) error {
 	return answerQuery(b.pool, b.c.agg, b.c.Snap(), q, w)
 }

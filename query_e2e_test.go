@@ -160,9 +160,6 @@ func TestFleetServerQueryEndToEnd(t *testing.T) {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}
-	if err := f.FlushAll(ctx); err != nil {
-		t.Fatal(err)
-	}
 	merged, _, err := f.Snap(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -203,13 +203,19 @@ func (rc *RemoteCollector) Verify(ctx context.Context, mechanism string, eps flo
 		return fmt.Errorf("ldp: remote collector unreachable: %w", err)
 	}
 	if h.Domain != rc.agg.Domain() {
-		return fmt.Errorf("ldp: remote collector domain %d, local mechanism domain %d", h.Domain, rc.agg.Domain())
+		return fmt.Errorf("%w: remote collector domain %d, local mechanism domain %d", errMechanismMismatch, h.Domain, rc.agg.Domain())
 	}
 	if err := infoMismatch(h.Info, MechanismInfo{Mechanism: mechanism, Epsilon: eps, Digest: digest}); err != nil {
-		return fmt.Errorf("ldp: remote collector aggregates under a different mechanism configuration: %w", err)
+		return fmt.Errorf("%w: remote collector aggregates under a different mechanism configuration: %w", errMechanismMismatch, err)
 	}
 	return nil
 }
+
+// errMechanismMismatch marks both of Verify's identity rejections — the shard
+// answered and declared a different domain or mechanism — apart from the
+// shard being unreachable, so Fleet.Register refuses the one and admits the
+// other gated-out without reading message text.
+var errMechanismMismatch = errors.New("ldp: mechanism mismatch")
 
 // Ingest buffers one client report, shipping a frame when the batch size is
 // reached. Call Flush before reading estimates.
@@ -263,9 +269,8 @@ func (rc *RemoteCollector) carveLocked(all bool) {
 
 // ship carves keyed batches and sends them until none remain or an error
 // stops this shipper. Each iteration pops one batch under the lock, so
-// concurrent callers ship distinct batches in parallel — the fleet pattern
-// of many ingestion goroutines sharing one RemoteCollector keeps its
-// concurrent POSTs.
+// concurrent callers ship distinct batches in parallel — many ingestion
+// goroutines sharing one RemoteCollector keep their concurrent POSTs.
 //
 // Each batch is driven through the retry policy: transient failures (network
 // errors, lost responses, 5xx) back off with jitter and try again under the
@@ -466,11 +471,10 @@ type collectorBackend struct {
 	pool *EstimatorPool
 }
 
-func (b collectorBackend) IngestBatch(reports []Report) error { return b.c.IngestBatch(reports) }
-
-// IngestBatchKeyed satisfies transport.KeyedBackend: a durable collector logs
-// the idempotency key with the batch, closing the crash-restart replay hole.
-func (b collectorBackend) IngestBatchKeyed(reports []Report, key string) error {
+// IngestBatch hands the request's idempotency key down with the batch ("" is
+// unkeyed, to the transport and the Collector alike): a durable collector
+// logs it, closing the crash-restart replay hole.
+func (b collectorBackend) IngestBatch(reports []Report, key string) error {
 	return b.c.IngestBatchKeyed(reports, key)
 }
 
@@ -482,14 +486,14 @@ func (b collectorBackend) CountEpoch() (float64, uint64) {
 	return b.c.countEpoch()
 }
 
-// Durability satisfies transport.DurableBackend so /healthz reports recovery
-// status and WAL lag for a durable collector.
+// Durability feeds /healthz the recovery status and WAL lag of a durable
+// collector; a memory-only one answers ok == false.
 func (b collectorBackend) Durability() (transport.DurabilityHealth, bool) {
 	return b.c.Durability()
 }
 
-// SnapshotAt satisfies transport.HistoryBackend so GET /snapshot?epoch= serves
-// retained history; an in-memory collector reads as "nothing retained" (404).
+// SnapshotAt serves GET /snapshot?epoch= from retained history; an in-memory
+// collector reads as "nothing retained" (404).
 func (b collectorBackend) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, error) {
 	return b.c.historySnapshotAt(epoch, nearest)
 }
@@ -547,7 +551,6 @@ func NewCollectorService(c *Collector, info transport.Info, opts ...ServiceOptio
 	pool := NewEstimatorPool()
 	s, err := transport.NewServer(collectorBackend{c: c, pool: pool}, info,
 		transport.WithMetrics(reg),
-		transport.WithComponent("collector"),
 		transport.WithLogger(cfg.logger),
 		transport.WithSlowRequest(cfg.slow),
 		transport.WithVersion(BuildInfo().Version))

@@ -3,6 +3,7 @@ package ldp_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -23,7 +24,20 @@ type epochBackend struct {
 	epoch uint64
 }
 
-func (b *epochBackend) IngestBatch(reports []protocol.Report) error { return nil }
+func (b *epochBackend) IngestBatch(reports []protocol.Report, key string) error { return nil }
+
+// The scripted server is memory-only and serves no queries.
+func (b *epochBackend) Durability() (transport.DurabilityHealth, bool) {
+	return transport.DurabilityHealth{}, false
+}
+
+func (b *epochBackend) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, error) {
+	return transport.Snapshot{}, &transport.EpochNotRetainedError{Requested: epoch}
+}
+
+func (b *epochBackend) Query(transport.QueryRequest, io.Writer) error {
+	return errors.New("the scripted backend serves no queries")
+}
 
 func (b *epochBackend) SnapshotEpoch() ([]float64, float64, uint64) {
 	b.mu.Lock()

@@ -50,11 +50,12 @@ const (
 //	POST /shards     register a shard  {"endpoint": "http://..."}
 //	DELETE /shards   deregister        ?endpoint=http://...
 //
-// The router itself is stateless apart from the in-memory key→shard binding
-// (see Fleet.IngestKeyed): shard-side idempotency caches and write-ahead
-// logs remain the single source of exactly-once truth, which is why a
-// forwarding failure surfaces as a retryable 503 — the client retries the
-// same key, the binding replays it on the same shard, and the shard
+// The router itself is stateless apart from the key→shard binding (see
+// Fleet.IngestKeyed, its only ingest path; WithFleetBindingLog makes the
+// binding durable) and queues nothing: shard-side idempotency caches and
+// write-ahead logs remain the single source of exactly-once truth, which is
+// why a forwarding failure surfaces as a retryable 503 — the client retries
+// the same key, the binding replays it on the same shard, and the shard
 // deduplicates.
 type FleetServer struct {
 	fleet           *Fleet

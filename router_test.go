@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,10 +22,7 @@ import (
 func routerFixture(t *testing.T, domain, n int, opts ...ldp.FleetOption) (*ldp.Fleet, *ldp.FleetServer, *httptest.Server, []*fleetShard, ldp.Aggregator, ldp.Workload) {
 	t.Helper()
 	agg, w, shards := fleetFixture(t, domain, n)
-	base := []ldp.FleetOption{
-		ldp.WithFleetRetryPolicy(fastRetryPolicy(2, nil)),
-		ldp.WithFleetRemoteOptions(ldp.WithRemoteBatch(8)),
-	}
+	base := []ldp.FleetOption{ldp.WithFleetRetryPolicy(fastRetryPolicy(2, nil))}
 	f, err := ldp.NewFleet(agg, w, append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +207,11 @@ func TestRouterSnapshotCoverageHeaders(t *testing.T) {
 	ctx := context.Background()
 
 	// Seed and take a baseline so every shard has last-good state.
+	fwd := &keyedForwarder{f: f, name: "coverage"}
 	for i := 0; i < 12; i++ {
-		if err := f.IngestBatch(ctx, []ldp.Report{{Index: i % domain}}); err != nil {
+		if err := fwd.forward(ctx, []ldp.Report{{Index: i % domain}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := f.FlushAll(ctx); err != nil {
-		t.Fatal(err)
 	}
 	get := func() *http.Response {
 		resp, err := hs.Client().Get(hs.URL + "/snapshot")
@@ -379,10 +376,8 @@ func TestRouterDrain(t *testing.T) {
 	const domain = 8
 	f, fs, hs, _, _, _ := routerFixture(t, domain, 2)
 	ctx := context.Background()
-	if err := f.IngestBatch(ctx, []ldp.Report{{Index: 1}, {Index: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.FlushAll(ctx); err != nil {
+	fwd := &keyedForwarder{f: f, name: "drain"}
+	if err := fwd.forward(ctx, []ldp.Report{{Index: 1}, {Index: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	fs.Drain()
@@ -421,5 +416,98 @@ func TestRouterBoundsRequestBody(t *testing.T) {
 	}
 	if shards[0].col.Count() != 0 {
 		t.Fatalf("shard absorbed %v from a refused request", shards[0].col.Count())
+	}
+}
+
+// One way to ingest: the keyed batch is the unit on every surface, and the
+// three surfaces agree on what it means. The same keyed batches go through an
+// embedded Collector (IngestBatchKeyed), a served shard (CollectorService
+// POST /reports), and the router (FleetServer POST /reports); on the two
+// served surfaces one key is POSTed twice, the way a client retries a lost
+// response, and must be answered from the idempotency cache (through the
+// router: on the shard the key was bound to). The embedded Collector keeps no
+// such cache — there the key is what the write-ahead log records and the
+// embedder owns deduplication — so it sees each distinct key once. Every
+// surface must end up holding exactly the distinct-key total, in a state
+// bit-identical to the serial ldp.Server reference.
+func TestIngestSurfacesAgree(t *testing.T) {
+	const domain, batches, per = 16, 12, 7
+	_, _, routerHS, routerShards, agg, w := routerFixture(t, domain, 3)
+
+	type keyed struct {
+		key     string
+		reports []ldp.Report
+	}
+	var stream []keyed
+	ref, err := ldp.NewServer(agg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < batches; b++ {
+		kb := keyed{key: fmt.Sprintf("surface-%02d", b), reports: make([]ldp.Report, per)}
+		for i := range kb.reports {
+			kb.reports[i] = ldp.Report{Index: (b*per + i*i) % domain}
+		}
+		if err := ref.IngestBatch(kb.reports); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, kb)
+	}
+	const replayed = 5 // the batch every served surface sees twice
+	want := ref.Snap()
+
+	embedded, err := ldp.NewCollector(agg, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kb := range stream {
+		if err := embedded.IngestBatchKeyed(kb.reports, kb.key); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	served, err := ldp.NewCollector(agg, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardHS := httptest.NewServer(collectorHandler(t, served, ldp.MechanismInfoOf(agg)))
+	defer shardHS.Close()
+	for _, hs := range []*httptest.Server{shardHS, routerHS} {
+		for i, kb := range stream {
+			posts := 1
+			if i == replayed {
+				posts = 2
+			}
+			for p := 0; p < posts; p++ {
+				if status, accepted := postFrame(t, hs, kb.key, kb.reports); status != http.StatusOK || accepted != per {
+					t.Fatalf("POST %d of key %s to %s = %d, accepted %d; want 200, %d", p+1, kb.key, hs.URL, status, accepted, per)
+				}
+			}
+		}
+	}
+
+	var routed []ldp.Snapshot
+	for _, sh := range routerShards {
+		routed = append(routed, sh.col.Snap())
+	}
+	merged, err := ldp.MergeSnapshots(routed...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]ldp.Snapshot{
+		"Collector.IngestBatchKeyed":     embedded.Snap(),
+		"CollectorService POST /reports": served.Snap(),
+		"FleetServer POST /reports":      merged,
+	} {
+		if got.Count() != want.Count() {
+			t.Errorf("%s: holds %v reports, want the distinct-key total %v", name, got.Count(), want.Count())
+		}
+		gs, ws := got.State(), want.State()
+		for i := range ws {
+			if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
+				t.Errorf("%s: state[%d] = %v, reference %v", name, i, gs[i], ws[i])
+				break
+			}
+		}
 	}
 }
