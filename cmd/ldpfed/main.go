@@ -215,9 +215,8 @@ func (f *fed) mergeAndReport(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Intervals are best-effort: a workload too large for the closed-form
-	// per-query variance (or a mechanism without one) still gets its point
-	// estimates.
+	// Intervals are best-effort: a mechanism without a closed-form per-query
+	// variance still gets its point estimates.
 	var intervals []ldp.Interval
 	if f.level > 0 {
 		if intervals, err = f.est.ConfidenceIntervals(merged, f.level); err != nil {

@@ -7,16 +7,15 @@
 //   - -server URL: one POST /query against a shard (ldpserve) or a router
 //     (ldprouter). The server's query engine resolves the workload, answers
 //     over its current — for a router, merged — snapshot, and streams result
-//     frames; rows are printed as they arrive, never materialized, so a
-//     workload whose variance matrix would blow the in-memory bound still
-//     answers. The client needs no mechanism configuration: the server owns
-//     the reconstruction.
+//     frames; rows are printed as they arrive, never collected. The client
+//     needs no mechanism configuration: the server owns the reconstruction.
 //
 //   - -servers a,b,c: client-side fan-in. The command builds the mechanism
 //     locally (-mech / -strategy / -oracle), registers the shards in a
 //     health-gated fleet, pulls one merged snapshot, and answers every
-//     requested workload through an EstimatorPool batch — workloads sharing
-//     rows of W·B share their computation, and repeated runs against a
+//     requested workload through an EstimatorPool batch — the workloads
+//     share the data estimate and the snapshot's variance form, so the rows
+//     are the ones -server prints, bit for bit, and repeated runs against a
 //     -cache-dir never re-pay strategy optimization.
 //
 // Workloads come from -workloads (comma-separated family names) and/or -file

@@ -25,12 +25,10 @@ import (
 // pins an ingesting goroutine to one shard so even the shard lock stays
 // core-local.
 //
-// Reads are cached: the merge of all shards is remembered together with the
-// total report count it reflects, and because every successful ingest
+// Reads merge: every snapshot locks the shards, sums them into the slice it
+// returns, and numbers the state it saw. Because every successful ingest
 // advances exactly one per-shard counter, "no count changed" proves "no state
-// changed". A snapshot therefore costs one merge per ingest quiescence
-// period, however often it is polled; the ledger times the hit as
-// collector.snap_hit_us.
+// changed", which is all the epoch needs.
 type Collector struct {
 	agg    Aggregator
 	info   MechanismInfo
@@ -43,14 +41,12 @@ type Collector struct {
 	// the WAL before absorbing, so an acknowledged batch survives a crash.
 	dur *durableState
 
-	// cache is the memoized merge. cache.acc is the merged accumulator as of
-	// cache.count total reports; it is never handed out (snapshots copy), so
-	// its entries stay trustworthy. cache.epoch advances exactly when the
-	// merge is refilled, i.e. when a snapshot observes a state different from
-	// the previous one — the monotonic sequence Snapshot.Epoch carries.
+	// cache is the last state any reader observed, by number: cache.count is
+	// the total report count of that state and cache.epoch advances exactly
+	// when a reader (snapshot or countEpoch) observes a count different from
+	// it — the monotonic sequence Snapshot.Epoch carries.
 	cache struct {
 		mu    sync.Mutex
-		acc   []float64
 		count int64
 		epoch uint64
 	}
@@ -59,10 +55,8 @@ type Collector struct {
 	// counters (enableMetrics); plain atomics so the ingest path never takes
 	// a metrics lock.
 	stats struct {
-		ingestBatches  atomic.Int64
-		ingestReports  atomic.Int64
-		snapshotHits   atomic.Int64
-		snapshotMerges atomic.Int64
+		ingestBatches atomic.Int64
+		ingestReports atomic.Int64
 	}
 }
 
@@ -71,10 +65,9 @@ type Collector struct {
 // (the accumulator slices are separate heap allocations already), so two
 // goroutines on different shards never write-share a line.
 //
-// count is atomic so Count and the snapshot-cache validity check are
-// lock-free; writers still only advance it inside the shard lock, after the
-// absorb lands, which makes the increment the linearization point of an
-// ingest.
+// count is atomic so Count and countEpoch are lock-free; writers still only
+// advance it inside the shard lock, after the absorb lands, which makes the
+// increment the linearization point of an ingest.
 type collectorShard struct {
 	mu    sync.Mutex
 	count atomic.Int64
@@ -194,7 +187,7 @@ func (c *Collector) absorbValidatedLocked(sh *collectorShard, reports []Report) 
 		// Check passed, so Absorb cannot fail (the Aggregator contract). If
 		// an aggregator ever violates it, the batch is already partially
 		// absorbed and cannot be rolled back — publish the applied prefix
-		// (keeping the snapshot cache's "count moved iff state moved"
+		// (keeping the snapshot epoch's "count moved iff state moved"
 		// invariant intact) and panic: silently committing a half-applied
 		// batch would break the all-or-nothing promise every transport
 		// client retries against, turning one buggy aggregator into
@@ -257,12 +250,6 @@ func (c *Collector) enableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("ldp_collector_ingest_reports_total",
 		"Individual reports absorbed since startup (batched and unary).",
 		func() float64 { return float64(c.stats.ingestReports.Load()) })
-	reg.CounterFunc("ldp_collector_snapshot_cache_hits_total",
-		"Snapshots served from the cached merge without touching a shard lock.",
-		func() float64 { return float64(c.stats.snapshotHits.Load()) })
-	reg.CounterFunc("ldp_collector_snapshot_merges_total",
-		"Snapshots that re-merged the shards (an ingest landed since the last merge).",
-		func() float64 { return float64(c.stats.snapshotMerges.Load()) })
 	reg.GaugeFunc("ldp_collector_reports",
 		"Reports currently aggregated, recovery included.",
 		func() float64 { return float64(c.totalCount()) })
@@ -271,74 +258,56 @@ func (c *Collector) enableMetrics(reg *obs.Registry) {
 		func() float64 { _, epoch := c.countEpoch(); return float64(epoch) })
 }
 
-// snapshot returns a caller-owned copy of the merged accumulator, the report
-// count it reflects, and the snapshot epoch — a linearizable point-in-time
-// view: no concurrent Ingest is half-visible.
-//
-// The merge is cached: if no shard counter has moved since the cache was
-// filled, no ingest completed in between and the cached merge is returned
-// (copied) without touching any shard lock. Otherwise every shard is locked
-// (ascending order, so concurrent snapshots cannot deadlock), re-merged, the
-// cache refilled, and the epoch advanced — so the epoch counts distinct
-// observed states.
+// snapshot returns the merged accumulator (caller-owned: it is allocated
+// here and kept nowhere), the report count it reflects, and the snapshot
+// epoch — a linearizable point-in-time view: no concurrent Ingest is
+// half-visible. Every shard is locked (ascending order, so concurrent
+// snapshots cannot deadlock) while the merge runs.
 func (c *Collector) snapshot() (acc []float64, count float64, epoch uint64) {
 	c.cache.mu.Lock()
 	defer c.cache.mu.Unlock()
-	c.refreshCacheLocked()
-	acc = make([]float64, len(c.cache.acc))
-	copy(acc, c.cache.acc)
-	return acc, float64(c.cache.count), c.cache.epoch
-}
-
-// countEpoch returns a consistent (count, epoch) pair — what /healthz
-// serves — without paying for a merge or a state copy: a count the cache
-// has not seen is itself the observation of a new state, so the epoch
-// advances and the cached merge is invalidated; the merge itself is
-// deferred to the next full snapshot. Every ingest moves a counter, so
-// "count unchanged" still proves "state unchanged". Cost per poll: the
-// lock-free counter sum plus the cache mutex — no shard lock is taken.
-func (c *Collector) countEpoch() (count float64, epoch uint64) {
-	c.cache.mu.Lock()
-	defer c.cache.mu.Unlock()
-	if total := c.totalCount(); c.cache.epoch == 0 || total != c.cache.count {
-		c.cache.count = total
-		c.cache.acc = nil // state moved: force the next snapshot to re-merge
-		c.cache.epoch++
-	}
-	return float64(c.cache.count), c.cache.epoch
-}
-
-// refreshCacheLocked re-merges the shards into the cache when any ingest
-// completed since the last fill. The epoch advances only when the merged
-// state is one no reader has observed yet — a refill of a countEpoch-
-// invalidated cache at an unchanged count keeps its epoch, so /healthz and
-// /snapshot number the same states identically. Caller holds cache.mu.
-func (c *Collector) refreshCacheLocked() {
-	if c.cache.acc != nil && c.totalCount() == c.cache.count {
-		c.stats.snapshotHits.Add(1)
-		return
-	}
-	c.stats.snapshotMerges.Add(1)
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 	}
-	merged := make([]float64, c.agg.StateLen())
+	acc = make([]float64, c.agg.StateLen())
 	var total int64
 	for i := range c.shards {
 		sh := &c.shards[i]
 		for j, v := range sh.acc {
-			merged[j] += v
+			acc[j] += v
 		}
 		total += sh.count.Load()
 	}
 	for i := range c.shards {
 		c.shards[i].mu.Unlock()
 	}
+	return acc, float64(total), c.observeLocked(total)
+}
+
+// observeLocked numbers the state holding total reports: the epoch advances
+// only when that state is one no reader has observed yet — a snapshot at a
+// count countEpoch already numbered keeps that epoch (and vice versa), so
+// /healthz and /snapshot number the same states identically. Caller holds
+// cache.mu.
+func (c *Collector) observeLocked(total int64) uint64 {
 	if c.cache.epoch == 0 || total != c.cache.count {
+		c.cache.count = total
 		c.cache.epoch++
 	}
-	c.cache.acc = merged
-	c.cache.count = total
+	return c.cache.epoch
+}
+
+// countEpoch returns a consistent (count, epoch) pair — what /healthz
+// serves — without paying for a merge: a count no reader has seen is itself
+// the observation of a new state, so the epoch advances. Every ingest moves a
+// counter, so "count unchanged" still proves "state unchanged". Cost per
+// poll: the lock-free counter sum plus the cache mutex — no shard lock is
+// taken.
+func (c *Collector) countEpoch() (count float64, epoch uint64) {
+	c.cache.mu.Lock()
+	defer c.cache.mu.Unlock()
+	total := c.totalCount()
+	return float64(total), c.observeLocked(total)
 }
 
 // Snap returns an immutable point-in-time Snapshot of the collector: merged

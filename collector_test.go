@@ -2,6 +2,8 @@ package ldp_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -188,11 +190,11 @@ func TestShardedMatchesSerial(t *testing.T) {
 // TestCollectorBatchAtomicity is the regression test for the partially
 // applied batch bug: a batch with an out-of-range element must leave the
 // collector (and server) state completely untouched.
-// Regression test for the snapshot cache: repeated reads of a quiescent
-// collector must return identical estimates (served from cache, not a fresh
-// merge gone wrong), every ingest must invalidate the cache so the next read
-// sees the new report, and the cached read path must match a cache-free
-// reference (a single-goroutine Server fed the same reports) exactly.
+// The snapshot read path and its epoch rules: repeated reads of a quiescent
+// collector return identical state under one epoch, every ingest is visible
+// to the next read and advances the epoch by exactly one (the epoch moves iff
+// the observed count moved), and the merged read matches a single-goroutine
+// Server fed the same reports exactly.
 func TestCollectorSnapshotCache(t *testing.T) {
 	rz, agg, w := buildStrategyPipeline(t, 8, 1.0, 17)
 	col, err := ldp.NewCollector(agg, w, 4)
@@ -225,37 +227,44 @@ func TestCollectorSnapshotCache(t *testing.T) {
 		}
 		return len(a) == len(b)
 	}
+	if e := col.Snap().Epoch(); e != 1 {
+		t.Fatalf("first observed state (empty) has epoch %d, want 1", e)
+	}
 	for i := 0; i < 100; i++ {
 		ingestOne()
-		// Several reads per write: all but the first hit the cache.
-		first := col.Snap().State()
+		// Several reads per write: one new state, one epoch step.
+		firstSnap := col.Snap()
+		first := firstSnap.State()
+		if want := uint64(i + 2); firstSnap.Epoch() != want {
+			t.Fatalf("step %d: epoch %d after %d observed count changes, want %d", i, firstSnap.Epoch(), i+1, want)
+		}
 		for j := 0; j < 3; j++ {
 			again := col.Snap()
-			if again.Count() != float64(i+1) || !equal(first, again.State()) {
-				t.Fatalf("step %d: cached snapshot diverged", i)
+			if again.Count() != float64(i+1) || again.Epoch() != firstSnap.Epoch() || !equal(first, again.State()) {
+				t.Fatalf("step %d: re-read of a quiescent collector diverged", i)
 			}
 		}
 		if !equal(first, ref.Snap().State()) {
-			t.Fatalf("step %d: cached snapshot != cache-free reference", i)
+			t.Fatalf("step %d: merged snapshot != single-goroutine reference", i)
 		}
 		if !equal(mustRead(t)(est.DataEstimate(col.Snap())), mustRead(t)(est.DataEstimate(ref.Snap()))) {
 			t.Fatalf("step %d: estimates diverged", i)
 		}
 	}
-	// The snapshot is caller-owned: scribbling on it must not poison the
-	// cache behind later reads.
+	// The snapshot is caller-owned: scribbling on it must not reach later
+	// reads.
 	st := col.Snap().State()
 	for i := range st {
 		st[i] = -1
 	}
 	if again := col.Snap().State(); !equal(again, ref.Snap().State()) {
-		t.Fatal("mutating a returned snapshot corrupted the cache")
+		t.Fatal("mutating a returned snapshot corrupted later reads")
 	}
 }
 
-// A cache hit costs exactly one allocation — the caller-owned copy of the
-// merged state — and takes no shard lock. More means the read path started
-// rebuilding something per call.
+// One Snap = one state-sized allocation: the shards merge straight into the
+// slice the snapshot hands out. More means the read path started building
+// (or copying) something else per call.
 func TestCollectorSnapCacheHitAllocs(t *testing.T) {
 	const n = 256
 	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
@@ -271,19 +280,19 @@ func TestCollectorSnapCacheHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	col.Snap() // the merge; every later read is a hit
 	allocs := testing.AllocsPerRun(100, func() {
 		if col.Snap().StateLen() != n {
 			t.Fatal("bad snapshot")
 		}
 	})
 	if allocs != 1 {
-		t.Fatalf("cached Snap allocates %v times, want 1 (the state copy)", allocs)
+		t.Fatalf("Snap allocates %v times, want 1 (the merged state)", allocs)
 	}
 }
 
-// The cache must stay coherent under concurrent ingest: interleaved
-// snapshots may lag writers but can never invent or lose reports, and once
+// Snapshots stay coherent under concurrent ingest: interleaved reads may lag
+// writers but can never invent or lose reports, their (count, epoch) pairs
+// obey the epoch rule — the epoch moved iff the count moved — and once
 // writers stop the snapshot equals the serial reference. Run under -race in
 // CI.
 func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
@@ -307,10 +316,12 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// A polling reader hammers the cached read path while writers ingest.
+	// A polling reader hammers the read path while writers ingest.
 	readerErr := make(chan error, 1)
 	go func() {
 		defer close(readerErr)
+		var lastCount float64
+		var lastEpoch uint64
 		for {
 			select {
 			case <-stop:
@@ -326,9 +337,17 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 			// report, so mass must equal the count the snapshot claims —
 			// a torn or half-merged view would break this.
 			if math.Abs(mass-snap.Count()) > 1e-9 {
-				readerErr <- nil
+				readerErr <- errors.New("snapshot exposed a torn view (state mass != count)")
 				return
 			}
+			// This goroutine is the only reader, so every epoch step is one
+			// of its own observations: +1 when the count moved, 0 when not.
+			moved := snap.Count() != lastCount || lastEpoch == 0
+			if (moved && snap.Epoch() != lastEpoch+1) || (!moved && snap.Epoch() != lastEpoch) {
+				readerErr <- fmt.Errorf("epoch %d → %d across count %v → %v", lastEpoch, snap.Epoch(), lastCount, snap.Count())
+				return
+			}
+			lastCount, lastEpoch = snap.Count(), snap.Epoch()
 		}
 	}()
 	for i := 0; i < writers; i++ {
@@ -346,8 +365,8 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if _, torn := <-readerErr; torn {
-		t.Fatal("snapshot exposed a torn view (state mass != count)")
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
 	}
 
 	ref, err := ldp.NewServer(agg, w)

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/postprocess"
-	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -25,16 +23,6 @@ type Estimator struct {
 	agg  Aggregator
 	work Workload
 	info MechanismInfo
-
-	// varOnce lazily prepares the closed-form per-query variance model on
-	// first use — for strategy mechanisms that materializes V = W·B, which
-	// Answers-only callers should not pay for.
-	varOnce sync.Once
-	varErr  error
-	varW    *linalg.Matrix // materialized workload matrix W, p×n
-	varV    *linalg.Matrix // strategy path: V = W·B, p×m
-	varPU   float64        // oracle path: per-user per-count variance
-	varRow2 []float64      // oracle path: per-query ‖w_i‖²
 }
 
 // NewEstimator prepares the read path for a mechanism aggregator and a
@@ -115,96 +103,129 @@ func (e *Estimator) ConsistentAnswers(s Snapshot) ([]float64, error) {
 	return res.Answers, nil
 }
 
-// maxVarianceElems bounds the dense matrices the per-query variance model
-// materializes (W, and V = W·B for strategies) to ~½ GiB of float64s.
-// Everything else in the library works through the Gram matrix WᵀW exactly
-// so that huge implicit workloads (AllRange at large n) stay cheap; the
-// per-query variance genuinely needs per-row access, so past this bound it
-// returns a clean error instead of an allocation that dwarfs the machine.
-const maxVarianceElems = 1 << 26
+// varianceForm is the closed-form variance of any linear query at one
+// snapshot of one mechanism — built per (mechanism, snapshot), independent of
+// the workload, and the only place per-query variance is computed.
+//
+// For a strategy mechanism the answer to query w is wᵀB·y with y multinomial
+// over the strategy's outputs, so Var[ŵ] = N·(Σ_o π_o V_o² − (Vᵀπ)²) with
+// V = wᵀB (Theorem 3.4 row-wise). Estimating the output distribution π by the
+// observed response histogram y/N and expanding V gives the plug-in form
+//
+//	Var[ŵ] = wᵀM·w − (wᵀu)²/N,  M = B·diag(y)·Bᵀ,  u = B·y,
+//
+// which needs only n×n state however many rows the workload has. For a
+// frequency oracle each count estimate carries the closed-form per-user
+// variance v of Wang et al. and counts propagate through w as independent
+// terms: Var[ŵ] ≈ N·v·‖w‖² (exact for unary encodings up to the O(f)
+// frequency term, asymptotic for OLH).
+//
+// M is symmetric; only its upper triangle is stored, and row j is filled
+// left to right only as far as some query's non-zero span has reached, so a
+// read pays for the part of M its rows touch (Histogram: the diagonal,
+// O(n·m)) rather than the O(n²·m) full build. The fill makes a varianceForm
+// single-goroutine state: every read builds its own.
+type varianceForm struct {
+	count float64
+	varPU float64        // oracle path: per-user per-count variance
+	recon *linalg.Matrix // strategy path: B (n×m); nil on the oracle path
+	y     []float64      // strategy path: the response histogram (snapshot state)
+	u     []float64      // strategy path: B·y
+	m     []float64      // strategy path: M row-major n×n, entries k ≥ j of row j
+	reach []int          // strategy path: row j of M is filled on [j, reach[j])
+}
 
-// prepareVariance builds the mechanism's closed-form per-query variance
-// model once. Strategy mechanisms get the exact multinomial form (V = W·B
-// materialized); frequency oracles the standard Wang-et-al. per-count
-// variance with independent-count propagation through W.
-func (e *Estimator) prepareVariance() error {
-	e.varOnce.Do(func() {
-		dim := e.work.Domain()
-		if sl := e.agg.StateLen(); sl > dim {
-			dim = sl
+// newVarianceForm prepares the variance form of agg at snapshot s, which the
+// caller has already Checked against the mechanism.
+func newVarianceForm(agg Aggregator, s Snapshot) (*varianceForm, error) {
+	f := &varianceForm{count: s.count}
+	switch a := agg.(type) {
+	case interface{ Recon() *linalg.Matrix }:
+		n := agg.Domain()
+		f.recon, f.y = a.Recon(), s.state
+		f.u = f.recon.MulVec(s.state)
+		f.m = make([]float64, n*n)
+		f.reach = make([]int, n)
+	case interface{ VariancePerUser() float64 }:
+		f.varPU = a.VariancePerUser()
+	default:
+		return nil, fmt.Errorf("ldp: aggregator %T exposes no closed-form variance", agg)
+	}
+	return f, nil
+}
+
+// of returns the variance of the answer to one query row w (length n).
+func (f *varianceForm) of(w []float64) float64 {
+	if f.count <= 0 {
+		return 0
+	}
+	if f.recon == nil {
+		return f.count * f.varPU * linalg.Dot(w, w)
+	}
+	n, hi := len(w), len(w)
+	for hi > 0 && w[hi-1] == 0 {
+		hi--
+	}
+	var quad float64
+	for j, wj := range w[:hi] {
+		if wj == 0 {
+			continue
 		}
-		if int64(e.work.Queries())*int64(dim) > maxVarianceElems {
-			e.varErr = fmt.Errorf("ldp: workload %s has %d queries — too large to materialize for closed-form per-query variance (limit %d matrix entries); Answers and ConsistentAnswers remain available", e.work.Name(), e.work.Queries(), maxVarianceElems)
+		row := f.m[j*n : j*n+hi]
+		if f.reach[j] < hi {
+			f.fill(j, row, max(f.reach[j], j))
+			f.reach[j] = hi
+		}
+		quad += wj * (wj*row[j] + 2*linalg.Dot(w[j+1:hi], row[j+1:]))
+	}
+	lin := linalg.Dot(w[:hi], f.u[:hi])
+	v := quad - lin*lin/f.count
+	if v < 0 {
+		v = 0 // round-off guard: a variance is non-negative
+	}
+	return v
+}
+
+// fill computes row[k] = M_jk = Σ_o y_o·B_jo·B_ko for k in [from, len(row)).
+// Each entry is a fixed-order sum of its own, so its bits do not depend on
+// which query first reached it.
+func (f *varianceForm) fill(j int, row []float64, from int) {
+	bj := f.recon.Row(j)[:len(f.y)]
+	for k := from; k < len(row); k++ {
+		bk := f.recon.Row(k)[:len(f.y)]
+		var s float64
+		for o, y := range f.y {
+			s += y * bj[o] * bk[o]
+		}
+		row[k] = s
+	}
+}
+
+// each streams the variance of every query of w in row order until fn returns
+// false. Rows come through the workload's per-row view; a foreign Workload
+// without one is adapted from its own Matrix().
+func (f *varianceForm) each(w Workload, fn func(i int, v float64) bool) {
+	rows, ok := w.(workload.RowAccessor)
+	if !ok {
+		rows = workload.NewExplicit(w.Name(), w.Matrix())
+	}
+	wrow := make([]float64, w.Domain())
+	for i, p := 0, w.Queries(); i < p; i++ {
+		rows.QueryRow(i, wrow)
+		if !fn(i, f.of(wrow)) {
 			return
 		}
-		if sa, ok := e.agg.(interface {
-			Strategy() *strategy.Strategy
-			Recon() *linalg.Matrix
-		}); ok {
-			e.varW = e.work.Matrix()
-			e.varV = linalg.Mul(e.varW, sa.Recon())
-			return
-		}
-		if o, ok := e.agg.(interface{ VariancePerUser() float64 }); ok {
-			e.varPU = o.VariancePerUser()
-			e.varW = e.work.Matrix()
-			e.varRow2 = make([]float64, e.varW.Rows())
-			for i := range e.varRow2 {
-				row := e.varW.Row(i)
-				e.varRow2[i] = linalg.Dot(row, row)
-			}
-			return
-		}
-		e.varErr = fmt.Errorf("ldp: aggregator %T exposes no closed-form variance", e.agg)
-	})
-	return e.varErr
+	}
 }
 
 // Variance returns the closed-form variance of each unbiased workload answer
-// at the snapshot's observed state.
-//
-// For a strategy mechanism the answer vector is V·y with y multinomial over
-// the strategy's outputs, so Var[ŵ_i] = N·(Σ_o π_o V_io² − (V_iᵀπ)²)
-// (Theorem 3.4 row-wise); the output distribution π is estimated by the
-// observed response histogram y/N, making the plug-in variance
-// Σ_o y_o V_io² − (V_iᵀy)²/N. For a frequency oracle each count estimate
-// carries the closed-form per-user variance of Wang et al. and counts
-// propagate through W as independent terms: Var[ŵ_i] ≈ N·v·‖w_i‖² (exact for
-// unary encodings up to the O(f) frequency term, asymptotic for OLH).
+// at the snapshot's observed state: VarianceStream collected into a slice.
 func (e *Estimator) Variance(s Snapshot) ([]float64, error) {
-	if err := e.Check(s); err != nil {
-		return nil, err
-	}
-	if err := e.prepareVariance(); err != nil {
-		return nil, err
-	}
 	out := make([]float64, e.work.Queries())
-	if s.count <= 0 {
-		return out, nil
-	}
-	for i := range out {
-		out[i] = e.varianceAt(i, s.state, s.count)
+	if err := e.VarianceStream(s, func(i int, v float64) bool { out[i] = v; return true }); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// varianceAt reads query i's closed-form variance from the memoized model.
-// Callers must have run prepareVariance successfully and hold count > 0.
-func (e *Estimator) varianceAt(i int, state []float64, count float64) float64 {
-	if e.varV != nil {
-		vi := e.varV.Row(i)
-		var lin, dot float64
-		for o, y := range state {
-			lin += y * vi[o] * vi[o]
-			dot += y * vi[o]
-		}
-		v := lin - dot*dot/count
-		if v < 0 {
-			v = 0 // round-off guard: a variance is non-negative
-		}
-		return v
-	}
-	return count * e.varPU * e.varRow2[i]
 }
 
 // Interval is one two-sided confidence interval [Low, High].
@@ -222,123 +243,20 @@ type QueryAnswer struct {
 	CI       Interval
 }
 
-// rowVariancer computes one query's closed-form variance at a time from the
-// workload's per-row view, never materializing W or V = W·B. The strategy
-// path replicates linalg's row accumulation exactly (each V element sums over
-// k ascending, zero entries of the workload row skipped), so every streamed
-// variance is bit-identical to the one the materialized varV path computes.
-// A rowVariancer owns its scratch and is single-goroutine; each stream call
-// builds its own.
-type rowVariancer struct {
-	rows  workload.RowAccessor
-	recon *linalg.Matrix // strategy path: B (n×m); nil on the oracle path
-	varPU float64        // oracle path: per-user per-count variance
-	wrow  []float64      // one row of W (n)
-	vrow  []float64      // strategy path: one row of V = W·B (m)
-}
-
-// newRowVariancer prepares streaming variance, or returns (nil, nil) when the
-// workload exposes no per-row view — the caller then falls back to the
-// materialized model with its size bound. Every built-in workload family
-// implements workload.RowAccessor, so the fallback only triggers for foreign
-// Workload implementations.
-func (e *Estimator) newRowVariancer() (*rowVariancer, error) {
-	ra, ok := e.work.(workload.RowAccessor)
-	if !ok {
-		return nil, nil
-	}
-	n := e.work.Domain()
-	if sa, ok := e.agg.(interface {
-		Strategy() *strategy.Strategy
-		Recon() *linalg.Matrix
-	}); ok {
-		b := sa.Recon()
-		return &rowVariancer{rows: ra, recon: b,
-			wrow: make([]float64, n), vrow: make([]float64, b.Cols())}, nil
-	}
-	if o, ok := e.agg.(interface{ VariancePerUser() float64 }); ok {
-		return &rowVariancer{rows: ra, varPU: o.VariancePerUser(), wrow: make([]float64, n)}, nil
-	}
-	return nil, fmt.Errorf("ldp: aggregator %T exposes no closed-form variance", e.agg)
-}
-
-// variance returns query i's closed-form variance at the snapshot's state.
-func (rv *rowVariancer) variance(i int, state []float64, count float64) float64 {
-	rv.rows.QueryRow(i, rv.wrow)
-	return rv.varianceFromRow(state, count)
-}
-
-// varianceFromRow computes the closed-form variance for the workload row
-// already loaded into wrow (callers that inspect the row — the batch row
-// cache — fill it via rv.rows.QueryRow first).
-func (rv *rowVariancer) varianceFromRow(state []float64, count float64) float64 {
-	if rv.recon == nil {
-		return count * rv.varPU * linalg.Dot(rv.wrow, rv.wrow)
-	}
-	// Row i of V = W·B with mulToRows' exact accumulation order: each element
-	// sums over k ascending, skipping zero workload entries.
-	clear(rv.vrow)
-	for k, av := range rv.wrow {
-		if av == 0 {
-			continue
-		}
-		brow := rv.recon.Row(k)
-		for j, bv := range brow {
-			rv.vrow[j] += av * bv
-		}
-	}
-	var lin, dot float64
-	for o, y := range state {
-		lin += y * rv.vrow[o] * rv.vrow[o]
-		dot += y * rv.vrow[o]
-	}
-	v := lin - dot*dot/count
-	if v < 0 {
-		v = 0 // round-off guard: a variance is non-negative
-	}
-	return v
-}
-
-// VarianceStream streams the closed-form variance of each workload answer in
-// query order, calling fn(i, variance) per query until fn returns false or
-// the workload is exhausted. Unlike Variance it materializes nothing of size
-// p×n — one workload row at a time is reconstructed through the workload's
-// per-row view — so it answers workloads past the maxVarianceElems bound.
-// Each streamed value is bit-identical to the corresponding Variance entry.
+// VarianceStream streams the closed-form variance of each workload answer
+// (see varianceForm) in query order, calling fn(i, variance) per query until
+// fn returns false or the workload is exhausted. Nothing it holds scales with
+// the number of queries: one workload row at a time passes through the n×n
+// variance form.
 func (e *Estimator) VarianceStream(s Snapshot, fn func(i int, v float64) bool) error {
 	if err := e.Check(s); err != nil {
 		return err
 	}
-	rv, err := e.newRowVariancer()
+	f, err := newVarianceForm(e.agg, s)
 	if err != nil {
 		return err
 	}
-	if rv == nil {
-		vars, err := e.Variance(s)
-		if err != nil {
-			return err
-		}
-		for i, v := range vars {
-			if !fn(i, v) {
-				return nil
-			}
-		}
-		return nil
-	}
-	p := e.work.Queries()
-	if s.count <= 0 {
-		for i := 0; i < p; i++ {
-			if !fn(i, 0) {
-				return nil
-			}
-		}
-		return nil
-	}
-	for i := 0; i < p; i++ {
-		if !fn(i, rv.variance(i, s.state, s.count)) {
-			return nil
-		}
-	}
+	f.each(e.work, fn)
 	return nil
 }
 
@@ -346,9 +264,7 @@ func (e *Estimator) VarianceStream(s Snapshot, fn func(i int, v float64) bool) e
 // variance, and the confidence interval at the given two-sided level — one
 // query row at a time, calling fn per row in query order until fn returns
 // false or the workload is exhausted. The answers are the same values (bit
-// for bit) Answers returns; the variances are streamed through the
-// workload's per-row view, so a workload whose variance materialization
-// exceeds the maxVarianceElems bound streams fine.
+// for bit) Answers returns, the variances the ones VarianceStream yields.
 func (e *Estimator) AnswerStream(s Snapshot, level float64, fn func(QueryAnswer) bool) error {
 	if math.IsNaN(level) || level <= 0 || level >= 1 {
 		return fmt.Errorf("ldp: confidence level %v outside (0, 1)", level)
@@ -368,25 +284,13 @@ func (e *Estimator) AnswerStream(s Snapshot, level float64, fn func(QueryAnswer)
 // ConfidenceIntervals returns per-query normal-approximation confidence
 // intervals at the given two-sided level (e.g. 0.95), centered on the
 // unbiased answers with half-width z·σ from the mechanism's closed-form
-// variance (Variance). The normal approximation is justified by the CLT:
-// every answer is a sum of N independent per-user contributions.
+// variance: the CI column of AnswerStream. The normal approximation is
+// justified by the CLT: every answer is a sum of N independent per-user
+// contributions.
 func (e *Estimator) ConfidenceIntervals(s Snapshot, level float64) ([]Interval, error) {
-	if math.IsNaN(level) || level <= 0 || level >= 1 {
-		return nil, fmt.Errorf("ldp: confidence level %v outside (0, 1)", level)
-	}
-	answers, err := e.Answers(s)
-	if err != nil {
+	out := make([]Interval, 0, e.work.Queries())
+	if err := e.AnswerStream(s, level, func(a QueryAnswer) bool { out = append(out, a.CI); return true }); err != nil {
 		return nil, err
-	}
-	vars, err := e.Variance(s)
-	if err != nil {
-		return nil, err
-	}
-	z := math.Sqrt2 * math.Erfinv(level)
-	out := make([]Interval, len(answers))
-	for i, a := range answers {
-		half := z * math.Sqrt(vars[i])
-		out[i] = Interval{Low: a - half, High: a + half}
 	}
 	return out, nil
 }

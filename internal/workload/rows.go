@@ -9,11 +9,11 @@ import (
 
 // RowAccessor is the optional per-row view of a workload: QueryRow overwrites
 // dst (length Domain()) with row i of W without materializing the matrix.
-// Every built-in family implements it; the streaming read path uses it to
-// answer workloads whose full W (or W·B) materialization would blow the
-// in-memory bound, one row at a time. Rows are produced with exactly the
-// arithmetic Matrix() would use for the same entries, so a computation folded
-// over QueryRow is bit-identical to the same computation over Matrix().
+// Every built-in family implements it; the read path's per-query variance
+// consumes workloads through it one row at a time, so nothing p-row-shaped
+// is ever built. Rows are produced with exactly the arithmetic Matrix() would
+// use for the same entries, so a computation folded over QueryRow is
+// bit-identical to the same computation over Matrix().
 type RowAccessor interface {
 	QueryRow(i int, dst []float64)
 }

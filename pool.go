@@ -52,7 +52,8 @@ type EstimatorPool struct {
 	// recompute on every pool lookup of a long-lived workload value.
 	digests map[Workload]string
 	// idkeys likewise memoizes identityKey per aggregator instance —
-	// MechanismInfoOf re-hashes the strategy matrix on every call.
+	// MechanismInfoOf re-hashes the strategy matrix on every call. Both memos
+	// hold at most maxInstanceMemo entries (see memoized).
 	idkeys map[Aggregator]string
 
 	stats poolCounters
@@ -126,7 +127,6 @@ type poolCounters struct {
 	optimizerRuns       atomic.Uint64
 	strategyMemHits     atomic.Uint64
 	strategyDiskHits    atomic.Uint64
-	sharedRowHits       atomic.Uint64
 	answerHits          atomic.Uint64
 	answerInvalidations atomic.Uint64
 }
@@ -144,8 +144,9 @@ type PoolStats struct {
 	OptimizerRuns    uint64
 	StrategyMemHits  uint64
 	StrategyDiskHits uint64
-	// SharedRowHits counts batch variance rows served from another query's
-	// identical W·B row instead of recomputed.
+	// SharedRowHits is retired and always 0: the batch row cache it counted
+	// is gone (one n×n variance form per batch replaced it). The field stays
+	// only because bench/ still reads it.
 	SharedRowHits uint64
 	// AnswerHits counts AnswerBatch workloads served from the snapshot-pinned
 	// answer cache; AnswerInvalidations counts identities whose cached answers
@@ -193,7 +194,6 @@ func (p *EstimatorPool) enableMetrics(reg *obs.Registry) {
 		{"ldp_pool_optimizer_runs_total", "Strategy optimizer (Algorithm 1/2) executions.", &p.stats.optimizerRuns},
 		{"ldp_pool_strategy_mem_hits_total", "Strategy resolutions served from the in-memory cache.", &p.stats.strategyMemHits},
 		{"ldp_pool_strategy_disk_hits_total", "Strategy resolutions served from the persisted cache directory.", &p.stats.strategyDiskHits},
-		{"ldp_pool_shared_row_hits_total", "Batch variance rows served from another query's identical row.", &p.stats.sharedRowHits},
 		{"ldp_pool_answer_hits_total", "Workloads answered from the snapshot-pinned answer cache.", &p.stats.answerHits},
 		{"ldp_pool_answer_invalidations_total", "Cached answer sets dropped because the observed snapshot advanced.", &p.stats.answerInvalidations},
 	} {
@@ -210,7 +210,6 @@ func (p *EstimatorPool) Stats() PoolStats {
 		OptimizerRuns:       p.stats.optimizerRuns.Load(),
 		StrategyMemHits:     p.stats.strategyMemHits.Load(),
 		StrategyDiskHits:    p.stats.strategyDiskHits.Load(),
-		SharedRowHits:       p.stats.sharedRowHits.Load(),
 		AnswerHits:          p.stats.answerHits.Load(),
 		AnswerInvalidations: p.stats.answerInvalidations.Load(),
 	}
@@ -223,28 +222,44 @@ func identityKey(info MechanismInfo) string {
 		math.Float64bits(info.Epsilon), info.Digest)
 }
 
-// workloadDigest is WorkloadDigest memoized per workload instance. A memo
-// miss computes outside the lock (two racers may both compute — the digest is
-// deterministic, so either result is correct). Workload implementations with
-// a non-comparable dynamic type skip the memo rather than panic on insert;
-// every built-in family is a pointer and memoizes fine.
-func (p *EstimatorPool) workloadDigest(w Workload) string {
-	comparable := reflect.TypeOf(w).Comparable()
+// maxInstanceMemo bounds each per-instance memo (digests, idkeys). The keys
+// are caller-owned instances, so a caller building a fresh workload or
+// aggregator per call would otherwise grow the maps — and pin every
+// instance's cached n×n Gram — forever. A full memo is reset: a miss only
+// recomputes a deterministic digest.
+const maxInstanceMemo = 1 << 10
+
+// memoized returns compute() memoized per instance k in memo, one of the
+// pool's two per-instance maps. A miss computes outside the lock (two racers
+// may both compute — the value is deterministic, so either result is
+// correct). A key whose dynamic type is not comparable skips the memo rather
+// than panic on insert; every built-in workload and aggregator is a pointer
+// and memoizes fine.
+func memoized[K comparable](p *EstimatorPool, memo map[K]string, k K, compute func() string) string {
+	comparable := reflect.TypeOf(k).Comparable()
 	if comparable {
 		p.mu.Lock()
-		d, ok := p.digests[w]
+		v, ok := memo[k]
 		p.mu.Unlock()
 		if ok {
-			return d
+			return v
 		}
 	}
-	d := WorkloadDigest(w)
+	v := compute()
 	if comparable {
 		p.mu.Lock()
-		p.digests[w] = d
+		if len(memo) >= maxInstanceMemo {
+			clear(memo)
+		}
+		memo[k] = v
 		p.mu.Unlock()
 	}
-	return d
+	return v
+}
+
+// workloadDigest is WorkloadDigest memoized per workload instance.
+func (p *EstimatorPool) workloadDigest(w Workload) string {
+	return memoized(p, p.digests, w, func() string { return WorkloadDigest(w) })
 }
 
 // namedWorkload is WorkloadByName resolved once per (name, domain): /query
@@ -259,33 +274,16 @@ func (p *EstimatorPool) namedWorkload(name string, n int) (Workload, error) {
 }
 
 // identityKeyOf is identityKey(MechanismInfoOf(agg)) memoized per aggregator
-// instance, under the same comparable-type guard as workloadDigest: the
-// mechanism info hashes the strategy matrix, which is stable for the life of
-// an aggregator but expensive to recompute per pool lookup.
+// instance: the mechanism info hashes the strategy matrix, which is stable
+// for the life of an aggregator but expensive to recompute per pool lookup.
 func (p *EstimatorPool) identityKeyOf(agg Aggregator) string {
-	comparable := reflect.TypeOf(agg).Comparable()
-	if comparable {
-		p.mu.Lock()
-		k, ok := p.idkeys[agg]
-		p.mu.Unlock()
-		if ok {
-			return k
-		}
-	}
-	k := identityKey(MechanismInfoOf(agg))
-	if comparable {
-		p.mu.Lock()
-		p.idkeys[agg] = k
-		p.mu.Unlock()
-	}
-	return k
+	return memoized(p, p.idkeys, agg, func() string { return identityKey(MechanismInfoOf(agg)) })
 }
 
 // Estimator returns the pooled estimator for (agg, w), building it at most
 // once per (mechanism identity, workload digest) key even under concurrent
 // resolvers. The returned Estimator is shared: immutable and safe for
-// concurrent use, with its lazily-built variance model built once for every
-// caller.
+// concurrent use.
 func (p *EstimatorPool) Estimator(agg Aggregator, w Workload) (*Estimator, error) {
 	if agg == nil {
 		return nil, fmt.Errorf("ldp: pool: nil aggregator")
@@ -462,56 +460,15 @@ type batchConfig struct {
 type BatchOption func(*batchConfig)
 
 // WithBatchVariance makes AnswerBatch fill each result's Variance slice from
-// the mechanism's closed-form model, sharing identical W·B rows across the
-// batch's queries.
+// the mechanism's closed-form model, built once per batch.
 func WithBatchVariance() BatchOption {
 	return func(c *batchConfig) { c.variance = true }
 }
 
-// maxSharedRows caps the batch-level row cache: past this many distinct
-// workload rows the sharing stops paying for its memory and further rows are
-// computed directly.
-const maxSharedRows = 1 << 14
-
-// sharedRowCache deduplicates variance computation across a batch: workload
-// rows are keyed by the FNV-1a hash of their bits and verified by full
-// comparison (a hash collision downgrades to a recompute, never a wrong
-// answer). Rows inserted from a memoized estimator model reference that
-// model's matrix directly; rows from the streaming path are copied (the
-// count cap bounds that memory).
-type sharedRowCache struct {
-	entries map[uint64][]sharedRow
-	count   int
-}
-
-type sharedRow struct {
-	row []float64
-	v   float64
-}
-
-func (c *sharedRowCache) get(h uint64, row []float64) (float64, bool) {
-	for _, e := range c.entries[h] {
-		if rowsEqual(e.row, row) {
-			return e.v, true
-		}
-	}
-	return 0, false
-}
-
-// put records row → v. The row slice is retained as-is; pass a copy when the
-// backing buffer will be overwritten.
-func (c *sharedRowCache) put(h uint64, row []float64, v float64) {
-	if c.count >= maxSharedRows {
-		return
-	}
-	c.entries[h] = append(c.entries[h], sharedRow{row: row, v: v})
-	c.count++
-}
-
-// hashRow mixes the row's IEEE-754 bits a word at a time (FNV-style multiply
-// plus a shift-xor to spread high bits). It is a cache key, not a wire format:
-// collisions only cost a rowsEqual compare, so a fast 8-bytes-per-step mix
-// beats byte-accurate FNV — this runs once per query row of every batch.
+// hashRow mixes a vector's IEEE-754 bits a word at a time (FNV-style multiply
+// plus a shift-xor to spread high bits). It is the answer cache's state
+// fingerprint, not a wire format, so a fast 8-bytes-per-step mix beats
+// byte-accurate FNV.
 func hashRow(row []float64) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -523,25 +480,14 @@ func hashRow(row []float64) uint64 {
 	return h
 }
 
-func rowsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // AnswerBatch answers heterogeneous workloads over one snapshot with shared
 // computation: the data estimate x̂ (the dominant B·y reconstruction) is
 // computed once for the whole batch instead of once per workload, workloads
-// with equal digests are answered once, and — with WithBatchVariance —
-// queries sharing rows of W·B across the batch compute the row's variance
-// once. Results are returned in input order; answers are byte-identical to
-// each workload's own Estimator read against the same snapshot.
+// with equal digests are answered once, and — with WithBatchVariance — the
+// snapshot's n×n variance form is built once and read by every workload.
+// Results are returned in input order; answers and variances are
+// byte-identical to each workload's own Estimator read against the same
+// snapshot.
 func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Workload, opts ...BatchOption) ([]BatchAnswer, error) {
 	var cfg batchConfig
 	for _, o := range opts {
@@ -553,7 +499,6 @@ func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Work
 	// Resolve every estimator first: identity and domain checks fail the
 	// batch before any computation, and the pool guarantees each distinct
 	// workload builds at most once.
-	ests := make([]*Estimator, len(workloads))
 	digests := make([]string, len(workloads))
 	for i, w := range workloads {
 		est, err := p.Estimator(agg, w)
@@ -563,7 +508,6 @@ func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Work
 		if err := est.Check(s); err != nil {
 			return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
 		}
-		ests[i] = est
 		digests[i] = p.workloadDigest(w)
 	}
 	// The answer cache pins one snapshot per mechanism identity: a batch
@@ -583,10 +527,8 @@ func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Work
 		return xh
 	}
 
-	var rowCache *sharedRowCache
-	if cfg.variance {
-		rowCache = &sharedRowCache{entries: make(map[uint64][]sharedRow)}
-	}
+	// Likewise the variance form, built by the first miss that wants it.
+	var form *varianceForm
 	out := make([]BatchAnswer, len(workloads))
 	firstByDigest := make(map[string]int, len(workloads))
 	for i, w := range workloads {
@@ -619,11 +561,14 @@ func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Work
 		firstByDigest[digests[i]] = i
 		ba := BatchAnswer{Workload: w, Digest: digests[i], Answers: w.MatVec(estimate())}
 		if cfg.variance {
-			vars, err := p.batchVariance(ests[i], s, rowCache)
-			if err != nil {
-				return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
+			if form == nil {
+				var err error
+				if form, err = newVarianceForm(agg, s); err != nil {
+					return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
+				}
 			}
-			ba.Variance = vars
+			ba.Variance = make([]float64, w.Queries())
+			form.each(w, func(q int, v float64) bool { ba.Variance[q] = v; return true })
 		}
 		out[i] = ba
 		holder.store(p, ckey, cachedAnswer{
@@ -683,60 +628,6 @@ func (h *answerHolder) store(p *EstimatorPool, key string, ca cachedAnswer) {
 	h.entries[key] = ca
 }
 
-// batchVariance computes one workload's per-query variances, serving repeated
-// rows from the batch's shared cache. Workloads within the materialization
-// bound read the estimator's memoized model (V = W·B built once per pooled
-// estimator and amortized across every later batch — the pool's second big
-// shared subexpression after x̂); rows are published to the cache by reference
-// into the memoized W, so later workloads repeating them skip the read.
-// Workloads past the bound stream one row at a time, with cache hits saving
-// the full O(n·m) row reconstruction.
-func (p *EstimatorPool) batchVariance(est *Estimator, s Snapshot, cache *sharedRowCache) ([]float64, error) {
-	pq := est.Workload().Queries()
-	out := make([]float64, pq)
-	if merr := est.prepareVariance(); merr == nil {
-		if s.count <= 0 {
-			return out, nil
-		}
-		for i := 0; i < pq; i++ {
-			row := est.varW.Row(i)
-			h := hashRow(row)
-			if v, ok := cache.get(h, row); ok {
-				out[i] = v
-				p.stats.sharedRowHits.Add(1)
-				continue
-			}
-			out[i] = est.varianceAt(i, s.state, s.count)
-			// The row references the estimator's memoized W, which outlives
-			// the batch — no copy needed.
-			cache.put(h, row, out[i])
-		}
-		return out, nil
-	} else if rv, err := est.newRowVariancer(); err != nil {
-		return nil, err
-	} else if rv == nil {
-		// No per-row view either: the materialization error stands.
-		return nil, merr
-	} else {
-		if s.count <= 0 {
-			return out, nil
-		}
-		for i := 0; i < pq; i++ {
-			rv.rows.QueryRow(i, rv.wrow)
-			h := hashRow(rv.wrow)
-			if v, ok := cache.get(h, rv.wrow); ok {
-				out[i] = v
-				p.stats.sharedRowHits.Add(1)
-				continue
-			}
-			v := rv.varianceFromRow(s.state, s.count)
-			out[i] = v
-			cache.put(h, append([]float64(nil), rv.wrow...), v)
-		}
-		return out, nil
-	}
-}
-
-// RowAccessor re-exports the per-row workload view so callers can test
-// whether a custom Workload supports streaming reads.
+// RowAccessor re-exports the per-row workload view the variance read path
+// consumes; a custom Workload without it is read through its Matrix().
 type RowAccessor = workload.RowAccessor

@@ -17,8 +17,7 @@ func statusErrorf(status int, format string, args ...any) error {
 
 // answerQuery resolves one decoded query request against a snapshot and
 // streams the result frames to out. The pool supplies (and caches) the
-// estimator, so repeated queries for the same workload never rebuild the
-// variance model. Validation errors surface before the first byte is written,
+// named workload, its digest and the estimator. Validation errors surface before the first byte is written,
 // which is what lets the transport turn them into HTTP statuses.
 func answerQuery(pool *EstimatorPool, agg Aggregator, snap Snapshot, q transport.QueryRequest, out io.Writer) error {
 	domain := agg.Domain()
@@ -89,8 +88,8 @@ func answerQuery(pool *EstimatorPool, agg Aggregator, snap Snapshot, q transport
 }
 
 // Query serves POST /query: a workload answered over the collector's current
-// snapshot, with the service's estimator pool amortizing variance-model
-// construction across queries and tenants.
+// snapshot, with the service's estimator pool amortizing workload and
+// estimator resolution across queries and tenants.
 func (b collectorBackend) Query(q transport.QueryRequest, w io.Writer) error {
 	return answerQuery(b.pool, b.c.agg, b.c.Snap(), q, w)
 }

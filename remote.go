@@ -464,8 +464,7 @@ func (rc *RemoteCollector) snapAt(ctx context.Context, epoch uint64, nearest boo
 
 // collectorBackend adapts a Collector to the transport's Backend contract by
 // unpacking its Snapshot value. The pool backs the /query endpoint: cached
-// estimators survive across requests, so only the first query for a workload
-// pays variance-model construction.
+// estimators and workload digests survive across requests.
 type collectorBackend struct {
 	c    *Collector
 	pool *EstimatorPool
@@ -534,8 +533,8 @@ func WithSlowRequestThreshold(d time.Duration) ServiceOption {
 // has a reason to declare less.
 //
 // The service is fully instrumented: GET /metrics serves per-endpoint
-// request counts and latency histograms, the collector's ingest and
-// snapshot-cache counters, the estimator pool's cache stats, the WAL and
+// request counts and latency histograms, the collector's ingest counters
+// and report/epoch gauges, the estimator pool's cache stats, the WAL and
 // checkpoint families for a durable collector, and the ldp_build_info
 // identity gauge. Every request carries an Ldp-Request-Id through the
 // structured request log.

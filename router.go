@@ -217,10 +217,10 @@ func (s *FleetServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // EnableQueries arms POST /query on the router: queries fan in through the
 // fleet's degraded-tolerant merged snapshot (coverage headers intact) and are
-// answered by agg's reconstruction, with pool-cached estimators amortizing
-// the variance model across queries. agg must be the same mechanism the
-// fleet's shards aggregate under; a mismatch is refused here rather than
-// producing silently wrong reconstructions. Call before serving traffic.
+// answered by agg's reconstruction through pool-cached estimators. agg must
+// be the same mechanism the fleet's shards aggregate under; a mismatch is
+// refused here rather than producing silently wrong reconstructions. Call
+// before serving traffic.
 func (s *FleetServer) EnableQueries(agg Aggregator, opts ...PoolOption) error {
 	if agg == nil {
 		return errors.New("ldp: nil aggregator")

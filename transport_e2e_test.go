@@ -275,7 +275,7 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 // framed batches into one served collector concurrently; the resulting
 // snapshot must equal a single-threaded ingest of the same reports. Run
 // under -race in CI, this exercises the full locking story — sharded ingest,
-// atomic counters, and the snapshot cache — across real HTTP handler
+// atomic counters, and the merging snapshot read — across real HTTP handler
 // goroutines.
 func TestTransportConcurrentClients(t *testing.T) {
 	const n, clients, perClient = 32, 8, 1500
