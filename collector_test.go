@@ -541,9 +541,9 @@ func TestOracleBatchAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := ldp.Report{Bits: make([]bool, 8)}
-	good.Bits[3] = true
-	bad := ldp.Report{Bits: make([]bool, 5)}
+	good := ldp.Report{Bits: ldp.NewBitVec(8)}
+	good.Bits.Set(3)
+	bad := ldp.Report{Bits: ldp.NewBitVec(5)}
 	if err := col.IngestBatch([]ldp.Report{good, bad}); err == nil {
 		t.Fatal("expected error for malformed report in batch")
 	}

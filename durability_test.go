@@ -500,31 +500,51 @@ func TestDurableRecoveryRejectsMechanismMismatch(t *testing.T) {
 // group commit swaps, not grows, its pending slice.
 func TestDurableIngestBatchKeyedAllocs(t *testing.T) {
 	const n, batch = 64, 64
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	strat, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoints off: the pin isolates the append path.
-	col, err := ldp.NewCollector(agg, ldp.Histogram(n), 0,
-		ldp.WithDurability(t.TempDir(), ldp.CheckpointEvery(0)))
+	indexed := make([]ldp.Report, batch)
+	for i := range indexed {
+		indexed[i] = ldp.Report{Index: (i * 7) % n}
+	}
+	// The unary family's reports carry n/8 bytes each: the record encoder's
+	// one-shot reservation has to count them, or the buffer regrows.
+	oue, err := ldp.OracleByName("OUE", 256, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
-	reports := make([]ldp.Report, batch)
-	for i := range reports {
-		reports[i] = ldp.Report{Index: (i * 7) % n}
-	}
-	ingest := func() {
-		if err := col.IngestBatchKeyed(reports, "00f1e2d3c4b5a6978877665544332211"); err != nil {
+	unary := make([]ldp.Report, batch)
+	rng := rand.New(rand.NewSource(1))
+	for i := range unary {
+		if unary[i], err = oue.Randomize(i%256, rng); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ { // touch every shard's buffers before measuring
-		ingest()
-	}
-	if allocs := testing.AllocsPerRun(100, ingest); allocs != 0 {
-		t.Fatalf("buffered-WAL IngestBatchKeyed allocates %v times per batch, want 0", allocs)
+	for name, tc := range map[string]struct {
+		agg     ldp.Aggregator
+		reports []ldp.Report
+	}{"strategy": {strat, indexed}, "OUE": {oue, unary}} {
+		t.Run(name, func(t *testing.T) {
+			// Checkpoints off: the pin isolates the append path.
+			col, err := ldp.NewCollector(tc.agg, ldp.Histogram(tc.agg.Domain()), 0,
+				ldp.WithDurability(t.TempDir(), ldp.CheckpointEvery(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer col.Close()
+			ingest := func() {
+				if err := col.IngestBatchKeyed(tc.reports, "00f1e2d3c4b5a6978877665544332211"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ { // touch every shard's buffers before measuring
+				ingest()
+			}
+			if allocs := testing.AllocsPerRun(100, ingest); allocs != 0 {
+				t.Fatalf("buffered-WAL IngestBatchKeyed allocates %v times per batch, want 0", allocs)
+			}
+		})
 	}
 }
 

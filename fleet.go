@@ -542,8 +542,7 @@ func (f *Fleet) Register(ctx context.Context, endpoint string) error {
 		breaker:  retry.NewBreaker(bp),
 	}
 	if err := rc.Verify(ctx, f.info.Mechanism, f.info.Epsilon, f.info.Digest); err != nil {
-		var se *StatusError
-		if errors.As(err, &se) && !se.Temporary() || errors.Is(err, errMechanismMismatch) {
+		if definitive(err) || errors.Is(err, errMechanismMismatch) {
 			// The shard answered and it is the wrong mechanism: refuse.
 			return fmt.Errorf("ldp: register %s: %w", endpoint, err)
 		}
@@ -849,19 +848,20 @@ func (f *Fleet) bindMember(key string) (*fleetMember, error) {
 	return m, nil
 }
 
-// IngestKeyed forwards one already-keyed batch — a request arriving at a
-// router from a remote client — to a shard, preserving the client's
-// idempotency key end to end. The first forward of a key binds it to the
-// chosen shard; every retry (the client's or this call's internal backoff)
-// replays on that same shard, where the key is remembered, so an ambiguous
-// failure can never double-absorb on a neighbor. A request the shard would
-// not deduplicate — no key, or one over transport.MaxIdempotencyKeyLen, which
-// the shard ignores — is forwarded unkeyed, never bound, and attempted once:
+// IngestKeyed forwards one already-keyed, already-framed request body — the
+// frames a router validated, or one a caller built with EncodeReportsFrame —
+// to a shard verbatim, preserving the client's idempotency key end to end.
+// The first forward of a key binds it to the chosen shard; every retry (the
+// client's or this call's internal backoff) replays on that same shard,
+// where the key is remembered, so an ambiguous failure can never
+// double-absorb on a neighbor. A request the shard would not deduplicate —
+// no key, or one over transport.MaxIdempotencyKeyLen, which the shard
+// ignores — is forwarded unkeyed, never bound, and attempted once:
 // re-POSTing it after an ambiguous failure would absorb it twice, so the
 // failure surfaces and the client decides. It returns the shard's accepted
 // count; the error, if any, carries the shard's *StatusError for status relay
 // (or ErrNoReadyShards when a fresh key had nowhere to go).
-func (f *Fleet) IngestKeyed(ctx context.Context, reports []Report, key string) (int, error) {
+func (f *Fleet) IngestKeyed(ctx context.Context, frames []byte, key string) (int, error) {
 	if len(key) > transport.MaxIdempotencyKeyLen {
 		key = ""
 	}
@@ -880,15 +880,22 @@ func (f *Fleet) IngestKeyed(ctx context.Context, reports []Report, key string) (
 	}
 	var accepted int
 	err = retry.Do(ctx, pol, func(actx context.Context) error {
-		a, perr := m.rc.client.PostReportsKeyed(actx, reports, key)
+		a, perr := m.rc.client.PostFrames(actx, frames, key)
 		accepted = a
 		return classifyTransportErr(perr)
 	})
-	if err != nil {
+	// The breaker counts weather only. A definitive answer — the shard's 4xx
+	// for a batch that fails Check — means the shard is alive and talking
+	// (gather's rule for historical reads): a client's malformed batches must
+	// not gate a healthy shard out of routing.
+	if err == nil || definitive(err) {
+		m.breaker.Success()
+	} else {
 		m.breaker.Failure()
+	}
+	if err != nil {
 		return accepted, fmt.Errorf("ldp: shard %s: %w", m.endpoint, err)
 	}
-	m.breaker.Success()
 	return accepted, nil
 }
 
@@ -966,8 +973,7 @@ func (f *Fleet) gather(live bool, what string, fetch func(*RemoteCollector) (Sna
 					contributed[i] = &snap
 					return
 				}
-				var se *StatusError
-				if !live && errors.As(err, &se) && !se.Temporary() {
+				if !live && definitive(err) {
 					m.breaker.Success()
 				} else {
 					m.breaker.Failure()

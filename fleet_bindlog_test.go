@@ -28,7 +28,7 @@ func TestFleetBindingLogSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerAll(t, ctx, f1, shards)
-	if n, err := f1.IngestKeyed(ctx, reports, "sticky-key"); err != nil || n != len(reports) {
+	if n, err := f1.IngestKeyed(ctx, framed(t, reports), "sticky-key"); err != nil || n != len(reports) {
 		t.Fatalf("first keyed ingest = (%d, %v)", n, err)
 	}
 	if err := f1.Close(); err != nil {
@@ -66,7 +66,7 @@ func TestFleetBindingLogSurvivesRestart(t *testing.T) {
 	// The retry: same key, same batch. The replayed binding must route it to
 	// the original shard, whose idempotency cache replays instead of
 	// re-absorbing.
-	if n, err := f2.IngestKeyed(ctx, reports, "sticky-key"); err != nil || n != len(reports) {
+	if n, err := f2.IngestKeyed(ctx, framed(t, reports), "sticky-key"); err != nil || n != len(reports) {
 		t.Fatalf("retry across restart = (%d, %v)", n, err)
 	}
 	if got := bound.col.Count(); got != float64(len(reports)) {
@@ -77,7 +77,7 @@ func TestFleetBindingLogSurvivesRestart(t *testing.T) {
 	}
 
 	// A fresh key on the restarted fleet routes and binds normally.
-	if n, err := f2.IngestKeyed(ctx, reports, "new-key"); err != nil || n != len(reports) {
+	if n, err := f2.IngestKeyed(ctx, framed(t, reports), "new-key"); err != nil || n != len(reports) {
 		t.Fatalf("fresh key after restart = (%d, %v)", n, err)
 	}
 	total := shards[0].col.Count() + shards[1].col.Count()

@@ -1,6 +1,7 @@
 package ldp_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -101,7 +102,11 @@ func (k *keyedForwarder) forward(ctx context.Context, reports []ldp.Report) erro
 }
 
 func (k *keyedForwarder) try(ctx context.Context, b keyedBatch) error {
-	accepted, err := k.f.IngestKeyed(ctx, b.reports, b.key)
+	var frame bytes.Buffer
+	if err := ldp.EncodeReportsFrame(&frame, b.reports); err != nil {
+		return err
+	}
+	accepted, err := k.f.IngestKeyed(ctx, frame.Bytes(), b.key)
 	if err == nil {
 		return nil
 	}
@@ -128,6 +133,16 @@ func (k *keyedForwarder) settle(ctx context.Context) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// framed is reports as one report frame — the body Fleet.IngestKeyed forwards.
+func framed(t *testing.T, reports []ldp.Report) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ldp.EncodeReportsFrame(&buf, reports); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func registerAll(t *testing.T, ctx context.Context, f *ldp.Fleet, shards []*fleetShard) {

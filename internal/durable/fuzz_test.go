@@ -25,7 +25,9 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	seed(Record{})
 	seed(sampleRecord())
 	seed(Record{Epoch: 1 << 40, Key: "k", Reports: []protocol.Report{{Index: -1}}})
-	seed(Record{Digest: "d", Reports: []protocol.Report{{Bits: []bool{true}}, {Seed: 9, Index: 2}}})
+	one := protocol.NewBitVec(1)
+	one.Set(0)
+	seed(Record{Digest: "d", Reports: []protocol.Report{{Bits: one}, {Seed: 9, Index: 2}}})
 	// Two records back to back, so mutations explore the record boundary.
 	a, err := EncodeRecord(Record{Reports: []protocol.Report{{Index: 1}}})
 	if err != nil {

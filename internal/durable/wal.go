@@ -113,19 +113,20 @@ func EncodeRecord(rec Record) ([]byte, error) {
 
 // AppendRecord appends rec's encoding to buf and returns the extended slice —
 // the allocation-free path Store.Append pools on the hot ingest path. The
-// reports are framed with the transport's own encoder: a batch within the
-// single-frame limits appends in place; a larger one falls back to the
-// chunked encoder (several frames, one allocation). On error buf is returned
-// unchanged.
+// reports are framed by the transport's one cutter, AppendReportsFrames: one
+// frame for a batch within the frame limits, several for a larger one, always
+// in place. On error buf is returned unchanged.
 func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 	if len(rec.Key) > maxRecordMeta || len(rec.Digest) > maxRecordMeta {
 		return buf, fmt.Errorf("durable: record key/digest strings exceed %d bytes", maxRecordMeta)
 	}
-	// One reservation for the worst case, so the append loops never regrow:
-	// per report, flags + three maximal varints + the packed bits.
+	// One reservation for the worst case, so the appends below never regrow
+	// (under -race sync.Pool drops buffers, and every regrow is an allocation
+	// the ingest path's zero-alloc pin counts): per report, flags + two
+	// maximal varints + the bit vector's wire field.
 	worst := recordHeaderLen + 8 + 1 + len(rec.Key) + 1 + len(rec.Digest) + 4 + 14
-	for _, r := range rec.Reports {
-		worst += 1 + 3*binary.MaxVarintLen64 + (len(r.Bits)+7)/8
+	for i := range rec.Reports {
+		worst += 1 + 2*binary.MaxVarintLen64 + len(rec.Reports[i].Bits.Wire())
 	}
 	if cap(buf)-len(buf) < worst {
 		grown := make([]byte, len(buf), len(buf)+worst)
@@ -143,16 +144,10 @@ func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 	out = append(out, byte(len(rec.Digest)))
 	out = append(out, rec.Digest...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(rec.Reports)))
-	framed, err := transport.AppendReportsFrame(out, rec.Reports)
+	out, err := transport.AppendReportsFrames(out, rec.Reports)
 	if err != nil {
-		// Over the single-frame limits: chunk into several frames.
-		var pb bytes.Buffer
-		if cerr := transport.EncodeReportsChunked(&pb, rec.Reports); cerr != nil {
-			return buf, fmt.Errorf("durable: encode record reports: %w", cerr)
-		}
-		framed = append(out, pb.Bytes()...)
+		return buf, fmt.Errorf("durable: encode record reports: %w", err)
 	}
-	out = framed
 	payload := out[payloadStart:]
 	if len(payload) > MaxRecordPayload {
 		return buf, fmt.Errorf("durable: %d-byte record exceeds the %d-byte WAL record limit; split the batch", len(payload), MaxRecordPayload)

@@ -16,11 +16,15 @@ import (
 )
 
 func sampleReports() []protocol.Report {
+	bits := protocol.NewBitVec(9) // 1011 0001 1
+	for _, i := range []int{0, 2, 3, 7, 8} {
+		bits.Set(i)
+	}
 	return []protocol.Report{
 		{Index: 3},
 		{Index: -1 << 30},
 		{Seed: 0xfeedface, Index: 7},
-		{Bits: []bool{true, false, true, true, false, false, false, true, true}},
+		{Bits: bits},
 	}
 }
 

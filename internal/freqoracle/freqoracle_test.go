@@ -3,6 +3,7 @@ package freqoracle
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/linalg"
@@ -250,12 +251,12 @@ func TestAbsorbRejectsMalformed(t *testing.T) {
 	if err := oue.Absorb(acc, protocol.Report{}); err == nil {
 		t.Fatal("expected error for report without bits")
 	}
-	if err := oue.Absorb(acc, protocol.Report{Bits: make([]bool, 3)}); err == nil {
+	if err := oue.Absorb(acc, protocol.Report{Bits: protocol.NewBitVec(3)}); err == nil {
 		t.Fatal("expected error for wrong-length report")
 	}
 	olh, _ := NewOLH(4, 1)
 	oacc := make([]float64, olh.StateLen())
-	if err := olh.Absorb(oacc, protocol.Report{Bits: make([]bool, 4)}); err == nil {
+	if err := olh.Absorb(oacc, protocol.Report{Bits: protocol.NewBitVec(4)}); err == nil {
 		t.Fatal("expected error for unary report sent to OLH")
 	}
 	if err := olh.Absorb(oacc, protocol.Report{Seed: 1, Index: 99}); err == nil {
@@ -294,6 +295,75 @@ func TestRunValidatesData(t *testing.T) {
 	}
 	if _, err := run(oue, []float64{1, -2, 0}, 1); err == nil {
 		t.Fatal("expected negativity error")
+	}
+}
+
+// Randomize consumes exactly n Float64 draws per report, position 0 first:
+// bit i is (draw i < p or q). Every seeded golden, ldpload -repeat scorecard
+// and remote-equals-local check rests on this order; a second generator at
+// the same seed replays it and must stay in lockstep across reports.
+func TestUnaryRandomizeDrawOrder(t *testing.T) {
+	// Widths off the byte and word boundaries: spare bits in the final byte,
+	// and Absorb's word loop with and without a byte tail behind it.
+	for _, n := range []int{19, 64, 83} {
+		for _, mk := range []func(int, float64) (*Unary, error){NewRAPPOR, NewOUE} {
+			u, err := mk(n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng, ref := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+			acc, want := make([]float64, n), make([]float64, n)
+			for rep := 0; rep < 50; rep++ {
+				v := rep % n
+				r, err := u.Randomize(v, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Bits.Len() != n {
+					t.Fatalf("%s n=%d: %d-bit report", u.Name(), n, r.Bits.Len())
+				}
+				for i := 0; i < n; i++ {
+					keep := u.q
+					if i == v {
+						keep = u.p
+					}
+					bit := ref.Float64() < keep
+					if r.Bits.Get(i) != bit {
+						t.Fatalf("%s n=%d report %d: bit %d = %v, draw %d says %v", u.Name(), n, rep, i, !bit, i, bit)
+					}
+					if bit {
+						want[i]++
+					}
+				}
+				if err := u.Absorb(acc, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a, b := rng.Int63(), ref.Int63(); a != b {
+				t.Fatalf("%s n=%d: generator out of step after 50 reports — not exactly n draws each", u.Name(), n)
+			}
+			if !reflect.DeepEqual(acc, want) {
+				t.Fatalf("%s n=%d: Absorb counted %v, the bits say %v", u.Name(), n, acc, want)
+			}
+		}
+	}
+}
+
+// The unary hot path's cost shape: Check reads the count, Absorb walks set
+// bits in the packed bytes; neither allocates.
+func TestUnaryAbsorbCheckAllocs(t *testing.T) {
+	u, _ := NewOUE(256, 1)
+	r, err := u.Randomize(3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := make([]float64, u.StateLen())
+	if n := testing.AllocsPerRun(100, func() {
+		if u.Check(r) != nil || u.Absorb(acc, r) != nil {
+			t.Fatal("valid report refused")
+		}
+	}); n != 0 {
+		t.Fatalf("Check+Absorb allocate %v times per report, want 0", n)
 	}
 }
 

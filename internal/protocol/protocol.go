@@ -15,6 +15,8 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,9 +45,9 @@ func CheckEpsilon(eps, max float64) error {
 //   - OLH: Seed is the per-report hash seed, Index the perturbed hash value;
 //   - unary encoding (OUE / RAPPOR): Bits is the perturbed one-hot vector.
 //
-// The zero-valued fields of the unused family cost nothing on the wire
-// (encoding/gob omits zero values) and the struct is flat, so any transport —
-// gob, JSON, protobuf-alike — can carry it.
+// Reports travel in LDPF frames (internal/transport), where the zero-valued
+// fields of the unused family cost a flags bit and nothing else. The struct is
+// flat and 40 bytes; Bits is opaque and deliberately not a gob/JSON value.
 type Report struct {
 	// Index is an output index (strategy mechanisms) or the perturbed hash
 	// value (OLH).
@@ -53,7 +55,87 @@ type Report struct {
 	// Seed is the per-report hash seed (OLH only).
 	Seed uint64
 	// Bits is the perturbed unary encoding (OUE / RAPPOR only).
-	Bits []bool
+	Bits BitVec
+}
+
+// BitVec is a report's unary bit vector, held exactly as the report frame and
+// the WAL record carry it: a uvarint bit count, then ⌈count/8⌉ bytes of
+// LSB-first packed bits whose spare bits in the final byte are zero. Holding
+// the wire form means a decoded report aliases the frame it arrived in and an
+// encoder copies bytes — no layer between Randomize and Absorb packs or
+// unpacks a bit. The zero value means "no vector" (the strategy and OLH
+// families); a present vector may still be 0 bits long. The count lives inside
+// the one slice, as on the wire, so a Report stays 40 bytes.
+//
+// A BitVec is well formed by construction: NewBitVec builds one, ParseBitVec
+// validates one arriving from outside, and nothing else can make one.
+type BitVec struct {
+	wire []byte
+}
+
+// NewBitVec returns a present vector of n zero bits.
+func NewBitVec(n int) BitVec {
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], uint64(n))
+	wire := make([]byte, k+(n+7)/8)
+	copy(wire, count[:k])
+	return BitVec{wire: wire}
+}
+
+// ParseBitVec adopts the bit-vector field at the head of buf and returns it
+// with the number of bytes it occupies. The vector aliases buf — nothing is
+// copied or unpacked. This is the one place a vector from outside the process
+// is validated: the count must be a minimally-encoded uvarint no larger than
+// maxBits, the packed bytes must all be present, and the spare bits must be
+// zero, so every vector has exactly one encoding.
+func ParseBitVec(buf []byte, maxBits int) (BitVec, int, error) {
+	n, k := binary.Uvarint(buf)
+	if k <= 0 || (k > 1 && buf[k-1] == 0) {
+		return BitVec{}, 0, errors.New("bad bit count varint")
+	}
+	if n > uint64(maxBits) {
+		return BitVec{}, 0, fmt.Errorf("declares %d bits, limit %d", n, maxBits)
+	}
+	end := k + int(n+7)/8
+	if end > len(buf) {
+		return BitVec{}, 0, fmt.Errorf("declares %d bits but only %d payload bytes remain", n, len(buf)-k)
+	}
+	if n&7 != 0 && buf[end-1]>>(n&7) != 0 {
+		return BitVec{}, 0, errors.New("nonzero padding bits")
+	}
+	return BitVec{wire: buf[:end:end]}, end, nil
+}
+
+// Present reports whether the report carries a vector at all.
+func (v BitVec) Present() bool { return v.wire != nil }
+
+// Len returns the number of bits (0 for an absent vector).
+func (v BitVec) Len() int {
+	n, _ := binary.Uvarint(v.wire)
+	return int(n)
+}
+
+// Wire returns the vector as the frame carries it — count, then packed bits —
+// for an encoder to append verbatim. Callers must not modify it.
+func (v BitVec) Wire() []byte { return v.wire }
+
+// Packed returns the ⌈Len/8⌉ packed bytes: bit i is Packed()[i>>3]>>(i&7)&1.
+// The slice aliases the vector; a mechanism filling a vector it just built
+// writes through it and must leave the spare bits of the final byte zero.
+func (v BitVec) Packed() []byte {
+	_, k := binary.Uvarint(v.wire)
+	return v.wire[k:]
+}
+
+// Get reports bit i (0 ≤ i < Len).
+func (v BitVec) Get(i int) bool { return v.Packed()[i>>3]>>(i&7)&1 != 0 }
+
+// Set sets bit i (0 ≤ i < Len).
+func (v BitVec) Set(i int) {
+	if i < 0 || i >= v.Len() {
+		panic(fmt.Sprintf("protocol: bit %d out of range [0, %d)", i, v.Len()))
+	}
+	v.Packed()[i>>3] |= 1 << (i & 7)
 }
 
 // Randomizer is the client side of the protocol: it encodes one user's true

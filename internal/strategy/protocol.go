@@ -95,7 +95,7 @@ func (a *Aggregator) StateLen() int { return a.s.Outputs() }
 
 // Check validates the report's output index without touching any state.
 func (a *Aggregator) Check(r protocol.Report) error {
-	if r.Bits != nil {
+	if r.Bits.Present() {
 		return fmt.Errorf("strategy: unary-encoded report sent to a strategy aggregator")
 	}
 	if r.Index < 0 || r.Index >= a.s.Outputs() {

@@ -61,21 +61,27 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 	return c.hc.Do(req)
 }
 
-// PostReportsKeyed sends a batch of reports, chunked into as many frames as
-// the frame limits require (one frame for typical batches), and returns the
+// PostReportsKeyed sends a batch of reports, cut into as many frames as the
+// frame limits require (one frame for typical batches), and returns the
+// server's accepted count: AppendReportsFrames, then PostFrames.
+func (c *Client) PostReportsKeyed(ctx context.Context, reports []protocol.Report, key string) (int, error) {
+	frames, err := AppendReportsFrames(nil, reports)
+	if err != nil {
+		return 0, err
+	}
+	return c.PostFrames(ctx, frames, key)
+}
+
+// PostFrames POSTs an already-framed /reports body — what PostReportsKeyed
+// built, or what a router validated and forwards verbatim — and returns the
 // server's accepted count. The server applies each frame atomically; on a
 // transport error the response's accepted count says how many reports of
 // this request landed. key is the request's idempotency key: a server that
 // already absorbed a request under it replays its recorded response instead
 // of absorbing again, so a retry after a lost HTTP response cannot
 // double-count. An empty key sends an unkeyed (non-idempotent) request.
-func (c *Client) PostReportsKeyed(ctx context.Context, reports []protocol.Report, key string) (int, error) {
-	var buf bytes.Buffer
-	if err := EncodeReportsChunked(&buf, reports); err != nil {
-		return 0, err
-	}
-	body := buf.Bytes()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/reports", bytes.NewReader(body))
+func (c *Client) PostFrames(ctx context.Context, frames []byte, key string) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/reports", bytes.NewReader(frames))
 	if err != nil {
 		return 0, err
 	}
@@ -88,7 +94,7 @@ func (c *Client) PostReportsKeyed(ctx context.Context, reports []protocol.Report
 		return 0, err
 	}
 	defer drain(resp)
-	var ir ingestResponse
+	var ir IngestResponse
 	jsonErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ir)
 	if resp.StatusCode != http.StatusOK {
 		msg := ir.Error
@@ -124,7 +130,7 @@ func (c *Client) PostQuery(ctx context.Context, q QueryRequest, fn func(QueryRow
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		var ir ingestResponse
+		var ir IngestResponse
 		msg := ""
 		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ir) == nil {
 			msg = ir.Error

@@ -20,8 +20,11 @@
 //	  flags uint8          bit0 = has Seed, bit1 = has Bits
 //	  index uvarint        zigzag-encoded Report.Index
 //	  seed  uvarint        only when bit0 is set
-//	  nbits uvarint        only when bit1 is set
-//	  bits  ⌈nbits/8⌉ bytes LSB-first packed booleans
+//	  nbits uvarint        only when bit1 is set; minimally encoded
+//	  bits  ⌈nbits/8⌉ bytes LSB-first packed booleans, spare bits zero
+//
+// nbits+bits is the bit-vector field; protocol.BitVec, the in-memory form of
+// Report.Bits, is this field byte for byte.
 //
 // A version-1 snapshot payload is the bare accumulator:
 //
@@ -45,20 +48,24 @@
 // Writers emit version 2; readers accept both, so a new ldpfed can merge
 // snapshots from an old ldpserve (the metadata simply comes back empty).
 //
-// Decoders are strict: every length is bounds-checked against both a hard
-// limit and the remaining payload before any allocation, payloads must be
-// consumed exactly (trailing bytes are an error), and malformed input always
-// returns an error — never a panic and never an attacker-sized allocation.
-// The fuzz targets in fuzz_test.go enforce this.
+// Decoders are strict: a frame's declared length is checked against its
+// kind's hard limit before readFrame allocates it (so one frame reserves at
+// most that cap — the declared length, not the bytes that follow, sizes the
+// allocation), every length inside a payload is bounds-checked against the
+// remaining bytes, payloads must be consumed exactly (trailing bytes are an
+// error), and malformed input always returns an error — never a panic and
+// never an allocation past the caps. The fuzz targets in fuzz_test.go enforce
+// this.
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/protocol"
 )
@@ -174,13 +181,28 @@ const (
 	flagBits = 1 << 1
 )
 
+// reportLen is the exact encoded size of one report — O(1), because the bit
+// vector is held in wire form — which is what lets AppendReportsFrames cut
+// frames without encoding anything twice.
+func reportLen(r *protocol.Report) int {
+	n := 1 + uvarintLen(zigzag(r.Index)) + len(r.Bits.Wire())
+	if r.Seed != 0 {
+		n += uvarintLen(r.Seed)
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps a signed index to the unsigned value its uvarint carries.
+func zigzag(i int) uint64 { return uint64(int64(i))<<1 ^ uint64(int64(i)>>63) }
+
 // appendReport serializes one report. The pointer parameter and the
 // index-only fast path matter: this is the per-report inner loop of the
 // durable WAL's ingest-path encoder.
 func appendReport(buf []byte, r *protocol.Report) []byte {
-	idx := int64(r.Index)
-	zig := uint64(idx)<<1 ^ uint64(idx>>63)
-	if r.Seed == 0 && r.Bits == nil {
+	zig := zigzag(r.Index)
+	if r.Seed == 0 && !r.Bits.Present() {
 		// Index-only report (strategy mechanisms): flags byte + varint.
 		if zig < 0x80 {
 			return append(buf, 0, byte(zig))
@@ -191,7 +213,7 @@ func appendReport(buf []byte, r *protocol.Report) []byte {
 	if r.Seed != 0 {
 		flags |= flagSeed
 	}
-	if r.Bits != nil {
+	if r.Bits.Present() {
 		flags |= flagBits
 	}
 	buf = append(buf, flags)
@@ -199,30 +221,15 @@ func appendReport(buf []byte, r *protocol.Report) []byte {
 	if flags&flagSeed != 0 {
 		buf = binary.AppendUvarint(buf, r.Seed)
 	}
-	if flags&flagBits != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Bits)))
-		var acc byte
-		for i, b := range r.Bits {
-			if b {
-				acc |= 1 << (i & 7)
-			}
-			if i&7 == 7 {
-				buf = append(buf, acc)
-				acc = 0
-			}
-		}
-		if len(r.Bits)&7 != 0 {
-			buf = append(buf, acc)
-		}
-	}
-	return buf
+	// The vector's in-memory form is its wire field (empty when absent).
+	return append(buf, r.Bits.Wire()...)
 }
 
 // AppendReportsFrame appends one complete report-batch frame to buf and
-// returns the extended slice — the allocation-free form of EncodeReports for
-// callers that embed frames into their own buffers (the durable WAL's record
-// encoder is the motivating one: it pools buffers on a hot ingest path). The
-// batch must respect the frame limits; on error buf is returned unchanged.
+// returns the extended slice. The batch must respect the frame limits (report
+// count, per-report bit width, total payload bytes) — AppendReportsFrames
+// cuts a batch of any size into frames that do; on error buf is returned
+// unchanged.
 func AppendReportsFrame(buf []byte, reports []protocol.Report) ([]byte, error) {
 	if len(reports) > MaxBatchReports {
 		return buf, fmt.Errorf("transport: %d reports exceed the %d-report frame limit; split the batch", len(reports), MaxBatchReports)
@@ -235,8 +242,8 @@ func AppendReportsFrame(buf []byte, reports []protocol.Report) ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(reports)))
 	for i := range reports {
 		r := &reports[i]
-		if len(r.Bits) > MaxReportBits {
-			return buf, fmt.Errorf("transport: report %d carries %d bits, over the %d-bit frame limit", i, len(r.Bits), MaxReportBits)
+		if r.Bits.Len() > MaxReportBits {
+			return buf, fmt.Errorf("transport: report %d carries %d bits, over the %d-bit frame limit", i, r.Bits.Len(), MaxReportBits)
 		}
 		out = appendReport(out, r)
 	}
@@ -248,63 +255,44 @@ func AppendReportsFrame(buf []byte, reports []protocol.Report) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeReports writes one report-batch frame. The batch must respect the
-// frame limits (report count, per-report bit width, total payload bytes);
-// EncodeReportsChunked splits arbitrarily large batches instead of erroring.
-func EncodeReports(w io.Writer, reports []protocol.Report) error {
-	buf, err := AppendReportsFrame(make([]byte, 0, headerLen+4+8*len(reports)), reports)
+// AppendReportsFrames appends a batch as one or more frames — the one frame
+// cutter the client's request body, the WAL record and EncodeReportsChunked
+// share. It is greedy by exact size: a new frame starts where the next report
+// would push the payload past MaxReportsPayload or the count past
+// MaxBatchReports — the encoder-side mirror of the decoder's caps, so any
+// batch of individually-encodable reports (≤ MaxReportBits bits each) ships,
+// regardless of count or unary width. An empty batch appends one empty frame.
+// Atomicity is per frame: a receiver applies each frame independently. On
+// error buf is returned unchanged.
+func AppendReportsFrames(buf []byte, reports []protocol.Report) ([]byte, error) {
+	out := buf
+	for first := true; first || len(reports) > 0; first = false {
+		n, plen := 0, 4
+		for n < len(reports) && n < MaxBatchReports {
+			rl := reportLen(&reports[n])
+			if n > 0 && plen+rl > MaxReportsPayload {
+				break
+			}
+			n, plen = n+1, plen+rl
+		}
+		var err error
+		if out, err = AppendReportsFrame(slices.Grow(out, headerLen+plen), reports[:n]); err != nil {
+			return buf, err
+		}
+		reports = reports[n:]
+	}
+	return out, nil
+}
+
+// EncodeReportsChunked is AppendReportsFrames onto an io.Writer: the whole
+// batch is framed, then written once.
+func EncodeReportsChunked(w io.Writer, reports []protocol.Report) error {
+	buf, err := AppendReportsFrames(nil, reports)
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(buf)
 	return err
-}
-
-// EncodeReportsChunked writes a batch as one or more frames, cutting a new
-// frame whenever the next report would push the payload over the frame
-// limits — the encoder-side mirror of the decoder's caps, so any batch of
-// individually-encodable reports (≤ MaxReportBits bits each) ships,
-// regardless of count or unary width. An empty batch writes one empty frame.
-// Atomicity is per frame: a receiver applies each chunk independently.
-func EncodeReportsChunked(w io.Writer, reports []protocol.Report) error {
-	buf := make([]byte, 4, 4096)
-	count := 0
-	flush := func() error {
-		binary.BigEndian.PutUint32(buf, uint32(count))
-		if err := writeFrame(w, frameVersion, kindReports, buf); err != nil {
-			return err
-		}
-		buf, count = buf[:4], 0
-		return nil
-	}
-	for i := range reports {
-		r := &reports[i]
-		if len(r.Bits) > MaxReportBits {
-			return fmt.Errorf("transport: report %d carries %d bits, over the %d-bit frame limit", i, len(r.Bits), MaxReportBits)
-		}
-		mark := len(buf)
-		buf = appendReport(buf, r)
-		if len(buf) > MaxReportsPayload && count > 0 {
-			// Ship the frame without the overflowing report, then restart
-			// the new frame with it.
-			over := append([]byte(nil), buf[mark:]...)
-			buf = buf[:mark]
-			if err := flush(); err != nil {
-				return err
-			}
-			buf = append(buf, over...)
-		}
-		count++
-		if count == MaxBatchReports {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if count > 0 || len(reports) == 0 {
-		return flush()
-	}
-	return nil
 }
 
 // decodeUvarint reads one uvarint from buf, rejecting truncation and values
@@ -318,8 +306,11 @@ func decodeUvarint(buf []byte) (uint64, int, error) {
 }
 
 // DecodeReports reads one report-batch frame. A stream exhausted exactly at a
-// frame boundary returns (nil, ErrFrameEOF). Allocation is proportional to
-// the bytes actually present, never to a declared length alone.
+// frame boundary returns (nil, ErrFrameEOF). What it allocates does not depend
+// on the reports' width: the payload readFrame read (the declared length,
+// capped at MaxReportsPayload) and the []Report. A decoded report's bit
+// vector aliases that payload — nothing is unpacked or copied — so the
+// payload lives as long as any report of the frame does.
 func DecodeReports(r io.Reader) ([]protocol.Report, error) {
 	payload, err := readFrame(r, kindReports)
 	if err != nil {
@@ -363,28 +354,12 @@ func DecodeReports(r io.Reader) ([]protocol.Report, error) {
 			buf = buf[n:]
 		}
 		if flags&flagBits != 0 {
-			nbits, n, err := decodeUvarint(buf)
-			if err != nil {
-				return nil, fmt.Errorf("transport: report %d bit count: %w", i, err)
+			// The vector adopts its bytes in place; ParseBitVec is where the
+			// count cap, the length and the zero padding are enforced.
+			if rep.Bits, n, err = protocol.ParseBitVec(buf, MaxReportBits); err != nil {
+				return nil, fmt.Errorf("transport: report %d bits: %w", i, err)
 			}
 			buf = buf[n:]
-			if nbits > MaxReportBits {
-				return nil, fmt.Errorf("transport: report %d declares %d bits, limit %d", i, nbits, MaxReportBits)
-			}
-			nbytes := int((nbits + 7) / 8)
-			if nbytes > len(buf) {
-				return nil, fmt.Errorf("transport: report %d declares %d bits but only %d payload bytes remain", i, nbits, len(buf))
-			}
-			rep.Bits = make([]bool, nbits)
-			for j := range rep.Bits {
-				rep.Bits[j] = buf[j>>3]&(1<<(j&7)) != 0
-			}
-			// Spare bits in the final byte must be zero, so every batch has
-			// exactly one encoding.
-			if nbits&7 != 0 && buf[nbytes-1]>>(nbits&7) != 0 {
-				return nil, fmt.Errorf("transport: report %d has nonzero padding bits", i)
-			}
-			buf = buf[nbytes:]
 		}
 		reports = append(reports, rep)
 	}
@@ -589,14 +564,4 @@ func DecodeSnapshotFrame(r io.Reader) (Snapshot, error) {
 		}
 	}
 	return s, nil
-}
-
-// encodeReportsBytes is EncodeReports into memory (the client's request-body
-// builder and tests share it).
-func encodeReportsBytes(reports []protocol.Report) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeReports(&buf, reports); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,32 @@ import (
 	"repro/internal/protocol"
 )
 
+// bitsOf builds a bit vector from literal bits.
+func bitsOf(bs ...bool) protocol.BitVec {
+	v := protocol.NewBitVec(len(bs))
+	for i, b := range bs {
+		if b {
+			v.Set(i)
+		}
+	}
+	return v
+}
+
+// EncodeReports writes one report-batch frame; encodeReportsBytes is the same
+// into memory. Test-side conveniences over AppendReportsFrame.
+func EncodeReports(w io.Writer, reports []protocol.Report) error {
+	buf, err := encodeReportsBytes(reports)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+func encodeReportsBytes(reports []protocol.Report) ([]byte, error) {
+	return AppendReportsFrame(nil, reports)
+}
+
 func sampleReports() []protocol.Report {
 	return []protocol.Report{
 		{Index: 0},
@@ -19,10 +46,35 @@ func sampleReports() []protocol.Report {
 		{Index: -3}, // hostile index; the framing must carry it verbatim
 		{Seed: 0xdeadbeefcafe, Index: 2},
 		{Seed: math.MaxUint64, Index: 7},
-		{Bits: []bool{}},
-		{Bits: []bool{true}},
-		{Bits: []bool{true, false, true, true, false, false, true, false, true}},
+		{Bits: bitsOf()},
+		{Bits: bitsOf(true)},
+		{Bits: bitsOf(true, false, true, true, false, false, true, false, true)},
 	}
+}
+
+// parentFrameCounts is the cutting rule EncodeReportsChunked has always had,
+// restated as a reference: encode report by report, and start a new frame
+// where the next report would take the payload past MaxReportsPayload or the
+// count past MaxBatchReports. The one cutter must reproduce it exactly.
+func parentFrameCounts(reports []protocol.Report) []int {
+	var counts []int
+	count, plen := 0, 4
+	for i := range reports {
+		rl := len(appendReport(nil, &reports[i]))
+		if plen+rl > MaxReportsPayload && count > 0 {
+			counts = append(counts, count)
+			count, plen = 0, 4
+		}
+		count, plen = count+1, plen+rl
+		if count == MaxBatchReports {
+			counts = append(counts, count)
+			count, plen = 0, 4
+		}
+	}
+	if count > 0 || len(reports) == 0 {
+		counts = append(counts, count)
+	}
+	return counts
 }
 
 func TestReportsRoundTrip(t *testing.T) {
@@ -90,14 +142,13 @@ func TestReportsStream(t *testing.T) {
 func TestReportsChunkedRoundTrip(t *testing.T) {
 	// 66 reports × 1 Mi bits ≈ 8.25 MiB of packed bits: just over one
 	// frame's payload cap, forcing a byte-driven split well before the
-	// count limit (and keeping the -race run affordable — every bool is
-	// instrumented).
+	// count limit.
 	const nbits = 1 << 20
 	reports := make([]protocol.Report, 66)
 	for i := range reports {
-		bits := make([]bool, nbits)
+		bits := protocol.NewBitVec(nbits)
 		for j := 0; j < 64; j++ {
-			bits[(i*131+j*977)%nbits] = true
+			bits.Set((i*131 + j*977) % nbits)
 		}
 		reports[i] = protocol.Report{Index: i, Bits: bits}
 	}
@@ -106,7 +157,7 @@ func TestReportsChunkedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []protocol.Report
-	frames := 0
+	var frames []int
 	for {
 		batch, err := DecodeReports(&buf)
 		if err == ErrFrameEOF {
@@ -115,11 +166,14 @@ func TestReportsChunkedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames++
+		frames = append(frames, len(batch))
 		got = append(got, batch...)
 	}
-	if frames < 2 {
-		t.Fatalf("oversized batch landed in %d frame(s), expected a split", frames)
+	if len(frames) < 2 {
+		t.Fatalf("oversized batch landed in %d frame(s), expected a split", len(frames))
+	}
+	if want := parentFrameCounts(reports); !reflect.DeepEqual(frames, want) {
+		t.Fatalf("frame boundaries %v, want the parent rule's %v", frames, want)
 	}
 	if len(got) != len(reports) {
 		t.Fatalf("chunked round trip: %d reports, want %d", len(got), len(reports))
@@ -131,11 +185,11 @@ func TestReportsChunkedRoundTrip(t *testing.T) {
 	}
 
 	// A single report over the bit cap cannot be split — clear error.
-	if err := EncodeReportsChunked(&buf, []protocol.Report{{Bits: make([]bool, MaxReportBits+1)}}); err == nil {
+	if err := EncodeReportsChunked(&buf, []protocol.Report{{Bits: protocol.NewBitVec(MaxReportBits + 1)}}); err == nil {
 		t.Fatal("unencodable report accepted")
 	}
 	// The single-frame encoder enforces the same cap.
-	if err := EncodeReports(&buf, []protocol.Report{{Bits: make([]bool, MaxReportBits+1)}}); err == nil {
+	if err := EncodeReports(&buf, []protocol.Report{{Bits: protocol.NewBitVec(MaxReportBits + 1)}}); err == nil {
 		t.Fatal("unencodable report accepted by EncodeReports")
 	}
 
@@ -169,6 +223,38 @@ func TestReportsChunkedCountLimit(t *testing.T) {
 	}
 	if len(first) != MaxBatchReports || len(second) != 3 {
 		t.Fatalf("split %d + %d, want %d + 3", len(first), len(second), MaxBatchReports)
+	}
+	if want := parentFrameCounts(reports); !reflect.DeepEqual(want, []int{MaxBatchReports, 3}) {
+		t.Fatalf("the reference rule cuts %v here", want)
+	}
+}
+
+// The cost shape the wire-form bit vector buys: decoding a unary frame makes
+// the same three allocations — the header readFrame reads into, the payload
+// and the []Report — whether the frame holds 32 reports or 256. Each decoded
+// vector aliases the payload; none is unpacked.
+func TestDecodeReportsAllocShape(t *testing.T) {
+	allocs := func(count int) float64 {
+		reports := make([]protocol.Report, count)
+		for i := range reports {
+			reports[i].Bits = protocol.NewBitVec(256)
+			reports[i].Bits.Set(i)
+			reports[i].Bits.Set(255 - i%7)
+		}
+		frame, err := encodeReportsBytes(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(frame)
+		return testing.AllocsPerRun(50, func() {
+			r.Reset(frame)
+			if got, err := DecodeReports(r); err != nil || len(got) != count || !got[count-1].Bits.Get(count-1) {
+				t.Fatalf("decode of %d reports: %d, %v", count, len(got), err)
+			}
+		})
+	}
+	if small, large := allocs(32), allocs(256); small != large || large > 3 {
+		t.Fatalf("DecodeReports allocates %v times for 32 OUE reports and %v for 256; want the same count, at most 3", small, large)
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -36,6 +37,21 @@ func FuzzDecodeReportFrame(f *testing.F) {
 	f.Add(multi.Bytes())
 	f.Add([]byte("LDPF"))
 	f.Add([]byte{})
+	// The bit-vector field is adopted in place, not unpacked, so its edge
+	// shapes are seeded by hand: a width that is not a multiple of 8, a
+	// present-but-empty vector, and the encodings ParseBitVec must refuse.
+	n19 := protocol.NewBitVec(19)
+	n19.Set(0)
+	n19.Set(18)
+	seed([]protocol.Report{{Bits: n19}, {Bits: protocol.NewBitVec(0)}})
+	unary := func(field ...byte) {
+		payload := append([]byte{0, 0, 0, 1, flagBits, 0}, field...)
+		f.Add(frameWithPayload(kindReports, payload))
+	}
+	unary(19, 0x01, 0x00, 0x0C)                               // bit 19 set: nonzero padding
+	unary(binary.AppendUvarint(nil, MaxReportBits+1)...)      // count over the cap
+	unary(0x83, 0x00, 0x05)                                   // 3 bits, count varint one byte too long
+	unary(append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0)...) // count varint over 64 bits
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -43,6 +59,13 @@ func FuzzDecodeReportFrame(f *testing.F) {
 			reports, err := DecodeReports(r)
 			if err != nil {
 				return // ErrFrameEOF or a rejection — both fine, no panic is the point
+			}
+			for i, rep := range reports {
+				// What Unary.Absorb relies on: no set bit at or past Len.
+				packed := rep.Bits.Packed()
+				if n := rep.Bits.Len(); len(packed) != (n+7)/8 || n&7 != 0 && packed[len(packed)-1]>>(n&7) != 0 {
+					t.Fatalf("report %d: adopted a malformed %d-bit vector % x", i, n, rep.Bits.Wire())
+				}
 			}
 			reencoded, err := encodeReportsBytes(reports)
 			if err != nil {
@@ -150,6 +173,6 @@ func sampleReportsF() []protocol.Report {
 	return []protocol.Report{
 		{Index: 3},
 		{Seed: 0x1234, Index: 1},
-		{Bits: []bool{true, false, true}},
+		{Bits: bitsOf(true, false, true)},
 	}
 }

@@ -159,7 +159,7 @@ type idemOutcome struct {
 	key    string
 	done   chan struct{} // closed once status/resp are recorded
 	status int
-	resp   ingestResponse
+	resp   IngestResponse
 }
 
 // idemCache is a mutex-guarded bounded LRU of request outcomes keyed by
@@ -213,7 +213,7 @@ func (c *idemCache) evictLocked() {
 // seed inserts an already-finished outcome for key (skipped if the key is
 // present). Recovery uses it to pre-answer retries of batches the write-ahead
 // log proves were absorbed before a restart.
-func (c *idemCache) seed(key string, status int, resp ingestResponse) {
+func (c *idemCache) seed(key string, status int, resp IngestResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byKey[key]; ok {
@@ -227,7 +227,7 @@ func (c *idemCache) seed(key string, status int, resp ingestResponse) {
 
 // finish records the outcome on a claimed entry and wakes every waiter. The
 // entry keeps serving replays until evicted.
-func (c *idemCache) finish(entry *idemOutcome, status int, resp ingestResponse) {
+func (c *idemCache) finish(entry *idemOutcome, status int, resp IngestResponse) {
 	c.mu.Lock()
 	entry.status, entry.resp = status, resp
 	c.mu.Unlock()
@@ -260,7 +260,7 @@ func isDone(ch chan struct{}) bool {
 // outcome reads a finished entry's recorded response (valid once done is
 // closed; ok reports whether an outcome was recorded at all, false after an
 // abort).
-func (c *idemCache) outcome(entry *idemOutcome) (int, ingestResponse, bool) {
+func (c *idemCache) outcome(entry *idemOutcome) (int, IngestResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return entry.status, entry.resp, entry.status != 0
@@ -469,15 +469,17 @@ func (s *Server) SeedIdempotency(keys []SeededKey) {
 		if k.Key == "" || len(k.Key) > MaxIdempotencyKeyLen {
 			continue
 		}
-		s.idem.seed(k.Key, http.StatusConflict, ingestResponse{
+		s.idem.seed(k.Key, http.StatusConflict, IngestResponse{
 			Accepted: k.Accepted,
 			Error:    "request interrupted by a collector restart; the accepted count is what the write-ahead log recovered under this key",
 		})
 	}
 }
 
-// ingestResponse is the POST /reports JSON response body.
-type ingestResponse struct {
+// IngestResponse is the POST /reports JSON response body (and the error body
+// of POST /query) — exported so a router in front of the shards answers in
+// the shard's own type.
+type IngestResponse struct {
 	Accepted int    `json:"accepted"`
 	Error    string `json:"error,omitempty"`
 }
@@ -488,7 +490,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	// keyed batch stays intact and lands on a ready shard or a later retry.
 	if ready, reason := s.readiness(); !ready {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, ingestResponse{Error: "collector not ready: " + reason})
+		WriteJSON(w, http.StatusServiceUnavailable, IngestResponse{Error: "collector not ready: " + reason})
 		return
 	}
 	// Bound the body before any decoding: a frame decoder never sees more
@@ -517,7 +519,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		}
 		if status, resp, ok := s.idem.outcome(entry); ok {
 			s.idemReplays.Inc()
-			writeJSON(w, status, resp)
+			WriteJSON(w, status, resp)
 			return
 		}
 	}
@@ -532,7 +534,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	finish := func(status int, resp ingestResponse) {
+	finish := func(status int, resp IngestResponse) {
 		// Both outcomes are remembered: a replayed 400 carries the same
 		// accepted count as the original, so the client trims exactly the
 		// prefix the server really applied even when the first response
@@ -541,7 +543,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			s.idem.finish(claim, status, resp)
 			finished = true
 		}
-		writeJSON(w, status, resp)
+		WriteJSON(w, status, resp)
 	}
 	accepted := 0
 	for {
@@ -556,7 +558,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 				status = http.StatusRequestEntityTooLarge
 			}
 			s.decodeRejects.Inc()
-			finish(status, ingestResponse{Accepted: accepted, Error: err.Error()})
+			finish(status, IngestResponse{Accepted: accepted, Error: err.Error()})
 			return
 		}
 		// The key rides down with each frame: a durable backend logs it with
@@ -568,7 +570,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &se) {
 				status = se.StatusCode
 			}
-			resp := ingestResponse{Accepted: accepted, Error: err.Error()}
+			resp := IngestResponse{Accepted: accepted, Error: err.Error()}
 			if se != nil && se.Temporary() {
 				if accepted == 0 {
 					// The backend cannot absorb right now (a failed WAL append)
@@ -576,7 +578,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 					// and leave the claim to the deferred abort, so a same-key
 					// retry reaches the backend again instead of a cached error.
 					w.Header().Set("Retry-After", "1")
-					writeJSON(w, status, resp)
+					WriteJSON(w, status, resp)
 					return
 				}
 				// Earlier frames of this request are already absorbed, so a
@@ -590,21 +592,21 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		}
 		accepted += len(reports)
 	}
-	finish(http.StatusOK, ingestResponse{Accepted: accepted})
+	finish(http.StatusOK, IngestResponse{Accepted: accepted})
 }
 
-// trackingWriter records whether any response bytes went out, deciding
+// TrackingWriter records whether any response bytes went out, deciding
 // between a clean error status and a connection abort when a query fails.
-type trackingWriter struct {
-	w     io.Writer
-	wrote bool
+type TrackingWriter struct {
+	W     io.Writer
+	Wrote bool
 }
 
-func (t *trackingWriter) Write(p []byte) (int, error) {
+func (t *TrackingWriter) Write(p []byte) (int, error) {
 	if len(p) > 0 {
-		t.wrote = true
+		t.Wrote = true
 	}
-	return t.w.Write(p)
+	return t.W.Write(p)
 }
 
 // handleQuery serves POST /query: one query-request frame in, a stream of
@@ -613,13 +615,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, headerLen+MaxQueryPayload)
 	q, err := DecodeQueryFrame(r.Body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ingestResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, IngestResponse{Error: err.Error()})
 		return
 	}
-	tw := &trackingWriter{w: w}
+	tw := &TrackingWriter{W: w}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := s.backend.Query(q, tw); err != nil {
-		if tw.wrote {
+		if tw.Wrote {
 			// The stream is committed; drop the connection so the client sees
 			// a truncated result instead of a silently short one.
 			panic(http.ErrAbortHandler)
@@ -629,7 +631,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &se) {
 			status = se.StatusCode
 		}
-		writeJSON(w, status, ingestResponse{Error: err.Error()})
+		WriteJSON(w, status, IngestResponse{Error: err.Error()})
 	}
 }
 
@@ -685,7 +687,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.backend.Durability(); ok {
 		h.Durability = &d
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // readyzResponse is the GET /readyz JSON body.
@@ -703,10 +705,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, readyzResponse{Ready: ready, Reason: reason})
+	WriteJSON(w, status, readyzResponse{Ready: ready, Reason: reason})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {

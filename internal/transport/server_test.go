@@ -282,7 +282,7 @@ func TestTemporaryBackendErrorIsRetryableNotCached(t *testing.T) {
 	backend.mu.Lock()
 	backend.failWith, backend.passFirst = outage, 1
 	backend.mu.Unlock()
-	post := func() (int, ingestResponse) {
+	post := func() (int, IngestResponse) {
 		var body bytes.Buffer
 		for _, frame := range [][]protocol.Report{batch, {{Index: 3}}} {
 			if err := EncodeReports(&body, frame); err != nil {
@@ -299,7 +299,7 @@ func TestTemporaryBackendErrorIsRetryableNotCached(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var ir ingestResponse
+		var ir IngestResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func claimFinished(t *testing.T, c *idemCache, key string, accepted int) {
 	if !owner {
 		t.Fatalf("key %q already claimed", key)
 	}
-	c.finish(e, 200, ingestResponse{Accepted: accepted})
+	c.finish(e, 200, IngestResponse{Accepted: accepted})
 }
 
 // The key LRU is bounded: inserting past capacity evicts the least recently

@@ -261,7 +261,7 @@ func TestClientServerProtocol(t *testing.T) {
 		t.Fatal("expected range error")
 	}
 	// Family confusion rejected: a unary report has no meaning here.
-	if err := server.Ingest(ldp.Report{Bits: make([]bool, n)}); err == nil {
+	if err := server.Ingest(ldp.Report{Bits: ldp.NewBitVec(n)}); err == nil {
 		t.Fatal("expected family error")
 	}
 }

@@ -13,9 +13,18 @@ import (
 
 // Report is the single wire format every mechanism's client report travels
 // in: strategy-matrix mechanisms fill Index, OLH fills Seed+Index, unary
-// encoding (OUE/RAPPOR) fills Bits. The struct is flat and gob/JSON-friendly,
-// so any transport can carry it.
+// encoding (OUE/RAPPOR) fills Bits. Reports travel in LDPF frames (see the
+// README's wire appendix); the struct is flat, and Bits is opaque —
+// deliberately not a gob/JSON value.
 type Report = protocol.Report
+
+// BitVec is a unary report's bit vector, held in the exact form the report
+// frame and the WAL record carry it (see protocol.BitVec). The zero value
+// means "no vector".
+type BitVec = protocol.BitVec
+
+// NewBitVec returns a present vector of n zero bits; fill it with Set.
+func NewBitVec(n int) BitVec { return protocol.NewBitVec(n) }
 
 // Randomizer is the client side of the streaming protocol: it encodes one
 // user's true type into a randomized Report. Both mechanism families

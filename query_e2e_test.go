@@ -156,7 +156,7 @@ func TestFleetServerQueryEndToEnd(t *testing.T) {
 
 	ctx := context.Background()
 	for i := 0; i < total; i++ {
-		if _, err := f.IngestKeyed(ctx, []ldp.Report{{Index: i % domain}}, ""); err != nil {
+		if _, err := f.IngestKeyed(ctx, framed(t, []ldp.Report{{Index: i % domain}}), ""); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}

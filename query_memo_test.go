@@ -25,8 +25,8 @@ func TestQueryDigestMemoHitsAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		bits := make([]bool, n)
-		bits[i%n] = true
+		bits := NewBitVec(n)
+		bits.Set(i % n)
 		if err := col.Ingest(Report{Bits: bits}); err != nil {
 			t.Fatal(err)
 		}

@@ -125,14 +125,17 @@ func DefaultRemoteRetryPolicy() RetryPolicy {
 // non-temporary status (the 4xx family) is a fact a retry cannot change,
 // while network failures, timeouts, and 5xx/429 responses are weather.
 func classifyTransportErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *transport.StatusError
-	if errors.As(err, &se) && !se.Temporary() {
+	if definitive(err) {
 		return retry.Definitive(err)
 	}
 	return err
+}
+
+// definitive reports whether err carries a server's definitive answer — a
+// non-temporary *StatusError: the server is alive and said no.
+func definitive(err error) bool {
+	var se *transport.StatusError
+	return errors.As(err, &se) && !se.Temporary()
 }
 
 // RemoteOption configures a RemoteCollector.

@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,7 +22,12 @@ const IdempotencyKeyHeader = transport.IdempotencyKeyHeader
 // EncodeReportsFrame writes one length-prefixed report frame — the POST
 // /reports body unit — re-exported for raw-protocol clients and tests.
 func EncodeReportsFrame(w io.Writer, reports []Report) error {
-	return transport.EncodeReports(w, reports)
+	frame, err := transport.AppendReportsFrame(nil, reports)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
 }
 
 // Coverage headers a FleetServer stamps on GET /snapshot responses, so a
@@ -132,51 +138,36 @@ func (s *FleetServer) isDraining() bool {
 	return s.draining
 }
 
-// ingestJSON mirrors the shard transport's POST /reports response body, so
-// transport.Client parses router responses identically.
-type ingestJSON struct {
-	Accepted int    `json:"accepted"`
-	Error    string `json:"error,omitempty"`
-}
-
-func writeRouterJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
+// handleReports validates the request's frames with the shard's own decoder
+// and forwards the bytes it validated, verbatim, under the request's key. The
+// router holds no reports and runs no encoder; a structurally malformed body
+// is refused here with nothing forwarded and no key bound. What a frame
+// *means* — Check against the mechanism, per-frame atomicity, the accepted
+// count — is the shard's answer, relayed exactly as a direct POST of the same
+// body would have read it.
 func (s *FleetServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		w.Header().Set("Retry-After", "1")
-		writeRouterJSON(w, http.StatusServiceUnavailable, ingestJSON{Error: "router draining"})
+		transport.WriteJSON(w, http.StatusServiceUnavailable, transport.IngestResponse{Error: "router draining"})
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxRequestBytes)
-	key := r.Header.Get(transport.IdempotencyKeyHeader)
-
-	// Decode the whole body first: the forward must be all-or-nothing so the
-	// key binds to exactly one downstream request and replays are exact.
-	var reports []Report
-	for {
-		batch, err := transport.DecodeReports(r.Body)
-		if err == transport.ErrFrameEOF {
-			break
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxRequestBytes))
+	for frames := bytes.NewReader(body); err == nil; {
+		_, err = transport.DecodeReports(frames)
+	}
+	if err != transport.ErrFrameEOF {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
 		}
-		if err != nil {
-			status := http.StatusBadRequest
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeRouterJSON(w, status, ingestJSON{Error: err.Error()})
-			return
-		}
-		reports = append(reports, batch...)
+		transport.WriteJSON(w, status, transport.IngestResponse{Error: err.Error()})
+		return
 	}
 
-	accepted, err := s.fleet.IngestKeyed(r.Context(), reports, key)
+	accepted, err := s.fleet.IngestKeyed(r.Context(), body, r.Header.Get(transport.IdempotencyKeyHeader))
 	if err == nil {
-		writeRouterJSON(w, http.StatusOK, ingestJSON{Accepted: accepted})
+		transport.WriteJSON(w, http.StatusOK, transport.IngestResponse{Accepted: accepted})
 		return
 	}
 	// Relay the shard's definitive answer verbatim; everything else — no
@@ -184,11 +175,11 @@ func (s *FleetServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	// retry through (same key, same binding, no double-absorb).
 	var se *StatusError
 	if errors.As(err, &se) && !se.Temporary() {
-		writeRouterJSON(w, se.StatusCode, ingestJSON{Accepted: accepted, Error: err.Error()})
+		transport.WriteJSON(w, se.StatusCode, transport.IngestResponse{Accepted: accepted, Error: se.Msg})
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeRouterJSON(w, http.StatusServiceUnavailable, ingestJSON{Accepted: accepted, Error: err.Error()})
+	transport.WriteJSON(w, http.StatusServiceUnavailable, transport.IngestResponse{Accepted: accepted, Error: err.Error()})
 }
 
 func (s *FleetServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -241,21 +232,6 @@ func (s *FleetServer) queryEngine() (Aggregator, *EstimatorPool) {
 	return s.queryAgg, s.queryPool
 }
 
-// routerTrackingWriter mirrors the shard transport's written-bytes tracking:
-// an error before the first byte maps to a status, after it the connection is
-// aborted so the client sees a truncated stream.
-type routerTrackingWriter struct {
-	w     io.Writer
-	wrote bool
-}
-
-func (t *routerTrackingWriter) Write(p []byte) (int, error) {
-	if len(p) > 0 {
-		t.wrote = true
-	}
-	return t.w.Write(p)
-}
-
 // handleQuery answers a workload query over the fleet's merged snapshot.
 // Reads stay up while draining, exactly like GET /snapshot.
 func (s *FleetServer) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -267,7 +243,7 @@ func (s *FleetServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, int64(transport.MaxQueryPayload)+64)
 	q, err := transport.DecodeQueryFrame(r.Body)
 	if err != nil {
-		writeRouterJSON(w, http.StatusBadRequest, ingestJSON{Error: err.Error()})
+		transport.WriteJSON(w, http.StatusBadRequest, transport.IngestResponse{Error: err.Error()})
 		return
 	}
 	snap, cov, err := s.fleet.Snap(r.Context())
@@ -282,9 +258,9 @@ func (s *FleetServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.coverageHeaders(w, cov)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	tw := &routerTrackingWriter{w: w}
+	tw := &transport.TrackingWriter{W: w}
 	if err := answerQuery(pool, agg, snap, q, tw); err != nil {
-		if tw.wrote {
+		if tw.Wrote {
 			panic(http.ErrAbortHandler)
 		}
 		status := http.StatusUnprocessableEntity
@@ -292,7 +268,7 @@ func (s *FleetServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &se) {
 			status = se.StatusCode
 		}
-		writeRouterJSON(w, status, ingestJSON{Error: err.Error()})
+		transport.WriteJSON(w, status, transport.IngestResponse{Error: err.Error()})
 	}
 }
 
@@ -330,7 +306,7 @@ func (s *FleetServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = reason
 	}
-	writeRouterJSON(w, http.StatusOK, fleetHealth{
+	transport.WriteJSON(w, http.StatusOK, fleetHealth{
 		Health: transport.Health{
 			Status:  status,
 			Count:   count,
@@ -373,7 +349,7 @@ func (s *FleetServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeRouterJSON(w, status, struct {
+	transport.WriteJSON(w, status, struct {
 		Ready  bool   `json:"ready"`
 		Reason string `json:"reason,omitempty"`
 	}{ready, reason})
@@ -385,7 +361,7 @@ type shardsJSON struct {
 }
 
 func (s *FleetServer) handleShardsList(w http.ResponseWriter, r *http.Request) {
-	writeRouterJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
+	transport.WriteJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
 }
 
 func (s *FleetServer) handleShardsRegister(w http.ResponseWriter, r *http.Request) {
@@ -405,7 +381,7 @@ func (s *FleetServer) handleShardsRegister(w http.ResponseWriter, r *http.Reques
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	writeRouterJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
+	transport.WriteJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
 }
 
 func (s *FleetServer) handleShardsDeregister(w http.ResponseWriter, r *http.Request) {
@@ -422,7 +398,7 @@ func (s *FleetServer) handleShardsDeregister(w http.ResponseWriter, r *http.Requ
 		http.Error(w, "not a member", http.StatusNotFound)
 		return
 	}
-	writeRouterJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
+	transport.WriteJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
 }
 
 // handleShardsDrain gates one member out of ingest routing (Fleet.Gate): the
@@ -449,7 +425,7 @@ func (s *FleetServer) handleShardsDrain(w http.ResponseWriter, r *http.Request) 
 		http.Error(w, "not a member", http.StatusNotFound)
 		return
 	}
-	writeRouterJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
+	transport.WriteJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
 }
 
 // handleShardsUndrain lifts a drain gate (Fleet.Ungate).
@@ -469,7 +445,7 @@ func (s *FleetServer) handleShardsUndrain(w http.ResponseWriter, r *http.Request
 		http.Error(w, "not a member", http.StatusNotFound)
 		return
 	}
-	writeRouterJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
+	transport.WriteJSON(w, http.StatusOK, shardsJSON{Members: s.fleet.Members()})
 }
 
 // Fleet returns the underlying fleet, so a harness embedding the server

@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	ldp "repro"
 	"repro/internal/benchfix"
@@ -93,15 +96,28 @@ func TestRouterTransparentToRemoteCollector(t *testing.T) {
 	}
 }
 
-// postFrame POSTs reports as one framed body with the given idempotency key
-// and returns the HTTP status plus decoded accepted count.
-func postFrame(t *testing.T, hs *httptest.Server, key string, reports []ldp.Report) (int, int) {
+// postFrame POSTs a body of one frame per reports slice under the given
+// idempotency key and returns the HTTP status plus decoded accepted count.
+func postFrame(t *testing.T, hs *httptest.Server, key string, frames ...[]ldp.Report) (int, int) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ldp.EncodeReportsFrame(&buf, reports); err != nil {
-		t.Fatal(err)
+	for _, reports := range frames {
+		if err := ldp.EncodeReportsFrame(&buf, reports); err != nil {
+			t.Fatal(err)
+		}
 	}
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/reports", &buf)
+	status, raw := postBody(t, hs, key, buf.Bytes())
+	var body struct {
+		Accepted int `json:"accepted"`
+	}
+	_ = json.Unmarshal(raw, &body)
+	return status, body.Accepted
+}
+
+// postBody POSTs raw bytes to /reports and returns the status and raw answer.
+func postBody(t *testing.T, hs *httptest.Server, key string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, hs.URL+"/reports", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +130,11 @@ func postFrame(t *testing.T, hs *httptest.Server, key string, reports []ldp.Repo
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Accepted int `json:"accepted"`
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = json.NewDecoder(resp.Body).Decode(&body)
-	return resp.StatusCode, body.Accepted
+	return resp.StatusCode, raw
 }
 
 // A client retry of a keyed batch must land on the SAME shard the first
@@ -195,6 +211,48 @@ func TestRouterNonIdempotentForwardedOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A client's malformed batches are not the shard's fault. The shard answers
+// each with a definitive 400; that is a healthy shard talking, and must not
+// count against its breaker — otherwise FailureThreshold bad batches from one
+// misconfigured client gate the fleet's only shard out of routing and the next
+// valid POST fails "no ready shards". Probes run alongside, as they do in a
+// serving router.
+func TestRouterClientErrorsDoNotTripBreaker(t *testing.T) {
+	const domain, threshold = 8, 3
+	f, _, hs, shards, _, _ := routerFixture(t, domain, 1,
+		ldp.WithFleetBreakerPolicy(ldp.BreakerPolicy{FailureThreshold: threshold, Cooldown: time.Hour}))
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2*threshold; i++ {
+			f.Probe(ctx)
+		}
+	}()
+	for i := 0; i <= threshold; i++ {
+		status, accepted := postFrame(t, hs, fmt.Sprintf("bad-%d", i), []ldp.Report{{Index: 9999}})
+		if status != http.StatusBadRequest || accepted != 0 {
+			t.Fatalf("malformed batch %d = (%d, %d), want the shard's (400, 0) relayed", i, status, accepted)
+		}
+	}
+	<-done
+	if ms := f.Members(); ms[0].Breaker != "closed" || !ms[0].Ready {
+		t.Fatalf("member after %d client errors = %+v, want breaker closed and ready", threshold+1, ms[0])
+	}
+	if status, accepted := postFrame(t, hs, "good", []ldp.Report{{Index: 1}, {Index: 2}}); status != http.StatusOK || accepted != 2 {
+		t.Fatalf("valid batch after the client errors = (%d, %d), want (200, 2)", status, accepted)
+	}
+	if got := shards[0].col.Count(); got != 2 {
+		t.Fatalf("shard holds %v reports, want 2", got)
+	}
+	_, samples := scrape(t, hs.URL)
+	for _, sm := range samples {
+		if sm.Name == "ldp_fleet_breaker_transitions_total" && strings.Contains(sm.Labels, `to="open"`) && sm.Value != 0 {
+			t.Fatalf("breaker opened %v time(s) on client errors", sm.Value)
+		}
 	}
 }
 
@@ -419,95 +477,188 @@ func TestRouterBoundsRequestBody(t *testing.T) {
 	}
 }
 
-// One way to ingest: the keyed batch is the unit on every surface, and the
-// three surfaces agree on what it means. The same keyed batches go through an
-// embedded Collector (IngestBatchKeyed), a served shard (CollectorService
-// POST /reports), and the router (FleetServer POST /reports); on the two
+// One way to ingest: the keyed request is the unit on every surface, and the
+// three surfaces agree on what it means. The same keyed requests — one frame
+// or two — go through an embedded Collector (IngestBatchKeyed per frame), a
+// served shard (CollectorService POST /reports), and the router (FleetServer
+// POST /reports, which forwards the validated bytes verbatim); on the two
 // served surfaces one key is POSTed twice, the way a client retries a lost
 // response, and must be answered from the idempotency cache (through the
 // router: on the shard the key was bound to). The embedded Collector keeps no
 // such cache — there the key is what the write-ahead log records and the
 // embedder owns deduplication — so it sees each distinct key once. Every
 // surface must end up holding exactly the distinct-key total, in a state
-// bit-identical to the serial ldp.Server reference.
+// bit-identical to the serial ldp.Server reference. Both report forms run: an
+// index-only strategy, and OUE at a width that is not a multiple of 8.
 func TestIngestSurfacesAgree(t *testing.T) {
-	const domain, batches, per = 16, 12, 7
-	_, _, routerHS, routerShards, agg, w := routerFixture(t, domain, 3)
-
-	type keyed struct {
-		key     string
-		reports []ldp.Report
-	}
-	var stream []keyed
-	ref, err := ldp.NewServer(agg, w)
+	const batches, per = 12, 7
+	strat, err := ldp.NewAggregator(benchfix.RRStrategy(16, 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < batches; b++ {
-		kb := keyed{key: fmt.Sprintf("surface-%02d", b), reports: make([]ldp.Report, per)}
-		for i := range kb.reports {
-			kb.reports[i] = ldp.Report{Index: (b*per + i*i) % domain}
-		}
-		if err := ref.IngestBatch(kb.reports); err != nil {
-			t.Fatal(err)
-		}
-		stream = append(stream, kb)
-	}
-	const replayed = 5 // the batch every served surface sees twice
-	want := ref.Snap()
-
-	embedded, err := ldp.NewCollector(agg, w, 0)
+	oue, err := ldp.OracleByName("OUE", 19, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kb := range stream {
-		if err := embedded.IngestBatchKeyed(kb.reports, kb.key); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	served, err := ldp.NewCollector(agg, w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardHS := httptest.NewServer(collectorHandler(t, served, ldp.MechanismInfoOf(agg)))
-	defer shardHS.Close()
-	for _, hs := range []*httptest.Server{shardHS, routerHS} {
-		for i, kb := range stream {
-			posts := 1
-			if i == replayed {
-				posts = 2
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []struct {
+		name     string
+		agg      ldp.Aggregator
+		report   func(i int) ldp.Report
+		checkBad ldp.Report // well-framed, refused by the mechanism's Check
+	}{
+		{"strategy", strat, func(i int) ldp.Report { return ldp.Report{Index: i * i % 16} }, ldp.Report{Index: 9999}},
+		{"OUE-n19", oue, func(i int) ldp.Report {
+			r, err := oue.Randomize(i%19, rng)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for p := 0; p < posts; p++ {
-				if status, accepted := postFrame(t, hs, kb.key, kb.reports); status != http.StatusOK || accepted != per {
-					t.Fatalf("POST %d of key %s to %s = %d, accepted %d; want 200, %d", p+1, kb.key, hs.URL, status, accepted, per)
+			return r
+		}, ldp.Report{Bits: ldp.NewBitVec(24)}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			w := ldp.Histogram(m.agg.Domain())
+			bindLog := filepath.Join(t.TempDir(), "bindings.log")
+			f, err := ldp.NewFleet(m.agg, w, ldp.WithFleetRetryPolicy(fastRetryPolicy(2, nil)), ldp.WithFleetBindingLog(bindLog))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			routerShards := []*fleetShard{newFleetShard(t, m.agg, w), newFleetShard(t, m.agg, w), newFleetShard(t, m.agg, w)}
+			registerAll(t, context.Background(), f, routerShards)
+			fs, err := ldp.NewFleetServer(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routerHS := httptest.NewServer(fs.Handler())
+			defer routerHS.Close()
+			served, err := ldp.NewCollector(m.agg, w, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shardHS := httptest.NewServer(collectorHandler(t, served, ldp.MechanismInfoOf(m.agg)))
+			defer shardHS.Close()
+			embedded, err := ldp.NewCollector(m.agg, w, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := ldp.NewServer(m.agg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routedCount := func() (n float64) {
+				for _, sh := range routerShards {
+					n += sh.col.Count()
+				}
+				return n
+			}
+
+			// A structurally malformed body never leaves the router: 400, nothing
+			// forwarded, no key bound.
+			good := framed(t, []ldp.Report{m.report(0)})
+			if status, _ := postBody(t, routerHS, "torn", good[:len(good)-1]); status != http.StatusBadRequest {
+				t.Fatalf("torn frame through the router = %d, want 400", status)
+			}
+			if st, err := os.Stat(bindLog); err != nil || st.Size() != 0 || routedCount() != 0 {
+				t.Fatalf("torn frame: binding log (%v, %v), shards hold %v; want nothing bound, nothing forwarded", st, err, routedCount())
+			}
+
+			type keyed struct {
+				key    string
+				frames [][]ldp.Report
+			}
+			var stream []keyed
+			for b := 0; b < batches; b++ {
+				reports := make([]ldp.Report, per)
+				for i := range reports {
+					reports[i] = m.report(b*per + i)
+				}
+				if err := ref.IngestBatch(reports); err != nil {
+					t.Fatal(err)
+				}
+				kb := keyed{key: fmt.Sprintf("surface-%02d", b), frames: [][]ldp.Report{reports}}
+				if b%3 == 0 { // every third request carries its batch as two frames
+					kb.frames = [][]ldp.Report{reports[:3], reports[3:]}
+				}
+				stream = append(stream, kb)
+			}
+			const replayed = 6 // the (two-frame) request every served surface sees twice
+
+			for _, kb := range stream {
+				for _, frame := range kb.frames {
+					if err := embedded.IngestBatchKeyed(frame, kb.key); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-	}
-
-	var routed []ldp.Snapshot
-	for _, sh := range routerShards {
-		routed = append(routed, sh.col.Snap())
-	}
-	merged, err := ldp.MergeSnapshots(routed...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]ldp.Snapshot{
-		"Collector.IngestBatchKeyed":     embedded.Snap(),
-		"CollectorService POST /reports": served.Snap(),
-		"FleetServer POST /reports":      merged,
-	} {
-		if got.Count() != want.Count() {
-			t.Errorf("%s: holds %v reports, want the distinct-key total %v", name, got.Count(), want.Count())
-		}
-		gs, ws := got.State(), want.State()
-		for i := range ws {
-			if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
-				t.Errorf("%s: state[%d] = %v, reference %v", name, i, gs[i], ws[i])
-				break
+			for _, hs := range []*httptest.Server{shardHS, routerHS} {
+				for i, kb := range stream {
+					posts := 1
+					if i == replayed {
+						posts = 2
+					}
+					for p := 0; p < posts; p++ {
+						if status, accepted := postFrame(t, hs, kb.key, kb.frames...); status != http.StatusOK || accepted != per {
+							t.Fatalf("POST %d of key %s to %s = %d, accepted %d; want 200, %d", p+1, kb.key, hs.URL, status, accepted, per)
+						}
+					}
+				}
 			}
-		}
+
+			// The one behaviour the pass-through router moves, pinned as intended:
+			// atomicity is per frame and it is the shard's. A body whose second
+			// frame fails Check lands frame 1 and answers the shard's 400 with
+			// accepted = len(frame 1) — through the router byte for byte what the
+			// same body POSTed straight at a shard answers.
+			head := []ldp.Report{m.report(1000), m.report(1001)}
+			if err := ref.IngestBatch(head); err != nil {
+				t.Fatal(err)
+			}
+			if err := embedded.IngestBatchKeyed(head, "half"); err != nil {
+				t.Fatal(err)
+			}
+			if err := embedded.IngestBatchKeyed([]ldp.Report{m.checkBad}, "half"); err == nil {
+				t.Fatal("embedded collector absorbed a report its mechanism refuses")
+			}
+			half := append(framed(t, head), framed(t, []ldp.Report{m.checkBad})...)
+			shardStatus, shardAnswer := postBody(t, shardHS, "half", half)
+			routerStatus, routerAnswer := postBody(t, routerHS, "half", half)
+			var ans struct {
+				Accepted int    `json:"accepted"`
+				Error    string `json:"error"`
+			}
+			if err := json.Unmarshal(shardAnswer, &ans); err != nil || shardStatus != http.StatusBadRequest || ans.Accepted != len(head) || ans.Error == "" {
+				t.Fatalf("shard on a half-valid body = %d %s, want 400 with accepted %d and the Check error", shardStatus, shardAnswer, len(head))
+			}
+			if routerStatus != shardStatus || !bytes.Equal(routerAnswer, shardAnswer) {
+				t.Fatalf("router answered %d %s, a direct POST %d %s; want the shard's answer relayed byte for byte", routerStatus, routerAnswer, shardStatus, shardAnswer)
+			}
+
+			want := ref.Snap()
+			var routed []ldp.Snapshot
+			for _, sh := range routerShards {
+				routed = append(routed, sh.col.Snap())
+			}
+			merged, err := ldp.MergeSnapshots(routed...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]ldp.Snapshot{
+				"Collector.IngestBatchKeyed":     embedded.Snap(),
+				"CollectorService POST /reports": served.Snap(),
+				"FleetServer POST /reports":      merged,
+			} {
+				if got.Count() != want.Count() {
+					t.Errorf("%s: holds %v reports, want the distinct-key total %v", name, got.Count(), want.Count())
+				}
+				gs, ws := got.State(), want.State()
+				for i := range ws {
+					if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
+						t.Errorf("%s: state[%d] = %v, reference %v", name, i, gs[i], ws[i])
+						break
+					}
+				}
+			}
+		})
 	}
 }

@@ -173,7 +173,7 @@ func TestSnapshotEpochAdvancesWithState(t *testing.T) {
 	if again := col.Snap(); again.Epoch() != first.Epoch() {
 		t.Fatalf("idle re-snap moved the epoch: %d -> %d", first.Epoch(), again.Epoch())
 	}
-	bits := make([]bool, n)
+	bits := ldp.NewBitVec(n)
 	if err := col.Ingest(ldp.Report{Bits: bits}); err != nil {
 		t.Fatal(err)
 	}
