@@ -487,7 +487,7 @@ func BenchmarkCheckpointStreamGzip(b *testing.B) {
 	for i := range snap.State {
 		snap.State[i] = float64(i % 7)
 	}
-	keys := []history.KeyCount{{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 1 << 17}}
+	keys := []transport.KeyCount{{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 1 << 17}}
 	dir := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -108,12 +108,9 @@ type durableState struct {
 	sinceCkpt atomic.Int64
 
 	// Recovery facts, fixed at open. recovery is the store's raw recovery
-	// record, kept whole so metrics arming can pin it as gauges.
+	// record, kept whole: status reads it and metrics arming pins it as gauges.
 	recovered        bool
 	recoveredReports int64
-	replayedRecords  int64
-	droppedTail      int64
-	keys             []transport.SeededKey
 	recovery         durable.Recovery
 
 	// statusMu guards lastErr (background checkpoint failures).
@@ -123,9 +120,9 @@ type durableState struct {
 
 // openDurable attaches a durable store to a freshly built collector: it
 // restores the directory's checkpoint and WAL tail into shard 0 (merging is
-// element-wise, so which shard holds recovered state is immaterial), seeds
-// the snapshot epoch past anything the previous process can have served, and
-// records the idempotency keys the log proves absorbed.
+// element-wise, so which shard holds recovered state is immaterial) and seeds
+// the snapshot epoch past anything the previous process can have served. The
+// idempotency keys the log proves absorbed stay in the store's own table.
 func (c *Collector) openDurable(cfg collectorConfig) error {
 	sh := &c.shards[0]
 	d := &durableState{ckptEvery: cfg.ckptEvery, fsync: cfg.fsync}
@@ -171,16 +168,8 @@ func (c *Collector) openDurable(cfg collectorConfig) error {
 	if err != nil {
 		return fmt.Errorf("ldp: open durable store: %w", err)
 	}
-	// The store's key table spans checkpoints: a keyed request whose records
-	// straddle a checkpoint cut still seeds its FULL absorbed count, so the
-	// retrying client trims exactly what landed.
-	for _, k := range rec.Keys {
-		d.keys = append(d.keys, transport.SeededKey{Key: k.Key, Accepted: int(k.Reports)})
-	}
 	d.store = store
 	d.recovery = rec
-	d.replayedRecords = rec.ReplayedRecords
-	d.droppedTail = rec.DroppedTailBytes
 	d.recovered = rec.HasCheckpoint || rec.ReplayedRecords > 0
 	d.sinceCkpt.Store(rec.ReplayedReports)
 	if d.recovered {
@@ -288,7 +277,7 @@ func (c *Collector) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("ldp: %w", err)
 	}
-	tsnap := transport.Snapshot{State: snap.State(), Count: snap.Count(), Epoch: snap.Epoch(), Info: snap.Info()}
+	tsnap := transport.Snapshot{State: snap.state, Count: snap.count, Epoch: snap.epoch, Info: snap.info}
 	if err := d.store.WriteCheckpoint(tsnap); err != nil {
 		return fmt.Errorf("ldp: %w", err)
 	}
@@ -361,8 +350,8 @@ func (c *Collector) Durability() (status DurabilityStatus, ok bool) {
 	return DurabilityStatus{
 		Recovered:        d.recovered,
 		RecoveredReports: d.recoveredReports,
-		ReplayedRecords:  d.replayedRecords,
-		DroppedTailBytes: d.droppedTail,
+		ReplayedRecords:  d.recovery.ReplayedRecords,
+		DroppedTailBytes: d.recovery.DroppedTailBytes,
 		CheckpointSeq:    d.store.CheckpointSeq(),
 		WALRecordLag:     d.store.RecordLag(),
 		WALByteLag:       d.store.ByteLag(),
@@ -382,15 +371,19 @@ func (c *Collector) armDurabilityMetrics(reg *obs.Registry) {
 	c.dur.store.SetMetrics(reg, c.dur.recovery)
 }
 
-// recoveredIdempotencyKeys returns the idempotency keys the WAL proved
-// absorbed before the last restart, oldest first, with the report counts
-// absorbed under them — what NewCollectorService seeds the transport's
-// idempotency cache with.
-func (c *Collector) recoveredIdempotencyKeys() []transport.SeededKey {
+// recoveredIdempotencyKeys returns the idempotency keys the log proves
+// absorbed, oldest first, with the report counts absorbed under them — what
+// NewCollectorService seeds the transport's idempotency cache with. It is the
+// store's table at the moment the service is built: right after NewCollector
+// (where every cmd/ and test builds it) that is the recovered table, and a key
+// ingested in between is one the log also proves absorbed. The table spans
+// checkpoints, so a keyed request whose records straddle a cut seeds its FULL
+// absorbed count and the retrying client trims exactly what landed.
+func (c *Collector) recoveredIdempotencyKeys() []transport.KeyCount {
 	if c.dur == nil {
 		return nil
 	}
-	return c.dur.keys
+	return c.dur.store.Keys()
 }
 
 // Sync forces any group-commit-buffered WAL records to disk regardless of

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/history"
 	"repro/internal/transport"
 )
 
@@ -238,7 +239,7 @@ func (l *BindingLog) compact(live []Binding) error {
 	old.Close()
 	l.f = f
 	l.records = len(live)
-	return syncDir(dir)
+	return history.SyncDir(dir)
 }
 
 // Close flushes and closes the log.

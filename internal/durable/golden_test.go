@@ -56,7 +56,7 @@ func TestCheckpointGoldenCompatibility(t *testing.T) {
 		Epoch: 19,
 		Info:  transport.Info{Mechanism: "strategy", Domain: 4, Epsilon: 1.25, Digest: "00f1e2d3c4b5a697"},
 	}
-	wantKeys := []KeyCount{
+	wantKeys := []transport.KeyCount{
 		{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 4090},
 		{Key: "fefefefefefefefe0101010101010101", Reports: 6},
 	}

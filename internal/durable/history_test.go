@@ -2,9 +2,11 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/history"
@@ -21,7 +23,7 @@ func TestStreamedCheckpointMatchesBufferedEncoder(t *testing.T) {
 		Epoch: 19,
 		Info:  transport.Info{Mechanism: "strategy", Domain: 4, Epsilon: 1.25, Digest: "00f1e2d3c4b5a697"},
 	}
-	keys := []KeyCount{
+	keys := []transport.KeyCount{
 		{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 4090},
 		{Key: "fefefefefefefefe0101010101010101", Reports: 6},
 	}
@@ -30,7 +32,7 @@ func TestStreamedCheckpointMatchesBufferedEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path, err := writeCheckpointFile(dir, 7, snap, keys, false)
+	path, err := history.WriteCheckpointFile(dir, 7, snap, keys, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,5 +257,159 @@ func TestStoreManifestCrashConsistency(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rebuilt, intact) {
 		t.Fatalf("rebuilt manifest differs from the original:\n got %x\nwant %x", rebuilt, intact)
+	}
+}
+
+// A historical read costs one streamed file read that walks the key table
+// without building it, so its allocations do not depend on how many keys the
+// checkpoint carries.
+func TestSnapshotAtAllocsIndependentOfKeyTable(t *testing.T) {
+	readAllocs := func(keyed int) float64 {
+		s, _, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := 0; i < keyed; i++ {
+			if err := s.Append(batch(i), fmt.Sprintf("key-%08d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteCheckpoint(transport.Snapshot{State: []float64{1, 2, 3}, Count: 6, Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.Keys()); got != keyed {
+			t.Fatalf("store tracks %d keys, want %d", got, keyed)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.SnapshotAt(1, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Equal, give or take a pooled object: under -race sync.Pool (fmt's,
+	// io.Discard's) drops a share of its Puts. A table built per key differs
+	// by three allocations per key.
+	if none, full := readAllocs(0), readAllocs(history.MaxTrackedKeys); full > none+2 {
+		t.Fatalf("SnapshotAt allocates %v times over a %d-key checkpoint, %v over a keyless one", full, history.MaxTrackedKeys, none)
+	}
+}
+
+// The checkpoint reader hands keys to Open's visitor before it can know the
+// file's CRC verdict, so a checkpoint refused at its last byte has already
+// streamed its whole table. Open must not let any of it reach the store: the
+// recovered table is exactly the predecessor's plus the replayed segments,
+// each key once. (This guards the visitor design, not an old bug — the
+// parent, which built a table and discarded it on error, passes it too.)
+func TestOpenFallbackLeaksNoKeysOfTheCorruptCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(epoch int, key string) {
+		t.Helper()
+		if err := s.Append(batch(epoch, epoch), key); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteCheckpoint(transport.Snapshot{State: []float64{float64(epoch)}, Count: float64(2 * epoch), Epoch: uint64(epoch)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut(1, "old") // checkpoint 1 carries {old: 2}
+	cut(2, "new") // checkpoint 2 carries {old: 2, new: 2}; segment 1 holds new's record
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	latest := filepath.Join(dir, checkpointName(2))
+	data, err := os.ReadFile(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(latest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !rec.HasCheckpoint || rec.CheckpointSeq != 1 || rec.ReplayedRecords != 1 {
+		t.Fatalf("fallback recovery %+v, want checkpoint 1 plus one replayed record", rec)
+	}
+	want := []transport.KeyCount{{Key: "old", Reports: 2}, {Key: "new", Reports: 2}}
+	if got := s2.Keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered key table %+v, want %+v — the refused checkpoint's keys were counted", got, want)
+	}
+}
+
+// SnapshotAt resolves epoch → file under the index lock but reads the file
+// outside it, and every checkpoint cut prunes coarsened-away files under that
+// same lock. A read that loses that race asked for an epoch that is, by the
+// time it is answered, no longer retained: it must get the typed miss, never
+// a raw "no such file" (which the HTTP layer would answer as a 500).
+func TestSnapshotAtRacingPruneIsAMiss(t *testing.T) {
+	const cuts = 1200
+	s, _, err := Open(t.TempDir(), Options{HistoryKeep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var served [2]int
+	var readErr [2]error
+	for r := range readErr {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, e := range s.RetainedEpochs() {
+					snap, err := s.SnapshotAt(e, false)
+					var enr *transport.EpochNotRetainedError
+					switch {
+					case err == nil && (snap.Epoch != e || snap.Count != float64(e) || snap.State[0] != float64(e)):
+						readErr[r] = fmt.Errorf("SnapshotAt(%d) served %+v", e, snap)
+						return
+					case err == nil:
+						served[r]++
+					case !errors.As(err, &enr):
+						readErr[r] = fmt.Errorf("SnapshotAt(%d) racing a cut: %w", e, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 1; i <= cuts; i++ {
+		if err := s.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteCheckpoint(transport.Snapshot{State: []float64{float64(i)}, Count: float64(i), Epoch: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for r, err := range readErr {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served[r] == 0 {
+			t.Fatal("a reader never served a retained epoch; the race was not exercised")
+		}
 	}
 }

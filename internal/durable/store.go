@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,17 +93,14 @@ type Recovery struct {
 	// DroppedTailBytes counts the torn/invalid bytes truncated from the end
 	// of the final segment — the unacknowledged remains of a crash.
 	DroppedTailBytes int64
-	// Keys are the idempotency-key totals the log proves absorbed, oldest
-	// first: the checkpoint's carried-forward table plus the replayed tail.
-	// A keyed request whose records straddle a checkpoint therefore reports
-	// its full absorbed count.
-	Keys []KeyCount
 }
 
 // keyTable is the bounded, insertion-ordered per-key report-count table the
-// store maintains across its whole life (seeded from the checkpoint, advanced
-// on every keyed append, carried into the next checkpoint). Oldest keys
-// beyond the cap are evicted — the same horizon as the transport's LRU.
+// store maintains across its whole life (filled from the checkpoint file as
+// the reader walks it, advanced on every replayed or appended keyed record,
+// carried into the next checkpoint) — the one in-memory form of the table.
+// Oldest keys beyond the cap are evicted — the same horizon as the
+// transport's LRU.
 type keyTable struct {
 	mu    sync.Mutex
 	order []string
@@ -121,7 +119,7 @@ func (t *keyTable) add(key string, reports int64) {
 	defer t.mu.Unlock()
 	if _, ok := t.count[key]; !ok {
 		t.order = append(t.order, key)
-		for len(t.order) > maxTrackedKeys {
+		for len(t.order) > history.MaxTrackedKeys {
 			delete(t.count, t.order[0])
 			t.order = t.order[1:]
 		}
@@ -129,12 +127,12 @@ func (t *keyTable) add(key string, reports int64) {
 	t.count[key] += reports
 }
 
-func (t *keyTable) snapshot() []KeyCount {
+func (t *keyTable) snapshot() []transport.KeyCount {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]KeyCount, 0, len(t.order))
+	out := make([]transport.KeyCount, 0, len(t.order))
 	for _, k := range t.order {
-		out = append(out, KeyCount{Key: k, Reports: t.count[k]})
+		out = append(out, transport.KeyCount{Key: k, Reports: t.count[k]})
 	}
 	return out
 }
@@ -164,7 +162,7 @@ type Store struct {
 	// Rotate → WriteCheckpoint flow).
 	pendingCutRecords int64
 	pendingCutBytes   int64
-	pendingKeys       []KeyCount
+	pendingKeys       []transport.KeyCount
 
 	// totalRecords/totalBytes count everything appended or replayed since
 	// Open; covered* are the totals as of the last DURABLE checkpoint, so
@@ -220,10 +218,15 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	// but NONE validates, recovery must refuse: the segments a checkpoint
 	// covered have been pruned, so starting from an empty base would serve a
 	// consistent-looking undercount of the whole checkpointed population.
+	// The reader streams a file's keys before its CRC verdict, so each
+	// attempt fills a table of its own and only a validated file's is adopted
+	// — a refused checkpoint leaves none of its keys behind.
 	keys := newKeyTable()
 	base := uint64(0)
 	for i := len(ckptSeqs) - 1; i >= 0; i-- {
-		snap, ckptKeys, err := loadCheckpoint(filepath.Join(dir, checkpointName(ckptSeqs[i])), ckptSeqs[i])
+		attempt := newKeyTable()
+		snap, _, err := history.ReadCheckpointFile(filepath.Join(dir, checkpointName(ckptSeqs[i])), ckptSeqs[i],
+			func(key []byte, reports int64) { attempt.add(string(key), reports) })
 		if err != nil {
 			continue
 		}
@@ -232,9 +235,7 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 				return nil, rec, fmt.Errorf("durable: restore checkpoint %d: %w", ckptSeqs[i], err)
 			}
 		}
-		for _, k := range ckptKeys {
-			keys.add(k.Key, k.Reports)
-		}
+		keys = attempt
 		rec.HasCheckpoint = true
 		rec.CheckpointSeq = ckptSeqs[i]
 		base = ckptSeqs[i]
@@ -271,7 +272,6 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 		totalBytes += kept
 		rec.DroppedTailBytes += dropped
 	}
-	rec.Keys = keys.snapshot()
 
 	// The active segment is the newest one (created now if none exists yet).
 	active := base
@@ -326,7 +326,7 @@ func reconcileManifest(dir string, ckptSeqs []uint64, base uint64, hasCkpt bool)
 			hist = append(hist, e)
 			continue
 		}
-		snap, _, compressed, err := history.ReadCheckpointFile(filepath.Join(dir, checkpointName(c)), c)
+		snap, compressed, err := history.ReadCheckpointFile(filepath.Join(dir, checkpointName(c)), c, nil)
 		if err != nil {
 			dirty = true // unservable; leave the file for the operator
 			continue
@@ -592,7 +592,7 @@ func (s *Store) writeCheckpoint(snap transport.Snapshot) error {
 	keys := s.pendingKeys
 	cutRecords, cutBytes := s.pendingCutRecords, s.pendingCutBytes
 	s.mu.RUnlock()
-	if _, err := writeCheckpointFile(s.dir, seq, snap, keys, s.compress); err != nil {
+	if _, err := history.WriteCheckpointFile(s.dir, seq, snap, keys, s.compress); err != nil {
 		return fmt.Errorf("durable: write checkpoint: %w", err)
 	}
 	s.ckptSeq.Store(seq)
@@ -696,52 +696,70 @@ func (s *Store) compressSegment(seq uint64) {
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, gzSegmentName(seq))); err != nil {
 		return
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := history.SyncDir(s.dir); err != nil {
 		return
 	}
 	os.Remove(raw)
 }
 
 // SnapshotAt serves the checkpointed snapshot for one retained epoch without
-// any replay. With nearest false the epoch must match a retained checkpoint
-// exactly; with nearest true the newest retained epoch ≤ the requested one is
-// served. A miss returns *transport.EpochNotRetainedError describing the
-// retained range, so callers (and the HTTP layer) can distinguish "coarsened
-// away" from failure.
+// any replay: one streamed read of one file, which validates the key table
+// but never builds it. With nearest false the epoch must match a retained
+// checkpoint exactly; with nearest true the newest retained epoch ≤ the
+// requested one is served. A miss returns *transport.EpochNotRetainedError
+// describing the retained range, so callers (and the HTTP layer) can
+// distinguish "coarsened away" from failure.
 func (s *Store) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, error) {
-	s.histMu.Lock()
-	var pick *history.Entry
-	var oldest, newest uint64
-	var nearestBelow uint64
-	if len(s.hist) > 0 {
-		oldest, newest = s.hist[0].Epoch, s.hist[len(s.hist)-1].Epoch
+	for {
+		seq, err := s.resolveEpoch(epoch, nearest)
+		if err != nil {
+			return transport.Snapshot{}, err
+		}
+		snap, _, err := history.ReadCheckpointFile(filepath.Join(s.dir, checkpointName(seq)), seq, nil)
+		if err == nil {
+			return snap, nil
+		}
+		// The index lock is not held across the read, so a checkpoint cut in
+		// between may have coarsened seq away and removed its file. That is
+		// the same definitive miss one instant early: resolve again against
+		// the index as it is now. A file missing while the index still lists
+		// it is damage and stays loud.
+		if errors.Is(err, os.ErrNotExist) && !s.retains(seq) {
+			continue
+		}
+		return transport.Snapshot{}, fmt.Errorf("durable: read retained checkpoint %d: %w", seq, err)
 	}
+}
+
+// resolveEpoch maps an epoch to the sequence of the retained checkpoint that
+// serves it, or to the typed miss.
+func (s *Store) resolveEpoch(epoch uint64, nearest bool) (uint64, error) {
+	s.histMu.Lock()
+	defer s.histMu.Unlock()
+	var nearestBelow uint64
 	for i := len(s.hist) - 1; i >= 0; i-- {
 		e := s.hist[i]
 		if e.Epoch > epoch {
 			continue
 		}
-		nearestBelow = e.Epoch
 		if nearest || e.Epoch == epoch {
-			pick = &e
+			return e.Seq, nil
 		}
+		nearestBelow = e.Epoch
 		break
 	}
-	var seq uint64
-	if pick != nil {
-		seq = pick.Seq
+	miss := &transport.EpochNotRetainedError{Requested: epoch, Nearest: nearestBelow}
+	if len(s.hist) > 0 {
+		miss.Oldest, miss.Newest = s.hist[0].Epoch, s.hist[len(s.hist)-1].Epoch
 	}
-	s.histMu.Unlock()
-	if pick == nil {
-		return transport.Snapshot{}, &transport.EpochNotRetainedError{
-			Requested: epoch, Oldest: oldest, Newest: newest, Nearest: nearestBelow,
-		}
-	}
-	snap, _, _, err := history.ReadCheckpointFile(filepath.Join(s.dir, checkpointName(seq)), seq)
-	if err != nil {
-		return transport.Snapshot{}, fmt.Errorf("durable: read retained checkpoint %d: %w", seq, err)
-	}
-	return snap, nil
+	return 0, miss
+}
+
+// retains reports whether the epoch index still lists checkpoint seq.
+func (s *Store) retains(seq uint64) bool {
+	s.histMu.Lock()
+	defer s.histMu.Unlock()
+	return slices.ContainsFunc(s.hist, func(e history.Entry) bool { return e.Seq == seq })
 }
 
 // RetainedEpochs lists the epochs SnapshotAt can serve, ascending.
@@ -754,6 +772,12 @@ func (s *Store) RetainedEpochs() []uint64 {
 	}
 	return out
 }
+
+// Keys returns the idempotency-key totals the log proves absorbed, oldest
+// first: the recovered checkpoint's table, the replayed tail, and every keyed
+// append since. A keyed request whose records straddle a checkpoint therefore
+// reports its full absorbed count.
+func (s *Store) Keys() []transport.KeyCount { return s.keys.snapshot() }
 
 // Seq returns the active segment sequence.
 func (s *Store) Seq() uint64 {

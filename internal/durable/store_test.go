@@ -407,12 +407,13 @@ func TestStoreKeyTotalsStraddleCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err := Open(dir, Options{})
+	s2, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	got := map[string]int64{}
-	for _, k := range rec.Keys {
+	for _, k := range s2.Keys() {
 		got[k.Key] = k.Reports
 	}
 	if got["K"] != 5 || got["L"] != 1 {

@@ -15,13 +15,18 @@ import (
 	"repro/internal/transport"
 )
 
-// Streaming checkpoint I/O. The file format is the durable layer's "LDPC"
-// envelope; this writer produces version-1 files byte-identical to the
-// buffered encoder while never materializing the payload (the state streams
-// through a fixed chunk, the CRC accumulates incrementally, and the header is
-// patched in place before the atomic rename), and adds version 2, whose
-// payload is the gzip stream of the version-1 payload — worthwhile for the
-// unary mechanisms, whose accumulators are long runs of small integers:
+// Streaming checkpoint I/O — the one checkpoint codec. A checkpoint file pins
+// the merged accumulator at a WAL rotation point, so recovery replays only the
+// segments written after it: a version-2 transport snapshot frame (count,
+// epoch and full mechanism identity included) in the CRC'd "LDPC" envelope,
+// which also names the WAL segment the checkpoint precedes and carries the
+// idempotency-key table of everything it covers. Neither direction
+// materializes the payload: the state streams through a fixed chunk, the CRC
+// accumulates incrementally, the writer patches the header in place before
+// the atomic rename, and the reader hands key-table entries to a visitor.
+// Version 1 is the raw payload (byte-identical to the buffered reference
+// encoder the durable tests keep); version 2 is its gzip stream — worthwhile
+// for the unary mechanisms, whose accumulators are long runs of small integers:
 //
 //	magic   [4]byte  "LDPC"
 //	version uint8    (1 = raw payload, 2 = gzip-compressed payload)
@@ -33,6 +38,15 @@ import (
 //	  keyCount uint32 big-endian, then keyCount entries, oldest first:
 //	    keyLen uint8, then keyLen bytes    idempotency key
 //	    reports uint64 big-endian          reports absorbed under the key
+//
+// Invariant: state(checkpoint-<g>) equals the replay of every WAL segment
+// with sequence < g, so state(checkpoint-<g>) + replay(wal-<g>, wal-<g+1>, …)
+// is always the full collector state, whichever rotation the crash
+// interrupted. The key table obeys the same invariant — it totals the keyed
+// records of every segment < g (bounded: the oldest keys beyond the table
+// cap are dropped, mirroring the transport's idempotency LRU) — so a keyed
+// request whose records straddle a checkpoint still recovers its full
+// absorbed count, not just the replayed tail's share.
 const (
 	checkpointMagic     = "LDPC"
 	checkpointV1        = 1
@@ -40,7 +54,9 @@ const (
 	checkpointHeaderLen = 4 + 1 + 4 + 4
 
 	// MaxTrackedKeys bounds the idempotency-key table a checkpoint carries:
-	// the idempotency horizon, which the transport states once.
+	// the idempotency horizon, which the transport states once. A retry older
+	// than the newest MaxTrackedKeys keyed requests re-absorbs, with or
+	// without a crash in between.
 	MaxTrackedKeys = transport.IdempotencyHorizon
 
 	// maxCheckpointKey bounds one key's byte length (one length byte on the
@@ -52,12 +68,9 @@ const (
 	MaxCheckpointSize = transport.MaxSnapshotPayload + MaxTrackedKeys*(2+maxCheckpointKey+8) + 1024
 )
 
-// KeyCount is one idempotency key's checkpointed total: how many reports the
-// log proves were absorbed under it.
-type KeyCount struct {
-	Key     string
-	Reports int64
-}
+// keyEntry is the one buffer a key-table entry passes through in either
+// direction: length byte, key, report count.
+type keyEntry [1 + maxCheckpointKey + 8]byte
 
 var errInvalidCheckpoint = errors.New("history: invalid checkpoint file")
 
@@ -77,7 +90,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 
 // writePayload streams the logical checkpoint payload — sequence, snapshot
 // frame, key table — to w.
-func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []KeyCount) error {
+func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []transport.KeyCount) error {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], seq)
 	if _, err := w.Write(b[:]); err != nil {
@@ -91,15 +104,12 @@ func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []KeyCo
 	if _, err := w.Write(kc[:]); err != nil {
 		return err
 	}
+	var entry keyEntry
 	for _, k := range keys {
-		if _, err := w.Write([]byte{byte(len(k.Key))}); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, k.Key); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint64(b[:], uint64(k.Reports))
-		if _, err := w.Write(b[:]); err != nil {
+		entry[0] = byte(len(k.Key))
+		n := 1 + copy(entry[1:], k.Key)
+		binary.BigEndian.PutUint64(entry[n:], uint64(k.Reports))
+		if _, err := w.Write(entry[:n+8]); err != nil {
 			return err
 		}
 	}
@@ -111,8 +121,10 @@ func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []KeyCo
 // header, fsync, rename, directory fsync. A crash leaves either the old
 // directory contents or the complete new file. compress selects the gzipped
 // version-2 payload; off, the output is byte-identical to the buffered
-// version-1 encoder. Returns the final path.
-func WriteCheckpointFile(dir string, seq uint64, snap transport.Snapshot, keys []KeyCount, compress bool) (string, error) {
+// version-1 reference encoder. The file and directory are synced whatever the
+// WAL's fsync mode, because a checkpoint's durability gates the pruning of the
+// segments it replaces. Returns the final path.
+func WriteCheckpointFile(dir string, seq uint64, snap transport.Snapshot, keys []transport.KeyCount, compress bool) (string, error) {
 	if len(keys) > MaxTrackedKeys {
 		keys = keys[len(keys)-MaxTrackedKeys:] // newest win, as in the LRU
 	}
@@ -178,7 +190,7 @@ func WriteCheckpointFile(dir string, seq uint64, snap transport.Snapshot, keys [
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return "", err
 	}
-	return final, syncDir(dir)
+	return final, SyncDir(dir)
 }
 
 // crcReader counts and CRCs everything read through it.
@@ -200,14 +212,20 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // second whole-payload buffer. The envelope's sequence is pinned to wantSeq
 // (the filename's), the CRC must cover exactly the declared payload, and any
 // trailing byte — inside the payload or after it — is an error. Returns the
-// pinned snapshot, the key table, and whether the payload was compressed.
-func ReadCheckpointFile(path string, wantSeq uint64) (transport.Snapshot, []KeyCount, bool, error) {
-	fail := func(format string, args ...any) (transport.Snapshot, []KeyCount, bool, error) {
-		return transport.Snapshot{}, nil, false, fmt.Errorf("%w: %s", errInvalidCheckpoint, fmt.Sprintf(format, args...))
+// pinned snapshot and whether the payload was compressed.
+//
+// The key table is always walked and validated, never built: each entry is
+// handed to eachKey (when non-nil), oldest first. key is the reader's own
+// buffer, valid only during the call — convert it, never retain it. eachKey
+// runs BEFORE the CRC verdict, so a file refused at its last byte has already
+// streamed every key: collect into something the caller discards on error.
+func ReadCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, reports int64)) (transport.Snapshot, bool, error) {
+	fail := func(format string, args ...any) (transport.Snapshot, bool, error) {
+		return transport.Snapshot{}, false, fmt.Errorf("%w: %s", errInvalidCheckpoint, fmt.Sprintf(format, args...))
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return transport.Snapshot{}, nil, false, err
+		return transport.Snapshot{}, false, err
 	}
 	defer f.Close()
 	var hdr [checkpointHeaderLen]byte
@@ -255,20 +273,20 @@ func ReadCheckpointFile(path string, wantSeq uint64) (transport.Snapshot, []KeyC
 	if nkeys > MaxTrackedKeys {
 		return fail("declares %d keys, limit %d", nkeys, MaxTrackedKeys)
 	}
-	keys := make([]KeyCount, 0, nkeys)
+	// One buffer for every entry, declared outside the loop: inside it, it
+	// would escape through io.ReadFull's interface argument once per key.
+	var entry keyEntry
 	for i := uint32(0); i < nkeys; i++ {
-		var l [1]byte
-		if _, err := io.ReadFull(body, l[:]); err != nil {
+		if _, err := io.ReadFull(body, entry[:1]); err != nil {
 			return fail("truncated at key %d", i)
 		}
-		kb := make([]byte, int(l[0])+8)
-		if _, err := io.ReadFull(body, kb); err != nil {
+		end := 1 + int(entry[0])
+		if _, err := io.ReadFull(body, entry[1:end+8]); err != nil {
 			return fail("truncated at key %d", i)
 		}
-		keys = append(keys, KeyCount{
-			Key:     string(kb[:l[0]]),
-			Reports: int64(binary.BigEndian.Uint64(kb[l[0]:])),
-		})
+		if eachKey != nil {
+			eachKey(entry[1:end], int64(binary.BigEndian.Uint64(entry[end:])))
+		}
 	}
 	// The logical payload must end exactly here. The read also drives a
 	// gzipped stream through its trailer, so the gzip checksum is verified;
@@ -286,7 +304,7 @@ func ReadCheckpointFile(path string, wantSeq uint64) (transport.Snapshot, []KeyC
 	// The on-disk payload must end exactly at its declared length too: the
 	// CRC is meaningless unless it covered every declared byte.
 	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return transport.Snapshot{}, nil, false, err
+		return transport.Snapshot{}, false, err
 	}
 	if cr.n != int64(plen) {
 		return fail("declares %d payload bytes, carries %d", plen, cr.n)
@@ -300,5 +318,5 @@ func ReadCheckpointFile(path string, wantSeq uint64) (transport.Snapshot, []KeyC
 	if seq != wantSeq {
 		return fail("envelope sequence %d does not match filename sequence %d", seq, wantSeq)
 	}
-	return snap, keys, compressed, nil
+	return snap, compressed, nil
 }

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,11 +19,19 @@ func sampleSnapshot() transport.Snapshot {
 	}
 }
 
-func sampleKeys() []KeyCount {
-	return []KeyCount{
+func sampleKeys() []transport.KeyCount {
+	return []transport.KeyCount{
 		{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 4090},
 		{Key: "fefefefefefefefe0101010101010101", Reports: 6},
 	}
+}
+
+// keyCollector builds the table ReadCheckpointFile walks: visit is its
+// eachKey. The reader hands out its own buffer, so each key is copied.
+type keyCollector []transport.KeyCount
+
+func (c *keyCollector) visit(key []byte, reports int64) {
+	*c = append(*c, transport.KeyCount{Key: string(key), Reports: reports})
 }
 
 func TestCheckpointFileRoundTrip(t *testing.T) {
@@ -33,7 +42,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, keys, gz, err := ReadCheckpointFile(path, 7)
+		var keys keyCollector
+		snap, gz, err := ReadCheckpointFile(path, 7, keys.visit)
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
@@ -43,7 +53,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		if snap.Count != wantSnap.Count || snap.Epoch != wantSnap.Epoch || snap.Info != wantSnap.Info || !reflect.DeepEqual(snap.State, wantSnap.State) {
 			t.Fatalf("compress=%v: snapshot changed across the file: %+v", compress, snap)
 		}
-		if !reflect.DeepEqual(keys, wantKeys) {
+		if !reflect.DeepEqual([]transport.KeyCount(keys), wantKeys) {
 			t.Fatalf("compress=%v: key table changed across the file: %+v", compress, keys)
 		}
 		// No temp litter survives the atomic rename.
@@ -90,42 +100,78 @@ func TestCheckpointCompressionShrinks(t *testing.T) {
 
 // Every single-byte corruption of a checkpoint file — either version — must
 // be refused: header, CRC, payload, or gzip stream, there is no byte whose
-// flip the reader tolerates.
+// flip the reader tolerates. The sweep runs once with no visitor and once
+// with a collecting one: walking the key table validates exactly what
+// building it validates.
 func TestCheckpointFileRejectsCorruption(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		dir := t.TempDir()
-		path, err := WriteCheckpointFile(dir, 7, sampleSnapshot(), sampleKeys(), compress)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range data {
-			mut := append([]byte(nil), data...)
-			mut[i] ^= 0x01
-			if err := os.WriteFile(path, mut, 0o644); err != nil {
+		for _, walkOnly := range []bool{true, false} {
+			read := func(path string, wantSeq uint64) error {
+				var visit func([]byte, int64)
+				if !walkOnly {
+					visit = new(keyCollector).visit
+				}
+				_, _, err := ReadCheckpointFile(path, wantSeq, visit)
+				return err
+			}
+			dir := t.TempDir()
+			path, err := WriteCheckpointFile(dir, 7, sampleSnapshot(), sampleKeys(), compress)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := ReadCheckpointFile(path, 7); err == nil {
-				t.Fatalf("compress=%v: reader accepted byte %d flipped", compress, i)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := read(path, 7); err != nil {
+				t.Fatalf("compress=%v walkOnly=%v: intact file refused: %v", compress, walkOnly, err)
+			}
+			for i := range data {
+				mut := append([]byte(nil), data...)
+				mut[i] ^= 0x01
+				if err := os.WriteFile(path, mut, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := read(path, 7); err == nil {
+					t.Fatalf("compress=%v walkOnly=%v: reader accepted byte %d flipped", compress, walkOnly, i)
+				}
+			}
+			// Trailing bytes after the declared payload are corruption too.
+			if err := os.WriteFile(path, append(data, 0), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := read(path, 7); err == nil {
+				t.Fatalf("compress=%v walkOnly=%v: reader accepted trailing bytes", compress, walkOnly)
+			}
+			// And a sequence that disagrees with the filename is refused.
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := read(path, 8); err == nil {
+				t.Fatalf("compress=%v walkOnly=%v: reader accepted a mismatched sequence", compress, walkOnly)
 			}
 		}
-		// Trailing bytes after the declared payload are corruption too.
-		if err := os.WriteFile(path, append(data, 0), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := ReadCheckpointFile(path, 7); err == nil {
-			t.Fatalf("compress=%v: reader accepted trailing bytes", compress)
-		}
-		// And a sequence that disagrees with the filename is refused.
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := ReadCheckpointFile(path, 8); err == nil {
-			t.Fatalf("compress=%v: reader accepted a mismatched sequence", compress)
-		}
+	}
+}
+
+// The writer's allocations are the file's, not the table's: one fixed entry
+// buffer serves every key, so a full key table costs what an empty one does.
+func TestWriteCheckpointFileAllocsIndependentOfKeyTable(t *testing.T) {
+	full := make([]transport.KeyCount, MaxTrackedKeys)
+	for i := range full {
+		full[i] = transport.KeyCount{Key: fmt.Sprintf("key-%08d", i), Reports: int64(i)}
+	}
+	dir, snap := t.TempDir(), sampleSnapshot()
+	write := func(keys []transport.KeyCount) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := WriteCheckpointFile(dir, 7, snap, keys, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Equal, give or take a pooled object (sync.Pool drops Puts under -race).
+	if none, all := write(nil), write(full); all > none+2 {
+		t.Fatalf("WriteCheckpointFile allocates %v times with %d keys, %v with none", all, len(full), none)
 	}
 }
 
@@ -161,7 +207,8 @@ func TestCheckpointGoldenCompatibility(t *testing.T) {
 		if err := os.WriteFile(gpath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, keys, gz, err := ReadCheckpointFile(gpath, 7)
+		var keys keyCollector
+		snap, gz, err := ReadCheckpointFile(gpath, 7, keys.visit)
 		if err != nil {
 			t.Fatalf("%s no longer decodes: %v", tc.name, err)
 		}
@@ -171,7 +218,7 @@ func TestCheckpointGoldenCompatibility(t *testing.T) {
 		if snap.Count != wantSnap.Count || snap.Epoch != wantSnap.Epoch || snap.Info != wantSnap.Info || !reflect.DeepEqual(snap.State, wantSnap.State) {
 			t.Fatalf("%s decoded to %+v", tc.name, snap)
 		}
-		if !reflect.DeepEqual(keys, wantKeys) {
+		if !reflect.DeepEqual([]transport.KeyCount(keys), wantKeys) {
 			t.Fatalf("%s key table decoded to %+v", tc.name, keys)
 		}
 	}

@@ -1,15 +1,20 @@
 // Package history is the bounded epoch-history subsystem layered on the
 // durable layer's checkpoint machinery: it decides which checkpoints a data
-// directory retains (retention.go), indexes the retained epochs so any of
-// them can be served without replay (manifest.go), and reads/writes the
-// checkpoint files themselves streaming — chunk by chunk, optionally
+// directory retains (the Ladder, in this file), indexes the retained epochs
+// so any of them can be served without replay (manifest.go), and reads/writes
+// the checkpoint files themselves streaming — chunk by chunk, optionally
 // gzip-compressed — so a very large accumulator never needs a second
 // whole-payload copy in memory (checkpoint.go).
 //
-// The durable store owns the files; this package owns the policy and the
-// formats. Nothing here touches a WAL record: checkpoints are self-contained
-// snapshots, which is exactly what makes an old one servable after the
-// segments around it are long pruned.
+// This package owns the retention policy, the two file formats and the
+// writing of one file of each: WriteCheckpointFile and WriteManifest create a
+// temp file in the data directory, fsync it, rename it into place and fsync
+// the directory (SyncDir). The durable store owns everything else about the
+// directory — which sequence a checkpoint gets, when one is cut, which files
+// the ladder's verdict deletes, the WAL segments beside them. Nothing here
+// touches a WAL record: checkpoints are self-contained snapshots, which is
+// exactly what makes an old one servable after the segments around it are
+// long pruned.
 package history
 
 import (

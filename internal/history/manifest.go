@@ -177,7 +177,7 @@ func WriteManifest(dir string, entries []Entry) error {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 // LoadManifest reads dir's manifest. A missing file returns (nil, nil) — a
@@ -197,8 +197,8 @@ func LoadManifest(dir string) ([]Entry, error) {
 	return DecodeManifest(data)
 }
 
-// syncDir fsyncs a directory so renames and creations within it are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames and creations within it are durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -149,6 +149,15 @@ const (
 	MaxIdempotencyKeyLen = 64
 )
 
+// KeyCount is one idempotency key with the number of reports absorbed under
+// it — the one named form of a key-table entry: what a checkpoint carries,
+// what a durable store's log proves on recovery, and what SeedIdempotency
+// takes.
+type KeyCount struct {
+	Key     string
+	Reports int64
+}
+
 // idemOutcome is one idempotency key's entry: the recorded response once
 // processing finished (done closed), or a claim that a request is being
 // processed right now (done open). Claiming the key before the absorb — not
@@ -442,13 +451,6 @@ func (s *Server) readiness() (bool, string) {
 	return true, ""
 }
 
-// SeededKey is one idempotency key recovered from a durable backend's log,
-// together with the report count absorbed under it.
-type SeededKey struct {
-	Key      string
-	Accepted int
-}
-
 // SeedIdempotency pre-fills the idempotency cache with keys a recovery proved
 // absorbed, oldest first: a client that retries a batch whose response was
 // lost to a crash gets a recorded outcome replayed instead of a second
@@ -457,20 +459,20 @@ type SeededKey struct {
 // the cache holds, the newest win.
 //
 // The seeded outcome is deliberately a definitive 409, not a 200: the log
-// proves Accepted reports landed under the key, but not that they were the
+// proves k.Reports reports landed under the key, but not that they were the
 // request's *entire* batch — a multi-frame request interrupted mid-way logs
 // only its absorbed prefix. Replaying a 409 with the recovered count makes
 // the retrying client trim exactly that prefix and re-send any remainder
 // under a fresh key (the transport's definitive-rejection path), so a
 // complete batch costs the client one extra round trip after a crash and a
 // partial one is completed instead of silently losing its suffix.
-func (s *Server) SeedIdempotency(keys []SeededKey) {
+func (s *Server) SeedIdempotency(keys []KeyCount) {
 	for _, k := range keys {
 		if k.Key == "" || len(k.Key) > MaxIdempotencyKeyLen {
 			continue
 		}
 		s.idem.seed(k.Key, http.StatusConflict, IngestResponse{
-			Accepted: k.Accepted,
+			Accepted: int(k.Reports),
 			Error:    "request interrupted by a collector restart; the accepted count is what the write-ahead log recovered under this key",
 		})
 	}
