@@ -173,12 +173,14 @@ func searchStepSize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) 
 	// main run's monotone iteration stream. Cancellation still applies — run
 	// checks Ctx every iteration.
 	pilot.OnIteration = nil
+	var pilotErr error
 	for _, g := range grid {
 		if err := ctxErr(o.Ctx); err != nil {
 			return 0, err
 		}
 		res, err := run(gram, eps, pilot, -g, 40, ws)
 		if err != nil {
+			pilotErr = err
 			continue
 		}
 		if res.Objective < bestObj {
@@ -190,6 +192,12 @@ func searchStepSize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) 
 		return 0, err
 	}
 	if math.IsInf(bestObj, 1) {
+		if pilotErr != nil {
+			// Every pilot failed: say why (a bad prior, a warm start of the
+			// wrong domain, an M singular at initialization) rather than
+			// only that the search came up empty.
+			return 0, fmt.Errorf("core: step-size search failed for every candidate: %w", pilotErr)
+		}
 		return 0, errors.New("core: step-size search failed for every candidate")
 	}
 	return best, nil
@@ -304,7 +312,7 @@ func run(gram *linalg.Matrix, eps float64, o Options, beta float64, iters int, w
 			return nil, err
 		}
 		// ∇z via back-propagation through the projection that produced q.
-		gradZ(gz, grad, proj.State, proj.NumFree, e)
+		gradZ(gz, ws.freeMean, grad, proj.State, proj.NumFree, e)
 
 		// One projected-gradient step with constant step sizes, exactly as in
 		// Algorithm 2: the objective is allowed to fluctuate (no line search),
@@ -502,38 +510,45 @@ func ObjectiveGradPrior(q *linalg.Matrix, gram *linalg.Matrix, prior []float64) 
 }
 
 // gradZ back-propagates the Q gradient through the projection's clip pattern
-// into gz (length m). See the package comment for the derivation.
-func gradZ(gz []float64, grad *linalg.Matrix, state []opt.ClipState, numFree []int, e float64) {
+// into gz (length m). See the package comment for the derivation. Both passes
+// walk grad and state row-major: the first leaves in mean (scratch, length n)
+// each column's mean gradient over its free coordinates (the λᵤ coupling; rows
+// ascending per column), the second sums row o's clipped entries (columns
+// ascending) into gz[o].
+func gradZ(gz, mean []float64, grad *linalg.Matrix, state []opt.ClipState, numFree []int, e float64) {
 	m, n := grad.Rows(), grad.Cols()
-	for o := range gz {
-		gz[o] = 0
+	clear(mean)
+	for o := 0; o < m; o++ {
+		st := state[o*n : (o+1)*n]
+		for u, g := range grad.Row(o) {
+			if st[u] == opt.Free {
+				mean[u] += g
+			}
+		}
 	}
-	for u := 0; u < n; u++ {
-		// Mean gradient over the free coordinates of column u (λᵤ coupling).
-		meanFree := 0.0
-		if numFree[u] > 0 {
-			sum := 0.0
-			for o := 0; o < m; o++ {
-				if state[o*n+u] == opt.Free {
-					sum += grad.At(o, u)
-				}
-			}
-			meanFree = sum / float64(numFree[u])
+	for u, free := range numFree {
+		if free > 0 {
+			mean[u] /= float64(free)
 		}
-		for o := 0; o < m; o++ {
-			switch state[o*n+u] {
+	}
+	for o := 0; o < m; o++ {
+		st := state[o*n : (o+1)*n]
+		sum := 0.0
+		for u, g := range grad.Row(o) {
+			switch st[u] {
 			case opt.ClipLow:
-				gz[o] += grad.At(o, u) - meanFree
+				sum += g - mean[u]
 			case opt.ClipHigh:
-				gz[o] += e * (grad.At(o, u) - meanFree)
+				sum += e * (g - mean[u])
 			}
 		}
+		gz[o] = sum
 	}
 }
 
 // GradZForTest exposes gradZ for the gradient-check tests.
 func GradZForTest(grad *linalg.Matrix, state []opt.ClipState, numFree []int, eps float64) []float64 {
 	gz := make([]float64, grad.Rows())
-	gradZ(gz, grad, state, numFree, math.Exp(eps))
+	gradZ(gz, make([]float64, grad.Cols()), grad, state, numFree, math.Exp(eps))
 	return gz
 }

@@ -18,8 +18,8 @@ import (
 // objective/gradient scratch fields (d, dinv, qs, gamma, msym, y, yt, s, the
 // Cholesky factor) — ObjectiveGrad writes those while grad is being filled.
 // The loop-state fields (grad/gradNext, cand, velQ, bestQ, the z buffers,
-// the projections) are not touched by ObjectiveGrad, which is how run
-// double-buffers gradients through ws.grad/ws.gradNext. A Workspace is not
+// freeMean, the projections) are not touched by ObjectiveGrad, which is how
+// run double-buffers gradients through ws.grad/ws.gradNext. A Workspace is not
 // safe for concurrent use — give each goroutine its own (the methods
 // themselves fan out internally via linalg's parallel kernels, which is why
 // per-run parallelism composes with the experiment harness's per-cell
@@ -28,21 +28,29 @@ type Workspace struct {
 	m, n int
 
 	// Objective/gradient scratch: D_p diagonal and its inverse, Qs = D⁻¹Q,
-	// M = QᵀD⁻¹Q, Y = M⁻¹G, its transpose, S = M⁻¹GᵀM⁻¹, Γ = Qs·S, and the
-	// reusable Cholesky factor of M.
+	// M = QᵀD⁻¹Q (exactly symmetric: linalg.MulAtBSymTo mirrors one
+	// triangle), Y = M⁻¹G, its transpose, S = M⁻¹GᵀM⁻¹ (a product of two
+	// solves, symmetrized by averaging), Γ = Qs·S, and the reusable Cholesky
+	// factor of M.
 	d, dinv   []float64
 	qs, gamma *linalg.Matrix
 	msym      *linalg.Matrix
 	y, yt, s  *linalg.Matrix
 	chol      linalg.Cholesky
+	// mulM forms M: always linalg.MulAtBSymTo. It is a field only so that
+	// TestSameArithmeticAsFullProduct can put the full product + Symmetrize
+	// back and show that every other kernel kept the strategies' bits.
+	mulM func(dst, a, b *linalg.Matrix)
 
 	// Projected-gradient loop state (used by run): current/candidate
 	// gradient, candidate Q, momentum velocity, best iterate, the bound
-	// vector z and its step buffers, and the double-buffered projection.
+	// vector z and its step buffers, gradZ's per-column free-coordinate
+	// means (length n), and the double-buffered projection.
 	grad, gradNext    *linalg.Matrix
 	cand, velQ        *linalg.Matrix
 	bestQ             *linalg.Matrix
 	z, gz, newZ, velZ []float64
+	freeMean          []float64
 	proj, projNext    opt.MatrixProjection
 	scratch           opt.Scratch
 }
@@ -60,6 +68,7 @@ func NewWorkspace(m, n int) *Workspace {
 		y:     linalg.New(n, n),
 		yt:    linalg.New(n, n),
 		s:     linalg.New(n, n),
+		mulM:  linalg.MulAtBSymTo,
 
 		grad:     linalg.New(m, n),
 		gradNext: linalg.New(m, n),
@@ -70,6 +79,7 @@ func NewWorkspace(m, n int) *Workspace {
 		gz:       make([]float64, m),
 		newZ:     make([]float64, m),
 		velZ:     make([]float64, m),
+		freeMean: make([]float64, n),
 	}
 }
 
@@ -94,9 +104,8 @@ func (ws *Workspace) ObjectiveGrad(q, gram *linalg.Matrix, prior []float64, grad
 		}
 		ws.dinv[i] = 1 / v
 	}
-	q.ScaleRowsTo(ws.qs, ws.dinv)      // D⁻¹Q
-	linalg.MulAtBTo(ws.msym, q, ws.qs) // M = QᵀD⁻¹Q
-	ws.msym.Symmetrize()
+	q.ScaleRowsTo(ws.qs, ws.dinv) // D⁻¹Q
+	ws.mulM(ws.msym, q, ws.qs)    // M = QᵀD⁻¹Q, one triangle mirrored
 
 	if err := ws.chol.Factor(ws.msym); err != nil {
 		return 0, fmt.Errorf("core: M = QᵀD⁻¹Q singular: %w", err)

@@ -254,49 +254,48 @@ func (c *Cholesky) SolveTo(dst, b *Matrix) {
 }
 
 // solveToCols solves the column block [lo, hi) of A X = B into dst in place:
-// copy B in, then run the forward and back substitutions row-wise so L
-// streams row-major once per block.
+// copy B in, then run the forward and back substitutions row-wise, four k's
+// per pass over the row being eliminated, so L streams row-major once per
+// block. d −= l·row is d += (−l)·row to the bit, which is what lets both
+// substitutions share the products' addMul4.
 func (c *Cholesky) solveToCols(dst, b *Matrix, lo, hi int) {
 	n := c.l.rows
 	w := b.cols
+	ld, dd := c.l.data, dst.data
 	for i := 0; i < n; i++ {
-		copy(dst.data[i*w+lo:i*w+hi], b.data[i*w+lo:i*w+hi])
+		copy(dd[i*w+lo:i*w+hi], b.data[i*w+lo:i*w+hi])
 	}
 	// Forward: L Y = B.
 	for i := 0; i < n; i++ {
-		ri := c.l.Row(i)
-		drow := dst.data[i*w : (i+1)*w]
-		for k := 0; k < i; k++ {
-			lik := ri[k]
-			if lik == 0 {
-				continue
-			}
-			krow := dst.data[k*w : (k+1)*w]
-			for j := lo; j < hi; j++ {
-				drow[j] -= lik * krow[j]
-			}
+		ri := ld[i*n : (i+1)*n]
+		d := dd[i*w+lo : i*w+hi]
+		k := 0
+		for ; k+4 <= i; k += 4 {
+			addMul4(d, dd[k*w+lo:], dd[(k+1)*w+lo:], dd[(k+2)*w+lo:], dd[(k+3)*w+lo:],
+				-ri[k], -ri[k+1], -ri[k+2], -ri[k+3])
+		}
+		for ; k < i; k++ {
+			addMul1(d, dd[k*w+lo:], -ri[k])
 		}
 		lii := ri[i]
-		for j := lo; j < hi; j++ {
-			drow[j] /= lii
+		for j := range d {
+			d[j] /= lii
 		}
 	}
 	// Back: Lᵀ X = Y.
 	for i := n - 1; i >= 0; i-- {
-		drow := dst.data[i*w : (i+1)*w]
-		for k := i + 1; k < n; k++ {
-			lki := c.l.At(k, i)
-			if lki == 0 {
-				continue
-			}
-			krow := dst.data[k*w : (k+1)*w]
-			for j := lo; j < hi; j++ {
-				drow[j] -= lki * krow[j]
-			}
+		d := dd[i*w+lo : i*w+hi]
+		k := i + 1
+		for ; k+4 <= n; k += 4 {
+			addMul4(d, dd[k*w+lo:], dd[(k+1)*w+lo:], dd[(k+2)*w+lo:], dd[(k+3)*w+lo:],
+				-ld[k*n+i], -ld[(k+1)*n+i], -ld[(k+2)*n+i], -ld[(k+3)*n+i])
 		}
-		lii := c.l.At(i, i)
-		for j := lo; j < hi; j++ {
-			drow[j] /= lii
+		for ; k < n; k++ {
+			addMul1(d, dd[k*w+lo:], -ld[k*n+i])
+		}
+		lii := ld[i*n+i]
+		for j := range d {
+			d[j] /= lii
 		}
 	}
 }

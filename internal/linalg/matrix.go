@@ -10,9 +10,9 @@
 //
 // The hot path in internal/core runs thousands of iterations at a fixed
 // shape, so every allocating operation used there has a destination-passing
-// variant (MulTo, MulAtBTo, MulABtTo, MulVecTo, RowSumsTo, ScaleRowsTo,
-// TransposeTo, Cholesky.Factor, Cholesky.SolveTo) that writes into
-// caller-owned storage and allocates nothing in steady state. Unless a
+// variant (MulTo, MulAtBTo, MulAtBSymTo, MulABtTo, MulVecTo, RowSumsTo,
+// ScaleRowsTo, TransposeTo, Cholesky.Factor, Cholesky.SolveTo) that writes
+// into caller-owned storage and allocates nothing in steady state. Unless a
 // variant documents otherwise, dst must not alias any input: results are
 // written incrementally, so an aliased destination would be read after being
 // partially overwritten.
@@ -21,10 +21,14 @@
 //
 // Matrix products and multi-column triangular solves above a flop threshold
 // fan out over contiguous row (or column) blocks across GOMAXPROCS
-// goroutines (ParallelRange). Every kernel accumulates each output element
-// in a fixed order independent of the block split, so results are
-// bit-identical to the serial kernel at any GOMAXPROCS — experiment outputs
-// stay reproducible across machines and worker counts.
+// goroutines (ParallelRange; block 0 runs on the caller). Every kernel
+// accumulates each output element in a fixed order independent of the block
+// split, so results are bit-identical to the serial kernel at any GOMAXPROCS
+// — experiment outputs stay reproducible across machines and worker counts.
+// The product and solve kernels take four k's per pass over a destination
+// row (addMul4), which performs the one-k-per-pass roundings in the same
+// order: grouping changes no bit. The symmetric kernel's lower triangle
+// equals MulAtBTo's, and its upper triangle is that triangle's mirror.
 package linalg
 
 import (
@@ -240,12 +244,41 @@ func MulAtBTo(dst, a, b *Matrix) {
 		panic("linalg: MulAtBTo shape mismatch")
 	}
 	if !ShouldParallel(a.cols, a.rows*a.cols*b.cols) {
-		mulAtBToRows(dst, a, b, 0, a.cols)
+		mulAtBToRows(dst, a, b, 0, a.cols, false)
 		return
 	}
 	ParallelRange(a.cols, a.rows*a.cols*b.cols, func(_, lo, hi int) {
-		mulAtBToRows(dst, a, b, lo, hi)
+		mulAtBToRows(dst, a, b, lo, hi, false)
 	})
+}
+
+// MulAtBSymTo computes dst = aᵀ*b for a product the caller knows to be
+// symmetric — b = Diag(s)·a, as in M = QᵀD⁻¹Q — at half MulAtBTo's flops:
+// only the lower triangle is accumulated (each element over k ascending, so
+// it equals MulAtBTo's lower triangle bit for bit) and then mirrored, which
+// makes dst exactly symmetric by construction. a and b must share a shape,
+// dst must be a.Cols x a.Cols and must not alias a or b. Rows fan out in
+// blocks of equal area (row i costs i+1; equal row counts would give the
+// last of two workers three times the first's work); the boundaries depend
+// on GOMAXPROCS, the elements do not.
+func MulAtBSymTo(dst, a, b *Matrix) {
+	n := a.cols
+	if a.rows != b.rows || b.cols != n || dst.rows != n || dst.cols != n {
+		panic("linalg: MulAtBSymTo shape mismatch")
+	}
+	if cost := a.rows * n * (n + 1) / 2; !ShouldParallel(n, cost) {
+		mulAtBToRows(dst, a, b, 0, n, true)
+	} else {
+		workers := min(MaxWorkers(), n)
+		fanOut(workers, func(k int) int { return triangleBound(n, k, workers) }, func(_, lo, hi int) {
+			mulAtBToRows(dst, a, b, lo, hi, true)
+		})
+	}
+	for i := 0; i < n; i++ {
+		for j, v := range dst.data[i*n : i*n+i] {
+			dst.data[j*n+i] = v
+		}
+	}
 }
 
 // MulABt returns a*bᵀ without materializing the transpose.

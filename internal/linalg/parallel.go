@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"runtime"
 	"sync"
 )
@@ -27,8 +28,11 @@ func ShouldParallel(n, cost int) bool {
 // ParallelRange splits [0, n) into at most MaxWorkers contiguous blocks and
 // invokes fn(worker, lo, hi) for each, concurrently when cost (an approximate
 // flop count for the whole range) is large enough to amortize the fan-out.
+// Block 0 runs on the calling goroutine and only the rest are spawned, so a
+// fan-out at GOMAXPROCS=2 launches (and wakes) one goroutine, not two.
 // Worker indices are dense in [0, MaxWorkers()), so fn may index per-worker
-// scratch with them; each index is in flight at most once per call.
+// scratch with them; each index is in flight at most once per call (the
+// caller is worker 0).
 //
 // fn must only write state disjoint across blocks. Block boundaries depend on
 // GOMAXPROCS, so bit-reproducible callers must make each element's result
@@ -42,65 +46,124 @@ func ParallelRange(n, cost int, fn func(worker, lo, hi int)) {
 		}
 		return
 	}
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(MaxWorkers(), n)
 	chunk := (n + workers - 1) / workers
+	fanOut(workers, func(k int) int { return min(k*chunk, n) }, fn)
+}
+
+// fanOut runs fn(k, bound(k), bound(k+1)) for every non-empty block
+// k ∈ [0, blocks): block 0 on the calling goroutine, the others on goroutines
+// of their own, returning when all are done. bound must be nondecreasing.
+func fanOut(blocks int, bound func(k int) int, fn func(worker, lo, hi int)) {
 	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	for k := 1; k < blocks; k++ {
+		lo, hi := bound(k), bound(k+1)
+		if lo >= hi {
+			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(k, lo, hi)
+		}()
+	}
+	if lo, hi := bound(0), bound(1); lo < hi {
+		fn(0, lo, hi)
 	}
 	wg.Wait()
 }
 
+// triangleBound is the first row of block k when the n rows of a lower
+// triangle (row i costs i+1) are cut into blocks of equal area: n·√(k/blocks).
+func triangleBound(n, k, blocks int) int {
+	return int(math.Round(float64(n) * math.Sqrt(float64(k)/float64(blocks))))
+}
+
+// addMul1 performs d[j] += a·b[j] over len(d) entries of b, skipping the
+// pass when a is zero (workload matrices are banded 0/1).
+func addMul1(d, b []float64, a float64) {
+	if a == 0 {
+		return
+	}
+	b = b[:len(d)]
+	for j := range d {
+		d[j] += a * b[j]
+	}
+}
+
+// addMul4 is four successive addMul1 passes in one: the products are added
+// to d[j] left to right in a single expression, which is the very sequence of
+// roundings the four passes perform, but d is loaded and stored once instead
+// of four times (the one-k loop is store-bound). Do not pair the terms or
+// keep partial sums — that changes the rounding. A group with a zero
+// coefficient takes the four passes themselves, so the zero is skipped, not
+// multiplied: every kernel built on addMul4 is bit-identical to its
+// one-k-per-pass form for any input, and banded matrices keep their skip.
+// The b slices may run past len(d); re-slicing them here is what lets the
+// compiler drop the bounds checks from the loop.
+func addMul4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+		addMul1(d, b0, a0)
+		addMul1(d, b1, a1)
+		addMul1(d, b2, a2)
+		addMul1(d, b3, a3)
+		return
+	}
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j := range d {
+		d[j] = d[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
+}
+
 // mulToRows computes rows [lo, hi) of dst = a*b with the cache-friendly ikj
-// loop. Each dst element accumulates over k in ascending order, so any row
-// partition yields bit-identical results.
+// loop, four k's per pass over the dst row. Each dst element accumulates over
+// k in ascending order, so any row partition yields bit-identical results.
 func mulToRows(dst, a, b *Matrix, lo, hi int) {
 	n := b.cols
+	bd := b.data
 	clear(dst.data[lo*n : hi*n])
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+		d := dst.Row(i)
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			addMul4(d, bd[k*n:], bd[(k+1)*n:], bd[(k+2)*n:], bd[(k+3)*n:],
+				arow[k], arow[k+1], arow[k+2], arow[k+3])
+		}
+		for ; k < len(arow); k++ {
+			addMul1(d, bd[k*n:], arow[k])
 		}
 	}
 }
 
 // mulAtBToRows computes rows [lo, hi) of dst = aᵀ*b (row i of dst is column i
-// of a against b). The k loop is outermost so a and b stream row-major; each
-// dst element still accumulates over k in ascending order.
-func mulAtBToRows(dst, a, b *Matrix, lo, hi int) {
+// of a against b) — or, with lower set, only their entries on and below the
+// diagonal, leaving the rest of each row zero. The k loop is outermost, four
+// k's per pass, so a and b stream row-major; each dst element still
+// accumulates over k in ascending order, the same sums with lower set or not.
+func mulAtBToRows(dst, a, b *Matrix, lo, hi int, lower bool) {
 	n := b.cols
+	ad, bd, ac := a.data, b.data, a.cols
 	clear(dst.data[lo*n : hi*n])
-	for k := 0; k < a.rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
+	width := n
+	k := 0
+	for ; k+4 <= a.rows; k += 4 {
+		a0, a1, a2, a3 := ad[k*ac:], ad[(k+1)*ac:], ad[(k+2)*ac:], ad[(k+3)*ac:]
+		b0, b1, b2, b3 := bd[k*n:], bd[(k+1)*n:], bd[(k+2)*n:], bd[(k+3)*n:]
 		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
+			if lower {
+				width = i + 1
 			}
-			drow := dst.data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			addMul4(dst.data[i*n:i*n+width], b0, b1, b2, b3, a0[i], a1[i], a2[i], a3[i])
+		}
+	}
+	for ; k < a.rows; k++ {
+		arow, brow := ad[k*ac:], bd[k*n:]
+		for i := lo; i < hi; i++ {
+			if lower {
+				width = i + 1
 			}
+			addMul1(dst.data[i*n:i*n+width], brow, arow[i])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -199,26 +200,49 @@ func TestCholeskyFactorReuse(t *testing.T) {
 	}
 }
 
+// TestParallelRangeCoversOnce pins what opt.Scratch relies on, with the
+// caller as worker 0: every index covered once, worker indices dense in
+// [0, MaxWorkers()) and used by at most one block of a call, no empty block
+// dispatched — for ParallelRange's even split and for the triangle kernel's
+// area split, including more workers than rows.
 func TestParallelRangeCoversOnce(t *testing.T) {
-	withGOMAXPROCS(t, 4, func() {
-		for _, n := range []int{0, 1, 3, 7, 64} {
-			hits := make([]int32, n)
-			// Large cost forces fan-out regardless of n.
-			ParallelRange(n, 1<<30, func(w, lo, hi int) {
-				if w < 0 || w >= MaxWorkers() {
-					t.Errorf("worker index %d out of range", w)
+	for _, procs := range []int{2, 3, 4, 8} {
+		withGOMAXPROCS(t, procs, func() {
+			for _, n := range []int{0, 1, 2, 3, 5, 7, 37, 64} {
+				check := func(name string, split func(fn func(w, lo, hi int))) {
+					var mu sync.Mutex
+					hits := make([]int, n)
+					used := map[int]bool{}
+					split(func(w, lo, hi int) {
+						mu.Lock()
+						defer mu.Unlock()
+						if w < 0 || w >= MaxWorkers() || used[w] {
+							t.Errorf("%s procs=%d n=%d: worker index %d out of range or reused", name, procs, n, w)
+						}
+						used[w] = true
+						if lo >= hi {
+							t.Errorf("%s procs=%d n=%d: empty block [%d,%d) dispatched", name, procs, n, lo, hi)
+						}
+						for i := lo; i < hi; i++ {
+							hits[i]++
+						}
+					})
+					for i, h := range hits {
+						if h != 1 {
+							t.Errorf("%s procs=%d n=%d: index %d covered %d times", name, procs, n, i, h)
+						}
+					}
 				}
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d: index %d covered %d times", n, i, h)
+				// Large cost forces fan-out regardless of n.
+				check("even", func(fn func(w, lo, hi int)) { ParallelRange(n, 1<<30, fn) })
+				if workers := min(MaxWorkers(), n); workers > 0 {
+					check("area", func(fn func(w, lo, hi int)) {
+						fanOut(workers, func(k int) int { return triangleBound(n, k, workers) }, fn)
+					})
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestMulToMatchesKnownProduct pins a tiny hand-checked product so the kernel

@@ -84,7 +84,7 @@ func TestSolveLambdaMatchesSweep(t *testing.T) {
 		for o := range r {
 			r[o] = rng.NormFloat64()
 		}
-		got := solveLambda(make([]int32, m), r, z, e)
+		got := lambdaOf(r, z, e)
 		want := sweepLambda(r, z, e)
 		scale := math.Max(1, math.Max(math.Abs(got), math.Abs(want)))
 		if math.Abs(got-want) > 1e-9*scale {
@@ -111,7 +111,7 @@ func TestSolveLambdaNonFiniteTerminates(t *testing.T) {
 	} {
 		done := make(chan float64, 1)
 		go func() {
-			done <- solveLambda(make([]int32, len(r)), r, z, math.E)
+			done <- lambdaOf(r, z, math.E)
 		}()
 		select {
 		case lam := <-done:
@@ -154,7 +154,7 @@ func TestSolveLambdaConstantZ(t *testing.T) {
 		for o := range r {
 			r[o] = rng.Float64()
 		}
-		got := solveLambda(make([]int32, m), r, z, e)
+		got := lambdaOf(r, z, e)
 		want := sweepLambda(r, z, e)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("m=%d: solveLambda = %v, sweep = %v", m, got, want)
@@ -163,4 +163,168 @@ func TestSolveLambdaConstantZ(t *testing.T) {
 			t.Fatalf("m=%d: Σ clip = %v, want 1", m, f)
 		}
 	}
+}
+
+// lambdaOf is solveLambda with fresh scratch.
+func lambdaOf(r, z []float64, e float64) float64 {
+	return solveLambda(make([]float64, len(r)), make([]float64, len(r)), r, z, e)
+}
+
+// refSolveLambda is the index-array narrowing solveLambda replaced, kept
+// verbatim (two-branch clip, retirement through act) as the reference the
+// contiguous search must reproduce to the bit.
+func refSolveLambda(act []int32, r, z []float64, e float64) float64 {
+	pivotIn := func(o int32, a, b float64) float64 {
+		lo := z[o] - r[o]
+		if lo > a && lo < b {
+			return lo
+		}
+		return e*z[o] - r[o]
+	}
+	m := len(r)
+	act = act[:m]
+	for o := range act {
+		act[o] = int32(o)
+		if lo := z[o] - r[o]; math.IsNaN(lo) || math.IsInf(lo, 0) {
+			return math.NaN()
+		}
+		if hi := e*z[o] - r[o]; math.IsNaN(hi) || math.IsInf(hi, 0) {
+			return math.NaN()
+		}
+	}
+	a, b := math.Inf(-1), math.Inf(1)
+	base := 0.0
+	nfree := 0
+	for len(act) > 0 {
+		p := pivotIn(act[0], a, b)
+		if len(act) > 2 {
+			p1 := pivotIn(act[len(act)/2], a, b)
+			p2 := pivotIn(act[len(act)-1], a, b)
+			if p > p1 {
+				p, p1 = p1, p
+			}
+			if p1 > p2 {
+				p1 = p2
+			}
+			if p < p1 {
+				p = p1
+			}
+		}
+		f := base + float64(nfree)*p
+		for _, o := range act {
+			v := r[o] + p
+			if zo := z[o]; v < zo {
+				v = zo
+			} else if hi := e * zo; v > hi {
+				v = hi
+			}
+			f += v
+		}
+		if f >= 1 {
+			b = p
+		} else {
+			a = p
+		}
+		w := 0
+		for _, o := range act {
+			lo := z[o] - r[o]
+			hi := e*z[o] - r[o]
+			switch {
+			case lo >= b:
+				base += z[o]
+			case hi <= a:
+				base += e * z[o]
+			case lo <= a && hi >= b:
+				base += r[o]
+				nfree++
+			default:
+				act[w] = o
+				w++
+			}
+		}
+		act = act[:w]
+	}
+	if nfree > 0 {
+		lam := (1 - base) / float64(nfree)
+		if lam < a {
+			lam = a
+		} else if lam > b {
+			lam = b
+		}
+		return lam
+	}
+	if !math.IsInf(a, -1) {
+		return a
+	}
+	return b
+}
+
+// TestSolveLambdaMatchesIndexArrayReference: same pivots, same accumulation
+// order, same λ to the bit — on the generators above (random feasible z,
+// constant z), on tied and duplicated coordinates, on columns where every
+// coordinate ends clipped (Σz = 1, e·Σz = 1: the degenerate flat interval),
+// on zero bounds, and on the non-finite bail-out. r and z must come back
+// untouched (the search works on its own copies).
+func TestSolveLambdaMatchesIndexArrayReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	check := func(name string, r, z []float64, e float64) {
+		t.Helper()
+		r0, z0 := append([]float64(nil), r...), append([]float64(nil), z...)
+		got := lambdaOf(r, z, e)
+		want := refSolveLambda(make([]int32, len(r)), r, z, e)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("%s (m=%d, e=%g): solveLambda = %v (%#x), index-array reference = %v (%#x)",
+				name, len(r), e, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		for o := range r {
+			if math.Float64bits(r[o]) != math.Float64bits(r0[o]) || math.Float64bits(z[o]) != math.Float64bits(z0[o]) {
+				t.Fatalf("%s: solveLambda modified its input at %d", name, o)
+			}
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		m := 1 + rng.Intn(300)
+		eps := 0.05 + 4*rng.Float64()
+		e := math.Exp(eps)
+		z := feasibleZ(rng, m, eps)
+		r := make([]float64, m)
+		for o := range r {
+			r[o] = rng.NormFloat64()
+		}
+		check("random", r, z, e)
+
+		// Ties: few distinct values, so breakpoints coincide with pivots.
+		for o := range r {
+			r[o] = float64(rng.Intn(3)) / 4
+		}
+		check("tied r", r, z, e)
+		zc := make([]float64, m)
+		for o := range zc {
+			zc[o] = 0.7 / float64(m)
+		}
+		check("constant z, tied r", r, zc, e)
+		if m > 1 {
+			z[rng.Intn(m)] = 0 // a zero bound: lo == hi breakpoints
+			check("zero bound", r, z, e)
+		}
+
+		// Every coordinate clipped: Σz = 1 (all low) and e·Σz = 1 (all high).
+		for o := range zc {
+			zc[o] = 1 / float64(m)
+		}
+		check("all clipped low", r, zc, e)
+		for o := range zc {
+			zc[o] = 1 / (e * float64(m))
+		}
+		check("all clipped high", r, zc, e)
+	}
+	z := []float64{0.2, 0.2, 0.2, 0.2}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for at := range z {
+			r := []float64{0.1, 0.4, 0.3, 0.2}
+			r[at] = bad
+			check("non-finite r", r, z, math.E)
+		}
+	}
+	check("overflowing e·z", []float64{0.1, 0.2}, []float64{0.5, 0.4}, math.MaxFloat64)
 }

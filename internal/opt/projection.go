@@ -58,14 +58,14 @@ func validateZ(z []float64, e float64) error {
 	return nil
 }
 
-// pivotIn returns a breakpoint of coordinate o that lies strictly inside
-// (a, b). Every active coordinate has one (that is what active means).
-func pivotIn(o int32, r, z []float64, e, a, b float64) float64 {
-	lo := z[o] - r[o]
+// pivotIn returns a breakpoint of a coordinate (r, z) that lies strictly
+// inside (a, b). Every active coordinate has one (that is what active means).
+func pivotIn(r, z, e, a, b float64) float64 {
+	lo := z - r
 	if lo > a && lo < b {
 		return lo
 	}
-	return e*z[o] - r[o]
+	return e*z - r
 }
 
 // solveLambda finds the leftmost shift λ with f(λ) = Σ clip(r + λ, z, e·z) = 1
@@ -74,28 +74,32 @@ func pivotIn(o int32, r, z []float64, e, a, b float64) float64 {
 // narrowing (no sort): keep an interval (a, b) bracketing the crossing, pick a
 // median-of-three breakpoint inside it, evaluate f there in one pass over the
 // still-active coordinates, and discard every coordinate whose clip status is
-// decided for the whole interval. act is caller-owned scratch of length m.
+// decided for the whole interval. ar and az are caller-owned scratch of
+// length m: the active coordinates' (r, z) pairs live there contiguously and
+// retire by stable in-place compaction, so each pass streams two dense
+// slices in coordinate order.
 //
 // Pivots are chosen deterministically from the data, so the result is a pure
 // function of (r, z, e) — parallel and serial projections agree bit-for-bit.
-func solveLambda(act []int32, r, z []float64, e float64) float64 {
+func solveLambda(ar, az, r, z []float64, e float64) float64 {
 	m := len(r)
-	act = act[:m]
-	for o := range act {
-		act[o] = int32(o)
+	ar, az, z = ar[:m], az[:m], z[:m]
+	for o, ro := range r {
+		zo := z[o]
 		// A non-finite coordinate would never retire (NaN fails every
 		// comparison) and would stall the narrowing loop. Bail out with NaN:
 		// the caller's projection then yields a NaN column, which the
 		// optimizer's blow-up safeguard already handles (the seed's sorted
 		// sweep likewise returned garbage for non-finite input, but
 		// terminated).
-		if lo := z[o] - r[o]; math.IsNaN(lo) || math.IsInf(lo, 0) {
+		if lo := zo - ro; math.IsNaN(lo) || math.IsInf(lo, 0) {
 			return math.NaN()
 		}
 		// e*z can overflow for extreme ε even with feasible (bounded) z.
-		if hi := e*z[o] - r[o]; math.IsNaN(hi) || math.IsInf(hi, 0) {
+		if hi := e*zo - ro; math.IsNaN(hi) || math.IsInf(hi, 0) {
 			return math.NaN()
 		}
+		ar[o], az[o] = ro, zo
 	}
 	a, b := math.Inf(-1), math.Inf(1)
 	// f(λ) restricted to λ ∈ (a, b) is base + nfree·λ plus the active
@@ -103,12 +107,12 @@ func solveLambda(act []int32, r, z []float64, e float64) float64 {
 	// (z_o for clipped-low, e·z_o for clipped-high, r_o for free).
 	base := 0.0
 	nfree := 0
-	for len(act) > 0 {
+	for len(ar) > 0 {
 		// Median-of-three deterministic pivot, strictly inside (a, b).
-		p := pivotIn(act[0], r, z, e, a, b)
-		if len(act) > 2 {
-			p1 := pivotIn(act[len(act)/2], r, z, e, a, b)
-			p2 := pivotIn(act[len(act)-1], r, z, e, a, b)
+		p := pivotIn(ar[0], az[0], e, a, b)
+		if last := len(ar) - 1; last >= 2 {
+			p1 := pivotIn(ar[len(ar)/2], az[len(ar)/2], e, a, b)
+			p2 := pivotIn(ar[last], az[last], e, a, b)
 			// Median of p, p1, p2.
 			if p > p1 {
 				p, p1 = p1, p
@@ -120,16 +124,12 @@ func solveLambda(act []int32, r, z []float64, e float64) float64 {
 				p = p1
 			}
 		}
-		// Evaluate f(p) over the active coordinates.
+		// Evaluate f(p) over the active coordinates. z ≤ e·z, so the clip is
+		// min(max(·, z), e·z): no data-dependent branch in the loop.
 		f := base + float64(nfree)*p
-		for _, o := range act {
-			v := r[o] + p
-			if zo := z[o]; v < zo {
-				v = zo
-			} else if hi := e * zo; v > hi {
-				v = hi
-			}
-			f += v
+		for i, ri := range ar {
+			zi := az[i]
+			f += min(max(ri+p, zi), e*zi)
 		}
 		// f is nondecreasing: the leftmost crossing is ≤ p iff f(p) ≥ 1.
 		if f >= 1 {
@@ -140,23 +140,24 @@ func solveLambda(act []int32, r, z []float64, e float64) float64 {
 		// Retire coordinates with no breakpoint left inside (a, b): their
 		// clip status is constant across the remaining interval.
 		w := 0
-		for _, o := range act {
-			lo := z[o] - r[o]
-			hi := e*z[o] - r[o]
+		for i, ri := range ar {
+			zi := az[i]
+			lo := zi - ri
+			hi := e*zi - ri
 			switch {
 			case lo >= b: // clipped low for every λ ≤ b
-				base += z[o]
+				base += zi
 			case hi <= a: // clipped high for every λ > a
-				base += e * z[o]
+				base += e * zi
 			case lo <= a && hi >= b: // free on the whole interval
-				base += r[o]
+				base += ri
 				nfree++
 			default:
-				act[w] = o
+				ar[w], az[w] = ri, zi
 				w++
 			}
 		}
-		act = act[:w]
+		ar, az = ar[:w], az[:w]
 	}
 	// No breakpoints left in (a, b): f is linear there with slope nfree,
 	// f(λ) = base + nfree·λ, and the crossing is bracketed by construction.
@@ -206,7 +207,7 @@ func ProjectColumn(r, z []float64, eps float64) (*ColumnProjection, error) {
 	if err := validateZ(z, e); err != nil {
 		return nil, err
 	}
-	lambda := solveLambda(make([]int32, m), r, z, e)
+	lambda := solveLambda(make([]float64, m), make([]float64, m), r, z, e)
 
 	q := make([]float64, m)
 	state := make([]ClipState, m)
@@ -267,19 +268,21 @@ func (p *MatrixProjection) reshape(m, n int) {
 	p.NumFree = p.NumFree[:n]
 }
 
-// projWorker is one worker's scratch for ProjectMatrixInto.
+// projWorker is one worker's scratch for ProjectMatrixInto: the gathered
+// column, solveLambda's active (r, z) pairs, and the rows the column left
+// free.
 type projWorker struct {
-	col []float64
-	act []int32
+	col, ar, az []float64
+	free        []int32
 }
 
 func (w *projWorker) grow(m int) {
 	if cap(w.col) < m {
-		w.col = make([]float64, m)
-		w.act = make([]int32, m)
+		buf := make([]float64, 3*m)
+		w.col, w.ar, w.az = buf[:m], buf[m:2*m], buf[2*m:]
+		w.free = make([]int32, m)
 	}
-	w.col = w.col[:m]
-	w.act = w.act[:m]
+	w.col, w.ar, w.az, w.free = w.col[:m], w.ar[:m], w.az[:m], w.free[:m]
 }
 
 // Scratch holds the per-worker buffers ProjectMatrixInto needs. The zero
@@ -343,7 +346,7 @@ func (sc *projWorker) projectCols(out *MatrixProjection, r *linalg.Matrix, z []f
 		for o := 0; o < m; o++ {
 			sc.col[o] = rd[o*n+u]
 		}
-		lambda := solveLambda(sc.act, sc.col, z, e)
+		lambda := solveLambda(sc.ar, sc.az, sc.col, z, e)
 		free := 0
 		sum := 0.0
 		for o := 0; o < m; o++ {
@@ -359,6 +362,7 @@ func (sc *projWorker) projectCols(out *MatrixProjection, r *linalg.Matrix, z []f
 			default:
 				q = v
 				out.State[o*n+u] = Free
+				sc.free[free] = int32(o)
 				free++
 			}
 			qd[o*n+u] = q
@@ -368,10 +372,8 @@ func (sc *projWorker) projectCols(out *MatrixProjection, r *linalg.Matrix, z []f
 		// sums to one exactly.
 		if free > 0 {
 			adj := (1 - sum) / float64(free)
-			for o := 0; o < m; o++ {
-				if out.State[o*n+u] == Free {
-					qd[o*n+u] += adj
-				}
+			for _, o := range sc.free[:free] {
+				qd[int(o)*n+u] += adj
 			}
 		}
 		out.NumFree[u] = free

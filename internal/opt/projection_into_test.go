@@ -56,12 +56,15 @@ func TestProjectMatrixIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var out MatrixProjection
 	var ws Scratch
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 3, 4, 8} {
 		old := runtime.GOMAXPROCS(procs)
-		for _, sh := range [][2]int{{8, 3}, {64, 16}, {256, 64}, {32, 32}} {
+		for _, sh := range [][2]int{{8, 3}, {64, 16}, {256, 64}, {32, 32}, {37 * 4, 37}, {67, 129}} {
 			m, n := sh[0], sh[1]
 			eps := 1.0
 			z := linalg.Constant(m, 0.7/float64(m))
+			if m%2 == 1 {
+				z = feasibleZ(rng, m, eps) // uneven bounds: few free rows per column
+			}
 			r := linalg.New(m, n)
 			for i := range r.Data() {
 				r.Data()[i] = rng.NormFloat64()
@@ -121,5 +124,24 @@ func TestProjectMatrixIntoInfeasible(t *testing.T) {
 	err := ProjectMatrixInto(&out, &ws, linalg.New(2, 2), z, 1.0)
 	if err == nil {
 		t.Fatal("expected infeasibility error")
+	}
+}
+
+// BenchmarkProjection times the optimizer's per-iteration projection at the
+// ledger's large call (m = 512, n = 128), from a mid-run-like R = Q + noise.
+func BenchmarkProjection(b *testing.B) {
+	const m, n = 512, 128
+	rng := rand.New(rand.NewSource(11))
+	z := linalg.Constant(m, 0.7/float64(m))
+	r := linalg.New(m, n)
+	for i := range r.Data() {
+		r.Data()[i] = 1/float64(m) + 0.01*rng.NormFloat64()
+	}
+	var out MatrixProjection
+	var ws Scratch
+	for b.Loop() {
+		if err := ProjectMatrixInto(&out, &ws, r, z, 1.0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

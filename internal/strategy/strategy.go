@@ -181,8 +181,8 @@ func (s *Strategy) ReconstructionWithWeights(weights []float64) (*Recon, error) 
 		dinv[i] = 1 / v
 	}
 	qs := q.Clone().ScaleRows(dinv) // D⁻¹Q
-	msym := linalg.MulAtB(q, qs)    // M = QᵀD⁻¹Q (n×n, symmetric PSD)
-	msym.Symmetrize()
+	msym := linalg.New(q.Cols(), q.Cols())
+	linalg.MulAtBSymTo(msym, q, qs) // M = QᵀD⁻¹Q (n×n, symmetric PSD)
 	// B = M⁺ (D⁻¹Q)ᵀ = M⁺ Qsᵀ.
 	if ch, err := linalg.FactorCholesky(msym); err == nil {
 		return &Recon{B: ch.Solve(qs.T()), FullRank: true}, nil
@@ -265,8 +265,8 @@ func (s *Strategy) Objective(gram *linalg.Matrix) (float64, error) {
 		dinv[i] = 1 / v
 	}
 	qs := s.Q.Clone().ScaleRows(dinv)
-	msym := linalg.MulAtB(s.Q, qs)
-	msym.Symmetrize()
+	msym := linalg.New(n, n)
+	linalg.MulAtBSymTo(msym, s.Q, qs)
 	if ch, err := linalg.FactorCholesky(msym); err == nil {
 		// tr(M⁻¹G) = Σ diag of solve(M, G).
 		x := ch.Solve(gram)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	ldp "repro"
@@ -113,6 +114,16 @@ func TestOptimizeCancellation(t *testing.T) {
 	cancel3()
 	if _, err := ldp.Optimize(warm, w, 1.0, ldp.WithIterations(50), ldp.WithWarmStarts()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("context ignored by the warm-start path: err = %v", err)
+	}
+}
+
+// TestOptimizeBadPriorNamesTheCause: with the default automatic step the
+// pilots fail before the main run does; their error must reach the caller
+// (see core's TestStepSearchReportsTheCause).
+func TestOptimizeBadPriorNamesTheCause(t *testing.T) {
+	_, err := ldp.Optimize(context.Background(), ldp.Prefix(4), 1.0, ldp.WithPrior([]float64{1, 2}))
+	if err == nil || !strings.Contains(err.Error(), "prior has 2 entries, domain is 4") {
+		t.Fatalf("err = %v, want the prior-length error", err)
 	}
 }
 
