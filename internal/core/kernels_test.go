@@ -10,12 +10,36 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	_ "unsafe" // go:linkname, for linalgUseAVX2
 
 	"repro/internal/linalg"
 	"repro/internal/opt"
 	"repro/internal/strategy"
 	"repro/internal/workload"
 )
+
+// linalgUseAVX2 is linalg's unexported addMul4 switch, bound by name. linalg
+// exports no way to choose a kernel — the two bodies agree bit for bit, so a
+// caller has nothing to choose — and the tests below are where that agreement
+// is shown on whole optimizations rather than on single rows.
+//
+//go:linkname linalgUseAVX2 repro/internal/linalg.useAVX2
+var linalgUseAVX2 bool
+
+// eachKernel runs fn as a subtest per addMul4 body this machine can run: the
+// detected one and, where that is the vector kernel, the Go loop forced.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	detected := linalgUseAVX2
+	defer func() { linalgUseAVX2 = detected }()
+	paths := []bool{false}
+	if detected {
+		paths = []bool{true, false}
+	}
+	for _, vector := range paths {
+		linalgUseAVX2 = vector
+		t.Run("kernel="+linalg.Kernel(), fn)
+	}
+}
 
 // fullProductM is how M = QᵀD⁻¹Q was formed before the symmetric kernel: the
 // full product, then the average of the two differently-rounded halves.
@@ -203,38 +227,40 @@ func TestSameArithmeticAsFullProduct(t *testing.T) {
 		{workload.NewAllRange(64), 60, 1.9627678106981094e+06, "b68b0fdab9c2e6a7"},
 		{workload.NewPrefix(37), 80, 11220.133206726381, "cd702444a8a4aa27"},
 	}
-	for _, procs := range []int{1, 3} {
-		old := runtime.GOMAXPROCS(procs)
-		for _, c := range cells {
-			gram, n := c.w.Gram(), c.w.Domain()
-			o := (&Options{Iters: c.iters, Seed: 7}).withDefaults(n)
-			ws := NewWorkspace(o.Outputs, n)
-			ws.mulM = fullProductM
-			beta, err := searchStepSize(gram, 1.0, o, ws)
-			if err != nil {
-				t.Fatal(err)
+	eachKernel(t, func(t *testing.T) {
+		for _, procs := range []int{1, 3} {
+			old := runtime.GOMAXPROCS(procs)
+			for _, c := range cells {
+				gram, n := c.w.Gram(), c.w.Domain()
+				o := (&Options{Iters: c.iters, Seed: 7}).withDefaults(n)
+				ws := NewWorkspace(o.Outputs, n)
+				ws.mulM = fullProductM
+				beta, err := searchStepSize(gram, 1.0, o, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := run(gram, 1.0, o, beta, o.Iters, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := strategyHash(res.Strategy); got != c.hash || res.Objective != c.obj {
+					t.Errorf("procs=%d %s n=%d: full-product M gives objective %v hash %s, the parent commit gave %v %s",
+						procs, c.w.Name(), n, res.Objective, got, c.obj, c.hash)
+				}
+				if procs != 1 {
+					continue
+				}
+				sym, err := OptimizeGram(gram, 1.0, Options{Iters: c.iters, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(sym.Objective-c.obj) > 0.02*c.obj {
+					t.Errorf("procs=%d %s n=%d: symmetric-kernel objective %v strays from the parent's %v", procs, c.w.Name(), n, sym.Objective, c.obj)
+				}
 			}
-			res, err := run(gram, 1.0, o, beta, o.Iters, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strategyHash(res.Strategy); got != c.hash || res.Objective != c.obj {
-				t.Errorf("procs=%d %s n=%d: full-product M gives objective %v hash %s, the parent commit gave %v %s",
-					procs, c.w.Name(), n, res.Objective, got, c.obj, c.hash)
-			}
-			if procs != 1 {
-				continue
-			}
-			sym, err := OptimizeGram(gram, 1.0, Options{Iters: c.iters, Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(sym.Objective-c.obj) > 0.02*c.obj {
-				t.Errorf("procs=%d %s n=%d: symmetric-kernel objective %v strays from the parent's %v", procs, c.w.Name(), n, sym.Objective, c.obj)
-			}
+			runtime.GOMAXPROCS(old)
 		}
-		runtime.GOMAXPROCS(old)
-	}
+	})
 }
 
 // TestStepSearchReportsTheCause: with the automatic step, a call that fails

@@ -97,44 +97,46 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 // TestOptimizeUnderParallelKernels runs a full optimization at an elevated
 // GOMAXPROCS so the goroutine-parallel kernels actually fan out, and checks
 // the result matches the serial run bit-for-bit (the kernels promise
-// split-independent accumulation order).
+// split-independent accumulation order), with either addMul4 body underneath.
 func TestOptimizeUnderParallelKernels(t *testing.T) {
-	for _, c := range []struct {
-		w     workload.Workload
-		procs int
-	}{
-		{workload.NewPrefix(16), 4},
-		// n = 37, m = 148 at three workers: row, column and triangle blocks
-		// of uneven size, none a multiple of the kernels' four-k groups.
-		{workload.NewPrefix(37), 3},
-		// Large enough for the triangle kernel itself to fan out.
-		{workload.NewAllRange(48), 3},
-	} {
-		run := func(procs int) *Result {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
-			res, err := Optimize(c.w, 1.0, Options{Iters: 60, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
+	eachKernel(t, func(t *testing.T) {
+		for _, c := range []struct {
+			w     workload.Workload
+			procs int
+		}{
+			{workload.NewPrefix(16), 4},
+			// n = 37, m = 148 at three workers: row, column and triangle blocks
+			// of uneven size, none a multiple of the kernels' four-k groups.
+			{workload.NewPrefix(37), 3},
+			// Large enough for the triangle kernel itself to fan out.
+			{workload.NewAllRange(48), 3},
+		} {
+			run := func(procs int) *Result {
+				old := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(old)
+				res, err := Optimize(c.w, 1.0, Options{Iters: 60, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			return res
-		}
-		serial := run(1)
-		parallel := run(c.procs)
-		name := fmt.Sprintf("%s n=%d at %d procs", c.w.Name(), c.w.Domain(), c.procs)
-		if serial.Objective != parallel.Objective {
-			t.Fatalf("%s: objective differs across GOMAXPROCS: %v vs %v", name, serial.Objective, parallel.Objective)
-		}
-		if !linalg.ApproxEqual(serial.Strategy.Q, parallel.Strategy.Q, 0) {
-			t.Fatalf("%s: optimized strategy differs across GOMAXPROCS", name)
-		}
-		if len(serial.History) != len(parallel.History) {
-			t.Fatalf("%s: history lengths differ: %d vs %d", name, len(serial.History), len(parallel.History))
-		}
-		for i := range serial.History {
-			if serial.History[i] != parallel.History[i] {
-				t.Fatalf("%s: history[%d] differs: %v vs %v", name, i, serial.History[i], parallel.History[i])
+			serial := run(1)
+			parallel := run(c.procs)
+			name := fmt.Sprintf("%s n=%d at %d procs", c.w.Name(), c.w.Domain(), c.procs)
+			if serial.Objective != parallel.Objective {
+				t.Fatalf("%s: objective differs across GOMAXPROCS: %v vs %v", name, serial.Objective, parallel.Objective)
+			}
+			if !linalg.ApproxEqual(serial.Strategy.Q, parallel.Strategy.Q, 0) {
+				t.Fatalf("%s: optimized strategy differs across GOMAXPROCS", name)
+			}
+			if len(serial.History) != len(parallel.History) {
+				t.Fatalf("%s: history lengths differ: %d vs %d", name, len(serial.History), len(parallel.History))
+			}
+			for i := range serial.History {
+				if serial.History[i] != parallel.History[i] {
+					t.Fatalf("%s: history[%d] differs: %v vs %v", name, i, serial.History[i], parallel.History[i])
+				}
 			}
 		}
-	}
+	})
 }

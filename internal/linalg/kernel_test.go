@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -133,6 +134,47 @@ func kernelMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 
 var raggedDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 67}
 
+// kernelRun is one row of the table every differential test below runs over:
+// which body addMul4 takes, at which worker count.
+type kernelRun struct {
+	vector bool
+	procs  int
+}
+
+// kernelRuns crosses the addMul4 bodies this machine can run — the detected
+// one and, where that is the vector kernel, the Go loop it has to match —
+// with the given worker counts.
+func kernelRuns(procs ...int) []kernelRun {
+	paths := []bool{false}
+	if useAVX2 {
+		paths = []bool{true, false}
+	}
+	var runs []kernelRun
+	for _, vector := range paths {
+		for _, p := range procs {
+			runs = append(runs, kernelRun{vector, p})
+		}
+	}
+	return runs
+}
+
+func (r kernelRun) String() string {
+	name := "go"
+	if r.vector {
+		name = "avx2"
+	}
+	return fmt.Sprintf("kernel=%s procs=%d", name, r.procs)
+}
+
+// do runs fn with the row's addMul4 body and GOMAXPROCS in force.
+func (r kernelRun) do(fn func()) {
+	detected := useAVX2
+	useAVX2 = r.vector
+	defer func() { useAVX2 = detected }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(r.procs))
+	fn()
+}
+
 // TestKernelProductsMatchOneK drives the row kernels directly over every
 // ragged (rows, cols, k) and over blocks whose lo/hi are not multiples of
 // four, comparing Float64bits with the one-k loops.
@@ -145,17 +187,19 @@ func TestKernelProductsMatchOneK(t *testing.T) {
 				at := kernelMatrix(rng, k, rows)
 				for _, blk := range [][2]int{{0, rows}, {rows / 3, rows - rows/5}, {rows / 2, rows/2 + 1}} {
 					lo, hi := blk[0], min(blk[1], rows)
-					got, want := kernelMatrix(rng, rows, cols), New(rows, cols)
-					want.CopyFrom(got) // rows outside [lo, hi) must be left alone
-					mulToRows(got, a, b, lo, hi)
-					refMulToRows(want, a, b, lo, hi)
-					if !sameBits(got, want) {
-						t.Fatalf("mulToRows %dx%dx%d rows [%d,%d) differs from the one-k loop", rows, k, cols, lo, hi)
-					}
-					mulAtBToRows(got, at, b, lo, hi, false)
-					refMulAtBToRows(want, at, b, lo, hi)
-					if !sameBits(got, want) {
-						t.Fatalf("mulAtBToRows %dx%dx%d rows [%d,%d) differs from the one-k loop", k, rows, cols, lo, hi)
+					for _, run := range kernelRuns(1) {
+						got, want := kernelMatrix(rng, rows, cols), New(rows, cols)
+						want.CopyFrom(got) // rows outside [lo, hi) must be left alone
+						run.do(func() { mulToRows(got, a, b, lo, hi) })
+						refMulToRows(want, a, b, lo, hi)
+						if !sameBits(got, want) {
+							t.Fatalf("%v: mulToRows %dx%dx%d rows [%d,%d) differs from the one-k loop", run, rows, k, cols, lo, hi)
+						}
+						run.do(func() { mulAtBToRows(got, at, b, lo, hi, false) })
+						refMulAtBToRows(want, at, b, lo, hi)
+						if !sameBits(got, want) {
+							t.Fatalf("%v: mulAtBToRows %dx%dx%d rows [%d,%d) differs from the one-k loop", run, k, rows, cols, lo, hi)
+						}
 					}
 				}
 			}
@@ -173,16 +217,16 @@ func TestKernelProductsMatchOneKParallel(t *testing.T) {
 		want, wantAt := New(rows, cols), New(rows, cols)
 		refMulToRows(want, a, b, 0, rows)
 		refMulAtBToRows(wantAt, at, b, 0, rows)
-		for _, procs := range []int{1, 2, 3, 8} {
-			withGOMAXPROCS(t, procs, func() {
+		for _, run := range kernelRuns(1, 2, 3, 8) {
+			run.do(func() {
 				got := kernelMatrix(rng, rows, cols)
 				MulTo(got, a, b)
 				if !sameBits(got, want) {
-					t.Errorf("procs=%d MulTo %dx%dx%d differs from the one-k loop", procs, rows, k, cols)
+					t.Errorf("%v: MulTo %dx%dx%d differs from the one-k loop", run, rows, k, cols)
 				}
 				MulAtBTo(got, at, b)
 				if !sameBits(got, wantAt) {
-					t.Errorf("procs=%d MulAtBTo %dx%dx%d differs from the one-k loop", procs, k, rows, cols)
+					t.Errorf("%v: MulAtBTo %dx%dx%d differs from the one-k loop", run, k, rows, cols)
 				}
 			})
 		}
@@ -230,12 +274,14 @@ func TestKernelCholeskySolveMatchesOneK(t *testing.T) {
 		for _, w := range raggedDims {
 			b := kernelMatrix(rng, n, w)
 			for _, blk := range [][2]int{{0, w}, {w / 3, w - w/5}} {
-				got, want := kernelMatrix(rng, n, w), New(n, w)
-				want.CopyFrom(got)
-				ch.solveToCols(got, b, blk[0], blk[1])
-				ch.refSolveToCols(want, b, blk[0], blk[1])
-				if !sameBits(got, want) {
-					t.Fatalf("solveToCols n=%d w=%d cols [%d,%d) differs from the one-k solve", n, w, blk[0], blk[1])
+				for _, run := range kernelRuns(1) {
+					got, want := kernelMatrix(rng, n, w), New(n, w)
+					want.CopyFrom(got)
+					run.do(func() { ch.solveToCols(got, b, blk[0], blk[1]) })
+					ch.refSolveToCols(want, b, blk[0], blk[1])
+					if !sameBits(got, want) {
+						t.Fatalf("%v: solveToCols n=%d w=%d cols [%d,%d) differs from the one-k solve", run, n, w, blk[0], blk[1])
+					}
 				}
 			}
 		}
@@ -248,12 +294,12 @@ func TestKernelCholeskySolveMatchesOneK(t *testing.T) {
 		b := kernelMatrix(rng, n, n+3)
 		want := New(n, n+3)
 		ch.refSolveToCols(want, b, 0, n+3)
-		for _, procs := range []int{1, 2, 3, 8} {
-			withGOMAXPROCS(t, procs, func() {
+		for _, run := range kernelRuns(1, 2, 3, 8) {
+			run.do(func() {
 				got := New(n, n+3)
 				ch.SolveTo(got, b)
 				if !sameBits(got, want) {
-					t.Errorf("procs=%d n=%d: SolveTo differs from the one-k solve", procs, n)
+					t.Errorf("%v n=%d: SolveTo differs from the one-k solve", run, n)
 				}
 			})
 		}
@@ -275,22 +321,22 @@ func TestKernelSymmetricProduct(t *testing.T) {
 		b := a.ScaleRowsTo(New(k, n), s)
 		full := New(n, n)
 		refMulAtBToRows(full, a, b, 0, n)
-		for _, procs := range []int{1, 2, 3, 8} {
-			withGOMAXPROCS(t, procs, func() {
+		for _, run := range kernelRuns(1, 2, 3, 8) {
+			run.do(func() {
 				got := kernelMatrix(rng, n, n)
 				MulAtBSymTo(got, a, b)
 				for i := 0; i < n; i++ {
 					for j := 0; j <= i; j++ {
 						if math.Float64bits(got.At(i, j)) != math.Float64bits(full.At(i, j)) {
-							t.Fatalf("procs=%d %dx%d: lower (%d,%d) = %v, MulAtBTo has %v", procs, k, n, i, j, got.At(i, j), full.At(i, j))
+							t.Fatalf("%v %dx%d: lower (%d,%d) = %v, MulAtBTo has %v", run, k, n, i, j, got.At(i, j), full.At(i, j))
 						}
 						if math.Float64bits(got.At(j, i)) != math.Float64bits(got.At(i, j)) {
-							t.Fatalf("procs=%d %dx%d: upper (%d,%d) is not the mirror of the lower", procs, k, n, j, i)
+							t.Fatalf("%v %dx%d: upper (%d,%d) is not the mirror of the lower", run, k, n, j, i)
 						}
 					}
 				}
 				if !got.IsSymmetric(0) {
-					t.Fatalf("procs=%d %dx%d: not exactly symmetric", procs, k, n)
+					t.Fatalf("%v %dx%d: not exactly symmetric", run, k, n)
 				}
 			})
 		}

@@ -2,9 +2,12 @@
 // the repository: matrices, factorizations (LU, Cholesky), a symmetric Jacobi
 // eigendecomposition, pseudo-inverses of PSD matrices, and singular values.
 //
-// Everything is implemented on top of the standard library only. Matrices are
-// dense, row-major, and sized for the problem scales of the paper (domains up
-// to a few thousand).
+// Everything is implemented on top of the standard library, in Go, with one
+// exception: the inner loop of the product and solve kernels (addMul4) also
+// has an AVX2 body in Go assembly (addmul_amd64.s), selected at init on
+// amd64 machines whose CPU and OS support it. Matrices are dense, row-major,
+// and sized for the problem scales of the paper (domains up to a few
+// thousand).
 //
 // # Destination-passing (*To) variants and aliasing rules
 //
@@ -27,8 +30,12 @@
 // — experiment outputs stay reproducible across machines and worker counts.
 // The product and solve kernels take four k's per pass over a destination
 // row (addMul4), which performs the one-k-per-pass roundings in the same
-// order: grouping changes no bit. The symmetric kernel's lower triangle
-// equals MulAtBTo's, and its upper triangle is that triangle's mirror.
+// order: grouping changes no bit. Neither does the choice of addMul4's body:
+// the assembly multiplies and adds in separate instructions, in the Go
+// loop's order (a fused multiply-add would round once where the loop rounds
+// twice), so a machine with the vector unit and one without produce the same
+// bits. The symmetric kernel's lower triangle equals MulAtBTo's, and its
+// upper triangle is that triangle's mirror.
 package linalg
 
 import (
@@ -42,8 +49,8 @@ import (
 // The zero value is an empty matrix. Use New, NewFrom or Identity to create
 // matrices with a shape.
 type Matrix struct {
-	// RowsN and ColsN give the shape. They are exported via Rows/Cols
-	// accessors; direct field access is internal to the package.
+	// rows and cols give the shape (read through Rows and Cols outside the
+	// package); data holds the rows*cols entries, row after row.
 	rows, cols int
 	data       []float64
 }

@@ -100,7 +100,14 @@ func addMul1(d, b []float64, a float64) {
 // multiplied: every kernel built on addMul4 is bit-identical to its
 // one-k-per-pass form for any input, and banded matrices keep their skip.
 // The b slices may run past len(d); re-slicing them here is what lets the
-// compiler drop the bounds checks from the loop.
+// compiler drop the bounds checks from the loop (and what bounds the vector
+// body, which takes pointers and one length).
+//
+// On an amd64 machine with AVX2 a row of at least one vector goes to
+// addMul4AVX2, which is this loop four j at a time: separate multiply and add
+// instructions in the same order — never a fused multiply-add, which rounds
+// once where this expression rounds twice — so which body ran is not
+// observable in the result.
 func addMul4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
 		addMul1(d, b0, a0)
@@ -110,9 +117,22 @@ func addMul4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 		return
 	}
 	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	if useAVX2 && len(d) >= 4 {
+		addMul4AVX2(&d[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d), a0, a1, a2, a3)
+		return
+	}
 	for j := range d {
 		d[j] = d[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
+}
+
+// Kernel names the body addMul4 runs on this machine, "avx2" or "go". The
+// results do not depend on it; the timings do, so build reports carry it.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 // mulToRows computes rows [lo, hi) of dst = a*b with the cache-friendly ikj

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +199,27 @@ func TestProjectColumnInfeasible(t *testing.T) {
 	// Negative z.
 	if _, err := ProjectColumn([]float64{0, 0}, []float64{-0.1, 0.5}, 1); err == nil {
 		t.Fatal("expected error for negative z")
+	}
+}
+
+// TestProjectRejectsNonFiniteBounds: a NaN bound fails every comparison, so
+// v < 0, Σz > 1 and e^ε Σz < 1 all let it through, and the projection came
+// back with a nil error, an all-NaN Q, every State Free and NumFree = m. Both
+// entry points must refuse it (and an infinite bound) naming the index.
+func TestProjectRejectsNonFiniteBounds(t *testing.T) {
+	r := []float64{0.1, 0.2, 0.3}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		z := []float64{0.3, bad, 0.3}
+		col, err := ProjectColumn(r, z, 1)
+		if err == nil || !strings.Contains(err.Error(), "z[1]") {
+			t.Errorf("ProjectColumn with z[1] = %v: error %v (Q %v), want one naming z[1]", bad, err, col)
+		}
+		var out MatrixProjection
+		var ws Scratch
+		err = ProjectMatrixInto(&out, &ws, linalg.NewFrom(3, 1, append([]float64(nil), r...)), z, 1)
+		if err == nil || !strings.Contains(err.Error(), "z[1]") {
+			t.Errorf("ProjectMatrixInto with z[1] = %v: error %v, want one naming z[1]", bad, err)
+		}
 	}
 }
 

@@ -42,12 +42,15 @@ var ErrInfeasible = errors.New("opt: bounded simplex is empty for the given z an
 // families: λ = z_o − r_o where a coordinate becomes free (slope +1) and
 // λ = e·z_o − r_o where it clips high (slope −1).
 
-// validateZ checks non-negativity and feasibility of the bound vector.
+// validateZ checks finiteness, non-negativity and feasibility of the bound
+// vector. The first test is written !(v >= 0) because NaN fails every
+// comparison — v < 0 and both feasibility checks below included — and a NaN
+// bound let through comes back as an all-NaN Q with a nil error.
 func validateZ(z []float64, e float64) error {
 	sumZ := 0.0
-	for _, v := range z {
-		if v < 0 {
-			return fmt.Errorf("opt: z must be non-negative, got %g", v)
+	for o, v := range z {
+		if !(v >= 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("opt: z must be finite and non-negative, got z[%d] = %g", o, v)
 		}
 		sumZ += v
 	}

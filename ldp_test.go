@@ -442,3 +442,15 @@ func TestFrequencyOracleFacade(t *testing.T) {
 		t.Fatal("OUE should beat RAPPOR in variance")
 	}
 }
+
+// TestBuildInfoNamesTheKernel: every -version line ends with which inner-loop
+// kernel this machine selected, the fact a recorded timing needs beside it.
+func TestBuildInfoNamesTheKernel(t *testing.T) {
+	k := ldp.BuildInfo().Kernel
+	if k != "avx2" && k != "go" {
+		t.Fatalf("BuildInfo().Kernel = %q, want avx2 or go", k)
+	}
+	if v := ldp.VersionString(); !strings.HasSuffix(v, " kernel="+k) {
+		t.Fatalf("VersionString() = %q does not end with the kernel %q", v, k)
+	}
+}

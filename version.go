@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"sync"
 
+	"repro/internal/linalg"
 	"repro/internal/obs"
 )
 
@@ -20,13 +21,17 @@ import (
 var Version string
 
 // Build describes the running binary: the resolved version plus the
-// toolchain and VCS facts worth echoing in health endpoints and metrics.
+// toolchain and VCS facts worth echoing in health endpoints and metrics, and
+// which inner-loop kernel the optimizer's products run on this machine
+// ("avx2" or "go": same results, different timings — a recorded number is
+// reproducible only with it).
 type Build struct {
 	Version   string `json:"version"`
 	GoVersion string `json:"go_version"`
 	Revision  string `json:"revision,omitempty"`
 	Time      string `json:"time,omitempty"`
 	Modified  bool   `json:"modified,omitempty"`
+	Kernel    string `json:"kernel"`
 }
 
 var (
@@ -39,7 +44,7 @@ var (
 // facts when the binary was built inside a checkout.
 func BuildInfo() Build {
 	buildOnce.Do(func() {
-		buildInfo = Build{Version: Version, GoVersion: runtime.Version()}
+		buildInfo = Build{Version: Version, GoVersion: runtime.Version(), Kernel: linalg.Kernel()}
 		bi, ok := debug.ReadBuildInfo()
 		if !ok {
 			if buildInfo.Version == "" {
@@ -78,7 +83,8 @@ func registerBuildInfo(reg *obs.Registry) {
 }
 
 // VersionString renders the one-line identity the cmd binaries print for
-// -version: version, Go toolchain, and a short revision when known.
+// -version: version, Go toolchain, a short revision when known, and the
+// kernel.
 func VersionString() string {
 	b := BuildInfo()
 	s := fmt.Sprintf("%s %s", b.Version, b.GoVersion)
@@ -92,5 +98,5 @@ func VersionString() string {
 		}
 		s += " " + rev
 	}
-	return s
+	return s + " kernel=" + b.Kernel
 }
