@@ -18,7 +18,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 const (
@@ -79,7 +79,7 @@ func acceptCases(t *testing.T, x []float64) []acceptCase {
 	// Strategy-matrix mechanism: randomized response at ε=1 (deterministic
 	// fixture; an optimized matrix exercises the identical aggregation
 	// path). Theorem 3.4 gives its exact expected error on x.
-	s := benchfix.RRStrategy(acceptN, 1.0)
+	s := baselines.RandomizedResponse(acceptN, 1.0).Strategy()
 	rz, err := ldp.NewRandomizer(s)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/freqoracle"
@@ -246,7 +246,7 @@ func BenchmarkAblationRelaxation(b *testing.B) {
 // against warm-starting from randomized response, reporting final objectives.
 func BenchmarkAblationInit(b *testing.B) {
 	w := workload.NewPrefix(16)
-	rrQ := benchfix.RRStrategy(16, 1.0)
+	rrQ := baselines.RandomizedResponse(16, 1.0).Strategy()
 	for i := 0; i < b.N; i++ {
 		random, err := core.Optimize(w, 1.0, core.Options{Iters: 150, Seed: 6})
 		if err != nil {
@@ -310,7 +310,7 @@ func BenchmarkProjection(b *testing.B) {
 func BenchmarkVarianceProfile(b *testing.B) {
 	n := 64
 	w := workload.NewAllRange(n)
-	rr := benchfix.RRStrategy(n, 1.0)
+	rr := baselines.RandomizedResponse(n, 1.0).Strategy()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rr.Variances(w.Gram(), w.Queries()); err != nil {
@@ -323,7 +323,7 @@ func BenchmarkVarianceProfile(b *testing.B) {
 // through the streaming protocol's report path).
 func BenchmarkClientRandomize(b *testing.B) {
 	n := 256
-	rz, err := ldp.NewRandomizer(benchfix.RRStrategy(n, 1.0))
+	rz, err := ldp.NewRandomizer(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func benchCollectorIngest(b *testing.B, goroutines, shards int) {
 // closed when the benchmark ends.
 func benchCollector(b *testing.B, n, shards int, opts ...ldp.CollectorOption) *ldp.Collector {
 	b.Helper()
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -103,7 +103,7 @@ func newFed(t *testing.T, agg ldp.Aggregator, w ldp.Workload, endpoints []string
 func fedMechanism(t *testing.T, domain int) (ldp.Aggregator, ldp.Workload) {
 	t.Helper()
 	w := ldp.Histogram(domain)
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(domain, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

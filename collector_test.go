@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 // buildStrategyPipeline optimizes a small mechanism and returns its two
@@ -267,7 +267,7 @@ func TestCollectorSnapshotCache(t *testing.T) {
 // (or copying) something else per call.
 func TestCollectorSnapCacheHitAllocs(t *testing.T) {
 	const n = 256
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

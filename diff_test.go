@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 // diffAggregators builds one aggregator per mechanism family — the round-trip
@@ -15,7 +15,7 @@ import (
 // mechanism happens to produce.
 func diffAggregators(t *testing.T, n int) map[string]ldp.Aggregator {
 	t.Helper()
-	strat, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	strat, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/transport"
 )
 
@@ -500,7 +500,7 @@ func TestDurableRecoveryRejectsMechanismMismatch(t *testing.T) {
 // group commit swaps, not grows, its pending slice.
 func TestDurableIngestBatchKeyedAllocs(t *testing.T) {
 	const n, batch = 64, 64
-	strat, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	strat, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

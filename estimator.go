@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/postprocess"
-	"repro/internal/workload"
 )
 
 // Estimator is the one read path of the library: built once from an
@@ -202,16 +201,11 @@ func (f *varianceForm) fill(j int, row []float64, from int) {
 }
 
 // each streams the variance of every query of w in row order until fn returns
-// false. Rows come through the workload's per-row view; a foreign Workload
-// without one is adapted from its own Matrix().
+// false.
 func (f *varianceForm) each(w Workload, fn func(i int, v float64) bool) {
-	rows, ok := w.(workload.RowAccessor)
-	if !ok {
-		rows = workload.NewExplicit(w.Name(), w.Matrix())
-	}
 	wrow := make([]float64, w.Domain())
 	for i, p := 0, w.Queries(); i < p; i++ {
-		rows.QueryRow(i, wrow)
+		w.QueryRow(i, wrow)
 		if !fn(i, f.of(wrow)) {
 			return
 		}

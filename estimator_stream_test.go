@@ -10,15 +10,12 @@ import (
 	"time"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/linalg"
 	"repro/internal/strategy"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
-
-// foreignWorkload hides every method but the Workload interface's own — a
-// caller-defined workload with no per-row view.
-type foreignWorkload struct{ ldp.Workload }
 
 // The numeric contract of the read path, stated once: every per-query
 // variance the estimator returns equals the materialized closed form computed
@@ -47,18 +44,16 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		ldp.Product(ldp.Prefix(4), ldp.AllRange(4)),
 		ldp.Stacked("Stacked", []ldp.Workload{ldp.Prefix(n), ldp.WidthRange(n, 5)}, []float64{1, 0.25}),
 		explicit,
-		foreignWorkload{ldp.AllRange(n)},
-	}
-	if _, ok := workloads[len(workloads)-1].(ldp.RowAccessor); ok {
-		t.Fatal("foreignWorkload exposes a per-row view; the adapter path is not exercised")
 	}
 	optimized, err := ldp.OptimizeStrategy(context.Background(), ldp.Prefix(n), 1.0, ldp.WithIterations(40), ldp.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	aggs := map[string]func() (ldp.Aggregator, error){
-		"oracle":    func() (ldp.Aggregator, error) { return ldp.NewOUE(n, 1.0) },
-		"strategy":  func() (ldp.Aggregator, error) { return ldp.NewAggregator(benchfix.RRStrategy(n, 1.0)) },
+		"oracle": func() (ldp.Aggregator, error) { return ldp.NewOUE(n, 1.0) },
+		"strategy": func() (ldp.Aggregator, error) {
+			return ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
+		},
 		"optimized": func() (ldp.Aggregator, error) { return ldp.NewAggregator(optimized) },
 	}
 	for name, mk := range aggs {
@@ -112,7 +107,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 // terms whose difference the variance is.
 func referenceVariance(t *testing.T, agg ldp.Aggregator, w ldp.Workload, snap ldp.Snapshot) (want, floor []float64) {
 	t.Helper()
-	wm := w.Matrix()
+	wm := workload.Materialize(w)
 	want, floor = make([]float64, wm.Rows()), make([]float64, wm.Rows())
 	y, count := snap.State(), snap.Count()
 	if o, ok := agg.(ldp.FrequencyOracle); ok {
@@ -251,7 +246,7 @@ func TestAnswerStreamBeyondMaterializationBound(t *testing.T) {
 // proves they share nothing.
 func TestVarianceReadShapesBitIdentical(t *testing.T) {
 	const n, users = 16, 500
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +337,7 @@ func TestVarianceReadShapesBitIdentical(t *testing.T) {
 // equally likely outputs: an n×(copies·n) strategy, the m = 4n shape the
 // optimizer produces, without running it.
 func stackedRR(n, copies int, eps float64) *ldp.Strategy {
-	q := benchfix.RRStrategy(n, eps).Q.Scale(1 / float64(copies))
+	q := baselines.RandomizedResponse(n, eps).Strategy().Q.Scale(1 / float64(copies))
 	blocks := make([]*linalg.Matrix, copies)
 	for i := range blocks {
 		blocks[i] = q
@@ -375,7 +370,7 @@ func TestVarianceReadCostShape(t *testing.T) {
 		}
 	}
 	allocs := func(n int) float64 {
-		agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+		agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 		if err != nil {
 			t.Fatal(err)
 		}

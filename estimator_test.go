@@ -7,8 +7,9 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/strategy"
+	"repro/internal/workload"
 )
 
 // An estimator must reject a snapshot from a different mechanism — wrong
@@ -17,8 +18,8 @@ import (
 func TestEstimatorRejectsForeignSnapshot(t *testing.T) {
 	const n = 8
 	w := ldp.Histogram(n)
-	s1 := benchfix.RRStrategy(n, 1.0)
-	s2 := benchfix.RRStrategy(n, 1.0)
+	s1 := baselines.RandomizedResponse(n, 1.0).Strategy()
+	s2 := baselines.RandomizedResponse(n, 1.0).Strategy()
 	d := 0.1 / float64(n)
 	s2.Q.Set(0, 0, s2.Q.At(0, 0)-d)
 	s2.Q.Set(1, 0, s2.Q.At(1, 0)+d)
@@ -93,7 +94,7 @@ func TestEstimatorRejectsForeignSnapshot(t *testing.T) {
 func TestStrategyVarianceMatchesTheorem(t *testing.T) {
 	const n, N = 8, 1000.0
 	w := ldp.Prefix(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestStrategyVarianceMatchesTheorem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.OptimalV(w.Matrix())
+	v, err := s.OptimalV(workload.Materialize(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/chaos"
 )
 
@@ -59,7 +59,7 @@ func newFleetShard(t *testing.T, agg ldp.Aggregator, w ldp.Workload) *fleetShard
 func fleetFixture(t *testing.T, domain, n int) (ldp.Aggregator, ldp.Workload, []*fleetShard) {
 	t.Helper()
 	w := ldp.Histogram(domain)
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(domain, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFleetRoutesAndMergesComplete(t *testing.T) {
 func TestFleetRefusesMismatchedShard(t *testing.T) {
 	const domain = 8
 	agg, w, shards := fleetFixture(t, domain, 1)
-	otherAgg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 2.0)) // different ε
+	otherAgg, err := ldp.NewAggregator(baselines.RandomizedResponse(domain, 2.0).Strategy()) // different ε
 	if err != nil {
 		t.Fatal(err)
 	}

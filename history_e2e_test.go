@@ -18,7 +18,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/transport"
 )
 
@@ -223,7 +223,7 @@ func TestWindowEstimateWithinEnvelope(t *testing.T) {
 		cellSigma float64
 	}
 	var cases []windowCase
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	rz, err := ldp.NewRandomizer(s)
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func (b *scriptedHistory) setHist(count float64, epoch uint64, n int) {
 func TestRemoteSnapAtRegressionAndHighWaterMark(t *testing.T) {
 	const n = 8
 	w := ldp.Histogram(n)
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

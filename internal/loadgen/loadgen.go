@@ -34,7 +34,7 @@ import (
 	"strings"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/chaos"
 )
 
@@ -213,7 +213,7 @@ func (m *Mechanism) Envelope(x []float64, users float64) (cellBound, tseBound fl
 func BuildMechanism(name string, n int, eps float64) (*Mechanism, error) {
 	switch name {
 	case "strategy":
-		s := benchfix.RRStrategy(n, eps)
+		s := baselines.RandomizedResponse(n, eps).Strategy()
 		rz, err := ldp.NewRandomizer(s)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)

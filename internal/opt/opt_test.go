@@ -405,7 +405,7 @@ func TestNNLSWithImplicitWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := NNLS(MatrixOperator{w.Matrix()}, b, NNLSOptions{MaxIters: 3000, Tol: 1e-14})
+	res2, err := NNLS(MatrixOperator{workload.Materialize(w)}, b, NNLSOptions{MaxIters: 3000, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}

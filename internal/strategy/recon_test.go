@@ -102,8 +102,8 @@ func TestWeightedReconstructionOptimality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := linalg.Mul(w.Matrix(), r.B)
-	if !linalg.ApproxEqual(linalg.Mul(v, s.Q), w.Matrix(), 1e-7) {
+	v := linalg.Mul(workload.Materialize(w), r.B)
+	if !linalg.ApproxEqual(linalg.Mul(v, s.Q), workload.Materialize(w), 1e-7) {
 		t.Fatal("weighted V does not satisfy VQ = W")
 	}
 	base := VariancesExplicit(v, s.Q, s.Eps)

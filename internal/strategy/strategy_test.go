@@ -121,7 +121,7 @@ func TestValidateRatioIsTight(t *testing.T) {
 func TestReconFactorGivesExactFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := randStrategy(rng, 12, 5, 1.0)
-	w := workload.NewPrefix(5).Matrix()
+	w := workload.Materialize(workload.NewPrefix(5))
 	v, err := s.OptimalV(w)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestOptimalVIsVarianceOptimal(t *testing.T) {
 	// optimal V, column by column of the profile (Theorem 3.10).
 	rng := rand.New(rand.NewSource(2))
 	s := randStrategy(rng, 10, 4, 1.0)
-	w := workload.NewHistogram(4).Matrix()
+	w := workload.Materialize(workload.NewHistogram(4))
 	v, err := s.OptimalV(w)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestGramPathMatchesExplicitPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := s.OptimalV(w.Matrix())
+		v, err := s.OptimalV(workload.Materialize(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +445,7 @@ func TestResponseVectorUnbiasedEstimate(t *testing.T) {
 	n := 3
 	s := rrStrategy(n, 2.0)
 	w := workload.NewPrefix(n)
-	v, err := s.OptimalV(w.Matrix())
+	v, err := s.OptimalV(workload.Materialize(w))
 	if err != nil {
 		t.Fatal(err)
 	}

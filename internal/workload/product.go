@@ -99,10 +99,5 @@ func (p *Product) TMatVec(y []float64) []float64 {
 	return out
 }
 
-// Matrix materializes A ⊗ B. Beware of the p₁p₂ × n₁n₂ size.
-func (p *Product) Matrix() *linalg.Matrix {
-	return linalg.Kron(p.a.Matrix(), p.b.Matrix())
-}
-
 // Parts returns the two factor workloads.
 func (p *Product) Parts() (Workload, Workload) { return p.a, p.b }

@@ -26,42 +26,33 @@ func TestProductShapes(t *testing.T) {
 	}
 }
 
-func TestProductGramMatchesExplicit(t *testing.T) {
-	p := NewProduct(NewPrefix(3), NewHistogram(4))
-	explicit := linalg.Gram(p.Matrix())
-	if !linalg.ApproxEqual(p.Gram(), explicit, 1e-9) {
-		t.Fatal("Kronecker Gram != explicit WᵀW")
-	}
-	if math.Abs(p.FrobNorm2()-p.Gram().Trace()) > 1e-9 {
-		t.Fatalf("FrobNorm2 %v != tr(Gram) %v", p.FrobNorm2(), p.Gram().Trace())
-	}
-}
-
-func TestProductMatVecMatchesExplicit(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	combos := []*Product{
+// productWorkloads are more inputs to the checks of workload_test.go.
+func productWorkloads() []*Product {
+	return []*Product{
+		NewProduct(NewPrefix(3), NewHistogram(4)),
 		NewProduct(NewPrefix(3), NewPrefix(4)),
 		NewProduct(NewAllRange(3), NewHistogram(3)),
 		NewProduct(NewHistogram(2), NewAllRange(4)),
 		NewProduct(NewWidthRange(5, 2), NewPrefix(2)),
 	}
-	for _, p := range combos {
-		x := randVec(rng, p.Domain())
-		got := p.MatVec(x)
-		want := p.Matrix().MulVec(x)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("%s: MatVec[%d] = %v, want %v", p.Name(), i, got[i], want[i])
-			}
-		}
-		y := randVec(rng, p.Queries())
-		gotT := p.TMatVec(y)
-		wantT := p.Matrix().MulVecT(y)
-		for i := range wantT {
-			if math.Abs(gotT[i]-wantT[i]) > 1e-9*(1+math.Abs(wantT[i])) {
-				t.Fatalf("%s: TMatVec[%d] = %v, want %v", p.Name(), i, gotT[i], wantT[i])
-			}
-		}
+}
+
+func TestProductGramMatchesExplicit(t *testing.T) {
+	for _, p := range productWorkloads() {
+		t.Run(p.Name(), func(t *testing.T) {
+			checkGram(t, p)
+			checkFrobNorm2(t, p)
+		})
+	}
+}
+
+func TestProductMatVecMatchesExplicit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range productWorkloads() {
+		t.Run(p.Name(), func(t *testing.T) {
+			checkMatVec(t, rng, p)
+			checkTMatVec(t, rng, p)
+		})
 	}
 }
 

@@ -7,15 +7,21 @@ import (
 	"repro/internal/linalg"
 )
 
-// RowAccessor is the optional per-row view of a workload: QueryRow overwrites
-// dst (length Domain()) with row i of W without materializing the matrix.
-// Every built-in family implements it; the read path's per-query variance
-// consumes workloads through it one row at a time, so nothing p-row-shaped
-// is ever built. Rows are produced with exactly the arithmetic Matrix() would
-// use for the same entries, so a computation folded over QueryRow is
-// bit-identical to the same computation over Matrix().
-type RowAccessor interface {
-	QueryRow(i int, dst []float64)
+// This file holds every family's QueryRow: the one place a workload's
+// entries are written down. There is no second, materialized form to agree
+// with — Materialize is QueryRow collected — and the bits a row holds are a
+// contract, not a detail: WorkloadDigest hashes them, and a digest is a
+// persisted strategy-cache file name and the query wire's name for a workload.
+// That includes the sign of a zero (see Product.QueryRow).
+
+// Materialize collects w's rows into the p×n matrix W. Only tests call it;
+// production code reads W a row at a time or through Gram/MatVec/TMatVec.
+func Materialize(w Workload) *linalg.Matrix {
+	m := linalg.New(w.Queries(), w.Domain())
+	for i := 0; i < m.Rows(); i++ {
+		w.QueryRow(i, m.Row(i))
+	}
+	return m
 }
 
 // checkRow panics when query-row index i falls outside [0, p), matching the
@@ -120,7 +126,7 @@ func (s *Stacked) QueryRow(i int, dst []float64) {
 	checkLen(len(dst), s.Domain())
 	for pi, p := range s.parts {
 		if i < p.Queries() {
-			rowInto(p, i, dst)
+			p.QueryRow(i, dst)
 			linalg.ScaleVec(s.weights[pi], dst)
 			return
 		}
@@ -129,8 +135,9 @@ func (s *Stacked) QueryRow(i int, dst []float64) {
 }
 
 // QueryRow writes the Kronecker product of the factor rows: for row
-// r = i₁·p₂ + i₂, dst[u₁·n₂+u₂] = A[i₁,u₁]·B[i₂,u₂] — the entry order and
-// products linalg.Kron would produce for the same row.
+// r = i₁·p₂ + i₂, dst[u₁·n₂+u₂] = A[i₁,u₁]·B[i₂,u₂], under linalg.Kron's
+// rule that a zero A entry leaves its whole block +0 (0·(−1) would be −0,
+// which is a different digest).
 func (p *Product) QueryRow(r int, dst []float64) {
 	checkRow(r, p.Queries())
 	n1, n2 := p.a.Domain(), p.b.Domain()
@@ -138,25 +145,15 @@ func (p *Product) QueryRow(r int, dst []float64) {
 	p2 := p.b.Queries()
 	arow := make([]float64, n1)
 	brow := make([]float64, n2)
-	rowInto(p.a, r/p2, arow)
-	rowInto(p.b, r%p2, brow)
-	for u1 := 0; u1 < n1; u1++ {
-		av := arow[u1]
-		for u2 := 0; u2 < n2; u2++ {
-			dst[u1*n2+u2] = av * brow[u2]
+	p.a.QueryRow(r/p2, arow)
+	p.b.QueryRow(r%p2, brow)
+	clear(dst)
+	for u1, av := range arow {
+		if av == 0 {
+			continue
+		}
+		for u2, bv := range brow {
+			dst[u1*n2+u2] = av * bv
 		}
 	}
-}
-
-// rowInto fills dst with row i of w: through the workload's own QueryRow when
-// it has one, otherwise via the generic identity row i of W = Wᵀe_i (O(p)
-// scratch — only composite parts wrapping a foreign Workload pay it).
-func rowInto(w Workload, i int, dst []float64) {
-	if ra, ok := w.(RowAccessor); ok {
-		ra.QueryRow(i, dst)
-		return
-	}
-	y := make([]float64, w.Queries())
-	y[i] = 1
-	copy(dst, w.TMatVec(y))
 }

@@ -40,9 +40,10 @@ type Workload interface {
 	MatVec(x []float64) []float64
 	// TMatVec returns Wᵀ·y.
 	TMatVec(y []float64) []float64
-	// Matrix materializes W explicitly. It may be expensive for large
-	// workloads; prefer Gram/MatVec where possible.
-	Matrix() *linalg.Matrix
+	// QueryRow overwrites dst (length Domain()) with row i of W. It is the
+	// one statement of the workload's entries; everything that needs them
+	// (the digest, per-query variance, Stacked, Product) reads a row at a time.
+	QueryRow(i int, dst []float64)
 }
 
 // gramCache provides lazy caching of the Gram matrix for implementations.
@@ -100,9 +101,6 @@ func (h *Histogram) TMatVec(y []float64) []float64 {
 	checkLen(len(y), h.n)
 	return linalg.CloneVec(y)
 }
-
-// Matrix returns the n×n identity.
-func (h *Histogram) Matrix() *linalg.Matrix { return linalg.Identity(h.n) }
 
 // ---------------------------------------------------------------------------
 // Prefix
@@ -169,18 +167,6 @@ func (p *Prefix) TMatVec(y []float64) []float64 {
 		out[i] = run
 	}
 	return out
-}
-
-// Matrix returns the lower-triangular all-ones matrix.
-func (p *Prefix) Matrix() *linalg.Matrix {
-	w := linalg.New(p.n, p.n)
-	for i := 0; i < p.n; i++ {
-		row := w.Row(i)
-		for j := 0; j <= i; j++ {
-			row[j] = 1
-		}
-	}
-	return w
 }
 
 // ---------------------------------------------------------------------------
@@ -275,22 +261,6 @@ func (a *AllRange) TMatVec(y []float64) []float64 {
 		out[u] = tot
 	}
 	return out
-}
-
-// Matrix materializes the full n(n+1)/2 × n range workload.
-func (a *AllRange) Matrix() *linalg.Matrix {
-	w := linalg.New(a.Queries(), a.n)
-	at := 0
-	for i := 0; i < a.n; i++ {
-		for j := i; j < a.n; j++ {
-			row := w.Row(at)
-			for k := i; k <= j; k++ {
-				row[k] = 1
-			}
-			at++
-		}
-	}
-	return w
 }
 
 // ---------------------------------------------------------------------------
@@ -432,21 +402,6 @@ func (m *Marginals) TMatVec(y []float64) []float64 {
 	return out
 }
 
-// Matrix materializes the marginals workload (p × 2^d).
-func (m *Marginals) Matrix() *linalg.Matrix {
-	n := m.Domain()
-	w := linalg.New(m.Queries(), n)
-	at := 0
-	for _, s := range m.subsets() {
-		cells := 1 << bits.OnesCount(uint(s))
-		for u := 0; u < n; u++ {
-			w.Set(at+compress(u, s, m.d), u, 1)
-		}
-		at += cells
-	}
-	return w
-}
-
 // marginalize sums x over the attributes not in subset s, returning the
 // marginal table indexed by the compressed assignment of s's attributes.
 func marginalize(x []float64, d, s int) []float64 {
@@ -550,15 +505,6 @@ func (p *Parity) MatVec(x []float64) []float64 {
 // TMatVec equals MatVec because H is symmetric.
 func (p *Parity) TMatVec(y []float64) []float64 { return p.MatVec(y) }
 
-// Matrix returns the ±1 Hadamard matrix H_{2^d} with H_{s,u} = (−1)^{⟨s,u⟩}.
-func (p *Parity) Matrix() *linalg.Matrix {
-	m, err := hadamard.Matrix(p.Domain())
-	if err != nil {
-		panic(err) // unreachable: the domain is a power of two by construction
-	}
-	return m
-}
-
 // ---------------------------------------------------------------------------
 // Width-w ranges (extension workload used in examples/ablation)
 // ---------------------------------------------------------------------------
@@ -641,18 +587,6 @@ func (r *WidthRange) TMatVec(y []float64) []float64 {
 	return out
 }
 
-// Matrix materializes the width-w range workload.
-func (r *WidthRange) Matrix() *linalg.Matrix {
-	w := linalg.New(r.Queries(), r.n)
-	for i := 0; i < r.Queries(); i++ {
-		row := w.Row(i)
-		for k := i; k < i+r.w; k++ {
-			row[k] = 1
-		}
-	}
-	return w
-}
-
 // ---------------------------------------------------------------------------
 // Explicit
 // ---------------------------------------------------------------------------
@@ -692,9 +626,6 @@ func (e *Explicit) MatVec(x []float64) []float64 { return e.w.MulVec(x) }
 
 // TMatVec returns Wᵀ·y.
 func (e *Explicit) TMatVec(y []float64) []float64 { return e.w.MulVecT(y) }
-
-// Matrix returns the wrapped matrix (not a copy).
-func (e *Explicit) Matrix() *linalg.Matrix { return e.w }
 
 // ---------------------------------------------------------------------------
 // Stacked (weighted union)
@@ -793,15 +724,6 @@ func (s *Stacked) TMatVec(y []float64) []float64 {
 	return out
 }
 
-// Matrix materializes the stacked workload.
-func (s *Stacked) Matrix() *linalg.Matrix {
-	blocks := make([]*linalg.Matrix, len(s.parts))
-	for i, p := range s.parts {
-		blocks[i] = p.Matrix().Clone().Scale(s.weights[i])
-	}
-	return linalg.Stack(blocks...)
-}
-
 // ---------------------------------------------------------------------------
 // helpers
 // ---------------------------------------------------------------------------
@@ -874,7 +796,3 @@ func NuclearNorm(w Workload) (float64, error) {
 	}
 	return nn, nil
 }
-
-// Answer evaluates the workload on a data vector; a convenience alias for
-// MatVec matching the paper's Wx notation.
-func Answer(w Workload, x []float64) []float64 { return w.MatVec(x) }

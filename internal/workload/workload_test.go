@@ -6,11 +6,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hadamard"
 	"repro/internal/linalg"
 )
 
 // allWorkloads returns instances of every workload family at small sizes.
 func allWorkloads() []Workload {
+	mix := NewStacked("Mix", []Workload{NewHistogram(6), NewPrefix(6)}, []float64{1, 2})
 	return []Workload{
 		NewHistogram(7),
 		NewPrefix(6),
@@ -20,7 +22,9 @@ func allWorkloads() []Workload {
 		NewKWayMarginals(4, 3),
 		NewParity(3),
 		NewWidthRange(8, 3),
-		NewStacked("Mix", []Workload{NewHistogram(6), NewPrefix(6)}, []float64{1, 2}),
+		mix,
+		NewProduct(NewPrefix(3), NewAllRange(3)),
+		NewProduct(mix, NewParity(1)),
 	}
 }
 
@@ -32,68 +36,134 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
+// The four checks below hold each closed form (Gram, FrobNorm2, MatVec,
+// TMatVec) to the workload's rows: Materialize is QueryRow collected, and
+// TestQueryRowLiteral holds QueryRow to entries written out by hand.
+
+func checkGram(t *testing.T, w Workload) {
+	t.Helper()
+	gram := linalg.Gram(Materialize(w))
+	if !linalg.ApproxEqual(gram, w.Gram(), 1e-9) {
+		t.Fatalf("closed-form Gram != WᵀW\nclosed:%v\nexplicit:%v", w.Gram(), gram)
+	}
+}
+
+func checkFrobNorm2(t *testing.T, w Workload) {
+	t.Helper()
+	want := Materialize(w).FrobNorm2()
+	if math.Abs(w.FrobNorm2()-want) > 1e-9*(1+want) {
+		t.Fatalf("FrobNorm2 = %v, want %v", w.FrobNorm2(), want)
+	}
+	// FrobNorm2 must equal tr(Gram).
+	if math.Abs(w.FrobNorm2()-w.Gram().Trace()) > 1e-9*(1+want) {
+		t.Fatalf("FrobNorm2 = %v != tr(Gram) = %v", w.FrobNorm2(), w.Gram().Trace())
+	}
+}
+
+func checkMatVec(t *testing.T, rng *rand.Rand, w Workload) {
+	t.Helper()
+	x := randVec(rng, w.Domain())
+	got := w.MatVec(x)
+	want := Materialize(w).MulVec(x)
+	if len(got) != w.Queries() {
+		t.Fatalf("MatVec length %d, want %d", len(got), w.Queries())
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+			t.Fatalf("MatVec[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+func checkTMatVec(t *testing.T, rng *rand.Rand, w Workload) {
+	t.Helper()
+	y := randVec(rng, w.Queries())
+	got := w.TMatVec(y)
+	want := Materialize(w).MulVecT(y)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+			t.Fatalf("TMatVec[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestGramMatchesExplicit is the central consistency test: every closed-form
-// Gram matrix must equal WᵀW of the materialized workload.
+// Gram matrix must equal WᵀW of the workload's collected rows.
 func TestGramMatchesExplicit(t *testing.T) {
 	for _, w := range allWorkloads() {
-		t.Run(w.Name(), func(t *testing.T) {
-			explicit := w.Matrix()
-			if explicit.Rows() != w.Queries() || explicit.Cols() != w.Domain() {
-				t.Fatalf("Matrix() shape %dx%d, want %dx%d",
-					explicit.Rows(), explicit.Cols(), w.Queries(), w.Domain())
-			}
-			gram := linalg.Gram(explicit)
-			if !linalg.ApproxEqual(gram, w.Gram(), 1e-9) {
-				t.Fatalf("closed-form Gram != WᵀW\nclosed:%v\nexplicit:%v", w.Gram(), gram)
-			}
-		})
+		t.Run(w.Name(), func(t *testing.T) { checkGram(t, w) })
 	}
 }
 
 func TestFrobNorm2MatchesExplicit(t *testing.T) {
 	for _, w := range allWorkloads() {
-		t.Run(w.Name(), func(t *testing.T) {
-			want := w.Matrix().FrobNorm2()
-			if math.Abs(w.FrobNorm2()-want) > 1e-9*(1+want) {
-				t.Fatalf("FrobNorm2 = %v, want %v", w.FrobNorm2(), want)
-			}
-			// FrobNorm2 must equal tr(Gram).
-			if math.Abs(w.FrobNorm2()-w.Gram().Trace()) > 1e-9*(1+want) {
-				t.Fatalf("FrobNorm2 = %v != tr(Gram) = %v", w.FrobNorm2(), w.Gram().Trace())
-			}
-		})
+		t.Run(w.Name(), func(t *testing.T) { checkFrobNorm2(t, w) })
 	}
 }
 
 func TestMatVecMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range allWorkloads() {
-		t.Run(w.Name(), func(t *testing.T) {
-			x := randVec(rng, w.Domain())
-			got := w.MatVec(x)
-			want := w.Matrix().MulVec(x)
-			if len(got) != w.Queries() {
-				t.Fatalf("MatVec length %d, want %d", len(got), w.Queries())
-			}
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Fatalf("MatVec[%d] = %v, want %v", i, got[i], want[i])
-				}
-			}
-		})
+		t.Run(w.Name(), func(t *testing.T) { checkMatVec(t, rng, w) })
 	}
 }
 
 func TestTMatVecMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, w := range allWorkloads() {
-		t.Run(w.Name(), func(t *testing.T) {
-			y := randVec(rng, w.Queries())
-			got := w.TMatVec(y)
-			want := w.Matrix().MulVecT(y)
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Fatalf("TMatVec[%d] = %v, want %v", i, got[i], want[i])
+		t.Run(w.Name(), func(t *testing.T) { checkTMatVec(t, rng, w) })
+	}
+}
+
+// TestQueryRowLiteral holds QueryRow — the only statement of a family's
+// entries — to rows written out by hand at tiny n, bit for bit (so the sign
+// of a zero is part of what is pinned).
+func TestQueryRowLiteral(t *testing.T) {
+	h4, err := hadamard.Matrix(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		w    Workload
+		want [][]float64
+	}{
+		{NewHistogram(2), [][]float64{{1, 0}, {0, 1}}},
+		{NewPrefix(3), [][]float64{{1, 0, 0}, {1, 1, 0}, {1, 1, 1}}},
+		{NewAllRange(3), [][]float64{
+			{1, 0, 0}, {1, 1, 0}, {1, 1, 1}, // [0,0] [0,1] [0,2]
+			{0, 1, 0}, {0, 1, 1}, // [1,1] [1,2]
+			{0, 0, 1}, // [2,2]
+		}},
+		{NewKWayMarginals(2, 1), [][]float64{
+			{1, 0, 1, 0}, {0, 1, 0, 1}, // attribute 0 = 0, = 1
+			{1, 1, 0, 0}, {0, 0, 1, 1}, // attribute 1 = 0, = 1
+		}},
+		{NewParity(2), [][]float64{h4.Row(0), h4.Row(1), h4.Row(2), h4.Row(3)}},
+		{NewWidthRange(4, 2), [][]float64{{1, 1, 0, 0}, {0, 1, 1, 0}, {0, 0, 1, 1}}},
+		{NewStacked("Weighted", []Workload{NewHistogram(2), NewParity(1)}, []float64{2, 0.5}),
+			[][]float64{{2, 0}, {0, 2}, {0.5, 0.5}, {0.5, -0.5}}},
+		// A zero left-factor entry leaves its block +0 (linalg.Kron's rule),
+		// not the −0 that 0·(−1) would give in row 1.
+		{NewProduct(NewPrefix(2), NewParity(1)), [][]float64{
+			{1, 1, 0, 0}, {1, -1, 0, 0},
+			{1, 1, 1, 1}, {1, -1, 1, -1},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.w.Name(), func(t *testing.T) {
+			if c.w.Queries() != len(c.want) {
+				t.Fatalf("Queries() = %d, want %d", c.w.Queries(), len(c.want))
+			}
+			got := make([]float64, c.w.Domain())
+			for i, want := range c.want {
+				for j := range got {
+					got[j] = math.NaN() // QueryRow must overwrite every entry
+				}
+				c.w.QueryRow(i, got)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("row %d = %v, want %v (entry %d differs in bits)", i, got, want, j)
+					}
 				}
 			}
 		})
@@ -163,8 +233,7 @@ func TestMarginalsCounts(t *testing.T) {
 }
 
 func TestMarginalsRowsAreIndicators(t *testing.T) {
-	m := NewAllMarginals(3)
-	w := m.Matrix()
+	w := Materialize(NewAllMarginals(3))
 	// Every row must be 0/1 valued, and the rows for each subset must
 	// partition the domain (column sums within a subset block = 1).
 	for i := 0; i < w.Rows(); i++ {
@@ -186,8 +255,7 @@ func TestMarginalsRowsAreIndicators(t *testing.T) {
 }
 
 func TestParityIsHadamard(t *testing.T) {
-	p := NewParity(3)
-	w := p.Matrix()
+	w := Materialize(NewParity(3))
 	// Rows orthogonal: WᵀW = n·I.
 	gram := linalg.Gram(w)
 	if !linalg.ApproxEqual(gram, linalg.Identity(8).Scale(8), 1e-9) {
@@ -206,7 +274,7 @@ func TestFWHTMatchesMatrix(t *testing.T) {
 	p := NewParity(4)
 	x := randVec(rng, 16)
 	got := p.MatVec(x)
-	want := p.Matrix().MulVec(x)
+	want := Materialize(p).MulVec(x)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Fatalf("FWHT[%d] = %v, want %v", i, got[i], want[i])
@@ -348,17 +416,6 @@ func TestBinom(t *testing.T) {
 	for _, c := range cases {
 		if got := binom(c.n, c.k); got != c.want {
 			t.Fatalf("binom(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
-		}
-	}
-}
-
-func TestAnswerAlias(t *testing.T) {
-	w := NewHistogram(3)
-	x := []float64{1, 2, 3}
-	got := Answer(w, x)
-	for i := range x {
-		if got[i] != x[i] {
-			t.Fatal("Answer != MatVec for histogram")
 		}
 	}
 }

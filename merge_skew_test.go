@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 func TestFleetSnapSkewedShardsDriftAndEnvelope(t *testing.T) {
@@ -90,7 +90,7 @@ func TestFleetSnapSkewedShardsDriftAndEnvelope(t *testing.T) {
 
 	// The merged estimate must stay inside the mechanism's theory envelope
 	// over the combined population — the skew warns, it must not bias.
-	s := benchfix.RRStrategy(domain, 1.0)
+	s := baselines.RandomizedResponse(domain, 1.0).Strategy()
 	vp, err := s.Variances(w.Gram(), w.Queries())
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/obs"
 )
 
@@ -86,7 +86,7 @@ func checkCatalogGolden(t *testing.T, name, text string) {
 func TestCollectorServiceMetrics(t *testing.T) {
 	const domain, total = 16, 60
 	w := ldp.Histogram(domain)
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(domain, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func (b *syncBuffer) String() string {
 func TestRequestIDPropagatesClientRouterShard(t *testing.T) {
 	const domain = 8
 	w := ldp.Histogram(domain)
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(domain, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // EstimatorPool is the query-engine root: it caches built Estimators keyed by
@@ -48,8 +47,8 @@ type EstimatorPool struct {
 	// state fingerprint) drops the identity's entries wholesale.
 	answers map[string]*answerHolder
 	// digests memoizes WorkloadDigest per workload instance: the digest hashes
-	// the materialized W (megabytes for wide workloads), far too expensive to
-	// recompute on every pool lookup of a long-lived workload value.
+	// every entry of W (O(p·n) time, ≈ 0.1 s for AllRange(256)), far too
+	// expensive to recompute on every pool lookup of a long-lived workload value.
 	digests map[Workload]string
 	// idkeys likewise memoizes identityKey per aggregator instance —
 	// MechanismInfoOf re-hashes the strategy matrix on every call. Both memos
@@ -264,7 +263,7 @@ func (p *EstimatorPool) workloadDigest(w Workload) string {
 
 // namedWorkload is WorkloadByName resolved once per (name, domain): /query
 // names its workload on every request, and a fresh instance each time would
-// miss the per-instance digest memo (re-hashing the materialized W) and park
+// miss the per-instance digest memo (re-hashing all p·n entries of W) and park
 // a new key in it forever.
 func (p *EstimatorPool) namedWorkload(name string, n int) (Workload, error) {
 	w, _, err := p.named.get(fmt.Sprintf("%s|%d", name, n), func() (Workload, error) {
@@ -627,7 +626,3 @@ func (h *answerHolder) store(p *EstimatorPool, key string, ca cachedAnswer) {
 	defer p.mu.Unlock()
 	h.entries[key] = ca
 }
-
-// RowAccessor re-exports the per-row workload view the variance read path
-// consumes; a custom Workload without it is read through its Matrix().
-type RowAccessor = workload.RowAccessor

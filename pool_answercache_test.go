@@ -9,13 +9,13 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 func answerCacheFixture(t *testing.T) (ldp.Aggregator, *ldp.Collector, reportSource, *rand.Rand) {
 	t.Helper()
 	const n = 16
-	agg, err := ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

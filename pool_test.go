@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 // reportSource is anything that can privatize a user type — a frequency
@@ -261,7 +261,7 @@ func TestAnswerBatchMatchesIndividualReads(t *testing.T) {
 			if mech == "oracle" {
 				agg, err = ldp.NewOUE(n, 1.0)
 			} else {
-				agg, err = ldp.NewAggregator(benchfix.RRStrategy(n, 1.0))
+				agg, err = ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -65,7 +65,7 @@ func (b *epochBackend) set(count float64, epoch uint64) {
 func TestRemoteSnapDetectsEpochRegression(t *testing.T) {
 	const n = 8
 	w := ldp.Histogram(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 // fastRetryPolicy is a fully deterministic retry discipline for tests: no
@@ -38,7 +38,7 @@ func fastRetryPolicy(attempts int, slept *[]time.Duration) ldp.RetryPolicy {
 func retryHarness(t *testing.T, n int, loseResponse func(post int64) bool) (*ldp.Collector, *httptest.Server, ldp.Aggregator, ldp.Workload) {
 	t.Helper()
 	w := ldp.Histogram(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 	"repro/internal/chaos"
 )
 
@@ -413,7 +413,7 @@ func TestRouterMembershipEndpoints(t *testing.T) {
 	}
 
 	// Registering a mismatched shard over HTTP is refused with 409.
-	otherAgg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 2.0))
+	otherAgg, err := ldp.NewAggregator(baselines.RandomizedResponse(domain, 2.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestRouterBoundsRequestBody(t *testing.T) {
 // index-only strategy, and OUE at a width that is not a multiple of 8.
 func TestIngestSurfacesAgree(t *testing.T) {
 	const batches, per = 12, 7
-	strat, err := ldp.NewAggregator(benchfix.RRStrategy(16, 1.0))
+	strat, err := ldp.NewAggregator(baselines.RandomizedResponse(16, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}

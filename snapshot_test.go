@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 // ingestSome feeds count reports of a trivial shape into a collector.
@@ -22,7 +22,7 @@ func ingestSome(t *testing.T, c *ldp.Collector, n, count, seedOff int) {
 func TestSnapshotMergeSumsStateAndCount(t *testing.T) {
 	const n = 8
 	w := ldp.Histogram(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestSnapshotMergeSumsStateAndCount(t *testing.T) {
 func TestSnapshotMergeRejectsDigestMismatch(t *testing.T) {
 	const n = 8
 	w := ldp.Histogram(n)
-	s1 := benchfix.RRStrategy(n, 1.0)
-	s2 := benchfix.RRStrategy(n, 1.0)
+	s1 := baselines.RandomizedResponse(n, 1.0).Strategy()
+	s2 := baselines.RandomizedResponse(n, 1.0).Strategy()
 	d := 0.1 / float64(n)
 	s2.Q.Set(0, 0, s2.Q.At(0, 0)-d)
 	s2.Q.Set(1, 0, s2.Q.At(1, 0)+d)
@@ -220,7 +220,7 @@ func TestSnapshotEpochAdvancesWithState(t *testing.T) {
 func TestHealthzAndSnapshotAgreeOnEpoch(t *testing.T) {
 	const n = 8
 	w := ldp.Histogram(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	ldp "repro"
-	"repro/internal/benchfix"
+	"repro/internal/baselines"
 )
 
 // e2eMechanism is one mechanism family's protocol halves plus its transport
@@ -27,7 +27,7 @@ type e2eMechanism struct {
 func e2eMechanisms(t *testing.T, n int) map[string]e2eMechanism {
 	t.Helper()
 	out := make(map[string]e2eMechanism)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	rz, err := ldp.NewRandomizer(s)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +173,8 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 func TestVerifyRejectsStrategyDigestMismatch(t *testing.T) {
 	const n = 16
 	w := ldp.Histogram(n)
-	served := benchfix.RRStrategy(n, 1.0)
-	other := benchfix.RRStrategy(n, 1.0)
+	served := baselines.RandomizedResponse(n, 1.0).Strategy()
+	other := baselines.RandomizedResponse(n, 1.0).Strategy()
 	// Same shape, same ε, different channel: nudge two entries of one
 	// column, preserving the column sum so the matrix stays a valid
 	// strategy.
@@ -211,7 +211,7 @@ func TestVerifyRejectsStrategyDigestMismatch(t *testing.T) {
 func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 	const n = 16
 	w := ldp.Histogram(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 func TestTransportConcurrentClients(t *testing.T) {
 	const n, clients, perClient = 32, 8, 1500
 	w := ldp.Histogram(n)
-	s := benchfix.RRStrategy(n, 1.0)
+	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	rz, err := ldp.NewRandomizer(s)
 	if err != nil {
 		t.Fatal(err)

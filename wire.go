@@ -118,14 +118,15 @@ func StrategyDigest(s *Strategy) string {
 }
 
 // WorkloadDigest fingerprints a workload canonically (FNV-1a 64, hex): name,
-// domain, query count, and — when the materialization fits the wire bound —
-// every entry of W bit-for-bit. Past that bound the digest hashes the Gram
-// matrix WᵀW instead (the optimizer depends on W only through its Gram, so
-// two workloads with equal Grams get the same strategy), and past even that,
-// the Frobenius norm. Each representation is tagged into the hash so a
-// matrix-hashed and a Gram-hashed workload can never collide by construction.
-// The digest is the cache key the EstimatorPool and the query wire protocol
-// use to name "the same workload" across processes and restarts.
+// domain, query count, and — when p·n fits the wire bound — every entry of W
+// bit-for-bit in row order (streamed: O(p·n) time, O(n) memory). Past that
+// bound the digest hashes the Gram matrix WᵀW instead (the optimizer depends
+// on W only through its Gram, so two workloads with equal Grams get the same
+// strategy), and past even that, the Frobenius norm. Each representation is
+// tagged into the hash so a matrix-hashed and a Gram-hashed workload can never
+// collide by construction. The digest is the cache key the EstimatorPool and
+// the query wire protocol use to name "the same workload" across processes
+// and restarts.
 func WorkloadDigest(w Workload) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -141,9 +142,13 @@ func WorkloadDigest(w Workload) string {
 	n, p := int64(w.Domain()), int64(w.Queries())
 	switch {
 	case p*n <= maxWireElems:
-		put(0) // representation tag: full W
-		for _, v := range w.Matrix().Data() {
-			put(math.Float64bits(v))
+		put(0) // representation tag: full W, row by row through one n-vector
+		row := make([]float64, n)
+		for i := 0; i < int(p); i++ {
+			w.QueryRow(i, row)
+			for _, v := range row {
+				put(math.Float64bits(v))
+			}
 		}
 	case n*n <= maxWireElems:
 		put(1) // representation tag: Gram
