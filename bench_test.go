@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Section 6), plus ablation and micro benchmarks for the design
-// choices called out in DESIGN.md §6.
+// evaluation (Section 6), plus ablation and micro benchmarks for the
+// optimizer's design choices (the average-case relaxation, the
+// initialization, the two step sizes).
 //
 // Figure benchmarks run the shared experiment harness at reduced scale and
 // report the figure's headline quantity through b.ReportMetric, so
@@ -157,10 +158,11 @@ func BenchmarkFigure3cIteration(b *testing.B) {
 				b.Fatal(err)
 			}
 			q := proj.Q
+			ws := core.NewWorkspace(m, n)
+			grad := linalg.New(m, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, grad, err := core.ObjectiveGrad(q, gram)
-				if err != nil {
+				if _, err := ws.ObjectiveGrad(q, gram, nil, grad); err != nil {
 					b.Fatal(err)
 				}
 				cand := q.Clone()
@@ -213,7 +215,7 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (DESIGN.md §6) -----------------------------------
+// --- ablation benchmarks ----------------------------------------------------
 
 // BenchmarkAblationRelaxation measures how tight the average-case relaxation
 // (Theorem 5.1) is for optimized strategies: L_worst/L_avg per workload

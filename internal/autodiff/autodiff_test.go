@@ -103,8 +103,8 @@ func TestRowNormalizeGradientFiniteDiff(t *testing.T) {
 	}
 }
 
-// The decisive test promised in DESIGN.md: the autodiff gradient of the full
-// factorization objective equals internal/core's hand-derived gradient.
+// The decisive test: the autodiff gradient of the full factorization
+// objective equals internal/core's hand-derived gradient.
 func TestObjectiveGradientMatchesCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, wk := range []workload.Workload{
@@ -131,7 +131,8 @@ func TestObjectiveGradientMatchesCore(t *testing.T) {
 		adGrad := v.Grad()
 		adObj := out.Value().At(0, 0)
 
-		coreObj, coreGrad, err := core.ObjectiveGrad(q, gram)
+		coreGrad := linalg.New(11, 5)
+		coreObj, err := core.NewWorkspace(11, 5).ObjectiveGrad(q, gram, nil, coreGrad)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,8 +220,7 @@ func RAPPOR(n int, eps float64) (*mechanism.Factorization, error) {
 // gaussianNoiseFactor converts ε to the Gaussian noise multiplier
 // σ = Δ₂·√(2 ln(1.25/δ))/ε with δ = 1e−6: the classical analytic Gaussian
 // calibration. The paper is not explicit about its L2 calibration; this
-// choice (documented in DESIGN.md §4) preserves the qualitative behaviour the
-// paper reports — L2 mechanisms lose badly at small domains and catch up only
+// choice preserves the qualitative behaviour the paper reports — L2 mechanisms lose badly at small domains and catch up only
 // as n grows.
 const gaussianDelta = 1e-6
 

@@ -407,11 +407,18 @@ func OptimizeBest(w workload.Workload, eps float64, o Options, candidates ...*st
 	}
 	var warmFrom *strategy.Strategy
 	warmObj := best.Objective
+	var nf strategy.NormalForm
 	for _, cand := range candidates {
 		if cand == nil || cand.Domain() != gram.Rows() || cand.Eps > eps+1e-12 {
 			continue
 		}
-		obj, err := Objective(cand.Q, gram)
+		// A warm start is a point run has to stand on: every output with
+		// mass and an M that factors. (Objective alone would score a
+		// rank-deficient candidate through the pseudo-inverse.)
+		if nf.Form(cand.Q, nil) != nil {
+			continue
+		}
+		obj, err := cand.Objective(gram)
 		if err != nil {
 			continue
 		}
@@ -420,20 +427,40 @@ func OptimizeBest(w workload.Workload, eps float64, o Options, candidates ...*st
 			warmFrom = cand
 		}
 	}
-	if warmFrom != nil {
-		if err := ctxErr(o.Ctx); err != nil {
-			return nil, err
-		}
-		wo := o
-		wo.Init = warmFrom
-		warm, err := OptimizeGram(gram, eps, wo)
-		if err == nil && warm.Objective < best.Objective {
-			best = warm
-		} else if err == nil && warmObj < best.Objective {
-			best = warm // warm run couldn't improve on its init but the init itself beat random
-		}
+	if warmFrom == nil {
+		return best, nil
 	}
-	return best, nil
+	if err := ctxErr(o.Ctx); err != nil {
+		return nil, err
+	}
+	wo := o
+	wo.Init = warmFrom
+	warm, warmErr := OptimizeGram(gram, eps, wo)
+	// A strategy valid at ε′ ≤ ε is valid at ε.
+	candidate := &Result{
+		Strategy:     strategy.New(warmFrom.Q, eps),
+		Objective:    warmObj,
+		History:      []float64{warmObj},
+		PriorWeights: best.PriorWeights,
+	}
+	return pickBest(best, warm, warmErr, candidate), nil
+}
+
+// pickBest chooses among the random-init result, the run warm-started from
+// the best candidate (nil with warmErr set when it failed) and that candidate
+// itself, by objective. The warm run returns its best iterate, its own start
+// included, so where it beat random it is the candidate or better (up to the
+// round-off of projecting the start) and wins; where it did not — it failed,
+// or projecting the candidate cost more than random's margin — the candidate
+// as supplied still beats random when its objective does.
+func pickBest(random, warm *Result, warmErr error, candidate *Result) *Result {
+	switch {
+	case warmErr == nil && warm.Objective < random.Objective:
+		return warm
+	case candidate.Objective < random.Objective:
+		return candidate
+	}
+	return random
 }
 
 // ctxErr reports a cancelled or expired context (nil context = never).
@@ -447,20 +474,6 @@ func ctxErr(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-// objectiveGrad evaluates L(Q) = tr[(QᵀD_p⁻¹Q)⁻¹ G] and its gradient with a
-// freshly allocated workspace and gradient; it backs the one-shot public
-// entry points. The hot loop in run uses Workspace.ObjectiveGrad directly so
-// steady-state iterations allocate nothing.
-func objectiveGrad(q, gram *linalg.Matrix, prior []float64) (float64, *linalg.Matrix, error) {
-	ws := NewWorkspace(q.Rows(), q.Cols())
-	grad := linalg.New(q.Rows(), q.Cols())
-	obj, err := ws.ObjectiveGrad(q, gram, prior, grad)
-	if err != nil {
-		return 0, nil, err
-	}
-	return obj, grad, nil
 }
 
 // normalizePrior validates, smooths, and scales a prior to sum to n (so the
@@ -489,24 +502,6 @@ func normalizePrior(prior []float64, n int) ([]float64, error) {
 		out[u] = float64(n) * ((1-smooth)*v/total + smooth/float64(n))
 	}
 	return out, nil
-}
-
-// Objective evaluates L(Q) for external callers (ablation benches, tests).
-func Objective(q *linalg.Matrix, gram *linalg.Matrix) (float64, error) {
-	obj, _, err := objectiveGrad(q, gram, nil)
-	return obj, err
-}
-
-// ObjectiveGrad exposes the analytic gradient for verification against
-// finite differences and internal/autodiff.
-func ObjectiveGrad(q *linalg.Matrix, gram *linalg.Matrix) (float64, *linalg.Matrix, error) {
-	return objectiveGrad(q, gram, nil)
-}
-
-// ObjectiveGradPrior is ObjectiveGrad for the prior-weighted objective
-// L_p(Q) = tr[(QᵀD_p⁻¹Q)⁻¹ G] with D_p = Diag(Q·p).
-func ObjectiveGradPrior(q *linalg.Matrix, gram *linalg.Matrix, prior []float64) (float64, *linalg.Matrix, error) {
-	return objectiveGrad(q, gram, prior)
 }
 
 // gradZ back-propagates the Q gradient through the projection's clip pattern
@@ -544,11 +539,4 @@ func gradZ(gz, mean []float64, grad *linalg.Matrix, state []opt.ClipState, numFr
 		}
 		gz[o] = sum
 	}
-}
-
-// GradZForTest exposes gradZ for the gradient-check tests.
-func GradZForTest(grad *linalg.Matrix, state []opt.ClipState, numFree []int, eps float64) []float64 {
-	gz := make([]float64, grad.Rows())
-	gradZ(gz, make([]float64, grad.Cols()), grad, state, numFree, math.Exp(eps))
-	return gz
 }

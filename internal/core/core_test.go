@@ -101,7 +101,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		gram := wk.Gram()
 		m, n := 9, 4
 		q := randPositive(rng, m, n)
-		obj, grad, err := ObjectiveGrad(q, gram)
+		obj, grad, err := objectiveGrad(q, gram, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,13 +114,13 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 			u := rng.Intn(n)
 			qp := q.Clone()
 			qp.Set(o, u, qp.At(o, u)+h)
-			objP, _, err := ObjectiveGrad(qp, gram)
+			objP, _, err := objectiveGrad(qp, gram, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			qm := q.Clone()
 			qm.Set(o, u, qm.At(o, u)-h)
-			objM, _, err := ObjectiveGrad(qm, gram)
+			objM, _, err := objectiveGrad(qm, gram, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,18 +150,19 @@ func TestGradZMatchesFiniteDifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, grad, err := ObjectiveGrad(proj.Q, gram)
+	_, grad, err := objectiveGrad(proj.Q, gram, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gz := GradZForTest(grad, proj.State, proj.NumFree, eps)
+	gz := make([]float64, m)
+	gradZ(gz, make([]float64, n), grad, proj.State, proj.NumFree, math.Exp(eps))
 
 	evalAt := func(zv []float64) float64 {
 		p, err := opt.ProjectMatrix(r, zv, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		obj, _, err := ObjectiveGrad(p.Q, gram)
+		obj, _, err := objectiveGrad(p.Q, gram, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,24 +178,6 @@ func TestGradZMatchesFiniteDifference(t *testing.T) {
 		if math.Abs(fd-gz[o]) > 1e-3*(1+math.Abs(fd)) {
 			t.Fatalf("∇z[%d]: analytic %v vs finite-diff %v", o, gz[o], fd)
 		}
-	}
-}
-
-func TestObjectiveMatchesStrategyPackage(t *testing.T) {
-	// core's fused objective must agree with strategy.Objective.
-	rng := rand.New(rand.NewSource(3))
-	q := randPositive(rng, 12, 5)
-	w := workload.NewAllRange(5)
-	obj1, err := Objective(q, w.Gram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj2, err := strategy.New(q, 1).Objective(w.Gram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(obj1-obj2) > 1e-8*(1+math.Abs(obj2)) {
-		t.Fatalf("objectives disagree: %v vs %v", obj1, obj2)
 	}
 }
 
@@ -410,5 +393,42 @@ func TestHighEpsilonNearRandomizedResponse(t *testing.T) {
 	ratio := optVar.SampleComplexity(0.01) / rrVar.SampleComplexity(0.01)
 	if ratio > 1.05 {
 		t.Fatalf("optimized/RR sample-complexity ratio %v at ε=4 (want ≤ ~1)", ratio)
+	}
+}
+
+// TestPickBest: OptimizeBest returns the warm run where it beat random, and
+// otherwise the better of random and the candidate. The candidate rows are
+// what the old branch got backwards: a warm run that could not hold on to its
+// start's objective replaced the random-init result with something worse than
+// it, where the candidate itself — which beat random, or no warm run would
+// have started — was the promised answer.
+func TestPickBest(t *testing.T) {
+	failed := errors.New("warm run failed")
+	for _, c := range []struct {
+		name              string
+		random, cand, run float64
+		runErr            error
+		want              string
+	}{
+		{"warm run improves on its start", 100, 90, 80, nil, "warm"},
+		{"warm run holds its start", 100, 90, 90, nil, "warm"},
+		{"warm run slips but still beats random", 100, 90, 95, nil, "warm"},
+		{"warm run slips past random", 100, 90, 105, nil, "candidate"},
+		{"warm run ties random", 100, 90, 100, nil, "candidate"},
+		{"warm run fails", 100, 90, 0, failed, "candidate"},
+		{"warm run fails, candidate no better than random", 100, 100, 0, failed, "random"},
+		{"nothing beats random", 100, 100, 100, nil, "random"},
+	} {
+		results := map[string]*Result{
+			"random":    {Objective: c.random},
+			"candidate": {Objective: c.cand},
+		}
+		if c.runErr == nil {
+			results["warm"] = &Result{Objective: c.run}
+		}
+		if got := pickBest(results["random"], results["warm"], c.runErr, results["candidate"]); got != results[c.want] {
+			t.Errorf("%s (random %v, candidate %v, warm run %v/%v): picked the result with objective %v, want the %s one",
+				c.name, c.random, c.cand, c.run, c.runErr, got.Objective, c.want)
+		}
 	}
 }

@@ -234,7 +234,7 @@ func TestSameArithmeticAsFullProduct(t *testing.T) {
 				gram, n := c.w.Gram(), c.w.Domain()
 				o := (&Options{Iters: c.iters, Seed: 7}).withDefaults(n)
 				ws := NewWorkspace(o.Outputs, n)
-				ws.mulM = fullProductM
+				ws.MulM = fullProductM
 				beta, err := searchStepSize(gram, 1.0, o, ws)
 				if err != nil {
 					t.Fatal(err)

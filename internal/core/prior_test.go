@@ -18,7 +18,7 @@ func TestPriorGradientMatchesFiniteDifference(t *testing.T) {
 	gram := workload.NewPrefix(n).Gram()
 	prior := []float64{2.1, 0.4, 1.0, 0.5} // already positive and scaled
 	q := randPositive(rng, m, n)
-	obj, grad, err := ObjectiveGradPrior(q, gram, prior)
+	obj, grad, err := objectiveGrad(q, gram, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestPriorGradientMatchesFiniteDifference(t *testing.T) {
 		u := rng.Intn(n)
 		qp := q.Clone()
 		qp.Set(o, u, qp.At(o, u)+h)
-		objP, _, err := ObjectiveGradPrior(qp, gram, prior)
+		objP, _, err := objectiveGrad(qp, gram, prior)
 		if err != nil {
 			t.Fatal(err)
 		}
 		qm := q.Clone()
 		qm.Set(o, u, qm.At(o, u)-h)
-		objM, _, err := ObjectiveGradPrior(qm, gram, prior)
+		objM, _, err := objectiveGrad(qm, gram, prior)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +54,11 @@ func TestUniformPriorMatchesUnweighted(t *testing.T) {
 	n, m := 5, 12
 	gram := workload.NewAllRange(n).Gram()
 	q := randPositive(rng, m, n)
-	obj1, g1, err := ObjectiveGrad(q, gram)
+	obj1, g1, err := objectiveGrad(q, gram, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj2, g2, err := ObjectiveGradPrior(q, gram, linalg.Ones(n))
+	obj2, g2, err := objectiveGrad(q, gram, linalg.Ones(n))
 	if err != nil {
 		t.Fatal(err)
 	}

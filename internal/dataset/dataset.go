@@ -10,7 +10,7 @@
 // sparse with a handful of hot cells. Section 6.4's finding is that
 // data-dependent variance is close to worst-case variance for *any* data
 // shape, so exercising three very different shapes preserves the experiment's
-// meaning (see DESIGN.md §4 for the substitution rationale).
+// meaning.
 package dataset
 
 import (

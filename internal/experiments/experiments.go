@@ -7,7 +7,7 @@
 // fewer restarts) so the full suite runs in minutes on one CPU; Config.Full
 // requests paper-scale parameters. The paper's qualitative findings — which
 // mechanism wins, the slopes in log-log space, the crossovers — hold at both
-// scales; EXPERIMENTS.md records the comparison.
+// scales.
 //
 // Sweep grids fan out across a bounded worker pool (Config.Workers; default
 // one worker per CPU). Every cell of a grid derives its random seed from the
@@ -220,8 +220,9 @@ type DatasetRow struct {
 }
 
 // FigureDatasets reproduces Figure 3a: data-dependent sample complexity on
-// the three benchmark datasets (synthetic stand-ins; DESIGN.md §4) plus the
-// worst case, for the Prefix workload at ε = 1.
+// the three benchmark datasets (synthetic stand-ins with the published shape
+// characteristics; see internal/dataset) plus the worst case, for the Prefix
+// workload at ε = 1.
 func FigureDatasets(cfg Config) ([]DatasetRow, error) {
 	cfg = cfg.withDefaults()
 	n := 64

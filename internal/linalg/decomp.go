@@ -299,12 +299,3 @@ func (c *Cholesky) solveToCols(dst, b *Matrix, lo, hi int) {
 		}
 	}
 }
-
-// LogDet returns log det(A) = 2 Σ log L_ii for the factored matrix.
-func (c *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.l.rows; i++ {
-		s += math.Log(c.l.At(i, i))
-	}
-	return 2 * s
-}

@@ -135,18 +135,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	a := Diag([]float64{2, 3, 4})
-	ch, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(24)
-	if math.Abs(ch.LogDet()-want) > 1e-12 {
-		t.Fatalf("LogDet = %v, want %v", ch.LogDet(), want)
-	}
-}
-
 func TestSymEigenDiagonal(t *testing.T) {
 	a := Diag([]float64{3, 1, 2})
 	vals, vecs, err := SymEigen(a)

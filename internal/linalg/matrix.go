@@ -451,18 +451,6 @@ func (m *Matrix) RowSumsTo(dst []float64) {
 	}
 }
 
-// ColSums returns the vector of column sums (mᵀ * 1).
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return out
-}
-
 // DiagOf returns the diagonal of a square matrix as a new slice.
 func (m *Matrix) DiagOf() []float64 {
 	if m.rows != m.cols {
@@ -535,16 +523,6 @@ func (m *Matrix) String() string {
 	}
 	sb.WriteString("]")
 	return sb.String()
-}
-
-// HasNaN reports whether any entry is NaN or Inf.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // Stack vertically concatenates the given matrices (which must share a column

@@ -26,26 +26,6 @@ func Sum(x []float64) float64 {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
-// Norm1 returns the L1 norm of x.
-func Norm1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the max-abs norm of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // AxpyVec computes y += a*x in place.
 func AxpyVec(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -86,17 +66,6 @@ func Constant(n int, v float64) []float64 {
 		out[i] = v
 	}
 	return out
-}
-
-// ClipVec clips each x[i] into [lo[i], hi[i]] in place.
-func ClipVec(x, lo, hi []float64) {
-	for i := range x {
-		if x[i] < lo[i] {
-			x[i] = lo[i]
-		} else if x[i] > hi[i] {
-			x[i] = hi[i]
-		}
-	}
 }
 
 // ClipScalar clips each x[i] into [lo, hi] in place.

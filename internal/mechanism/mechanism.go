@@ -8,6 +8,7 @@ package mechanism
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/strategy"
@@ -31,11 +32,16 @@ type Mechanism interface {
 // the variance-optimal reconstruction V = W·B of Theorem 3.10 ("for each
 // mechanism we use the same Q across different workloads, but change V based
 // on the workload", Section 6.1). The reconstruction factor B is computed
-// once and shared across workloads.
+// once, on first use, and shared across workloads and goroutines.
 type Factorization struct {
 	name     string
 	strategy *strategy.Strategy
-	recon    *strategy.Recon // cached rank-aware reconstruction
+
+	// The rank-aware reconstruction: set by NewFactorizationWithPrior, or by
+	// the first Profile under once.
+	once     sync.Once
+	recon    *strategy.Recon
+	reconErr error
 }
 
 // NewFactorization wraps a strategy as a Mechanism.
@@ -72,12 +78,13 @@ func (f *Factorization) Profile(w workload.Workload) (*strategy.VarianceProfile,
 	if w.Domain() != f.Domain() {
 		return nil, fmt.Errorf("mechanism: %s built for n=%d, workload has n=%d", f.name, f.Domain(), w.Domain())
 	}
-	if f.recon == nil {
-		r, err := f.strategy.Reconstruction()
-		if err != nil {
-			return nil, fmt.Errorf("mechanism: %s: %w", f.name, err)
+	f.once.Do(func() {
+		if f.recon == nil {
+			f.recon, f.reconErr = f.strategy.Reconstruction()
 		}
-		f.recon = r
+	})
+	if f.reconErr != nil {
+		return nil, fmt.Errorf("mechanism: %s: %w", f.name, f.reconErr)
 	}
 	// A rank-deficient strategy can only answer workloads in its row space
 	// (constraint W = WQ⁺Q); anything else must fail loudly rather than
@@ -101,7 +108,11 @@ type Additive struct {
 	A *linalg.Matrix
 	// NoiseVar is the per-coordinate variance of the per-user noise.
 	NoiseVar float64
-	pinvA    *linalg.Matrix // cached A⁺
+
+	// A⁺, filled by the first Profile under once.
+	once    sync.Once
+	pinvA   *linalg.Matrix
+	pinvErr error
 }
 
 // NewAdditive wraps an additive-noise strategy. noiseVar must already be
@@ -125,12 +136,9 @@ func (ad *Additive) Profile(w workload.Workload) (*strategy.VarianceProfile, err
 	if w.Domain() != n {
 		return nil, fmt.Errorf("mechanism: %s built for n=%d, workload has n=%d", ad.name, n, w.Domain())
 	}
-	if ad.pinvA == nil {
-		p, err := pinv(ad.A)
-		if err != nil {
-			return nil, fmt.Errorf("mechanism: %s: %w", ad.name, err)
-		}
-		ad.pinvA = p
+	ad.once.Do(func() { ad.pinvA, ad.pinvErr = pinv(ad.A) })
+	if ad.pinvErr != nil {
+		return nil, fmt.Errorf("mechanism: %s: %w", ad.name, ad.pinvErr)
 	}
 	// ‖WA⁺‖²_F = tr(A⁺ᵀ · WᵀW · A⁺).
 	gp := linalg.Mul(w.Gram(), ad.pinvA)

@@ -82,7 +82,7 @@ type NNLSResult struct {
 //
 // The paper's Appendix A solves this with scipy's L-BFGS; FISTA solves the
 // same convex program to tolerance (the program is convex, so any convergent
-// first-order method reaches the same objective value). See DESIGN.md §4.
+// first-order method reaches the same objective value).
 func NNLS(op Operator, b []float64, o NNLSOptions) (*NNLSResult, error) {
 	if len(b) != op.Queries() {
 		return nil, fmt.Errorf("opt: NNLS rhs length %d, want %d", len(b), op.Queries())

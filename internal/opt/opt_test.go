@@ -12,7 +12,27 @@ import (
 	"repro/internal/workload"
 )
 
-// bisectProject is a slow, obviously-correct reference for ProjectColumn:
+// columnProjection is one column of a MatrixProjection.
+type columnProjection struct {
+	Q       []float64
+	State   []ClipState
+	NumFree int
+}
+
+// projectColumn is Problem 4.1 for a single column — the Euclidean projection
+// of r onto {q : z ≤ q ≤ e^ε z, 1ᵀq = 1} — as the optimizer computes it:
+// ProjectMatrix on the m×1 matrix, so the properties below (the bisection
+// reference, nearest point, idempotence, the clip states) are checked on the
+// code run executes.
+func projectColumn(r, z []float64, eps float64) (*columnProjection, error) {
+	mp, err := ProjectMatrix(linalg.NewFrom(len(r), 1, append([]float64(nil), r...)), z, eps)
+	if err != nil {
+		return nil, err
+	}
+	return &columnProjection{Q: mp.Q.Data(), State: mp.State, NumFree: mp.NumFree[0]}, nil
+}
+
+// bisectProject is a slow, obviously-correct reference for projectColumn:
 // binary search on λ.
 func bisectProject(r, z []float64, eps float64) []float64 {
 	e := math.Exp(eps)
@@ -75,7 +95,7 @@ func TestProjectColumnMatchesBisection(t *testing.T) {
 		for i := range r {
 			r[i] = rng.NormFloat64()
 		}
-		cp, err := ProjectColumn(r, z, eps)
+		cp, err := projectColumn(r, z, eps)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -99,7 +119,7 @@ func TestProjectColumnFeasibility(t *testing.T) {
 		for i := range r {
 			r[i] = 5 * rng.NormFloat64()
 		}
-		cp, err := ProjectColumn(r, z, eps)
+		cp, err := projectColumn(r, z, eps)
 		if err != nil {
 			return false
 		}
@@ -128,11 +148,11 @@ func TestProjectColumnIdempotent(t *testing.T) {
 		for i := range r {
 			r[i] = rng.NormFloat64()
 		}
-		cp, err := ProjectColumn(r, z, eps)
+		cp, err := projectColumn(r, z, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp2, err := ProjectColumn(cp.Q, z, eps)
+		cp2, err := projectColumn(cp.Q, z, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +176,7 @@ func TestProjectColumnIsNearest(t *testing.T) {
 		for i := range r {
 			r[i] = 2 * rng.NormFloat64()
 		}
-		cp, err := ProjectColumn(r, z, eps)
+		cp, err := projectColumn(r, z, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +194,7 @@ func TestProjectColumnIsNearest(t *testing.T) {
 			for i := range v {
 				v[i] = 2 * rng.NormFloat64()
 			}
-			other, err := ProjectColumn(v, z, eps)
+			other, err := projectColumn(v, z, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,16 +208,16 @@ func TestProjectColumnIsNearest(t *testing.T) {
 func TestProjectColumnInfeasible(t *testing.T) {
 	// Σz > 1.
 	z := []float64{0.8, 0.8}
-	if _, err := ProjectColumn([]float64{0, 0}, z, 1); !errors.Is(err, ErrInfeasible) {
+	if _, err := projectColumn([]float64{0, 0}, z, 1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible for Σz > 1, got %v", err)
 	}
 	// e^ε Σz < 1.
 	z2 := []float64{0.1, 0.1}
-	if _, err := ProjectColumn([]float64{0, 0}, z2, 0.1); !errors.Is(err, ErrInfeasible) {
+	if _, err := projectColumn([]float64{0, 0}, z2, 0.1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible for e^ε Σz < 1, got %v", err)
 	}
 	// Negative z.
-	if _, err := ProjectColumn([]float64{0, 0}, []float64{-0.1, 0.5}, 1); err == nil {
+	if _, err := projectColumn([]float64{0, 0}, []float64{-0.1, 0.5}, 1); err == nil {
 		t.Fatal("expected error for negative z")
 	}
 }
@@ -210,9 +230,9 @@ func TestProjectRejectsNonFiniteBounds(t *testing.T) {
 	r := []float64{0.1, 0.2, 0.3}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		z := []float64{0.3, bad, 0.3}
-		col, err := ProjectColumn(r, z, 1)
+		col, err := projectColumn(r, z, 1)
 		if err == nil || !strings.Contains(err.Error(), "z[1]") {
-			t.Errorf("ProjectColumn with z[1] = %v: error %v (Q %v), want one naming z[1]", bad, err, col)
+			t.Errorf("ProjectMatrix with z[1] = %v: error %v (Q %v), want one naming z[1]", bad, err, col)
 		}
 		var out MatrixProjection
 		var ws Scratch
@@ -229,7 +249,7 @@ func TestProjectColumnStates(t *testing.T) {
 	eps := 1.0
 	z := []float64{0.2, 0.2, 0.2}
 	r := []float64{-10, 10, 0.3}
-	cp, err := ProjectColumn(r, z, eps)
+	cp, err := projectColumn(r, z, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +321,7 @@ func TestFeasibleZ(t *testing.T) {
 	// All-zero input gets a uniform feasible vector.
 	z3 := []float64{0, 0, 0}
 	FeasibleZ(z3, eps, 0)
-	if _, err := ProjectColumn([]float64{0.3, 0.3, 0.4}, z3, eps); err != nil {
+	if _, err := projectColumn([]float64{0.3, 0.3, 0.4}, z3, eps); err != nil {
 		t.Fatalf("FeasibleZ output still infeasible: %v", err)
 	}
 	// Floor respected.

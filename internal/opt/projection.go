@@ -4,13 +4,11 @@
 // and an accelerated projected-gradient non-negative least squares solver used
 // by the WNNLS post-processing step (Appendix A).
 //
-// The projection is the optimizer's per-iteration hot spot, so it comes in
-// two forms: the allocating ProjectColumn/ProjectMatrix, and the
-// destination-passing ProjectMatrixInto which reuses a caller-owned
-// MatrixProjection plus a Scratch of per-worker buffers and allocates nothing
-// in steady state. Columns are independent, so ProjectMatrixInto fans them
-// out across GOMAXPROCS goroutines; results are bit-identical to the serial
-// path at any worker count.
+// The projection is the optimizer's per-iteration hot spot: ProjectMatrixInto
+// reuses a caller-owned MatrixProjection plus a Scratch of per-worker buffers
+// and allocates nothing in steady state (ProjectMatrix is the same call on
+// fresh ones). Columns are independent, so they fan out across GOMAXPROCS
+// goroutines; results are bit-identical at any worker count.
 package opt
 
 import (
@@ -182,68 +180,6 @@ func solveLambda(ar, az, r, z []float64, e float64) float64 {
 	return b
 }
 
-// ColumnProjection is the result of projecting one column onto the bounded
-// probability simplex.
-type ColumnProjection struct {
-	// Q is the projected column: clip(r + λ, z, e^ε z) with 1ᵀQ = 1.
-	Q []float64
-	// Lambda is the shift (the Lagrange multiplier of the sum constraint).
-	Lambda float64
-	// State[o] records whether coordinate o was clipped low, high, or free.
-	State []ClipState
-	// NumFree counts interior coordinates.
-	NumFree int
-}
-
-// ProjectColumn solves Problem 4.1 for a single column (Proposition 4.2 /
-// Algorithm 1): it returns the Euclidean projection of r onto
-// {q : z ≤ q ≤ e^ε z, 1ᵀq = 1}.
-//
-// z must be coordinate-wise non-negative with Σz ≤ 1 ≤ e^ε Σz (otherwise the
-// set is empty and ErrInfeasible is returned).
-func ProjectColumn(r, z []float64, eps float64) (*ColumnProjection, error) {
-	m := len(r)
-	if len(z) != m {
-		return nil, fmt.Errorf("opt: r has %d entries, z has %d", m, len(z))
-	}
-	e := math.Exp(eps)
-	if err := validateZ(z, e); err != nil {
-		return nil, err
-	}
-	lambda := solveLambda(make([]float64, m), make([]float64, m), r, z, e)
-
-	q := make([]float64, m)
-	state := make([]ClipState, m)
-	free := 0
-	for o := 0; o < m; o++ {
-		v := r[o] + lambda
-		switch {
-		case v <= z[o]:
-			q[o] = z[o]
-			state[o] = ClipLow
-		case v >= e*z[o]:
-			q[o] = e * z[o]
-			state[o] = ClipHigh
-		default:
-			q[o] = v
-			state[o] = Free
-			free++
-		}
-	}
-	// Absorb residual round-off into the free coordinates so the column sums
-	// to one exactly (keeps downstream LDP validation clean).
-	if free > 0 {
-		resid := 1 - linalg.Sum(q)
-		adj := resid / float64(free)
-		for o := 0; o < m; o++ {
-			if state[o] == Free {
-				q[o] += adj
-			}
-		}
-	}
-	return &ColumnProjection{Q: q, Lambda: lambda, State: state, NumFree: free}, nil
-}
-
 // MatrixProjection is the result of projecting every column of a matrix onto
 // the bounded probability simplex.
 type MatrixProjection struct {
@@ -297,8 +233,12 @@ type Scratch struct {
 	workers []projWorker
 }
 
-// ProjectMatrix applies ProjectColumn to every column of r: the operator
-// Π_{z,ε}(R) of Problem 4.1.
+// ProjectMatrix solves Problem 4.1 for every column of r (Proposition 4.2 /
+// Algorithm 1): column u of the result is the Euclidean projection of column
+// u of r onto {q : z ≤ q ≤ e^ε z, 1ᵀq = 1} — the operator Π_{z,ε}(R).
+//
+// z must be coordinate-wise non-negative with Σz ≤ 1 ≤ e^ε Σz (otherwise the
+// set is empty and ErrInfeasible is returned).
 func ProjectMatrix(r *linalg.Matrix, z []float64, eps float64) (*MatrixProjection, error) {
 	out := &MatrixProjection{}
 	var ws Scratch

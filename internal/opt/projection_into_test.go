@@ -8,8 +8,9 @@ import (
 	"repro/internal/linalg"
 )
 
-// serialProjectMatrix is a reference implementation built from ProjectColumn,
-// the path ProjectMatrixInto must reproduce bit-for-bit.
+// serialProjectMatrix projects one column at a time (projectColumn: an m×1
+// matrix on the caller's goroutine), which the fan-out over many columns must
+// reproduce bit-for-bit.
 func serialProjectMatrix(t *testing.T, r *linalg.Matrix, z []float64, eps float64) *MatrixProjection {
 	t.Helper()
 	m, n := r.Rows(), r.Cols()
@@ -19,7 +20,7 @@ func serialProjectMatrix(t *testing.T, r *linalg.Matrix, z []float64, eps float6
 		for o := 0; o < m; o++ {
 			col[o] = r.At(o, u)
 		}
-		cp, err := ProjectColumn(col, z, eps)
+		cp, err := projectColumn(col, z, eps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,11 +70,7 @@ func NewProtocol(s *strategy.Strategy, w workload.Workload) (*Protocol, error) {
 		return nil, err
 	}
 	p.strat = s
-	b, err := s.ReconFactor()
-	if err != nil {
-		return nil, err
-	}
-	p.recon = b
+	p.recon = a.Recon()
 	return p, nil
 }
 

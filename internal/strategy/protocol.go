@@ -68,11 +68,11 @@ type Aggregator struct {
 
 // NewAggregator precomputes the reconstruction factor B.
 func NewAggregator(s *Strategy) (*Aggregator, error) {
-	b, err := s.ReconFactor()
+	r, err := s.Reconstruction()
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregator{s: s, recon: b}, nil
+	return &Aggregator{s: s, recon: r.B}, nil
 }
 
 // Domain returns the number of user types estimated.

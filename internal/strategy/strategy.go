@@ -156,44 +156,22 @@ func (s *Strategy) Reconstruction() (*Recon, error) {
 // place of D. weights == nil means the uniform prior (the paper's L_avg),
 // which reduces exactly to Theorem 3.10.
 func (s *Strategy) ReconstructionWithWeights(weights []float64) (*Recon, error) {
-	q := s.Q
-	var d []float64
-	if weights == nil {
-		d = s.RowSums()
-	} else {
-		if len(weights) != s.Domain() {
-			return nil, fmt.Errorf("strategy: %d weights for domain %d", len(weights), s.Domain())
-		}
-		for u, w := range weights {
-			if w < 0 || math.IsNaN(w) {
-				return nil, fmt.Errorf("strategy: weight %g for type %d is invalid", w, u)
-			}
-		}
-		d = q.MulVec(weights)
+	var f NormalForm
+	err := f.Form(s.Q, weights)
+	if err == nil {
+		// B = M⁻¹ (D⁻¹Q)ᵀ = M⁻¹ Qsᵀ.
+		return &Recon{B: f.Chol.Solve(f.Qs.T()), FullRank: true}, nil
 	}
-	for o, v := range d {
-		if v <= 0 {
-			return nil, fmt.Errorf("strategy: output %d has zero mass; Trim the strategy first", o)
-		}
+	if !errors.Is(err, linalg.ErrSingular) {
+		return nil, err
 	}
-	dinv := make([]float64, len(d))
-	for i, v := range d {
-		dinv[i] = 1 / v
-	}
-	qs := q.Clone().ScaleRows(dinv) // D⁻¹Q
-	msym := linalg.New(q.Cols(), q.Cols())
-	linalg.MulAtBSymTo(msym, q, qs) // M = QᵀD⁻¹Q (n×n, symmetric PSD)
-	// B = M⁺ (D⁻¹Q)ᵀ = M⁺ Qsᵀ.
-	if ch, err := linalg.FactorCholesky(msym); err == nil {
-		return &Recon{B: ch.Solve(qs.T()), FullRank: true}, nil
-	}
-	pinv, err := linalg.PinvPSD(msym, 1e-12)
+	pinv, err := linalg.PinvPSD(f.m, 1e-12)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: reconstruction solve failed: %w", err)
 	}
 	return &Recon{
-		B:    linalg.Mul(pinv, qs.T()),
-		Proj: linalg.Mul(pinv, msym),
+		B:    linalg.Mul(pinv, f.Qs.T()),
+		Proj: linalg.Mul(pinv, f.m),
 	}, nil
 }
 
@@ -224,27 +202,17 @@ func (r *Recon) SupportsGram(gram *linalg.Matrix) error {
 // (rank-deficient) strategy, i.e. W ≠ WQ⁺Q.
 var ErrUnsupportedWorkload = errors.New("strategy: workload not in the strategy's row space")
 
-// ReconFactor computes B = (QᵀD⁻¹Q)⁺ QᵀD⁻¹ (n×m); see Reconstruction for the
-// rank-aware variant.
-func (s *Strategy) ReconFactor() (*linalg.Matrix, error) {
-	r, err := s.Reconstruction()
-	if err != nil {
-		return nil, err
-	}
-	return r.B, nil
-}
-
 // OptimalV returns the variance-optimal reconstruction matrix
 // V = W (QᵀD⁻¹Q)⁺ QᵀD⁻¹ for an explicit workload matrix w (Theorem 3.10).
 func (s *Strategy) OptimalV(w *linalg.Matrix) (*linalg.Matrix, error) {
 	if w.Cols() != s.Domain() {
 		return nil, fmt.Errorf("strategy: workload has %d columns, domain is %d", w.Cols(), s.Domain())
 	}
-	b, err := s.ReconFactor()
+	r, err := s.Reconstruction()
 	if err != nil {
 		return nil, err
 	}
-	return linalg.Mul(w, b), nil
+	return linalg.Mul(w, r.B), nil
 }
 
 // Objective evaluates L(Q) = tr[(QᵀD⁻¹Q)⁺ G] (Theorem 3.11) for the workload
@@ -256,30 +224,23 @@ func (s *Strategy) Objective(gram *linalg.Matrix) (float64, error) {
 	if gram.Rows() != n || gram.Cols() != n {
 		return 0, fmt.Errorf("strategy: Gram matrix is %dx%d, want %dx%d", gram.Rows(), gram.Cols(), n, n)
 	}
-	d := s.RowSums()
-	dinv := make([]float64, len(d))
-	for i, v := range d {
-		if v <= 0 {
-			return 0, fmt.Errorf("strategy: output %d has zero mass", i)
-		}
-		dinv[i] = 1 / v
-	}
-	qs := s.Q.Clone().ScaleRows(dinv)
-	msym := linalg.New(n, n)
-	linalg.MulAtBSymTo(msym, s.Q, qs)
-	if ch, err := linalg.FactorCholesky(msym); err == nil {
+	var f NormalForm
+	err := f.Form(s.Q, nil)
+	if err == nil {
 		// tr(M⁻¹G) = Σ diag of solve(M, G).
-		x := ch.Solve(gram)
-		return x.Trace(), nil
+		return f.Chol.Solve(gram).Trace(), nil
+	}
+	if !errors.Is(err, linalg.ErrSingular) {
+		return 0, err
 	}
 	// Rank-deficient M: use the pseudo-inverse, but only when W actually lies
 	// in the row space of Q — otherwise the mechanism cannot express W and
 	// the objective is +∞ (constraint W = WQ⁺Q of Problem 3.12).
-	pinv, err := linalg.PinvPSD(msym, 1e-12)
+	pinv, err := linalg.PinvPSD(f.m, 1e-12)
 	if err != nil {
 		return 0, err
 	}
-	r := &Recon{Proj: linalg.Mul(pinv, msym)}
+	r := &Recon{Proj: linalg.Mul(pinv, f.m)}
 	if err := r.SupportsGram(gram); err != nil {
 		return math.Inf(1), err
 	}
@@ -311,7 +272,7 @@ func (s *Strategy) Variances(gram *linalg.Matrix, p int) (*VarianceProfile, erro
 }
 
 // VariancesWithRecon is Variances with a precomputed reconstruction factor B
-// (from ReconFactor), so multiple workloads can share the expensive solve.
+// (Reconstruction().B), so multiple workloads can share the expensive solve.
 func (s *Strategy) VariancesWithRecon(gram *linalg.Matrix, p int, b *linalg.Matrix) (*VarianceProfile, error) {
 	n := s.Domain()
 	m := s.Outputs()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	ldp "repro"
@@ -452,5 +453,58 @@ func TestBuildInfoNamesTheKernel(t *testing.T) {
 	}
 	if v := ldp.VersionString(); !strings.HasSuffix(v, " kernel="+k) {
 		t.Fatalf("VersionString() = %q does not end with the kernel %q", v, k)
+	}
+}
+
+// TestSampleComplexityConcurrent: a mechanism is a value several goroutines
+// may evaluate at once — the experiment harness scores one *Optimized on many
+// workloads in parallel — and its reconstruction (B for a factorization, A⁺
+// for an additive mechanism) is filled on first use. Four goroutines, each
+// with its own workloads, must read the same numbers a serial caller reads;
+// under -race this is what holds that first fill to one synchronized write.
+func TestSampleComplexityConcurrent(t *testing.T) {
+	const n = 8
+	opt, err := ldp.Optimize(context.Background(), ldp.Prefix(n), 1.0, ldp.WithIterations(20), ldp.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	competitors, err := ldp.Competitors(ldp.Prefix(n), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := func() []ldp.Workload { return []ldp.Workload{ldp.Prefix(n), ldp.AllRange(n)} }
+	for _, m := range append([]ldp.Mechanism{opt}, competitors...) {
+		const goroutines = 4
+		got := make([][]float64, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, w := range workloads() {
+					sc, err := ldp.SampleComplexity(m, w, 0.01)
+					if err != nil {
+						t.Errorf("%s on %s: %v", m.Name(), w.Name(), err)
+						return
+					}
+					got[g] = append(got[g], sc)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for i, w := range workloads() {
+			want, err := ldp.SampleComplexity(m, w, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := range got {
+				if got[g][i] != want {
+					t.Errorf("%s on %s: goroutine %d read %v, a serial caller reads %v", m.Name(), w.Name(), g, got[g][i], want)
+				}
+			}
+		}
 	}
 }
