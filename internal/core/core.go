@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/opt"
@@ -65,7 +66,10 @@ type Options struct {
 	// Tol stops early when the relative objective improvement over 25
 	// iterations falls below it (default 1e-8).
 	Tol float64
-	// OnIteration, when non-nil, observes (iteration, objective) pairs.
+	// OnIteration, when non-nil, observes (iteration, objective) pairs: once
+	// per accepted iteration of the main run, in order. When the main run
+	// resumes the winning step-size pilot, the pilot's iterations are
+	// delivered first, back to back, before the run continues.
 	OnIteration func(iter int, objective float64)
 	// Prior, when non-nil, optimizes the prior-weighted expected loss
 	// Σᵤ pᵤ·var(u) instead of the uniform average (the paper's footnote 2).
@@ -137,111 +141,158 @@ func OptimizeGram(gram *linalg.Matrix, eps float64, options Options) (*Result, e
 	o := options.withDefaults(n)
 
 	// One workspace serves the step-size pilots and the main run: the pilots
-	// are full (short) optimizations over the same (m, n) shape, so sharing
-	// drops three Workspace allocations — the dominant transient memory of an
-	// auto-stepped optimize — per call. run re-zeroes the state it assumes
-	// zero-initialized (the momentum buffers) on entry.
+	// are full (short) descents over the same (m, n) shape, so sharing drops
+	// three Workspace allocations — the dominant transient memory of an
+	// auto-stepped optimize — per call, and it is what lets the main run
+	// resume the last pilot instead of repeating it.
 	m := o.Outputs
 	if o.Init != nil {
 		m = o.Init.Outputs()
 	}
-	ws := NewWorkspace(m, n)
+	return optimize(gram, eps, o, NewWorkspace(m, n))
+}
 
+// optimize is OptimizeGram on a workspace of the run's shape: the step-size
+// search when o asks for it, then the main run to o.Iters.
+func optimize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) (*Result, error) {
 	beta := o.StepSize
+	var d *descent
 	if beta <= 0 {
 		var err error
-		beta, err = searchStepSize(gram, eps, o, ws)
-		if err != nil {
+		if beta, d, err = searchStepSize(gram, eps, o, ws); err != nil {
 			return nil, err
 		}
 	}
-	return run(gram, eps, o, beta, o.Iters, ws)
+	if d.resumable(o.Iters) {
+		if err := d.resume(o); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if d, err = start(gram, eps, o, beta, ws); err != nil {
+			return nil, err
+		}
+	}
+	if err := d.advance(o.Iters); err != nil {
+		return nil, err
+	}
+	return d.result(), nil
 }
 
-// searchStepSize runs short pilot optimizations over a multiplicative grid
-// around a scale-aware base step and returns the best performer, mirroring the
-// paper's hyper-parameter search ("only running the algorithm for a few
+// pilotIters is the length of one step-size pilot.
+const pilotIters = 40
+
+// searchStepSize runs short pilot descents over a multiplicative grid around
+// a scale-aware base step and returns the best performer's step, mirroring
+// the paper's hyper-parameter search ("only running the algorithm for a few
 // iterations in this phase, then running it longer once a step size is
-// chosen"). A step size of zero asks run to self-scale from the first
-// gradient, so the pilot grid multiplies that adaptive base.
-func searchStepSize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) (float64, error) {
+// chosen"). A step size of zero asks start to self-scale from the first
+// gradient, so the pilot grid multiplies that adaptive base. The winning
+// descent comes back too when it was the last pilot run, so its state is
+// still on ws; nil otherwise.
+func searchStepSize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) (float64, *descent, error) {
 	grid := []float64{0.1, 1, 10}
 	best, bestObj := 0.0, math.Inf(1)
+	var winner *descent
 	pilot := o
 	pilot.Tol = 1e-12
 	// Pilot iterations are an implementation detail: observers see only the
-	// main run's monotone iteration stream. Cancellation still applies — run
-	// checks Ctx every iteration.
+	// main run's monotone iteration stream. Cancellation still applies —
+	// advance checks Ctx every iteration.
 	pilot.OnIteration = nil
 	var pilotErr error
 	for _, g := range grid {
 		if err := ctxErr(o.Ctx); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
-		res, err := run(gram, eps, pilot, -g, 40, ws)
+		// Starting a pilot overwrites the previous one's state on ws.
+		winner = nil
+		d, err := start(gram, eps, pilot, -g, ws)
+		if err == nil {
+			err = d.advance(pilotIters)
+		}
 		if err != nil {
 			pilotErr = err
 			continue
 		}
-		if res.Objective < bestObj {
-			bestObj = res.Objective
-			best = res.StepSize
+		if d.bestObj < bestObj {
+			bestObj, best, winner = d.bestObj, d.beta, d
 		}
 	}
 	if err := ctxErr(o.Ctx); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if math.IsInf(bestObj, 1) {
 		if pilotErr != nil {
 			// Every pilot failed: say why (a bad prior, a warm start of the
 			// wrong domain, an M singular at initialization) rather than
 			// only that the search came up empty.
-			return 0, fmt.Errorf("core: step-size search failed for every candidate: %w", pilotErr)
+			return 0, nil, fmt.Errorf("core: step-size search failed for every candidate: %w", pilotErr)
 		}
-		return 0, errors.New("core: step-size search failed for every candidate")
+		return 0, nil, errors.New("core: step-size search failed for every candidate")
 	}
-	return best, nil
+	return best, winner, nil
 }
 
-// run executes the projected gradient descent loop. All per-iteration state
-// lives in a Workspace sized once up front, so steady-state iterations
-// allocate nothing (see Workspace for the scratch contract). A caller-shared
-// workspace (the step-size pilots and the main run reuse one) is used when
-// its shape matches; run owns re-zeroing the momentum buffers, the only
-// state it assumes starts at zero. Note the returned Result's Strategy
-// aliases the workspace's best-iterate buffer, so a workspace must not be
-// reused after the run whose Result escapes to a caller.
-func run(gram *linalg.Matrix, eps float64, o Options, beta float64, iters int, ws *Workspace) (*Result, error) {
-	n := gram.Rows()
-	m := o.Outputs
-	e := math.Exp(eps)
-	rng := rand.New(rand.NewSource(o.Seed))
+// descent is one run of the projected gradient descent over the Workspace it
+// owns: start initializes it, advance runs it to an iteration count, result
+// reads the best iterate off it. The step-size pilots, a fixed-step run and
+// the main run are all descents, and advance is the one iteration loop. All
+// per-iteration state lives in the Workspace, so steady-state iterations
+// allocate nothing (see Workspace for the scratch contract); a descent
+// started on a workspace overwrites whatever descent ran there before.
+type descent struct {
+	gram  *linalg.Matrix
+	eps   float64
+	o     Options // advance reads Tol, OnIteration and Ctx
+	ws    *Workspace
+	prior []float64
+
+	// proj holds the current iterate q = proj.Q and the clip pattern that
+	// produced it; grad is ∇L at q. projNext and gradNext are the candidate
+	// step's, swapped in when it is accepted.
+	proj, projNext *opt.MatrixProjection
+	grad, gradNext *linalg.Matrix
+
+	obj, bestObj, lastCheck float64
+	beta                    float64
+	halved                  bool // β was halved (blow-up safeguard or stall decay)
+	failures, decays        int
+	stopped                 bool // gave up after repeated failures or decays
+	t                       int  // iterations performed
+	history                 []float64
+}
+
+// zFloor keeps every bound z_o strictly positive.
+const zFloor = 1e-12
+
+// start initializes a descent on ws (shaped m×n for the run) with step beta;
+// a non-positive beta is scaled from the first gradient, see below.
+func start(gram *linalg.Matrix, eps float64, o Options, beta float64, ws *Workspace) (*descent, error) {
+	n, m := gram.Rows(), ws.m
+	d := &descent{gram: gram, eps: eps, o: o, ws: ws,
+		proj: &ws.proj, projNext: &ws.projNext, grad: ws.grad, gradNext: ws.gradNext}
 
 	// Initialization (Section 4): z = (1+e^−ε)/(2m)·1 — equal to the paper's
 	// (1+e^−ε)/(8n) at the default m = 4n, and keeping Σz strictly inside
 	// (e^−ε, 1) for any m — and Q = Π_{z,ε}(R) with R ~ U[0,1]^{m×n}; or a
-	// caller-provided warm start.
-	var r *linalg.Matrix
+	// caller-provided warm start. R is written where its projection lands.
+	r := d.projNext.Q
 	if o.Init != nil {
 		if o.Init.Domain() != n {
 			return nil, fmt.Errorf("core: init strategy domain %d, want %d", o.Init.Domain(), n)
 		}
-		m = o.Init.Outputs()
-		r = o.Init.Q.Clone()
+		r.CopyFrom(o.Init.Q)
 	} else {
-		r = linalg.New(m, n)
+		rng := rand.New(rand.NewSource(o.Seed))
 		for i := range r.Data() {
 			r.Data()[i] = rng.Float64()
 		}
 	}
-	if ws == nil || ws.m != m || ws.n != n {
-		ws = NewWorkspace(m, n)
-	} else {
-		// The momentum recurrences read their previous value before writing;
-		// a reused workspace must start them at zero like a fresh one.
-		ws.velQ.Scale(0)
-		clear(ws.velZ)
-	}
+	// The momentum recurrences read their previous value before writing; a
+	// reused workspace must start them at zero like a fresh one.
+	ws.velQ.Scale(0)
+	clear(ws.velZ)
 	z := ws.z
 	for i := range z {
 		z[i] = (1 + math.Exp(-eps)) / (2 * float64(m))
@@ -257,17 +308,15 @@ func run(gram *linalg.Matrix, eps float64, o Options, beta float64, iters int, w
 	if err != nil {
 		return nil, err
 	}
+	d.prior = prior
 
-	zFloor := 1e-12
 	opt.FeasibleZ(z, eps, zFloor)
-	proj, projNext := &ws.proj, &ws.projNext
-	if err := opt.ProjectMatrixInto(proj, &ws.scratch, r, z, eps); err != nil {
+	if err := d.project(z); err != nil {
 		return nil, fmt.Errorf("core: initial projection: %w", err)
 	}
-	q := proj.Q
-
-	grad, gradNext := ws.grad, ws.gradNext
-	obj, err := ws.ObjectiveGrad(q, gram, prior, grad)
+	d.proj, d.projNext = d.projNext, d.proj
+	q := d.proj.Q
+	obj, err := ws.ObjectiveGrad(q, gram, prior, d.grad)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial objective: %w", err)
 	}
@@ -280,120 +329,171 @@ func run(gram *linalg.Matrix, eps float64, o Options, beta float64, iters int, w
 		if beta < 0 {
 			mult = -beta
 		}
-		g := grad.MaxAbs()
+		g := d.grad.MaxAbs()
 		if g == 0 {
 			g = 1
 		}
 		beta = mult * 0.1 * q.MaxAbs() / g
 	}
+	d.beta = beta
+	d.obj, d.bestObj, d.lastCheck = obj, obj, obj
+	ws.bestQ.CopyFrom(q)
+	d.history = []float64{obj}
+	return d, nil
+}
 
-	res := &Result{History: make([]float64, 0, iters+1)}
-	res.History = append(res.History, obj)
+// project replaces projNext.Q — a start or a step, written there by the
+// caller — with its projection onto the bounded simplex under bound z
+// (Algorithm 1), in place.
+func (d *descent) project(z []float64) error {
+	return opt.ProjectMatrixInto(d.projNext, &d.ws.scratch, d.projNext.Q, z, d.eps)
+}
 
-	bestQ := ws.bestQ
-	bestQ.CopyFrom(q)
-	bestObj := obj
+// resumable reports whether a main run of iters iterations may resume the
+// winning pilot d (nil when the winner's state is no longer on the
+// workspace) instead of restarting from its step. The pilot's iterations are
+// the main run's first pilotIters, bit for bit, when it never halved β (the
+// restart begins at the pilot's final β, and a halving is the only thing
+// that separates the two trajectories) and the main run is at least that
+// long. Tol first acts at iteration checkEvery > pilotIters, so from there
+// only the observer differs.
+func (d *descent) resumable(iters int) bool {
+	return d != nil && !d.halved && iters >= pilotIters
+}
 
-	gz := ws.gz
-	newZ := ws.newZ
+// resume hands a finished pilot to the main run: the caller's options from
+// here on, and the pilot's iterations replayed to the observer from History
+// (a pilot that never halved β accepted every one of them), checking Ctx
+// before each callback as advance does.
+func (d *descent) resume(o Options) error {
+	d.o = o
+	if o.OnIteration == nil {
+		return nil
+	}
+	for t, obj := range d.history[1:] {
+		if err := ctxErr(o.Ctx); err != nil {
+			return err
+		}
+		o.OnIteration(t, obj)
+	}
+	return nil
+}
+
+// advance runs the descent until it has performed iters iterations or
+// stopped on its own.
+func (d *descent) advance(iters int) error {
+	ws := d.ws
+	if iters > d.t {
+		d.history = slices.Grow(d.history, iters-d.t)
+	}
+	e := math.Exp(d.eps)
+	z, gz, newZ := ws.z, ws.gz, ws.newZ
 	// Heavy-ball momentum accelerates traversal of the long, flat valleys the
 	// projected objective exhibits; the best-iterate tracking keeps the
 	// returned strategy monotone in quality even when momentum overshoots.
 	const momentum = 0.9
-	velQ := ws.velQ
-	velZ := ws.velZ
-	const checkEvery = 50
-	lastCheck := bestObj
-	failures := 0
-	decays := 0
-
-	for t := 0; t < iters; t++ {
-		if err := ctxErr(o.Ctx); err != nil {
-			return nil, err
+	velQ, velZ := ws.velQ, ws.velZ
+	for !d.stopped && d.t < iters {
+		if err := ctxErr(d.o.Ctx); err != nil {
+			return err
 		}
+		t := d.t
 		// ∇z via back-propagation through the projection that produced q.
-		gradZ(gz, ws.freeMean, grad, proj.State, proj.NumFree, e)
+		gradZ(gz, ws.freeMean, d.grad, d.proj.State, d.proj.NumFree, e)
 
 		// One projected-gradient step with constant step sizes, exactly as in
 		// Algorithm 2: the objective is allowed to fluctuate (no line search),
 		// which lets the iterates traverse shallow barriers; the best iterate
 		// seen is tracked and returned. β is only reduced as a safeguard when
 		// the step lands on a singular/blow-up point.
-		alpha := beta / (float64(n) * e) // the paper's smaller z step
+		alpha := d.beta / (float64(ws.n) * e) // the paper's smaller z step
 		for i := range velZ {
 			velZ[i] = momentum*velZ[i] + gz[i]
 		}
 		copy(newZ, z)
 		linalg.AxpyVec(-alpha, velZ, newZ)
 		linalg.ClipScalar(newZ, 0, 1)
-		opt.FeasibleZ(newZ, eps, zFloor)
+		opt.FeasibleZ(newZ, d.eps, zFloor)
 
-		velQ.Scale(momentum).AddScaled(1, grad)
-		cand := ws.cand
-		cand.CopyFrom(q)
-		cand.AddScaled(-beta, velQ)
-		err := opt.ProjectMatrixInto(projNext, &ws.scratch, cand, newZ, eps)
+		velQ.Scale(momentum).AddScaled(1, d.grad)
+		step := d.projNext.Q
+		step.CopyFrom(d.proj.Q)
+		step.AddScaled(-d.beta, velQ)
+		err := d.project(newZ)
 		var newObj float64
 		if err == nil {
-			newObj, err = ws.ObjectiveGrad(projNext.Q, gram, prior, gradNext)
+			newObj, err = ws.ObjectiveGrad(d.projNext.Q, d.gram, d.prior, d.gradNext)
 		}
-		if err != nil || math.IsNaN(newObj) || newObj > 50*bestObj {
+		if err != nil || math.IsNaN(newObj) || newObj > 50*d.bestObj {
 			// Blow-up safeguard: shrink the step, drop momentum, and retry
 			// from the current iterate. Give up after repeated failures.
-			beta /= 2
+			d.beta /= 2
+			d.halved = true
 			velQ.Scale(0)
 			clear(velZ)
-			failures++
-			if failures > 60 {
+			d.failures++
+			if d.failures > 60 {
+				d.stopped = true
 				break
 			}
-			res.Iters = t + 1
-			res.History = append(res.History, obj)
+			d.t++
+			d.history = append(d.history, d.obj)
 			continue
 		}
-		failures = 0
-		proj, projNext = projNext, proj
-		grad, gradNext = gradNext, grad
-		q = proj.Q
+		d.failures = 0
+		d.proj, d.projNext = d.projNext, d.proj
+		d.grad, d.gradNext = d.gradNext, d.grad
 		copy(z, newZ)
-		obj = newObj
-		if obj < bestObj {
-			bestObj = obj
-			bestQ.CopyFrom(q)
+		d.obj = newObj
+		if d.obj < d.bestObj {
+			d.bestObj = d.obj
+			ws.bestQ.CopyFrom(d.proj.Q)
 		}
 
-		res.Iters = t + 1
-		res.History = append(res.History, obj)
-		if o.OnIteration != nil {
-			o.OnIteration(t, obj)
+		d.t++
+		d.history = append(d.history, d.obj)
+		if d.o.OnIteration != nil {
+			d.o.OnIteration(t, d.obj)
 		}
-		if (t+1)%checkEvery == 0 {
-			if lastCheck-bestObj <= o.Tol*math.Abs(lastCheck) {
+		if d.t%checkEvery == 0 {
+			if d.lastCheck-d.bestObj <= d.o.Tol*math.Abs(d.lastCheck) {
 				// Stalled: decay the step ("smaller step sizes typically work
 				// better in later iterations", Section 4) and keep going; stop
 				// only after repeated fruitless decays.
-				beta /= 2
-				decays++
-				if decays > 8 {
-					break
-				}
+				d.beta /= 2
+				d.halved = true
+				d.decays++
+				d.stopped = d.decays > 8
 			} else {
-				decays = 0
+				d.decays = 0
 			}
-			lastCheck = bestObj
+			d.lastCheck = d.bestObj
 		}
 	}
+	return nil
+}
 
-	res.Strategy = strategy.New(bestQ, eps)
-	res.Objective = bestObj
-	res.StepSize = beta
-	res.PriorWeights = prior
-	return res, nil
+// checkEvery is the stall-check period, in iterations.
+const checkEvery = 50
+
+// result reads the descent's outcome off it. The Strategy aliases the
+// workspace's best-iterate buffer, so the workspace must not start another
+// descent once a result has escaped to a caller.
+func (d *descent) result() *Result {
+	return &Result{
+		Strategy:     strategy.New(d.ws.bestQ, d.eps),
+		Objective:    d.bestObj,
+		History:      d.history,
+		Iters:        d.t,
+		StepSize:     d.beta,
+		PriorWeights: d.prior,
+	}
 }
 
 // OptimizeBest runs Optimize from the paper's random initialization and then
 // considers warm starts: any candidate strategy (typically the competitor
-// mechanisms' strategy matrices) whose objective beats the random-init result
+// mechanisms' strategy matrices) whose objective — the one the run minimizes,
+// L_p under o.Prior's weights when one is set — beats the random-init result
 // triggers a warm-started re-run (Section 4: initializing from an existing
 // mechanism means "the optimized strategy will never be worse than the other
 // mechanisms"). The best result overall is returned, so the optimized
@@ -412,13 +512,15 @@ func OptimizeBest(w workload.Workload, eps float64, o Options, candidates ...*st
 		if cand == nil || cand.Domain() != gram.Rows() || cand.Eps > eps+1e-12 {
 			continue
 		}
-		// A warm start is a point run has to stand on: every output with
-		// mass and an M that factors. (Objective alone would score a
-		// rank-deficient candidate through the pseudo-inverse.)
-		if nf.Form(cand.Q, nil) != nil {
+		// A warm start is a point the run has to stand on: every output
+		// with mass and an M_p that factors. (Objective alone would score a
+		// rank-deficient candidate through the pseudo-inverse.) It is scored
+		// by what the run minimizes — L_p under the run's prior weights —
+		// so it is comparable with best.Objective.
+		if nf.Form(cand.Q, best.PriorWeights) != nil {
 			continue
 		}
-		obj, err := cand.Objective(gram)
+		obj, err := cand.Objective(gram, best.PriorWeights)
 		if err != nil {
 			continue
 		}

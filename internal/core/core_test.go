@@ -222,7 +222,7 @@ func TestOptimizeDecreasesObjective(t *testing.T) {
 		t.Fatalf("returned objective %v is not the best seen %v", res.Objective, best)
 	}
 	// And the returned strategy must actually achieve it.
-	re, err := res.Strategy.Objective(workload.NewPrefix(8).Gram())
+	re, err := res.Strategy.Objective(workload.NewPrefix(8).Gram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestOptimizeWarmStart(t *testing.T) {
 	eps := 1.0
 	w := workload.NewHistogram(n)
 	rr := rrStrategy(n, eps)
-	rrObj, err := rr.Objective(w.Gram())
+	rrObj, err := rr.Objective(w.Gram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

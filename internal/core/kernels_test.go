@@ -235,11 +235,7 @@ func TestSameArithmeticAsFullProduct(t *testing.T) {
 				o := (&Options{Iters: c.iters, Seed: 7}).withDefaults(n)
 				ws := NewWorkspace(o.Outputs, n)
 				ws.MulM = fullProductM
-				beta, err := searchStepSize(gram, 1.0, o, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := run(gram, 1.0, o, beta, o.Iters, ws)
+				res, err := optimize(gram, 1.0, o, ws)
 				if err != nil {
 					t.Fatal(err)
 				}

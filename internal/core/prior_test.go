@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/linalg"
 	"repro/internal/mechanism"
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -118,6 +120,52 @@ func TestPriorOptimizationHelpsOnMatchedData(t *testing.T) {
 	if vw.OnData(x) >= vu.OnData(x) {
 		t.Fatalf("prior-optimized variance %v not below uniform-optimized %v on matched data",
 			vw.OnData(x), vu.OnData(x))
+	}
+}
+
+// TestOptimizeBestScoresWarmStartsByThePriorObjective: with a prior the run
+// minimizes L_p, so a warm-start candidate must be scored by L_p as well.
+// Scored by its unweighted L, the best baseline here (L_p ≈ 858 against the
+// random run's ≈ 1014, but L ≈ 1055) was never tried, and the call returned a
+// mechanism worse than that baseline under the objective it optimizes.
+func TestOptimizeBestScoresWarmStartsByThePriorObjective(t *testing.T) {
+	const n = 16
+	w := workload.NewHistogram(n)
+	gram := w.Gram()
+	prior := make([]float64, n)
+	for u := range prior {
+		prior[u] = 1
+	}
+	prior[8] = 500
+	ms, err := baselines.Competitors(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []*strategy.Strategy
+	for _, m := range ms {
+		if f, ok := m.(*mechanism.Factorization); ok {
+			cands = append(cands, f.Strategy())
+		}
+	}
+	res, err := OptimizeBest(w, 1, Options{Prior: prior, Iters: 1, Seed: 1}, cands...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Strategy.Objective(gram, res.PriorWeights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-res.Objective) > 1e-9*got {
+		t.Errorf("Result.Objective %v is not the returned strategy's L_p %v", res.Objective, got)
+	}
+	for _, c := range cands {
+		lp, err := c.Objective(gram, res.PriorWeights)
+		if err != nil {
+			continue // a candidate that cannot express the workload
+		}
+		if got > lp*(1+1e-9) {
+			t.Errorf("returned L_p %v is worse than candidate L_p %v (%d outputs)", got, lp, c.Outputs())
+		}
 	}
 }
 

@@ -10,18 +10,17 @@ import (
 
 // Workspace holds every scratch buffer one optimization run needs at a fixed
 // shape (m outputs × n user types), so steady-state iterations of Algorithm 2
-// allocate nothing: objective/gradient evaluation, the candidate step, the
-// momentum state, and the double-buffered projection all reuse the buffers
-// here.
+// allocate nothing: objective/gradient evaluation, the momentum state, and
+// the double-buffered projection all reuse the buffers here.
 //
 // Contract: the Workspace owns its scratch. The grad destination passed to
 // ObjectiveGrad must not alias that call's inputs (q, gram, prior) or the
-// objective/gradient scratch (the normal form, gamma, y, yt, s) —
-// ObjectiveGrad writes those while grad is being filled.
-// The loop-state fields (grad/gradNext, cand, velQ, bestQ, the z buffers,
+// objective/gradient scratch (the normal form, y, yt, s) — ObjectiveGrad
+// writes those while grad is being filled, and builds Γ in grad itself.
+// The loop-state fields (grad/gradNext, velQ, bestQ, the z buffers,
 // freeMean, the projections) are not touched by ObjectiveGrad, which is how
-// run double-buffers gradients through ws.grad/ws.gradNext. A Workspace is not
-// safe for concurrent use — give each goroutine its own (the methods
+// a descent double-buffers gradients through ws.grad/ws.gradNext. A Workspace
+// is not safe for concurrent use — give each goroutine its own (the methods
 // themselves fan out internally via linalg's parallel kernels, which is why
 // per-run parallelism composes with the experiment harness's per-cell
 // parallelism).
@@ -30,19 +29,18 @@ type Workspace struct {
 
 	// Objective/gradient scratch: the normal form of the Q being evaluated
 	// (Qs = D_p⁻¹Q, M = QᵀD_p⁻¹Q and M's Cholesky factor, re-formed by every
-	// ObjectiveGrad), then Y = M⁻¹G, its transpose, S = M⁻¹GᵀM⁻¹ (a product
-	// of two solves, symmetrized by averaging) and Γ = Qs·S.
+	// ObjectiveGrad), then Y = M⁻¹G, its transpose and S = M⁻¹GᵀM⁻¹ (a
+	// product of two solves, symmetrized by averaging).
 	strategy.NormalForm
-	gamma    *linalg.Matrix
 	y, yt, s *linalg.Matrix
 
-	// Projected-gradient loop state (used by run): current/candidate
-	// gradient, candidate Q, momentum velocity, best iterate, the bound
-	// vector z and its step buffers, gradZ's per-column free-coordinate
-	// means (length n), and the double-buffered projection.
+	// Projected-gradient loop state (used by a descent): current/candidate
+	// gradient, momentum velocity, best iterate, the bound vector z and its
+	// step buffers, gradZ's per-column free-coordinate means (length n), and
+	// the double-buffered projection, whose spare Q is where the start R and
+	// each candidate step are written before being projected in place.
 	grad, gradNext    *linalg.Matrix
-	cand, velQ        *linalg.Matrix
-	bestQ             *linalg.Matrix
+	velQ, bestQ       *linalg.Matrix
 	z, gz, newZ, velZ []float64
 	freeMean          []float64
 	proj, projNext    opt.MatrixProjection
@@ -54,14 +52,12 @@ type Workspace struct {
 func NewWorkspace(m, n int) *Workspace {
 	return &Workspace{
 		m: m, n: n,
-		gamma: linalg.New(m, n),
-		y:     linalg.New(n, n),
-		yt:    linalg.New(n, n),
-		s:     linalg.New(n, n),
+		y:  linalg.New(n, n),
+		yt: linalg.New(n, n),
+		s:  linalg.New(n, n),
 
 		grad:     linalg.New(m, n),
 		gradNext: linalg.New(m, n),
-		cand:     linalg.New(m, n),
 		velQ:     linalg.New(m, n),
 		bestQ:    linalg.New(m, n),
 		z:        make([]float64, m),
@@ -69,6 +65,8 @@ func NewWorkspace(m, n int) *Workspace {
 		newZ:     make([]float64, m),
 		velZ:     make([]float64, m),
 		freeMean: make([]float64, n),
+		proj:     opt.MatrixProjection{Q: linalg.New(m, n)},
+		projNext: opt.MatrixProjection{Q: linalg.New(m, n)},
 	}
 }
 
@@ -91,19 +89,20 @@ func (ws *Workspace) ObjectiveGrad(q, gram *linalg.Matrix, prior []float64, grad
 	ws.Chol.SolveTo(ws.s, ws.yt) // M⁻¹GᵀM⁻¹ = S (G symmetric)
 	ws.s.Symmetrize()
 
-	linalg.MulTo(ws.gamma, ws.Qs, ws.s) // Γ = D⁻¹QS (m×n)
+	// Γ = D⁻¹QS (m×n) lands in grad; each row is then finished in place,
+	// h read off it before it is overwritten.
+	linalg.MulTo(grad, ws.Qs, ws.s)
 	for o := 0; o < m; o++ {
-		h := linalg.Dot(ws.gamma.Row(o), ws.Qs.Row(o)) // diag(Qs S Qsᵀ)_o
 		gRow := grad.Row(o)
-		gaRow := ws.gamma.Row(o)
+		h := linalg.Dot(gRow, ws.Qs.Row(o)) // diag(Qs S Qsᵀ)_o
 		if prior == nil {
-			for u := 0; u < n; u++ {
-				gRow[u] = -2*gaRow[u] + h
+			for u, g := range gRow {
+				gRow[u] = -2*g + h
 			}
 		} else {
 			// dD_p = Diag(dQ·p): the h term picks up the prior weight.
-			for u := 0; u < n; u++ {
-				gRow[u] = -2*gaRow[u] + h*prior[u]
+			for u, g := range gRow {
+				gRow[u] = -2*g + h*prior[u]
 			}
 		}
 	}

@@ -216,9 +216,11 @@ type projWorker struct {
 }
 
 func (w *projWorker) grow(m int) {
+	// Each buffer's capacity is its own third of buf, so the test below
+	// speaks for all three.
 	if cap(w.col) < m {
 		buf := make([]float64, 3*m)
-		w.col, w.ar, w.az = buf[:m], buf[m:2*m], buf[2*m:]
+		w.col, w.ar, w.az = buf[:m:m], buf[m:2*m:2*m], buf[2*m:]
 		w.free = make([]int32, m)
 	}
 	w.col, w.ar, w.az, w.free = w.col[:m], w.ar[:m], w.az[:m], w.free[:m]
@@ -252,7 +254,9 @@ func ProjectMatrix(r *linalg.Matrix, z []float64, eps float64) (*MatrixProjectio
 // scratch ws, both reused (and resized on demand) across calls. Columns fan
 // out across GOMAXPROCS goroutines above a work threshold; each column's
 // result is independent of the split, so the output is bit-identical to the
-// serial projection at any worker count. out.Q must not alias r.
+// serial projection at any worker count. out.Q may be r itself (an in-place
+// projection): each column is gathered into scratch before any of its
+// entries is written, and workers own disjoint columns.
 func ProjectMatrixInto(out *MatrixProjection, ws *Scratch, r *linalg.Matrix, z []float64, eps float64) error {
 	m, n := r.Rows(), r.Cols()
 	if len(z) != m {

@@ -89,6 +89,46 @@ func TestProjectMatrixIntoBitIdentical(t *testing.T) {
 	}
 }
 
+// TestProjectMatrixIntoInPlace: projecting r into a MatrixProjection whose Q
+// is r itself gives the bits of projecting into separate storage, at any
+// worker count — each column is gathered before any of its entries is
+// written, and workers own disjoint columns. The optimizer builds its start
+// and every step in the spare projection's Q and projects it there.
+func TestProjectMatrixIntoInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var ws Scratch
+	for _, procs := range []int{1, 2, 3} {
+		old := runtime.GOMAXPROCS(procs)
+		for _, sh := range [][2]int{{8, 3}, {64, 16}, {37 * 4, 37}, {256, 64}, {67, 129}} {
+			m, n := sh[0], sh[1]
+			eps := 1.0
+			z := linalg.Constant(m, 0.7/float64(m))
+			if m%2 == 1 {
+				z = feasibleZ(rng, m, eps)
+			}
+			r := linalg.New(m, n)
+			for i := range r.Data() {
+				r.Data()[i] = rng.NormFloat64()
+			}
+			want, err := ProjectMatrix(r, z, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := MatrixProjection{Q: r}
+			if err := ProjectMatrixInto(&out, &ws, r, z, eps); err != nil {
+				t.Fatal(err)
+			}
+			if out.Q != r {
+				t.Fatalf("procs=%d m=%d n=%d: the in-place projection moved Q to new storage", procs, m, n)
+			}
+			if !sameProjection(&out, want) {
+				t.Errorf("procs=%d m=%d n=%d: in-place projection differs from the out-of-place one", procs, m, n)
+			}
+		}
+		runtime.GOMAXPROCS(old)
+	}
+}
+
 // TestProjectMatrixIntoSteadyStateAllocFree verifies the workspace contract:
 // after the first call warms the buffers, repeated projections at the same
 // shape allocate nothing (single-worker path; fan-out goroutines may allocate

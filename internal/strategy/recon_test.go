@@ -65,7 +65,7 @@ func TestObjectiveInfForUnsupportedWorkload(t *testing.T) {
 		q.Set(1, u, 0.5)
 	}
 	s := New(q, 1)
-	obj, err := s.Objective(linalg.Identity(3))
+	obj, err := s.Objective(linalg.Identity(3), nil)
 	if err == nil {
 		t.Fatal("expected error for unsupported workload")
 	}

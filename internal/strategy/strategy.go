@@ -216,16 +216,18 @@ func (s *Strategy) OptimalV(w *linalg.Matrix) (*linalg.Matrix, error) {
 }
 
 // Objective evaluates L(Q) = tr[(QᵀD⁻¹Q)⁺ G] (Theorem 3.11) for the workload
-// Gram matrix G = WᵀW. It returns +Inf when the factorization constraint
-// W = WQ⁺Q cannot hold because QᵀD⁻¹Q is singular on W's row space (detected
-// via a failed Cholesky combined with G having mass outside Q's row space).
-func (s *Strategy) Objective(gram *linalg.Matrix) (float64, error) {
+// Gram matrix G = WᵀW — or, with weights over user types, the prior-weighted
+// L_p = tr[(QᵀD_p⁻¹Q)⁺ G] with D_p = Diag(Q·p) (footnote 2; nil weights are
+// the uniform L). It returns +Inf when the factorization constraint W = WQ⁺Q
+// cannot hold because M is singular on W's row space (detected via a failed
+// Cholesky combined with G having mass outside Q's row space).
+func (s *Strategy) Objective(gram *linalg.Matrix, weights []float64) (float64, error) {
 	n := s.Domain()
 	if gram.Rows() != n || gram.Cols() != n {
 		return 0, fmt.Errorf("strategy: Gram matrix is %dx%d, want %dx%d", gram.Rows(), gram.Cols(), n, n)
 	}
 	var f NormalForm
-	err := f.Form(s.Q, nil)
+	err := f.Form(s.Q, weights)
 	if err == nil {
 		// tr(M⁻¹G) = Σ diag of solve(M, G).
 		return f.Chol.Solve(gram).Trace(), nil

@@ -246,7 +246,7 @@ func TestObjectiveIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := workload.NewPrefix(6)
 	s := randStrategy(rng, 16, 6, 1.0)
-	obj, err := s.Objective(w.Gram())
+	obj, err := s.Objective(w.Gram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
