@@ -22,12 +22,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/freqoracle"
-	"repro/internal/history"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/protocol"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -469,32 +467,6 @@ func BenchmarkSnapAtGzip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := col.SnapAt(oldest); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCheckpointStreamGzip measures the streaming checkpoint writer with
-// the gzip layer the unary mechanisms opt into: per op, one n=4096 snapshot
-// through WriteCheckpointFile (header patch, CRC, atomic rename, fsync dance
-// included). The raw writer is the ledger's durable.checkpoint_ms.
-func BenchmarkCheckpointStreamGzip(b *testing.B) {
-	const n = 4096
-	snap := transport.Snapshot{
-		State: make([]float64, n),
-		Count: 1 << 17,
-		Epoch: 5,
-		Info:  transport.Info{Mechanism: "OUE", Domain: n, Epsilon: 1},
-	}
-	for i := range snap.State {
-		snap.State[i] = float64(i % 7)
-	}
-	keys := []transport.KeyCount{{Key: "00f1e2d3c4b5a6978877665544332211", Reports: 1 << 17}}
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := history.WriteCheckpointFile(dir, 3, snap, keys, true); err != nil {
 			b.Fatal(err)
 		}
 	}

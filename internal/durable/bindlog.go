@@ -2,15 +2,13 @@ package durable
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
-	"repro/internal/history"
 	"repro/internal/transport"
 )
 
@@ -49,17 +47,13 @@ func AppendBinding(buf []byte, b Binding) ([]byte, error) {
 		return buf, fmt.Errorf("durable: binding endpoint length %d outside 1..%d", len(b.Endpoint), maxRecordMeta)
 	}
 	start := len(buf)
-	out := append(buf, recordMagic...)
-	out = append(out, bindingVersion)
-	out = append(out, 0, 0, 0, 0, 0, 0, 0, 0) // crc + payload length, patched below
-	payloadStart := len(out)
+	out := beginEnvelope(buf, recordMagic, bindingVersion)
 	out = append(out, byte(len(b.Key)))
 	out = append(out, b.Key...)
 	out = append(out, byte(len(b.Endpoint)))
 	out = append(out, b.Endpoint...)
-	payload := out[payloadStart:]
-	binary.BigEndian.PutUint32(out[start+5:], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint32(out[start+9:], uint32(len(payload)))
+	payload := out[start+envelopeHeaderLen:]
+	sealEnvelope(out[start:], crc32.ChecksumIEEE(payload), len(payload))
 	return out, nil
 }
 
@@ -111,9 +105,13 @@ type BindingLog struct {
 // OpenBindingLog opens (creating if needed) the log at path, replays every
 // intact record, and returns the live bindings — latest-wins per key, the
 // newest IdempotencyHorizon of them — oldest-bind-first, so replaying them
-// into an LRU in order reproduces the pre-restart recency. A torn tail (the
-// crash case) is truncated away; a log that has accumulated far more records
-// than live keys is compacted in place via an atomic rewrite.
+// into an LRU in order reproduces the pre-restart recency. Damage follows the
+// WAL's tail policy (truncateTornTail): a torn tail (the crash case) is
+// truncated away, and any other damage — an intact record after it, a
+// CRC-valid payload that does not parse — refuses the open, naming the
+// offset, rather than forget the bindings behind it. A log that has
+// accumulated far more records than live keys is compacted in place via an
+// atomic rewrite.
 func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -130,8 +128,13 @@ func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 			break
 		}
 		if err != nil {
-			// Anything after the last intact record — torn or garbage — is the
-			// dropped tail; sequential appends tear only at the physical end.
+			if _, err := truncateTornTail(f, true, good, err, func(b []byte) bool {
+				_, err := DecodeBinding(bytes.NewReader(b))
+				return err == nil
+			}); err != nil {
+				f.Close()
+				return nil, nil, err
+			}
 			break
 		}
 		records++
@@ -145,10 +148,6 @@ func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 		}
 		byKey[b.Key] = len(order)
 		order = append(order, b)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, err
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
@@ -204,42 +203,27 @@ func (l *BindingLog) Append(b Binding, live func() []Binding) error {
 // guarantees exclusive access (open, before the log is shared; Append, under
 // l.mu).
 func (l *BindingLog) compact(live []Binding) error {
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".compact*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
 	var buf []byte
 	for _, b := range live {
+		var err error
 		if buf, err = AppendBinding(buf, b); err != nil {
-			tmp.Close()
 			return err
 		}
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
+	if err := ReplaceFile(l.path, func(f *os.File) error {
+		_, err := f.Write(buf)
+		return err
+	}); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		return err
-	}
-	old := l.f
 	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	old.Close()
+	l.f.Close()
 	l.f = f
 	l.records = len(live)
-	return history.SyncDir(dir)
+	return nil
 }
 
 // Close flushes and closes the log.

@@ -54,7 +54,7 @@ func TestBindingRecordRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Torn mid-payload and mid-header.
-	for _, cut := range []int{len(good) - 3, recordHeaderLen - 2} {
+	for _, cut := range []int{len(good) - 3, envelopeHeaderLen - 2} {
 		if _, err := DecodeBinding(bytes.NewReader(good[:cut])); !errors.Is(err, ErrTornRecord) {
 			t.Errorf("cut at %d: want ErrTornRecord, got %v", cut, err)
 		}
@@ -181,6 +181,51 @@ func TestBindingLogTornTailTruncated(t *testing.T) {
 	}
 	if len(got) != 3 || got[2] != (Binding{Key: "c", Endpoint: "http://three"}) {
 		t.Fatalf("append after truncation lost: %+v", got)
+	}
+}
+
+// Damage that is not a torn tail refuses the open instead of truncating:
+// one flipped payload byte in the middle binding, with an intact binding
+// after it, must not erase both (a retry of the last key would then route to
+// a shard that never saw it and be absorbed twice), and neither may a
+// CRC-valid record whose payload does not parse. The file is left as it was.
+func TestBindingLogRefusesCorruptionBeforeIntactRecords(t *testing.T) {
+	var good []byte
+	for _, b := range []Binding{{Key: "a", Endpoint: "http://one"}, {Key: "b", Endpoint: "http://two"}, {Key: "c", Endpoint: "http://three"}} {
+		var err error
+		if good, err = AppendBinding(good, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recLen := len(good) / 3
+	flipped := append([]byte(nil), good...)
+	flipped[recLen+envelopeHeaderLen+1] ^= 0x01 // b's key byte
+	// A payload with a trailing byte, under a CRC that covers it.
+	unparsable := append([]byte(nil), good[:recLen]...)
+	unparsable = append(unparsable, appendCRCAndLen([]byte{'L', 'D', 'P', 'W', bindingVersion}, []byte{1, 'b', 1, 'e', 0})...)
+	for name, data := range map[string][]byte{
+		"flipped payload byte, intact record after": flipped,
+		"CRC-valid payload that does not parse":     unparsable,
+	} {
+		path := filepath.Join(t.TempDir(), "bindings.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, got, err := OpenBindingLog(path, false)
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s: open accepted the log and replayed %+v", name, got)
+		}
+		if want := fmt.Sprintf("offset %d", recLen); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %s", name, err, want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, data) {
+			t.Fatalf("%s: refused open changed the file (%d → %d bytes)", name, len(data), len(after))
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package history
+package durable
 
 import (
 	"bufio"
@@ -18,26 +18,23 @@ import (
 // Streaming checkpoint I/O — the one checkpoint codec. A checkpoint file pins
 // the merged accumulator at a WAL rotation point, so recovery replays only the
 // segments written after it: a version-2 transport snapshot frame (count,
-// epoch and full mechanism identity included) in the CRC'd "LDPC" envelope,
+// epoch and full mechanism identity included) in the "LDPC" envelope,
 // which also names the WAL segment the checkpoint precedes and carries the
 // idempotency-key table of everything it covers. Neither direction
 // materializes the payload: the state streams through a fixed chunk, the CRC
 // accumulates incrementally, the writer patches the header in place before
 // the atomic rename, and the reader hands key-table entries to a visitor.
 // Version 1 is the raw payload (byte-identical to the buffered reference
-// encoder the durable tests keep); version 2 is its gzip stream — worthwhile
-// for the unary mechanisms, whose accumulators are long runs of small integers:
+// encoder the tests keep); version 2 is its gzip stream — worthwhile for the
+// unary mechanisms, whose accumulators are long runs of small integers. The
+// envelope's CRC and length cover the on-disk payload bytes; the payload
+// (after decompression for version 2) is:
 //
-//	magic   [4]byte  "LDPC"
-//	version uint8    (1 = raw payload, 2 = gzip-compressed payload)
-//	crc     uint32   big-endian IEEE CRC-32 of the on-disk payload bytes
-//	length  uint32   big-endian on-disk payload byte count
-//	payload (after decompression for version 2):
-//	  seq      uint64 big-endian  segment sequence this checkpoint precedes
-//	  snapshot one v2 snapshot frame (transport.EncodeSnapshotFrame)
-//	  keyCount uint32 big-endian, then keyCount entries, oldest first:
-//	    keyLen uint8, then keyLen bytes    idempotency key
-//	    reports uint64 big-endian          reports absorbed under the key
+//	seq      uint64 big-endian  segment sequence this checkpoint precedes
+//	snapshot one v2 snapshot frame (transport.EncodeSnapshotFrame)
+//	keyCount uint32 big-endian, then keyCount entries, oldest first:
+//	  keyLen uint8, then keyLen bytes    idempotency key
+//	  reports uint64 big-endian          reports absorbed under the key
 //
 // Invariant: state(checkpoint-<g>) equals the replay of every WAL segment
 // with sequence < g, so state(checkpoint-<g>) + replay(wal-<g>, wal-<g+1>, …)
@@ -47,32 +44,29 @@ import (
 // cap are dropped, mirroring the transport's idempotency LRU) — so a keyed
 // request whose records straddle a checkpoint still recovers its full
 // absorbed count, not just the replayed tail's share.
+//
+// The key table holds at most transport.IdempotencyHorizon entries: a retry
+// older than the newest horizon of keyed requests re-absorbs, with or without
+// a crash in between.
 const (
-	checkpointMagic     = "LDPC"
-	checkpointV1        = 1
-	checkpointV2        = 2
-	checkpointHeaderLen = 4 + 1 + 4 + 4
-
-	// MaxTrackedKeys bounds the idempotency-key table a checkpoint carries:
-	// the idempotency horizon, which the transport states once. A retry older
-	// than the newest MaxTrackedKeys keyed requests re-absorbs, with or
-	// without a crash in between.
-	MaxTrackedKeys = transport.IdempotencyHorizon
+	checkpointMagic = "LDPC"
+	checkpointV1    = 1
+	checkpointV2    = 2
 
 	// maxCheckpointKey bounds one key's byte length (one length byte on the
 	// wire).
 	maxCheckpointKey = 255
 
-	// MaxCheckpointSize bounds a checkpoint payload after decompression:
+	// maxCheckpointSize bounds a checkpoint payload after decompression:
 	// envelope + the transport's snapshot frame cap + a full key table.
-	MaxCheckpointSize = transport.MaxSnapshotPayload + MaxTrackedKeys*(2+maxCheckpointKey+8) + 1024
+	maxCheckpointSize = transport.MaxSnapshotPayload + transport.IdempotencyHorizon*(2+maxCheckpointKey+8) + 1024
 )
 
 // keyEntry is the one buffer a key-table entry passes through in either
 // direction: length byte, key, report count.
 type keyEntry [1 + maxCheckpointKey + 8]byte
 
-var errInvalidCheckpoint = errors.New("history: invalid checkpoint file")
+var errInvalidCheckpoint = errors.New("durable: invalid checkpoint file")
 
 // crcWriter counts and CRCs everything written through it.
 type crcWriter struct {
@@ -116,81 +110,60 @@ func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []trans
 	return nil
 }
 
-// WriteCheckpointFile writes checkpoint seq atomically into dir under the
-// durable layer's filename convention: temp file, streamed payload, patched
-// header, fsync, rename, directory fsync. A crash leaves either the old
-// directory contents or the complete new file. compress selects the gzipped
-// version-2 payload; off, the output is byte-identical to the buffered
-// version-1 reference encoder. The file and directory are synced whatever the
-// WAL's fsync mode, because a checkpoint's durability gates the pruning of the
+// writeCheckpointFile writes checkpoint seq into dir under its
+// checkpointName, replacing the file atomically: placeholder header, streamed
+// payload, header patched in place. compress selects the gzipped version-2
+// payload; off, the output is byte-identical to the buffered version-1
+// reference encoder. The file and directory are synced whatever the WAL's
+// fsync mode, because a checkpoint's durability gates the pruning of the
 // segments it replaces. Returns the final path.
-func WriteCheckpointFile(dir string, seq uint64, snap transport.Snapshot, keys []transport.KeyCount, compress bool) (string, error) {
-	if len(keys) > MaxTrackedKeys {
-		keys = keys[len(keys)-MaxTrackedKeys:] // newest win, as in the LRU
+func writeCheckpointFile(dir string, seq uint64, snap transport.Snapshot, keys []transport.KeyCount, compress bool) (string, error) {
+	if len(keys) > transport.IdempotencyHorizon {
+		keys = keys[len(keys)-transport.IdempotencyHorizon:] // newest win, as in the LRU
 	}
 	for _, k := range keys {
 		if len(k.Key) > maxCheckpointKey {
-			return "", fmt.Errorf("history: checkpoint key exceeds %d bytes", maxCheckpointKey)
+			return "", fmt.Errorf("durable: checkpoint key exceeds %d bytes", maxCheckpointKey)
 		}
 	}
 	if _, err := transport.SnapshotFrameLen(snap); err != nil {
 		return "", err
 	}
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*.tmp")
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	abort := func(err error) (string, error) {
-		tmp.Close()
-		return "", err
-	}
-	// Header placeholder; the CRC and length are known only after the stream.
-	var hdr [checkpointHeaderLen]byte
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		return abort(err)
-	}
-	cw := &crcWriter{w: tmp, crc: crc32.NewIEEE()}
-	bw := bufio.NewWriterSize(cw, 1<<16)
+	version := byte(checkpointV1)
 	if compress {
-		gz := gzip.NewWriter(bw)
-		if err := writePayload(gz, seq, snap, keys); err != nil {
-			return abort(err)
+		version = checkpointV2
+	}
+	final := filepath.Join(dir, checkpointName(seq))
+	return final, ReplaceFile(final, func(f *os.File) error {
+		// The CRC and length are known only after the stream.
+		var buf [envelopeHeaderLen]byte
+		hdr := beginEnvelope(buf[:0], checkpointMagic, version)
+		if _, err := f.Write(hdr); err != nil {
+			return err
 		}
-		if err := gz.Close(); err != nil {
-			return abort(err)
+		cw := &crcWriter{w: f, crc: crc32.NewIEEE()}
+		bw := bufio.NewWriterSize(cw, 1<<16)
+		if compress {
+			gz := gzip.NewWriter(bw)
+			if err := writePayload(gz, seq, snap, keys); err != nil {
+				return err
+			}
+			if err := gz.Close(); err != nil {
+				return err
+			}
+		} else if err := writePayload(bw, seq, snap, keys); err != nil {
+			return err
 		}
-	} else if err := writePayload(bw, seq, snap, keys); err != nil {
-		return abort(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return abort(err)
-	}
-	if cw.n > int64(MaxCheckpointSize) {
-		return abort(fmt.Errorf("history: checkpoint payload exceeds the %d-byte limit", MaxCheckpointSize))
-	}
-	copy(hdr[:4], checkpointMagic)
-	if compress {
-		hdr[4] = checkpointV2
-	} else {
-		hdr[4] = checkpointV1
-	}
-	binary.BigEndian.PutUint32(hdr[5:], cw.crc.Sum32())
-	binary.BigEndian.PutUint32(hdr[9:], uint32(cw.n))
-	if _, err := tmp.WriteAt(hdr[:], 0); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	final := filepath.Join(dir, fmt.Sprintf("checkpoint-%08d.ckpt", seq))
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", err
-	}
-	return final, SyncDir(dir)
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		if cw.n > int64(maxCheckpointSize) {
+			return fmt.Errorf("durable: checkpoint payload exceeds the %d-byte limit", maxCheckpointSize)
+		}
+		sealEnvelope(hdr, cw.crc.Sum32(), int(cw.n))
+		_, err := f.WriteAt(hdr, 0)
+		return err
+	})
 }
 
 // crcReader counts and CRCs everything read through it.
@@ -207,7 +180,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadCheckpointFile reads and validates one checkpoint file of either
+// readCheckpointFile reads and validates one checkpoint file of either
 // version, streaming — the state is decoded chunk by chunk, never via a
 // second whole-payload buffer. The envelope's sequence is pinned to wantSeq
 // (the filename's), the CRC must cover exactly the declared payload, and any
@@ -219,7 +192,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // buffer, valid only during the call — convert it, never retain it. eachKey
 // runs BEFORE the CRC verdict, so a file refused at its last byte has already
 // streamed every key: collect into something the caller discards on error.
-func ReadCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, reports int64)) (transport.Snapshot, bool, error) {
+func readCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, reports int64)) (transport.Snapshot, bool, error) {
 	fail := func(format string, args ...any) (transport.Snapshot, bool, error) {
 		return transport.Snapshot{}, false, fmt.Errorf("%w: %s", errInvalidCheckpoint, fmt.Sprintf(format, args...))
 	}
@@ -228,21 +201,13 @@ func ReadCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, re
 		return transport.Snapshot{}, false, err
 	}
 	defer f.Close()
-	var hdr [checkpointHeaderLen]byte
+	var hdr [envelopeHeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return fail("shorter than the header")
 	}
-	if string(hdr[:4]) != checkpointMagic {
-		return fail("bad magic %q", hdr[:4])
-	}
-	version := hdr[4]
-	if version != checkpointV1 && version != checkpointV2 {
-		return fail("unsupported version %d", version)
-	}
-	wantCRC := binary.BigEndian.Uint32(hdr[5:])
-	plen := binary.BigEndian.Uint32(hdr[9:])
-	if uint64(plen) > uint64(MaxCheckpointSize) {
-		return fail("declares %d payload bytes, over the %d-byte limit", plen, MaxCheckpointSize)
+	version, wantCRC, plen, err := checkHeader(hdr[:], checkpointMagic, maxCheckpointSize, checkpointV1, checkpointV2)
+	if err != nil {
+		return fail("%v", err)
 	}
 	cr := &crcReader{r: io.LimitReader(f, int64(plen)), crc: crc32.NewIEEE()}
 	var body io.Reader = bufio.NewReaderSize(cr, 1<<16)
@@ -254,7 +219,7 @@ func ReadCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, re
 		}
 		// The decompressed payload obeys the same cap as a raw one; one spare
 		// byte detects overflow.
-		body = io.LimitReader(gz, int64(MaxCheckpointSize)+1)
+		body = io.LimitReader(gz, int64(maxCheckpointSize)+1)
 	}
 	var seqBuf [8]byte
 	if _, err := io.ReadFull(body, seqBuf[:]); err != nil {
@@ -270,8 +235,8 @@ func ReadCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, re
 		return fail("truncated at its key-table count")
 	}
 	nkeys := binary.BigEndian.Uint32(kc[:])
-	if nkeys > MaxTrackedKeys {
-		return fail("declares %d keys, limit %d", nkeys, MaxTrackedKeys)
+	if nkeys > transport.IdempotencyHorizon {
+		return fail("declares %d keys, limit %d", nkeys, transport.IdempotencyHorizon)
 	}
 	// One buffer for every entry, declared outside the loop: inside it, it
 	// would escape through io.ReadFull's interface argument once per key.

@@ -3,32 +3,24 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 
-	"repro/internal/history"
 	"repro/internal/transport"
 )
 
 // The buffered checkpoint codec: a second, whole-payload implementation of
-// the version-1 "LDPC" format documented in history/checkpoint.go. No
-// production path calls it — the store reads and writes through the history
-// package's streaming codec — it lives here as the reference the streaming
-// one is compared against (TestStreamedCheckpointMatchesBufferedEncoder,
-// TestCheckpointGoldenCompatibility).
-const (
-	checkpointMagic   = "LDPC"
-	checkpointVersion = 1
-)
-
-var errInvalidCheckpoint = errors.New("durable: invalid checkpoint file")
+// the version-1 "LDPC" format documented in checkpoint.go, written out by
+// hand. No production path calls it — the store reads and writes through the
+// streaming codec — it lives here as the reference the streaming one is
+// compared against (TestStreamedCheckpointMatchesBufferedEncoder,
+// TestCheckpointGoldenCompatibility, TestCheckpointStreamGoldenCompatibility).
 
 // encodeCheckpoint serializes the envelope around an already-framed snapshot.
 func encodeCheckpoint(seq uint64, snap transport.Snapshot, keys []transport.KeyCount) ([]byte, error) {
-	if len(keys) > history.MaxTrackedKeys {
-		keys = keys[len(keys)-history.MaxTrackedKeys:] // newest win, as in the LRU
+	if len(keys) > transport.IdempotencyHorizon {
+		keys = keys[len(keys)-transport.IdempotencyHorizon:] // newest win, as in the LRU
 	}
 	var pb bytes.Buffer
 	var s [8]byte
@@ -51,9 +43,9 @@ func encodeCheckpoint(seq uint64, snap transport.Snapshot, keys []transport.KeyC
 		pb.Write(n[:])
 	}
 	payload := pb.Bytes()
-	out := make([]byte, 0, recordHeaderLen+len(payload))
+	out := make([]byte, 0, envelopeHeaderLen+len(payload))
 	out = append(out, checkpointMagic...)
-	out = append(out, checkpointVersion)
+	out = append(out, checkpointV1)
 	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
 	return append(out, payload...), nil
@@ -67,18 +59,18 @@ func DecodeCheckpoint(data []byte) (uint64, transport.Snapshot, []transport.KeyC
 	fail := func(format string, args ...any) (uint64, transport.Snapshot, []transport.KeyCount, error) {
 		return 0, transport.Snapshot{}, nil, fmt.Errorf("%w: %s", errInvalidCheckpoint, fmt.Sprintf(format, args...))
 	}
-	if len(data) < recordHeaderLen {
+	if len(data) < envelopeHeaderLen {
 		return fail("%d bytes is shorter than the header", len(data))
 	}
 	if string(data[:4]) != checkpointMagic {
 		return fail("bad magic %q", data[:4])
 	}
-	if data[4] != checkpointVersion {
+	if data[4] != checkpointV1 {
 		return fail("unsupported version %d", data[4])
 	}
 	wantCRC := binary.BigEndian.Uint32(data[5:])
 	plen := binary.BigEndian.Uint32(data[9:])
-	payload := data[recordHeaderLen:]
+	payload := data[envelopeHeaderLen:]
 	if uint64(plen) != uint64(len(payload)) {
 		return fail("declares %d payload bytes, carries %d", plen, len(payload))
 	}
@@ -99,8 +91,8 @@ func DecodeCheckpoint(data []byte) (uint64, transport.Snapshot, []transport.KeyC
 		return fail("truncated at its key-table count")
 	}
 	nkeys := binary.BigEndian.Uint32(kc[:])
-	if nkeys > history.MaxTrackedKeys {
-		return fail("declares %d keys, limit %d", nkeys, history.MaxTrackedKeys)
+	if nkeys > transport.IdempotencyHorizon {
+		return fail("declares %d keys, limit %d", nkeys, transport.IdempotencyHorizon)
 	}
 	keys := make([]transport.KeyCount, 0, nkeys)
 	for i := uint32(0); i < nkeys; i++ {

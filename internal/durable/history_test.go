@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/history"
 	"repro/internal/transport"
 )
 
@@ -32,7 +31,7 @@ func TestStreamedCheckpointMatchesBufferedEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path, err := history.WriteCheckpointFile(dir, 7, snap, keys, false)
+	path, err := writeCheckpointFile(dir, 7, snap, keys, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestStoreManifestCrashConsistency(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	manifestPath := filepath.Join(dir, history.ManifestName)
+	manifestPath := filepath.Join(dir, manifestName)
 	intact, err := os.ReadFile(manifestPath)
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +292,8 @@ func TestSnapshotAtAllocsIndependentOfKeyTable(t *testing.T) {
 	// Equal, give or take a pooled object: under -race sync.Pool (fmt's,
 	// io.Discard's) drops a share of its Puts. A table built per key differs
 	// by three allocations per key.
-	if none, full := readAllocs(0), readAllocs(history.MaxTrackedKeys); full > none+2 {
-		t.Fatalf("SnapshotAt allocates %v times over a %d-key checkpoint, %v over a keyless one", full, history.MaxTrackedKeys, none)
+	if none, full := readAllocs(0), readAllocs(transport.IdempotencyHorizon); full > none+2 {
+		t.Fatalf("SnapshotAt allocates %v times over a %d-key checkpoint, %v over a keyless one", full, transport.IdempotencyHorizon, none)
 	}
 }
 

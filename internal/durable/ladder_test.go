@@ -1,4 +1,4 @@
-package history
+package durable
 
 import (
 	"reflect"
@@ -8,26 +8,26 @@ import (
 // The full-resolution window is always retained, and the bands behind it keep
 // exactly the geometrically-spaced sequences the doc comment promises.
 func TestLadderFullResWindow(t *testing.T) {
-	l := Ladder{FullRes: 4}
+	l := ladder{fullRes: 4}
 	const newest = 100
 	for s := uint64(newest - 3); s <= newest; s++ {
-		if !l.Retains(newest, s) {
+		if !l.retains(newest, s) {
 			t.Fatalf("sequence %d inside the full-res window must be retained", s)
 		}
 	}
 	// Band 1 covers ages [4, 8) — sequences 93..96 — and keeps multiples of 2.
 	for s := uint64(93); s <= 96; s++ {
-		if got, want := l.Retains(newest, s), s%2 == 0; got != want {
+		if got, want := l.retains(newest, s), s%2 == 0; got != want {
 			t.Fatalf("band-1 sequence %d: retained=%v, want %v", s, got, want)
 		}
 	}
 	// Band 2 covers ages [8, 16) — sequences 85..92 — and keeps multiples of 4.
 	for s := uint64(85); s <= 92; s++ {
-		if got, want := l.Retains(newest, s), s%4 == 0; got != want {
+		if got, want := l.retains(newest, s), s%4 == 0; got != want {
 			t.Fatalf("band-2 sequence %d: retained=%v, want %v", s, got, want)
 		}
 	}
-	if l.Retains(newest, newest+1) {
+	if l.retains(newest, newest+1) {
 		t.Fatal("a sequence newer than newest cannot be retained")
 	}
 }
@@ -39,12 +39,12 @@ func TestLadderFullResWindow(t *testing.T) {
 // process that built it.
 func TestLadderMonotone(t *testing.T) {
 	for _, fullRes := range []int{0, 2, 3, 4, 8} {
-		l := Ladder{FullRes: fullRes}
+		l := ladder{fullRes: fullRes}
 		const horizon = 300
 		for s := uint64(0); s <= horizon; s++ {
 			dropped := false
 			for newest := s; newest <= horizon; newest++ {
-				r := l.Retains(newest, s)
+				r := l.retains(newest, s)
 				if dropped && r {
 					t.Fatalf("FullRes=%d: sequence %d pruned then retained again at newest=%d", fullRes, s, newest)
 				}
@@ -59,15 +59,15 @@ func TestLadderMonotone(t *testing.T) {
 // The newest two sequences survive Retain regardless of the arithmetic — the
 // durable layer's corrupt-checkpoint fallback needs the predecessor.
 func TestRetainKeepsNewestTwo(t *testing.T) {
-	l := Ladder{FullRes: 2}
-	got := l.Retain([]uint64{1, 3, 5, 7, 9, 11})
+	l := ladder{fullRes: 2}
+	got := l.retain([]uint64{1, 3, 5, 7, 9, 11})
 	if n := len(got); n < 2 || got[n-1] != 11 || got[n-2] != 9 {
 		t.Fatalf("newest two must survive, got %v", got)
 	}
 	// Odd sequences far behind an odd newest are never multiples of 2^b; only
 	// the forced newest-two rule keeps any of the tail.
 	for _, s := range got[:len(got)-2] {
-		if !l.Retains(11, s) {
+		if !l.retains(11, s) {
 			t.Fatalf("sequence %d in the output but not retained by the ladder", s)
 		}
 	}
@@ -78,15 +78,15 @@ func TestRetainKeepsNewestTwo(t *testing.T) {
 // Retain over the full sequence range.
 func TestRetainIncrementalEqualsBatch(t *testing.T) {
 	for _, fullRes := range []int{2, 4, 5} {
-		l := Ladder{FullRes: fullRes}
+		l := ladder{fullRes: fullRes}
 		const horizon = 120
 		var incremental []uint64
 		var all []uint64
 		for s := uint64(1); s <= horizon; s++ {
-			incremental = l.Retain(append(incremental, s))
+			incremental = l.retain(append(incremental, s))
 			all = append(all, s)
 		}
-		batch := l.Retain(all)
+		batch := l.retain(all)
 		if !reflect.DeepEqual(incremental, batch) {
 			t.Fatalf("FullRes=%d: incremental %v != batch %v", fullRes, incremental, batch)
 		}

@@ -1,4 +1,4 @@
-package history
+package durable
 
 import (
 	"bytes"
@@ -7,11 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
-func sampleManifest() []Entry {
-	return []Entry{
+func sampleManifest() []manifestEntry {
+	return []manifestEntry{
 		{Seq: 4, Epoch: 4, Count: 512},
 		{Seq: 6, Epoch: 6, Count: 768, Compressed: true},
 		{Seq: 7, Epoch: 7, Count: 896},
@@ -21,28 +22,28 @@ func sampleManifest() []Entry {
 
 func TestManifestRoundTrip(t *testing.T) {
 	want := sampleManifest()
-	data, err := EncodeManifest(want)
+	data, err := encodeManifest(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeManifest(data)
+	got, err := decodeManifest(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip changed the manifest: %+v != %+v", got, want)
 	}
-	empty, err := EncodeManifest(nil)
+	empty, err := encodeManifest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeManifest(empty); err != nil || len(got) != 0 {
+	if got, err := decodeManifest(bytes.NewReader(empty)); err != nil || len(got) != 0 {
 		t.Fatalf("empty manifest round trip: %v, %v", got, err)
 	}
 }
 
 func TestManifestEncodeRejects(t *testing.T) {
-	cases := map[string][]Entry{
+	cases := map[string][]manifestEntry{
 		"duplicate seq":    {{Seq: 3, Epoch: 3}, {Seq: 3, Epoch: 4}},
 		"descending seq":   {{Seq: 5, Epoch: 5}, {Seq: 4, Epoch: 6}},
 		"descending epoch": {{Seq: 3, Epoch: 5}, {Seq: 4, Epoch: 4}},
@@ -51,14 +52,14 @@ func TestManifestEncodeRejects(t *testing.T) {
 		"infinite count":   {{Seq: 3, Epoch: 3, Count: math.Inf(1)}},
 	}
 	for name, entries := range cases {
-		if _, err := EncodeManifest(entries); err == nil {
+		if _, err := encodeManifest(entries); err == nil {
 			t.Errorf("%s: encode accepted %+v", name, entries)
 		}
 	}
 }
 
 func TestManifestDecodeRejectsCorruption(t *testing.T) {
-	data, err := EncodeManifest(sampleManifest())
+	data, err := encodeManifest(sampleManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x01
-		if _, err := DecodeManifest(mut); err == nil {
+		if _, err := decodeManifest(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("decode accepted a manifest with byte %d flipped", i)
 		}
 	}
-	if _, err := DecodeManifest(append(data, 0)); err == nil {
+	if _, err := decodeManifest(bytes.NewReader(append(data, 0))); err == nil {
 		t.Fatal("decode accepted trailing bytes")
 	}
 }
@@ -81,12 +82,12 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 // store's fallback (rebuilding the index from the checkpoint files) always
 // takes over and no retained epoch quietly disappears from history.
 func TestManifestTruncationNeverSilentlyShortens(t *testing.T) {
-	data, err := EncodeManifest(sampleManifest())
+	data, err := encodeManifest(sampleManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if got, err := DecodeManifest(data[:cut]); err == nil {
+		if got, err := decodeManifest(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at byte %d decoded cleanly to %d entries — a crash could silently lose retained epochs", cut, len(got))
 		}
 	}
@@ -97,10 +98,10 @@ func TestManifestTruncationNeverSilentlyShortens(t *testing.T) {
 // file — still errors, because an empty file is not a valid manifest.
 func TestLoadManifestTruncatedFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteManifest(dir, sampleManifest()); err != nil {
+	if err := writeManifest(dir, sampleManifest()); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, ManifestName)
+	path := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestLoadManifestTruncatedFile(t *testing.T) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadManifest(dir); !errors.Is(err, errInvalidManifest) {
+		if _, err := loadManifest(dir); !errors.Is(err, errInvalidManifest) {
 			t.Fatalf("truncation at byte %d: want errInvalidManifest, got %v", cut, err)
 		}
 	}
@@ -117,77 +118,56 @@ func TestLoadManifestTruncatedFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := LoadManifest(dir); err != nil || !reflect.DeepEqual(got, sampleManifest()) {
+	if got, err := loadManifest(dir); err != nil || !reflect.DeepEqual(got, sampleManifest()) {
 		t.Fatalf("restored manifest failed to load: %v, %v", got, err)
 	}
 	// A missing manifest is not an error — just an unindexed directory.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := LoadManifest(dir); err != nil || got != nil {
+	if got, err := loadManifest(dir); err != nil || got != nil {
 		t.Fatalf("missing manifest: want (nil, nil), got (%v, %v)", got, err)
 	}
 }
 
-func TestWriteManifestAtomicReplace(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteManifest(dir, sampleManifest()[:2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteManifest(dir, sampleManifest()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadManifest(dir)
+// A manifest's size is refused before it is read: the declared length is
+// checked against the entry cap before the payload is allocated, and
+// trailing data is found by reading one byte past the payload — so neither a
+// huge file of zeros nor a valid manifest with a huge tail costs more than
+// one capped payload of memory. Both files are sparse: 1 GiB of logical
+// size, no disk.
+func TestLoadManifestRefusesOversizedFileWithoutReadingIt(t *testing.T) {
+	valid, err := encodeManifest(sampleManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, sampleManifest()) {
-		t.Fatalf("replace left %+v", got)
-	}
-	// No temp litter.
-	tmps, err := filepath.Glob(filepath.Join(dir, ".manifest-*.tmp"))
-	if err != nil || len(tmps) != 0 {
-		t.Fatalf("temp files left behind: %v (%v)", tmps, err)
-	}
-}
-
-// The golden pins decode compatibility: a manifest written by a past version
-// of this library must keep loading to the same entries after any upgrade.
-func TestManifestGoldenCompatibility(t *testing.T) {
-	want := sampleManifest()
-	enc, err := EncodeManifest(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := golden(t, "manifest_v1.golden", enc)
-	if !bytes.Equal(enc, data) {
-		t.Fatalf("encoder no longer produces the golden bytes:\n got %x\nwant %x", enc, data)
-	}
-	got, err := DecodeManifest(data)
-	if err != nil {
-		t.Fatalf("golden manifest no longer decodes: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden manifest decoded to %+v, want %+v", got, want)
-	}
-}
-
-// golden regenerates testdata/<name> from got when UPDATE_GOLDEN=1 and
-// returns the checked-in bytes.
-func golden(t *testing.T, name string, got []byte) []byte {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("UPDATE_GOLDEN") == "1" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	for name, head := range map[string][]byte{
+		"zeros":             nil,
+		"valid then a tail": valid,
+	} {
+		dir := t.TempDir()
+		f, err := os.Create(filepath.Join(dir, manifestName))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if _, err := f.Write(head); err != nil {
 			t.Fatal(err)
 		}
+		if err := f.Truncate(1 << 30); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = loadManifest(dir)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errInvalidManifest) {
+			t.Fatalf("%s: want errInvalidManifest, got %v", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: refusing a 1 GiB manifest allocated %d bytes, want under 1 MiB", name, alloc)
+		}
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
-	}
-	return want
 }

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -28,11 +27,11 @@ import (
 //	<dir>/wal-00000003.log        records appended since checkpoint 3
 //	<dir>/wal-00000002.log.gz     a closed segment, gzipped (Options.Gzip)
 //	<dir>/checkpoint-00000003.ckpt state of all segments < 3
-//	<dir>/history.manifest        epoch → checkpoint index (history package)
+//	<dir>/history.manifest        epoch → checkpoint index (manifest.go)
 //
 // The active segment is the highest-numbered one and is never compressed. A
 // checkpoint rotates the WAL to a fresh segment and then pins the
-// pre-rotation state. Retention follows the history ladder: the newest
+// pre-rotation state. Retention follows the ladder (ladder.go): the newest
 // checkpoints stay at full resolution (the newest two always, so a
 // checkpoint that lands corrupt on disk still leaves a recoverable older
 // one) and older ones are coarsened geometrically instead of pruned
@@ -71,8 +70,7 @@ type Options struct {
 	Replay func(rec Record) error
 	// HistoryKeep is the retention ladder's full-resolution window: that many
 	// newest checkpoints are kept intact, older ones are coarsened
-	// geometrically (every 2nd, then every 4th, …). Values below 2 mean
-	// history.DefaultFullRes.
+	// geometrically (every 2nd, then every 4th, …). Values below 2 mean 4.
 	HistoryKeep int
 	// Gzip compresses checkpoint payloads and closed retained WAL segments —
 	// worthwhile for the unary mechanisms, whose accumulators and report
@@ -119,7 +117,7 @@ func (t *keyTable) add(key string, reports int64) {
 	defer t.mu.Unlock()
 	if _, ok := t.count[key]; !ok {
 		t.order = append(t.order, key)
-		for len(t.order) > history.MaxTrackedKeys {
+		for len(t.order) > transport.IdempotencyHorizon {
 			delete(t.count, t.order[0])
 			t.order = t.order[1:]
 		}
@@ -176,13 +174,13 @@ type Store struct {
 
 	// ladder is the checkpoint retention policy; compress selects gzipped
 	// checkpoints and closed-segment compression.
-	ladder   history.Ladder
+	ladder   ladder
 	compress bool
 	// histMu guards hist, the in-memory mirror of the on-disk manifest:
 	// the retained checkpoints, sequence-ascending. SnapshotAt resolves
 	// epochs against it.
 	histMu sync.Mutex
-	hist   []history.Entry
+	hist   []manifestEntry
 
 	// sm is the armed metrics handle set (nil until SetMetrics).
 	sm atomic.Pointer[storeMetrics]
@@ -225,7 +223,7 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	base := uint64(0)
 	for i := len(ckptSeqs) - 1; i >= 0; i-- {
 		attempt := newKeyTable()
-		snap, _, err := history.ReadCheckpointFile(filepath.Join(dir, checkpointName(ckptSeqs[i])), ckptSeqs[i],
+		snap, _, err := readCheckpointFile(filepath.Join(dir, checkpointName(ckptSeqs[i])), ckptSeqs[i],
 			func(key []byte, reports int64) { attempt.add(string(key), reports) })
 		if err != nil {
 			continue
@@ -285,7 +283,7 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	s := &Store{
 		dir: dir, digest: opts.Digest, fsync: opts.Fsync,
 		wal: wal, seq: active, keys: keys,
-		ladder:   history.Ladder{FullRes: opts.HistoryKeep},
+		ladder:   ladder{fullRes: opts.HistoryKeep},
 		compress: opts.Gzip,
 	}
 	s.totalRecords.Store(rec.ReplayedRecords)
@@ -302,21 +300,21 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 // restore are excluded — the restore loop already proved them corrupt. When
 // the result differs from what was on disk, the manifest is rewritten
 // best-effort.
-func reconcileManifest(dir string, ckptSeqs []uint64, base uint64, hasCkpt bool) []history.Entry {
+func reconcileManifest(dir string, ckptSeqs []uint64, base uint64, hasCkpt bool) []manifestEntry {
 	if !hasCkpt {
 		// No valid checkpoint ⇒ no retained history; clear a stale manifest.
-		if m, err := history.LoadManifest(dir); err == nil && m != nil {
-			history.WriteManifest(dir, nil)
+		if m, err := loadManifest(dir); err == nil && m != nil {
+			writeManifest(dir, nil)
 		}
 		return nil
 	}
-	manifest, err := history.LoadManifest(dir) // damaged ⇒ rebuild from files
-	bySeq := make(map[uint64]history.Entry, len(manifest))
+	manifest, err := loadManifest(dir) // damaged ⇒ rebuild from files
+	bySeq := make(map[uint64]manifestEntry, len(manifest))
 	for _, e := range manifest {
 		bySeq[e.Seq] = e
 	}
 	dirty := err != nil || len(manifest) != len(ckptSeqs)
-	var hist []history.Entry
+	var hist []manifestEntry
 	for _, c := range ckptSeqs {
 		if c > base {
 			dirty = true // proved corrupt during restore
@@ -326,16 +324,16 @@ func reconcileManifest(dir string, ckptSeqs []uint64, base uint64, hasCkpt bool)
 			hist = append(hist, e)
 			continue
 		}
-		snap, compressed, err := history.ReadCheckpointFile(filepath.Join(dir, checkpointName(c)), c, nil)
+		snap, compressed, err := readCheckpointFile(filepath.Join(dir, checkpointName(c)), c, nil)
 		if err != nil {
 			dirty = true // unservable; leave the file for the operator
 			continue
 		}
-		hist = append(hist, history.Entry{Seq: c, Epoch: snap.Epoch, Count: snap.Count, Compressed: compressed})
+		hist = append(hist, manifestEntry{Seq: c, Epoch: snap.Epoch, Count: snap.Count, Compressed: compressed})
 		dirty = true
 	}
 	if dirty {
-		history.WriteManifest(dir, hist) // best-effort; files stay ground truth
+		writeManifest(dir, hist) // best-effort; files stay ground truth
 	}
 	return hist
 }
@@ -396,10 +394,6 @@ func replaySegment(path string, gzipped bool, seq uint64, final bool, opts Optio
 		return 0, 0, fmt.Errorf("durable: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("durable: %w", err)
-	}
 	var src io.Reader = bufio.NewReaderSize(f, 1<<16)
 	if gzipped {
 		gz, err := gzip.NewReader(src)
@@ -417,34 +411,14 @@ func replaySegment(path string, gzipped bool, seq uint64, final bool, opts Optio
 			return lastGood, 0, nil // clean end at a record boundary
 		}
 		if err != nil {
-			if errors.Is(err, errCorruptRecord) {
-				// CRC-valid garbage: the writer produced it, never drop it
-				// silently.
-				return 0, 0, fmt.Errorf("durable: WAL segment %s corrupt at offset %d: %w", filepath.Base(path), lastGood, err)
+			dropped, err := truncateTornTail(f, final && !gzipped, lastGood, err, func(b []byte) bool {
+				r, err := DecodeRecord(bytes.NewReader(b))
+				return err == nil && r.Epoch == seq
+			})
+			if err != nil {
+				return 0, 0, err
 			}
-			if !errors.Is(err, ErrTornRecord) && !errors.Is(err, errInvalidRecord) {
-				// A real I/O failure, not evidence about the bytes: abort
-				// without mutating anything — a retry after the fault must
-				// still see every record.
-				return 0, 0, fmt.Errorf("durable: read WAL segment %s: %w", filepath.Base(path), err)
-			}
-			if !final || gzipped {
-				return 0, 0, fmt.Errorf("durable: WAL segment %s damaged at offset %d (only the raw final segment may end torn): %w", filepath.Base(path), lastGood, err)
-			}
-			// Sequential O_APPEND writes tear only at the physical end of the
-			// file, so a decodable record anywhere past the damage proves
-			// this is corruption (bit rot, out-of-order writeback), not a
-			// crash tear — refuse loudly instead of truncating acknowledged
-			// records away.
-			if off, found := scanForRecord(f, lastGood+1, st.Size(), seq); found {
-				return 0, 0, fmt.Errorf("durable: WAL segment %s damaged at offset %d but an intact record follows at offset %d — corruption, not a crash tear; refusing to truncate", filepath.Base(path), lastGood, off)
-			}
-			// The crash signature: drop the torn tail so appends resume at
-			// the last record boundary.
-			if err := os.Truncate(path, lastGood); err != nil {
-				return 0, 0, fmt.Errorf("durable: truncate torn WAL tail: %w", err)
-			}
-			return lastGood, st.Size() - lastGood, nil
+			return lastGood, dropped, nil
 		}
 		if r.Epoch != seq {
 			return 0, 0, fmt.Errorf("durable: WAL segment %s record at offset %d carries epoch %d, segment is %d", filepath.Base(path), lastGood, r.Epoch, seq)
@@ -462,41 +436,6 @@ func replaySegment(path string, gzipped bool, seq uint64, final bool, opts Optio
 		rec.ReplayedReports += int64(len(r.Reports))
 		lastGood = cr.n
 	}
-}
-
-// scanForRecord looks for a complete, CRC-valid record of the expected epoch
-// anywhere in f's byte range [from, end): the existence of one past a damaged
-// record distinguishes corruption (refuse) from a genuine torn tail
-// (truncate). Only runs on the error path; cost is proportional to the
-// damaged tail.
-func scanForRecord(f *os.File, from, end int64, epoch uint64) (int64, bool) {
-	if from >= end {
-		return 0, false
-	}
-	tail := make([]byte, end-from)
-	if _, err := f.ReadAt(tail, from); err != nil {
-		return 0, false // unreadable tail: treat as torn, nothing provable follows
-	}
-	for i := 0; i+recordHeaderLen <= len(tail); i++ {
-		if string(tail[i:i+4]) != recordMagic {
-			continue
-		}
-		if rec, err := DecodeRecord(bytes.NewReader(tail[i:])); err == nil && rec.Epoch == epoch {
-			return from + int64(i), true
-		}
-	}
-	return 0, false
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // recBufPool recycles record-encoding buffers: the WAL copies a record into
@@ -592,7 +531,7 @@ func (s *Store) writeCheckpoint(snap transport.Snapshot) error {
 	keys := s.pendingKeys
 	cutRecords, cutBytes := s.pendingCutRecords, s.pendingCutBytes
 	s.mu.RUnlock()
-	if _, err := history.WriteCheckpointFile(s.dir, seq, snap, keys, s.compress); err != nil {
+	if _, err := writeCheckpointFile(s.dir, seq, snap, keys, s.compress); err != nil {
 		return fmt.Errorf("durable: write checkpoint: %w", err)
 	}
 	s.ckptSeq.Store(seq)
@@ -614,13 +553,13 @@ func (s *Store) updateHistory(seq uint64, snap transport.Snapshot) error {
 	if n := len(hist); n > 0 && hist[n-1].Seq == seq {
 		hist = hist[:n-1] // re-checkpoint of the same segment (no new epoch)
 	}
-	hist = append(hist, history.Entry{Seq: seq, Epoch: snap.Epoch, Count: snap.Count, Compressed: s.compress})
+	hist = append(hist, manifestEntry{Seq: seq, Epoch: snap.Epoch, Count: snap.Count, Compressed: s.compress})
 
 	seqs := make([]uint64, len(hist))
 	for i, e := range hist {
 		seqs[i] = e.Seq
 	}
-	retained := s.ladder.Retain(seqs)
+	retained := s.ladder.retain(seqs)
 	keep := make(map[uint64]bool, len(retained))
 	for _, r := range retained {
 		keep[r] = true
@@ -654,17 +593,17 @@ func (s *Store) updateHistory(seq uint64, snap transport.Snapshot) error {
 			}
 		}
 	}
-	if err := history.WriteManifest(s.dir, s.hist); err != nil {
+	if err := writeManifest(s.dir, s.hist); err != nil {
 		return fmt.Errorf("durable: write history manifest: %w", err)
 	}
 	return nil
 }
 
-// compressSegment gzips one closed raw segment in place: temp file, fsync,
-// rename to the .gz name, directory fsync, then remove the raw original. A
-// crash at any point leaves a readable segment — the raw file is
-// authoritative until it is removed, and Open deletes a .gz twin whenever the
-// raw survives. Best-effort: on any error the raw segment simply stays.
+// compressSegment gzips one closed raw segment into its .gz name (an atomic
+// replace), then removes the raw original. A crash at any point leaves a
+// readable segment — the raw file is authoritative until it is removed, and
+// Open deletes a .gz twin whenever the raw survives. Best-effort: on any
+// error the raw segment simply stays.
 func (s *Store) compressSegment(seq uint64) {
 	raw := filepath.Join(s.dir, segmentName(seq))
 	src, err := os.Open(raw)
@@ -672,34 +611,16 @@ func (s *Store) compressSegment(seq uint64) {
 		return // already compressed (or gone)
 	}
 	defer src.Close()
-	tmp, err := os.CreateTemp(s.dir, ".segment-*.tmp")
-	if err != nil {
-		return
+	err = ReplaceFile(filepath.Join(s.dir, gzSegmentName(seq)), func(f *os.File) error {
+		gz := gzip.NewWriter(f)
+		if _, err := io.Copy(gz, bufio.NewReaderSize(src, 1<<16)); err != nil {
+			return err
+		}
+		return gz.Close()
+	})
+	if err == nil {
+		os.Remove(raw)
 	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	gz := gzip.NewWriter(tmp)
-	if _, err := io.Copy(gz, bufio.NewReaderSize(src, 1<<16)); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := gz.Close(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, gzSegmentName(seq))); err != nil {
-		return
-	}
-	if err := history.SyncDir(s.dir); err != nil {
-		return
-	}
-	os.Remove(raw)
 }
 
 // SnapshotAt serves the checkpointed snapshot for one retained epoch without
@@ -715,7 +636,7 @@ func (s *Store) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, erro
 		if err != nil {
 			return transport.Snapshot{}, err
 		}
-		snap, _, err := history.ReadCheckpointFile(filepath.Join(s.dir, checkpointName(seq)), seq, nil)
+		snap, _, err := readCheckpointFile(filepath.Join(s.dir, checkpointName(seq)), seq, nil)
 		if err == nil {
 			return snap, nil
 		}
@@ -759,7 +680,7 @@ func (s *Store) resolveEpoch(epoch uint64, nearest bool) (uint64, error) {
 func (s *Store) retains(seq uint64) bool {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
-	return slices.ContainsFunc(s.hist, func(e history.Entry) bool { return e.Seq == seq })
+	return slices.ContainsFunc(s.hist, func(e manifestEntry) bool { return e.Seq == seq })
 }
 
 // RetainedEpochs lists the epochs SnapshotAt can serve, ascending.

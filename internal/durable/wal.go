@@ -9,17 +9,19 @@
 // once), and the mechanism digest (so a log written under one strategy matrix
 // can never be replayed into another).
 //
+// The package owns every file of a shard's data directory and the router's
+// binding log. Checkpoints double as the bounded epoch history: the
+// retention ladder decides which a directory keeps (ladder.go), the manifest
+// indexes the retained epochs so any of them is served without replay
+// (manifest.go), and checkpoints are read and written streaming
+// (checkpoint.go). All file kinds share one envelope writer and header check
+// and one atomic replace (file.go); the two append-only logs share one tail
+// policy (truncateTornTail).
+//
 // # WAL record format
 //
-// Every record is
-//
-//	magic   [4]byte  "LDPW"
-//	version uint8    (1)
-//	crc     uint32   big-endian IEEE CRC-32 of the payload
-//	length  uint32   big-endian payload byte count
-//	payload [length]byte
-//
-// and the payload is
+// Every record is one envelope (file.go), magic "LDPW", version 1, whose
+// payload is
 //
 //	epoch     uint64 big-endian   WAL generation (= the segment's sequence)
 //	keyLen    uint8, then keyLen bytes       idempotency key (may be empty)
@@ -49,6 +51,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,9 +63,6 @@ import (
 const (
 	recordMagic   = "LDPW"
 	recordVersion = 1
-
-	// recordHeaderLen is magic + version + crc + length.
-	recordHeaderLen = 4 + 1 + 4 + 4
 
 	// MaxRecordPayload bounds one WAL record. A record carries one ingested
 	// batch (chunked into transport frames), so the cap only limits the size
@@ -124,7 +124,7 @@ func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 	// (under -race sync.Pool drops buffers, and every regrow is an allocation
 	// the ingest path's zero-alloc pin counts): per report, flags + two
 	// maximal varints + the bit vector's wire field.
-	worst := recordHeaderLen + 8 + 1 + len(rec.Key) + 1 + len(rec.Digest) + 4 + 14
+	worst := envelopeHeaderLen + 8 + 1 + len(rec.Key) + 1 + len(rec.Digest) + 4 + 14
 	for i := range rec.Reports {
 		worst += 1 + 2*binary.MaxVarintLen64 + len(rec.Reports[i].Bits.Wire())
 	}
@@ -134,10 +134,7 @@ func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 		buf = grown
 	}
 	start := len(buf)
-	out := append(buf, recordMagic...)
-	out = append(out, recordVersion)
-	out = append(out, 0, 0, 0, 0, 0, 0, 0, 0) // crc + payload length, patched below
-	payloadStart := len(out)
+	out := beginEnvelope(buf, recordMagic, recordVersion)
 	out = binary.BigEndian.AppendUint64(out, rec.Epoch)
 	out = append(out, byte(len(rec.Key)))
 	out = append(out, rec.Key...)
@@ -148,26 +145,22 @@ func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 	if err != nil {
 		return buf, fmt.Errorf("durable: encode record reports: %w", err)
 	}
-	payload := out[payloadStart:]
+	payload := out[start+envelopeHeaderLen:]
 	if len(payload) > MaxRecordPayload {
 		return buf, fmt.Errorf("durable: %d-byte record exceeds the %d-byte WAL record limit; split the batch", len(payload), MaxRecordPayload)
 	}
-	binary.BigEndian.PutUint32(out[start+5:], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint32(out[start+9:], uint32(len(payload)))
+	sealEnvelope(out[start:], crc32.ChecksumIEEE(payload), len(payload))
 	return out, nil
 }
 
-// readEnvelope reads one record of the WAL family — the "LDPW" magic, a
-// version byte, the payload's CRC and length, then the payload — and returns
-// the CRC-validated payload of a record of the wanted version. It is the one
+// readEnvelope reads one record of the WAL family — the "LDPW" envelope at
+// the wanted version — and returns its CRC-validated payload. It is the one
 // place the envelope's failure modes are told apart: a reader exhausted
 // exactly at a record boundary returns io.EOF; one exhausted mid-record
 // returns ErrTornRecord; bytes that are present but not such a record (magic,
-// version, a length over maxPayload, CRC) return errInvalidRecord. The length
-// is checked against maxPayload before the payload is allocated, so a corrupt
-// prefix cannot reserve more than the record kind allows.
+// version, a length over maxPayload, CRC) return errInvalidRecord.
 func readEnvelope(r io.Reader, version byte, maxPayload uint32) ([]byte, error) {
-	var hdr [recordHeaderLen]byte
+	var hdr [envelopeHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -180,16 +173,9 @@ func readEnvelope(r io.Reader, version byte, maxPayload uint32) ([]byte, error) 
 		// truncating data that may be perfectly intact.
 		return nil, fmt.Errorf("durable: read record header: %w", err)
 	}
-	if string(hdr[:4]) != recordMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", errInvalidRecord, hdr[:4])
-	}
-	if hdr[4] != version {
-		return nil, fmt.Errorf("%w: record version %d, want %d", errInvalidRecord, hdr[4], version)
-	}
-	wantCRC := binary.BigEndian.Uint32(hdr[5:])
-	plen := binary.BigEndian.Uint32(hdr[9:])
-	if plen > maxPayload {
-		return nil, fmt.Errorf("%w: %d-byte payload exceeds the %d-byte limit of a version-%d record", errInvalidRecord, plen, maxPayload, version)
+	_, wantCRC, plen, err := checkHeader(hdr[:], recordMagic, maxPayload, version)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errInvalidRecord, err)
 	}
 	payload := make([]byte, plen)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -202,6 +188,63 @@ func readEnvelope(r io.Reader, version byte, maxPayload uint32) ([]byte, error) 
 		return nil, fmt.Errorf("%w: CRC mismatch", errInvalidRecord)
 	}
 	return payload, nil
+}
+
+// truncateTornTail is the one tail policy of the append-only logs (WAL
+// segments, the binding log), applied when decoding f failed with decodeErr
+// after the last intact record ended at offset good. Only a crash tear is
+// dropped — f truncated to good, the dropped byte count returned — and a
+// crash tears only the end of a file that may still have been appended to
+// (mayTear), and only with nothing intact after the damage: sequential
+// appends tear at the physical end, so an intact record past the damage
+// proves corruption (bit rot, out-of-order writeback). A CRC-valid payload
+// that does not parse (errCorruptRecord) was written exactly so and is
+// refused too; any other error is a read failure, not evidence about the
+// bytes, and returns without touching the file. intactAt reports whether a
+// complete record of the file's kind starts at b[0].
+func truncateTornTail(f *os.File, mayTear bool, good int64, decodeErr error, intactAt func(b []byte) bool) (int64, error) {
+	name := filepath.Base(f.Name())
+	if errors.Is(decodeErr, errCorruptRecord) {
+		return 0, fmt.Errorf("durable: %s corrupt at offset %d: %w", name, good, decodeErr)
+	}
+	if !errors.Is(decodeErr, ErrTornRecord) && !errors.Is(decodeErr, errInvalidRecord) {
+		return 0, fmt.Errorf("durable: read %s: %w", name, decodeErr)
+	}
+	if !mayTear {
+		return 0, fmt.Errorf("durable: %s damaged at offset %d (only the raw final segment may end torn): %w", name, good, decodeErr)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("durable: %w", err)
+	}
+	// Only runs on the error path; cost is proportional to the damaged tail.
+	if from := good + 1; from < st.Size() {
+		tail := make([]byte, st.Size()-from)
+		if _, err := f.ReadAt(tail, from); err == nil { // an unreadable tail proves nothing: torn
+			for i := 0; i+envelopeHeaderLen <= len(tail); i++ {
+				if string(tail[i:i+4]) == recordMagic && intactAt(tail[i:]) {
+					return 0, fmt.Errorf("durable: %s damaged at offset %d but an intact record follows at offset %d — corruption, not a crash tear; refusing to truncate", name, good, from+int64(i))
+				}
+			}
+		}
+	}
+	if err := os.Truncate(f.Name(), good); err != nil {
+		return 0, fmt.Errorf("durable: truncate torn tail of %s: %w", name, err)
+	}
+	return st.Size() - good, nil
+}
+
+// countingReader counts the bytes read through it: the offset of the last
+// intact record the tail policy truncates to.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // DecodeRecord reads one record. A reader exhausted exactly at a record

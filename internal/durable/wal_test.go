@@ -106,7 +106,7 @@ func TestRecordRejectsCorruption(t *testing.T) {
 		"bad magic":      flip(0),
 		"bad version":    flip(4),
 		"bad crc":        flip(5),
-		"payload bitrot": flip(recordHeaderLen + 2),
+		"payload bitrot": flip(envelopeHeaderLen + 2),
 	}
 	for name, d := range cases {
 		if _, err := DecodeRecord(bytes.NewReader(d)); !errors.Is(err, errInvalidRecord) {
@@ -131,7 +131,7 @@ func TestRecordCorruptPayloadIsNotTorn(t *testing.T) {
 	}
 	// Re-frame the payload with a wrong declared report count but a correct
 	// CRC for the altered bytes.
-	payload := append([]byte(nil), data[recordHeaderLen:]...)
+	payload := append([]byte(nil), data[envelopeHeaderLen:]...)
 	countOff := 8 + 1 + len(rec.Key) + 1 + len(rec.Digest)
 	payload[countOff+3]++ // declare one more report than the frames carry
 	out := appendCRCAndLen(data[:5], payload)

@@ -136,8 +136,8 @@ const IdempotencyKeyHeader = "Ldp-Idempotency-Key"
 const (
 	// IdempotencyHorizon is how many idempotency keys the system remembers,
 	// stated once: it bounds the shard's remembered-key LRU here, the key
-	// table a checkpoint carries (history.MaxTrackedKeys), and the router's
-	// key→shard binding LRU and log — a key one of them had forgotten would
+	// table a durable checkpoint carries, and the router's key→shard binding
+	// LRU and log — a key one of them had forgotten would
 	// not be deduplicated however long the others held it. At the default
 	// 4096-report batches it spans ~17M reports of keyed history — far longer
 	// than any client retry loop — while capping memory at a few hundred KiB.

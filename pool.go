@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -413,9 +414,8 @@ func (p *EstimatorPool) loadCachedStrategy(wd string, eps float64, domain int) *
 	return nil
 }
 
-// storeCachedStrategy persists a freshly optimized strategy atomically
-// (temp file + rename), named so a digest-verified load can find and check
-// it.
+// storeCachedStrategy persists a freshly optimized strategy with an atomic,
+// fsynced replace, named so a digest-verified load can find and check it.
 func (p *EstimatorPool) storeCachedStrategy(wd string, eps float64, s *Strategy) error {
 	if p.dir == "" {
 		return nil
@@ -424,20 +424,9 @@ func (p *EstimatorPool) storeCachedStrategy(wd string, eps float64, s *Strategy)
 		return err
 	}
 	name := fmt.Sprintf("%s-%s.strategy", cacheEntryPrefix(wd, eps), StrategyDigest(s))
-	tmp, err := os.CreateTemp(p.dir, name+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := SaveStrategy(tmp, s); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(p.dir, name))
+	return durable.ReplaceFile(filepath.Join(p.dir, name), func(f *os.File) error {
+		return SaveStrategy(f, s)
+	})
 }
 
 // BatchAnswer is one workload's result in an AnswerBatch: the workload, its
