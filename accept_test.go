@@ -217,18 +217,34 @@ func TestWireRejectsCraftedArtifacts(t *testing.T) {
 		{1 << 30, 2},       // over the element cap
 	} {
 		t.Run(fmt.Sprintf("strategy-dims-%dx%d", tc.rows, tc.cols), func(t *testing.T) {
-			if err := encodeStrategyDims(t, tc.rows, tc.cols); err == nil {
+			if err := encodeStrategy(t, tc.rows, tc.cols, 1, nil); err == nil {
 				t.Fatalf("loader accepted %dx%d", tc.rows, tc.cols)
+			}
+		})
+	}
+	// Column-stochastic matrices whose small rows break the e^ε ratio: an
+	// absolute tolerance let both through.
+	for _, tc := range []struct {
+		name string
+		eps  float64
+		data []float64
+	}{
+		{"zero-beside-positive", 0.1, []float64{5e-7, 0, 1 - 5e-7, 1}},
+		{"realized-eps-11.5", 1, []float64{1e-7, 1e-12, 1 - 1e-7, 1 - 1e-12}},
+	} {
+		t.Run("strategy-ratio-"+tc.name, func(t *testing.T) {
+			if err := encodeStrategy(t, 2, 2, tc.eps, tc.data); err == nil {
+				t.Fatalf("loader accepted %v at ε = %g", tc.data, tc.eps)
 			}
 		})
 	}
 }
 
-// encodeStrategyDims hand-crafts a wire file with hostile dimensions (and no
-// matrix data) and reports what LoadStrategy makes of it. Before the bounds
-// checks, 2³²×2³² wrapped to a zero product, matched the empty Data slice,
-// and panicked deep inside matrix construction.
-func encodeStrategyDims(t *testing.T, rows, cols int) error {
+// encodeStrategy hand-crafts a strategy wire file and reports what
+// LoadStrategy makes of it. Before the bounds checks, 2³²×2³² dimensions
+// (with no matrix data) wrapped to a zero product, matched the empty Data
+// slice, and panicked deep inside matrix construction.
+func encodeStrategy(t *testing.T, rows, cols int, eps float64, data []float64) error {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
@@ -243,7 +259,7 @@ func encodeStrategyDims(t *testing.T, rows, cols int) error {
 		Rows, Cols int
 		Eps        float64
 		Data       []float64
-	}{Rows: rows, Cols: cols, Eps: 1}); err != nil {
+	}{Rows: rows, Cols: cols, Eps: eps, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ldp.LoadStrategy(&buf)

@@ -338,11 +338,11 @@ func TestVarianceReadShapesBitIdentical(t *testing.T) {
 // optimizer produces, without running it.
 func stackedRR(n, copies int, eps float64) *ldp.Strategy {
 	q := baselines.RandomizedResponse(n, eps).Strategy().Q.Scale(1 / float64(copies))
-	blocks := make([]*linalg.Matrix, copies)
-	for i := range blocks {
-		blocks[i] = q
+	var data []float64
+	for i := 0; i < copies; i++ {
+		data = append(data, q.Data()...)
 	}
-	return strategy.New(linalg.Stack(blocks...), eps)
+	return strategy.New(linalg.NewFrom(copies*q.Rows(), q.Cols(), data), eps)
 }
 
 // The cost shape of a variance read. Nothing it allocates scales with the

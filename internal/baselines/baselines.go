@@ -286,13 +286,6 @@ func Gaussian(n int, eps float64) *mechanism.Additive {
 	return mechanism.NewAdditive("Gaussian", linalg.Identity(n), eps, sigma*sigma)
 }
 
-// Laplace returns the one-hot Laplace mechanism (the L1 analogue of
-// Gaussian): A = I with per-user Laplace(2/ε) noise.
-func Laplace(n int, eps float64) *mechanism.Additive {
-	b := 2 / eps // ‖e_u − e_v‖₁ = 2
-	return mechanism.NewAdditive("Laplace", linalg.Identity(n), eps, 2*b*b)
-}
-
 // Competitors builds the paper's six competitor mechanisms (Figure 1's legend
 // minus "Optimized") for a workload over domain size n. The Fourier mechanism
 // requires a power-of-two domain; when n is not a power of two it is skipped.

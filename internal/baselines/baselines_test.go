@@ -271,7 +271,8 @@ func TestGaussianDominatedByL2MM(t *testing.T) {
 
 func TestAdditiveProfileUniform(t *testing.T) {
 	w := workload.NewHistogram(6)
-	vp, err := Laplace(6, 1.0).Profile(w)
+	g := Gaussian(6, 1.0)
+	vp, err := g.Profile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +281,10 @@ func TestAdditiveProfileUniform(t *testing.T) {
 			t.Fatal("additive mechanism variance must be uniform across user types")
 		}
 	}
-	// Laplace on Histogram: var = 2(2/ε)²·‖I·I⁺‖²_F = 8n/ε².
-	want := 8.0 * 6
-	if math.Abs(vp.PerUser[0]-want) > 1e-9 {
-		t.Fatalf("Laplace per-user variance = %v, want %v", vp.PerUser[0], want)
+	// A = I on Histogram: var = σ²·‖I·I⁺‖²_F = nσ².
+	want := g.NoiseVar * 6
+	if math.Abs(vp.PerUser[0]-want) > 1e-9*want {
+		t.Fatalf("Gaussian per-user variance = %v, want %v", vp.PerUser[0], want)
 	}
 }
 
@@ -306,10 +307,13 @@ func TestCompetitorsList(t *testing.T) {
 		t.Fatalf("expected 5 competitors at n=10, got %d", len(ms2))
 	}
 	// All evaluable.
-	scs := mechanism.SampleComplexities(ms, []workload.Workload{w}, 0.01)
-	for i, row := range scs {
-		if math.IsInf(row[0], 1) || row[0] <= 0 {
-			t.Fatalf("competitor %d (%s) sample complexity = %v", i, ms[i].Name(), row[0])
+	for i, m := range ms {
+		vp, err := m.Profile(w)
+		if err != nil {
+			t.Fatalf("competitor %d (%s): %v", i, m.Name(), err)
+		}
+		if sc := vp.SampleComplexity(0.01); math.IsInf(sc, 1) || sc <= 0 {
+			t.Fatalf("competitor %d (%s) sample complexity = %v", i, m.Name(), sc)
 		}
 	}
 }

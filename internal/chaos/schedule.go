@@ -89,11 +89,3 @@ func (s *Schedule) Due(progress float64) []Event {
 	}
 	return s.events[start:s.next:s.next]
 }
-
-// Remaining reports how many events have not fired yet. A scenario asserts
-// this reaches zero so a schedule can't silently test the happy path.
-func (s *Schedule) Remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events) - s.next
-}

@@ -12,9 +12,6 @@ func TestScheduleFiresInOrderExactlyOnce(t *testing.T) {
 		Event{At: 0.5, Shard: 0, Kind: EventKill}, // same instant as the restart, listed after → fires after
 		Event{At: 0.9, Shard: -1, Kind: EventHeal},
 	)
-	if got := sched.Remaining(); got != 4 {
-		t.Fatalf("Remaining = %d, want 4", got)
-	}
 	if ev := sched.Due(0.1); ev != nil {
 		t.Fatalf("Due(0.1) = %v, want nil", ev)
 	}
@@ -33,14 +30,11 @@ func TestScheduleFiresInOrderExactlyOnce(t *testing.T) {
 	if again := sched.Due(0.6); again != nil {
 		t.Fatalf("second Due(0.6) = %v, want nil", again)
 	}
-	if got := sched.Remaining(); got != 1 {
-		t.Fatalf("Remaining after 0.6 = %d, want 1", got)
-	}
 	last := sched.Due(1.0)
 	if len(last) != 1 || last[0].Kind != EventHeal || last[0].Shard != -1 {
 		t.Fatalf("Due(1.0) = %v, want the heal-all event", last)
 	}
-	if got := sched.Remaining(); got != 0 {
-		t.Fatalf("Remaining at end = %d, want 0", got)
+	if rest := sched.Due(2); rest != nil {
+		t.Fatalf("Due(2) after the last event = %v, want nil", rest)
 	}
 }

@@ -85,7 +85,8 @@ func TestObjectiveGradMatchesReferenceForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, prior := range [][]float64{nil, weighted} {
-			d := q.RowSums()
+			d := make([]float64, m)
+			q.RowSumsTo(d)
 			if prior != nil {
 				d = q.MulVec(prior)
 			}
@@ -93,9 +94,9 @@ func TestObjectiveGradMatchesReferenceForm(t *testing.T) {
 			for i, v := range d {
 				dinv[i] = 1 / v
 			}
-			qs := q.Clone().ScaleRows(dinv)
-			ch, err := linalg.FactorCholesky(linalg.MulAtB(q, qs).Symmetrize())
-			if err != nil {
+			qs := q.ScaleRowsTo(linalg.New(m, n), dinv)
+			var ch linalg.Cholesky
+			if err := ch.Factor(linalg.MulAtB(q, qs).Symmetrize()); err != nil {
 				t.Fatal(err)
 			}
 			y := ch.Solve(gram)
@@ -120,7 +121,7 @@ func TestObjectiveGradMatchesReferenceForm(t *testing.T) {
 			if math.Abs(obj-wantObj) > 1e-12*math.Abs(wantObj) {
 				t.Errorf("%dx%d prior=%v: objective %v, reference form %v", m, n, prior != nil, obj, wantObj)
 			}
-			if diff := linalg.Sub(grad, wantGrad).MaxAbs(); diff > 1e-10*wantGrad.MaxAbs() {
+			if diff := grad.Clone().AddScaled(-1, wantGrad).MaxAbs(); diff > 1e-10*wantGrad.MaxAbs() {
 				t.Errorf("%dx%d prior=%v: gradient off the reference form by %g (scale %g)", m, n, prior != nil, diff, wantGrad.MaxAbs())
 			}
 		}

@@ -60,7 +60,7 @@ func TestUniformPriorMatchesUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj2, g2, err := objectiveGrad(q, gram, linalg.Ones(n))
+	obj2, g2, err := objectiveGrad(q, gram, linalg.Constant(n, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

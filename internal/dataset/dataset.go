@@ -14,13 +14,10 @@
 package dataset
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/linalg"
@@ -99,15 +96,6 @@ func Uniform(n, total int, seed int64) []float64 {
 	return Multinomial(pdf, total, rand.New(rand.NewSource(seed)))
 }
 
-// Zipf returns a multinomial draw from a Zipf(s) distribution over n cells.
-func Zipf(n, total int, s float64, seed int64) []float64 {
-	pdf := make([]float64, n)
-	for i := range pdf {
-		pdf[i] = math.Pow(float64(i+1), -s)
-	}
-	return Multinomial(Normalize(pdf), total, rand.New(rand.NewSource(seed)))
-}
-
 // Normalize scales a non-negative vector to sum to one.
 func Normalize(pdf []float64) []float64 {
 	out := linalg.CloneVec(pdf)
@@ -140,60 +128,4 @@ func Multinomial(pdf []float64, total int, rng *rand.Rand) []float64 {
 		counts[i]++
 	}
 	return counts
-}
-
-// WriteCSV writes a data vector as "index,count" lines.
-func WriteCSV(w io.Writer, x []float64) error {
-	bw := bufio.NewWriter(w)
-	for i, v := range x {
-		if _, err := fmt.Fprintf(bw, "%d,%g\n", i, v); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV reads a data vector written by WriteCSV. The domain size is the
-// largest index seen plus one.
-func ReadCSV(r io.Reader) ([]float64, error) {
-	sc := bufio.NewScanner(r)
-	var idx []int
-	var val []float64
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("dataset: malformed line %q", line)
-		}
-		i, err := strconv.Atoi(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return nil, fmt.Errorf("dataset: bad index in %q: %w", line, err)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: bad count in %q: %w", line, err)
-		}
-		if i < 0 {
-			return nil, fmt.Errorf("dataset: negative index %d", i)
-		}
-		idx = append(idx, i)
-		val = append(val, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	maxIdx := -1
-	for _, i := range idx {
-		if i > maxIdx {
-			maxIdx = i
-		}
-	}
-	out := make([]float64, maxIdx+1)
-	for k, i := range idx {
-		out[i] = val[k]
-	}
-	return out, nil
 }

@@ -17,7 +17,7 @@ import (
 // recovery's correctness rests on the format being unambiguous.
 func FuzzDecodeWALRecord(f *testing.F) {
 	seed := func(rec Record) {
-		data, err := EncodeRecord(rec)
+		data, err := AppendRecord(nil, rec)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -30,11 +30,11 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	one.Set(0)
 	seed(Record{Digest: "d", Reports: []protocol.Report{{Bits: one}, {Seed: 9, Index: 2}}})
 	// Two records back to back, so mutations explore the record boundary.
-	a, err := EncodeRecord(Record{Reports: []protocol.Report{{Index: 1}}})
+	a, err := AppendRecord(nil, Record{Reports: []protocol.Report{{Index: 1}}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	b, err := EncodeRecord(Record{Key: "x", Reports: []protocol.Report{{Index: 2}}})
+	b, err := AppendRecord(nil, Record{Key: "x", Reports: []protocol.Report{{Index: 2}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			if err != nil {
 				return // EOF, torn, invalid, or corrupt — all fine, no panic is the point
 			}
-			reenc, err := EncodeRecord(rec)
+			reenc, err := AppendRecord(nil, rec)
 			if err != nil {
 				t.Fatalf("decoded record failed to re-encode: %v", err)
 			}
@@ -86,7 +86,7 @@ func FuzzDecodeBinding(f *testing.F) {
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0x01
 	f.Add(badCRC)
-	v1, err := EncodeRecord(sampleRecord()) // a WAL record is not a binding
+	v1, err := AppendRecord(nil, sampleRecord()) // a WAL record is not a binding
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func pinBytes(t *testing.T, name string, got, want []byte) {
 
 func TestWALRecordGoldenCompatibility(t *testing.T) {
 	want := sampleRecord()
-	enc, err := EncodeRecord(want)
+	enc, err := AppendRecord(nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,12 +105,6 @@ var (
 	errCorruptRecord = errors.New("durable: corrupt WAL record payload")
 )
 
-// EncodeRecord serializes one record (Epoch, Key, Digest, Reports; the wire
-// count field is derived from len(Reports)).
-func EncodeRecord(rec Record) ([]byte, error) {
-	return AppendRecord(nil, rec)
-}
-
 // AppendRecord appends rec's encoding to buf and returns the extended slice —
 // the allocation-free path Store.Append pools on the hot ingest path. The
 // reports are framed by the transport's one cutter, AppendReportsFrames: one
@@ -421,13 +415,6 @@ func (w *walFile) flushLocked() {
 		w.spare = buf[:0] // recycle the written buffer for the next group
 	}
 	w.cond.Broadcast()
-}
-
-// size returns the logical segment size (written + staged bytes).
-func (w *walFile) size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appended
 }
 
 // sync flushes anything staged and forces an fsync regardless of mode.

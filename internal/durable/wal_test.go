@@ -44,7 +44,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		"unkeyed":  {Epoch: 9, Reports: []protocol.Report{{Index: 1}, {Index: 2}}},
 		"nodigest": {Key: "k", Reports: sampleReports()},
 	} {
-		data, err := EncodeRecord(rec)
+		data, err := AppendRecord(nil, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -70,7 +70,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // must decode as exactly one of io.EOF (offset 0, a clean boundary) or a torn
 // record — never as a valid record and never as a panic.
 func TestRecordTornAtEveryOffset(t *testing.T) {
-	data, err := EncodeRecord(sampleRecord())
+	data, err := AppendRecord(nil, sampleRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRecordTornAtEveryOffset(t *testing.T) {
 }
 
 func TestRecordRejectsCorruption(t *testing.T) {
-	data, err := EncodeRecord(sampleRecord())
+	data, err := AppendRecord(nil, sampleRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRecordRejectsCorruption(t *testing.T) {
 // wrong — recovery must refuse it loudly, not drop it as a torn tail.
 func TestRecordCorruptPayloadIsNotTorn(t *testing.T) {
 	rec := sampleRecord()
-	data, err := EncodeRecord(rec)
+	data, err := AppendRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < each; i++ {
-						data, err := EncodeRecord(Record{Epoch: 0, Key: fmt.Sprintf("g%d-%d", g, i), Reports: []protocol.Report{{Index: g*each + i}}})
+						data, err := AppendRecord(nil, Record{Epoch: 0, Key: fmt.Sprintf("g%d-%d", g, i), Reports: []protocol.Report{{Index: g*each + i}}})
 						if err != nil {
 							errs <- err
 							return

@@ -321,9 +321,6 @@ func (o *OLH) Domain() int { return o.n }
 // Epsilon returns ε.
 func (o *OLH) Epsilon() float64 { return o.eps }
 
-// HashRange returns g.
-func (o *OLH) HashRange() int { return o.g }
-
 // Randomize hashes the user's type with a fresh seed and perturbs the hash
 // value with randomized response over [0, g). The report carries the seed and
 // the (perturbed) hash value.

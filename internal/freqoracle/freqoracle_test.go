@@ -160,16 +160,16 @@ func TestOLHHashRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// g = round(e) + 1 = 4.
-	if olh.HashRange() != 4 {
-		t.Fatalf("g = %d, want 4", olh.HashRange())
+	if olh.g != 4 {
+		t.Fatalf("g = %d, want 4", olh.g)
 	}
 	// Tiny ε still yields a valid range ≥ 2.
 	olh2, err := NewOLH(100, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if olh2.HashRange() < 2 {
-		t.Fatalf("g = %d", olh2.HashRange())
+	if olh2.g < 2 {
+		t.Fatalf("g = %d", olh2.g)
 	}
 }
 

@@ -62,27 +62,3 @@ func FWHT(x []float64) error {
 	}
 	return nil
 }
-
-// InverseFWHT applies H⁻¹ = H/n in place.
-func InverseFWHT(x []float64) error {
-	if err := FWHT(x); err != nil {
-		return err
-	}
-	linalg.ScaleVec(1/float64(len(x)), x)
-	return nil
-}
-
-// IsHadamard reports whether m is a ±1 matrix with pairwise-orthogonal rows.
-func IsHadamard(m *linalg.Matrix, tol float64) bool {
-	if m.Rows() != m.Cols() {
-		return false
-	}
-	n := m.Rows()
-	for _, v := range m.Data() {
-		if v != 1 && v != -1 {
-			return false
-		}
-	}
-	g := linalg.MulABt(m, m)
-	return linalg.ApproxEqual(g, linalg.Identity(n).Scale(float64(n)), tol)
-}

@@ -86,7 +86,7 @@ func TestFWHTMatchesMatrix(t *testing.T) {
 	}
 }
 
-// Property: InverseFWHT(FWHT(x)) = x.
+// Property: H·H = nI, so FWHT(FWHT(x))/n = x.
 func TestFWHTRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -99,11 +99,11 @@ func TestFWHTRoundTrip(t *testing.T) {
 		if err := FWHT(y); err != nil {
 			return false
 		}
-		if err := InverseFWHT(y); err != nil {
+		if err := FWHT(y); err != nil {
 			return false
 		}
 		for i := range x {
-			if math.Abs(x[i]-y[i]) > 1e-9 {
+			if math.Abs(x[i]-y[i]/float64(k)) > 1e-9 {
 				return false
 			}
 		}
@@ -146,4 +146,19 @@ func TestIsHadamardRejects(t *testing.T) {
 	if IsHadamard(linalg.Identity(2), 1e-9) {
 		t.Fatal("non-±1 accepted")
 	}
+}
+
+// IsHadamard reports whether m is a ±1 matrix with pairwise-orthogonal rows.
+func IsHadamard(m *linalg.Matrix, tol float64) bool {
+	if m.Rows() != m.Cols() {
+		return false
+	}
+	n := m.Rows()
+	for _, v := range m.Data() {
+		if v != 1 && v != -1 {
+			return false
+		}
+	}
+	g := linalg.MulABt(m, m)
+	return linalg.ApproxEqual(g, linalg.Identity(n).Scale(float64(n)), tol)
 }

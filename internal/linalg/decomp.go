@@ -10,153 +10,16 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
-type LU struct {
-	lu   *Matrix // packed L (unit lower) and U
-	piv  []int   // row permutation
-	sign int
-}
-
-// FactorLU computes the LU factorization of a square matrix.
-func FactorLU(a *Matrix) (*LU, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("linalg: LU of non-square %dx%d matrix", a.rows, a.cols)
-	}
-	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Partial pivot: find the largest |entry| in column k at or below row k.
-		p := k
-		pmax := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > pmax {
-				pmax, p = a, i
-			}
-		}
-		if pmax == 0 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
-		}
-		pivot := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivot
-			lu.Set(i, k, m)
-			if m == 0 {
-				continue
-			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
-}
-
-// SolveVec solves A x = b for a single right-hand side.
-func (f *LU) SolveVec(b []float64) []float64 {
-	n := f.lu.rows
-	if len(b) != n {
-		panic("linalg: LU SolveVec length mismatch")
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward substitution with unit lower triangle.
-	for i := 1; i < n; i++ {
-		ri := f.lu.Row(i)
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= ri[j] * x[j]
-		}
-		x[i] = s
-	}
-	// Back substitution with U.
-	for i := n - 1; i >= 0; i-- {
-		ri := f.lu.Row(i)
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= ri[j] * x[j]
-		}
-		x[i] = s / ri[i]
-	}
-	return x
-}
-
-// Solve solves A X = B for a matrix right-hand side.
-func (f *LU) Solve(b *Matrix) *Matrix {
-	n := f.lu.rows
-	if b.rows != n {
-		panic("linalg: LU Solve shape mismatch")
-	}
-	out := New(n, b.cols)
-	col := make([]float64, n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := f.SolveVec(col)
-		out.SetCol(j, x)
-	}
-	return out
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Solve solves A X = B using LU with partial pivoting.
-func Solve(a, b *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Inverse returns A⁻¹ using LU with partial pivoting.
-func Inverse(a *Matrix) (*Matrix, error) {
-	return Solve(a, Identity(a.rows))
-}
-
 // Cholesky holds the lower-triangular factor L with A = L Lᵀ.
 type Cholesky struct {
 	l *Matrix
 }
 
-// FactorCholesky computes the Cholesky factorization of a symmetric positive
-// definite matrix. It returns ErrSingular if a non-positive pivot is
-// encountered (the matrix is not numerically positive definite).
-func FactorCholesky(a *Matrix) (*Cholesky, error) {
-	c := new(Cholesky)
-	if err := c.Factor(a); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Factor computes the Cholesky factorization of a into c, reusing c's storage
-// when the shape matches (so repeated factorizations at a fixed size
-// allocate nothing). See FactorCholesky for the error contract.
+// Factor computes the Cholesky factorization of a symmetric positive definite
+// a into c, reusing c's storage when the shape matches (so repeated
+// factorizations at a fixed size allocate nothing). It returns ErrSingular if
+// a non-positive pivot is encountered (a is not numerically positive
+// definite).
 func (c *Cholesky) Factor(a *Matrix) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.rows, a.cols)
@@ -192,36 +55,6 @@ func (c *Cholesky) Factor(a *Matrix) error {
 	return nil
 }
 
-// L returns the lower-triangular factor (aliasing internal storage).
-func (c *Cholesky) L() *Matrix { return c.l }
-
-// SolveVec solves A x = b given A = L Lᵀ.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	n := c.l.rows
-	if len(b) != n {
-		panic("linalg: Cholesky SolveVec length mismatch")
-	}
-	// Forward: L y = b.
-	y := CloneVec(b)
-	for i := 0; i < n; i++ {
-		ri := c.l.Row(i)
-		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= ri[j] * y[j]
-		}
-		y[i] = s / ri[i]
-	}
-	// Back: Lᵀ x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= c.l.At(j, i) * y[j]
-		}
-		y[i] = s / c.l.At(i, i)
-	}
-	return y
-}
-
 // Solve solves A X = B given A = L Lᵀ.
 func (c *Cholesky) Solve(b *Matrix) *Matrix {
 	out := New(c.l.rows, b.cols)
@@ -233,8 +66,8 @@ func (c *Cholesky) Solve(b *Matrix) *Matrix {
 // must have b's shape and must not alias b or the factor. Columns are
 // independent triangular solves, processed in blocks that fan out across
 // GOMAXPROCS goroutines for large right-hand sides; each element accumulates
-// in the same order as SolveVec, so results are bit-identical to the serial
-// column-at-a-time solve at any worker count.
+// in the same order as the serial column-at-a-time solve, so results are
+// bit-identical to it at any worker count.
 func (c *Cholesky) SolveTo(dst, b *Matrix) {
 	n := c.l.rows
 	if b.rows != n {

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,7 +97,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FactorCholesky: %v", err)
 		}
-		l := ch.L()
+		l := ch.l
 		if !ApproxEqual(MulABt(l, l), a, 1e-8) {
 			t.Fatal("L Lᵀ != A")
 		}
@@ -335,4 +336,198 @@ func TestNuclearNormFromGram(t *testing.T) {
 	if math.Abs(nn-5) > 1e-9 {
 		t.Fatalf("nuclear norm = %v, want 5", nn)
 	}
+}
+
+// LU holds an LU factorization with partial pivoting: P*A = L*U.
+type LU struct {
+	lu   *Matrix // packed L (unit lower) and U
+	piv  []int   // row permutation
+	sign int
+}
+
+// FactorLU computes the LU factorization of a square matrix.
+func FactorLU(a *Matrix) (*LU, error) {
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("linalg: LU of non-square %dx%d matrix", a.rows, a.cols)
+	}
+	n := a.rows
+	lu := a.Clone()
+	piv := make([]int, n)
+	for i := range piv {
+		piv[i] = i
+	}
+	sign := 1
+	for k := 0; k < n; k++ {
+		// Partial pivot: find the largest |entry| in column k at or below row k.
+		p := k
+		pmax := math.Abs(lu.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if a := math.Abs(lu.At(i, k)); a > pmax {
+				pmax, p = a, i
+			}
+		}
+		if pmax == 0 {
+			return nil, ErrSingular
+		}
+		if p != k {
+			rk, rp := lu.Row(k), lu.Row(p)
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			piv[k], piv[p] = piv[p], piv[k]
+			sign = -sign
+		}
+		pivot := lu.At(k, k)
+		for i := k + 1; i < n; i++ {
+			m := lu.At(i, k) / pivot
+			lu.Set(i, k, m)
+			if m == 0 {
+				continue
+			}
+			ri, rk := lu.Row(i), lu.Row(k)
+			for j := k + 1; j < n; j++ {
+				ri[j] -= m * rk[j]
+			}
+		}
+	}
+	return &LU{lu: lu, piv: piv, sign: sign}, nil
+}
+
+// SolveVec solves A x = b for a single right-hand side.
+func (f *LU) SolveVec(b []float64) []float64 {
+	n := f.lu.rows
+	if len(b) != n {
+		panic("linalg: LU SolveVec length mismatch")
+	}
+	x := make([]float64, n)
+	for i := 0; i < n; i++ {
+		x[i] = b[f.piv[i]]
+	}
+	// Forward substitution with unit lower triangle.
+	for i := 1; i < n; i++ {
+		ri := f.lu.Row(i)
+		s := x[i]
+		for j := 0; j < i; j++ {
+			s -= ri[j] * x[j]
+		}
+		x[i] = s
+	}
+	// Back substitution with U.
+	for i := n - 1; i >= 0; i-- {
+		ri := f.lu.Row(i)
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= ri[j] * x[j]
+		}
+		x[i] = s / ri[i]
+	}
+	return x
+}
+
+// Solve solves A X = B for a matrix right-hand side.
+func (f *LU) Solve(b *Matrix) *Matrix {
+	n := f.lu.rows
+	if b.rows != n {
+		panic("linalg: LU Solve shape mismatch")
+	}
+	out := New(n, b.cols)
+	col := make([]float64, n)
+	for j := 0; j < b.cols; j++ {
+		for i := 0; i < n; i++ {
+			col[i] = b.At(i, j)
+		}
+		x := f.SolveVec(col)
+		out.SetCol(j, x)
+	}
+	return out
+}
+
+// Det returns the determinant of the factored matrix.
+func (f *LU) Det() float64 {
+	d := float64(f.sign)
+	n := f.lu.rows
+	for i := 0; i < n; i++ {
+		d *= f.lu.At(i, i)
+	}
+	return d
+}
+
+// Solve solves A X = B using LU with partial pivoting.
+func Solve(a, b *Matrix) (*Matrix, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b), nil
+}
+
+// Inverse returns A⁻¹ using LU with partial pivoting.
+func Inverse(a *Matrix) (*Matrix, error) {
+	return Solve(a, Identity(a.rows))
+}
+
+// FactorCholesky computes the Cholesky factorization of a symmetric positive
+// definite matrix. It returns ErrSingular if a non-positive pivot is
+// encountered (the matrix is not numerically positive definite).
+func FactorCholesky(a *Matrix) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// SolveVec solves A x = b given A = L Lᵀ.
+func (c *Cholesky) SolveVec(b []float64) []float64 {
+	n := c.l.rows
+	if len(b) != n {
+		panic("linalg: Cholesky SolveVec length mismatch")
+	}
+	// Forward: L y = b.
+	y := CloneVec(b)
+	for i := 0; i < n; i++ {
+		ri := c.l.Row(i)
+		s := y[i]
+		for j := 0; j < i; j++ {
+			s -= ri[j] * y[j]
+		}
+		y[i] = s / ri[i]
+	}
+	// Back: Lᵀ x = y.
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for j := i + 1; j < n; j++ {
+			s -= c.l.At(j, i) * y[j]
+		}
+		y[i] = s / c.l.At(i, i)
+	}
+	return y
+}
+
+// SingularValues returns the singular values of a general matrix in descending
+// order, computed as square roots of the eigenvalues of the smaller Gram
+// matrix (WᵀW or WWᵀ). Negative round-off eigenvalues are clamped to zero.
+func SingularValues(w *Matrix) ([]float64, error) {
+	var gram *Matrix
+	if w.rows >= w.cols {
+		gram = MulAtB(w, w)
+	} else {
+		gram = MulABt(w, w)
+	}
+	return SingularValuesFromGram(gram)
+}
+
+// SolvePSD solves A X = B for symmetric positive (semi)definite A. It first
+// attempts Cholesky; if A is numerically singular it falls back to the
+// eigen-based pseudo-inverse. The returned matrix is the minimum-norm solution
+// in the singular case.
+func SolvePSD(a, b *Matrix) (*Matrix, error) {
+	if ch, err := FactorCholesky(a); err == nil {
+		return ch.Solve(b), nil
+	}
+	pinv, err := PinvPSD(a, 1e-12)
+	if err != nil {
+		return nil, err
+	}
+	return Mul(pinv, b), nil
 }

@@ -23,7 +23,7 @@ func TestOneByOneEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := ch.L().At(0, 0); l != 2 {
+	if l := ch.l.At(0, 0); l != 2 {
 		t.Fatalf("chol = %v", l)
 	}
 	vals, vecs, err := SymEigen(a)
@@ -155,7 +155,7 @@ func TestLargeConditionNumberSolve(t *testing.T) {
 			h.Set(i, j, 1/float64(i+j+1))
 		}
 	}
-	xTrue := Ones(n)
+	xTrue := Constant(n, 1)
 	b := h.MulVec(xTrue)
 	ch, err := FactorCholesky(h)
 	if err != nil {

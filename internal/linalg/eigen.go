@@ -126,19 +126,6 @@ func PinvPSD(a *Matrix, rcond float64) (*Matrix, error) {
 	return MulABt(scaled, vecs), nil
 }
 
-// SingularValues returns the singular values of a general matrix in descending
-// order, computed as square roots of the eigenvalues of the smaller Gram
-// matrix (WᵀW or WWᵀ). Negative round-off eigenvalues are clamped to zero.
-func SingularValues(w *Matrix) ([]float64, error) {
-	var gram *Matrix
-	if w.rows >= w.cols {
-		gram = MulAtB(w, w)
-	} else {
-		gram = MulABt(w, w)
-	}
-	return SingularValuesFromGram(gram)
-}
-
 // SingularValuesFromGram returns singular values given a precomputed Gram
 // matrix WᵀW (or WWᵀ). This supports implicit workloads whose Gram matrix has
 // a closed form but whose explicit form is huge.
@@ -164,19 +151,4 @@ func NuclearNormFromGram(gram *Matrix) (float64, error) {
 		return 0, err
 	}
 	return Sum(sv), nil
-}
-
-// SolvePSD solves A X = B for symmetric positive (semi)definite A. It first
-// attempts Cholesky; if A is numerically singular it falls back to the
-// eigen-based pseudo-inverse. The returned matrix is the minimum-norm solution
-// in the singular case.
-func SolvePSD(a, b *Matrix) (*Matrix, error) {
-	if ch, err := FactorCholesky(a); err == nil {
-		return ch.Solve(b), nil
-	}
-	pinv, err := PinvPSD(a, 1e-12)
-	if err != nil {
-		return nil, err
-	}
-	return Mul(pinv, b), nil
 }

@@ -81,16 +81,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns the square diagonal matrix with d on the diagonal.
-func Diag(d []float64) *Matrix {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -124,16 +114,6 @@ func (m *Matrix) SetRow(i int, v []float64) {
 		panic("linalg: SetRow length mismatch")
 	}
 	copy(m.Row(i), v)
-}
-
-// SetCol copies v into column j.
-func (m *Matrix) SetCol(j int, v []float64) {
-	if len(v) != m.rows {
-		panic("linalg: SetCol length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
-	}
 }
 
 // Clone returns a deep copy.
@@ -189,24 +169,6 @@ func (m *Matrix) AddScaled(s float64, b *Matrix) *Matrix {
 		m.data[i] += s * v
 	}
 	return m
-}
-
-// Add returns m + b as a new matrix.
-func Add(a, b *Matrix) *Matrix {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("linalg: Add shape mismatch")
-	}
-	out := a.Clone()
-	return out.AddScaled(1, b)
-}
-
-// Sub returns a - b as a new matrix.
-func Sub(a, b *Matrix) *Matrix {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("linalg: Sub shape mismatch")
-	}
-	out := a.Clone()
-	return out.AddScaled(-1, b)
 }
 
 // Mul returns the matrix product a*b.
@@ -385,21 +347,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// ScaleRows multiplies row i by s[i] in place and returns m.
-func (m *Matrix) ScaleRows(s []float64) *Matrix {
-	if len(s) != m.rows {
-		panic("linalg: ScaleRows length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		si := s[i]
-		for j := range row {
-			row[j] *= si
-		}
-	}
-	return m
-}
-
 // ScaleRowsTo computes dst = Diag(s)·m (row i of m scaled by s[i]) into dst,
 // which must share m's shape. dst may alias m (the operation is element-wise).
 func (m *Matrix) ScaleRowsTo(dst *Matrix, s []float64) *Matrix {
@@ -434,13 +381,6 @@ func (m *Matrix) ScaleCols(s []float64) *Matrix {
 	return m
 }
 
-// RowSums returns the vector of row sums (m * 1).
-func (m *Matrix) RowSums() []float64 {
-	out := make([]float64, m.rows)
-	m.RowSumsTo(out)
-	return out
-}
-
 // RowSumsTo computes the row sums into dst (length m.Rows).
 func (m *Matrix) RowSumsTo(dst []float64) {
 	if len(dst) != m.rows {
@@ -461,21 +401,6 @@ func (m *Matrix) DiagOf() []float64 {
 		out[i] = m.data[i*m.cols+i]
 	}
 	return out
-}
-
-// IsSymmetric reports whether the matrix is symmetric to within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Symmetrize replaces m with (m + mᵀ)/2 in place and returns m.
@@ -523,29 +448,6 @@ func (m *Matrix) String() string {
 	}
 	sb.WriteString("]")
 	return sb.String()
-}
-
-// Stack vertically concatenates the given matrices (which must share a column
-// count) into a single matrix.
-func Stack(blocks ...*Matrix) *Matrix {
-	if len(blocks) == 0 {
-		return New(0, 0)
-	}
-	cols := blocks[0].cols
-	rows := 0
-	for _, b := range blocks {
-		if b.cols != cols {
-			panic("linalg: Stack column mismatch")
-		}
-		rows += b.rows
-	}
-	out := New(rows, cols)
-	at := 0
-	for _, b := range blocks {
-		copy(out.data[at*cols:], b.data)
-		at += b.rows
-	}
-	return out
 }
 
 // Kron returns the Kronecker product a ⊗ b.

@@ -136,11 +136,11 @@ func TestMulVecAndMulVecT(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := NewFrom(2, 2, []float64{1, 2, 3, 4})
 	b := NewFrom(2, 2, []float64{5, 6, 7, 8})
-	if got := Add(a, b); got.At(1, 1) != 12 {
-		t.Fatalf("Add wrong: %v", got)
+	if got := a.Clone().AddScaled(1, b); got.At(1, 1) != 12 {
+		t.Fatalf("AddScaled(1) wrong: %v", got)
 	}
-	if got := Sub(b, a); got.At(0, 0) != 4 {
-		t.Fatalf("Sub wrong: %v", got)
+	if got := b.Clone().AddScaled(-1, a); got.At(0, 0) != 4 {
+		t.Fatalf("AddScaled(-1) wrong: %v", got)
 	}
 	c := a.Clone().Scale(2)
 	if c.At(1, 0) != 6 {
@@ -286,18 +286,95 @@ func TestVectorOps(t *testing.T) {
 	if z[0] != 4.5 {
 		t.Fatalf("ScaleVec = %v", z)
 	}
-	if MaxVec(x) != 3 || MinVec(x) != -2 || ArgMax(x) != 2 {
-		t.Fatal("Max/Min/ArgMax wrong")
+	if MaxVec(x) != 3 || MinVec(x) != -2 {
+		t.Fatal("Max/Min wrong")
 	}
 	c := []float64{-1, 0.5, 2}
 	ClipScalar(c, 0, 1)
 	if c[0] != 0 || c[1] != 0.5 || c[2] != 1 {
 		t.Fatalf("ClipScalar = %v", c)
 	}
-	if o := Ones(3); o[0] != 1 || o[2] != 1 {
-		t.Fatal("Ones wrong")
-	}
 	if cst := Constant(2, 7); cst[1] != 7 {
 		t.Fatal("Constant wrong")
 	}
+}
+
+// Diag returns the square diagonal matrix with d on the diagonal.
+func Diag(d []float64) *Matrix {
+	n := len(d)
+	m := New(n, n)
+	for i, v := range d {
+		m.data[i*n+i] = v
+	}
+	return m
+}
+
+// SetCol copies v into column j.
+func (m *Matrix) SetCol(j int, v []float64) {
+	if len(v) != m.rows {
+		panic("linalg: SetCol length mismatch")
+	}
+	for i := 0; i < m.rows; i++ {
+		m.data[i*m.cols+j] = v[i]
+	}
+}
+
+// ScaleRows multiplies row i by s[i] in place and returns m.
+func (m *Matrix) ScaleRows(s []float64) *Matrix {
+	if len(s) != m.rows {
+		panic("linalg: ScaleRows length mismatch")
+	}
+	for i := 0; i < m.rows; i++ {
+		row := m.Row(i)
+		si := s[i]
+		for j := range row {
+			row[j] *= si
+		}
+	}
+	return m
+}
+
+// RowSums returns the vector of row sums (m * 1).
+func (m *Matrix) RowSums() []float64 {
+	out := make([]float64, m.rows)
+	m.RowSumsTo(out)
+	return out
+}
+
+// IsSymmetric reports whether the matrix is symmetric to within tol.
+func (m *Matrix) IsSymmetric(tol float64) bool {
+	if m.rows != m.cols {
+		return false
+	}
+	for i := 0; i < m.rows; i++ {
+		for j := i + 1; j < m.cols; j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Stack vertically concatenates the given matrices (which must share a column
+// count) into a single matrix.
+func Stack(blocks ...*Matrix) *Matrix {
+	if len(blocks) == 0 {
+		return New(0, 0)
+	}
+	cols := blocks[0].cols
+	rows := 0
+	for _, b := range blocks {
+		if b.cols != cols {
+			panic("linalg: Stack column mismatch")
+		}
+		rows += b.rows
+	}
+	out := New(rows, cols)
+	at := 0
+	for _, b := range blocks {
+		copy(out.data[at*cols:], b.data)
+		at += b.rows
+	}
+	return out
 }

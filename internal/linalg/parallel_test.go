@@ -194,7 +194,7 @@ func TestCholeskyFactorReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bitEqual(c.L(), fresh.L()) {
+		if !bitEqual(c.l, fresh.l) {
 			t.Fatalf("n=%d: reused factor differs from fresh factor", n)
 		}
 	}

@@ -50,15 +50,6 @@ func CloneVec(x []float64) []float64 {
 	return out
 }
 
-// Ones returns a vector of n ones.
-func Ones(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
 // Constant returns a vector of n copies of v.
 func Constant(n int, v float64) []float64 {
 	out := make([]float64, n)
@@ -99,15 +90,4 @@ func MinVec(x []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the index of the maximum element of a non-empty vector.
-func ArgMax(x []float64) int {
-	idx := 0
-	for i, v := range x {
-		if v > x[idx] {
-			idx = i
-		}
-	}
-	return idx
 }

@@ -295,9 +295,6 @@ func (d *Deployment) ShardHealth(ctx context.Context) []transport.Health {
 	return out
 }
 
-// Mechanism returns the deployment's mechanism bundle.
-func (d *Deployment) Mechanism() *Mechanism { return d.mech }
-
 // ReadyCount returns how many shards are currently routable.
 func (d *Deployment) ReadyCount() int { return d.fleet.ReadyCount() }
 

@@ -97,3 +97,29 @@ func TestBoundDecreasesWithEpsilon(t *testing.T) {
 		prev = lb
 	}
 }
+
+// WorstCaseVariance returns the Corollary 5.7 lower bound on L_worst for any
+// factorization mechanism with N users:
+// (N/n)·[(Σλ)²/e^ε − ‖W‖²_F].
+func WorstCaseVariance(w workload.Workload, eps float64, numUsers float64) (float64, error) {
+	obj, err := Objective(w, eps)
+	if err != nil {
+		return 0, err
+	}
+	n := float64(w.Domain())
+	lb := numUsers / n * (obj - w.FrobNorm2())
+	if lb < 0 {
+		lb = 0 // the bound can go vacuous (negative) for easy workloads
+	}
+	return lb, nil
+}
+
+// HistogramSampleComplexity returns the closed-form Example 5.8 bound for the
+// Histogram workload: N ≥ (1/α)(1/e^ε − 1/n).
+func HistogramSampleComplexity(n int, eps, alpha float64) float64 {
+	lb := (1/math.Exp(eps) - 1/float64(n)) / alpha
+	if lb < 0 {
+		lb = 0
+	}
+	return lb
+}

@@ -199,23 +199,3 @@ func PairwiseColumnDiameter(a *linalg.Matrix, norm int) float64 {
 	}
 	return maxD
 }
-
-// SampleComplexities evaluates every mechanism on every workload and returns
-// sample complexities indexed [mechanism][workload]. A mechanism that fails
-// on a workload (e.g. Q too restrictive) yields +Inf rather than an error, so
-// comparative tables stay complete.
-func SampleComplexities(ms []Mechanism, ws []workload.Workload, alpha float64) [][]float64 {
-	out := make([][]float64, len(ms))
-	for i, m := range ms {
-		out[i] = make([]float64, len(ws))
-		for j, w := range ws {
-			vp, err := m.Profile(w)
-			if err != nil {
-				out[i][j] = math.Inf(1)
-				continue
-			}
-			out[i][j] = vp.SampleComplexity(alpha)
-		}
-	}
-	return out
-}

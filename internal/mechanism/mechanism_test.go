@@ -100,7 +100,7 @@ func TestAdditivePinvCached(t *testing.T) {
 func TestAdditiveRectangularStrategy(t *testing.T) {
 	// A tall strategy (more rows than columns): A = [I; I] halves the
 	// effective noise variance because A⁺ = [I/2, I/2].
-	a := linalg.Stack(linalg.Identity(3), linalg.Identity(3))
+	a := linalg.NewFrom(6, 3, append(linalg.Identity(3).Data(), linalg.Identity(3).Data()...))
 	tall := NewAdditive("tall", a, 1, 4)
 	flat := NewAdditive("flat", linalg.Identity(3), 1, 4)
 	w := workload.NewHistogram(3)
@@ -124,20 +124,20 @@ func TestSampleComplexitiesMatrix(t *testing.T) {
 		NewFactorization("wrong-domain", rrStrategy(5, 1)),
 	}
 	ws := []workload.Workload{workload.NewHistogram(4), workload.NewPrefix(4)}
-	sc := SampleComplexities(ms, ws, 0.01)
-	if len(sc) != 3 || len(sc[0]) != 2 {
-		t.Fatal("result shape wrong")
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if !(sc[i][j] > 0) || math.IsInf(sc[i][j], 1) {
-				t.Fatalf("sc[%d][%d] = %v", i, j, sc[i][j])
+	for i, m := range ms[:2] {
+		for j, w := range ws {
+			vp, err := m.Profile(w)
+			if err != nil {
+				t.Fatalf("ms[%d] on ws[%d]: %v", i, j, err)
+			}
+			if sc := vp.SampleComplexity(0.01); !(sc > 0) || math.IsInf(sc, 1) {
+				t.Fatalf("sc[%d][%d] = %v", i, j, sc)
 			}
 		}
 	}
-	// The mismatched mechanism yields +Inf, not a panic.
-	if !math.IsInf(sc[2][0], 1) {
-		t.Fatalf("expected +Inf for domain mismatch, got %v", sc[2][0])
+	// The mismatched mechanism is an error, not a panic.
+	if _, err := ms[2].Profile(ws[0]); err == nil {
+		t.Fatal("expected an error for a domain mismatch")
 	}
 }
 

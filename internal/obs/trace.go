@@ -90,9 +90,6 @@ func NewHTTPMetrics(reg *Registry, component string, logger *slog.Logger, slow t
 	}
 }
 
-// Logger returns the structured logger the middleware emits through.
-func (m *HTTPMetrics) Logger() *slog.Logger { return m.logger }
-
 // Wrap instruments one route. The returned handler:
 //
 //   - extracts the incoming Ldp-Request-Id (minting one when absent), puts

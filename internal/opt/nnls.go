@@ -179,18 +179,3 @@ func NNLS(op Operator, b []float64, o NNLSOptions) (*NNLSResult, error) {
 	res.Objective = obj(x)
 	return res, nil
 }
-
-// MatrixOperator adapts an explicit matrix to the Operator interface.
-type MatrixOperator struct{ M *linalg.Matrix }
-
-// MatVec returns M·x.
-func (mo MatrixOperator) MatVec(x []float64) []float64 { return mo.M.MulVec(x) }
-
-// TMatVec returns Mᵀ·y.
-func (mo MatrixOperator) TMatVec(y []float64) []float64 { return mo.M.MulVecT(y) }
-
-// Domain returns the number of columns.
-func (mo MatrixOperator) Domain() int { return mo.M.Cols() }
-
-// Queries returns the number of rows.
-func (mo MatrixOperator) Queries() int { return mo.M.Rows() }

@@ -334,8 +334,8 @@ func TestFeasibleZ(t *testing.T) {
 
 func TestPowerIteration(t *testing.T) {
 	// Known spectrum: diag(3, 2, 1) has λ_max(WᵀW) = 9.
-	m := linalg.Diag([]float64{3, 2, 1})
-	got := PowerIteration(MatrixOperator{m}, 100, 1)
+	m := linalg.NewFrom(3, 3, []float64{3, 0, 0, 0, 2, 0, 0, 0, 1})
+	got := PowerIteration(workload.NewExplicit("W", m), 100, 1)
 	if math.Abs(got-9) > 1e-6 {
 		t.Fatalf("power iteration = %v, want 9", got)
 	}
@@ -356,7 +356,7 @@ func TestNNLSUnconstrainedInterior(t *testing.T) {
 	w := linalg.NewFrom(3, 2, []float64{1, 0, 0, 1, 1, 1})
 	xTrue := []float64{2, 3}
 	b := w.MulVec(xTrue)
-	res, err := NNLS(MatrixOperator{w}, b, NNLSOptions{MaxIters: 2000, Tol: 1e-14})
+	res, err := NNLS(workload.NewExplicit("W", w), b, NNLSOptions{MaxIters: 2000, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestNNLSActiveConstraint(t *testing.T) {
 	// min (x0 - (-1))² + (x1 - 2)² s.t. x ≥ 0 → x = (0, 2).
 	w := linalg.Identity(2)
 	b := []float64{-1, 2}
-	res, err := NNLS(MatrixOperator{w}, b, NNLSOptions{})
+	res, err := NNLS(workload.NewExplicit("W", w), b, NNLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestNNLSNonNegativityAlways(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		res, err := NNLS(MatrixOperator{w}, b, NNLSOptions{MaxIters: 300})
+		res, err := NNLS(workload.NewExplicit("W", w), b, NNLSOptions{MaxIters: 300})
 		if err != nil {
 			return false
 		}
@@ -425,7 +425,7 @@ func TestNNLSWithImplicitWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := NNLS(MatrixOperator{workload.Materialize(w)}, b, NNLSOptions{MaxIters: 3000, Tol: 1e-14})
+	res2, err := NNLS(workload.NewExplicit("W", workload.Materialize(w)), b, NNLSOptions{MaxIters: 3000, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestNNLSWithImplicitWorkload(t *testing.T) {
 func TestNNLSX0Seeding(t *testing.T) {
 	w := linalg.Identity(3)
 	b := []float64{1, 2, 3}
-	res, err := NNLS(MatrixOperator{w}, b, NNLSOptions{X0: []float64{1, 2, 3}, MaxIters: 50})
+	res, err := NNLS(workload.NewExplicit("W", w), b, NNLSOptions{X0: []float64{1, 2, 3}, MaxIters: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,17 +450,17 @@ func TestNNLSX0Seeding(t *testing.T) {
 		t.Fatalf("seeded NNLS should converge immediately, obj = %v", res.Objective)
 	}
 	// Negative seeds are clipped.
-	if _, err := NNLS(MatrixOperator{w}, b, NNLSOptions{X0: []float64{-1, 0, 0}}); err != nil {
+	if _, err := NNLS(workload.NewExplicit("W", w), b, NNLSOptions{X0: []float64{-1, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong-length seed errors.
-	if _, err := NNLS(MatrixOperator{w}, b, NNLSOptions{X0: []float64{1}}); err == nil {
+	if _, err := NNLS(workload.NewExplicit("W", w), b, NNLSOptions{X0: []float64{1}}); err == nil {
 		t.Fatal("expected error for bad X0 length")
 	}
 }
 
 func TestNNLSBadRHS(t *testing.T) {
-	if _, err := NNLS(MatrixOperator{linalg.Identity(3)}, []float64{1}, NNLSOptions{}); err == nil {
+	if _, err := NNLS(workload.NewExplicit("W", linalg.Identity(3)), []float64{1}, NNLSOptions{}); err == nil {
 		t.Fatal("expected error for rhs length mismatch")
 	}
 }

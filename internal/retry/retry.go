@@ -73,20 +73,6 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// DefaultPolicy is the production shape: four attempts spaced 100ms → 200ms →
-// 400ms (full ±50% jitter, capped at 2s), each attempt individually bounded
-// at 30s so a black-holed connection fails over instead of hanging.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts:       4,
-		InitialBackoff:    100 * time.Millisecond,
-		MaxBackoff:        2 * time.Second,
-		Multiplier:        2,
-		Jitter:            0.5,
-		PerAttemptTimeout: 30 * time.Second,
-	}
-}
-
 // attempts returns the effective total attempt count.
 func (p Policy) attempts() int {
 	if p.MaxAttempts < 1 {

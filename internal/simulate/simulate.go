@@ -31,11 +31,6 @@ type Protocol struct {
 	rnd  protocol.Randomizer
 	agg  protocol.Aggregator
 	work workload.Workload
-
-	// strat is set for strategy-matrix mechanisms only; it powers the
-	// closed-form variance cross-check (TheoreticalTotalSquared).
-	strat *strategy.Strategy
-	recon *linalg.Matrix // B (n×m), strategy mechanisms only
 }
 
 // New prepares a protocol simulation for any mechanism given as its
@@ -51,8 +46,6 @@ func New(r protocol.Randomizer, a protocol.Aggregator, w workload.Workload) (*Pr
 }
 
 // NewProtocol prepares a protocol simulation for a strategy-matrix mechanism.
-// Unlike New, it retains the strategy so the Theorem 3.4 closed-form variance
-// remains available for cross-checking.
 func NewProtocol(s *strategy.Strategy, w workload.Workload) (*Protocol, error) {
 	if s.Domain() != w.Domain() {
 		return nil, fmt.Errorf("simulate: strategy domain %d != workload domain %d", s.Domain(), w.Domain())
@@ -65,13 +58,7 @@ func NewProtocol(s *strategy.Strategy, w workload.Workload) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := New(r, a, w)
-	if err != nil {
-		return nil, err
-	}
-	p.strat = s
-	p.recon = a.Recon()
-	return p, nil
+	return New(r, a, w)
 }
 
 // Outcome is the result of one protocol execution.
@@ -175,20 +162,6 @@ func (p *Protocol) MonteCarlo(x []float64, trials int, consistent bool, seed int
 		Normalized:       mean / (p64 * numUsers * numUsers),
 		Trials:           trials,
 	}, nil
-}
-
-// TheoreticalTotalSquared returns the Theorem 3.4 prediction of the expected
-// total squared error on data vector x, for cross-checking MonteCarlo. It is
-// only available for strategy-matrix mechanisms (built with NewProtocol).
-func (p *Protocol) TheoreticalTotalSquared(x []float64) (float64, error) {
-	if p.strat == nil {
-		return 0, fmt.Errorf("simulate: closed-form variance requires a strategy-matrix mechanism")
-	}
-	vp, err := p.strat.VariancesWithRecon(p.work.Gram(), p.work.Queries(), p.recon)
-	if err != nil {
-		return 0, err
-	}
-	return vp.OnData(x), nil
 }
 
 func squaredDistance(a, b []float64) float64 {

@@ -65,10 +65,12 @@ func TestMonteCarloMatchesTheory(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{40, 25, 10, 15, 10} // N = 100
-	theory, err := p.TheoreticalTotalSquared(x)
+	// Theorem 3.4: the expected total squared error on x.
+	vp, err := s.Variances(w.Gram(), w.Queries())
 	if err != nil {
 		t.Fatal(err)
 	}
+	theory := vp.OnData(x)
 	stats, err := p.MonteCarlo(x, 600, false, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,6 @@ func (r *Randomizer) Domain() int { return r.sampler.Domain() }
 // Epsilon returns the privacy budget each report satisfies.
 func (r *Randomizer) Epsilon() float64 { return r.s.Eps }
 
-// Outputs returns the size of the response range m.
-func (r *Randomizer) Outputs() int { return r.sampler.Outputs() }
-
 // Strategy returns the validated strategy backing this randomizer.
 func (r *Randomizer) Strategy() *Strategy { return r.s }
 

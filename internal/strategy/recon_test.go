@@ -81,7 +81,7 @@ func TestReconstructionWithWeightsUniformMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.ReconstructionWithWeights(linalg.Ones(4))
+	r2, err := s.ReconstructionWithWeights(linalg.Constant(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,13 @@ func TestWeightedReconstructionOptimality(t *testing.T) {
 		for i := range z.Data() {
 			z.Data()[i] = rng.NormFloat64()
 		}
-		sol, err := linalg.SolvePSD(qtq, linalg.MulAtB(s.Q, z.T()))
-		if err != nil {
+		var ch linalg.Cholesky
+		if err := ch.Factor(qtq); err != nil {
 			t.Fatal(err)
 		}
+		sol := ch.Solve(linalg.MulAtB(s.Q, z.T()))
 		proj := linalg.Mul(s.Q, sol).T()
-		v2 := linalg.Add(v, linalg.Sub(z, proj))
+		v2 := v.Clone().AddScaled(1, z).AddScaled(-1, proj)
 		perturbed := VariancesExplicit(v2, s.Q, s.Eps)
 		if loss := linalg.Dot(weights, perturbed.PerUser); loss < baseLoss-1e-8 {
 			t.Fatalf("perturbed weighted loss %v < optimal %v", loss, baseLoss)

@@ -2,9 +2,8 @@ package strategy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-
-	"repro/internal/linalg"
 )
 
 // Sampler draws randomized responses from a strategy matrix: Sample(u, rng)
@@ -31,7 +30,7 @@ func NewSampler(s *Strategy) (*Sampler, error) {
 	sp := &Sampler{n: n, m: m, tables: make([]aliasTable, n)}
 	for u := 0; u < n; u++ {
 		col := s.Q.Col(u)
-		total := linalg.Sum(col)
+		total := compensatedSum(col)
 		if total <= 0 {
 			return nil, fmt.Errorf("strategy: column %d has no probability mass", u)
 		}
@@ -48,6 +47,24 @@ func NewSampler(s *Strategy) (*Sampler, error) {
 		sp.tables[u] = buildAlias(col)
 	}
 	return sp, nil
+}
+
+// compensatedSum is Σx with Neumaier's running correction. A plain sum of m
+// probabilities is off by up to m ulps; normalizing by it leaves the column
+// off 1 by as much, and the alias table hands that excess to its last
+// outcomes, which then realize a ratio across user types past e^ε.
+func compensatedSum(x []float64) float64 {
+	sum, c := 0.0, 0.0
+	for _, v := range x {
+		t := sum + v
+		if math.Abs(sum) >= math.Abs(v) {
+			c += (sum - t) + v
+		} else {
+			c += (v - t) + sum
+		}
+		sum = t
+	}
+	return sum + c
 }
 
 // buildAlias constructs a Walker alias table from a normalized probability
@@ -102,29 +119,5 @@ func (sp *Sampler) Sample(u int, rng *rand.Rand) int {
 	return t.alias[i]
 }
 
-// Outputs returns the output-range size m.
-func (sp *Sampler) Outputs() int { return sp.m }
-
 // Domain returns the domain size n.
 func (sp *Sampler) Domain() int { return sp.n }
-
-// ResponseVector simulates the full protocol for a data vector x of
-// non-negative integer counts: each of the Σxᵤ users randomizes their type
-// independently, and the counts of each output are accumulated into the
-// response vector y = M_Q(x).
-func (sp *Sampler) ResponseVector(x []float64, rng *rand.Rand) ([]float64, error) {
-	if len(x) != sp.n {
-		return nil, fmt.Errorf("strategy: data vector length %d, want %d", len(x), sp.n)
-	}
-	y := make([]float64, sp.m)
-	for u, cnt := range x {
-		c := int(cnt)
-		if float64(c) != cnt || c < 0 {
-			return nil, fmt.Errorf("strategy: data vector entry %d = %g is not a non-negative integer", u, cnt)
-		}
-		for j := 0; j < c; j++ {
-			y[sp.Sample(u, rng)]++
-		}
-	}
-	return y, nil
-}

@@ -58,10 +58,12 @@ func (s *Strategy) Domain() int { return s.Q.Cols() }
 // constraints of Proposition 2.6.
 var ErrNotLDP = errors.New("strategy: matrix violates LDP constraints")
 
-// Validate checks the conditions of Proposition 2.6 to within tol:
-// non-negativity, column sums equal to one, and the e^ε ratio bound between
-// any two entries in the same row. The ratio bound is checked via the row
-// min/max, which is exactly equivalent to the all-pairs condition.
+// Validate checks the conditions of Proposition 2.6: non-negativity and
+// column sums equal to one to within the absolute tol, and the e^ε ratio
+// bound between any two entries in the same row to within the relative tol.
+// The ratio bound is checked via the row min/max, which is exactly equivalent
+// to the all-pairs condition; a row that mixes a zero with a positive entry
+// has an unbounded ratio and is refused at any ε.
 func (s *Strategy) Validate(tol float64) error {
 	q := s.Q
 	m, n := q.Rows(), q.Cols()
@@ -83,8 +85,10 @@ func (s *Strategy) Validate(tol float64) error {
 				hi = v
 			}
 		}
-		// hi ≤ e^ε·lo, with absolute tolerance to absorb round-off.
-		if hi > ratio*lo+tol {
+		// hi ≤ e^ε·lo, with a relative tolerance to absorb round-off: an
+		// absolute one would pass rows whose entries are all below it, whatever
+		// their ratio.
+		if hi > ratio*lo*(1+tol) || (lo <= 0 && hi > 0) {
 			return fmt.Errorf("%w: row %d ratio %g exceeds e^ε = %g (min %g, max %g)",
 				ErrNotLDP, o, hi/math.Max(lo, 1e-300), ratio, lo, hi)
 		}
@@ -99,31 +103,6 @@ func (s *Strategy) Validate(tol float64) error {
 		}
 	}
 	return nil
-}
-
-// RowSums returns D's diagonal, Q·1 (expected responses per output under the
-// uniform user mix, up to scaling).
-func (s *Strategy) RowSums() []float64 { return s.Q.RowSums() }
-
-// Trim removes all-zero rows of Q (outputs that never occur); such rows make
-// D singular but can be dropped without changing the mechanism (Section 3.1).
-// It returns a new Strategy if any rows were removed, or s unchanged.
-func (s *Strategy) Trim(tol float64) *Strategy {
-	d := s.RowSums()
-	keep := make([]int, 0, len(d))
-	for o, v := range d {
-		if v > tol {
-			keep = append(keep, o)
-		}
-	}
-	if len(keep) == s.Outputs() {
-		return s
-	}
-	q := linalg.New(len(keep), s.Domain())
-	for i, o := range keep {
-		copy(q.Row(i), s.Q.Row(o))
-	}
-	return &Strategy{Q: q, Eps: s.Eps}
 }
 
 // Recon is the workload-independent part of the optimal reconstruction of
@@ -371,10 +350,4 @@ func (vp *VarianceProfile) SampleComplexityOnData(x []float64, alpha float64) fl
 	}
 	avg := vp.OnData(x) / total
 	return avg / (float64(vp.Queries) * alpha)
-}
-
-// NormalizedVariance returns L_norm for N users (Corollary 5.3):
-// maxᵤ var(u) / (p·N).
-func (vp *VarianceProfile) NormalizedVariance(numUsers float64) float64 {
-	return linalg.MaxVec(vp.PerUser) / (float64(vp.Queries) * numUsers)
 }

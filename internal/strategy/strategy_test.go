@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,6 +119,33 @@ func TestValidateRatioIsTight(t *testing.T) {
 	}
 }
 
+// Rows whose entries all sit below DefaultValidateTol passed an absolute
+// ratio test whatever their ratio. A zero beside a positive entry is an
+// unbounded ε (output 0 proves the user is not type 1); (10⁻⁷, 10⁻¹²)
+// realizes ε = 11.5 where 1 is declared.
+func TestValidateRefusesRatiosBelowTheTolerance(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    *Strategy
+	}{
+		{"zero beside a positive", New(linalg.NewFrom(2, 2, []float64{
+			5e-7, 0,
+			1 - 5e-7, 1,
+		}), 0.1)},
+		{"ratio 10⁵ at ε = 1", New(linalg.NewFrom(2, 2, []float64{
+			1e-7, 1e-12,
+			1 - 1e-7, 1 - 1e-12,
+		}), 1)},
+	} {
+		if err := tc.s.Validate(DefaultValidateTol); !errors.Is(err, ErrNotLDP) {
+			t.Errorf("%s: Validate = %v, want ErrNotLDP", tc.name, err)
+		}
+		if _, err := NewRandomizer(tc.s); !errors.Is(err, ErrNotLDP) {
+			t.Errorf("%s: NewRandomizer = %v, want ErrNotLDP", tc.name, err)
+		}
+	}
+}
+
 func TestReconFactorGivesExactFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := randStrategy(rng, 12, 5, 1.0)
@@ -140,12 +168,9 @@ func TestOptimalVForRRIsInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qinv, err := linalg.Inverse(s.Q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !linalg.ApproxEqual(v, qinv, 1e-8) {
-		t.Fatalf("optimal V != Q⁻¹ for RR on Histogram\nV=%v\nQ⁻¹=%v", v, qinv)
+	if !linalg.ApproxEqual(linalg.Mul(v, s.Q), linalg.Identity(n), 1e-8) ||
+		!linalg.ApproxEqual(linalg.Mul(s.Q, v), linalg.Identity(n), 1e-8) {
+		t.Fatalf("optimal V != Q⁻¹ for RR on Histogram\nV=%v\nQ=%v", v, s.Q)
 	}
 }
 
@@ -169,13 +194,13 @@ func TestOptimalVIsVarianceOptimal(t *testing.T) {
 		}
 		// Project each row of Z onto null space of Qᵀ: z ← z − z Q (QᵀQ)⁻¹ Qᵀ.
 		qtq := linalg.Gram(s.Q)
-		sol, err := linalg.SolvePSD(qtq, linalg.MulAtB(s.Q, z.T()))
-		if err != nil {
+		var ch linalg.Cholesky
+		if err := ch.Factor(qtq); err != nil {
 			t.Fatal(err)
 		}
+		sol := ch.Solve(linalg.MulAtB(s.Q, z.T()))
 		proj := linalg.Mul(s.Q, sol).T() // rows: z Q (QᵀQ)⁻¹ Qᵀ
-		zp := linalg.Sub(z, proj)
-		v2 := linalg.Add(v, zp)
+		v2 := v.Clone().AddScaled(1, z).AddScaled(-1, proj)
 		if !linalg.ApproxEqual(linalg.Mul(v2, s.Q), w, 1e-6) {
 			t.Fatal("perturbed V' does not satisfy V'Q = W")
 		}
@@ -324,28 +349,6 @@ func TestOnDataAndDataSampleComplexity(t *testing.T) {
 	}
 }
 
-func TestTrim(t *testing.T) {
-	q := linalg.New(4, 2)
-	// Rows 0 and 2 carry mass; rows 1 and 3 are zero.
-	q.Set(0, 0, 0.6)
-	q.Set(0, 1, 0.5)
-	q.Set(2, 0, 0.4)
-	q.Set(2, 1, 0.5)
-	s := New(q, 1)
-	trimmed := s.Trim(1e-12)
-	if trimmed.Outputs() != 2 {
-		t.Fatalf("trimmed outputs = %d, want 2", trimmed.Outputs())
-	}
-	if trimmed.Q.At(1, 1) != 0.5 {
-		t.Fatal("trim kept wrong rows")
-	}
-	// Trim of a dense strategy is a no-op returning the same object.
-	s2 := rrStrategy(3, 1)
-	if s2.Trim(1e-12) != s2 {
-		t.Fatal("Trim should return receiver when nothing to remove")
-	}
-}
-
 func TestNormalizedVarianceConsistency(t *testing.T) {
 	n := 6
 	s := rrStrategy(n, 1.0)
@@ -353,11 +356,12 @@ func TestNormalizedVarianceConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// L_norm(N) = L_worst(N)/(p·N²) (Corollary 5.3).
-	N := 1234.0
-	want := vp.Worst(N) / (float64(n) * N * N)
-	if got := vp.NormalizedVariance(N); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("normalized variance = %v, want %v", got, want)
+	// L_norm(N) = L_worst(N)/(p·N²) (Corollary 5.3), and the sample
+	// complexity is the N at which it reaches α.
+	const alpha = 0.01
+	N := vp.SampleComplexity(alpha)
+	if got := vp.Worst(N) / (float64(n) * N * N); math.Abs(got-alpha) > 1e-12 {
+		t.Fatalf("normalized variance at the sample complexity = %v, want %v", got, alpha)
 	}
 }
 
@@ -416,30 +420,6 @@ func TestSamplerDistribution(t *testing.T) {
 	}
 }
 
-func TestResponseVector(t *testing.T) {
-	s := rrStrategy(3, 2)
-	sp, err := NewSampler(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	x := []float64{100, 50, 25}
-	y, err := sp.ResponseVector(x, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linalg.Sum(y) != 175 {
-		t.Fatalf("response vector total = %v, want 175 (one response per user)", linalg.Sum(y))
-	}
-	// Non-integer data must be rejected.
-	if _, err := sp.ResponseVector([]float64{1.5, 0, 0}, rng); err == nil {
-		t.Fatal("expected error for fractional counts")
-	}
-	if _, err := sp.ResponseVector([]float64{-1, 0, 0}, rng); err == nil {
-		t.Fatal("expected error for negative counts")
-	}
-}
-
 func TestResponseVectorUnbiasedEstimate(t *testing.T) {
 	// End-to-end unbiasedness: averaging V·y over many runs approaches Wx.
 	n := 3
@@ -458,10 +438,13 @@ func TestResponseVectorUnbiasedEstimate(t *testing.T) {
 	truth := w.MatVec(x)
 	est := make([]float64, n)
 	const trials = 3000
+	y := make([]float64, s.Outputs())
 	for trial := 0; trial < trials; trial++ {
-		y, err := sp.ResponseVector(x, rng)
-		if err != nil {
-			t.Fatal(err)
+		clear(y)
+		for u, cnt := range x {
+			for j := 0; j < int(cnt); j++ {
+				y[sp.Sample(u, rng)]++
+			}
 		}
 		linalg.AxpyVec(1.0/trials, v.MulVec(y), est)
 	}

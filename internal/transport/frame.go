@@ -380,23 +380,6 @@ type Snapshot struct {
 	Info  Info
 }
 
-// EncodeSnapshot writes one version-1 snapshot frame (bare accumulator, no
-// identity). Current producers write EncodeSnapshotFrame; this writer is kept
-// so compatibility with version-1 readers — and the golden files pinning the
-// v1 layout — can be exercised.
-func EncodeSnapshot(w io.Writer, state []float64, count float64) error {
-	if 12+8*len(state) > MaxSnapshotPayload {
-		return fmt.Errorf("transport: %d-entry state exceeds the snapshot frame limit", len(state))
-	}
-	buf := make([]byte, 12+8*len(state))
-	binary.BigEndian.PutUint64(buf, math.Float64bits(count))
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(state)))
-	for i, v := range state {
-		binary.BigEndian.PutUint64(buf[12+8*i:], math.Float64bits(v))
-	}
-	return writeFrame(w, 1, kindSnapshot, buf)
-}
-
 // snapshotFrameError reports why a snapshot cannot be framed (identity
 // strings over the one-byte length fields, a domain outside uint32, or a
 // state over the payload cap) — checked before any byte is written, so a

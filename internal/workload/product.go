@@ -98,6 +98,3 @@ func (p *Product) TMatVec(y []float64) []float64 {
 	}
 	return out
 }
-
-// Parts returns the two factor workloads.
-func (p *Product) Parts() (Workload, Workload) { return p.a, p.b }

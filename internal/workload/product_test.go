@@ -20,7 +20,7 @@ func TestProductShapes(t *testing.T) {
 	if p.Name() != "AllRange⊗Prefix" {
 		t.Fatalf("name = %q", p.Name())
 	}
-	a, b := p.Parts()
+	a, b := p.a, p.b
 	if a.Name() != "AllRange" || b.Name() != "Prefix" {
 		t.Fatal("Parts wrong")
 	}
@@ -109,15 +109,15 @@ func TestProduct2DRangeSemantics(t *testing.T) {
 func TestProductNuclearNorm(t *testing.T) {
 	a, b := NewPrefix(3), NewHistogram(4)
 	p := NewProduct(a, b)
-	na, err := NuclearNorm(a)
+	na, err := linalg.NuclearNormFromGram(a.Gram())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := NuclearNorm(b)
+	nb, err := linalg.NuclearNormFromGram(b.Gram())
 	if err != nil {
 		t.Fatal(err)
 	}
-	np, err := NuclearNorm(p)
+	np, err := linalg.NuclearNormFromGram(p.Gram())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,9 +306,6 @@ func NewKWayMarginals(d, k int) *Marginals {
 
 func (m *Marginals) Name() string { return m.name }
 
-// Dims returns the number of binary attributes d.
-func (m *Marginals) Dims() int { return m.d }
-
 // Domain returns 2^d.
 func (m *Marginals) Domain() int { return 1 << m.d }
 
@@ -463,9 +460,6 @@ func NewParity(d int) *Parity {
 }
 
 func (p *Parity) Name() string { return "Parity" }
-
-// Dims returns d.
-func (p *Parity) Dims() int { return p.d }
 
 // Domain returns 2^d.
 func (p *Parity) Domain() int { return 1 << p.d }
@@ -784,15 +778,4 @@ func log2Exact(n int) (int, error) {
 		return 0, fmt.Errorf("workload: domain size %d is not a power of two", n)
 	}
 	return bits.TrailingZeros(uint(n)), nil
-}
-
-// NuclearNorm returns Σ singular values of W, computed from the Gram matrix.
-// It characterizes workload hardness via the lower bound of Theorem 5.6.
-func NuclearNorm(w Workload) (float64, error) {
-	var err error
-	nn, err := linalg.NuclearNormFromGram(w.Gram())
-	if err != nil {
-		return 0, err
-	}
-	return nn, nil
 }

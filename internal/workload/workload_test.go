@@ -362,7 +362,7 @@ func TestByNameSmallDomain3Way(t *testing.T) {
 
 func TestNuclearNorm(t *testing.T) {
 	// Histogram: all singular values are 1 → nuclear norm = n.
-	nn, err := NuclearNorm(NewHistogram(6))
+	nn, err := linalg.NuclearNormFromGram(NewHistogram(6).Gram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestNuclearNorm(t *testing.T) {
 		t.Fatalf("nuclear norm = %v, want 6", nn)
 	}
 	// Parity over d bits: n singular values of √n → nuclear norm = n^1.5.
-	nn, err = NuclearNorm(NewParity(3))
+	nn, err = linalg.NuclearNormFromGram(NewParity(3).Gram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +383,8 @@ func TestNuclearNorm(t *testing.T) {
 // The hardness ordering implied by Theorem 5.6: Parity has larger nuclear
 // norm than Histogram at the same domain size (paper's "hardest workload").
 func TestHardnessOrdering(t *testing.T) {
-	h, _ := NuclearNorm(NewHistogram(8))
-	p, _ := NuclearNorm(NewParity(3))
+	h, _ := linalg.NuclearNormFromGram(NewHistogram(8).Gram())
+	p, _ := linalg.NuclearNormFromGram(NewParity(3).Gram())
 	if p <= h {
 		t.Fatalf("expected Parity (%v) harder than Histogram (%v)", p, h)
 	}
