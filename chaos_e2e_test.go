@@ -357,14 +357,9 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	if perShard != chaosUsers {
 		t.Fatalf("per-shard counts sum to %v, want %d", perShard, chaosUsers)
 	}
-	ref, err := ldp.NewServer(o, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.IngestBatch(reports); err != nil {
-		t.Fatal(err)
-	}
-	refState, gotState := ref.Snap().State(), snap.State()
+	ref := newSerialRef(o)
+	ref.add(t, reports...)
+	refState, gotState := ref.snap().State(), snap.State()
 	for i := range refState {
 		if gotState[i] != refState[i] {
 			t.Fatalf("state[%d]: fleet %v != reference %v — reports were lost or duplicated", i, gotState[i], refState[i])

@@ -15,8 +15,7 @@
 //     health-gated fleet, pulls one merged snapshot, and answers every
 //     requested workload through an EstimatorPool batch — the workloads
 //     share the data estimate and the snapshot's variance form, so the rows
-//     are the ones -server prints, bit for bit, and repeated runs against a
-//     -cache-dir never re-pay strategy optimization.
+//     are the ones -server prints, bit for bit.
 //
 // Workloads come from -workloads (comma-separated family names) and/or -file
 // (one name per line, '#' comments):
@@ -57,7 +56,6 @@ func main() {
 	checkDigest := flag.Bool("check-digest", true, "send the canonical workload digest so the server proves it resolved the same workload (server mode)")
 	head := flag.Int("head", 0, "print only the first N rows per workload (0 = all)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-	cacheDir := flag.String("cache-dir", "", "estimator-pool strategy cache directory (fan-in mode)")
 	asOf := flag.Uint64("as-of", 0, "answer over the shards' retained history at this epoch instead of live state (fan-in mode); each shard serves its newest retained epoch at or below the bound")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -85,7 +83,7 @@ func main() {
 	if *server != "" {
 		err = queryServer(ctx, os.Stdout, *server, names, *level, *variance, *checkDigest, *head)
 	} else {
-		err = queryFanIn(ctx, os.Stdout, *servers, names, queryMech{*mech, *n, *eps, *stratPath, *oraclePath}, *level, *variance, *head, *cacheDir, *asOf)
+		err = queryFanIn(ctx, os.Stdout, *servers, names, queryMech{*mech, *n, *eps, *stratPath, *oraclePath}, *level, *variance, *head, *asOf)
 	}
 	if err != nil {
 		fatal(err)
@@ -171,7 +169,7 @@ type queryMech struct {
 
 // queryFanIn merges the shards' snapshots client-side and answers every
 // workload through one EstimatorPool batch over the merged snapshot.
-func queryFanIn(ctx context.Context, out io.Writer, servers string, names []string, qm queryMech, level float64, variance bool, head int, cacheDir string, asOf uint64) error {
+func queryFanIn(ctx context.Context, out io.Writer, servers string, names []string, qm queryMech, level float64, variance bool, head int, asOf uint64) error {
 	agg, err := mechflag.Build(qm.mech, qm.n, qm.eps, qm.strategy, qm.oraclePath)
 	if err != nil {
 		return err
@@ -211,11 +209,7 @@ func queryFanIn(ctx context.Context, out io.Writer, servers string, names []stri
 		return err
 	}
 	fmt.Fprintf(out, "# coverage: %s\n", cov)
-	var opts []ldp.PoolOption
-	if cacheDir != "" {
-		opts = append(opts, ldp.WithPoolCacheDir(cacheDir))
-	}
-	pool := ldp.NewEstimatorPool(opts...)
+	pool := ldp.NewEstimatorPool()
 	var batchOpts []ldp.BatchOption
 	withVar := variance || level > 0
 	if withVar {

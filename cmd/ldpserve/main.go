@@ -50,7 +50,7 @@ func main() {
 	stratPath := flag.String("strategy", "", "serve a strategy wire file (SaveStrategy)")
 	oraclePath := flag.String("oracle", "", "serve an oracle wire file (SaveOracle)")
 	wname := flag.String("workload", "Histogram", "workload family for server-side consistency tooling")
-	shards := flag.Int("shards", 0, "collector shards (0 = 2×GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "collector shards (0 = 2×GOMAXPROCS; at most 4096)")
 	dataDir := flag.String("data-dir", "", "durable ingest directory (write-ahead log + checkpoints); empty serves in-memory only")
 	ckptEvery := flag.Int("checkpoint-every", ldp.DefaultCheckpointEvery, "reports between automatic checkpoints (with -data-dir; 0 disables)")
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit before acknowledging (with -data-dir): survives power loss, not just process crashes")

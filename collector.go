@@ -19,11 +19,10 @@ import (
 // accumulator contract makes the merge a plain element-wise sum). Throughput
 // therefore scales with cores; see BenchmarkCollectorIngest.
 //
-// Two ingestion paths are offered: Ingest/IngestBatch pick a shard at random
-// through math/rand/v2's per-goroutine generator (no shared state touched, so
-// unrelated goroutines never bounce a cache line choosing shards), and Handle
-// pins an ingesting goroutine to one shard so even the shard lock stays
-// core-local.
+// Ingest, IngestBatch and IngestBatchKeyed pick a shard at random through
+// math/rand/v2's per-goroutine generator (no shared state touched, so
+// unrelated goroutines never bounce a cache line choosing shards). All three,
+// and the write-ahead log's replay, share one check loop and one absorb loop.
 //
 // Reads merge: every snapshot locks the shards, sums them into the slice it
 // returns, and numbers the state it saw. Because every successful ingest
@@ -34,7 +33,6 @@ type Collector struct {
 	info   MechanismInfo
 	shards []collectorShard
 	mask   uint64
-	pinned atomic.Uint64 // round-robin cursor for Handle assignment
 
 	// dur is the optional write-ahead-log state (WithDurability); nil for a
 	// purely in-memory collector. When set, every ingest appends its batch to
@@ -75,9 +73,15 @@ type collectorShard struct {
 	_     [88]byte // sizeof(mutex+count+slice) = 40; pad to 128
 }
 
+// maxShards bounds NewCollector's shard count. Each shard is a full copy of
+// the accumulator, and 2×GOMAXPROCS shards already keep ingesting goroutines
+// apart on any machine Go runs on.
+const maxShards = 1 << 12
+
 // NewCollector prepares a concurrent collector for the given mechanism
 // aggregator and workload. shards is rounded up to a power of two; shards ≤ 0
-// picks 2×GOMAXPROCS, enough that ingesting goroutines rarely collide.
+// picks 2×GOMAXPROCS (at most 4096), enough that ingesting goroutines rarely
+// collide, and shards > 4096 is an error.
 // Options extend the collector — WithDurability adds a write-ahead log and
 // checkpointed crash recovery (prior state in the directory is restored
 // before the collector is returned).
@@ -86,8 +90,11 @@ func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOptio
 	if err != nil {
 		return nil, err
 	}
+	if shards > maxShards {
+		return nil, fmt.Errorf("ldp: %d collector shards, the limit is %d", shards, maxShards)
+	}
 	if shards <= 0 {
-		shards = 2 * runtime.GOMAXPROCS(0)
+		shards = min(2*runtime.GOMAXPROCS(0), maxShards)
 	}
 	n := 1
 	for n < shards {
@@ -113,10 +120,17 @@ func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOptio
 func (c *Collector) Shards() int { return len(c.shards) }
 
 // Ingest records one client report; safe for concurrent use from any
-// goroutine. Long-lived ingestion goroutines should prefer a Handle, which
-// keeps even the shard lock core-local.
+// goroutine. It is a one-report IngestBatch that counts no batch.
 func (c *Collector) Ingest(r Report) error {
-	return c.ingestInto(&c.shards[randv2.Uint64()&c.mask], r)
+	// Declared, then assigned: the composite literal [1]Report{r} copies r
+	// through a second stack temporary, which BenchmarkCollectorIngest sees.
+	var one [1]Report
+	one[0] = r
+	if err := c.ingestInto(c.pick(), one[:], ""); err != nil {
+		return fmt.Errorf("ldp: %w", err)
+	}
+	c.stats.ingestReports.Add(1)
+	return nil
 }
 
 // IngestBatch records a batch of reports atomically under one shard lock: the
@@ -124,7 +138,7 @@ func (c *Collector) Ingest(r Report) error {
 // leaves the collector exactly as it was (and the snapshot never exposes a
 // half-applied batch).
 func (c *Collector) IngestBatch(reports []Report) error {
-	return c.ingestBatchInto(&c.shards[randv2.Uint64()&c.mask], reports, "")
+	return c.IngestBatchKeyed(reports, "")
 }
 
 // IngestBatchKeyed is IngestBatch with the transport's idempotency key
@@ -133,100 +147,79 @@ func (c *Collector) IngestBatch(reports []Report) error {
 // and absorbed exactly once. Transport bindings call it; other callers can
 // pass "" or use IngestBatch.
 func (c *Collector) IngestBatchKeyed(reports []Report, key string) error {
-	return c.ingestBatchInto(&c.shards[randv2.Uint64()&c.mask], reports, key)
-}
-
-func (c *Collector) ingestInto(sh *collectorShard, r Report) error {
-	if c.dur != nil {
-		if err := c.agg.Check(r); err != nil {
-			return fmt.Errorf("ldp: %w", err)
-		}
-		if err := c.durableAbsorb(sh, []Report{r}, ""); err != nil {
-			return err
-		}
-		c.stats.ingestReports.Add(1)
-		return nil
-	}
-	sh.mu.Lock()
-	err := c.agg.Absorb(sh.acc, r)
-	if err == nil {
-		sh.count.Add(1)
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if err := c.ingestInto(c.pick(), reports, key); err != nil {
 		return fmt.Errorf("ldp: %w", err)
-	}
-	c.stats.ingestReports.Add(1)
-	return nil
-}
-
-func (c *Collector) ingestBatchInto(sh *collectorShard, reports []Report, key string) error {
-	for i, r := range reports {
-		if err := c.agg.Check(r); err != nil {
-			return fmt.Errorf("ldp: batch element %d: %w", i, err)
-		}
-	}
-	if c.dur != nil {
-		if err := c.durableAbsorb(sh, reports, key); err != nil {
-			return err
-		}
-	} else {
-		sh.mu.Lock()
-		c.absorbValidatedLocked(sh, reports)
-		sh.mu.Unlock()
 	}
 	c.stats.ingestBatches.Add(1)
 	c.stats.ingestReports.Add(int64(len(reports)))
 	return nil
 }
 
-// absorbValidatedLocked folds an already-Checked batch into the shard and
-// publishes it with one counter add. Caller holds sh.mu.
-func (c *Collector) absorbValidatedLocked(sh *collectorShard, reports []Report) {
-	for i, r := range reports {
-		// Check passed, so Absorb cannot fail (the Aggregator contract). If
-		// an aggregator ever violates it, the batch is already partially
-		// absorbed and cannot be rolled back — publish the applied prefix
-		// (keeping the snapshot epoch's "count moved iff state moved"
-		// invariant intact) and panic: silently committing a half-applied
-		// batch would break the all-or-nothing promise every transport
-		// client retries against, turning one buggy aggregator into
-		// permanent double counts.
-		if err := c.agg.Absorb(sh.acc, r); err != nil {
-			sh.count.Add(int64(i))
-			panic(fmt.Sprintf("ldp: aggregator %T violated the Check/Absorb contract on batch element %d: %v", c.agg, i, err))
+// pick returns a shard chosen at random.
+func (c *Collector) pick() *collectorShard { return &c.shards[randv2.Uint64()&c.mask] }
+
+// ingestInto is live ingest's one path: it checks every report, logs the
+// batch under key when the collector is durable, and folds it into sh. A
+// lone report bound for memory skips the separate check: Absorb validates it
+// too, and refusing it leaves the shard as it was. Errors carry no "ldp:"
+// prefix; the caller supplies the context.
+func (c *Collector) ingestInto(sh *collectorShard, reports []Report, key string) error {
+	lone := len(reports) == 1 && c.dur == nil
+	if !lone {
+		if err := c.check(reports); err != nil {
+			return err
 		}
 	}
-	// One atomic add for the whole batch: the counter is the publication
-	// point, so readers see the batch all at once.
+	if c.dur != nil {
+		return c.durableAbsorb(sh, reports, key)
+	}
+	sh.mu.Lock()
+	i, err := c.absorbLocked(sh, reports)
+	sh.mu.Unlock()
+	if err != nil && !lone {
+		c.contractBroken(i, err)
+	}
+	return err
+}
+
+// check validates every report of a batch before any state changes, naming
+// the first one refused. It is the collector's one call of Aggregator.Check.
+func (c *Collector) check(reports []Report) error {
+	for i, r := range reports {
+		if err := c.agg.Check(r); err != nil {
+			if len(reports) == 1 {
+				return err
+			}
+			return fmt.Errorf("batch element %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// absorbLocked folds reports into sh and publishes them with one counter
+// add, so readers see a batch all at once. It is the collector's one call of
+// Aggregator.Absorb. If Absorb refuses report i, the i reports before it
+// stay absorbed and counted (the snapshot epoch's "count moved iff state
+// moved" holds) and absorbLocked returns i and the refusal. Caller holds
+// sh.mu, or is the only goroutine that can reach sh.
+func (c *Collector) absorbLocked(sh *collectorShard, reports []Report) (int, error) {
+	for i, r := range reports {
+		if err := c.agg.Absorb(sh.acc, r); err != nil {
+			sh.count.Add(int64(i))
+			return i, err
+		}
+	}
 	sh.count.Add(int64(len(reports)))
+	return len(reports), nil
 }
 
-// Handle is an ingestion endpoint pinned to one shard: its hot path takes an
-// uncontended lock and touches no cache line shared with other shards'
-// handles. Create one per long-lived ingestion goroutine. A Handle is itself
-// safe for concurrent use — concurrent users merely contend on its shard.
-type Handle struct {
-	c  *Collector
-	sh *collectorShard
-}
-
-// Handle returns an ingestion endpoint pinned to the next shard round-robin.
-// With at least as many shards as ingestion goroutines (the default), every
-// goroutine gets a shard of its own.
-func (c *Collector) Handle() *Handle {
-	return &Handle{c: c, sh: &c.shards[c.pinned.Add(1)&c.mask]}
-}
-
-// Ingest records one client report on the handle's shard.
-func (h *Handle) Ingest(r Report) error {
-	return h.c.ingestInto(h.sh, r)
-}
-
-// IngestBatch records a batch atomically on the handle's shard, with the same
-// all-or-nothing validation as Collector.IngestBatch.
-func (h *Handle) IngestBatch(reports []Report) error {
-	return h.c.ingestBatchInto(h.sh, reports, "")
+// contractBroken panics: Absorb refused batch element i after Check passed
+// it, which the Aggregator contract rules out. The elements before i are
+// absorbed and cannot be rolled back, and silently committing a half-applied
+// batch would break the all-or-nothing promise every transport client
+// retries against, turning one buggy aggregator into permanent double counts.
+func (c *Collector) contractBroken(i int, err error) {
+	panic(fmt.Sprintf("ldp: aggregator %T violated the Check/Absorb contract on batch element %d: %v", c.agg, i, err))
 }
 
 // totalCount sums the per-shard counters lock-free. An ingest publishes

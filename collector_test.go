@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,6 +45,36 @@ func estimatorFor(t testing.TB, agg ldp.Aggregator, w ldp.Workload) *ldp.Estimat
 	return est
 }
 
+// serialRef is the tests' reference collector: one accumulator every report
+// is Absorbed into directly, so it shares no code with the Collector it
+// checks.
+type serialRef struct {
+	agg   ldp.Aggregator
+	acc   []float64
+	count float64
+}
+
+func newSerialRef(agg ldp.Aggregator) *serialRef {
+	return &serialRef{agg: agg, acc: make([]float64, agg.StateLen())}
+}
+
+// add absorbs reports in order, failing the test on one the mechanism
+// refuses.
+func (r *serialRef) add(t testing.TB, reports ...ldp.Report) {
+	t.Helper()
+	for _, rep := range reports {
+		if err := r.agg.Absorb(r.acc, rep); err != nil {
+			t.Fatal(err)
+		}
+		r.count++
+	}
+}
+
+// snap returns the reference state as a Snapshot (epoch 1).
+func (r *serialRef) snap() ldp.Snapshot {
+	return ldp.NewSnapshot(r.acc, r.count, 1, ldp.MechanismInfoOf(r.agg))
+}
+
 // mustRead unwraps an Estimator read, failing the test on error:
 // mustRead(t)(est.Answers(snap)).
 func mustRead(t testing.TB) func([]float64, error) []float64 {
@@ -76,7 +107,6 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			h := col.Handle() // half pinned, half round-robin
 			for i := 0; i < perG; i++ {
 				rep, err := client.Randomize(rng.Intn(n), rng)
 				if err != nil {
@@ -84,9 +114,9 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 					return
 				}
 				if i%2 == 0 {
-					err = h.Ingest(rep)
-				} else {
 					err = col.Ingest(rep)
+				} else {
+					err = col.IngestBatch([]ldp.Report{rep})
 				}
 				if err != nil {
 					t.Error(err)
@@ -119,8 +149,8 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerial feeds the identical report stream to a
-// single-goroutine Server and to a sharded Collector under heavy concurrency;
+// TestShardedMatchesSerial feeds the identical report stream to the serial
+// reference and to a sharded Collector under heavy concurrency;
 // the merged shard state must equal the serial state exactly (accumulator
 // entries are integer counts, so float addition commutes without error).
 func TestShardedMatchesSerial(t *testing.T) {
@@ -138,15 +168,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 		reports[i] = rep
 	}
 
-	server, err := ldp.NewServer(agg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		if err := server.Ingest(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ref := newSerialRef(agg)
+	ref.add(t, reports...)
 
 	col, err := ldp.NewCollector(agg, w, 8)
 	if err != nil {
@@ -158,9 +181,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := col.Handle()
 			for i := g; i < total; i += goroutines {
-				if err := h.Ingest(reports[i]); err != nil {
+				if err := col.Ingest(reports[i]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -169,17 +191,17 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 	wg.Wait()
 
-	if col.Count() != server.Count() {
-		t.Fatalf("count: sharded %v, serial %v", col.Count(), server.Count())
+	if col.Count() != ref.count {
+		t.Fatalf("count: sharded %v, serial %v", col.Count(), ref.count)
 	}
-	ss, cs := server.Snap().State(), col.Snap().State()
+	ss, cs := ref.snap().State(), col.Snap().State()
 	for i := range ss {
 		if ss[i] != cs[i] {
 			t.Fatalf("state[%d]: sharded %v, serial %v", i, cs[i], ss[i])
 		}
 	}
 	est := estimatorFor(t, agg, w)
-	sd, cd := mustRead(t)(est.DataEstimate(server.Snap())), mustRead(t)(est.DataEstimate(col.Snap()))
+	sd, cd := mustRead(t)(est.DataEstimate(ref.snap())), mustRead(t)(est.DataEstimate(col.Snap()))
 	for i := range sd {
 		if math.Abs(sd[i]-cd[i]) > 1e-9 {
 			t.Fatalf("estimate[%d]: sharded %v, serial %v", i, cd[i], sd[i])
@@ -187,24 +209,18 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCollectorBatchAtomicity is the regression test for the partially
-// applied batch bug: a batch with an out-of-range element must leave the
-// collector (and server) state completely untouched.
 // The snapshot read path and its epoch rules: repeated reads of a quiescent
 // collector return identical state under one epoch, every ingest is visible
 // to the next read and advances the epoch by exactly one (the epoch moves iff
-// the observed count moved), and the merged read matches a single-goroutine
-// Server fed the same reports exactly.
+// the observed count moved), and the merged read matches the serial reference
+// fed the same reports exactly.
 func TestCollectorSnapshotCache(t *testing.T) {
 	rz, agg, w := buildStrategyPipeline(t, 8, 1.0, 17)
 	col, err := ldp.NewCollector(agg, w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ldp.NewServer(agg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSerialRef(agg)
 	rng := rand.New(rand.NewSource(18))
 	ingestOne := func() {
 		rep, err := rz.Randomize(rng.Intn(8), rng)
@@ -214,9 +230,7 @@ func TestCollectorSnapshotCache(t *testing.T) {
 		if err := col.Ingest(rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Ingest(rep); err != nil {
-			t.Fatal(err)
-		}
+		ref.add(t, rep)
 	}
 	est := estimatorFor(t, agg, w)
 	equal := func(a, b []float64) bool {
@@ -244,10 +258,10 @@ func TestCollectorSnapshotCache(t *testing.T) {
 				t.Fatalf("step %d: re-read of a quiescent collector diverged", i)
 			}
 		}
-		if !equal(first, ref.Snap().State()) {
+		if !equal(first, ref.snap().State()) {
 			t.Fatalf("step %d: merged snapshot != single-goroutine reference", i)
 		}
-		if !equal(mustRead(t)(est.DataEstimate(col.Snap())), mustRead(t)(est.DataEstimate(ref.Snap()))) {
+		if !equal(mustRead(t)(est.DataEstimate(col.Snap())), mustRead(t)(est.DataEstimate(ref.snap()))) {
 			t.Fatalf("step %d: estimates diverged", i)
 		}
 	}
@@ -257,7 +271,7 @@ func TestCollectorSnapshotCache(t *testing.T) {
 	for i := range st {
 		st[i] = -1
 	}
-	if again := col.Snap().State(); !equal(again, ref.Snap().State()) {
+	if again := col.Snap().State(); !equal(again, ref.snap().State()) {
 		t.Fatal("mutating a returned snapshot corrupted later reads")
 	}
 }
@@ -354,9 +368,8 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(batch []ldp.Report) {
 			defer wg.Done()
-			h := col.Handle()
 			for _, rep := range batch {
-				if err := h.Ingest(rep); err != nil {
+				if err := col.Ingest(rep); err != nil {
 					t.Error(err)
 					return
 				}
@@ -369,21 +382,16 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := ldp.NewServer(agg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSerialRef(agg)
 	for _, batch := range reports {
-		if err := ref.IngestBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+		ref.add(t, batch...)
 	}
 	final := col.Snap()
 	st, count := final.State(), final.Count()
 	if count != writers*perWriter {
 		t.Fatalf("count %v, want %d", count, writers*perWriter)
 	}
-	refSt := ref.Snap().State()
+	refSt := ref.snap().State()
 	for i := range refSt {
 		if st[i] != refSt[i] {
 			t.Fatalf("state[%d]: concurrent %v != serial %v", i, st[i], refSt[i])
@@ -391,6 +399,10 @@ func TestCollectorSnapshotCacheConcurrent(t *testing.T) {
 	}
 }
 
+// TestCollectorBatchAtomicity is the regression test for the partially
+// applied batch bug: a batch with an out-of-range element must leave the
+// collector state completely untouched, whatever its shard count and
+// whichever ingest call carries it.
 func TestCollectorBatchAtomicity(t *testing.T) {
 	n := 4
 	_, agg, w := buildStrategyPipeline(t, n, 2.0, 22)
@@ -418,26 +430,33 @@ func TestCollectorBatchAtomicity(t *testing.T) {
 			t.Fatalf("failed batch mutated state[%d]: %v -> %v", i, before[i], after[i])
 		}
 	}
-	// Same contract on the single-goroutine Server.
-	server, err := ldp.NewServer(agg, w)
+	// Same contract on a one-shard collector.
+	one, err := ldp.NewCollector(agg, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.IngestBatch([]ldp.Report{{Index: 1}, {Index: 99999}}); err == nil {
+	if err := one.IngestBatch([]ldp.Report{{Index: 1}, {Index: 99999}}); err == nil {
 		t.Fatal("expected error")
 	}
-	if server.Count() != 0 {
-		t.Fatalf("failed batch mutated server count: %v", server.Count())
+	if one.Count() != 0 {
+		t.Fatalf("failed batch mutated a one-shard collector's count: %v", one.Count())
 	}
-	// Handle batches share the validation path.
-	h := col.Handle()
-	if err := h.IngestBatch([]ldp.Report{{Index: 2}, {Index: -1}}); err == nil {
+	for i, v := range one.Snap().State() {
+		if v != 0 {
+			t.Fatalf("failed batch mutated a one-shard collector's state[%d] = %v", i, v)
+		}
+	}
+	// Keyed batches and single reports are refused without a trace too.
+	if err := col.IngestBatchKeyed([]ldp.Report{{Index: 2}, {Index: -1}}, "k"); err == nil {
+		t.Fatal("expected error")
+	}
+	if err := col.Ingest(ldp.Report{Index: -1}); err == nil {
 		t.Fatal("expected error")
 	}
 	if col.Count() != 4 {
-		t.Fatalf("failed handle batch mutated count: %v", col.Count())
+		t.Fatalf("failed keyed batch or report mutated count: %v", col.Count())
 	}
-	if err := h.IngestBatch([]ldp.Report{{Index: 2}, {Index: 3}}); err != nil {
+	if err := col.IngestBatchKeyed([]ldp.Report{{Index: 2}, {Index: 3}}, "k"); err != nil {
 		t.Fatal(err)
 	}
 	if col.Count() != 6 {
@@ -445,9 +464,72 @@ func TestCollectorBatchAtomicity(t *testing.T) {
 	}
 }
 
+// Live ingest against an aggregator whose Absorb refuses a report its Check
+// passed: a lone report is refused cleanly (Absorb refusing it leaves the
+// shard as it was), while a batch panics with the absorbed prefix published,
+// because the prefix cannot be rolled back and committing half a batch would
+// break the all-or-nothing promise.
+func TestCollectorAbsorbRefusingACheckedReport(t *testing.T) {
+	const n = 8
+	oue, err := ldp.NewOUE(n, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := ldp.NewCollector(brokenOUE{oue}, ldp.Histogram(n), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, bad := ldp.Report{Bits: ldp.NewBitVec(n)}, ldp.Report{Bits: ldp.NewBitVec(n)}
+	good.Bits.Set(1)
+	bad.Bits.Set(3)
+	if err := col.Ingest(bad); err == nil || err.Error() != "ldp: bit 3 is refused" {
+		t.Fatalf("lone report: err = %v, want \"ldp: bit 3 is refused\"", err)
+	}
+	if col.Count() != 0 {
+		t.Fatalf("refused lone report moved the count to %v", col.Count())
+	}
+	func() {
+		defer func() {
+			p := recover()
+			if p == nil || !strings.Contains(fmt.Sprint(p), "violated the Check/Absorb contract on batch element 1") {
+				t.Fatalf("batch: recovered %v, want the contract panic", p)
+			}
+		}()
+		col.IngestBatch([]ldp.Report{good, bad})
+	}()
+	if col.Count() != 1 {
+		t.Fatalf("count after the panic = %v, want the absorbed prefix 1", col.Count())
+	}
+}
+
+// A shard count above the documented bound is an error, returned before any
+// shard is allocated: each shard is a whole accumulator, and rounding a huge
+// count up to a power of two used to exhaust memory or overflow and spin.
+func TestNewCollectorRefusesTooManyShards(t *testing.T) {
+	oue, err := ldp.NewOUE(8, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ldp.Histogram(8)
+	col, err := ldp.NewCollector(oue, w, 4096)
+	if err != nil {
+		t.Fatalf("4096 shards (the bound): %v", err)
+	}
+	if col.Shards() != 4096 {
+		t.Fatalf("4096 shards built %d", col.Shards())
+	}
+	// The first value past the bound comes first, so a regression fails
+	// here before a huge count can take the test binary down.
+	for _, shards := range []int{4097, 1 << 40, 1<<62 + 1, math.MaxInt} {
+		if _, err := ldp.NewCollector(oue, w, shards); err == nil {
+			t.Fatalf("NewCollector accepted %d shards", shards)
+		}
+	}
+}
+
 // TestOraclesThroughPipeline is the acceptance test for the unified protocol:
 // OUE, OLH and RAPPOR each run through the same streaming
-// Client/Server/Collector pipeline as optimized strategies — concurrent
+// Client/Collector pipeline as optimized strategies — concurrent
 // sharded ingestion included — and recover the histogram.
 func TestOraclesThroughPipeline(t *testing.T) {
 	n := 16
@@ -486,7 +568,6 @@ func TestOraclesThroughPipeline(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(g)))
-					h := col.Handle()
 					for u := 0; u < n; u++ {
 						for j := g; j < int(x[u]); j += goroutines {
 							rep, err := client.Randomize(u, rng)
@@ -494,7 +575,7 @@ func TestOraclesThroughPipeline(t *testing.T) {
 								t.Error(err)
 								return
 							}
-							if err := h.Ingest(rep); err != nil {
+							if err := col.Ingest(rep); err != nil {
 								t.Error(err)
 								return
 							}

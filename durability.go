@@ -143,17 +143,16 @@ func (c *Collector) openDurable(cfg collectorConfig) error {
 		return nil
 	}
 	replay := func(rec durable.Record) error {
-		for i, r := range rec.Reports {
-			if err := c.agg.Check(r); err != nil {
-				return fmt.Errorf("report %d: %w", i, err)
-			}
+		// Live ingest's check and absorb loops, without the log: the record
+		// is already in it. A report Check passes and Absorb refuses fails
+		// recovery instead of panicking, and NewCollector drops the
+		// half-restored collector.
+		if err := c.check(rec.Reports); err != nil {
+			return err
 		}
-		for _, r := range rec.Reports {
-			if err := c.agg.Absorb(sh.acc, r); err != nil {
-				return fmt.Errorf("validated report failed to absorb: %w", err)
-			}
+		if i, err := c.absorbLocked(sh, rec.Reports); err != nil {
+			return fmt.Errorf("aggregator %T violated the Check/Absorb contract on report %d: %w", c.agg, i, err)
 		}
-		sh.count.Add(int64(len(rec.Reports)))
 		d.recoveredReports += int64(len(rec.Reports))
 		return nil
 	}
@@ -217,12 +216,15 @@ func (c *Collector) durableAbsorb(sh *collectorShard, reports []Report, key stri
 		// closed store). That is the server's weather, not the client's
 		// fault: a transport front answers a retryable 503 and keeps the
 		// idempotency key unclaimed instead of caching a 400.
-		return statusErrorf(http.StatusServiceUnavailable, "ldp: write-ahead log: %v", err)
+		return statusErrorf(http.StatusServiceUnavailable, "write-ahead log: %v", err)
 	}
 	sh.mu.Lock()
-	c.absorbValidatedLocked(sh, reports)
+	i, err := c.absorbLocked(sh, reports)
 	sh.mu.Unlock()
 	d.gate.RUnlock()
+	if err != nil {
+		c.contractBroken(i, err)
+	}
 	if n := d.sinceCkpt.Add(int64(len(reports))); d.ckptEvery > 0 && n >= d.ckptEvery {
 		c.checkpointIfDue()
 	}

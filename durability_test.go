@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,20 +72,15 @@ func randomBatches(t *testing.T, rz ldp.Randomizer, n int, sizes []int, seed int
 	return out
 }
 
-// referenceSnap absorbs batches into a fresh single-goroutine server and
-// returns its snapshot — the ground truth a recovery must reproduce.
-func referenceSnap(t *testing.T, agg ldp.Aggregator, w ldp.Workload, batches [][]ldp.Report) ldp.Snapshot {
+// referenceSnap absorbs batches into a fresh serial reference and returns its
+// snapshot — the ground truth a recovery must reproduce.
+func referenceSnap(t *testing.T, agg ldp.Aggregator, batches [][]ldp.Report) ldp.Snapshot {
 	t.Helper()
-	ref, err := ldp.NewServer(agg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSerialRef(agg)
 	for _, b := range batches {
-		if err := ref.IngestBatch(b); err != nil {
-			t.Fatal(err)
-		}
+		ref.add(t, b...)
 	}
-	return ref.Snap()
+	return ref.snap()
 }
 
 // The headline durability guarantee, per mechanism family: kill the collector
@@ -134,8 +130,8 @@ func TestCrashRecoveryBitIdenticalAtEveryTruncation(t *testing.T) {
 				t.Fatalf("final record added no bytes (%d → %d)", finalStart, len(data))
 			}
 
-			wantPrefix := referenceSnap(t, m.agg, w, batches[:len(batches)-1])
-			wantAll := referenceSnap(t, m.agg, w, batches)
+			wantPrefix := referenceSnap(t, m.agg, batches[:len(batches)-1])
+			wantAll := referenceSnap(t, m.agg, batches)
 
 			base := filepath.Base(segs[0])
 			for off := finalStart; off <= int64(len(data)); off++ {
@@ -196,8 +192,8 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPrefix := referenceSnap(t, m.agg, w, batches[:2])
-	wantAll := referenceSnap(t, m.agg, w, batches)
+	wantPrefix := referenceSnap(t, m.agg, batches[:2])
+	wantAll := referenceSnap(t, m.agg, batches)
 
 	for off := int64(0); off <= int64(len(data)); off++ {
 		crashDir := t.TempDir()
@@ -495,6 +491,107 @@ func TestDurableRecoveryRejectsMechanismMismatch(t *testing.T) {
 	}
 }
 
+// strictOUE is OUE whose Check also refuses any report with bit 3 set: a
+// mechanism under which a log written by plain OUE holds a record that fails
+// Check, with the same name, domain and ε, so the WAL fingerprint matches.
+type strictOUE struct{ ldp.FrequencyOracle }
+
+func (s strictOUE) Check(r ldp.Report) error {
+	if r.Bits.Present() && r.Bits.Len() > 3 && r.Bits.Get(3) {
+		return errors.New("bit 3 is refused")
+	}
+	return s.FrequencyOracle.Check(r)
+}
+
+// Recovery checks every replayed report as ingest does: a WAL record holding
+// a report the mechanism's Check refuses fails NewCollector, naming the cause,
+// instead of being absorbed.
+func TestDurableRecoveryRefusesRecordFailingCheck(t *testing.T) {
+	const n = 8
+	w := ldp.Histogram(n)
+	oue, err := ldp.NewOUE(n, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	col, err := ldp.NewCollector(oue, w, 0, ldp.WithDurability(dir, ldp.CheckpointEvery(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, bad := ldp.Report{Bits: ldp.NewBitVec(n)}, ldp.Report{Bits: ldp.NewBitVec(n)}
+	good.Bits.Set(1)
+	bad.Bits.Set(3)
+	if err := col.IngestBatch([]ldp.Report{good}); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.IngestBatch([]ldp.Report{good, bad}); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ldp.NewCollector(strictOUE{oue}, w, 0, ldp.WithDurability(dir)); err == nil || !strings.Contains(err.Error(), "bit 3 is refused") {
+		t.Fatalf("recovery of a record failing Check: err = %v, want the Check error", err)
+	}
+	rec, err := ldp.NewCollector(oue, w, 0, ldp.WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Count() != 3 {
+		t.Fatalf("recovered %v reports under the mechanism that wrote them, want 3", rec.Count())
+	}
+}
+
+// brokenOUE breaks the Aggregator contract: its Check passes a report with
+// bit 3 set that its Absorb refuses.
+type brokenOUE struct{ ldp.FrequencyOracle }
+
+func (b brokenOUE) Absorb(acc []float64, r ldp.Report) error {
+	if r.Bits.Present() && r.Bits.Len() > 3 && r.Bits.Get(3) {
+		return errors.New("bit 3 is refused")
+	}
+	return b.FrequencyOracle.Absorb(acc, r)
+}
+
+// A WAL record holding a report the aggregator's Check passes and its Absorb
+// refuses fails recovery with an error naming the broken contract: it does
+// not panic inside NewCollector, whether the report is alone in its record
+// or follows one that was already absorbed.
+func TestDurableRecoveryRefusesRecordFailingAbsorb(t *testing.T) {
+	const n = 8
+	w := ldp.Histogram(n)
+	oue, err := ldp.NewOUE(n, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, bad := ldp.Report{Bits: ldp.NewBitVec(n)}, ldp.Report{Bits: ldp.NewBitVec(n)}
+	good.Bits.Set(1)
+	bad.Bits.Set(3)
+	for _, tc := range []struct {
+		record []ldp.Report
+		want   string
+	}{
+		{[]ldp.Report{bad}, "contract on report 0: bit 3 is refused"},
+		{[]ldp.Report{good, bad}, "contract on report 1: bit 3 is refused"},
+	} {
+		dir := t.TempDir()
+		col, err := ldp.NewCollector(oue, w, 0, ldp.WithDurability(dir, ldp.CheckpointEvery(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.IngestBatch(tc.record); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ldp.NewCollector(brokenOUE{oue}, w, 0, ldp.WithDurability(dir)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("recovery of a %d-report record failing Absorb: err = %v, want %q", len(tc.record), err, tc.want)
+		}
+	}
+}
+
 // Steady-state durable ingest with the buffered WAL (the production default)
 // must not allocate: the record is encoded into a recycled buffer and the
 // group commit swaps, not grows, its pending slice.
@@ -576,14 +673,13 @@ func TestDurableCollectorConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := col.Handle()
 			for i, b := range all[g] {
 				if err := col.IngestBatchKeyed(b, fmt.Sprintf("w%d-%d", g, i)); err != nil {
 					errs <- err
 					return
 				}
 				if i%3 == 0 {
-					if err := h.Ingest(b[0]); err != nil { // pinned-handle path too
+					if err := col.Ingest(b[0]); err != nil { // the single-report path too
 						errs <- err
 						return
 					}

@@ -11,8 +11,8 @@ import (
 
 // Estimator is the one read path of the library: built once from an
 // (Aggregator, Workload) pair, it reconstructs workload answers from *any*
-// Snapshot of that mechanism — produced by an in-process Collector or
-// Server, fetched from a remote ldpserve, or merged across several of them.
+// Snapshot of that mechanism — produced by an in-process Collector, fetched
+// from a remote ldpserve, or merged across several of them.
 // Every method first verifies the snapshot's mechanism identity against the
 // estimator's own (digest included), so a snapshot aggregated under a
 // different configuration is rejected instead of silently mis-reconstructed.

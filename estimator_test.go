@@ -196,7 +196,7 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 			q := n / 2 // one mid prefix query
 			covered := 0
 			for trial := 0; trial < trials; trial++ {
-				sv, err := ldp.NewServer(mech.agg, w)
+				col, err := ldp.NewCollector(mech.agg, w, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,12 +206,12 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := sv.Ingest(rep); err != nil {
+						if err := col.Ingest(rep); err != nil {
 							t.Fatal(err)
 						}
 					}
 				}
-				cis, err := est.ConfidenceIntervals(sv.Snap(), level)
+				cis, err := est.ConfidenceIntervals(col.Snap(), level)
 				if err != nil {
 					t.Fatal(err)
 				}

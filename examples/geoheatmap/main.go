@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := ldp.NewServer(agg, w)
+	col, err := ldp.NewCollector(agg, w, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := server.Ingest(rep); err != nil {
+			if err := col.Ingest(rep); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := reader.ConsistentAnswers(server.Snap())
+	est, err := reader.ConsistentAnswers(col.Snap())
 	if err != nil {
 		log.Fatal(err)
 	}

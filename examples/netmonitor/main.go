@@ -77,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := ldp.NewServer(agg, w)
+	col, err := ldp.NewCollector(agg, w, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := server.Ingest(rep); err != nil {
+			if err := col.Ingest(rep); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	consistent, err := est.ConsistentAnswers(server.Snap())
+	consistent, err := est.ConsistentAnswers(col.Snap())
 	if err != nil {
 		log.Fatal(err)
 	}

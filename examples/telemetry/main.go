@@ -78,8 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The fleet reports into two regional collectors (say, one per ingestion
-	// site); each worker holds a Handle pinned to its own collector shard, so
-	// arrivals never contend.
+	// site); each collector spreads its workers' arrivals across its shards.
 	const regions = 2
 	const workers = 4
 	cols := make([]*ldp.Collector, regions)
@@ -93,7 +92,7 @@ func main() {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			h := cols[wk%regions].Handle()
+			col := cols[wk%regions]
 			wrng := rand.New(rand.NewSource(int64(100 + wk)))
 			for state := wk; state < n; state += workers {
 				for j := 0; j < int(x[state]); j++ {
@@ -101,7 +100,7 @@ func main() {
 					if err != nil {
 						log.Fatal(err)
 					}
-					if err := h.Ingest(rep); err != nil {
+					if err := col.Ingest(rep); err != nil {
 						log.Fatal(err)
 					}
 				}

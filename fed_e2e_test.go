@@ -52,18 +52,13 @@ func TestFedMergeMatchesSingleCollector(t *testing.T) {
 			}
 
 			// Reference: one collector sees the whole population.
-			single, err := ldp.NewServer(m.agg, w)
+			single := newSerialRef(m.agg)
+			single.add(t, reports...)
+			wantUnbiased, err := est.Answers(single.snap())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := single.IngestBatch(reports); err != nil {
-				t.Fatal(err)
-			}
-			wantUnbiased, err := est.Answers(single.Snap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCons, err := est.ConsistentAnswers(single.Snap())
+			wantCons, err := est.ConsistentAnswers(single.snap())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,19 +222,14 @@ func TestFedMergeConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ldp.NewServer(mech.agg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSerialRef(mech.agg)
 	for _, batch := range all {
-		if err := ref.IngestBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+		ref.add(t, batch...)
 	}
 	if merged.Count() != float64(servers*clientsPer*perClient) {
 		t.Fatalf("merged count %v, want %d", merged.Count(), servers*clientsPer*perClient)
 	}
-	refState, gotState := ref.Snap().State(), merged.State()
+	refState, gotState := ref.snap().State(), merged.State()
 	for i := range refState {
 		if gotState[i] != refState[i] {
 			t.Fatalf("state[%d]: merged %v != serial %v", i, gotState[i], refState[i])

@@ -8,7 +8,7 @@
 //
 // Every oracle implements both sides of the streaming protocol contract
 // (internal/protocol): protocol.Randomizer on the client and
-// protocol.Aggregator on the server, so the same Client/Server/Collector
+// protocol.Aggregator on the server, so the same Client/Collector
 // pipeline that serves strategy-matrix mechanisms serves these too. Each also
 // exposes the closed-form per-count variance from Wang et al., so they can be
 // compared against the factorization mechanisms on the Histogram workload at

@@ -564,6 +564,7 @@ type tree struct {
 	fset  *token.FileSet
 	goSrc []*srcFile
 	other []*srcFile
+	m     *module // the loaded module, for rules that need types
 }
 
 // policy is one "one X" / "no X" rule. check returns one line per offending
@@ -624,7 +625,7 @@ func TestPolicies(t *testing.T) {
 // policyTree adds the non-Go files the policies read to the module's Go
 // files.
 func (m *module) policyTree() (*tree, error) {
-	tr := &tree{fset: m.fset, goSrc: m.files}
+	tr := &tree{fset: m.fset, goSrc: m.files, m: m}
 	asm, err := filepath.Glob(filepath.Join(m.root, "internal", "linalg", "*.s"))
 	if err != nil {
 		return nil, err
@@ -787,6 +788,33 @@ func identsContaining(tr *tree, files []*srcFile, msg string, names ...string) [
 	return out
 }
 
+// rootSelections type-checks the tree's non-test files of the root package,
+// the ones the host builds plus any a fixture added, against the module's
+// already-checked packages, and returns what each selector selects.
+func (tr *tree) rootSelections() (map[*ast.SelectorExpr]*types.Selection, error) {
+	excluded := map[*srcFile]bool{}
+	for _, f := range tr.m.pkgs[modulePath].excluded {
+		excluded[f] = true
+	}
+	var files []*ast.File
+	for _, f := range tr.goFiles(and(nonTest, under("."))) {
+		if !excluded[f] {
+			files = append(files, f.ast)
+		}
+	}
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: importerFunc(func(p string) (*types.Package, error) {
+		if pk, ok := tr.m.pkgs[p]; ok {
+			return pk.types, nil
+		}
+		return tr.m.std.Import(p)
+	})}
+	if _, err := conf.Check(modulePath, tr.fset, files, info); err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", modulePath, err)
+	}
+	return info.Selections, nil
+}
+
 // callSites flags every call of a function or method named name.
 func callSites(tr *tree, files []*srcFile, name string) []string {
 	var out []string
@@ -869,6 +897,87 @@ func OldPolicy() int { return 4 }
 
 type KeyedBackend interface{ IngestKeyed(key string) error }
 `}},
+	},
+	// One absorb loop: the root package's Collector is the only in-process
+	// collector, and it calls Aggregator.Check in one place (Collector.check)
+	// and Aggregator.Absorb in one place (Collector.absorbLocked). Single
+	// reports, keyed batches and WAL replay all go through those two loops,
+	// so "every report of a batch is Checked before any is Absorbed" and the
+	// counter's one publishing add are written once. The rule matches by
+	// type: any selection of Check or Absorb on a value whose type implements
+	// the Aggregator interface, whatever the value is called.
+	{
+		name: "One absorb loop",
+		check: func(tr *tree) []string {
+			sels, err := tr.rootSelections()
+			if err != nil {
+				return []string{err.Error()}
+			}
+			agg := tr.m.pkgs[modulePath+"/internal/protocol"].types.Scope().Lookup("Aggregator").Type().Underlying().(*types.Interface)
+			sites := map[string][]string{}
+			for sel, s := range sels {
+				name := s.Obj().Name()
+				if s.Kind() != types.MethodVal || (name != "Check" && name != "Absorb") {
+					continue
+				}
+				if recv := s.Recv(); types.Implements(recv, agg) || types.Implements(types.NewPointer(recv), agg) {
+					sites[name] = append(sites[name], tr.fset.Position(sel.Pos()).String())
+				}
+			}
+			var out []string
+			for _, name := range []string{"Absorb", "Check"} {
+				if got := sites[name]; len(got) != 1 {
+					sort.Strings(got)
+					out = append(out, fmt.Sprintf("%s: the root package calls an aggregator's %s from %d places outside tests, want 1: go through Collector.check and Collector.absorbLocked instead of a second loop",
+						strings.Join(got, ", "), name, len(got)))
+				}
+			}
+			return out
+		},
+		fixtures: []fixture{
+			{"server.go", `package ldp
+
+import "fmt"
+
+type Server struct {
+	agg   Aggregator
+	acc   []float64
+	count int
+}
+
+func (sv *Server) IngestBatch(reports []Report) error {
+	for i, r := range reports {
+		if err := sv.agg.Check(r); err != nil {
+			return fmt.Errorf("ldp: batch element %d: %w", i, err)
+		}
+	}
+	for _, r := range reports {
+		if err := sv.agg.Absorb(sv.acc, r); err != nil {
+			return fmt.Errorf("ldp: validated report failed to absorb: %w", err)
+		}
+		sv.count++
+	}
+	return nil
+}
+`},
+			{"replay.go", `package ldp
+
+func (c *Collector) replayInto(acc []float64, reports []Report) error {
+	a := c.agg
+	for _, r := range reports {
+		if err := a.Check(r); err != nil {
+			return err
+		}
+	}
+	for _, r := range reports {
+		if err := a.Absorb(acc, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+`},
+		},
 	},
 	// Per-query variance has one implementation: varianceForm in estimator.go
 	// (w_iᵀ(B·diag(y)·Bᵀ)w_i − (w_iᵀu)²/N per snapshot; the oracle's

@@ -4,7 +4,7 @@
 // estimates per-type counts on the (untrusted) server. Strategy-matrix
 // mechanisms (the paper's factorization mechanisms) and the frequency oracles
 // of Wang et al. (OUE, OLH, RAPPOR) both implement it, so one
-// Client/Server/Collector pipeline, one simulator, and one wire format serve
+// Client/Collector pipeline, one simulator, and one wire format serve
 // the whole library.
 //
 // The aggregation state is deliberately a plain []float64 accumulator owned

@@ -23,8 +23,9 @@ type aliasTable struct {
 }
 
 // NewSampler preprocesses every column of the strategy into an alias table.
-// Columns must be (approximately) normalized probability vectors; they are
-// re-normalized defensively to absorb round-off.
+// Columns must be (approximately) normalized probability vectors with no
+// negative entry — Validate refuses any, so NewRandomizer never passes one —
+// and are re-normalized to absorb round-off.
 func NewSampler(s *Strategy) (*Sampler, error) {
 	m, n := s.Outputs(), s.Domain()
 	sp := &Sampler{n: n, m: m, tables: make([]aliasTable, n)}
@@ -36,11 +37,7 @@ func NewSampler(s *Strategy) (*Sampler, error) {
 		}
 		for i := range col {
 			if col[i] < 0 {
-				if col[i] > -1e-12 {
-					col[i] = 0
-				} else {
-					return nil, fmt.Errorf("strategy: column %d has negative probability %g", u, col[i])
-				}
+				return nil, fmt.Errorf("strategy: column %d has negative probability %g", u, col[i])
 			}
 			col[i] /= total
 		}

@@ -474,4 +474,12 @@ func TestAliasTableEdgeCases(t *testing.T) {
 	if _, err := NewSampler(New(q2, 1)); err == nil {
 		t.Fatal("expected error for zero-mass column")
 	}
+	// A negative entry must error however small: clamping it to 0 would put
+	// a zero beside a positive in its row, an unbounded ratio.
+	q3 := linalg.New(2, 1)
+	q3.Set(0, 0, 1)
+	q3.Set(1, 0, -1e-13)
+	if _, err := NewSampler(New(q3, 1)); err == nil {
+		t.Fatal("expected error for a -1e-13 entry")
+	}
 }

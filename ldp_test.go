@@ -224,7 +224,7 @@ func TestClientServerProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := ldp.NewServer(agg, w)
+	col, err := ldp.NewCollector(agg, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +238,19 @@ func TestClientServerProtocol(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := server.Ingest(rep); err != nil {
+			if err := col.Ingest(rep); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if server.Count() != 3000 {
-		t.Fatalf("count = %v", server.Count())
+	if col.Count() != 3000 {
+		t.Fatalf("count = %v", col.Count())
 	}
 	est, err := ldp.NewEstimator(agg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := est.Answers(server.Snap())
+	answers, err := est.Answers(col.Snap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestClientServerProtocol(t *testing.T) {
 			t.Fatalf("answer[%d] = %v, truth %v — far beyond plausible noise", i, answers[i], truth[i])
 		}
 	}
-	consistent, err := est.ConsistentAnswers(server.Snap())
+	consistent, err := est.ConsistentAnswers(col.Snap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestClientServerProtocol(t *testing.T) {
 		t.Fatalf("consistent total = %v, want 3000", consistent[n-1])
 	}
 	// Out-of-range report rejected.
-	if err := server.Ingest(ldp.Report{Index: 99999}); err == nil {
+	if err := col.Ingest(ldp.Report{Index: 99999}); err == nil {
 		t.Fatal("expected range error")
 	}
 	// Family confusion rejected: a unary report has no meaning here.
-	if err := server.Ingest(ldp.Report{Bits: ldp.NewBitVec(n)}); err == nil {
+	if err := col.Ingest(ldp.Report{Bits: ldp.NewBitVec(n)}); err == nil {
 		t.Fatal("expected family error")
 	}
 }

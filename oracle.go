@@ -9,7 +9,7 @@ import "repro/internal/freqoracle"
 // histogram, whereas Optimize adapts to arbitrary workloads.
 //
 // Every oracle implements both Randomizer and Aggregator, so it plugs
-// directly into the same streaming Client/Server/Collector pipeline (and
+// directly into the same streaming Client/Collector pipeline (and
 // SimulateProtocol) as optimized strategies — no separate batch path.
 type FrequencyOracle = freqoracle.Oracle
 

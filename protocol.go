@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/protocol"
 	"repro/internal/simulate"
@@ -94,83 +93,6 @@ func (c *Client) Epsilon() float64 { return c.r.Epsilon() }
 
 // Domain returns the number of user types the client accepts.
 func (c *Client) Domain() int { return c.r.Domain() }
-
-// Server is a single-goroutine collector: it absorbs reports into the
-// mechanism's accumulator and hands out Snapshots for an Estimator to answer.
-// For concurrent ingestion use Collector, which shards the same state across
-// goroutines.
-type Server struct {
-	agg   Aggregator
-	info  MechanismInfo
-	acc   []float64
-	count float64
-
-	// epoch/snapCount implement the monotonic snapshot sequence: the epoch
-	// advances exactly when Snap observes a count the previous Snap did not.
-	// snapMu guards them so Snap stays safe to fan out across goroutines —
-	// ingestion remains single-goroutine.
-	snapMu    sync.Mutex
-	epoch     uint64
-	snapCount float64
-}
-
-// NewServer prepares a collector for the given mechanism aggregator and
-// workload. Frequency oracles estimate the full histogram, so any workload
-// over their domain is answerable — the same W·x̂ reconstruction used by
-// strategy mechanisms.
-func NewServer(agg Aggregator, w Workload) (*Server, error) {
-	info, err := checkedInfo(agg, w)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{agg: agg, info: info, acc: make([]float64, agg.StateLen())}, nil
-}
-
-// Ingest records one client report.
-func (sv *Server) Ingest(r Report) error {
-	if err := sv.agg.Absorb(sv.acc, r); err != nil {
-		return fmt.Errorf("ldp: %w", err)
-	}
-	sv.count++
-	return nil
-}
-
-// IngestBatch records a batch of reports atomically: the whole batch is
-// validated before any state changes, so a malformed element leaves the
-// server exactly as it was.
-func (sv *Server) IngestBatch(reports []Report) error {
-	for i, r := range reports {
-		if err := sv.agg.Check(r); err != nil {
-			return fmt.Errorf("ldp: batch element %d: %w", i, err)
-		}
-	}
-	for _, r := range reports {
-		// Check passed, so Absorb cannot fail (the Aggregator contract).
-		if err := sv.agg.Absorb(sv.acc, r); err != nil {
-			return fmt.Errorf("ldp: validated report failed to absorb: %w", err)
-		}
-		sv.count++
-	}
-	return nil
-}
-
-// Count returns the number of reports collected so far.
-func (sv *Server) Count() float64 { return sv.count }
-
-// Snap returns an immutable point-in-time Snapshot of the server: a copy of
-// the accumulator, the report count, the mechanism identity, and the
-// monotonic snapshot epoch — the same value a Collector or RemoteCollector
-// produces, so one Estimator answers any of them.
-func (sv *Server) Snap() Snapshot {
-	sv.snapMu.Lock()
-	if sv.epoch == 0 || sv.count != sv.snapCount {
-		sv.epoch++
-		sv.snapCount = sv.count
-	}
-	epoch := sv.epoch
-	sv.snapMu.Unlock()
-	return NewSnapshot(sv.acc, sv.count, epoch, sv.info)
-}
 
 // SimulateProtocol runs the complete protocol for any mechanism on an integer
 // data vector x (each count is a user) and returns the unbiased workload

@@ -488,7 +488,7 @@ func TestRouterBoundsRequestBody(t *testing.T) {
 // such cache — there the key is what the write-ahead log records and the
 // embedder owns deduplication — so it sees each distinct key once. Every
 // surface must end up holding exactly the distinct-key total, in a state
-// bit-identical to the serial ldp.Server reference. Both report forms run: an
+// bit-identical to the serial reference. Both report forms run: an
 // index-only strategy, and OUE at a width that is not a multiple of 8.
 func TestIngestSurfacesAgree(t *testing.T) {
 	const batches, per = 12, 7
@@ -542,10 +542,7 @@ func TestIngestSurfacesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := ldp.NewServer(m.agg, w)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := newSerialRef(m.agg)
 			routedCount := func() (n float64) {
 				for _, sh := range routerShards {
 					n += sh.col.Count()
@@ -573,9 +570,7 @@ func TestIngestSurfacesAgree(t *testing.T) {
 				for i := range reports {
 					reports[i] = m.report(b*per + i)
 				}
-				if err := ref.IngestBatch(reports); err != nil {
-					t.Fatal(err)
-				}
+				ref.add(t, reports...)
 				kb := keyed{key: fmt.Sprintf("surface-%02d", b), frames: [][]ldp.Report{reports}}
 				if b%3 == 0 { // every third request carries its batch as two frames
 					kb.frames = [][]ldp.Report{reports[:3], reports[3:]}
@@ -611,9 +606,7 @@ func TestIngestSurfacesAgree(t *testing.T) {
 			// accepted = len(frame 1) — through the router byte for byte what the
 			// same body POSTed straight at a shard answers.
 			head := []ldp.Report{m.report(1000), m.report(1001)}
-			if err := ref.IngestBatch(head); err != nil {
-				t.Fatal(err)
-			}
+			ref.add(t, head...)
 			if err := embedded.IngestBatchKeyed(head, "half"); err != nil {
 				t.Fatal(err)
 			}
@@ -634,7 +627,7 @@ func TestIngestSurfacesAgree(t *testing.T) {
 				t.Fatalf("router answered %d %s, a direct POST %d %s; want the shard's answer relayed byte for byte", routerStatus, routerAnswer, shardStatus, shardAnswer)
 			}
 
-			want := ref.Snap()
+			want := ref.snap()
 			var routed []ldp.Snapshot
 			for _, sh := range routerShards {
 				routed = append(routed, sh.col.Snap())

@@ -84,9 +84,9 @@ func mergeInfo(a, b MechanismInfo) MechanismInfo {
 // Snapshot is an immutable point-in-time view of a collector: the merged
 // aggregation accumulator, the number of reports it reflects, the mechanism
 // identity it was aggregated under, and the producing collector's monotonic
-// snapshot epoch. Collector.Snap, Server.Snap, and RemoteCollector.Snap all
-// produce one, an Estimator answers any of them, and two snapshots of the
-// same mechanism Merge into one — which is all multi-collector fan-in is.
+// snapshot epoch. Collector.Snap and RemoteCollector.Snap both produce one,
+// an Estimator answers any of them, and two snapshots of the same mechanism
+// Merge into one — which is all multi-collector fan-in is.
 //
 // The zero Snapshot is valid and empty. Snapshot values may be copied and
 // shared freely across goroutines; no method mutates one.

@@ -182,21 +182,24 @@ func TestSnapshotEpochAdvancesWithState(t *testing.T) {
 		t.Fatalf("epoch did not advance across an ingest: %d -> %d", first.Epoch(), after.Epoch())
 	}
 
-	// Server-side sequence behaves the same way.
-	sv, err := ldp.NewServer(oue, w)
+	// A one-shard collector behaves the same way.
+	one, err := ldp.NewCollector(oue, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := sv.Snap()
-	if s2 := sv.Snap(); s2.Epoch() != s1.Epoch() {
-		t.Fatal("idle server re-snap moved the epoch")
+	s1 := one.Snap()
+	if s2 := one.Snap(); s2.Epoch() != s1.Epoch() {
+		t.Fatal("idle one-shard re-snap moved the epoch")
 	}
-	if err := sv.Ingest(ldp.Report{Bits: bits}); err != nil {
+	if err := one.Ingest(ldp.Report{Bits: bits}); err != nil {
 		t.Fatal(err)
 	}
-	s3 := sv.Snap()
+	s3 := one.Snap()
 	if s3.Epoch() <= s1.Epoch() {
-		t.Fatal("server epoch did not advance across an ingest")
+		t.Fatal("one-shard epoch did not advance across an ingest")
+	}
+	if s4 := one.Snap(); s4.Epoch() != s3.Epoch() {
+		t.Fatal("idle one-shard re-snap after an ingest moved the epoch")
 	}
 
 	// A merge keeps the largest epoch it saw.

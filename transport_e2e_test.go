@@ -105,14 +105,9 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 				}
 			}
 
-			// Local pipeline: single-goroutine server.
-			local, err := ldp.NewServer(m.agg, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := local.IngestBatch(reports); err != nil {
-				t.Fatal(err)
-			}
+			// Local pipeline: the serial reference.
+			local := newSerialRef(m.agg)
+			local.add(t, reports...)
 
 			// Remote pipeline: loopback ldpserve + RemoteCollector, with a
 			// batch size that forces several frames.
@@ -149,14 +144,14 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			remoteUnbiased := mustRead(t)(est.Answers(remoteSnap))
-			localUnbiased := mustRead(t)(est.Answers(local.Snap()))
+			localUnbiased := mustRead(t)(est.Answers(local.snap()))
 			for i := range localUnbiased {
 				if remoteUnbiased[i] != localUnbiased[i] {
 					t.Fatalf("unbiased[%d]: remote %v != local %v", i, remoteUnbiased[i], localUnbiased[i])
 				}
 			}
 			remoteCons := mustRead(t)(est.ConsistentAnswers(remoteSnap))
-			localCons := mustRead(t)(est.ConsistentAnswers(local.Snap()))
+			localCons := mustRead(t)(est.ConsistentAnswers(local.snap()))
 			for i := range localCons {
 				if remoteCons[i] != localCons[i] {
 					t.Fatalf("consistent[%d]: remote %v != local %v", i, remoteCons[i], localCons[i])
@@ -347,14 +342,9 @@ func TestTransportConcurrentClients(t *testing.T) {
 	}
 
 	// Reference: single-threaded ingest of the same reports.
-	ref, err := ldp.NewServer(agg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSerialRef(agg)
 	for _, batch := range all {
-		if err := ref.IngestBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+		ref.add(t, batch...)
 	}
 	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
@@ -368,7 +358,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 	if count != clients*perClient {
 		t.Fatalf("snapshot count %v, want %d", count, clients*perClient)
 	}
-	refState := ref.Snap().State()
+	refState := ref.snap().State()
 	for i := range refState {
 		if state[i] != refState[i] {
 			t.Fatalf("state[%d]: concurrent %v != serial %v", i, state[i], refState[i])
