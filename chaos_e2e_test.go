@@ -2,29 +2,26 @@ package ldp_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	ldp "repro"
 	"repro/internal/chaos"
+	"repro/internal/loadgen"
 )
 
 // The chaos fan-in scenario: 4 shards behind fault-injecting proxies, one of
-// them a separate durable OS process that is SIGKILLed mid-ingest and
-// restarted from its write-ahead log. Sustained keyed ingest runs through a
+// them a durable loadgen shard process (served by this binary's
+// TestLoadgenShardProcess hook) that is SIGKILLed mid-ingest and restarted
+// from its write-ahead log. Sustained keyed ingest runs through a
 // Fleet across drops, delays, connection resets, 503 bursts, and truncated
 // responses; the acceptance criteria are exactly-once delivery end to end
 // (the merged state is bit-identical to a reference collector fed the same
@@ -37,123 +34,6 @@ const (
 	chaosBatch  = 125
 	chaosEps    = 1.0
 )
-
-// TestChaosShardProcess is not a test in the normal run: it is the shard
-// subprocess body, re-executed from the test binary with LDP_CHAOS_SHARD=1.
-// It serves a durable OUE collector on a loopback port, publishes the
-// address, and runs until killed — SIGKILL included; recovery on the next
-// start comes from the write-ahead log alone.
-func TestChaosShardProcess(t *testing.T) {
-	if os.Getenv("LDP_CHAOS_SHARD") != "1" {
-		t.Skip("subprocess body; driven by TestChaosFanInUnderFailure")
-	}
-	o, err := ldp.OracleByName("OUE", chaosDomain, chaosEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ldp.Histogram(chaosDomain)
-	col, err := ldp.NewCollector(o, w, 0, ldp.WithDurability(os.Getenv("LDP_CHAOS_DATA_DIR")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Publish the address atomically so the parent never reads a torn write.
-	addrFile := os.Getenv("LDP_CHAOS_ADDR_FILE")
-	tmp := addrFile + ".tmp"
-	if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, addrFile); err != nil {
-		t.Fatal(err)
-	}
-	// Serve until the parent SIGKILLs us. There is deliberately no shutdown
-	// path: the whole point is dying without one.
-	_ = http.Serve(ln, svc.Handler())
-}
-
-// startShardProcess re-execs the test binary as a durable shard over
-// dataDir and returns its base URL and process handle.
-func startShardProcess(t *testing.T, dataDir string) (string, *exec.Cmd) {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrFile := filepath.Join(t.TempDir(), fmt.Sprintf("addr-%d", time.Now().UnixNano()))
-	cmd := exec.Command(exe, "-test.run=^TestChaosShardProcess$")
-	cmd.Env = append(os.Environ(),
-		"LDP_CHAOS_SHARD=1",
-		"LDP_CHAOS_DATA_DIR="+dataDir,
-		"LDP_CHAOS_ADDR_FILE="+addrFile,
-	)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
-		}
-		_ = cmd.Wait() // reap; error is expected after a kill
-	})
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			return "http://" + string(b), cmd
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("shard subprocess never published its address")
-	return "", nil
-}
-
-// dynamicProxy forwards to a retargetable backend, so the fleet keeps one
-// stable endpoint for a shard whose process (and port) is replaced after a
-// crash. While the backend is down, requests fail with a retryable 502.
-type dynamicProxy struct {
-	mu     sync.Mutex
-	target *url.URL
-	rp     *httputil.ReverseProxy
-}
-
-func newDynamicProxy(t *testing.T, rawURL string) *dynamicProxy {
-	t.Helper()
-	d := &dynamicProxy{}
-	d.retarget(t, rawURL)
-	d.rp = &httputil.ReverseProxy{
-		Director: func(req *http.Request) {
-			d.mu.Lock()
-			tgt := d.target
-			d.mu.Unlock()
-			req.URL.Scheme = tgt.Scheme
-			req.URL.Host = tgt.Host
-		},
-		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-			w.WriteHeader(http.StatusBadGateway)
-		},
-		ErrorLog: nil,
-	}
-	return d
-}
-
-func (d *dynamicProxy) retarget(t *testing.T, rawURL string) {
-	t.Helper()
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.mu.Lock()
-	d.target = u
-	d.mu.Unlock()
-}
-
-func (d *dynamicProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { d.rp.ServeHTTP(w, r) }
 
 func TestChaosFanInUnderFailure(t *testing.T) {
 	if testing.Short() {
@@ -182,10 +62,29 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	}
 
 	// Shard 0: a separate durable process behind a retargetable proxy —
-	// the one that gets SIGKILLed and recovered. Shards 1–3: in-process.
-	dataDir := t.TempDir()
-	addr0, proc := startShardProcess(t, dataDir)
-	dyn := newDynamicProxy(t, addr0)
+	// the one that gets SIGKILLed and recovered on a new port; while it is
+	// down, requests fail with a retryable 502. Shards 1–3: in-process.
+	ctx := context.Background()
+	shard0, err := loadgen.StartShard(ctx, loadgen.ShardConfig{
+		Mechanism: "oue", Domain: chaosDomain, Epsilon: chaosEps, DataDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(shard0.Kill)
+	var target0 atomic.Pointer[url.URL]
+	retarget0 := func(raw string) {
+		u, err := url.Parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target0.Store(u)
+	}
+	retarget0(shard0.URL())
+	dyn := &httputil.ReverseProxy{
+		Rewrite:      func(pr *httputil.ProxyRequest) { pr.SetURL(target0.Load()) },
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, _ error) { w.WriteHeader(http.StatusBadGateway) },
+	}
 	plan := chaos.Plan{
 		DropBefore:  0.02, // connection reset before the backend sees the request
 		DropAfter:   0.02, // absorbed, response lost — the ambiguous failure
@@ -224,7 +123,6 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, ep := range endpoints {
 		if err := fleet.Register(ctx, ep); err != nil {
 			t.Fatalf("register %s: %v", ep, err)
@@ -261,10 +159,7 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 		fleet.Probe(ctx)
 		return fleet.ReadyCount() == 4
 	})
-	if err := proc.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = proc.Wait()
+	shard0.Kill()
 	ingest(12000, 16000)
 
 	// The degraded merge: with the killed shard unreachable (and never yet
@@ -286,8 +181,11 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 	// Phase 3: crash-recover-rejoin. The restarted process recovers count,
 	// epoch, and the idempotency keys of every acknowledged batch from its
 	// WAL, so stranded retries replay instead of double-absorbing.
-	addr0again, _ := startShardProcess(t, dataDir)
-	dyn.retarget(t, addr0again)
+	addr0, err := shard0.Restart(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retarget0(addr0)
 	waitFleet(t, "killed shard to rejoin after recovery", func() bool {
 		fleet.Probe(ctx)
 		for _, m := range fleet.Members() {
@@ -315,6 +213,9 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 		}
 		fleet.Probe(ctx)
 		time.Sleep(10 * time.Millisecond)
+	}
+	if err := shard0.Err(); err != nil {
+		t.Fatal(err) // a crash or race report the kill schedule did not cause
 	}
 	if settleErr != nil {
 		t.Fatalf("pending batches never settled: %v", settleErr)

@@ -17,9 +17,8 @@
 //	ldpload -scenario smoke -seed 1 -repeat 2
 //	ldpload -scenario soak -clients 1000000 -shards 5 -out scorecard.json
 //
-// Shards run as real subprocesses (this binary re-execs itself), so kill
-// events are true SIGKILLs and restart recovery replays a real WAL;
-// -inprocess keeps everything in one process for quick iteration.
+// Shards run as child processes (this binary re-execs itself), so kill
+// events are true SIGKILLs and restart recovery replays a real WAL.
 package main
 
 import (
@@ -40,9 +39,7 @@ import (
 func main() {
 	// A re-exec'd shard child serves and never returns; the parent falls
 	// through to the simulator CLI.
-	if loadgen.RunShardFromEnv() {
-		return
-	}
+	loadgen.RunShardFromEnv()
 
 	scenario := flag.String("scenario", "smoke", "scenario preset: smoke (50k clients) or soak (100k)")
 	seed := flag.Uint64("seed", 1, "scenario seed; fixes the population, ground truth, and fault ordering")
@@ -58,7 +55,6 @@ func main() {
 	fsync := flag.Bool("fsync", false, "shards fsync every WAL group commit")
 	out := flag.String("out", "", "also write the scorecard to this path (empty = stdout only)")
 	repeat := flag.Int("repeat", 1, "run the scenario this many times and require bit-identical deterministic sections")
-	inproc := flag.Bool("inprocess", false, "run shards in-process (quick iteration; kills quiesce instead of SIGKILL)")
 	settle := flag.Duration("settle-timeout", 2*time.Minute, "bound on the post-run settle (flush + recovery) phase")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -80,11 +76,6 @@ func main() {
 		fatal(err)
 	}
 	defer os.RemoveAll(scratch)
-	var spawn loadgen.SpawnFunc
-	if !*inproc {
-		spawn = loadgen.NewSubprocessSpawner()
-	}
-
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ldpload: "+format+"\n", args...)
 	}
@@ -96,7 +87,6 @@ func main() {
 			Deploy: loadgen.DeployConfig{
 				Shards:  *shards,
 				BaseDir: filepath.Join(scratch, fmt.Sprintf("run-%d", i)),
-				Spawn:   spawn,
 				Shard: loadgen.ShardConfig{
 					CheckpointEvery: *ckptEvery,
 					Fsync:           *fsync,

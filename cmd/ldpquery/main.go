@@ -13,9 +13,9 @@
 //   - -servers a,b,c: client-side fan-in. The command builds the mechanism
 //     locally (-mech / -strategy / -oracle), registers the shards in a
 //     health-gated fleet, pulls one merged snapshot, and answers every
-//     requested workload through an EstimatorPool batch — the workloads
-//     share the data estimate and the snapshot's variance form, so the rows
-//     are the ones -server prints, bit for bit.
+//     requested workload through an EstimatorPool's estimator with the
+//     streams a server's POST /query uses, so the rows are the ones -server
+//     prints, bit for bit, and a level outside (0,1) is refused the same way.
 //
 // Workloads come from -workloads (comma-separated family names) and/or -file
 // (one name per line, '#' comments):
@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 	"time"
@@ -210,33 +209,51 @@ func queryFanIn(ctx context.Context, out io.Writer, servers string, names []stri
 	}
 	fmt.Fprintf(out, "# coverage: %s\n", cov)
 	pool := ldp.NewEstimatorPool()
-	var batchOpts []ldp.BatchOption
-	withVar := variance || level > 0
-	if withVar {
-		batchOpts = append(batchOpts, ldp.WithBatchVariance())
+	for i, w := range ws {
+		est, err := pool.Estimator(agg, w)
+		if err != nil {
+			return err
+		}
+		if err := printRows(out, est, snap, level, variance, head); err != nil {
+			return fmt.Errorf("workload %s: %w", names[i], err)
+		}
+		fmt.Fprintf(out, "# %s: %d queries over %.0f reports (epoch %d)\n", names[i], w.Queries(), snap.Count(), snap.Epoch())
 	}
-	answers, err := pool.AnswerBatch(agg, snap, ws, batchOpts...)
+	return nil
+}
+
+// printRows prints est's rows over snap from the streams POST /query
+// answers with: AnswerStream when CIs are asked for (it refuses a level
+// outside (0,1)), Answers beside VarianceStream for variances, Answers
+// alone otherwise.
+func printRows(out io.Writer, est *ldp.Estimator, snap ldp.Snapshot, level float64, variance bool, head int) error {
+	withCI := level != 0
+	withVar := variance || withCI
+	emit := func(row transport.QueryRow) bool {
+		if head > 0 && row.Index >= head {
+			return false
+		}
+		printRow(out, row, withVar, withCI)
+		return true
+	}
+	if withCI {
+		return est.AnswerStream(snap, level, func(a ldp.QueryAnswer) bool {
+			return emit(transport.QueryRow{Index: a.Index, Answer: a.Answer, Variance: a.Variance, Low: a.CI.Low, High: a.CI.High})
+		})
+	}
+	answers, err := est.Answers(snap)
 	if err != nil {
 		return err
 	}
-	z := math.Sqrt2 * math.Erfinv(level)
-	for bi, ba := range answers {
-		rows := len(ba.Answers)
-		for i := 0; i < rows; i++ {
-			if head > 0 && i >= head {
-				break
-			}
-			row := transport.QueryRow{Index: i, Answer: ba.Answers[i]}
-			if ba.Variance != nil {
-				row.Variance = ba.Variance[i]
-			}
-			if level > 0 && ba.Variance != nil {
-				half := z * math.Sqrt(row.Variance)
-				row.Low, row.High = row.Answer-half, row.Answer+half
-			}
-			printRow(out, row, withVar, level > 0)
+	if withVar {
+		return est.VarianceStream(snap, func(i int, v float64) bool {
+			return emit(transport.QueryRow{Index: i, Answer: answers[i], Variance: v})
+		})
+	}
+	for i, a := range answers {
+		if !emit(transport.QueryRow{Index: i, Answer: a}) {
+			break
 		}
-		fmt.Fprintf(out, "# %s: %d queries over %.0f reports (epoch %d)\n", names[bi], rows, snap.Count(), snap.Epoch())
 	}
 	return nil
 }

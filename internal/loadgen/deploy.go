@@ -26,36 +26,12 @@ type ShardConfig struct {
 	Mechanism string
 	Domain    int
 	Epsilon   float64
-	Workload  string
 	DataDir   string
 	// CheckpointEvery reports between automatic checkpoints (0 = the
 	// collector default, < 0 disables).
 	CheckpointEvery int
 	Fsync           bool
-	// CollectorShards is the in-process accumulator shard count (0 = auto).
-	CollectorShards int
 }
-
-// ShardProc is a handle to one running shard behind its stable front: the
-// deployment kills and restarts it through this, whatever "process" means
-// for the implementation (a real OS process for SpawnFunc shards, a server
-// instance for in-process ones).
-type ShardProc interface {
-	// URL is the shard's current direct base URL (changes across Restart).
-	URL() string
-	// Kill hard-stops the shard without flushing or checkpointing.
-	Kill() error
-	// Restart brings the shard back on its surviving data directory and
-	// returns its new URL. Recovery (WAL replay) happens here.
-	Restart(ctx context.Context) (string, error)
-	// Stop shuts the shard down at deployment teardown.
-	Stop() error
-}
-
-// SpawnFunc starts shard i with cfg and returns its handle. nil means
-// in-process shards (fast, but Kill is a quiesced teardown rather than a
-// true SIGKILL — use NewSubprocessSpawner for crash realism).
-type SpawnFunc func(ctx context.Context, shard int, cfg ShardConfig) (ShardProc, error)
 
 // DeployConfig describes a full local deployment: N durable shards, each
 // behind a seeded chaos proxy with a stable endpoint, fronted by one router.
@@ -66,8 +42,6 @@ type DeployConfig struct {
 	BaseDir string
 	// Seed seeds each shard's chaos proxy (derived per shard).
 	Seed uint64
-	// Spawn starts shard processes; nil runs shards in-process.
-	Spawn SpawnFunc
 	// ProbeEvery is the router's readiness-probe interval (0 = 150ms — fast,
 	// because scenarios need gating to react within a run).
 	ProbeEvery time.Duration
@@ -84,15 +58,16 @@ type Deployment struct {
 	fleet  *ldp.Fleet
 	fs     *ldp.FleetServer
 	router *http.Server
-	shards []ShardProc
+	shards []*Shard
 	fronts []*shardFront
 	stop   chan struct{}
 	wg     sync.WaitGroup
 }
 
-// Deploy builds and starts the system: shards (recovered from BaseDir if it
-// holds prior state), chaos fronts, fleet, router, and the probe loop. It
-// returns once every shard is registered and ready.
+// Deploy builds and starts the system: shards (each a child process,
+// recovered from BaseDir if it holds prior state), chaos fronts, fleet,
+// router, and the probe loop. It returns once every shard is registered and
+// ready.
 func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("loadgen: deploy needs Shards > 0")
@@ -107,15 +82,6 @@ func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	wname := cfg.Shard.Workload
-	if wname == "" {
-		wname = "Histogram"
-	}
-	w, err := ldp.WorkloadByName(wname, cfg.Shard.Domain)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
-
 	d := &Deployment{cfg: cfg, mech: mech, stop: make(chan struct{})}
 	ok := false
 	defer func() {
@@ -126,29 +92,23 @@ func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 
 	for i := 0; i < cfg.Shards; i++ {
 		scfg := cfg.Shard
-		scfg.Workload = wname
 		scfg.DataDir = filepath.Join(cfg.BaseDir, fmt.Sprintf("shard-%d", i))
 		if err := os.MkdirAll(scfg.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
-		var sp ShardProc
-		if cfg.Spawn != nil {
-			sp, err = cfg.Spawn(ctx, i, scfg)
-		} else {
-			sp, err = startInProcShard(scfg)
-		}
+		sh, err := StartShard(ctx, scfg)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: start shard %d: %w", i, err)
 		}
-		d.shards = append(d.shards, sp)
-		f, err := newShardFront(sp.URL(), chaos.Plan{}, splitmix64(cfg.Seed^uint64(i+1)))
+		d.shards = append(d.shards, sh)
+		f, err := newShardFront(sh.URL(), chaos.Plan{}, splitmix64(cfg.Seed^uint64(i+1)))
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: front shard %d: %w", i, err)
 		}
 		d.fronts = append(d.fronts, f)
 	}
 
-	fleet, err := ldp.NewFleet(mech.Agg, w,
+	fleet, err := ldp.NewFleet(mech.Agg, ldp.Histogram(cfg.Shard.Domain),
 		ldp.WithFleetQuorum(cfg.Quorum),
 		ldp.WithFleetUnhealthyAfter(2))
 	if err != nil {
@@ -203,10 +163,14 @@ func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 	return d, nil
 }
 
-// waitReady polls the fleet until want members are ready.
+// waitReady polls the fleet until want members are ready. A shard process
+// that exited on its own ends the wait with its exit status.
 func (d *Deployment) waitReady(ctx context.Context, want int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
+		if err := d.err(); err != nil {
+			return err
+		}
 		pctx, cancel := context.WithTimeout(ctx, time.Second)
 		d.fleet.Probe(pctx)
 		cancel()
@@ -224,6 +188,16 @@ func (d *Deployment) waitReady(ctx context.Context, want int, timeout time.Durat
 	}
 }
 
+// err returns the first exit a shard process made on its own, or nil.
+func (d *Deployment) err() error {
+	for i, sh := range d.shards {
+		if err := sh.Err(); err != nil {
+			return fmt.Errorf("loadgen: shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Apply executes one fault-schedule event against the deployment.
 func (d *Deployment) Apply(ctx context.Context, ev chaos.Event) error {
 	targets := []int{ev.Shard}
@@ -237,7 +211,7 @@ func (d *Deployment) Apply(ctx context.Context, ev chaos.Event) error {
 		if i < 0 || i >= len(d.fronts) {
 			return fmt.Errorf("loadgen: event targets shard %d of %d", i, len(d.fronts))
 		}
-		f, sp := d.fronts[i], d.shards[i]
+		f, sh := d.fronts[i], d.shards[i]
 		switch ev.Kind {
 		case chaos.EventSetPlan:
 			f.proxy.SetPlan(ev.Plan)
@@ -245,11 +219,9 @@ func (d *Deployment) Apply(ctx context.Context, ev chaos.Event) error {
 			f.proxy.SetPlan(chaos.Plan{})
 		case chaos.EventKill:
 			f.setTarget("") // stop forwarding first: 502s are retryable
-			if err := sp.Kill(); err != nil {
-				return fmt.Errorf("loadgen: kill shard %d: %w", i, err)
-			}
+			sh.Kill()
 		case chaos.EventRestart:
-			u, err := sp.Restart(ctx)
+			u, err := sh.Restart(ctx)
 			if err != nil {
 				return fmt.Errorf("loadgen: restart shard %d: %w", i, err)
 			}
@@ -313,8 +285,8 @@ func (d *Deployment) Close() {
 	for _, f := range d.fronts {
 		f.close()
 	}
-	for _, sp := range d.shards {
-		_ = sp.Stop()
+	for _, sh := range d.shards {
+		sh.Kill()
 	}
 	if d.fleet != nil {
 		_ = d.fleet.Close()
@@ -397,276 +369,217 @@ func (f *shardFront) close() {
 	cancel()
 }
 
-// inProcShard runs a durable collector shard inside this process. Kill is a
-// quiesce-then-abandon: the server stops (in-flight ingests finish), the
-// collector is dropped WITHOUT Close — no final checkpoint, no WAL flush
-// beyond what acknowledgment already guaranteed — so Restart exercises real
-// WAL recovery. For a true mid-syscall SIGKILL use a subprocess spawner.
-type inProcShard struct {
+// Environment contract between a deployment and its shard processes.
+const (
+	shardEnvFlag     = "LDPLOAD_SHARD"
+	shardEnvMech     = "LDPLOAD_MECH"
+	shardEnvDomain   = "LDPLOAD_N"
+	shardEnvEps      = "LDPLOAD_EPS"
+	shardEnvDataDir  = "LDPLOAD_DATA_DIR"
+	shardEnvAddrFile = "LDPLOAD_ADDR_FILE"
+	shardEnvCkpt     = "LDPLOAD_CKPT_EVERY"
+	shardEnvFsync    = "LDPLOAD_FSYNC"
+)
+
+// shardArg is the argument every shard process starts with. A test binary
+// needs it to reach its TestLoadgenShardProcess hook; a command never
+// parses it, because its main calls RunShardFromEnv before flag.Parse.
+const shardArg = "-test.run=^TestLoadgenShardProcess$"
+
+// Shard is one durable collector shard running as a child process: a
+// re-exec of the current binary with the shard environment set, so Kill is
+// a genuine SIGKILL — no deferred flush, no graceful anything, the crash the
+// WAL exists for. The binary must call RunShardFromEnv before anything else:
+// a command first thing in main, a test package in its
+// TestLoadgenShardProcess.
+//
+// Children run with GORACE=halt_on_error=1, and the shard watches them: an
+// exit the harness did not cause — a race report, a crash, a recovery that
+// refuses the data directory — fails the start that spawned it, and Err
+// keeps it for the run.
+type Shard struct {
 	cfg ShardConfig
 
-	mu  sync.Mutex
-	srv *http.Server
-	col *ldp.Collector
-	url string
+	mu    sync.Mutex
+	child *shardChild // nil while killed
+	url   string
+	gen   int
+	err   error // the first exit the harness did not cause
 }
 
-func startInProcShard(cfg ShardConfig) (*inProcShard, error) {
-	s := &inProcShard{cfg: cfg}
-	if err := s.start(); err != nil {
+// shardChild is one process of a Shard.
+type shardChild struct {
+	cmd    *exec.Cmd
+	killed bool          // the harness sent SIGKILL; guarded by Shard.mu
+	exited chan struct{} // closed once the process is reaped
+}
+
+// StartShard starts a shard process on cfg (recovering whatever cfg.DataDir
+// holds) and returns once it serves.
+func StartShard(ctx context.Context, cfg ShardConfig) (*Shard, error) {
+	s := &Shard{cfg: cfg}
+	if err := s.start(ctx); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *inProcShard) start() error {
-	col, srv, ln, err := openShard(s.cfg)
+func (s *Shard) start(ctx context.Context) error {
+	exe, err := os.Executable()
 	if err != nil {
-		return err
+		return fmt.Errorf("loadgen: spawn shard: %w", err)
 	}
-	go func() { _ = srv.Serve(ln) }()
-	s.mu.Lock()
-	s.srv, s.col, s.url = srv, col, "http://"+ln.Addr().String()
-	s.mu.Unlock()
-	return nil
-}
-
-// openShard builds one shard from cfg — the durable collector (recovering
-// whatever cfg.DataDir holds), its HTTP server, and a loopback listener — the
-// same way for an in-process shard and a subprocess one.
-func openShard(cfg ShardConfig) (*ldp.Collector, *http.Server, net.Listener, error) {
-	mech, err := BuildMechanism(cfg.Mechanism, cfg.Domain, cfg.Epsilon)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if cfg.Workload == "" {
-		cfg.Workload = "Histogram"
-	}
-	w, err := ldp.WorkloadByName(cfg.Workload, cfg.Domain)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dopts := []ldp.DurabilityOption{ldp.FsyncEachCommit(cfg.Fsync)}
-	if cfg.CheckpointEvery != 0 {
-		dopts = append(dopts, ldp.CheckpointEvery(cfg.CheckpointEvery))
-	}
-	col, err := ldp.NewCollector(mech.Agg, w, cfg.CollectorShards,
-		ldp.WithDurability(cfg.DataDir, dopts...))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(mech.Agg))
-	if err != nil {
-		col.Close()
-		return nil, nil, nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		col.Close()
-		return nil, nil, nil, err
-	}
-	return col, &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}, ln, nil
-}
-
-func (s *inProcShard) URL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.url
-}
-
-func (s *inProcShard) Kill() error {
-	s.mu.Lock()
-	srv := s.srv
-	s.srv, s.col = nil, nil // abandon without Close: recovery must replay
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	// Let in-flight ingests finish their WAL append before the listener
-	// dies, so the abandoned store's file handle goes quiet before a
-	// Restart reopens the segment.
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(sctx)
-	return nil
-}
-
-func (s *inProcShard) Restart(ctx context.Context) (string, error) {
-	if err := s.start(); err != nil {
-		return "", err
-	}
-	return s.URL(), nil
-}
-
-func (s *inProcShard) Stop() error {
-	s.mu.Lock()
-	srv, col := s.srv, s.col
-	s.srv, s.col = nil, nil
-	s.mu.Unlock()
-	if srv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = srv.Shutdown(sctx)
-		cancel()
-	}
-	if col != nil {
-		return col.Close()
-	}
-	return nil
-}
-
-// Environment contract between a deployment and its subprocess shards.
-const (
-	shardEnvFlag      = "LDPLOAD_SHARD"
-	shardEnvMech      = "LDPLOAD_MECH"
-	shardEnvDomain    = "LDPLOAD_N"
-	shardEnvEps       = "LDPLOAD_EPS"
-	shardEnvWorkload  = "LDPLOAD_WORKLOAD"
-	shardEnvDataDir   = "LDPLOAD_DATA_DIR"
-	shardEnvAddrFile  = "LDPLOAD_ADDR_FILE"
-	shardEnvCkpt      = "LDPLOAD_CKPT_EVERY"
-	shardEnvFsync     = "LDPLOAD_FSYNC"
-	shardEnvColShards = "LDPLOAD_COLLECTOR_SHARDS"
-)
-
-// subprocShard runs a shard as a real OS process (a re-exec of argv0 with
-// the shard environment set), so Kill is a genuine SIGKILL: no deferred
-// flush, no graceful anything — the crash the WAL exists for.
-type subprocShard struct {
-	argv0 string
-	args  []string
-	cfg   ShardConfig
-
-	mu  sync.Mutex
-	cmd *exec.Cmd
-	url string
-	gen int
-}
-
-// NewSubprocessSpawner returns a SpawnFunc that re-executes the current
-// binary with args (empty for a binary whose main calls RunShardFromEnv
-// first; a test binary passes its guard-test selector, e.g.
-// "-test.run=^TestLoadgenShardProcess$"). The child must call
-// RunShardFromEnv before anything else.
-func NewSubprocessSpawner(args ...string) SpawnFunc {
-	return func(ctx context.Context, shard int, cfg ShardConfig) (ShardProc, error) {
-		s := &subprocShard{argv0: os.Args[0], args: args, cfg: cfg}
-		if err := s.start(ctx); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-}
-
-func (s *subprocShard) start(ctx context.Context) error {
 	s.mu.Lock()
 	s.gen++
 	gen := s.gen
 	s.mu.Unlock()
 	addrFile := filepath.Join(s.cfg.DataDir, fmt.Sprintf("addr-%d", gen))
 	_ = os.Remove(addrFile)
-	cmd := exec.Command(s.argv0, s.args...)
+	cmd := exec.Command(exe, shardArg)
 	cmd.Env = append(os.Environ(),
+		"GORACE="+strings.TrimSpace(os.Getenv("GORACE")+" halt_on_error=1"),
 		shardEnvFlag+"=1",
 		shardEnvMech+"="+s.cfg.Mechanism,
 		shardEnvDomain+"="+strconv.Itoa(s.cfg.Domain),
 		shardEnvEps+"="+strconv.FormatFloat(s.cfg.Epsilon, 'g', -1, 64),
-		shardEnvWorkload+"="+s.cfg.Workload,
 		shardEnvDataDir+"="+s.cfg.DataDir,
 		shardEnvAddrFile+"="+addrFile,
 		shardEnvCkpt+"="+strconv.Itoa(s.cfg.CheckpointEvery),
 		shardEnvFsync+"="+strconv.FormatBool(s.cfg.Fsync),
-		shardEnvColShards+"="+strconv.Itoa(s.cfg.CollectorShards),
 	)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("loadgen: spawn shard: %w", err)
 	}
+	c := &shardChild{cmd: cmd, exited: make(chan struct{})}
+	go s.watch(c)
 	// Wait for the child to publish its listen address (atomic write+rename).
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.NewTimer(30 * time.Second)
+	defer deadline.Stop()
 	for {
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
 			s.mu.Lock()
-			s.cmd, s.url = cmd, "http://"+strings.TrimSpace(string(b))
+			s.child, s.url = c, "http://"+strings.TrimSpace(string(b))
 			s.mu.Unlock()
 			return nil
 		}
-		if time.Now().After(deadline) {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-			return fmt.Errorf("loadgen: shard process never published its address")
-		}
 		select {
+		case <-c.exited:
+			return s.Err()
+		case <-deadline.C:
+			s.kill(c)
+			return fmt.Errorf("loadgen: shard process never published its address")
 		case <-ctx.Done():
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
+			s.kill(c)
 			return ctx.Err()
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
 }
 
-func (s *subprocShard) URL() string {
+// watch reaps c and keeps its exit as the shard's error unless the harness
+// killed it: a SIGKILLed process ends by signal, one that exits on its own
+// ends with a status.
+func (s *Shard) watch(c *shardChild) {
+	_ = c.cmd.Wait()
+	s.mu.Lock()
+	if s.err == nil && (!c.killed || c.cmd.ProcessState.ExitCode() != -1) {
+		s.err = fmt.Errorf("loadgen: shard process %d exited on its own: %s", c.cmd.Process.Pid, c.cmd.ProcessState)
+	}
+	s.mu.Unlock()
+	close(c.exited)
+}
+
+// kill SIGKILLs c and returns once it is reaped.
+func (s *Shard) kill(c *shardChild) {
+	s.mu.Lock()
+	c.killed = true
+	s.mu.Unlock()
+	_ = c.cmd.Process.Kill()
+	<-c.exited
+}
+
+// URL is the shard's current base URL; it changes across Restart.
+func (s *Shard) URL() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.url
 }
 
-func (s *subprocShard) Kill() error {
+// Kill SIGKILLs the shard's process and reaps it. The shard stays down until
+// Restart; killing a shard that is down does nothing.
+func (s *Shard) Kill() {
 	s.mu.Lock()
-	cmd := s.cmd
-	s.cmd = nil
+	c := s.child
+	s.child = nil
 	s.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return nil
+	if c != nil {
+		s.kill(c)
 	}
-	if err := cmd.Process.Kill(); err != nil {
-		return err
-	}
-	_, _ = cmd.Process.Wait()
-	return nil
 }
 
-func (s *subprocShard) Restart(ctx context.Context) (string, error) {
+// Restart kills the shard's process, if one runs, and starts a new one on
+// the surviving data directory, returning its URL. Recovery (WAL replay)
+// happens here.
+func (s *Shard) Restart(ctx context.Context) (string, error) {
+	s.Kill()
 	if err := s.start(ctx); err != nil {
 		return "", err
 	}
 	return s.URL(), nil
 }
 
-func (s *subprocShard) Stop() error { return s.Kill() }
+// Err returns the first exit one of the shard's processes made on its own,
+// with its exit status, or nil.
+func (s *Shard) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
 
-// RunShardFromEnv checks the subprocess-shard environment contract and, when
-// set, serves a durable collector shard until killed — it never returns in
-// that case. Binaries and test guards that may be re-executed as shards call
-// it first; it returns false immediately in a normal invocation.
-func RunShardFromEnv() bool {
+// RunShardFromEnv serves a durable collector shard until the process is
+// killed when the shard-process environment is set, and returns at once
+// otherwise. Binaries and test hooks that may be re-executed as shards call
+// it first.
+func RunShardFromEnv() {
 	if os.Getenv(shardEnvFlag) != "1" {
-		return false
+		return
 	}
 	cfg := ShardConfig{
 		Mechanism: os.Getenv(shardEnvMech),
-		Workload:  os.Getenv(shardEnvWorkload),
 		DataDir:   os.Getenv(shardEnvDataDir),
 	}
 	cfg.Domain, _ = strconv.Atoi(os.Getenv(shardEnvDomain))
 	cfg.Epsilon, _ = strconv.ParseFloat(os.Getenv(shardEnvEps), 64)
 	cfg.CheckpointEvery, _ = strconv.Atoi(os.Getenv(shardEnvCkpt))
 	cfg.Fsync = os.Getenv(shardEnvFsync) == "true"
-	cfg.CollectorShards, _ = strconv.Atoi(os.Getenv(shardEnvColShards))
-	addrFile := os.Getenv(shardEnvAddrFile)
-	if err := serveShardProcess(cfg, addrFile); err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen shard: %v\n", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-	return true
+	fmt.Fprintf(os.Stderr, "loadgen shard: %v\n", serveShardProcess(cfg, os.Getenv(shardEnvAddrFile)))
+	os.Exit(1)
 }
 
-// serveShardProcess is the subprocess shard's whole life: build the durable
-// collector, listen, publish the address, serve until killed.
+// serveShardProcess is the shard process's whole life: build the durable
+// collector (recovering whatever cfg.DataDir holds), listen, publish the
+// address, serve until killed. It returns only with an error.
 func serveShardProcess(cfg ShardConfig, addrFile string) error {
-	_, srv, ln, err := openShard(cfg)
+	mech, err := BuildMechanism(cfg.Mechanism, cfg.Domain, cfg.Epsilon)
+	if err != nil {
+		return err
+	}
+	dopts := []ldp.DurabilityOption{ldp.FsyncEachCommit(cfg.Fsync)}
+	if cfg.CheckpointEvery != 0 {
+		dopts = append(dopts, ldp.CheckpointEvery(cfg.CheckpointEvery))
+	}
+	col, err := ldp.NewCollector(mech.Agg, ldp.Histogram(cfg.Domain), 0,
+		ldp.WithDurability(cfg.DataDir, dopts...))
+	if err != nil {
+		return err
+	}
+	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(mech.Agg))
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
@@ -678,5 +591,6 @@ func serveShardProcess(cfg ShardConfig, addrFile string) error {
 	if err := os.Rename(tmp, addrFile); err != nil {
 		return err
 	}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	return srv.Serve(ln)
 }

@@ -56,9 +56,6 @@ type Scenario struct {
 	// Domain and Epsilon configure the mechanism.
 	Domain  int
 	Epsilon float64
-	// Workload names the query workload (WorkloadByName) for deployment
-	// handshakes. Estimate scoring is on the histogram.
-	Workload string
 	// ZipfS is the zipfian popularity exponent over the domain (s <= 0 means
 	// uniform). s=1.1 is the classic heavy-tail web workload.
 	ZipfS float64
@@ -116,9 +113,6 @@ func (s *Scenario) Validate() error {
 	if s.AbandonRate < 0 || s.AbandonRate >= 1 {
 		return fmt.Errorf("loadgen: abandon rate %v outside [0, 1)", s.AbandonRate)
 	}
-	if s.Workload == "" {
-		s.Workload = "Histogram"
-	}
 	if s.Workers <= 0 {
 		s.Workers = 8
 	}
@@ -136,7 +130,7 @@ func SmokeScenario(seed uint64) Scenario {
 	return Scenario{
 		Name: "smoke", Seed: seed,
 		Clients: 50_000, Mechanism: "oue", Domain: 64, Epsilon: 1.0,
-		Workload: "Histogram", ZipfS: 1.1,
+		ZipfS:  1.1,
 		Phases: 3, ShiftPerPhase: 7, Arrivals: []float64{1, 4, 1},
 		AbandonRate: 0.02, RetryStorm: true,
 		Workers: 8, Batch: 2048,

@@ -2,11 +2,18 @@ package loadgen
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 )
+
+// TestLoadgenShardProcess is where StartShard's re-exec of this test binary
+// serves its shard; in a normal test run it returns at once.
+func TestLoadgenShardProcess(t *testing.T) {
+	RunShardFromEnv()
+}
 
 func TestZipfTableDeterministicAndNormalized(t *testing.T) {
 	z := newZipfTable(64, 1.1)
@@ -117,15 +124,15 @@ func TestWorkerRangeCoversExactly(t *testing.T) {
 	}
 }
 
-// TestRunReproducibleInProc drives a small scenario twice (in-process shards,
-// full fault schedule) and asserts the deterministic scorecard sections are
+// TestRunReproducible drives a small scenario twice (shard processes, full
+// fault schedule) and asserts the deterministic scorecard sections are
 // bit-identical and the run passes the exactly-once + envelope gate.
-func TestRunReproducibleInProc(t *testing.T) {
+func TestRunReproducible(t *testing.T) {
 	if testing.Short() {
-		t.Skip("in-proc run takes a few seconds")
+		t.Skip("two real-time runs of the smoke schedule take about a minute")
 	}
 	scn := SmokeScenario(1234)
-	scn.Name = "inproc-repro"
+	scn.Name = "repro"
 	scn.Clients = 6000
 	scn.Workers = 4
 	scn.Batch = 256
@@ -136,7 +143,7 @@ func TestRunReproducibleInProc(t *testing.T) {
 			Deploy: DeployConfig{
 				Shards:  2,
 				BaseDir: t.TempDir(),
-				Shard:   ShardConfig{CheckpointEvery: 2000, CollectorShards: 4},
+				Shard:   ShardConfig{CheckpointEvery: 2000},
 			},
 			Logf: t.Logf,
 		})
@@ -175,8 +182,7 @@ func TestRunScheduleAppliesFaults(t *testing.T) {
 		Shards:  2,
 		BaseDir: t.TempDir(),
 		Shard: ShardConfig{
-			Mechanism: "oue", Domain: 16, Epsilon: 1, Workload: "Histogram",
-			CheckpointEvery: 1000, CollectorShards: 2,
+			Mechanism: "oue", Domain: 16, Epsilon: 1, CheckpointEvery: 1000,
 		},
 	})
 	if err != nil {
@@ -192,6 +198,21 @@ func TestRunScheduleAppliesFaults(t *testing.T) {
 	}
 	if err := d.waitReady(ctx, 2, 15*time.Second); err != nil {
 		t.Fatalf("restarted shard never re-admitted: %v", err)
+	}
+}
+
+// TestStartShardReportsChildExit: a shard process that exits during start
+// fails the start at once with its exit status, not at the poll's deadline.
+func TestStartShardReportsChildExit(t *testing.T) {
+	start := time.Now()
+	_, err := StartShard(context.Background(), ShardConfig{
+		Mechanism: "bogus", Domain: 16, Epsilon: 1, DataDir: t.TempDir(),
+	})
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("start took %v, want the child's exit reported within 5s", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "exit status 1") {
+		t.Fatalf("start error = %v, want one naming the child's exit status", err)
 	}
 }
 

@@ -55,7 +55,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	dcfg.Shard.Mechanism = scn.Mechanism
 	dcfg.Shard.Domain = scn.Domain
 	dcfg.Shard.Epsilon = scn.Epsilon
-	dcfg.Shard.Workload = scn.Workload
 	if dcfg.Seed == 0 {
 		dcfg.Seed = scn.Seed
 	}
@@ -86,10 +85,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		policy.MaxBackoff = 250 * time.Millisecond
 	}
 
-	w, err := ldp.WorkloadByName(scn.Workload, scn.Domain)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
+	w := ldp.Histogram(scn.Domain)
 
 	// One RemoteCollector per worker: private buffers (deterministic batch
 	// composition from the static client partition).
@@ -107,7 +103,11 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	}
 
 	// The fault scheduler: fires schedule events as offered-load progress
-	// crosses their thresholds, and tracks the worst readiness dip.
+	// crosses their thresholds, and tracks the worst readiness dip. It also
+	// stops the workers when a shard process exits on its own: the run has
+	// failed, and offering the rest of the load would only wait on retries.
+	workCtx, stopWork := context.WithCancel(ctx)
+	defer stopWork()
 	sched := chaos.NewSchedule(scn.Schedule...)
 	var offered atomic.Int64
 	fired := 0
@@ -123,6 +123,10 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 			case <-schedStop:
 				return
 			case <-ticker.C:
+				if d.err() != nil {
+					stopWork()
+					return
+				}
 				if r := d.ReadyCount(); r < minReady {
 					minReady = r
 				}
@@ -146,16 +150,20 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			workerErrs[wi] = runWorker(ctx, &scn, pop, collectors[wi], wi, &offered, cfg.TargetRPS, start)
+			workerErrs[wi] = runWorker(workCtx, &scn, pop, collectors[wi], wi, &offered, cfg.TargetRPS, start)
 		}(wi)
 	}
 	wg.Wait()
-	for _, werr := range workerErrs {
-		if werr != nil {
-			close(schedStop)
-			<-schedDone
-			return nil, werr
+	werr := d.err()
+	for _, err := range workerErrs {
+		if werr == nil {
+			werr = err
 		}
+	}
+	if werr != nil {
+		close(schedStop)
+		<-schedDone
+		return nil, werr
 	}
 	logf("offered all %d reports in %v; settling", pop.Participants, time.Since(start).Round(time.Millisecond))
 
@@ -174,7 +182,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 
 	// Settle: every shard back in rotation, then flush until every buffered
 	// batch is acknowledged. This loop is what turns "retry until success"
-	// into the deterministic acked == offered invariant.
+	// into the deterministic acked == offered invariant. A shard process that
+	// exits on its own from here on fails the run in the wait, in the flush
+	// loop or before the score.
 	settleCtx, cancel := context.WithTimeout(ctx, cfg.SettleTimeout)
 	defer cancel()
 	if err := d.waitReady(settleCtx, dcfg.Shards, cfg.SettleTimeout); err != nil {
@@ -189,6 +199,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		}
 		if allFlushed {
 			break
+		}
+		if err := d.err(); err != nil {
+			return nil, err
 		}
 		select {
 		case <-settleCtx.Done():
@@ -233,6 +246,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	// /healthz facts just polled; a disagreement fails the card.
 	card.Ops.Metrics = d.MetricsCheck(settleCtx, healths)
 	card.Ops.Chaos = d.ChaosStats()
+	if err := d.err(); err != nil {
+		return nil, err
+	}
 
 	logf("scorecard: acked=%d absorbed=%d exactly-once=%v max-cell-err=%.1f (envelope %.1f) in-envelope=%v metrics-agree=%v",
 		card.Counts.AckedReports, card.Counts.AbsorbedReports, card.Counts.ExactlyOnce,

@@ -1241,6 +1241,57 @@ import "os"
 func persist(tmp, path string) error { return os.Rename(tmp, path) }
 `}},
 	},
+	// One shard process: a harness shard that must die by SIGKILL is a
+	// loadgen.Shard — a re-exec of the current binary under the LDPLOAD_*
+	// environment, watched so that an exit it did not cause (a race report
+	// under GORACE=halt_on_error=1, a crash) fails the spawn or the run. A
+	// file elsewhere that both starts a process and builds a collector is a
+	// second re-exec protocol whose child can race or die unseen.
+	{
+		name: "One shard process",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, f := range tr.goFiles(func(f *srcFile) bool { return !strings.HasPrefix(f.rel, "internal/loadgen/") }) {
+				var execs []string
+				collector := false
+				each([]*srcFile{f}, func(f *srcFile, c *ast.CallExpr) {
+					if pkgCall(f.ast, c, "os/exec", "Command") {
+						execs = append(execs, tr.site(c, "start a shard process through loadgen.StartShard instead of the re-exec above"))
+					}
+					collector = collector || calleeName(c) == "NewCollector" || calleeName(c) == "NewCollectorService"
+				})
+				if collector {
+					out = append(out, execs...)
+				}
+			}
+			return out
+		},
+		fixtures: []fixture{{"chaos_shard_test.go", `package ldp_test
+
+import (
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"testing"
+
+	ldp "repro"
+)
+
+func TestChaosShardProcess(t *testing.T) {
+	o, _ := ldp.OracleByName("OUE", 32, 1)
+	col, _ := ldp.NewCollector(o, ldp.Histogram(32), 0, ldp.WithDurability(os.Getenv("LDP_CHAOS_DATA_DIR")))
+	svc, _ := ldp.NewCollectorService(col, ldp.MechanismInfoOf(o))
+	httptest.NewServer(svc.Handler())
+	select {}
+}
+
+func startShardProcess(dataDir string) error {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestChaosShardProcess$")
+	cmd.Env = append(os.Environ(), "LDP_CHAOS_SHARD=1", "LDP_CHAOS_DATA_DIR="+dataDir)
+	return cmd.Start()
+}
+`}},
+	},
 	// No fused multiply-add: addMul4's assembly body stands in for a Go loop
 	// that rounds every product and every sum, and every strategy, golden and
 	// pinned hash in the tree is those roundings. VFMADD* rounds once where

@@ -16,26 +16,16 @@ package ldp_test
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"repro/internal/loadgen"
 )
 
-// TestLoadgenShardProcess is the re-exec entry point for subprocess shards:
-// the spawner relaunches this test binary with -test.run pinned here and the
-// LDPLOAD_* environment set, and RunShardFromEnv serves a durable shard until
-// killed (it never returns control to the test runner in that case). In a
-// normal test run the environment is unset and this is an instant no-op.
+// TestLoadgenShardProcess is where loadgen.StartShard's re-exec of this test
+// binary serves its shard — the soak tier's shards and the chaos test's
+// killed shard alike; in a normal test run it returns at once.
 func TestLoadgenShardProcess(t *testing.T) {
-	if loadgen.RunShardFromEnv() {
-		os.Exit(0) // unreachable: RunShardFromEnv exits itself; belt and braces
-	}
-}
-
-// soakSpawner re-execs this test binary as shard processes.
-func soakSpawner() loadgen.SpawnFunc {
-	return loadgen.NewSubprocessSpawner("-test.run=^TestLoadgenShardProcess$")
+	loadgen.RunShardFromEnv()
 }
 
 func runSoak(t *testing.T, scn loadgen.Scenario) *loadgen.Scorecard {
@@ -45,7 +35,6 @@ func runSoak(t *testing.T, scn loadgen.Scenario) *loadgen.Scorecard {
 		Deploy: loadgen.DeployConfig{
 			Shards:  3,
 			BaseDir: t.TempDir(),
-			Spawn:   soakSpawner(),
 			Shard:   loadgen.ShardConfig{CheckpointEvery: 5000},
 		},
 		Logf: t.Logf,
