@@ -12,10 +12,24 @@
 //
 //   - -servers a,b,c: client-side fan-in. The command builds the mechanism
 //     locally (-mech / -strategy / -oracle), registers the shards in a
-//     health-gated fleet, pulls one merged snapshot, and answers every
-//     requested workload through an EstimatorPool's estimator with the
+//     health-gated fleet, pulls one merged snapshot per pass, and answers
+//     every requested workload through an EstimatorPool's estimator with the
 //     streams a server's POST /query uses, so the rows are the ones -server
 //     prints, bit for bit, and a level outside (0,1) is refused the same way.
+//
+// A fan-in pass prints what it covers before its rows: a "# coverage" line
+// and one "# shard" line per shard (fresh, stale or missing; count; epoch).
+// A mismatched mechanism is fatal at registration; a shard that is down
+// contributes its last-good snapshot (stale) or becomes a coverage gap, and
+// its reason, a partial merge and a count split beyond -drift (the signature
+// of a shard restored from a stale checkpoint) are warned about on stderr.
+// -quorum N refuses a merge covering fewer than N shards; -no-stale turns the
+// stale fallback off. -as-of E answers over the shards' retained history at
+// epoch E; -window N answers over the reports of the last N epochs, the
+// merged snapshot minus the fleet's retained history N epochs back. -watch D
+// keeps running: every D it polls the shards' /healthz and runs a new pass
+// when some shard's epoch advanced; a failed pass is logged and retried on
+// the next tick.
 //
 // Workloads come from -workloads (comma-separated family names) and/or -file
 // (one name per line, '#' comments):
@@ -23,6 +37,8 @@
 //	ldpquery -server http://router:8090 -workloads Prefix -level 0.95
 //	ldpquery -servers shardA:8089,shardB:8089 -mech oue -n 256 \
 //	    -file workloads.txt -variance
+//	ldpquery -servers shardA:8089,shardB:8089 -mech rappor -n 64 \
+//	    -workloads Histogram -watch 15s -quorum 2 -window 500
 package main
 
 import (
@@ -32,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,53 +57,101 @@ import (
 	"repro/internal/transport"
 )
 
+// config is the parsed command line.
+type config struct {
+	server, servers        string
+	mech, strategy, oracle string
+	n                      int
+	eps                    float64
+	workloads, file        string
+	level                  float64
+	variance, checkDigest  bool
+	head                   int
+	timeout                time.Duration
+	asOf, window           uint64
+	watch                  time.Duration
+	drift                  float64
+	quorum                 int
+	noStale, version       bool
+}
+
+// fanInOnly are the flags that configure client-side fan-in; -server mode
+// refuses them instead of ignoring them.
+var fanInOnly = []string{"mech", "n", "eps", "strategy", "oracle", "as-of", "window", "watch", "drift", "quorum", "no-stale"}
+
 func main() {
-	server := flag.String("server", "", "query one endpoint (shard or router) over POST /query")
-	servers := flag.String("servers", "", "comma-separated shard URLs for client-side fan-in (requires a mechanism)")
-	mech := flag.String("mech", "", "mechanism for fan-in mode: oue, olh, rappor")
-	n := flag.Int("n", 64, "domain size (fan-in mode with -mech)")
-	eps := flag.Float64("eps", 1.0, "privacy budget ε (fan-in mode with -mech)")
-	stratPath := flag.String("strategy", "", "use a strategy wire file (fan-in mode)")
-	oraclePath := flag.String("oracle", "", "use an oracle wire file (fan-in mode)")
-	workloads := flag.String("workloads", "", "comma-separated workload family names")
-	file := flag.String("file", "", "workload file: one family name per line, '#' comments")
-	level := flag.Float64("level", 0, "two-sided confidence level in (0,1); adds CI columns")
-	variance := flag.Bool("variance", false, "add the per-query variance column")
-	checkDigest := flag.Bool("check-digest", true, "send the canonical workload digest so the server proves it resolved the same workload (server mode)")
-	head := flag.Int("head", 0, "print only the first N rows per workload (0 = all)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-	asOf := flag.Uint64("as-of", 0, "answer over the shards' retained history at this epoch instead of live state (fan-in mode); each shard serves its newest retained epoch at or below the bound")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *showVersion {
+	c, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if c.version {
 		fmt.Println("ldpquery " + ldp.VersionString())
 		return
 	}
-
-	names, err := workloadNames(*workloads, *file)
+	names, err := workloadNames(c.workloads, c.file)
 	if err != nil {
 		fatal(err)
 	}
 	if len(names) == 0 {
 		fatal(fmt.Errorf("no workloads requested: set -workloads and/or -file"))
 	}
-	if (*server == "") == (*servers == "") {
-		fatal(fmt.Errorf("set exactly one of -server (remote query) or -servers (client-side fan-in)"))
-	}
-	if *asOf != 0 && *server != "" {
-		fatal(fmt.Errorf("-as-of needs the fan-in mode (-servers): POST /query always answers over live state"))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-
-	if *server != "" {
-		err = queryServer(ctx, os.Stdout, *server, names, *level, *variance, *checkDigest, *head)
+	if c.server != "" {
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+		defer cancel()
+		err = queryServer(ctx, os.Stdout, c.server, names, c.level, c.variance, c.checkDigest, c.head)
 	} else {
-		err = queryFanIn(ctx, os.Stdout, *servers, names, queryMech{*mech, *n, *eps, *stratPath, *oraclePath}, *level, *variance, *head, *asOf)
+		err = runFanIn(c, names)
 	}
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// parseArgs reads the command line and refuses flag combinations that have
+// no meaning, before anything touches the network.
+func parseArgs(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("ldpquery", flag.ExitOnError)
+	fs.StringVar(&c.server, "server", "", "query one endpoint (shard or router) over POST /query")
+	fs.StringVar(&c.servers, "servers", "", "comma-separated shard URLs for client-side fan-in (requires a mechanism)")
+	fs.StringVar(&c.mech, "mech", "", "mechanism for fan-in mode: oue, olh, rappor")
+	fs.IntVar(&c.n, "n", 64, "domain size (fan-in mode with -mech)")
+	fs.Float64Var(&c.eps, "eps", 1.0, "privacy budget ε (fan-in mode with -mech)")
+	fs.StringVar(&c.strategy, "strategy", "", "use a strategy wire file (fan-in mode)")
+	fs.StringVar(&c.oracle, "oracle", "", "use an oracle wire file (fan-in mode)")
+	fs.StringVar(&c.workloads, "workloads", "", "comma-separated workload family names")
+	fs.StringVar(&c.file, "file", "", "workload file: one family name per line, '#' comments")
+	fs.Float64Var(&c.level, "level", 0, "two-sided confidence level in (0,1); adds CI columns")
+	fs.BoolVar(&c.variance, "variance", false, "add the per-query variance column")
+	fs.BoolVar(&c.checkDigest, "check-digest", true, "send the canonical workload digest so the server proves it resolved the same workload (server mode)")
+	fs.IntVar(&c.head, "head", 0, "print only the first N rows per workload (0 = all)")
+	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "deadline for a -server run, and for fan-in registration and each fan-in pass")
+	fs.Uint64Var(&c.asOf, "as-of", 0, "answer over the shards' retained history at this epoch instead of live state (fan-in mode); each shard serves its newest retained epoch at or below the bound")
+	fs.Uint64Var(&c.window, "window", 0, "answer over the reports of the last N epochs: the shards' retained history supplies the baseline snapshot (fan-in mode; 0 disables; needs -data-dir shards)")
+	fs.DurationVar(&c.watch, "watch", 0, "continuous fan-in: poll /healthz on this interval and re-answer when a shard's epoch advances (0 = one shot)")
+	fs.Float64Var(&c.drift, "drift", 10, "warn when the largest shard count exceeds the smallest by this ratio — a stale-checkpoint recovery symptom (fan-in mode; 0 disables)")
+	fs.IntVar(&c.quorum, "quorum", 0, "refuse a merge covering fewer than this many shards (fan-in mode; 0 = any non-empty coverage)")
+	fs.BoolVar(&c.noStale, "no-stale", false, "disable the stale-snapshot fallback: an unreachable shard becomes a coverage gap instead of a stale contribution (fan-in mode)")
+	fs.BoolVar(&c.version, "version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil || c.version {
+		return c, err
+	}
+	if (c.server == "") == (c.servers == "") {
+		return c, fmt.Errorf("set exactly one of -server (remote query) or -servers (client-side fan-in)")
+	}
+	var fanIn []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(fanInOnly, f.Name) {
+			fanIn = append(fanIn, "-"+f.Name)
+		}
+	})
+	if c.server != "" && len(fanIn) > 0 {
+		return c, fmt.Errorf("%s: fan-in mode (-servers) only; POST /query always answers over one endpoint's live state", strings.Join(fanIn, ", "))
+	}
+	if c.watch > 0 && c.asOf != 0 {
+		return c, fmt.Errorf("-watch re-answers as live epochs advance and -as-of answers over one past epoch: set one of them")
+	}
+	return c, nil
 }
 
 // workloadNames merges the -workloads list with the -file lines.
@@ -125,19 +190,23 @@ func queryServer(ctx context.Context, out io.Writer, server string, names []stri
 	if err != nil {
 		return err
 	}
+	var domain int
+	if checkDigest {
+		// Resolving the workloads locally needs the domain; ask the server.
+		h, err := c.Healthz(ctx)
+		if err != nil {
+			return err
+		}
+		domain = h.Domain
+	}
 	for _, name := range names {
 		req := transport.QueryRequest{Workload: name, Level: level, WantVariance: variance || level > 0, WantCI: level > 0}
 		if checkDigest {
-			// Resolving the workload locally needs the domain; ask the server.
-			h, err := c.Healthz(ctx)
+			w, err := ldp.WorkloadByName(name, domain)
 			if err != nil {
 				return err
 			}
-			w, err := ldp.WorkloadByName(name, h.Domain)
-			if err != nil {
-				return err
-			}
-			req.Domain = h.Domain
+			req.Domain = domain
 			req.Digest = ldp.WorkloadDigest(w)
 		}
 		printed := 0
@@ -157,69 +226,186 @@ func queryServer(ctx context.Context, out io.Writer, server string, names []stri
 	return nil
 }
 
-// queryMech carries the fan-in mode's mechanism flags.
-type queryMech struct {
-	mech       string
-	n          int
-	eps        float64
-	strategy   string
-	oraclePath string
-}
-
-// queryFanIn merges the shards' snapshots client-side and answers every
-// workload through one EstimatorPool batch over the merged snapshot.
-func queryFanIn(ctx context.Context, out io.Writer, servers string, names []string, qm queryMech, level float64, variance bool, head int, asOf uint64) error {
-	agg, err := mechflag.Build(qm.mech, qm.n, qm.eps, qm.strategy, qm.oraclePath)
+// runFanIn is the -servers mode: one pass, then -watch's passes.
+func runFanIn(c config, names []string) error {
+	agg, err := mechflag.Build(c.mech, c.n, c.eps, c.strategy, c.oracle)
 	if err != nil {
 		return err
 	}
-	ws := make([]ldp.Workload, len(names))
+	f, err := newFanIn(c, agg, names, os.Stdout, os.Stderr)
+	if err != nil {
+		return err
+	}
+	if err := f.pass(context.Background()); err != nil {
+		return err
+	}
+	if c.watch > 0 {
+		f.watch(context.Background(), c.watch)
+	}
+	return nil
+}
+
+// fanIn is the client-side fan-in: the shards' fleet, the workloads it
+// answers and where it prints them. One-shot, -watch, -as-of and -window
+// all run its pass.
+type fanIn struct {
+	c         config
+	fleet     *ldp.Fleet
+	agg       ldp.Aggregator
+	names     []string
+	ws        []ldp.Workload
+	pool      *ldp.EstimatorPool
+	out, errw io.Writer
+
+	// lastEpochs is endpoint→epoch of each shard's last fresh contribution,
+	// what the -watch round compares /healthz against.
+	lastEpochs map[string]uint64
+}
+
+// newFanIn resolves the workloads and registers every shard of c.servers,
+// within c.timeout. A mismatched mechanism is fatal here, before a byte of
+// state moves; a shard that is merely down is admitted as a coverage gap and
+// joins the merge when it comes back. opts follow the flags' fleet options.
+func newFanIn(c config, agg ldp.Aggregator, names []string, out, errw io.Writer, opts ...ldp.FleetOption) (*fanIn, error) {
+	f := &fanIn{c: c, agg: agg, names: names, ws: make([]ldp.Workload, len(names)),
+		pool: ldp.NewEstimatorPool(), out: out, errw: errw, lastEpochs: make(map[string]uint64)}
+	var err error
 	for i, name := range names {
-		if ws[i], err = ldp.WorkloadByName(name, agg.Domain()); err != nil {
-			return err
+		if f.ws[i], err = ldp.WorkloadByName(name, agg.Domain()); err != nil {
+			return nil, err
 		}
 	}
 	// The fleet only needs some workload over the domain to validate the
-	// mechanism against; the pool below answers all of them.
-	fleet, err := ldp.NewFleet(agg, ws[0])
-	if err != nil {
-		return err
+	// mechanism against; the pool answers all of them.
+	opts = append([]ldp.FleetOption{ldp.WithFleetQuorum(c.quorum), ldp.WithFleetStaleFallback(!c.noStale)}, opts...)
+	if f.fleet, err = ldp.NewFleet(agg, f.ws[0], opts...); err != nil {
+		return nil, err
 	}
-	for _, ep := range strings.Split(servers, ",") {
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+	defer cancel()
+	for _, ep := range strings.Split(c.servers, ",") {
 		if ep = strings.TrimSpace(ep); ep == "" {
 			continue
 		}
-		if err := fleet.Register(ctx, ep); err != nil {
-			return err
+		if err := f.fleet.Register(ctx, ep); err != nil {
+			return nil, err
 		}
 	}
+	return f, nil
+}
+
+// pass is one read of the fleet within c.timeout: one merged snapshot (live,
+// or as of -as-of), what it covers, and every workload's rows over it — or,
+// with -window, over its Diff against the fleet's retained history.
+func (f *fanIn) pass(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, f.c.timeout)
+	defer cancel()
 	var (
 		snap ldp.Snapshot
 		cov  ldp.Coverage
+		err  error
 	)
-	if asOf > 0 {
+	if f.c.asOf > 0 {
 		// Historical read: each shard serves its newest retained epoch at or
 		// below the bound, so the merge is the fleet's state as of that epoch.
-		snap, cov, err = fleet.SnapAt(ctx, asOf)
+		snap, cov, err = f.fleet.SnapAt(ctx, f.c.asOf)
 	} else {
-		snap, cov, err = fleet.Snap(ctx)
+		snap, cov, err = f.fleet.Snap(ctx)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "# coverage: %s\n", cov)
-	pool := ldp.NewEstimatorPool()
-	for i, w := range ws {
-		est, err := pool.Estimator(agg, w)
+	f.report(cov, snap)
+	if f.c.window > 0 {
+		if snap.Epoch() <= f.c.window {
+			return fmt.Errorf("window of %d epochs not yet filled (merged epoch %d)", f.c.window, snap.Epoch())
+		}
+		at := snap.Epoch() - f.c.window
+		base, bcov, err := f.fleet.SnapAt(ctx, at)
+		if err != nil {
+			return fmt.Errorf("window: no usable history at epoch %d: %w", at, err)
+		}
+		fmt.Fprintf(f.out, "# window (%d, %d]: baseline coverage %s, %.0f reports\n", base.Epoch(), snap.Epoch(), bcov, base.Count())
+		if snap, err = snap.Diff(base); err != nil {
+			return err
+		}
+	}
+	for i, w := range f.ws {
+		est, err := f.pool.Estimator(f.agg, w)
 		if err != nil {
 			return err
 		}
-		if err := printRows(out, est, snap, level, variance, head); err != nil {
-			return fmt.Errorf("workload %s: %w", names[i], err)
+		if err := printRows(f.out, est, snap, f.c.level, f.c.variance, f.c.head); err != nil {
+			return fmt.Errorf("workload %s: %w", f.names[i], err)
 		}
-		fmt.Fprintf(out, "# %s: %d queries over %.0f reports (epoch %d)\n", names[i], w.Queries(), snap.Count(), snap.Epoch())
+		fmt.Fprintf(f.out, "# %s: %d queries over %.0f reports (epoch %d)\n", f.names[i], w.Queries(), snap.Count(), snap.Epoch())
 	}
 	return nil
+}
+
+// report prints what a merge covers — the summary and one line per shard —
+// warns on stderr about each degraded shard, a partial merge and count drift,
+// and records the fresh shards' epochs for the -watch round.
+func (f *fanIn) report(cov ldp.Coverage, snap ldp.Snapshot) {
+	fmt.Fprintf(f.out, "# coverage: %s, %.0f reports (epoch %d)\n", cov, snap.Count(), snap.Epoch())
+	for _, sc := range cov.Shards {
+		fmt.Fprintf(f.out, "# shard %s: %s, %.0f reports (epoch %d)\n", sc.Endpoint, sc.Status, sc.Count, sc.Epoch)
+		if sc.Err != "" {
+			fmt.Fprintf(f.errw, "ldpquery: shard %s %s: %s\n", sc.Endpoint, sc.Status, sc.Err)
+		}
+		// A stale contribution leaves its epoch behind, so the next tick
+		// re-pulls when the shard returns.
+		if sc.Status == ldp.CoverageFresh {
+			f.lastEpochs[sc.Endpoint] = sc.Epoch
+		}
+	}
+	if !cov.Complete() {
+		fmt.Fprintf(f.errw, "ldpquery: WARNING: partial merge, coverage %s — the estimate undercounts the missing/stale shards' recent reports\n", cov)
+	}
+	// Counts need not be equal (shards can serve uneven populations), but an
+	// order-of-magnitude split is what a shard silently restored from a stale
+	// checkpoint looks like next to its peers.
+	if ratio, minS, maxS := cov.DriftRatio(); f.c.drift > 0 && ratio > f.c.drift {
+		fmt.Fprintf(f.errw,
+			"ldpquery: WARNING: shard counts diverge beyond the %gx drift threshold: %s holds %.0f reports, %s only %.0f — %s may have recovered from a stale checkpoint or lost its state\n",
+			f.c.drift, maxS.Endpoint, maxS.Count, minS.Endpoint, minS.Count, minS.Endpoint)
+	}
+}
+
+// watch runs one cheap /healthz round per tick and a pass only when some
+// shard's epoch advanced. A failed pass — a flapping shard, a below-quorum
+// merge, an epoch regression — is logged and retried next tick. It returns
+// when ctx is done.
+func (f *fanIn) watch(ctx context.Context, interval time.Duration) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			if !f.epochsAdvanced(ctx) {
+				continue
+			}
+			if err := f.pass(ctx); err != nil {
+				fmt.Fprintf(f.errw, "ldpquery: %v (retrying in %s)\n", err, interval)
+			}
+		}
+	}
+}
+
+// epochsAdvanced reports whether any reachable shard's /healthz epoch
+// differs from the one it last contributed fresh — including a shard
+// reappearing after an outage. Unreachable shards are skipped.
+func (f *fanIn) epochsAdvanced(ctx context.Context) bool {
+	ctx, cancel := context.WithTimeout(ctx, f.c.timeout)
+	defer cancel()
+	for ep, epoch := range f.fleet.Epochs(ctx) {
+		if epoch != f.lastEpochs[ep] {
+			return true
+		}
+	}
+	return false
 }
 
 // printRows prints est's rows over snap from the streams POST /query

@@ -137,7 +137,7 @@ func main() {
 		}
 	}
 	// One Estimator answers every snapshot — the in-process collector's, the
-	// remote server's, or (see cmd/ldpfed) a merge of several shards'.
+	// remote server's, or (see ldpquery -servers) a merge of several shards'.
 	est, err := ldp.NewEstimator(agg, w)
 	if err != nil {
 		fatal(err)

@@ -72,7 +72,7 @@ func main() {
 	// The identity /healthz and every snapshot frame declare: mechanism name,
 	// domain, ε, and (for strategy matrices, where those three cannot tell
 	// two matrices apart) the digest of the exact channel — what lets clients
-	// and ldpfed reject a mismatched or stale shard at the handshake.
+	// and ldpquery -servers reject a mismatched or stale shard at the handshake.
 	info := ldp.MechanismInfoOf(agg)
 	w, err := ldp.WorkloadByName(*wname, agg.Domain())
 	if err != nil {

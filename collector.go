@@ -306,8 +306,8 @@ func (c *Collector) countEpoch() (count float64, epoch uint64) {
 // Snap returns an immutable point-in-time Snapshot of the collector: merged
 // accumulator, report count, mechanism identity, and the monotonic snapshot
 // epoch. It is the one read handle every estimator consumes — and the value
-// a transport binding serves to remote readers and ldpfed merges across
-// shards.
+// a transport binding serves to remote readers and `ldpquery -servers`
+// merges across shards.
 func (c *Collector) Snap() Snapshot {
 	acc, count, epoch := c.snapshot()
 	return Snapshot{state: acc, count: count, epoch: epoch, info: c.info}

@@ -10,7 +10,7 @@ import (
 )
 
 // The fan-in acceptance criterion: two ldpserve shards each ingesting half
-// of a population, merged via Snapshot.Merge (the cmd/ldpfed path:
+// of a population, merged via Snapshot.Merge (the ldpquery -servers path:
 // RemoteCollector.Snap from each loopback server, then Merge), must produce
 // answers bit-identical to a single collector ingesting the whole population
 // at the same per-client seeds — for the strategy mechanism and all three
@@ -75,7 +75,7 @@ func TestFedMergeMatchesSingleCollector(t *testing.T) {
 					t.Fatal(err)
 				}
 				ctx := context.Background()
-				// The ldpfed handshake: verify the shard's identity (digest
+				// The fan-in handshake: verify the shard's identity (digest
 				// included) before trusting its snapshot.
 				if err := rcol.Verify(ctx, info.Mechanism, info.Epsilon, info.Digest); err != nil {
 					t.Fatal(err)

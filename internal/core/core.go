@@ -45,10 +45,8 @@ import (
 // m = 4n outputs, random initialization, automatic step-size search, and 500
 // iterations.
 type Options struct {
-	// OutputFactor sets m = OutputFactor·n (default 4; Section 4 reports
-	// m = 4n as the empirical sweet spot). Ignored when Outputs > 0.
-	OutputFactor int
-	// Outputs sets m explicitly.
+	// Outputs sets m (default 4n; Section 4 reports m = 4n as the empirical
+	// sweet spot).
 	Outputs int
 	// Iters bounds the number of projected-gradient iterations (default 500).
 	Iters int
@@ -85,11 +83,7 @@ type Options struct {
 func (o *Options) withDefaults(n int) Options {
 	out := *o
 	if out.Outputs <= 0 {
-		f := out.OutputFactor
-		if f <= 0 {
-			f = 4
-		}
-		out.Outputs = f * n
+		out.Outputs = 4 * n
 	}
 	if out.Iters <= 0 {
 		out.Iters = 500

@@ -361,13 +361,6 @@ func TestOptimizeOutputsOption(t *testing.T) {
 	if res.Strategy.Outputs() != 10 {
 		t.Fatalf("m = %d, want 10", res.Strategy.Outputs())
 	}
-	res2, err := Optimize(w, 1.0, Options{Iters: 30, Seed: 8, OutputFactor: 2, StepSize: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Strategy.Outputs() != 8 {
-		t.Fatalf("m = %d, want 2n = 8", res2.Strategy.Outputs())
-	}
 }
 
 // At large ε, randomized response is essentially optimal for Histogram

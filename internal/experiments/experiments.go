@@ -315,9 +315,9 @@ func FigureInit(cfg Config) ([]InitPoint, error) {
 		// The seed keeps the seed repo's formula — already derived from the
 		// cell coordinates (m-factor, trial), not iteration order.
 		res, err := core.Optimize(w, eps, core.Options{
-			Iters:        cfg.Iters,
-			Seed:         cfg.Seed + int64(1000*factors[fi]+trial),
-			OutputFactor: factors[fi],
+			Iters:   cfg.Iters,
+			Seed:    cfg.Seed + int64(1000*factors[fi]+trial),
+			Outputs: factors[fi] * w.Domain(),
 		})
 		if err != nil {
 			return err

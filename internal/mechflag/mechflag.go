@@ -1,8 +1,8 @@
 // Package mechflag resolves the mechanism-selection flags shared by the
-// collector-facing commands (ldpserve, ldprouter, ldpfed, ldpquery): exactly
-// one of an in-place oracle spec, a strategy wire file, or an oracle wire
-// file. Keeping the resolution in one place guarantees a router, fed or query
-// client pointed at a shard's own flags aggregates and reconstructs under the
+// collector-facing commands (ldpserve, ldprouter, ldpquery): exactly one of
+// an in-place oracle spec, a strategy wire file, or an oracle wire file.
+// Keeping the resolution in one place guarantees a router or query client
+// pointed at a shard's own flags aggregates and reconstructs under the
 // shard's exact mechanism.
 package mechflag
 

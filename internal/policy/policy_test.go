@@ -788,16 +788,22 @@ func identsContaining(tr *tree, files []*srcFile, msg string, names ...string) [
 	return out
 }
 
-// rootSelections type-checks the tree's non-test files of the root package,
+// selections type-checks the tree's non-test files of the package in dir,
 // the ones the host builds plus any a fixture added, against the module's
 // already-checked packages, and returns what each selector selects.
-func (tr *tree) rootSelections() (map[*ast.SelectorExpr]*types.Selection, error) {
+func (tr *tree) selections(dir string) (map[*ast.SelectorExpr]*types.Selection, error) {
+	ip := modulePath
+	if dir != "." {
+		ip = path.Join(modulePath, dir)
+	}
 	excluded := map[*srcFile]bool{}
-	for _, f := range tr.m.pkgs[modulePath].excluded {
-		excluded[f] = true
+	if pk, ok := tr.m.pkgs[ip]; ok {
+		for _, f := range pk.excluded {
+			excluded[f] = true
+		}
 	}
 	var files []*ast.File
-	for _, f := range tr.goFiles(and(nonTest, under("."))) {
+	for _, f := range tr.goFiles(and(nonTest, under(dir))) {
 		if !excluded[f] {
 			files = append(files, f.ast)
 		}
@@ -809,8 +815,8 @@ func (tr *tree) rootSelections() (map[*ast.SelectorExpr]*types.Selection, error)
 		}
 		return tr.m.std.Import(p)
 	})}
-	if _, err := conf.Check(modulePath, tr.fset, files, info); err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", modulePath, err)
+	if _, err := conf.Check(ip, tr.fset, files, info); err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", ip, err)
 	}
 	return info.Selections, nil
 }
@@ -909,7 +915,7 @@ type KeyedBackend interface{ IngestKeyed(key string) error }
 	{
 		name: "One absorb loop",
 		check: func(tr *tree) []string {
-			sels, err := tr.rootSelections()
+			sels, err := tr.selections(".")
 			if err != nil {
 				return []string{err.Error()}
 			}
@@ -1239,6 +1245,93 @@ func reopen(path string) {
 import "os"
 
 func persist(tmp, path string) error { return os.Rename(tmp, path) }
+`}},
+	},
+	// One fan-in reader: ldpquery -servers is the one command that merges
+	// shards on the client, with one setup, one coverage report and one row
+	// printer for one-shot, -watch, -as-of and -window reads. Another command
+	// that reads a Fleet's merged snapshot is a second fan-in whose flags,
+	// output and degradation handling drift from the first. The rule matches
+	// by type: Snap or SnapAt selected on a *ldp.Fleet in a non-test file
+	// under cmd/.
+	{
+		name: "One fan-in reader",
+		check: func(tr *tree) []string {
+			dirs := map[string]bool{}
+			for _, f := range tr.goFiles(and(nonTest, func(f *srcFile) bool {
+				return strings.HasPrefix(f.rel, "cmd/") && path.Dir(f.rel) != "cmd/ldpquery"
+			})) {
+				dirs[path.Dir(f.rel)] = true
+			}
+			fleet := types.NewPointer(tr.m.pkgs[modulePath].types.Scope().Lookup("Fleet").Type())
+			var out []string
+			for dir := range dirs {
+				sels, err := tr.selections(dir)
+				if err != nil {
+					out = append(out, err.Error())
+					continue
+				}
+				for sel, s := range sels {
+					if name := s.Obj().Name(); s.Kind() == types.MethodVal && (name == "Snap" || name == "SnapAt") && types.Identical(s.Recv(), fleet) {
+						out = append(out, tr.site(sel, "read a fleet's merged snapshot through ldpquery -servers instead of a second fan-in command"))
+					}
+				}
+			}
+			sort.Strings(out)
+			return out
+		},
+		fixtures: []fixture{{"cmd/ldpfed/main.go", `package main
+
+import (
+	"context"
+	"fmt"
+	"io"
+
+	ldp "repro"
+)
+
+type fed struct {
+	fleet     *ldp.Fleet
+	est       *ldp.Estimator
+	window    uint64
+	out, errw io.Writer
+}
+
+func (f *fed) mergeAndReport(ctx context.Context) error {
+	merged, cov, err := f.fleet.Snap(ctx)
+	if err != nil {
+		return err
+	}
+	for _, sc := range cov.Shards {
+		fmt.Fprintf(f.out, "%-32s %8s %12d %8d\n", sc.Endpoint, sc.Status, int(sc.Count), sc.Epoch)
+	}
+	if !cov.Complete() {
+		fmt.Fprintf(f.errw, "ldpfed: WARNING: partial merge, coverage %s\n", cov)
+	}
+	unbiased, err := f.est.Answers(merged)
+	if err != nil {
+		return err
+	}
+	consistent, err := f.est.ConsistentAnswers(merged)
+	if err != nil {
+		return err
+	}
+	for i := range unbiased {
+		fmt.Fprintf(f.out, "%-8d %14.1f %14.1f\n", i, unbiased[i], consistent[i])
+	}
+	if f.window > 0 && merged.Epoch() > f.window {
+		hist, _, err := f.fleet.SnapAt(ctx, merged.Epoch()-f.window)
+		if err != nil {
+			return err
+		}
+		answers, err := f.est.WindowAnswers(merged, hist)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(f.out, answers)
+	}
+	return nil
+}
 `}},
 	},
 	// One shard process: a harness shard that must die by SIGKILL is a

@@ -45,8 +45,8 @@
 //	stateLen  uint32  big-endian
 //	state     stateLen × float64 big-endian IEEE-754 bits
 //
-// Writers emit version 2; readers accept both, so a new ldpfed can merge
-// snapshots from an old ldpserve (the metadata simply comes back empty).
+// Writers emit version 2; readers accept both, so a new fan-in reader can
+// merge snapshots from an old ldpserve (the metadata simply comes back empty).
 //
 // Decoders are strict: a frame's declared length is checked against its
 // kind's hard limit before readFrame allocates it (so one frame reserves at

@@ -101,7 +101,7 @@ type Info struct {
 }
 
 // Health is the /healthz response body. Count and Epoch are one consistent
-// snapshot view, so an operator (or ldpfed) comparing two shards sees a
+// snapshot view, so an operator (or ldpquery -servers) comparing two shards sees a
 // stale or diverged one without pulling either full snapshot.
 //
 // /healthz is liveness: it answers 200 for as long as the process can serve

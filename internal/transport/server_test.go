@@ -419,7 +419,7 @@ func TestIdempotencyKeyInFlightDuplicate(t *testing.T) {
 
 // /healthz reports the snapshot epoch alongside the count: the epoch
 // advances when (and only when) the observed state changes, which is how an
-// operator or ldpfed spots a stale shard without pulling a snapshot.
+// operator or ldpquery -servers spots a stale shard without pulling a snapshot.
 func TestHealthzReportsEpoch(t *testing.T) {
 	backend := &memBackend{}
 	_, c := newTestServer(t, backend)

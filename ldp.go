@@ -37,7 +37,7 @@
 // pipeline runs with `ldp.NewOUE(n, eps)` in place of the two strategy
 // adapters. Snapshots from several collectors (local or remote ldpserve
 // shards) merge with Snapshot.Merge into one answerable view — see
-// cmd/ldpfed. See README.md for the full tour.
+// cmd/ldpquery -servers. See README.md for the full tour.
 //
 // All heavy computation is expressed against the workload's Gram matrix WᵀW,
 // so workloads with millions of rows (e.g. AllRange) remain cheap.

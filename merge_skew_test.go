@@ -1,7 +1,7 @@
 // Skewed-population merge: two shards serving populations three orders of
 // magnitude apart (1:1000) must merge into a statistically sound combined
 // estimate, while the coverage report makes the imbalance impossible to
-// miss — DriftRatio fires far past ldpfed's default 10× warning threshold.
+// miss — DriftRatio fires far past ldpquery -drift's default 10× warning threshold.
 // This is the shape a shard restored from a stale checkpoint (or a freshly
 // added shard) presents to the fan-in, and the contract is: warn loudly,
 // never distort the merged answer.
@@ -67,10 +67,10 @@ func TestFleetSnapSkewedShardsDriftAndEnvelope(t *testing.T) {
 
 	// The coverage must expose the imbalance: DriftRatio names the two
 	// shards and lands at the true 1000× ratio, far past the 10× default
-	// warning threshold ldpfed applies.
+	// warning threshold ldpquery -drift applies.
 	ratio, minS, maxS := cov.DriftRatio()
 	if ratio <= 10 {
-		t.Fatalf("DriftRatio()=%v for a 1:1000 split, want > 10 (ldpfed default threshold)", ratio)
+		t.Fatalf("DriftRatio()=%v for a 1:1000 split, want > 10 (ldpquery -drift default threshold)", ratio)
 	}
 	if math.Abs(ratio-float64(bigUsers)/float64(smallUsers)) > 1e-9 {
 		t.Fatalf("DriftRatio()=%v, want exactly %v", ratio, float64(bigUsers)/float64(smallUsers))

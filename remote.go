@@ -370,24 +370,9 @@ func (rc *RemoteCollector) Count(ctx context.Context) (float64, error) {
 // before the snapshot is accepted). Against an old server speaking v1 frames
 // the identity gaps are filled from the local mechanism.
 func (rc *RemoteCollector) Snap(ctx context.Context) (Snapshot, error) {
-	var ts transport.Snapshot
-	err := retry.Do(ctx, rc.policy, func(actx context.Context) error {
-		s, serr := rc.client.Snap(actx)
-		if serr == nil {
-			ts = s
-		}
-		// A truncated or garbled frame reads as a decode error, not a status:
-		// it is transient (the next fetch re-reads), so it retries too.
-		return classifyTransportErr(serr)
-	})
+	snap, err := rc.fetch(ctx, "fetch snapshot", rc.client.Snap)
 	if err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: fetch snapshot: %w", err)
-	}
-	if len(ts.State) != rc.agg.StateLen() {
-		return Snapshot{}, fmt.Errorf("ldp: remote snapshot has %d state entries, local mechanism expects %d — mechanism mismatch", len(ts.State), rc.agg.StateLen())
-	}
-	if err := infoMismatch(rc.info, ts.Info); err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: remote snapshot aggregated under a different mechanism configuration: %w", err)
+		return Snapshot{}, err
 	}
 	// The epoch must never move backwards across Snap calls: a collector's
 	// epoch is monotonic and survives a durable restart, so a regression is
@@ -395,17 +380,16 @@ func (rc *RemoteCollector) Snap(ctx context.Context) (Snapshot, error) {
 	// letting a consistent-looking undercount through. (A v1 server reports
 	// epoch 0 always, which never regresses from itself.)
 	rc.mu.Lock()
-	if ts.Epoch < rc.lastEpoch {
+	if snap.epoch < rc.lastEpoch {
 		prev, prevCount := rc.lastEpoch, rc.lastCount
 		rc.mu.Unlock()
 		return Snapshot{}, fmt.Errorf("ldp: %w", &EpochRegressionError{
-			Prev: prev, PrevCount: prevCount, Observed: ts.Epoch, ObservedCount: ts.Count,
+			Prev: prev, PrevCount: prevCount, Observed: snap.epoch, ObservedCount: snap.count,
 		})
 	}
-	rc.lastEpoch, rc.lastCount = ts.Epoch, ts.Count
+	rc.lastEpoch, rc.lastCount = snap.epoch, snap.count
 	rc.mu.Unlock()
-	// ts.State is freshly decoded and exclusively ours — no defensive copy.
-	return Snapshot{state: ts.State, count: ts.Count, epoch: ts.Epoch, info: mergeInfo(ts.Info, rc.info)}, nil
+	return snap, nil
 }
 
 // SnapAt fetches the historical snapshot the server's epoch history retains
@@ -432,16 +416,44 @@ func (rc *RemoteCollector) SnapAtNearest(ctx context.Context, epoch uint64) (Sna
 }
 
 func (rc *RemoteCollector) snapAt(ctx context.Context, epoch uint64, nearest bool) (Snapshot, error) {
+	snap, err := rc.fetch(ctx, fmt.Sprintf("fetch snapshot at epoch %d", epoch), func(actx context.Context) (transport.Snapshot, error) {
+		return rc.client.SnapAt(actx, epoch, nearest)
+	})
+	if err != nil {
+		return Snapshot{}, err
+	}
+	if !nearest && snap.epoch != epoch {
+		if snap.epoch < epoch {
+			return Snapshot{}, fmt.Errorf("ldp: %w", &EpochRegressionError{
+				Prev: epoch, Observed: snap.epoch, ObservedCount: snap.count,
+			})
+		}
+		return Snapshot{}, fmt.Errorf("ldp: requested epoch %d, server served %d", epoch, snap.epoch)
+	}
+	if nearest && snap.epoch > epoch {
+		return Snapshot{}, fmt.Errorf("ldp: requested epoch at or below %d, server served %d", epoch, snap.epoch)
+	}
+	// Deliberately no rc.lastEpoch update: the high-water mark tracks the
+	// live timeline only.
+	return snap, nil
+}
+
+// fetch is the one fetch-and-verify behind Snap and SnapAt: get runs under
+// the retry policy (a truncated or garbled frame reads as a decode error, not
+// a status: it is transient, the next fetch re-reads, so it retries too), and
+// the answer is accepted only when its state width and declared mechanism
+// identity match the local mechanism. what names the read in the error.
+func (rc *RemoteCollector) fetch(ctx context.Context, what string, get func(context.Context) (transport.Snapshot, error)) (Snapshot, error) {
 	var ts transport.Snapshot
 	err := retry.Do(ctx, rc.policy, func(actx context.Context) error {
-		s, serr := rc.client.SnapAt(actx, epoch, nearest)
+		s, serr := get(actx)
 		if serr == nil {
 			ts = s
 		}
 		return classifyTransportErr(serr)
 	})
 	if err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: fetch snapshot at epoch %d: %w", epoch, err)
+		return Snapshot{}, fmt.Errorf("ldp: %s: %w", what, err)
 	}
 	if len(ts.State) != rc.agg.StateLen() {
 		return Snapshot{}, fmt.Errorf("ldp: remote snapshot has %d state entries, local mechanism expects %d — mechanism mismatch", len(ts.State), rc.agg.StateLen())
@@ -449,19 +461,7 @@ func (rc *RemoteCollector) snapAt(ctx context.Context, epoch uint64, nearest boo
 	if err := infoMismatch(rc.info, ts.Info); err != nil {
 		return Snapshot{}, fmt.Errorf("ldp: remote snapshot aggregated under a different mechanism configuration: %w", err)
 	}
-	if !nearest && ts.Epoch != epoch {
-		if ts.Epoch < epoch {
-			return Snapshot{}, fmt.Errorf("ldp: %w", &EpochRegressionError{
-				Prev: epoch, Observed: ts.Epoch, ObservedCount: ts.Count,
-			})
-		}
-		return Snapshot{}, fmt.Errorf("ldp: requested epoch %d, server served %d", epoch, ts.Epoch)
-	}
-	if nearest && ts.Epoch > epoch {
-		return Snapshot{}, fmt.Errorf("ldp: requested epoch at or below %d, server served %d", epoch, ts.Epoch)
-	}
-	// Deliberately no rc.lastEpoch update: the high-water mark tracks the
-	// live timeline only.
+	// ts.State is freshly decoded and exclusively ours — no defensive copy.
 	return Snapshot{state: ts.State, count: ts.Count, epoch: ts.Epoch, info: mergeInfo(ts.Info, rc.info)}, nil
 }
 

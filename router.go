@@ -45,7 +45,7 @@ const (
 
 // FleetServer serves a Fleet over the same framed HTTP protocol a single
 // collector shard speaks, so any existing client — a RemoteCollector, an
-// ldpfed poller — can point at the router unchanged and transparently talk
+// ldpquery -servers reader — can point at the router unchanged and transparently talk
 // to N health-gated shards behind it:
 //
 //	POST /reports    route a (keyed) batch to a live shard, key-sticky
