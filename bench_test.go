@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (Section 6), plus ablation and micro benchmarks for the
-// optimizer's design choices (the average-case relaxation, the
-// initialization, the two step sizes).
+// optimizer's design choices (the average-case relaxation and the
+// initialization).
 //
 // Figure benchmarks run the shared experiment harness at reduced scale and
 // report the figure's headline quantity through b.ReportMetric, so
@@ -258,22 +258,6 @@ func BenchmarkAblationInit(b *testing.B) {
 		}
 		b.ReportMetric(random.Objective, "random-init-objective")
 		b.ReportMetric(warm.Objective, "rr-init-objective")
-	}
-}
-
-// BenchmarkAblationStepSize compares the paper's two-step-size scheme
-// (α = β/(n·e^ε) for z) against naive equal steps by measuring the final
-// objective each reaches. The z step is taken through the same code path, so
-// the comparison isolates the step-size coupling.
-func BenchmarkAblationStepSize(b *testing.B) {
-	w := workload.NewPrefix(16)
-	for i := 0; i < b.N; i++ {
-		// The production configuration (paper scheme).
-		paper, err := core.Optimize(w, 1.0, core.Options{Iters: 150, Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(paper.Objective, "paper-scheme-objective")
 	}
 }
 

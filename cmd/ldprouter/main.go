@@ -51,7 +51,6 @@ func main() {
 	eps := flag.Float64("eps", 1.0, "privacy budget ε (with -mech)")
 	stratPath := flag.String("strategy", "", "use a strategy wire file (SaveStrategy)")
 	oraclePath := flag.String("oracle", "", "use an oracle wire file (SaveOracle)")
-	wname := flag.String("workload", "Histogram", "workload family")
 	quorum := flag.Int("quorum", 0, "refuse snapshots covering fewer than this many shards (0 = serve any non-empty coverage)")
 	noStale := flag.Bool("no-stale", false, "disable the stale-snapshot fallback: an unreachable shard becomes a coverage gap instead of a stale contribution")
 	bindLog := flag.String("bindings-log", "", "append-only log persisting idempotency-key→shard bindings across router restarts")
@@ -71,10 +70,6 @@ func main() {
 		fatal(err)
 	}
 	info := ldp.MechanismInfoOf(agg)
-	w, err := ldp.WorkloadByName(*wname, agg.Domain())
-	if err != nil {
-		fatal(err)
-	}
 	fleetOpts := []ldp.FleetOption{
 		ldp.WithFleetQuorum(*quorum),
 		ldp.WithFleetStaleFallback(!*noStale),
@@ -83,7 +78,7 @@ func main() {
 	if *bindLog != "" {
 		fleetOpts = append(fleetOpts, ldp.WithFleetBindingLog(*bindLog))
 	}
-	fleet, err := ldp.NewFleet(agg, w, fleetOpts...)
+	fleet, err := ldp.NewFleet(agg, ldp.Histogram(agg.Domain()), fleetOpts...)
 	if err != nil {
 		fatal(err)
 	}

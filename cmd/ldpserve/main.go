@@ -49,7 +49,6 @@ func main() {
 	eps := flag.Float64("eps", 1.0, "privacy budget ε (with -mech)")
 	stratPath := flag.String("strategy", "", "serve a strategy wire file (SaveStrategy)")
 	oraclePath := flag.String("oracle", "", "serve an oracle wire file (SaveOracle)")
-	wname := flag.String("workload", "Histogram", "workload family for server-side consistency tooling")
 	shards := flag.Int("shards", 0, "collector shards (0 = 2×GOMAXPROCS; at most 4096)")
 	dataDir := flag.String("data-dir", "", "durable ingest directory (write-ahead log + checkpoints); empty serves in-memory only")
 	ckptEvery := flag.Int("checkpoint-every", ldp.DefaultCheckpointEvery, "reports between automatic checkpoints (with -data-dir; 0 disables)")
@@ -74,17 +73,13 @@ func main() {
 	// two matrices apart) the digest of the exact channel — what lets clients
 	// and ldpquery -servers reject a mismatched or stale shard at the handshake.
 	info := ldp.MechanismInfoOf(agg)
-	w, err := ldp.WorkloadByName(*wname, agg.Domain())
-	if err != nil {
-		fatal(err)
-	}
 	var copts []ldp.CollectorOption
 	if *dataDir != "" {
 		copts = append(copts, ldp.WithDurability(*dataDir,
 			ldp.CheckpointEvery(*ckptEvery), ldp.FsyncEachCommit(*fsync),
 			ldp.HistoryKeep(*historyKeep), ldp.GzipHistory(*gzipHistory)))
 	}
-	col, err := ldp.NewCollector(agg, w, *shards, copts...)
+	col, err := ldp.NewCollector(agg, ldp.Histogram(agg.Domain()), *shards, copts...)
 	if err != nil {
 		fatal(err)
 	}

@@ -310,6 +310,77 @@ func TestDurableRestartReplaysIdempotencyKey(t *testing.T) {
 	}
 }
 
+// Whether a keyed retry is absorbed does not depend on a restart. A durable
+// shard sees K, a horizon's worth of new keys minus one, K again, one more
+// new key, and K a last time. The second K is inside the horizon and replays
+// in both runs. The new key then pushes K, the first key seen, out of the
+// horizon, so the last K absorbs again — in the run that restarts before it
+// (the recovered key table forgets K) and in the run that does not (the live
+// outcome cache forgets K too; the retry in between did not refresh it).
+func TestDurableKeyHorizonSurvivesRestart(t *testing.T) {
+	const n = 16
+	w := ldp.Histogram(n)
+	m := e2eMechanisms(t, n)["OUE"]
+	report := randomBatches(t, m.rz, n, []int{1}, 31)[0]
+	info := ldp.MechanismInfoOf(m.agg)
+	ctx := context.Background()
+	final := map[bool]float64{}
+	for _, restart := range []bool{false, true} {
+		dir := t.TempDir()
+		var (
+			col *ldp.Collector
+			hs  *httptest.Server
+			tc  *transport.Client
+		)
+		open := func() {
+			var err error
+			if col, err = ldp.NewCollector(m.agg, w, 0, ldp.WithDurability(dir)); err != nil {
+				t.Fatal(err)
+			}
+			hs = httptest.NewServer(collectorHandler(t, col, info))
+			if tc, err = transport.NewClient(hs.URL, hs.Client()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		post := func(key string) {
+			t.Helper()
+			if _, err := tc.PostReportsKeyed(ctx, report, key); err != nil {
+				var se *transport.StatusError
+				if !errors.As(err, &se) || se.StatusCode != http.StatusConflict {
+					t.Fatalf("restart=%v: post %q: %v", restart, key, err)
+				}
+			}
+		}
+		open()
+		const k = "first-seen-key"
+		post(k)
+		for i := 0; i < transport.IdempotencyHorizon-1; i++ {
+			post(fmt.Sprintf("key-%05d", i))
+		}
+		post(k)
+		if got := col.Count(); got != transport.IdempotencyHorizon {
+			t.Fatalf("restart=%v: count %v after a retry inside the horizon, want %d", restart, got, transport.IdempotencyHorizon)
+		}
+		post("one-more-key")
+		if restart {
+			hs.Close()
+			if err := col.Close(); err != nil {
+				t.Fatal(err)
+			}
+			open()
+		}
+		post(k)
+		final[restart] = col.Count()
+		hs.Close()
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if final[false] != final[true] || final[true] != transport.IdempotencyHorizon+2 {
+		t.Fatalf("final count %v without a restart, %v with one; want %d both times", final[false], final[true], transport.IdempotencyHorizon+2)
+	}
+}
+
 // A batch the write-ahead log cannot take (here: the store is closed; in
 // production ENOSPC or EIO) was valid, so the served collector answers a
 // retryable 503 — not a 400 the client would take as a verdict on the batch.

@@ -134,7 +134,7 @@ func TestFedMergeMatchesSingleCollector(t *testing.T) {
 // × 4 concurrent clients (2 per shard) stream keyed batches, then the two
 // shard snapshots merge and must equal a single-threaded ingest of the same
 // reports. Under -race in CI this exercises sharded ingest, the snapshot
-// cache + epoch, the server's idempotency LRU, and Snapshot.Merge across
+// cache + epoch, the server's idempotency key table, and Snapshot.Merge across
 // real HTTP handler goroutines.
 func TestFedMergeConcurrent(t *testing.T) {
 	const n, servers, clientsPer, perClient = 32, 2, 2, 1200

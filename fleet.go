@@ -1,7 +1,6 @@
 package ldp
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -223,13 +222,23 @@ type Fleet struct {
 	unhealthyAfter int
 	hc             *http.Client
 
-	mu       sync.Mutex
-	members  map[string]*fleetMember
-	order    []string // registration order: deterministic iteration + routing
-	next     int      // round-robin routing cursor
-	bindings *keyBindings
+	mu      sync.Mutex
+	members map[string]*fleetMember
+	order   []string // registration order: deterministic iteration + routing
+	next    int      // round-robin routing cursor
+	// bindings maps an idempotency key to the shard it was first routed to.
+	// A keyed request that failed ambiguously (the shard may have absorbed
+	// it and the response was lost) MUST replay on the same shard — any
+	// other shard's idempotency cache has never seen the key and would
+	// absorb a second copy. Only a never-sent key may pick a fresh shard.
+	// The table holds the newest IdempotencyHorizon keys across all shards,
+	// while each shard holds that many of its own share, so the router
+	// forgets a key first: a retry arriving after its key left this table
+	// may pick another shard and absorb again, though the shard that
+	// absorbed it still remembers the key.
+	bindings *transport.KeyHorizon[string]
 
-	// bindingLog, when configured, makes the key→shard LRU durable: every
+	// bindingLog, when configured, makes the key→shard table durable: every
 	// fresh bind is appended (and fsynced) before the forward ships, and a
 	// restarted router replays the log so a keyed retry still lands on the
 	// shard whose idempotency cache first saw the key.
@@ -330,70 +339,6 @@ func (f *Fleet) observeMerge(outcome string, cov Coverage) {
 	m.covMissing.Set(float64(cov.Total - cov.Fresh - cov.Stale))
 }
 
-// keyBindings is a bounded LRU mapping an idempotency key to the shard it
-// was first routed to. A keyed request that failed ambiguously (the shard
-// may have absorbed it and the response was lost) MUST replay on the same
-// shard — any other shard's idempotency cache has never seen the key and
-// would absorb a second copy. Only a never-sent key may pick a fresh shard.
-// The fleet sizes it at transport.IdempotencyHorizon: a key evicted here is
-// one the shard that absorbed it has forgotten too.
-type keyBindings struct {
-	cap   int
-	byKey map[string]*list.Element
-	order *list.List // front = most recent; values are *keyBinding
-}
-
-type keyBinding struct {
-	key      string
-	endpoint string
-}
-
-func newKeyBindings(capacity int) *keyBindings {
-	return &keyBindings{cap: capacity, byKey: make(map[string]*list.Element, capacity), order: list.New()}
-}
-
-// get looks a key up and marks it most-recent. Not locked: callers hold f.mu.
-func (b *keyBindings) get(key string) (string, bool) {
-	el, ok := b.byKey[key]
-	if !ok {
-		return "", false
-	}
-	b.order.MoveToFront(el)
-	return el.Value.(*keyBinding).endpoint, true
-}
-
-func (b *keyBindings) put(key, endpoint string) {
-	if el, ok := b.byKey[key]; ok {
-		el.Value.(*keyBinding).endpoint = endpoint
-		b.order.MoveToFront(el)
-		return
-	}
-	b.byKey[key] = b.order.PushFront(&keyBinding{key: key, endpoint: endpoint})
-	for b.order.Len() > b.cap {
-		el := b.order.Back()
-		b.order.Remove(el)
-		delete(b.byKey, el.Value.(*keyBinding).key)
-	}
-}
-
-func (b *keyBindings) remove(key string) {
-	if el, ok := b.byKey[key]; ok {
-		b.order.Remove(el)
-		delete(b.byKey, key)
-	}
-}
-
-// live lists the held bindings oldest first — the order that, replayed into
-// an empty LRU, rebuilds this one. It is what the binding log compacts to.
-func (b *keyBindings) live() []durable.Binding {
-	out := make([]durable.Binding, 0, b.order.Len())
-	for el := b.order.Back(); el != nil; el = el.Prev() {
-		kb := el.Value.(*keyBinding)
-		out = append(out, durable.Binding{Key: kb.key, Endpoint: kb.endpoint})
-	}
-	return out
-}
-
 // FleetOption configures a Fleet.
 type FleetOption func(*Fleet)
 
@@ -441,12 +386,13 @@ func WithFleetHTTPClient(hc *http.Client) FleetOption {
 	return func(f *Fleet) { f.hc = hc }
 }
 
-// WithFleetBindingLog persists the idempotency-key→shard binding LRU through
-// an append-only log at path: NewFleet replays it (latest bind per key wins,
-// torn tail dropped), and every fresh bind is fsynced before its batch is
-// forwarded. The log is bounded like the LRU it backs: it is rewritten down
-// to the LRU's contents whenever it reaches twice the idempotency horizon, so
-// neither the file nor a restart's replay grows with traffic. Without it the
+// WithFleetBindingLog persists the idempotency-key→shard bindings through an
+// append-only log at path: NewFleet replays it (latest bind per key wins,
+// torn tail dropped) into a table that forgets keys in the same first-seen
+// order as the live one, and every fresh bind is fsynced before its batch is
+// forwarded. The log is bounded like the table it backs: it is rewritten down
+// to the table's contents whenever it reaches twice the idempotency horizon,
+// so neither the file nor a restart's replay grows with traffic. Without it the
 // bindings are in-memory only, and a keyed retry that crosses a router
 // restart may route to a different shard — whose idempotency cache never saw
 // the key — and double-absorb.
@@ -469,7 +415,7 @@ func NewFleet(agg Aggregator, w Workload, opts ...FleetOption) (*Fleet, error) {
 		staleFallback:  true,
 		unhealthyAfter: 2,
 		members:        make(map[string]*fleetMember),
-		bindings:       newKeyBindings(transport.IdempotencyHorizon),
+		bindings:       transport.NewKeyHorizon[string](),
 	}
 	for _, o := range opts {
 		o(f)
@@ -479,11 +425,7 @@ func NewFleet(agg Aggregator, w Workload, opts ...FleetOption) (*Fleet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ldp: open binding log: %w", err)
 		}
-		f.bindingLog = log
-		// Replay oldest-first so LRU recency matches the pre-restart order.
-		for _, b := range bindings {
-			f.bindings.put(b.Key, b.Endpoint)
-		}
+		f.bindingLog, f.bindings = log, bindings
 	}
 	return f, nil
 }
@@ -824,13 +766,13 @@ func (f *Fleet) bindMember(key string) (*fleetMember, error) {
 	if key == "" {
 		return f.pickLocked(), nil
 	}
-	if ep, ok := f.bindings.get(key); ok {
+	if ep, ok := f.bindings.Get(key); ok {
 		if m, ok := f.members[ep]; ok {
 			return m, nil
 		}
 		// The bound shard was deregistered — the operator declared it gone,
 		// taking its idempotency history with it. Rebind.
-		f.bindings.remove(key)
+		f.bindings.Delete(key)
 	}
 	m := f.pickLocked()
 	if m != nil {
@@ -839,11 +781,11 @@ func (f *Fleet) bindMember(key string) (*fleetMember, error) {
 			// crossed a restart would let a retry land on a different shard
 			// and double-absorb. The fsync happens under f.mu, but only once
 			// per fresh key — replays and unkeyed traffic never pay it.
-			if err := f.bindingLog.Append(durable.Binding{Key: key, Endpoint: m.endpoint}, f.bindings.live); err != nil {
+			if err := f.bindingLog.Append(durable.Binding{Key: key, Endpoint: m.endpoint}, f.bindings); err != nil {
 				return nil, fmt.Errorf("ldp: persist key binding: %w", err)
 			}
 		}
-		f.bindings.put(key, m.endpoint)
+		f.bindings.Put(key, m.endpoint)
 	}
 	return m, nil
 }

@@ -321,6 +321,19 @@ func Competitors(w workload.Workload, eps float64) ([]mechanism.Mechanism, error
 	return out, nil
 }
 
+// WarmStarts returns the strategy matrices of the factorization mechanisms
+// among ms, in order: the warm-start candidates core.OptimizeBest compares
+// against its own run.
+func WarmStarts(ms []mechanism.Mechanism) []*strategy.Strategy {
+	var out []*strategy.Strategy
+	for _, m := range ms {
+		if f, ok := m.(*mechanism.Factorization); ok {
+			out = append(out, f.Strategy())
+		}
+	}
+	return out
+}
+
 // ceilDiv returns ⌈a/b⌉ for positive integers.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 

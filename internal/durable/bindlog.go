@@ -19,17 +19,19 @@ import (
 //	keyLen      uint8, then keyLen bytes       idempotency key
 //	endpointLen uint8, then endpointLen bytes  shard base URL
 //
-// One record is one (re)binding; replaying a log in append order with
-// latest-wins rebuilds the router's binding LRU, so a keyed retry that
-// arrives after a router restart still routes to the shard whose idempotency
-// cache saw the key first, instead of double-absorbing on a neighbor.
+// One record is one (re)binding. Replaying a log in append order into a
+// transport.KeyHorizon, latest bind winning and becoming the newest key,
+// rebuilds the router's key→shard table with the same keys in the same
+// first-seen order, so a keyed retry that arrives after a router restart
+// still routes to the shard whose idempotency cache saw the key first,
+// instead of double-absorbing on a neighbor.
 const bindingVersion = 2
 
-// The log is bounded by the idempotency horizon, like the LRU it backs: a key
-// older than the newest IdempotencyHorizon binds is one the shards' own
-// idempotency caches have forgotten too, so keeping its record buys nothing.
-// Open keeps the newest IdempotencyHorizon bindings, and the file is compacted
-// back to the live set before it would pass bindingLogMaxRecords.
+// The log is bounded by the idempotency horizon, like the table it backs: a
+// key older than the newest IdempotencyHorizon binds is one the router has
+// forgotten, so keeping its record buys nothing. Open keeps the newest
+// IdempotencyHorizon bindings, and the file is compacted back to the live
+// set before it would pass bindingLogMaxRecords.
 const bindingLogMaxRecords = 2*transport.IdempotencyHorizon + 64
 
 // Binding is one idempotency-key→shard-endpoint routing decision.
@@ -92,8 +94,8 @@ func DecodeBinding(r io.Reader) (Binding, error) {
 }
 
 // BindingLog is the append-only durable store behind a router's key→shard
-// binding LRU. Appends are fsynced before they return when opened with fsync,
-// so an acknowledged bind survives a router crash.
+// table. Appends are fsynced before they return when opened with fsync, so an
+// acknowledged bind survives a router crash.
 type BindingLog struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -103,24 +105,23 @@ type BindingLog struct {
 }
 
 // OpenBindingLog opens (creating if needed) the log at path, replays every
-// intact record, and returns the live bindings — latest-wins per key, the
-// newest IdempotencyHorizon of them — oldest-bind-first, so replaying them
-// into an LRU in order reproduces the pre-restart recency. Damage follows the
-// WAL's tail policy (truncateTornTail): a torn tail (the crash case) is
-// truncated away, and any other damage — an intact record after it, a
-// CRC-valid payload that does not parse — refuses the open, naming the
-// offset, rather than forget the bindings behind it. A log that has
-// accumulated far more records than live keys is compacted in place via an
-// atomic rewrite.
-func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
+// intact record into a fresh transport.KeyHorizon — the latest bind per key
+// wins and becomes the newest, and the table keeps the newest
+// IdempotencyHorizon keys — and returns that table for the router to route
+// by. Damage follows the WAL's tail policy (truncateTornTail): a torn tail
+// (the crash case) is truncated away, and any other damage — an intact record
+// after it, a CRC-valid payload that does not parse — refuses the open,
+// naming the offset, rather than forget the bindings behind it. A log that
+// has accumulated far more records than live keys is compacted in place via
+// an atomic rewrite.
+func OpenBindingLog(path string, fsync bool) (*BindingLog, *transport.KeyHorizon[string], error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
 	records := 0
 	good := int64(0)
-	byKey := make(map[string]int) // key → index in order
-	var order []Binding
+	live := transport.NewKeyHorizon[string]()
 	cr := &countingReader{r: bufio.NewReader(f)}
 	for {
 		b, err := DecodeBinding(cr)
@@ -139,40 +140,29 @@ func OpenBindingLog(path string, fsync bool) (*BindingLog, []Binding, error) {
 		}
 		records++
 		good = cr.n
-		if i, ok := byKey[b.Key]; ok {
-			// Rebind: move the key to the newest position.
-			order = append(order[:i], order[i+1:]...)
-			for k, ob := range order[i:] {
-				byKey[ob.Key] = i + k
-			}
-		}
-		byKey[b.Key] = len(order)
-		order = append(order, b)
+		live.Delete(b.Key) // a rebind makes the key the newest
+		live.Put(b.Key, b.Endpoint)
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	if len(order) > transport.IdempotencyHorizon {
-		order = order[len(order)-transport.IdempotencyHorizon:]
-	}
 	l := &BindingLog{f: f, path: path, fsync: fsync, records: records}
-	if records > 2*len(order)+64 {
-		if err := l.compact(order); err != nil {
+	if records > 2*live.Len()+64 {
+		if err := l.compact(live); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
 	}
-	return l, order, nil
+	return l, live, nil
 }
 
-// Append durably records one (re)binding. live returns the bindings the
-// caller's LRU holds right now, oldest first (b not yet among them); it is
-// called only when the file has reached bindingLogMaxRecords, to rewrite the
-// log down to that live set before b is appended — so the file never outgrows
-// the horizon however many distinct keys pass through. live runs under the
-// log's lock and must not call back into the log.
-func (l *BindingLog) Append(b Binding, live func() []Binding) error {
+// Append durably records one (re)binding. live is the caller's key→shard
+// table as it is right now (b not yet in it); it is read only when the file
+// has reached bindingLogMaxRecords, to rewrite the log down to that live set
+// before b is appended — so the file never outgrows the horizon however many
+// distinct keys pass through. The caller's lock on live must be held.
+func (l *BindingLog) Append(b Binding, live *transport.KeyHorizon[string]) error {
 	rec, err := AppendBinding(nil, b)
 	if err != nil {
 		return err
@@ -183,7 +173,7 @@ func (l *BindingLog) Append(b Binding, live func() []Binding) error {
 		return fmt.Errorf("durable: binding log is closed")
 	}
 	if l.records >= bindingLogMaxRecords {
-		if err := l.compact(live()); err != nil {
+		if err := l.compact(live); err != nil {
 			return err
 		}
 	}
@@ -199,14 +189,14 @@ func (l *BindingLog) Append(b Binding, live func() []Binding) error {
 	return nil
 }
 
-// compact atomically rewrites the log to exactly the live bindings. Caller
-// guarantees exclusive access (open, before the log is shared; Append, under
-// l.mu).
-func (l *BindingLog) compact(live []Binding) error {
+// compact atomically rewrites the log to exactly the live bindings, oldest
+// first. Caller guarantees exclusive access (open, before the log is shared;
+// Append, under l.mu).
+func (l *BindingLog) compact(live *transport.KeyHorizon[string]) error {
 	var buf []byte
-	for _, b := range live {
+	for key, endpoint := range live.All() {
 		var err error
-		if buf, err = AppendBinding(buf, b); err != nil {
+		if buf, err = AppendBinding(buf, Binding{Key: key, Endpoint: endpoint}); err != nil {
 			return err
 		}
 	}
@@ -222,7 +212,7 @@ func (l *BindingLog) compact(live []Binding) error {
 	}
 	l.f.Close()
 	l.f = f
-	l.records = len(live)
+	l.records = live.Len()
 	return nil
 }
 

@@ -73,11 +73,11 @@ func TestBindingRecordRejects(t *testing.T) {
 	}
 }
 
-// Replay is latest-wins per key while keeping oldest-bind-first order, so the
-// router's LRU rebuilds with pre-restart recency.
+// Replay is latest-wins per key, a rebind making the key the newest, so the
+// router's table rebuilds in its pre-restart first-seen order.
 func TestBindingLogReplayLatestWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bindings.log")
-	l, got, err := OpenBindingLog(path, false)
+	l, got, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBindingLogReplayLatestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, err := OpenBindingLog(path, true)
+	l2, got, err := openBindings(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestBindingLogReplayLatestWins(t *testing.T) {
 // every intact record before it survives, and the log stays appendable.
 func TestBindingLogTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bindings.log")
-	l, _, err := OpenBindingLog(path, false)
+	l, _, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestBindingLogTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, err := OpenBindingLog(path, false)
+	l2, got, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestBindingLogTornTailTruncated(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err = OpenBindingLog(path, false)
+	_, got, err = openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestBindingLogRefusesCorruptionBeforeIntactRecords(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, got, err := OpenBindingLog(path, false)
+		l, got, err := openBindings(path, false)
 		if err == nil {
 			l.Close()
 			t.Fatalf("%s: open accepted the log and replayed %+v", name, got)
@@ -233,7 +233,7 @@ func TestBindingLogRefusesCorruptionBeforeIntactRecords(t *testing.T) {
 // shrinks to exactly the live set, preserving replay order.
 func TestBindingLogCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bindings.log")
-	l, _, err := OpenBindingLog(path, false)
+	l, _, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestBindingLogCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, err := OpenBindingLog(path, false)
+	l2, got, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestBindingLogCompaction(t *testing.T) {
 		t.Fatalf("compaction did not shrink the log: %d -> %d bytes", before.Size(), after.Size())
 	}
 	// And the compacted file replays identically.
-	_, again, err := OpenBindingLog(path, false)
+	_, again, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +285,11 @@ func TestBindingLogCompaction(t *testing.T) {
 // key, so "compact when records ≫ live keys" alone never fires. Appending
 // three horizons of distinct keys must leave a file of at most
 // bindingLogMaxRecords records, and a reopen must hand back exactly the
-// newest horizon of them, oldest first — what the router's LRU would hold.
+// newest horizon of them, oldest first — what the router's table would hold.
 func TestBindingLogBoundedByHorizon(t *testing.T) {
 	const horizon = transport.IdempotencyHorizon
 	path := filepath.Join(t.TempDir(), "bindings.log")
-	l, _, err := OpenBindingLog(path, false)
+	l, _, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,17 +302,15 @@ func TestBindingLogBoundedByHorizon(t *testing.T) {
 	}
 	maxBytes := int64(bindingLogMaxRecords * len(one))
 
-	// lru mirrors the fleet's side of the contract: the newest horizon binds,
-	// oldest first, handed over when the log asks to compact.
-	var lru []Binding
+	// live mirrors the fleet's side of the contract: the newest horizon
+	// binds, oldest first, read when the log asks to compact.
+	live := transport.NewKeyHorizon[string]()
 	for i := 0; i < 3*horizon; i++ {
 		b := binding(i)
-		if err := l.Append(b, func() []Binding { return lru }); err != nil {
+		if err := l.Append(b, live); err != nil {
 			t.Fatal(err)
 		}
-		if lru = append(lru, b); len(lru) > horizon {
-			lru = lru[1:]
-		}
+		live.Put(b.Key, b.Endpoint)
 		if i%512 == 0 || i == 3*horizon-1 {
 			st, err := os.Stat(path)
 			if err != nil {
@@ -327,7 +325,7 @@ func TestBindingLogBoundedByHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, err := OpenBindingLog(path, false)
+	l2, got, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +355,7 @@ func TestBindingLogOpenTrimsToHorizon(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, got, err := OpenBindingLog(path, false)
+	l, got, err := openBindings(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,4 +370,18 @@ func TestBindingLogOpenTrimsToHorizon(t *testing.T) {
 	if want := int64(len(buf) / 3); st.Size() != want {
 		t.Fatalf("log is %d bytes after open, want %d (one horizon of records)", st.Size(), want)
 	}
+}
+
+// openBindings opens the log at path and lists the table it replayed, oldest
+// first.
+func openBindings(path string, fsync bool) (*BindingLog, []Binding, error) {
+	l, live, err := OpenBindingLog(path, fsync)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out []Binding
+	for k, ep := range live.All() {
+		out = append(out, Binding{Key: k, Endpoint: ep})
+	}
+	return l, out, nil
 }

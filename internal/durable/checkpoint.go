@@ -40,14 +40,15 @@ import (
 // with sequence < g, so state(checkpoint-<g>) + replay(wal-<g>, wal-<g+1>, …)
 // is always the full collector state, whichever rotation the crash
 // interrupted. The key table obeys the same invariant — it totals the keyed
-// records of every segment < g (bounded: the oldest keys beyond the table
-// cap are dropped, mirroring the transport's idempotency LRU) — so a keyed
-// request whose records straddle a checkpoint still recovers its full
-// absorbed count, not just the replayed tail's share.
+// records of every segment < g (bounded: past the cap the first-seen keys
+// are dropped, as in every transport.KeyHorizon) — so a keyed request whose
+// records straddle a checkpoint still recovers its full absorbed count, not
+// just the replayed tail's share.
 //
-// The key table holds at most transport.IdempotencyHorizon entries: a retry
-// older than the newest horizon of keyed requests re-absorbs, with or without
-// a crash in between.
+// The key table holds at most transport.IdempotencyHorizon entries, oldest
+// first by first arrival, the order the live table keeps: a retry older than
+// the newest horizon of keyed requests re-absorbs, with or without a crash in
+// between.
 const (
 	checkpointMagic = "LDPC"
 	checkpointV1    = 1
@@ -119,7 +120,7 @@ func writePayload(w io.Writer, seq uint64, snap transport.Snapshot, keys []trans
 // segments it replaces. Returns the final path.
 func writeCheckpointFile(dir string, seq uint64, snap transport.Snapshot, keys []transport.KeyCount, compress bool) (string, error) {
 	if len(keys) > transport.IdempotencyHorizon {
-		keys = keys[len(keys)-transport.IdempotencyHorizon:] // newest win, as in the LRU
+		keys = keys[len(keys)-transport.IdempotencyHorizon:] // newest win, as in the key table
 	}
 	for _, k := range keys {
 		if len(k.Key) > maxCheckpointKey {

@@ -20,7 +20,7 @@ import (
 // encodeCheckpoint serializes the envelope around an already-framed snapshot.
 func encodeCheckpoint(seq uint64, snap transport.Snapshot, keys []transport.KeyCount) ([]byte, error) {
 	if len(keys) > transport.IdempotencyHorizon {
-		keys = keys[len(keys)-transport.IdempotencyHorizon:] // newest win, as in the LRU
+		keys = keys[len(keys)-transport.IdempotencyHorizon:] // newest win, as in the key table
 	}
 	var pb bytes.Buffer
 	var s [8]byte

@@ -93,20 +93,19 @@ type Recovery struct {
 	DroppedTailBytes int64
 }
 
-// keyTable is the bounded, insertion-ordered per-key report-count table the
-// store maintains across its whole life (filled from the checkpoint file as
-// the reader walks it, advanced on every replayed or appended keyed record,
-// carried into the next checkpoint) — the one in-memory form of the table.
-// Oldest keys beyond the cap are evicted — the same horizon as the
-// transport's LRU.
+// keyTable is the per-key report-count table the store maintains across its
+// whole life (filled from the checkpoint file as the reader walks it,
+// advanced on every replayed or appended keyed record, carried into the next
+// checkpoint) — the one in-memory form of the table. It is a
+// transport.KeyHorizon, the horizon every idempotency table shares, so the
+// keys a restart seeds the transport with are the keys the live shard held.
 type keyTable struct {
-	mu    sync.Mutex
-	order []string
-	count map[string]int64
+	mu     sync.Mutex
+	counts *transport.KeyHorizon[int64]
 }
 
 func newKeyTable() *keyTable {
-	return &keyTable{count: make(map[string]int64)}
+	return &keyTable{counts: transport.NewKeyHorizon[int64]()}
 }
 
 func (t *keyTable) add(key string, reports int64) {
@@ -115,22 +114,16 @@ func (t *keyTable) add(key string, reports int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.count[key]; !ok {
-		t.order = append(t.order, key)
-		for len(t.order) > transport.IdempotencyHorizon {
-			delete(t.count, t.order[0])
-			t.order = t.order[1:]
-		}
-	}
-	t.count[key] += reports
+	n, _ := t.counts.Get(key)
+	t.counts.Put(key, n+reports)
 }
 
 func (t *keyTable) snapshot() []transport.KeyCount {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]transport.KeyCount, 0, len(t.order))
-	for _, k := range t.order {
-		out = append(out, transport.KeyCount{Key: k, Reports: t.count[k]})
+	out := make([]transport.KeyCount, 0, t.counts.Len())
+	for k, n := range t.counts.All() {
+		out = append(out, transport.KeyCount{Key: k, Reports: n})
 	}
 	return out
 }

@@ -99,13 +99,7 @@ func mechanismsFor(w workload.Workload, eps float64, cfg Config) ([]mechanism.Me
 	if err != nil {
 		return nil, err
 	}
-	var candidates []*strategy.Strategy
-	for _, m := range ms {
-		if f, ok := m.(*mechanism.Factorization); ok {
-			candidates = append(candidates, f.Strategy())
-		}
-	}
-	res, err := core.OptimizeBest(w, eps, core.Options{Iters: cfg.Iters, Seed: cfg.Seed}, candidates...)
+	res, err := core.OptimizeBest(w, eps, core.Options{Iters: cfg.Iters, Seed: cfg.Seed}, baselines.WarmStarts(ms)...)
 	if err != nil {
 		return nil, err
 	}

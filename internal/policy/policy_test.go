@@ -1523,4 +1523,85 @@ func measure(f func()) testing.BenchmarkResult {
 `},
 		},
 	},
+	// One idempotency horizon: transport.KeyHorizon is the one bounded key
+	// table — IdempotencyHorizon keys, evicted in first-seen order — behind
+	// the shard's outcome cache, a durable store's key table, the binding
+	// log's replay and the router's key→shard bindings. A second table that
+	// evicts in its own order (an LRU over container/list, or a loop or a
+	// new*/New* constructor bounded by IdempotencyHorizon outside
+	// internal/transport)
+	// is how a keyed retry came to be absorbed or not depending on whether
+	// the process restarted in between. Size checks (the checkpoint's key
+	// count, the binding log's record bound) evict nothing and do not fire.
+	{
+		name: "One idempotency horizon",
+		check: func(tr *tree) []string {
+			const msg = "keep idempotency keys in a transport.KeyHorizon instead of the table above"
+			var out []string
+			each(tr.goFiles(nonTest), func(f *srcFile, is *ast.ImportSpec) {
+				if strings.Trim(is.Path.Value, `"`) == "container/list" {
+					out = append(out, tr.site(is, msg))
+				}
+			})
+			horizon := func(e ast.Expr) bool {
+				sel, ok := e.(*ast.SelectorExpr)
+				return ok && sel.Sel.Name == "IdempotencyHorizon"
+			}
+			each(tr.goFiles(and(nonTest, func(f *srcFile) bool { return !strings.HasPrefix(f.rel, "internal/transport/") })), func(f *srcFile, n ast.Node) {
+				switch n := n.(type) {
+				case *ast.ForStmt:
+					if n.Cond != nil && mentionsIdent(n.Cond, "IdempotencyHorizon") {
+						out = append(out, tr.site(n, msg))
+					}
+				case *ast.CallExpr:
+					if name := calleeName(n); !strings.HasPrefix(name, "new") && !strings.HasPrefix(name, "New") {
+						return
+					}
+					for _, a := range n.Args {
+						if horizon(a) {
+							out = append(out, tr.site(n, msg))
+						}
+					}
+				}
+			})
+			return out
+		},
+		fixtures: []fixture{
+			{"internal/durable/fixture.go", `package durable
+
+import "repro/internal/transport"
+
+type orderedKeys struct {
+	order []string
+	count map[string]int64
+}
+
+func (t *orderedKeys) add(key string, reports int64) {
+	if _, ok := t.count[key]; !ok {
+		t.order = append(t.order, key)
+		for len(t.order) > transport.IdempotencyHorizon {
+			delete(t.count, t.order[0])
+			t.order = t.order[1:]
+		}
+	}
+	t.count[key] += reports
+}
+`},
+			{"fleet_fixture.go", `package ldp
+
+import "repro/internal/transport"
+
+func newBindings() *keyBindings { return newKeyBindings(transport.IdempotencyHorizon) }
+`},
+			{"internal/transport/fixture.go", `package transport
+
+import "container/list"
+
+type idemCache struct {
+	order *list.List
+	byKey map[string]*list.Element
+}
+`},
+		},
+	},
 }

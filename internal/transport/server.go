@@ -1,13 +1,14 @@
 package transport
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -135,19 +136,86 @@ const IdempotencyKeyHeader = "Ldp-Idempotency-Key"
 
 const (
 	// IdempotencyHorizon is how many idempotency keys the system remembers,
-	// stated once: it bounds the shard's remembered-key LRU here, the key
-	// table a durable checkpoint carries, and the router's key→shard binding
-	// LRU and log — a key one of them had forgotten would
-	// not be deduplicated however long the others held it. At the default
-	// 4096-report batches it spans ~17M reports of keyed history — far longer
-	// than any client retry loop — while capping memory at a few hundred KiB.
-	// A retry arriving after the key was evicted re-absorbs.
+	// stated once and kept in one table type, KeyHorizon, which forgets keys
+	// in the order it first saw them: the shard's outcome cache here, the key
+	// table a durable checkpoint carries, and the router's key→shard bindings
+	// and their log each hold the newest IdempotencyHorizon keys by first
+	// arrival. A retry neither refreshes a key nor changes which key goes
+	// next, so a table a restart rebuilds from the log forgets the same key
+	// the live one would have. At the default 4096-report batches it spans
+	// ~17M reports of keyed history — far longer than any client retry loop
+	// — while capping memory at a few hundred KiB. A retry arriving after its
+	// key was evicted re-absorbs, with or without a restart in between.
 	IdempotencyHorizon = 4096
 	// MaxIdempotencyKeyLen bounds an accepted key so a hostile client cannot
-	// park megabytes in the LRU; a longer key is ignored — the request is
-	// handled as unkeyed, by the shard and by a router in front of it alike.
+	// park megabytes in the key table; a longer key is ignored — the request
+	// is handled as unkeyed, by the shard and by a router in front of it
+	// alike.
 	MaxIdempotencyKeyLen = 64
 )
+
+// KeyHorizon is the one bounded idempotency-key table: it holds at most
+// IdempotencyHorizon keys and evicts them in first-seen order. Get never
+// reorders; Put of a present key replaces its value in place; Put of an
+// absent key makes it the newest, evicting the oldest past the bound; Delete
+// followed by Put makes a key the newest. All runs oldest first, so Putting
+// its output into an empty table rebuilds this one. It is not safe for
+// concurrent use: each owner keeps its own lock.
+type KeyHorizon[V any] struct {
+	limit int
+	order []string // first-seen order, oldest first
+	vals  map[string]V
+}
+
+// NewKeyHorizon returns an empty table bounded at IdempotencyHorizon.
+func NewKeyHorizon[V any]() *KeyHorizon[V] { return newKeyHorizon[V](IdempotencyHorizon) }
+
+func newKeyHorizon[V any](limit int) *KeyHorizon[V] {
+	return &KeyHorizon[V]{limit: limit, vals: make(map[string]V)}
+}
+
+// Get returns key's value without reordering.
+func (h *KeyHorizon[V]) Get(key string) (V, bool) {
+	v, ok := h.vals[key]
+	return v, ok
+}
+
+// Put sets key's value: in place when key is present, otherwise as the newest
+// key, evicting the oldest when the table is full.
+func (h *KeyHorizon[V]) Put(key string, v V) {
+	if _, ok := h.vals[key]; !ok {
+		if len(h.order) == h.limit {
+			delete(h.vals, h.order[0])
+			h.order = h.order[1:]
+		}
+		h.order = append(h.order, key)
+	}
+	h.vals[key] = v
+}
+
+// Delete removes key; a later Put makes it the newest.
+func (h *KeyHorizon[V]) Delete(key string) {
+	if _, ok := h.vals[key]; !ok {
+		return
+	}
+	delete(h.vals, key)
+	i := slices.Index(h.order, key)
+	h.order = slices.Delete(h.order, i, i+1)
+}
+
+// Len returns the number of keys held.
+func (h *KeyHorizon[V]) Len() int { return len(h.order) }
+
+// All yields every key and its value, oldest first.
+func (h *KeyHorizon[V]) All() iter.Seq2[string, V] {
+	return func(yield func(string, V) bool) {
+		for _, k := range h.order {
+			if !yield(k, h.vals[k]) {
+				return
+			}
+		}
+	}
+}
 
 // KeyCount is one idempotency key with the number of reports absorbed under
 // it — the one named form of a key-table entry: what a checkpoint carries,
@@ -171,20 +239,21 @@ type idemOutcome struct {
 	resp   IngestResponse
 }
 
-// idemCache is a mutex-guarded bounded LRU of request outcomes keyed by
-// idempotency key. begin claims a key (or returns the existing claim),
-// finish records the outcome, abort releases a claim whose request died
-// without one. Insertion past capacity evicts the least recently used
-// finished entry.
+// idemCache is the shard's mutex-guarded idempotency state: finished
+// outcomes in a KeyHorizon, and the claims of requests being processed right
+// now in a map of their own, which eviction never touches (an unbounded
+// number would need that many concurrent distinct keys, which the server's
+// connection limits bound long before this map matters). begin claims a key
+// (or returns the existing claim or outcome), finish records the outcome,
+// abort releases a claim whose request died without one.
 type idemCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *idemOutcome
-	byKey map[string]*list.Element
+	mu       sync.Mutex
+	finished *KeyHorizon[*idemOutcome]
+	inflight map[string]*idemOutcome
 }
 
-func newIdemCache(capacity int) *idemCache {
-	return &idemCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element, capacity)}
+func newIdemCache(limit int) *idemCache {
+	return &idemCache{finished: newKeyHorizon[*idemOutcome](limit), inflight: make(map[string]*idemOutcome)}
 }
 
 // begin claims key for processing. owner == true means the caller must
@@ -194,51 +263,39 @@ func newIdemCache(capacity int) *idemCache {
 func (c *idemCache) begin(key string) (entry *idemOutcome, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*idemOutcome), false
+	if e, ok := c.finished.Get(key); ok {
+		return e, false
+	}
+	if e, ok := c.inflight[key]; ok {
+		return e, false
 	}
 	entry = &idemOutcome{key: key, done: make(chan struct{})}
-	c.byKey[key] = c.order.PushFront(entry)
-	c.evictLocked()
+	c.inflight[key] = entry
 	return entry, true
 }
 
-// evictLocked removes finished entries past capacity; in-flight claims are
-// skipped (an unbounded number would need that many concurrent distinct keys,
-// which the server's connection limits bound long before this map matters).
-// Caller holds c.mu.
-func (c *idemCache) evictLocked() {
-	for el := c.order.Back(); c.order.Len() > c.cap && el != nil; {
-		prev := el.Prev()
-		if out := el.Value.(*idemOutcome); isDone(out.done) {
-			c.order.Remove(el)
-			delete(c.byKey, out.key)
-		}
-		el = prev
-	}
-}
-
-// seed inserts an already-finished outcome for key (skipped if the key is
-// present). Recovery uses it to pre-answer retries of batches the write-ahead
+// seed records an already-finished outcome for key unless the key is
+// present. Recovery uses it to pre-answer retries of batches the write-ahead
 // log proves were absorbed before a restart.
 func (c *idemCache) seed(key string, status int, resp IngestResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.byKey[key]; ok {
+	if _, ok := c.finished.Get(key); ok {
 		return
 	}
 	entry := &idemOutcome{key: key, done: make(chan struct{}), status: status, resp: resp}
 	close(entry.done)
-	c.byKey[key] = c.order.PushFront(entry)
-	c.evictLocked()
+	c.finished.Put(key, entry)
 }
 
-// finish records the outcome on a claimed entry and wakes every waiter. The
-// entry keeps serving replays until evicted.
+// finish records the outcome on a claimed entry, moves it into the horizon
+// as its newest key, and wakes every waiter. The entry keeps serving replays
+// until evicted.
 func (c *idemCache) finish(entry *idemOutcome, status int, resp IngestResponse) {
 	c.mu.Lock()
 	entry.status, entry.resp = status, resp
+	delete(c.inflight, entry.key)
+	c.finished.Put(entry.key, entry)
 	c.mu.Unlock()
 	close(entry.done)
 }
@@ -248,22 +305,10 @@ func (c *idemCache) finish(entry *idemOutcome, status int, resp IngestResponse) 
 // and waiters are woken to claim it themselves.
 func (c *idemCache) abort(entry *idemOutcome) {
 	c.mu.Lock()
-	if el, ok := c.byKey[entry.key]; ok && el.Value.(*idemOutcome) == entry {
-		c.order.Remove(el)
-		delete(c.byKey, entry.key)
-	}
+	delete(c.inflight, entry.key)
 	entry.status = 0 // status 0 = no outcome; waiters re-begin
 	c.mu.Unlock()
 	close(entry.done)
-}
-
-func isDone(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // outcome reads a finished entry's recorded response (valid once done is

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -325,9 +326,11 @@ func claimFinished(t *testing.T, c *idemCache, key string, accepted int) {
 	c.finish(e, 200, IngestResponse{Accepted: accepted})
 }
 
-// The key LRU is bounded: inserting past capacity evicts the least recently
-// used finished key, a refreshed key survives the sweep, and in-flight
-// claims are never evicted.
+// The outcome cache is bounded and forgets keys in first-seen order: a
+// replay does not refresh a key, so the first finished key is evicted first
+// even right after a replay; a key finished later is the newest whatever its
+// claim's age; in-flight claims are never evicted; an aborted claim is
+// reclaimable.
 func TestIdemCacheEvictsLRU(t *testing.T) {
 	c := newIdemCache(3)
 	for _, k := range []string{"a", "b", "c"} {
@@ -335,31 +338,77 @@ func TestIdemCacheEvictsLRU(t *testing.T) {
 	}
 	if _, owner := c.begin("a"); owner {
 		t.Fatal("finished key handed out as a fresh claim")
-	} // refresh: "b" is now the oldest
-	claimFinished(t, c, "d", 1)
-	if _, owner := c.begin("b"); !owner {
-		t.Fatal("least recently used key survived eviction")
+	} // a replay: "a" stays the oldest
+	held, owner := c.begin("x") // in flight across every sweep below
+	if !owner {
+		t.Fatal("fresh key not claimable")
 	}
-	// "b" is now a live claim again; its re-claim pushed the cache over
-	// capacity and evicted the least recently used finished key, "c" (the
-	// only key never refreshed). "a" (refreshed) and "d" stay replayable.
-	for _, k := range []string{"a", "d"} {
+	claimFinished(t, c, "d", 1)
+	again, owner := c.begin("a")
+	if !owner {
+		t.Fatal("the first-seen key survived eviction after a replay")
+	}
+	// "a" is a live claim again; finishing it makes it the newest key, which
+	// evicts "b", the oldest finished one. "c", "d" and "a" stay replayable.
+	c.finish(again, 200, IngestResponse{Accepted: 2})
+	if _, owner := c.begin("b"); !owner {
+		t.Fatal("the oldest finished key survived eviction")
+	}
+	for k, accepted := range map[string]int{"c": 1, "d": 1, "a": 2} {
 		e, owner := c.begin(k)
 		if owner {
 			t.Fatalf("key %q evicted out of order", k)
 		}
-		if status, resp, ok := c.outcome(e); !ok || status != 200 || resp.Accepted != 1 {
+		if status, resp, ok := c.outcome(e); !ok || status != 200 || resp.Accepted != accepted {
 			t.Fatalf("key %q outcome: %v %v %v", k, status, resp, ok)
 		}
 	}
-	// An aborted claim releases its key: the next begin owns it afresh.
-	e, owner := c.begin("x")
-	if !owner {
-		t.Fatal("fresh key not claimable")
+	if e, owner := c.begin("x"); owner || e != held {
+		t.Fatal("an in-flight claim was evicted")
 	}
-	c.abort(e)
+	// An aborted claim releases its key: the next begin owns it afresh.
+	c.abort(held)
 	if _, owner := c.begin("x"); !owner {
 		t.Fatal("aborted key not reclaimable")
+	}
+}
+
+// KeyHorizon's rules: Get never reorders, Put of a present key replaces its
+// value in place, Put of an absent key makes it the newest and evicts the
+// first seen past the bound, Delete then Put makes a key the newest, and All
+// runs oldest first.
+func TestKeyHorizonFirstSeenOrder(t *testing.T) {
+	h := newKeyHorizon[int](3)
+	list := func() string {
+		var out []string
+		for k, v := range h.All() {
+			out = append(out, fmt.Sprintf("%s=%d", k, v))
+		}
+		return strings.Join(out, " ")
+	}
+	for i, k := range []string{"a", "b", "c"} {
+		h.Put(k, i)
+	}
+	if v, ok := h.Get("a"); !ok || v != 0 {
+		t.Fatalf("Get(a) = %v, %v", v, ok)
+	}
+	h.Put("b", 10)
+	if got, want := list(), "a=0 b=10 c=2"; got != want {
+		t.Fatalf("after Get and an in-place Put: %s, want %s", got, want)
+	}
+	h.Put("d", 3)
+	if got, want := list(), "b=10 c=2 d=3"; got != want {
+		t.Fatalf("after a Put past the bound: %s, want %s", got, want)
+	}
+	h.Delete("b")
+	h.Delete("nope")
+	h.Put("b", 11)
+	if got, want := list(), "c=2 d=3 b=11"; got != want || h.Len() != 3 {
+		t.Fatalf("after Delete then Put: %s (len %d), want %s", got, h.Len(), want)
+	}
+	h.Put("e", 4)
+	if _, ok := h.Get("c"); ok {
+		t.Fatal("the first-seen key survived eviction")
 	}
 }
 

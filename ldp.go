@@ -167,13 +167,7 @@ func Optimize(ctx context.Context, w Workload, eps float64, opts ...OptimizeOpti
 		if err != nil {
 			return nil, err
 		}
-		var candidates []*strategy.Strategy
-		for _, m := range ms {
-			if f, ok := m.(*mechanism.Factorization); ok {
-				candidates = append(candidates, f.Strategy())
-			}
-		}
-		res, err = core.OptimizeBest(w, eps, s.core, candidates...)
+		res, err = core.OptimizeBest(w, eps, s.core, baselines.WarmStarts(ms)...)
 		if err != nil {
 			return nil, err
 		}
