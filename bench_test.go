@@ -10,6 +10,7 @@
 package ldp_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -506,5 +507,41 @@ func BenchmarkSingularValues(b *testing.B) {
 		if _, err := linalg.SingularValuesFromGram(g); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVarianceRead times one variance read (VarianceStream over the
+// whole workload) at the query_mixed ledger workload's shape: a strategy
+// optimized for Prefix with n = 96 and m = 384 outputs (30 iterations, seed
+// 1), read through each of the three workloads its /query refresh streams.
+func BenchmarkVarianceRead(b *testing.B) {
+	const n, m = 96, 384
+	s, err := ldp.OptimizeStrategy(context.Background(), ldp.Prefix(n), 1,
+		ldp.WithOutputs(m), ldp.WithIterations(30), ldp.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg, err := ldp.NewAggregator(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	state := make([]float64, m)
+	for i := range state {
+		state[i] = float64(1 + i%7)
+	}
+	snap := ldp.NewSnapshot(state, linalg.Sum(state), 1, ldp.MechanismInfoOf(agg))
+	for _, w := range []ldp.Workload{ldp.Histogram(n), ldp.Prefix(n), ldp.AllRange(n)} {
+		est, err := ldp.NewEstimator(agg, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(w.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := est.VarianceStream(snap, func(int, float64) bool { return true }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

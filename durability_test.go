@@ -381,6 +381,78 @@ func TestDurableKeyHorizonSurvivesRestart(t *testing.T) {
 	}
 }
 
+// A refused request that applied nothing takes no place in the idempotency
+// horizon, live or recovered: the durable key table never logged its key. A
+// durable shard sees K, a horizon's worth of new keys minus two, a garbage
+// body under a fresh key (400, nothing accepted), one more new key and K
+// again. K is still inside the horizon, so the last K replays — with or
+// without a restart before it — and both runs end at one report per key that
+// applied one.
+func TestDurableKeyHorizonIgnoresRefusals(t *testing.T) {
+	const n = 16
+	w := ldp.Histogram(n)
+	m := e2eMechanisms(t, n)["OUE"]
+	report := randomBatches(t, m.rz, n, []int{1}, 37)[0]
+	info := ldp.MechanismInfoOf(m.agg)
+	ctx := context.Background()
+	final := map[bool]float64{}
+	for _, restart := range []bool{false, true} {
+		dir := t.TempDir()
+		var (
+			col *ldp.Collector
+			hs  *httptest.Server
+			tc  *transport.Client
+		)
+		open := func() {
+			var err error
+			if col, err = ldp.NewCollector(m.agg, w, 0, ldp.WithDurability(dir)); err != nil {
+				t.Fatal(err)
+			}
+			hs = httptest.NewServer(collectorHandler(t, col, info))
+			if tc, err = transport.NewClient(hs.URL, hs.Client()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		post := func(key string) {
+			t.Helper()
+			if _, err := tc.PostReportsKeyed(ctx, report, key); err != nil {
+				var se *transport.StatusError
+				if !errors.As(err, &se) || se.StatusCode != http.StatusConflict {
+					t.Fatalf("restart=%v: post %q: %v", restart, key, err)
+				}
+			}
+		}
+		open()
+		const k = "first-seen-key"
+		post(k)
+		for i := 0; i < transport.IdempotencyHorizon-2; i++ {
+			post(fmt.Sprintf("key-%05d", i))
+		}
+		accepted, err := tc.PostFrames(ctx, []byte("not a report frame"), "garbage-key")
+		var se *transport.StatusError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest || accepted != 0 {
+			t.Fatalf("restart=%v: garbage body: accepted %d, err %v; want a 400 with nothing accepted", restart, accepted, err)
+		}
+		post("one-more-key")
+		if restart {
+			hs.Close()
+			if err := col.Close(); err != nil {
+				t.Fatal(err)
+			}
+			open()
+		}
+		post(k)
+		final[restart] = col.Count()
+		hs.Close()
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if final[false] != final[true] || final[true] != transport.IdempotencyHorizon {
+		t.Fatalf("final count %v without a restart, %v with one; want %d both times", final[false], final[true], transport.IdempotencyHorizon)
+	}
+}
+
 // A batch the write-ahead log cannot take (here: the store is closed; in
 // production ENOSPC or EIO) was valid, so the served collector answers a
 // retryable 503 — not a 400 the client would take as a verdict on the batch.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/postprocess"
@@ -119,19 +120,46 @@ func (e *Estimator) ConsistentAnswers(s Snapshot) ([]float64, error) {
 // terms: Var[ŵ] ≈ N·v·‖w‖² (exact for unary encodings up to the O(f)
 // frequency term, asymptotic for OLH).
 //
-// M is symmetric; only its upper triangle is stored, and row j is filled
-// left to right only as far as some query's non-zero span has reached, so a
-// read pays for the part of M its rows touch (Histogram: the diagonal,
-// O(n·m)) rather than the O(n²·m) full build. The fill makes a varianceForm
-// single-goroutine state: every read builds its own.
+// Two tiers serve the strategy path. A row with one non-zero w_j reads the
+// diagonal entry M_jj, computed on demand (Histogram: O(n·m), and the n×n M
+// is never allocated). The first row with two or more non-zeros fills all of
+// M once: row j of the upper triangle is one vector–matrix pass over Bᵀ
+// with coefficients c_o = y_o·B_jo (linalg's MulVecTTo), rows fanned out over
+// workers in blocks of equal area, each row then mirrored into the lower
+// triangle. Such a row's variance is
+//
+//	Σ_j w_j·(w_j·M_jj + 2·d_j) − (wᵀu)²/N,  d_j = Σ_{k>j} w_k·M_jk,
+//
+// and the tail sums d_j and wᵀu are carried from one row to the next when
+// the new row has the same first non-zero as the last and repeats its
+// entries up to where the last one ended (Prefix's rows, and AllRange's
+// within one start): only the new columns are added to the carried chains.
+// Any other row starts its chains from zero.
+//
+// No bit moves against the direct form — M_jk = Σ_o y_o·B_jo·B_ko
+// accumulated entry by entry, each row's tail sums and wᵀu as dot products
+// from the first column: the same products (y_o·B_jo first, then ·B_ko — a
+// lower-row fill would round (y_o·B_ko)·B_jo instead, which is why the
+// upper rows are filled and mirrored), the same association, the same
+// ascending order of each sum. A carried chain stops where the last row's
+// chain stopped and goes on over the same entries the full chain would add.
+// Zero terms are skipped, not added; an accumulator that starts at +0 is
+// never −0, so adding ±0 leaves it as it was. The carried state makes a
+// varianceForm single-goroutine state: every read builds its own.
 type varianceForm struct {
-	count float64
-	varPU float64        // oracle path: per-user per-count variance
-	recon *linalg.Matrix // strategy path: B (n×m); nil on the oracle path
-	y     []float64      // strategy path: the response histogram (snapshot state)
-	u     []float64      // strategy path: B·y
-	m     []float64      // strategy path: M row-major n×n, entries k ≥ j of row j
-	reach []int          // strategy path: row j of M is filled on [j, reach[j])
+	count  float64
+	varPU  float64        // oracle path: per-user per-count variance
+	reconT *linalg.Matrix // strategy path: Bᵀ (m×n); nil on the oracle path
+	y      []float64      // strategy path: the response histogram (snapshot state)
+	u      []float64      // strategy path: B·y
+	m      []float64      // strategy path: M row-major n×n; nil until a row has two non-zeros
+
+	// The carried chains of the last row with two or more non-zeros, whose
+	// non-zeros span [lo, hi) with entries prev[lo:hi]: tail[j] = d_j for j
+	// in [lo, hi), lin = wᵀu.
+	lo, hi     int
+	prev, tail []float64
+	lin        float64
 }
 
 // newVarianceForm prepares the variance form of agg at snapshot s, which the
@@ -139,12 +167,10 @@ type varianceForm struct {
 func newVarianceForm(agg Aggregator, s Snapshot) (*varianceForm, error) {
 	f := &varianceForm{count: s.count}
 	switch a := agg.(type) {
-	case interface{ Recon() *linalg.Matrix }:
-		n := agg.Domain()
-		f.recon, f.y = a.Recon(), s.state
-		f.u = f.recon.MulVec(s.state)
-		f.m = make([]float64, n*n)
-		f.reach = make([]int, n)
+	case interface{ ReconT() *linalg.Matrix }:
+		f.reconT, f.y = a.ReconT(), s.state
+		f.u = make([]float64, agg.Domain())
+		f.reconT.MulVecTTo(f.u, s.state, 0)
 	case interface{ VariancePerUser() float64 }:
 		f.varPU = a.VariancePerUser()
 	default:
@@ -158,26 +184,25 @@ func (f *varianceForm) of(w []float64) float64 {
 	if f.count <= 0 {
 		return 0
 	}
-	if f.recon == nil {
+	if f.reconT == nil {
 		return f.count * f.varPU * linalg.Dot(w, w)
 	}
-	n, hi := len(w), len(w)
+	lo, hi := 0, len(w)
 	for hi > 0 && w[hi-1] == 0 {
 		hi--
 	}
-	var quad float64
-	for j, wj := range w[:hi] {
-		if wj == 0 {
-			continue
-		}
-		row := f.m[j*n : j*n+hi]
-		if f.reach[j] < hi {
-			f.fill(j, row, max(f.reach[j], j))
-			f.reach[j] = hi
-		}
-		quad += wj * (wj*row[j] + 2*linalg.Dot(w[j+1:hi], row[j+1:]))
+	for lo < hi && w[lo] == 0 {
+		lo++
 	}
-	lin := linalg.Dot(w[:hi], f.u[:hi])
+	var quad, lin float64
+	switch {
+	case hi-lo == 1:
+		wj := w[lo]
+		quad += wj * (wj * f.diag(lo)) // d_j = 0
+		lin += wj * f.u[lo]
+	case hi-lo > 1:
+		quad, lin = f.span(w, lo, hi)
+	}
 	v := quad - lin*lin/f.count
 	if v < 0 {
 		v = 0 // round-off guard: a variance is non-negative
@@ -185,19 +210,83 @@ func (f *varianceForm) of(w []float64) float64 {
 	return v
 }
 
-// fill computes row[k] = M_jk = Σ_o y_o·B_jo·B_ko for k in [from, len(row)).
-// Each entry is a fixed-order sum of its own, so its bits do not depend on
-// which query first reached it.
-func (f *varianceForm) fill(j int, row []float64, from int) {
-	bj := f.recon.Row(j)[:len(f.y)]
-	for k := from; k < len(row); k++ {
-		bk := f.recon.Row(k)[:len(f.y)]
-		var s float64
-		for o, y := range f.y {
-			s += y * bj[o] * bk[o]
-		}
-		row[k] = s
+// diag returns M_jj = Σ_o y_o·B_jo·B_jo.
+func (f *varianceForm) diag(j int) float64 {
+	n := f.reconT.Cols()
+	if f.m != nil {
+		return f.m[j*n+j]
 	}
+	bt := f.reconT.Data()
+	var s float64
+	for o, y := range f.y {
+		b := bt[o*n+j]
+		s += y * b * b
+	}
+	return s
+}
+
+// span returns Σ_j w_j·(w_j·M_jj + 2·d_j) and wᵀu for a row whose non-zeros
+// span [lo, hi), hi−lo ≥ 2, carrying the last such row's chains when the row
+// extends it.
+func (f *varianceForm) span(w []float64, lo, hi int) (quad, lin float64) {
+	n := len(w)
+	if f.m == nil {
+		f.fill()
+		f.prev, f.tail = make([]float64, n), make([]float64, n)
+	}
+	// The last row ends in a non-zero, so equal entries up to its end mean
+	// this row reaches at least as far.
+	from := lo
+	if lo == f.lo && slices.Equal(w[lo:f.hi], f.prev[lo:f.hi]) {
+		from, lin = f.hi, f.lin
+	}
+	clear(f.tail[from:hi])
+	for k := from; k < hi; k++ {
+		wk := w[k]
+		lin += wk * f.u[k]
+		if wk == 0 {
+			continue
+		}
+		// Column k of the upper triangle, read as row k of the mirror.
+		t := f.tail[lo:k]
+		for i, mjk := range f.m[k*n+lo : k*n+k] {
+			t[i] += wk * mjk
+		}
+	}
+	for j := lo; j < hi; j++ {
+		if wj := w[j]; wj != 0 {
+			quad += wj * (wj*f.m[j*n+j] + 2*f.tail[j])
+		}
+	}
+	copy(f.prev[from:hi], w[from:hi])
+	f.lo, f.hi, f.lin = lo, hi, lin
+	return quad, lin
+}
+
+// fill computes M = B·diag(y)·Bᵀ: row j's upper part M_jk (k ≥ j) is the
+// vector–matrix pass Σ_o c_o·Bᵀ_ok with c_o = y_o·B_jo, then mirrored into
+// column j. Row j costs n−j, so the rows are cut into blocks of equal area;
+// each entry is one fixed-order sum whichever worker computes it.
+func (f *varianceForm) fill() {
+	bt := f.reconT.Data()
+	n, outputs := f.reconT.Cols(), f.reconT.Rows()
+	f.m = make([]float64, n*n)
+	blocks := linalg.MaxWorkers()
+	first := func(b int) int { // first row of block b
+		return n - int(math.Round(float64(n)*math.Sqrt(float64(blocks-b)/float64(blocks))))
+	}
+	linalg.ParallelRange(blocks, n*(n+1)/2*outputs, func(_, lo, hi int) {
+		c := make([]float64, outputs)
+		for j := first(lo); j < first(hi); j++ {
+			for o, y := range f.y {
+				c[o] = y * bt[o*n+j]
+			}
+			f.reconT.MulVecTTo(f.m[j*n+j:j*n+n], c, j)
+			for k := j + 1; k < n; k++ {
+				f.m[k*n+j] = f.m[j*n+k]
+			}
+		}
+	})
 }
 
 // each streams the variance of every query of w in row order until fn returns

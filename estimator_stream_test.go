@@ -2,9 +2,12 @@ package ldp_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -399,4 +402,197 @@ func TestVarianceReadCostShape(t *testing.T) {
 	if hist*10 > all {
 		t.Fatalf("Histogram variance read took %v, AllRange %v: want ≥ 10× apart — is the variance form built eagerly?", hist, all)
 	}
+}
+
+// The variance form carries each row's tail sums d_j = Σ_{k>j} w_k·M_jk and
+// wᵀu into the next row when that row extends the last one. The property:
+// over random rows that extend, repeat, shrink or edit the row before them,
+// start elsewhere or are all zero, every variance has the bits of the direct
+// form (scalarForm below, the form as it was computed before the carried
+// sums existed), through VarianceStream and through a batch whose workloads
+// share one form. Random strategies keep B's entries generic, so a changed
+// product or a reordered sum shows in the last bits. At n = 64 the fill of M
+// fans out, over three blocks of rows whatever the machine.
+func TestVarianceCarriedSumsBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	rng := rand.New(rand.NewSource(49))
+	weights := []float64{-1, 0.5, 1, 3}
+	entry := func() float64 {
+		if rng.Intn(5) == 0 {
+			return 0
+		}
+		return weights[rng.Intn(len(weights))]
+	}
+	span := func(w []float64) (lo, hi int) {
+		for hi = len(w); hi > 0 && w[hi-1] == 0; hi-- {
+		}
+		for lo = 0; lo < hi && w[lo] == 0; lo++ {
+		}
+		return lo, hi
+	}
+	randomRows := func(n, p int) [][]float64 {
+		rows := make([][]float64, p)
+		prev := make([]float64, n)
+		for i := range rows {
+			w := slices.Clone(prev)
+			lo, hi := span(w)
+			switch rng.Intn(6) {
+			case 0: // extend
+				for k, end := hi, hi+1+rng.Intn(n-hi+1); k < min(end, n); k++ {
+					w[k] = entry()
+				}
+			case 1: // repeat
+			case 2: // shrink
+				if hi > lo {
+					clear(w[lo+1+rng.Intn(hi-lo):])
+				}
+			case 3: // change one overlapping weight, then maybe extend
+				if hi > lo {
+					k := lo + rng.Intn(hi-lo)
+					for old := w[k]; w[k] == old; {
+						w[k] = weights[rng.Intn(len(weights))]
+					}
+				}
+				if rng.Intn(2) == 0 && hi < n {
+					w[hi] = entry()
+				}
+			case 4: // start elsewhere
+				clear(w)
+				lo = rng.Intn(n)
+				w[lo] = weights[rng.Intn(len(weights))]
+				for k := lo + 1; k < min(lo+1+rng.Intn(n), n); k++ {
+					w[k] = entry()
+				}
+			case 5: // all zero
+				clear(w)
+			}
+			rows[i], prev = w, w
+		}
+		return rows
+	}
+	for _, n := range []int{1, 2, 5, 33, 64} {
+		m := 4 * n
+		q := linalg.New(m, n)
+		for u := 0; u < n; u++ {
+			var sum float64
+			for o := 0; o < m; o++ {
+				q.Set(o, u, 1+rng.Float64())
+				sum += q.At(o, u)
+			}
+			for o := 0; o < m; o++ {
+				q.Set(o, u, q.At(o, u)/sum)
+			}
+		}
+		s := strategy.New(q, math.Log(4))
+		recon, err := s.Reconstruction()
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := ldp.NewAggregator(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws []ldp.Workload
+		for i := 0; i < 3; i++ {
+			w, err := ldp.NewWorkload(fmt.Sprintf("Carried%d", i), randomRows(n, 4*n+8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws = append(ws, w)
+		}
+		for _, zero := range []bool{false, true} {
+			state := make([]float64, m)
+			if !zero {
+				for o := range state {
+					if rng.Intn(4) > 0 {
+						state[o] = float64(rng.Intn(20))
+					}
+				}
+			}
+			snap := ldp.NewSnapshot(state, linalg.Sum(state), 1, ldp.MechanismInfoOf(agg))
+			ref := newScalarForm(recon.B, state, snap.Count())
+			same := func(how string, w ldp.Workload, i int, got float64) {
+				t.Helper()
+				row := make([]float64, n)
+				w.QueryRow(i, row)
+				want := ref.of(row)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d count=%v %s %s row %d %v: variance %v, direct form %v",
+						n, snap.Count(), how, w.Name(), i, row, got, want)
+				}
+			}
+			for _, w := range ws {
+				est, err := ldp.NewEstimator(agg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := est.VarianceStream(snap, func(i int, v float64) bool { same("VarianceStream", w, i, v); return true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch, err := ldp.NewEstimatorPool().AnswerBatch(agg, snap, ws, ldp.WithBatchVariance())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, ba := range batch {
+				for i, v := range ba.Variance {
+					same("AnswerBatch", ws[k], i, v)
+				}
+			}
+		}
+	}
+}
+
+// scalarForm is the strategy path's variance form in its direct form: u = B·y
+// row by row, each entry M_jk (k ≥ j) of the upper triangle a scalar sum
+// Σ_o y_o·B_jo·B_ko in ascending o, and each row's quadratic and linear terms
+// as dot products from the first column. Each entry is a fixed-order sum of
+// its own, so filling the triangle up front gives the bits a fill of only
+// the entries a row reaches gives.
+type scalarForm struct {
+	count float64
+	u     []float64
+	m     [][]float64
+}
+
+func newScalarForm(b *linalg.Matrix, y []float64, count float64) *scalarForm {
+	n := b.Rows()
+	f := &scalarForm{count: count, u: b.MulVec(y), m: make([][]float64, n)}
+	for j := range f.m {
+		f.m[j] = make([]float64, n)
+		bj := b.Row(j)
+		for k := j; k < n; k++ {
+			bk := b.Row(k)
+			var s float64
+			for o, yo := range y {
+				s += yo * bj[o] * bk[o]
+			}
+			f.m[j][k] = s
+		}
+	}
+	return f
+}
+
+func (f *scalarForm) of(w []float64) float64 {
+	if f.count <= 0 {
+		return 0
+	}
+	hi := len(w)
+	for hi > 0 && w[hi-1] == 0 {
+		hi--
+	}
+	var quad float64
+	for j, wj := range w[:hi] {
+		if wj == 0 {
+			continue
+		}
+		row := f.m[j][:hi]
+		quad += wj * (wj*row[j] + 2*linalg.Dot(w[j+1:hi], row[j+1:]))
+	}
+	lin := linalg.Dot(w[:hi], f.u[:hi])
+	v := quad - lin*lin/f.count
+	if v < 0 {
+		v = 0
+	}
+	return v
 }

@@ -428,3 +428,43 @@ func ExampleMulAtBSymTo() {
 	fmt.Println(m.Data())
 	// Output: [55.5 68 68 84]
 }
+
+// TestKernelVecMatMatchesScalar compares MulVecTTo with the scalar chain it
+// stands for — s += x[k]·a[k][col+i], k ascending from zero — bit for bit,
+// over output lengths 0…9 and 33 (the vector loop, its ragged tail, neither),
+// the same coefficient counts, column offsets that are not multiples of four,
+// and coefficient vectors with zeros, negative zeros and negative entries, on
+// every addMul4 body. dst's neighbours in its backing array stay untouched.
+func TestKernelVecMatMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(490))
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33}
+	for _, k := range lengths {
+		for _, width := range lengths {
+			for _, col := range []int{0, 1, 3, 6} {
+				a := kernelMatrix(rng, k, col+width+2)
+				x := kernelMatrix(rng, 1, k).data
+				want := make([]float64, width)
+				for i := range want {
+					var s float64
+					for kk, xv := range x {
+						s += xv * a.At(kk, col+i)
+					}
+					want[i] = s
+				}
+				for _, run := range kernelRuns(1) {
+					backing := kernelMatrix(rng, 1, width+4).data
+					before := CloneVec(backing)
+					dst := backing[2 : 2+width]
+					run.do(func() { a.MulVecTTo(dst, x, col) })
+					if !sameBitsVec(dst, want) {
+						t.Fatalf("%v: MulVecTTo k=%d width=%d col=%d = %v, scalar chain %v", run, k, width, col, dst, want)
+					}
+					copy(before[2:2+width], want)
+					if !sameBitsVec(backing, before) {
+						t.Fatalf("%v: MulVecTTo k=%d width=%d col=%d wrote outside dst", run, k, width, col)
+					}
+				}
+			}
+		}
+	}
+}

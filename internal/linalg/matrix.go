@@ -13,12 +13,12 @@
 //
 // The hot path in internal/core runs thousands of iterations at a fixed
 // shape, so every allocating operation used there has a destination-passing
-// variant (MulTo, MulAtBTo, MulAtBSymTo, MulABtTo, MulVecTo, RowSumsTo,
-// ScaleRowsTo, TransposeTo, Cholesky.Factor, Cholesky.SolveTo) that writes
-// into caller-owned storage and allocates nothing in steady state. Unless a
-// variant documents otherwise, dst must not alias any input: results are
-// written incrementally, so an aliased destination would be read after being
-// partially overwritten.
+// variant (MulTo, MulAtBTo, MulAtBSymTo, MulABtTo, MulVecTo, MulVecTTo,
+// RowSumsTo, ScaleRowsTo, TransposeTo, Cholesky.Factor, Cholesky.SolveTo)
+// that writes into caller-owned storage and allocates nothing in steady
+// state. Unless a variant documents otherwise, dst must not alias any input:
+// results are written incrementally, so an aliased destination would be read
+// after being partially overwritten.
 //
 // # Parallelism and reproducibility
 //
@@ -299,20 +299,33 @@ func (m *Matrix) MulVecTo(dst, x []float64) {
 
 // MulVecT returns mᵀ*x.
 func (m *Matrix) MulVecT(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic("linalg: MulVecT length mismatch")
-	}
 	out := make([]float64, m.cols)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += xv * v
-		}
-	}
+	m.MulVecTTo(out, x, 0)
 	return out
+}
+
+// MulVecTTo sets dst[i] = Σ_k x[k]·m[k][col+i] for every i < len(dst): the
+// entries col … col+len(dst)−1 of mᵀ*x. Each entry accumulates over k in
+// ascending order from zero, four k's per pass over dst (addMul4), and a
+// zero x[k] is skipped rather than multiplied — so for finite entries each
+// dst[i] has the bits of the scalar chain `s += x[k]*m[k][col+i]` over the
+// same k. dst must not alias x or m.
+func (m *Matrix) MulVecTTo(dst, x []float64, col int) {
+	if len(x) != m.rows {
+		panic("linalg: MulVecTTo length mismatch")
+	}
+	if col < 0 || col+len(dst) > m.cols {
+		panic("linalg: MulVecTTo columns out of range")
+	}
+	clear(dst)
+	c, d := m.cols, m.data
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		addMul4(dst, d[k*c+col:], d[(k+1)*c+col:], d[(k+2)*c+col:], d[(k+3)*c+col:], x[k], x[k+1], x[k+2], x[k+3])
+	}
+	for ; k < len(x); k++ {
+		addMul1(dst, d[k*c+col:], x[k])
+	}
 }
 
 // Trace returns the sum of diagonal elements of a square matrix.

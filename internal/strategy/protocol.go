@@ -59,17 +59,19 @@ func (r *Randomizer) Randomize(u int, rng *rand.Rand) (protocol.Report, error) {
 // y (length m); EstimateCounts returns B·y, the unbiased estimate of the data
 // vector within the strategy's row space.
 type Aggregator struct {
-	s     *Strategy
-	recon *linalg.Matrix // B = (QᵀD⁻¹Q)⁺QᵀD⁻¹, n×m
+	s      *Strategy
+	reconT *linalg.Matrix // Bᵀ, m×n, with B = (QᵀD⁻¹Q)⁺QᵀD⁻¹ (n×m)
 }
 
-// NewAggregator precomputes the reconstruction factor B.
+// NewAggregator precomputes the reconstruction factor B and keeps it once,
+// transposed: every product the read path takes with B (B·y, and the rows of
+// B·diag(y)·Bᵀ) is then a vector–matrix pass over contiguous rows of Bᵀ.
 func NewAggregator(s *Strategy) (*Aggregator, error) {
 	r, err := s.Reconstruction()
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregator{s: s, recon: r.B}, nil
+	return &Aggregator{s: s, reconT: r.B.T()}, nil
 }
 
 // Domain returns the number of user types estimated.
@@ -82,10 +84,11 @@ func (a *Aggregator) Epsilon() float64 { return a.s.Eps }
 // identity a snapshot or transport handshake fingerprints.
 func (a *Aggregator) Strategy() *Strategy { return a.s }
 
-// Recon returns the precomputed reconstruction factor B = (QᵀD⁻¹Q)⁺QᵀD⁻¹.
-// Callers must treat it as read-only; the variance algebra of the estimator
-// layer (per-query variance of V·y with V = W·B) is built from it.
-func (a *Aggregator) Recon() *linalg.Matrix { return a.recon }
+// ReconT returns the transpose of the precomputed reconstruction factor
+// B = (QᵀD⁻¹Q)⁺QᵀD⁻¹, m×n. Callers must treat it as read-only; the variance
+// algebra of the estimator layer (per-query variance of V·y with V = W·B) is
+// built from it.
+func (a *Aggregator) ReconT() *linalg.Matrix { return a.reconT }
 
 // StateLen returns m, the response-histogram width.
 func (a *Aggregator) StateLen() int { return a.s.Outputs() }
@@ -111,7 +114,10 @@ func (a *Aggregator) Absorb(acc []float64, r protocol.Report) error {
 }
 
 // EstimateCounts returns B·acc; the report count is not needed because the
-// reconstruction is already unbiased at any N.
+// reconstruction is already unbiased at any N. Each entry is the chain
+// Σ_o acc_o·B_jo in ascending o, the bits of a row-by-row B·acc.
 func (a *Aggregator) EstimateCounts(acc []float64, count float64) []float64 {
-	return a.recon.MulVec(acc)
+	out := make([]float64, a.reconT.Cols())
+	a.reconT.MulVecTTo(out, acc, 0)
+	return out
 }

@@ -241,7 +241,11 @@ func NewQueryResultWriter(w io.Writer, info QueryResultInfo) (*QueryResultWriter
 		return nil, fmt.Errorf("transport: query result declares %d rows, limit %d", info.TotalRows, int64(MaxQueryRows))
 	}
 	qw := &QueryResultWriter{w: w, info: info}
-	qw.buf = qw.appendMeta(make([]byte, 0, 4096), 0)
+	// One buffer sized for the first frame (64 bytes cover its header): the
+	// whole result when it fits. Growing it by append from a small buffer
+	// allocated about twice that on every query.
+	size := min(64+info.TotalRows*queryRowWidth(info.HasVariance, info.HasCI), MaxQueryResultPayload)
+	qw.buf = qw.appendMeta(make([]byte, 0, size), 0)
 	qw.metaLen = len(qw.buf)
 	return qw, nil
 }

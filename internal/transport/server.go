@@ -329,9 +329,13 @@ func (c *idemCache) outcome(entry *idemOutcome) (int, IngestResponse, bool) {
 //	                 status 400 after the preceding frames have been applied.
 //	                 A backend error carrying a *StatusError answers with
 //	                 that status; a Temporary one (a failed WAL append) is
-//	                 retryable and is not remembered.
+//	                 retryable.
 //	                 A request stamped with IdempotencyKeyHeader is absorbed
 //	                 at most once: a duplicate replays the recorded response.
+//	                 Only a request that applied reports records one — a
+//	                 refusal or an empty body that applied none is processed
+//	                 again on retry, so the keys remembered are the keys a
+//	                 durable backend logs.
 //	GET  /snapshot — one v2 snapshot frame: merged accumulator, count, epoch,
 //	                 and the mechanism identity.
 //	GET  /healthz  — JSON liveness, report count, snapshot epoch, and
@@ -582,11 +586,15 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	finish := func(status int, resp IngestResponse) {
-		// Both outcomes are remembered: a replayed 400 carries the same
-		// accepted count as the original, so the client trims exactly the
-		// prefix the server really applied even when the first response
-		// never arrived.
-		if claim != nil {
+		// An outcome is remembered only when the request applied reports.
+		// Then a replayed 400 carries the same accepted count as the
+		// original, so the client trims exactly the prefix the server really
+		// applied even when the first response never arrived. A request that
+		// applied nothing leaves its claim to the deferred abort, as the
+		// retryable path does: a durable backend learns a key only with its
+		// logged reports, and the live horizon must hold the keys a restarted
+		// one rebuilds.
+		if claim != nil && resp.Accepted > 0 {
 			s.idem.finish(claim, status, resp)
 			finished = true
 		}

@@ -223,30 +223,52 @@ func TestIdempotencyKeyReplaysResponse(t *testing.T) {
 	}
 }
 
-// Error responses replay too: a retried key whose original request was
-// rejected must see the same rejection (with the same accepted count), not a
-// second absorb attempt.
+// Error responses replay too when their request applied reports: a retried
+// key whose original request had its first frame absorbed and its second
+// refused sees the same 400 with the same accepted count, not a second
+// absorb. A refusal that applied nothing is not remembered — a durable
+// backend never logs its key either — so the same key, retried once the
+// backend takes it, is absorbed.
 func TestIdempotencyKeyReplaysRejection(t *testing.T) {
-	backend := &memBackend{reject: true}
+	backend := &memBackend{failWith: errors.New("backend says no"), passFirst: 1}
 	_, c := newTestServer(t, backend)
 	ctx := context.Background()
-	batch := []protocol.Report{{Index: 1}}
-
-	_, err := c.PostReportsKeyed(ctx, batch, "rejected-key")
-	var se *StatusError
-	if !errors.As(err, &se) || se.StatusCode != 400 {
-		t.Fatalf("want a 400 status error, got %v", err)
+	var body bytes.Buffer
+	for _, frame := range [][]protocol.Report{{{Index: 1}}, {{Index: 2}}} {
+		if err := EncodeReports(&body, frame); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The backend recovers, but the recorded rejection must still replay.
+	for attempt := 0; attempt < 2; attempt++ {
+		accepted, err := c.PostFrames(ctx, body.Bytes(), "rejected-key")
+		var se *StatusError
+		if !errors.As(err, &se) || se.StatusCode != 400 || accepted != 1 {
+			t.Fatalf("attempt %d: accepted %d, err %v; want a 400 carrying the applied frame", attempt, accepted, err)
+		}
+		// The backend recovers, but the recorded rejection must still replay.
+		backend.mu.Lock()
+		backend.failWith = nil
+		backend.mu.Unlock()
+	}
+	if got := backend.Count(); got != 1 {
+		t.Fatalf("backend holds %v reports, want 1: the rejection was not replayed", got)
+	}
+
+	backend.mu.Lock()
+	backend.reject = true
+	backend.mu.Unlock()
+	batch := []protocol.Report{{Index: 3}}
+	if _, err := c.PostReportsKeyed(ctx, batch, "refused-key"); err == nil {
+		t.Fatal("want the backend's refusal")
+	}
 	backend.mu.Lock()
 	backend.reject = false
 	backend.mu.Unlock()
-	_, err = c.PostReportsKeyed(ctx, batch, "rejected-key")
-	if !errors.As(err, &se) || se.StatusCode != 400 {
-		t.Fatalf("replay of recorded rejection: got %v", err)
+	if accepted, err := c.PostReportsKeyed(ctx, batch, "refused-key"); err != nil || accepted != 1 {
+		t.Fatalf("same-key retry of a refusal that applied nothing: accepted %d, err %v", accepted, err)
 	}
-	if got := backend.Count(); got != 0 {
-		t.Fatalf("backend absorbed %v reports through a replayed rejection", got)
+	if got := backend.Count(); got != 2 {
+		t.Fatalf("backend holds %v reports, want 2", got)
 	}
 }
 
