@@ -1,7 +1,9 @@
 package ldp_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -450,6 +453,137 @@ func TestDurableKeyHorizonIgnoresRefusals(t *testing.T) {
 	}
 	if final[false] != final[true] || final[true] != transport.IdempotencyHorizon {
 		t.Fatalf("final count %v without a restart, %v with one; want %d both times", final[false], final[true], transport.IdempotencyHorizon)
+	}
+}
+
+// The idempotency invariant, as a property over random keyed sequences: the
+// live shard's KeyHorizon lists the same keys, in the same order, as a
+// restarted shard's. Both are held to one reference model — the newest
+// IdempotencyHorizon keys whose requests applied reports, by first arrival —
+// on a durable shard behind a CollectorService that restarts
+// (Close/NewCollector) at random points. Each sequence mixes fresh keys,
+// retries of any earlier key (refused, evicted, or at the horizon's edge,
+// where the order decides), refusals that apply nothing and refusals after
+// an applied frame, and passes the horizon so that keys are evicted. Every
+// response must be the model's: a key the model holds replays its recorded
+// outcome (a 409 with the logged count once a restart re-seeded it) and
+// absorbs nothing; any other key is processed afresh.
+func TestDurableKeyHorizonMatchesRestartProperty(t *testing.T) {
+	const n, horizon = 16, transport.IdempotencyHorizon
+	w := ldp.Histogram(n)
+	m := e2eMechanisms(t, n)["OUE"]
+	info := ldp.MechanismInfoOf(m.agg)
+	pool := randomBatches(t, m.rz, n, []int{1, 2, 3, 1, 2, 3, 1, 2}, 50)
+	frames := make([][]byte, len(pool))
+	for i, b := range pool {
+		var buf strings.Builder
+		if err := ldp.EncodeReportsFrame(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = []byte(buf.String())
+	}
+	garbage := []byte("not a report frame")
+	type outcome struct{ status, accepted int }
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		var (
+			col *ldp.Collector
+			h   http.Handler
+		)
+		open := func() {
+			var err error
+			if col, err = ldp.NewCollector(m.agg, w, 0, ldp.WithDurability(dir, ldp.CheckpointEvery(1+rng.Intn(512)))); err != nil {
+				t.Fatal(err)
+			}
+			h = collectorHandler(t, col, info)
+		}
+		open()
+		// The model: keys in first-seen order, oldest first, with the
+		// outcome each replays.
+		var order []string
+		held := map[string]outcome{}
+		remember := func(key string, o outcome) {
+			if len(order) == horizon {
+				delete(held, order[0])
+				order = order[1:]
+			}
+			order = append(order, key)
+			held[key] = o
+		}
+		var (
+			used    []string
+			bodies  = map[string][]byte{}
+			fresh   = map[string]outcome{} // what a body does when it is not replayed
+			evicted []string
+			count   int
+		)
+		newKey := func(body []byte, o outcome) string {
+			key := fmt.Sprintf("s%d-k%05d", seed, len(used))
+			used = append(used, key)
+			bodies[key], fresh[key] = body, o
+			return key
+		}
+		const ops = horizon * 7 / 4 // about 1.2 horizons of applied keys
+		for op := 0; op < ops; op++ {
+			if rng.Intn(400) == 0 {
+				if err := col.Close(); err != nil {
+					t.Fatal(err)
+				}
+				open()
+				for k, o := range held {
+					held[k] = outcome{http.StatusConflict, o.accepted}
+				}
+			}
+			var key string
+			switch r := rng.Intn(100); {
+			case r < 62 || len(used) == 0:
+				i := rng.Intn(len(frames))
+				key = newKey(frames[i], outcome{http.StatusOK, len(pool[i])})
+			case r < 70:
+				key = newKey(garbage, outcome{http.StatusBadRequest, 0})
+			case r < 78:
+				i := rng.Intn(len(frames))
+				key = newKey(slices.Concat(frames[i], garbage), outcome{http.StatusBadRequest, len(pool[i])})
+			case r < 86 && len(order) > 0:
+				key = order[rng.Intn(min(len(order), 8))] // next to be evicted
+			case r < 90 && len(evicted) > 0:
+				key = evicted[len(evicted)-1-rng.Intn(min(len(evicted), 8))] // just evicted
+			default:
+				key = used[rng.Intn(len(used))]
+			}
+			want, replay := held[key]
+			if !replay {
+				want = fresh[key]
+			}
+			req := httptest.NewRequest(http.MethodPost, "/reports", bytes.NewReader(bodies[key]))
+			req.Header.Set(transport.IdempotencyKeyHeader, key)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var resp transport.IngestResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("seed %d op %d key %s: response %q: %v", seed, op, key, rec.Body.String(), err)
+			}
+			if !replay {
+				count += want.accepted
+				if want.accepted > 0 {
+					if len(order) == horizon {
+						evicted = append(evicted, order[0])
+					}
+					remember(key, want)
+				}
+			}
+			if rec.Code != want.status || resp.Accepted != want.accepted || col.Count() != float64(count) {
+				t.Fatalf("seed %d op %d key %s (replay %v): %d accepted %d, count %v; want %d accepted %d, count %d",
+					seed, op, key, replay, rec.Code, resp.Accepted, col.Count(), want.status, want.accepted, count)
+			}
+		}
+		if len(evicted) == 0 {
+			t.Fatalf("seed %d: the sequence never passed the horizon", seed)
+		}
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

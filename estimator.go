@@ -1,10 +1,11 @@
 package ldp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"unsafe"
 
 	"repro/internal/linalg"
 	"repro/internal/postprocess"
@@ -120,13 +121,16 @@ func (e *Estimator) ConsistentAnswers(s Snapshot) ([]float64, error) {
 // terms: Var[ŵ] ≈ N·v·‖w‖² (exact for unary encodings up to the O(f)
 // frequency term, asymptotic for OLH).
 //
-// Two tiers serve the strategy path. A row with one non-zero w_j reads the
-// diagonal entry M_jj, computed on demand (Histogram: O(n·m), and the n×n M
-// is never allocated). The first row with two or more non-zeros fills all of
-// M once: row j of the upper triangle is one vector–matrix pass over Bᵀ
-// with coefficients c_o = y_o·B_jo (linalg's MulVecTTo), rows fanned out over
-// workers in blocks of equal area, each row then mirrored into the lower
-// triangle. Such a row's variance is
+// A row arrives with the span [lo, hi) of its non-zeros, as its QueryRow
+// reported it, and nothing outside the span is read: a row costs its span,
+// not the domain. Two tiers serve the strategy path. A row with one non-zero
+// w_j reads the diagonal entry M_jj, computed on demand (Histogram: O(n·m),
+// and the n×n M is never allocated). The first row with two or more
+// non-zeros fills all of M once: row j of the upper triangle is one
+// vector–matrix pass over Bᵀ with coefficients c_o = y_o·B_jo (linalg's
+// MulVecTTo), rows fanned out over workers in blocks of equal area, each row
+// then mirrored into the lower triangle, and the diagonal copied out once
+// into a contiguous n-vector. Such a row's variance is
 //
 //	Σ_j w_j·(w_j·M_jj + 2·d_j) − (wᵀu)²/N,  d_j = Σ_{k>j} w_k·M_jk,
 //
@@ -134,7 +138,9 @@ func (e *Estimator) ConsistentAnswers(s Snapshot) ([]float64, error) {
 // the new row has the same first non-zero as the last and repeats its
 // entries up to where the last one ended (Prefix's rows, and AllRange's
 // within one start): only the new columns are added to the carried chains.
-// Any other row starts its chains from zero.
+// The repeat test compares the overlap's bytes, which is stricter than
+// comparing values only in the sign of a zero, and a refused carry costs
+// time, not bits. Any other row starts its chains from zero.
 //
 // No bit moves against the direct form — M_jk = Σ_o y_o·B_jo·B_ko
 // accumulated entry by entry, each row's tail sums and wᵀu as dot products
@@ -153,6 +159,7 @@ type varianceForm struct {
 	y      []float64      // strategy path: the response histogram (snapshot state)
 	u      []float64      // strategy path: B·y
 	m      []float64      // strategy path: M row-major n×n; nil until a row has two non-zeros
+	mdiag  []float64      // strategy path: M's diagonal, copied out of m after the fill
 
 	// The carried chains of the last row with two or more non-zeros, whose
 	// non-zeros span [lo, hi) with entries prev[lo:hi]: tail[j] = d_j for j
@@ -179,20 +186,17 @@ func newVarianceForm(agg Aggregator, s Snapshot) (*varianceForm, error) {
 	return f, nil
 }
 
-// of returns the variance of the answer to one query row w (length n).
-func (f *varianceForm) of(w []float64) float64 {
+// of returns the variance of the answer to one query row w (length n) whose
+// non-zeros span [lo, hi), as the row's QueryRow reported: nothing outside the
+// span is read. (On the oracle path the squares outside it are +0, and a sum
+// that starts at +0 and adds only terms ≥ +0 is the same with or without
+// them.)
+func (f *varianceForm) of(w []float64, lo, hi int) float64 {
 	if f.count <= 0 {
 		return 0
 	}
 	if f.reconT == nil {
-		return f.count * f.varPU * linalg.Dot(w, w)
-	}
-	lo, hi := 0, len(w)
-	for hi > 0 && w[hi-1] == 0 {
-		hi--
-	}
-	for lo < hi && w[lo] == 0 {
-		lo++
+		return f.count * f.varPU * linalg.Dot(w[lo:hi], w[lo:hi])
 	}
 	var quad, lin float64
 	switch {
@@ -212,10 +216,10 @@ func (f *varianceForm) of(w []float64) float64 {
 
 // diag returns M_jj = Σ_o y_o·B_jo·B_jo.
 func (f *varianceForm) diag(j int) float64 {
-	n := f.reconT.Cols()
-	if f.m != nil {
-		return f.m[j*n+j]
+	if f.mdiag != nil {
+		return f.mdiag[j]
 	}
+	n := f.reconT.Cols()
 	bt := f.reconT.Data()
 	var s float64
 	for o, y := range f.y {
@@ -235,9 +239,10 @@ func (f *varianceForm) span(w []float64, lo, hi int) (quad, lin float64) {
 		f.prev, f.tail = make([]float64, n), make([]float64, n)
 	}
 	// The last row ends in a non-zero, so equal entries up to its end mean
-	// this row reaches at least as far.
+	// this row reaches at least as far. Equal bits are equal entries (a ±0
+	// mismatch only refuses a carry the values would allow).
 	from := lo
-	if lo == f.lo && slices.Equal(w[lo:f.hi], f.prev[lo:f.hi]) {
+	if lo == f.lo && bytes.Equal(bitsOf(w[lo:f.hi]), bitsOf(f.prev[lo:f.hi])) {
 		from, lin = f.hi, f.lin
 	}
 	clear(f.tail[from:hi])
@@ -253,14 +258,20 @@ func (f *varianceForm) span(w []float64, lo, hi int) (quad, lin float64) {
 			t[i] += wk * mjk
 		}
 	}
-	for j := lo; j < hi; j++ {
-		if wj := w[j]; wj != 0 {
-			quad += wj * (wj*f.m[j*n+j] + 2*f.tail[j])
+	mjj, tail := f.mdiag[lo:hi], f.tail[lo:hi]
+	for j, wj := range w[lo:hi] {
+		if wj != 0 {
+			quad += wj * (wj*mjj[j] + 2*tail[j])
 		}
 	}
 	copy(f.prev[from:hi], w[from:hi])
 	f.lo, f.hi, f.lin = lo, hi, lin
 	return quad, lin
+}
+
+// bitsOf views x's float64s as their bytes, for one memory compare.
+func bitsOf(x []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), 8*len(x))
 }
 
 // fill computes M = B·diag(y)·Bᵀ: row j's upper part M_jk (k ≥ j) is the
@@ -287,6 +298,10 @@ func (f *varianceForm) fill() {
 			}
 		}
 	})
+	f.mdiag = make([]float64, n)
+	for j := range f.mdiag {
+		f.mdiag[j] = f.m[j*n+j]
+	}
 }
 
 // each streams the variance of every query of w in row order until fn returns
@@ -294,8 +309,8 @@ func (f *varianceForm) fill() {
 func (f *varianceForm) each(w Workload, fn func(i int, v float64) bool) {
 	wrow := make([]float64, w.Domain())
 	for i, p := 0, w.Queries(); i < p; i++ {
-		w.QueryRow(i, wrow)
-		if !fn(i, f.of(wrow)) {
+		lo, hi := w.QueryRow(i, wrow)
+		if !fn(i, f.of(wrow, lo, hi)) {
 			return
 		}
 	}

@@ -543,6 +543,75 @@ func TestVarianceCarriedSumsBitIdentical(t *testing.T) {
 	}
 }
 
+// The variance form reads a row only inside the span its QueryRow reports.
+// Every family's spans — closed-form, located in O(1), trimmed after a
+// weight or a Kronecker product, scanned — are held here to the direct form,
+// which scans nothing, bit for bit over a random strategy: a span that drops
+// or adds a column moves the variance.
+func TestVarianceFamilySpansBitIdentical(t *testing.T) {
+	const n = 16
+	rng := rand.New(rand.NewSource(50))
+	m := 4 * n
+	q := linalg.New(m, n)
+	for u := 0; u < n; u++ {
+		var sum float64
+		for o := 0; o < m; o++ {
+			q.Set(o, u, 1+rng.Float64())
+			sum += q.At(o, u)
+		}
+		for o := 0; o < m; o++ {
+			q.Set(o, u, q.At(o, u)/sum)
+		}
+	}
+	s := strategy.New(q, math.Log(4))
+	recon, err := s.Reconstruction()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := ldp.NewAggregator(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make([]float64, m)
+	for o := range state {
+		state[o] = float64(rng.Intn(20))
+	}
+	snap := ldp.NewSnapshot(state, linalg.Sum(state), 1, ldp.MechanismInfoOf(agg))
+	ref := newScalarForm(recon.B, state, snap.Count())
+	explicit, err := ldp.NewWorkload("Edges", [][]float64{
+		{0, 0, 0, 1, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 1, -2, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3},
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []ldp.Workload{
+		ldp.Histogram(n), ldp.Prefix(n), ldp.AllRange(n), ldp.WidthRange(n, 5),
+		ldp.Parity(4), ldp.AllMarginals(4), ldp.KWayMarginals(4, 2), explicit,
+		ldp.Stacked("Stacked", []ldp.Workload{ldp.AllRange(n), explicit, ldp.Prefix(n)}, []float64{0.5, 3, 1}),
+		ldp.Product(ldp.Prefix(4), ldp.AllRange(4)),
+		ldp.Product(ldp.WidthRange(4, 2), ldp.Histogram(4)),
+	} {
+		est, err := ldp.NewEstimator(agg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, n)
+		if err := est.VarianceStream(snap, func(i int, got float64) bool {
+			w.QueryRow(i, row)
+			if want := ref.of(row); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s row %d %v: variance %v, direct form %v", w.Name(), i, row, got, want)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // scalarForm is the strategy path's variance form in its direct form: u = B·y
 // row by row, each entry M_jk (k ≥ j) of the upper triangle a scalar sum
 // Σ_o y_o·B_jo·B_ko in ascending o, and each row's quadratic and linear terms

@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/hadamard"
@@ -43,7 +44,10 @@ type Workload interface {
 	// QueryRow overwrites dst (length Domain()) with row i of W. It is the
 	// one statement of the workload's entries; everything that needs them
 	// (the digest, per-query variance, Stacked, Product) reads a row at a time.
-	QueryRow(i int, dst []float64)
+	// It returns the exact span [lo, hi) of the row's non-zeros: dst[lo] and
+	// dst[hi−1] are non-zero and everything outside is zero, with lo == hi
+	// for an all-zero row.
+	QueryRow(i int, dst []float64) (lo, hi int)
 }
 
 // gramCache provides lazy caching of the Gram matrix for implementations.
@@ -637,8 +641,8 @@ type Stacked struct {
 }
 
 // NewStacked concatenates the given workloads with the given weights. All
-// parts must share a domain; weights must be positive and match parts in
-// length.
+// parts must share a domain; weights must be positive, finite and match parts
+// in length.
 func NewStacked(name string, parts []Workload, weights []float64) *Stacked {
 	if len(parts) == 0 {
 		panic("workload: Stacked needs at least one part")
@@ -653,8 +657,8 @@ func NewStacked(name string, parts []Workload, weights []float64) *Stacked {
 		}
 	}
 	for _, w := range weights {
-		if w <= 0 {
-			panic("workload: Stacked weights must be positive")
+		if !(w > 0) || math.IsInf(w, 1) {
+			panic(fmt.Sprintf("workload: Stacked weights must be positive and finite, got %v", w))
 		}
 	}
 	return &Stacked{name: name, parts: parts, weights: weights}

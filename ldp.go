@@ -46,6 +46,7 @@ package ldp
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -101,7 +102,8 @@ func Product(a, b Workload) Workload { return workload.NewProduct(a, b) }
 
 // NewWorkload wraps an arbitrary query matrix (rows are queries) as a
 // workload. The paper places no restrictions on W: duplicated or linearly
-// dependent rows are fine and simply weight those queries more.
+// dependent rows are fine and simply weight those queries more. Every
+// coefficient must be finite.
 func NewWorkload(name string, rows [][]float64) (Workload, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("ldp: workload needs at least one query")
@@ -112,13 +114,18 @@ func NewWorkload(name string, rows [][]float64) (Workload, error) {
 		if len(r) != n {
 			return nil, fmt.Errorf("ldp: query %d has %d coefficients, want %d", i, len(r), n)
 		}
+		for j, v := range r {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("ldp: query %d coefficient %d is %v, want a finite number", i, j, v)
+			}
+		}
 		m.SetRow(i, r)
 	}
 	return workload.NewExplicit(name, m), nil
 }
 
-// Stacked concatenates workloads over the same domain with positive weights
-// expressing relative importance.
+// Stacked concatenates workloads over the same domain with positive, finite
+// weights expressing relative importance.
 func Stacked(name string, parts []Workload, weights []float64) Workload {
 	return workload.NewStacked(name, parts, weights)
 }

@@ -51,6 +51,33 @@ func TestNewWorkload(t *testing.T) {
 	}
 }
 
+// TestNewWorkloadRefusesNonFinite: a NaN or ±Inf coefficient is refused at
+// construction, with the row and column named, instead of surfacing later as
+// an optimizer failure with no cause.
+func TestNewWorkloadRefusesNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := ldp.NewWorkload("bad", [][]float64{{1, 0, 0}, {0, 1, bad}})
+		if err == nil || !strings.Contains(err.Error(), "query 1 coefficient 2") {
+			t.Fatalf("coefficient %v: error %v, want one naming query 1 coefficient 2", bad, err)
+		}
+	}
+}
+
+// TestStackedRefusesNonFiniteWeights: NaN passes a w <= 0 check and +Inf is
+// positive, and either makes the stacked Gram non-finite.
+func TestStackedRefusesNonFiniteWeights(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Stacked with weight %v did not panic", bad)
+				}
+			}()
+			ldp.Stacked("s", []ldp.Workload{ldp.Prefix(4)}, []float64{bad})
+		}()
+	}
+}
+
 func TestOptimizeEndToEnd(t *testing.T) {
 	w := ldp.Prefix(8)
 	mech, err := ldp.Optimize(context.Background(), w, 1.0,
