@@ -1,13 +1,12 @@
 // Statistical acceptance tests: every Randomizer/Aggregator pair runs the
 // complete protocol end-to-end at a fixed seed over N = 50,000 reports, and
-// the resulting frequency estimates must land inside an error envelope
-// precomputed from the mechanism's closed-form variance (Theorem 3.4 for
-// strategy mechanisms, the Wang et al. constants for the oracles). The
-// envelopes are wide enough (6σ per cell, 4× the expected total squared
-// error) that seed-to-seed noise can never trip them, but a mechanism
-// regression — a broken estimator constant, a hash family without the
-// collision property, a biased randomizer — shifts estimates by O(N) and
-// fails loudly instead of silently degrading accuracy.
+// the resulting frequency estimates must land inside the error envelope of
+// loadgen.Score: 6σ per cell and on the total, σ² the variance the estimator
+// itself serves at the snapshot, and 4× the expected total squared error.
+// Seed-to-seed noise can never trip it, but a mechanism regression — a
+// broken estimator constant, a hash family without the collision property, a
+// biased randomizer — shifts estimates by O(N) and fails loudly instead of
+// silently degrading accuracy.
 package ldp_test
 
 import (
@@ -15,26 +14,20 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	ldp "repro"
 	"repro/internal/baselines"
+	"repro/internal/linalg"
+	"repro/internal/loadgen"
+	"repro/internal/simulate"
 )
 
 const (
 	acceptN     = 32    // domain size
 	acceptUsers = 50000 // reports per mechanism
 	acceptSeed  = 41
-	// Cell envelopes are zSigma standard deviations of the cell estimator;
-	// varSlack absorbs the frequency-dependent part of the per-cell variance
-	// that the f→0 closed forms drop (for OUE the true-cell term p(1−p)
-	// exceeds q(1−q) by ≤ 1.3× at ε=1).
-	zSigma   = 6.0
-	varSlack = 1.5
-	// The observed total squared error may exceed its expectation by at most
-	// tseSlack — a Markov-style margin; real regressions overshoot it by
-	// orders of magnitude.
-	tseSlack = 4.0
 )
 
 // acceptData is the fixed skewed histogram every mechanism is measured on:
@@ -60,25 +53,17 @@ func acceptData() []float64 {
 	return x
 }
 
-// acceptCase is one mechanism with its theory-derived envelope.
+// acceptCase is one mechanism under test: randomized response at ε=1 as a
+// strategy matrix (deterministic fixture; an optimized matrix exercises the
+// identical aggregation path), and the three frequency oracles.
 type acceptCase struct {
 	name string
 	rz   ldp.Randomizer
 	agg  ldp.Aggregator
-	// expectedTSE is the closed-form expected total squared error of the
-	// histogram estimate over acceptData.
-	expectedTSE float64
-	// cellSigma is the standard deviation bound of one cell's estimator.
-	cellSigma float64
 }
 
-func acceptCases(t *testing.T, x []float64) []acceptCase {
+func acceptCases(t *testing.T) []acceptCase {
 	t.Helper()
-	var cases []acceptCase
-
-	// Strategy-matrix mechanism: randomized response at ε=1 (deterministic
-	// fixture; an optimized matrix exercises the identical aggregation
-	// path). Theorem 3.4 gives its exact expected error on x.
 	s := baselines.RandomizedResponse(acceptN, 1.0).Strategy()
 	rz, err := ldp.NewRandomizer(s)
 	if err != nil {
@@ -88,73 +73,49 @@ func acceptCases(t *testing.T, x []float64) []acceptCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ldp.Histogram(acceptN)
-	vp, err := s.Variances(w.Gram(), w.Queries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tse := vp.OnData(x)
-	cases = append(cases, acceptCase{
-		name: "strategy-rr", rz: rz, agg: agg,
-		expectedTSE: tse,
-		// One cell's variance is at most the total over all cells.
-		cellSigma: math.Sqrt(tse),
-	})
-
-	// Frequency oracles: per-cell variance N·VariancePerUser (f→0 form,
-	// inflated by varSlack for occupied cells), total n times that.
+	cases := []acceptCase{{"strategy-rr", rz, agg}}
 	for _, name := range []string{"OUE", "OLH", "RAPPOR"} {
 		o, err := ldp.OracleByName(name, acceptN, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perCell := float64(acceptUsers) * o.VariancePerUser() * varSlack
-		cases = append(cases, acceptCase{
-			name: name, rz: o, agg: o,
-			expectedTSE: float64(acceptN) * perCell,
-			cellSigma:   math.Sqrt(perCell),
-		})
+		cases = append(cases, acceptCase{name, o, o})
 	}
 	return cases
 }
 
+// acceptScore runs the protocol over x as SimulateProtocol does, with reports
+// randomized by rz and aggregated by agg, and scores the histogram estimate
+// at the resulting snapshot.
+func acceptScore(t *testing.T, rz ldp.Randomizer, agg ldp.Aggregator, x []float64, seed int64) loadgen.Estimates {
+	t.Helper()
+	p, err := simulate.New(rz, agg, ldp.Histogram(len(x)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Run(x, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := loadgen.Score(agg, ldp.NewSnapshot(out.Y, linalg.Sum(x), 1, ldp.MechanismInfoOf(agg)), x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestStatisticalAcceptance(t *testing.T) {
 	x := acceptData()
-	var total float64
-	for _, v := range x {
-		total += v
-	}
-	if total != acceptUsers {
+	if total := linalg.Sum(x); total != acceptUsers {
 		t.Fatalf("fixture mass %v, want %d", total, acceptUsers)
 	}
-	w := ldp.Histogram(acceptN)
-	for _, c := range acceptCases(t, x) {
+	for _, c := range acceptCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			est, err := ldp.SimulateProtocol(c.rz, c.agg, w, x, acceptSeed)
-			if err != nil {
-				t.Fatal(err)
+			e := acceptScore(t, c.rz, c.agg, x, acceptSeed)
+			if !e.InEnvelope {
+				t.Errorf("estimate outside the envelope: %+v", e)
 			}
-			cellBound := zSigma * c.cellSigma
-			var tse, sum float64
-			for v := range x {
-				d := est[v] - x[v]
-				tse += d * d
-				sum += est[v]
-				if math.Abs(d) > cellBound {
-					t.Errorf("count[%d] estimate %.1f is %.1f off the truth %.0f — outside the %.1f envelope",
-						v, est[v], d, x[v], cellBound)
-				}
-			}
-			if tse > tseSlack*c.expectedTSE {
-				t.Errorf("total squared error %.0f exceeds %.0f (%.0f expected × %.1f slack)",
-					tse, tseSlack*c.expectedTSE, c.expectedTSE, tseSlack)
-			}
-			// The estimated total mass must track N as well: a bias that
-			// cancels across cells in TSE still shows up here.
-			if math.Abs(sum-acceptUsers) > zSigma*math.Sqrt(float64(acceptN))*c.cellSigma {
-				t.Errorf("estimated total %.1f drifts from the true %d users", sum, acceptUsers)
-			}
-			t.Logf("%s: TSE %.0f (expected %.0f), max cell envelope ±%.1f", c.name, tse, c.expectedTSE, cellBound)
+			t.Logf("%s: %+v", c.name, e)
 		})
 	}
 }
@@ -175,23 +136,11 @@ func TestAcceptanceEnvelopeIsSharp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := acceptData()
-	est, err := ldp.SimulateProtocol(o, wrong, ldp.Histogram(acceptN), x, acceptSeed)
-	if err != nil {
-		t.Fatal(err)
+	e := acceptScore(t, o, wrong, acceptData(), acceptSeed)
+	if e.CellError < 2*e.CellEnvelope {
+		t.Fatalf("mis-calibrated aggregator deviates only %.1f — the %.1f envelope could not catch it", e.CellError, e.CellEnvelope)
 	}
-	perCell := float64(acceptUsers) * o.VariancePerUser() * varSlack
-	cellBound := zSigma * math.Sqrt(perCell)
-	worst := 0.0
-	for v := range x {
-		if d := math.Abs(est[v] - x[v]); d > worst {
-			worst = d
-		}
-	}
-	if worst < 2*cellBound {
-		t.Fatalf("mis-calibrated aggregator deviates only %.1f — the %.1f envelope could not catch it", worst, cellBound)
-	}
-	t.Logf("mis-calibration deviates %.1f vs envelope %.1f", worst, cellBound)
+	t.Logf("mis-calibration deviates %.1f vs envelope %.1f", e.CellError, e.CellEnvelope)
 }
 
 // The fuzz targets double as regression tests for the decoder-hardening

@@ -1,10 +1,9 @@
 // Zipfian statistical acceptance: the same end-to-end protocol check as
 // TestStatisticalAcceptance, but over the load simulator's population shape —
 // a zipf(s=1.1) histogram, heavy head and long thin tail — instead of the
-// geometric fixture. The envelopes are the same closed forms (Theorem 3.4
-// for the strategy mechanism, the Wang et al. constants for the oracles)
-// evaluated on the zipfian counts, so this pins that every mechanism's
-// variance model holds on the traffic shape the soak tier actually drives.
+// geometric fixture. The envelope is the same (loadgen.Score, over each
+// mechanism's served variance), so this pins that every mechanism's variance
+// model holds on the traffic shape the soak tier actually drives.
 package ldp_test
 
 import (
@@ -12,7 +11,7 @@ import (
 	"sort"
 	"testing"
 
-	ldp "repro"
+	"repro/internal/linalg"
 )
 
 const zipfAcceptS = 1.1
@@ -54,43 +53,19 @@ func zipfAcceptData() []float64 {
 
 func TestStatisticalAcceptanceZipfian(t *testing.T) {
 	x := zipfAcceptData()
-	var total float64
-	for _, v := range x {
-		total += v
-	}
-	if total != acceptUsers {
+	if total := linalg.Sum(x); total != acceptUsers {
 		t.Fatalf("zipf fixture mass %v, want %d", total, acceptUsers)
 	}
 	if x[0] <= x[acceptN-1]*10 {
 		t.Fatalf("fixture is not zipfian: head %v vs tail %v", x[0], x[acceptN-1])
 	}
-	w := ldp.Histogram(acceptN)
-	for _, c := range acceptCases(t, x) {
+	for _, c := range acceptCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			est, err := ldp.SimulateProtocol(c.rz, c.agg, w, x, acceptSeed+1)
-			if err != nil {
-				t.Fatal(err)
+			e := acceptScore(t, c.rz, c.agg, x, acceptSeed+1)
+			if !e.InEnvelope {
+				t.Errorf("estimate outside the envelope: %+v", e)
 			}
-			cellBound := zSigma * c.cellSigma
-			var tse, sum float64
-			for v := range x {
-				d := est[v] - x[v]
-				tse += d * d
-				sum += est[v]
-				if math.Abs(d) > cellBound {
-					t.Errorf("count[%d] estimate %.1f is %.1f off the truth %.0f — outside the %.1f envelope",
-						v, est[v], d, x[v], cellBound)
-				}
-			}
-			if tse > tseSlack*c.expectedTSE {
-				t.Errorf("total squared error %.0f exceeds %.0f (%.0f expected × %.1f slack)",
-					tse, tseSlack*c.expectedTSE, c.expectedTSE, tseSlack)
-			}
-			if math.Abs(sum-acceptUsers) > zSigma*math.Sqrt(float64(acceptN))*c.cellSigma {
-				t.Errorf("estimated total %.1f drifts from the true %d users", sum, acceptUsers)
-			}
-			t.Logf("%s zipf(s=%.1f): TSE %.0f (expected %.0f), cell envelope ±%.1f",
-				c.name, zipfAcceptS, tse, c.expectedTSE, cellBound)
+			t.Logf("%s zipf(s=%.1f): %+v", c.name, zipfAcceptS, e)
 		})
 	}
 }

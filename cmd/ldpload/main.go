@@ -113,10 +113,10 @@ func main() {
 		writeJSON(*out, first)
 	}
 	if !first.Passed() {
-		fatal(fmt.Errorf("gate failed: exactly_once=%v (acked %d, absorbed %d), in_envelope=%v (max cell err %.2f vs %.2f, tse %.2f vs %.2f)",
+		fatal(fmt.Errorf("gate failed: exactly_once=%v (acked %d, absorbed %d), in_envelope=%v (worst cell err %.2f vs %.2f, tse %.2f vs %.2f, total %.2f ± %.2f)",
 			first.Counts.ExactlyOnce, first.Counts.AckedReports, first.Counts.AbsorbedReports,
-			first.Estimates.InEnvelope, first.Estimates.MaxAbsCellError, first.Estimates.CellEnvelope,
-			first.Estimates.TSE, first.Estimates.TSEBound))
+			first.Estimates.InEnvelope, first.Estimates.CellError, first.Estimates.CellEnvelope,
+			first.Estimates.TSE, first.Estimates.TSEBound, first.Estimates.EstimatedTotal, first.Estimates.TotalBound))
 	}
 }
 

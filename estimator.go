@@ -106,118 +106,122 @@ func (e *Estimator) ConsistentAnswers(s Snapshot) ([]float64, error) {
 
 // varianceForm is the closed-form variance of any linear query at one
 // snapshot of one mechanism — built per (mechanism, snapshot), independent of
-// the workload, and the only place per-query variance is computed.
+// the workload, and the only place per-query variance is computed. It has one
+// form for every mechanism,
 //
-// For a strategy mechanism the answer to query w is wᵀB·y with y multinomial
-// over the strategy's outputs, so Var[ŵ] = N·(Σ_o π_o V_o² − (Vᵀπ)²) with
-// V = wᵀB (Theorem 3.4 row-wise). Estimating the output distribution π by the
-// observed response histogram y/N and expanding V gives the plug-in form
+//	Var[wᵀx̂] = wᵀ·Ĉov(x̂)·w,
 //
-//	Var[ŵ] = wᵀM·w − (wᵀu)²/N,  M = B·diag(y)·Bᵀ,  u = B·y,
+// with Ĉov the covariance of the data estimate x̂, plugged in at the
+// snapshot's own x̂.
+//
+// For a strategy mechanism x̂ = B·y, and a user of type u adds one column of
+// the response histogram y drawn from Q's column u. Theorem 3.4 per type,
+// summed over the users, is Cov(x̂) = Σ_u x_u·(B·diag(Q_u)·Bᵀ − B·Q_u·Q_uᵀ·Bᵀ),
+// and where BQ = I the second term is diag(x). Both terms are linear in the
+// per-type counts, so replacing x_u·Q_u by the observed y and x by x̂ gives
+// the unbiased plug-in
+//
+//	Ĉov = M − diag(x̂),  M = B·diag(y)·Bᵀ,
 //
 // which needs only n×n state however many rows the workload has. For a
-// frequency oracle each count estimate carries the closed-form per-user
-// variance v of Wang et al. and counts propagate through w as independent
-// terms: Var[ŵ] ≈ N·v·‖w‖² (exact for unary encodings up to the O(f)
-// frequency term, asymptotic for OLH).
+// frequency oracle the form is Ĉov's diagonal alone: c_j = CountVariance(x̂_j,
+// N) = (x̂_j·p(1−p) + (N − x̂_j)·q(1−q))/(p − q)². That is exact for the unary
+// encodings, whose bits are flipped independently, so two counts never
+// covary; OLH's pairwise hash family leaves a (negative) covariance between
+// two counts that the diagonal does not model, so on rows of several cells
+// its variance is conservative. A plug-in can come out
+// negative where the exact variance is near 0 (the whole-domain row of a
+// strategy, whose answer is the report count) or x̂ is far off; it is served
+// as 0.
 //
 // A row arrives with the span [lo, hi) of its non-zeros, as its QueryRow
 // reported it, and nothing outside the span is read: a row costs its span,
-// not the domain. Two tiers serve the strategy path. A row with one non-zero
-// w_j reads the diagonal entry M_jj, computed on demand (Histogram: O(n·m),
+// not the domain. The oracle path reads the diagonal c and nothing else. Two
+// tiers serve the strategy path. A row with one non-zero w_j reads the
+// diagonal entry M_jj − x̂_j, with M_jj computed on demand (Histogram: O(n·m),
 // and the n×n M is never allocated). The first row with two or more
 // non-zeros fills all of M once: row j of the upper triangle is one
 // vector–matrix pass over Bᵀ with coefficients c_o = y_o·B_jo (linalg's
 // MulVecTTo), rows fanned out over workers in blocks of equal area, each row
-// then mirrored into the lower triangle, and the diagonal copied out once
-// into a contiguous n-vector. Such a row's variance is
+// then mirrored into the lower triangle, and Ĉov's diagonal M_jj − x̂_j copied
+// out once into a contiguous n-vector. Such a row's variance is
 //
-//	Σ_j w_j·(w_j·M_jj + 2·d_j) − (wᵀu)²/N,  d_j = Σ_{k>j} w_k·M_jk,
+//	Σ_j w_j·(w_j·Ĉov_jj + 2·d_j),  d_j = Σ_{k>j} w_k·M_jk,
 //
-// and the tail sums d_j and wᵀu are carried from one row to the next when
-// the new row has the same first non-zero as the last and repeats its
-// entries up to where the last one ended (Prefix's rows, and AllRange's
-// within one start): only the new columns are added to the carried chains.
-// The repeat test compares the overlap's bytes, which is stricter than
-// comparing values only in the sign of a zero, and a refused carry costs
-// time, not bits. Any other row starts its chains from zero.
+// and the tail sums d_j are carried from one row to the next when the new
+// row has the same first non-zero as the last and repeats its entries up to
+// where the last one ended (Prefix's rows, and AllRange's within one start):
+// only the new columns are added to the carried sums. The repeat test
+// compares the overlap's bytes, which is stricter than comparing values only
+// in the sign of a zero, and a refused carry costs time, not bits. Any other
+// row starts its sums from zero.
 //
 // No bit moves against the direct form — M_jk = Σ_o y_o·B_jo·B_ko
-// accumulated entry by entry, each row's tail sums and wᵀu as dot products
-// from the first column: the same products (y_o·B_jo first, then ·B_ko — a
-// lower-row fill would round (y_o·B_ko)·B_jo instead, which is why the
-// upper rows are filled and mirrored), the same association, the same
-// ascending order of each sum. A carried chain stops where the last row's
-// chain stopped and goes on over the same entries the full chain would add.
-// Zero terms are skipped, not added; an accumulator that starts at +0 is
-// never −0, so adding ±0 leaves it as it was. The carried state makes a
+// accumulated entry by entry, x̂ = B·y row by row, each row's tail sums as
+// dot products from the first column: the same products (y_o·B_jo first,
+// then ·B_ko — a lower-row fill would round (y_o·B_ko)·B_jo instead, which is
+// why the upper rows are filled and mirrored), the same association, the
+// same ascending order of each sum. A carried sum stops where the last row's
+// sum stopped and goes on over the same entries the full sum would add. Zero
+// terms are skipped, not added; an accumulator that starts at +0 is never
+// −0, so adding ±0 leaves it as it was. The variance reads x̂ and not the
+// answers, so no answer moves with it. The carried state makes a
 // varianceForm single-goroutine state: every read builds its own.
 type varianceForm struct {
-	count  float64
-	varPU  float64        // oracle path: per-user per-count variance
 	reconT *linalg.Matrix // strategy path: Bᵀ (m×n); nil on the oracle path
 	y      []float64      // strategy path: the response histogram (snapshot state)
-	u      []float64      // strategy path: B·y
+	x      []float64      // strategy path: x̂ = B·y
 	m      []float64      // strategy path: M row-major n×n; nil until a row has two non-zeros
-	mdiag  []float64      // strategy path: M's diagonal, copied out of m after the fill
+	cdiag  []float64      // Ĉov's diagonal: the oracle's c from the start, M_jj − x̂_j after the fill
 
-	// The carried chains of the last row with two or more non-zeros, whose
+	// The carried sums of the last row with two or more non-zeros, whose
 	// non-zeros span [lo, hi) with entries prev[lo:hi]: tail[j] = d_j for j
-	// in [lo, hi), lin = wᵀu.
+	// in [lo, hi).
 	lo, hi     int
 	prev, tail []float64
-	lin        float64
 }
 
 // newVarianceForm prepares the variance form of agg at snapshot s, which the
 // caller has already Checked against the mechanism.
 func newVarianceForm(agg Aggregator, s Snapshot) (*varianceForm, error) {
-	f := &varianceForm{count: s.count}
 	switch a := agg.(type) {
 	case interface{ ReconT() *linalg.Matrix }:
-		f.reconT, f.y = a.ReconT(), s.state
-		f.u = make([]float64, agg.Domain())
-		f.reconT.MulVecTTo(f.u, s.state, 0)
-	case interface{ VariancePerUser() float64 }:
-		f.varPU = a.VariancePerUser()
-	default:
-		return nil, fmt.Errorf("ldp: aggregator %T exposes no closed-form variance", agg)
+		return &varianceForm{reconT: a.ReconT(), y: s.state, x: agg.EstimateCounts(s.state, s.count)}, nil
+	case FrequencyOracle:
+		c := agg.EstimateCounts(s.state, s.count)
+		for j, xj := range c {
+			c[j] = a.CountVariance(xj, s.count)
+		}
+		return &varianceForm{cdiag: c}, nil
 	}
-	return f, nil
+	return nil, fmt.Errorf("ldp: aggregator %T exposes no closed-form variance", agg)
 }
 
 // of returns the variance of the answer to one query row w (length n) whose
 // non-zeros span [lo, hi), as the row's QueryRow reported: nothing outside the
-// span is read. (On the oracle path the squares outside it are +0, and a sum
-// that starts at +0 and adds only terms ≥ +0 is the same with or without
-// them.)
+// span is read.
 func (f *varianceForm) of(w []float64, lo, hi int) float64 {
-	if f.count <= 0 {
-		return 0
-	}
-	if f.reconT == nil {
-		return f.count * f.varPU * linalg.Dot(w[lo:hi], w[lo:hi])
-	}
-	var quad, lin float64
+	var v float64
 	switch {
+	case f.reconT == nil: // no off-diagonal
+		for j, wj := range w[lo:hi] {
+			v += wj * (wj * f.cdiag[lo+j])
+		}
 	case hi-lo == 1:
-		wj := w[lo]
-		quad += wj * (wj * f.diag(lo)) // d_j = 0
-		lin += wj * f.u[lo]
+		v = w[lo] * (w[lo] * f.diag(lo)) // d_j = 0
 	case hi-lo > 1:
-		quad, lin = f.span(w, lo, hi)
+		v = f.span(w, lo, hi)
 	}
-	v := quad - lin*lin/f.count
 	if v < 0 {
-		v = 0 // round-off guard: a variance is non-negative
+		v = 0 // a negative plug-in (see varianceForm) is served as 0
 	}
 	return v
 }
 
-// diag returns M_jj = Σ_o y_o·B_jo·B_jo.
+// diag returns Ĉov_jj = Σ_o y_o·B_jo·B_jo − x̂_j on the strategy path.
 func (f *varianceForm) diag(j int) float64 {
-	if f.mdiag != nil {
-		return f.mdiag[j]
+	if f.cdiag != nil {
+		return f.cdiag[j]
 	}
 	n := f.reconT.Cols()
 	bt := f.reconT.Data()
@@ -226,13 +230,13 @@ func (f *varianceForm) diag(j int) float64 {
 		b := bt[o*n+j]
 		s += y * b * b
 	}
-	return s
+	return s - f.x[j]
 }
 
-// span returns Σ_j w_j·(w_j·M_jj + 2·d_j) and wᵀu for a row whose non-zeros
-// span [lo, hi), hi−lo ≥ 2, carrying the last such row's chains when the row
+// span returns Σ_j w_j·(w_j·Ĉov_jj + 2·d_j) for a row whose non-zeros span
+// [lo, hi), hi−lo ≥ 2, carrying the last such row's tail sums when the row
 // extends it.
-func (f *varianceForm) span(w []float64, lo, hi int) (quad, lin float64) {
+func (f *varianceForm) span(w []float64, lo, hi int) (v float64) {
 	n := len(w)
 	if f.m == nil {
 		f.fill()
@@ -243,12 +247,11 @@ func (f *varianceForm) span(w []float64, lo, hi int) (quad, lin float64) {
 	// mismatch only refuses a carry the values would allow).
 	from := lo
 	if lo == f.lo && bytes.Equal(bitsOf(w[lo:f.hi]), bitsOf(f.prev[lo:f.hi])) {
-		from, lin = f.hi, f.lin
+		from = f.hi
 	}
 	clear(f.tail[from:hi])
 	for k := from; k < hi; k++ {
 		wk := w[k]
-		lin += wk * f.u[k]
 		if wk == 0 {
 			continue
 		}
@@ -258,15 +261,15 @@ func (f *varianceForm) span(w []float64, lo, hi int) (quad, lin float64) {
 			t[i] += wk * mjk
 		}
 	}
-	mjj, tail := f.mdiag[lo:hi], f.tail[lo:hi]
+	cjj, tail := f.cdiag[lo:hi], f.tail[lo:hi]
 	for j, wj := range w[lo:hi] {
 		if wj != 0 {
-			quad += wj * (wj*mjj[j] + 2*tail[j])
+			v += wj * (wj*cjj[j] + 2*tail[j])
 		}
 	}
 	copy(f.prev[from:hi], w[from:hi])
-	f.lo, f.hi, f.lin = lo, hi, lin
-	return quad, lin
+	f.lo, f.hi = lo, hi
+	return v
 }
 
 // bitsOf views x's float64s as their bytes, for one memory compare.
@@ -298,9 +301,9 @@ func (f *varianceForm) fill() {
 			}
 		}
 	})
-	f.mdiag = make([]float64, n)
-	for j := range f.mdiag {
-		f.mdiag[j] = f.m[j*n+j]
+	f.cdiag = make([]float64, n)
+	for j := range f.cdiag {
+		f.cdiag[j] = f.m[j*n+j] - f.x[j]
 	}
 }
 

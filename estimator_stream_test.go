@@ -22,14 +22,15 @@ import (
 
 // The numeric contract of the read path, stated once: every per-query
 // variance the estimator returns equals the materialized closed form computed
-// here, independently, from the workload's explicit matrix — Theorem 3.4
-// row-wise over V = W·B for a strategy mechanism (Σ_o y_o·V_io² − (V_i·y)²/N),
-// N·v·‖w_i‖² for a frequency oracle — to relative 1e-12. Rows whose variance
-// is 0 in exact arithmetic (a full-range query's answer is the report count,
-// whatever the reports) come out as round-off residue of either form, so the
-// comparison carries an absolute floor scaled to the terms being cancelled;
-// nothing may assert an exact zero. AnswerStream must pair those variances
-// with exactly Answers' entries, in order.
+// here, independently, from the workload's explicit matrix — Theorem 3.4 per
+// type, plugged in at x̂ = B·y, row-wise over V = W·B for a strategy mechanism
+// (Σ_o y_o·V_io² − Σ_j W_ij²·x̂_j), Σ_j W_ij²·CountVariance(x̂_j, N) for a
+// frequency oracle — to relative 1e-12. Rows whose variance is 0 in exact
+// arithmetic (a full-range query's answer is the report count, whatever the
+// reports) come out as round-off residue of either form, so the comparison
+// carries an absolute floor scaled to the terms being cancelled; nothing may
+// assert an exact zero. AnswerStream must pair those variances with exactly
+// Answers' entries, in order.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	const n, users = 16, 400
 	explicit, err := ldp.NewWorkload("Explicit", [][]float64{
@@ -113,13 +114,12 @@ func referenceVariance(t *testing.T, agg ldp.Aggregator, w ldp.Workload, snap ld
 	wm := workload.Materialize(w)
 	want, floor = make([]float64, wm.Rows()), make([]float64, wm.Rows())
 	y, count := snap.State(), snap.Count()
+	xhat := agg.EstimateCounts(y, count)
 	if o, ok := agg.(ldp.FrequencyOracle); ok {
 		for i := range want {
-			var norm2 float64
-			for _, c := range wm.Row(i) {
-				norm2 += c * c
+			for j, c := range wm.Row(i) {
+				want[i] += c * c * o.CountVariance(xhat[j], count)
 			}
-			want[i] = count * o.VariancePerUser() * norm2
 		}
 		return want, floor
 	}
@@ -128,13 +128,15 @@ func referenceVariance(t *testing.T, agg ldp.Aggregator, w ldp.Workload, snap ld
 		t.Fatal(err)
 	}
 	for i := range want {
-		var lin, dot float64
+		var quad, diag float64
 		for o, vo := range v.Row(i) {
-			lin += y[o] * vo * vo
-			dot += y[o] * vo
+			quad += y[o] * vo * vo
 		}
-		want[i] = lin - dot*dot/count
-		floor[i] = 1e-12 * lin
+		for j, c := range wm.Row(i) {
+			diag += c * c * xhat[j]
+		}
+		want[i] = quad - diag
+		floor[i] = 1e-12 * max(quad, math.Abs(diag))
 	}
 	return want, floor
 }
@@ -404,12 +406,11 @@ func TestVarianceReadCostShape(t *testing.T) {
 	}
 }
 
-// The variance form carries each row's tail sums d_j = Σ_{k>j} w_k·M_jk and
-// wᵀu into the next row when that row extends the last one. The property:
+// The variance form carries each row's tail sums d_j = Σ_{k>j} w_k·M_jk into
+// the next row when that row extends the last one. The property:
 // over random rows that extend, repeat, shrink or edit the row before them,
 // start elsewhere or are all zero, every variance has the bits of the direct
-// form (scalarForm below, the form as it was computed before the carried
-// sums existed), through VarianceStream and through a batch whose workloads
+// form (scalarForm below, the form computed without carried sums), through VarianceStream and through a batch whose workloads
 // share one form. Random strategies keep B's entries generic, so a changed
 // product or a reordered sum shows in the last bits. At n = 64 the fill of M
 // fans out, over three blocks of rows whatever the machine.
@@ -510,7 +511,7 @@ func TestVarianceCarriedSumsBitIdentical(t *testing.T) {
 				}
 			}
 			snap := ldp.NewSnapshot(state, linalg.Sum(state), 1, ldp.MechanismInfoOf(agg))
-			ref := newScalarForm(recon.B, state, snap.Count())
+			ref := newScalarForm(recon.B, state)
 			same := func(how string, w ldp.Workload, i int, got float64) {
 				t.Helper()
 				row := make([]float64, n)
@@ -577,7 +578,7 @@ func TestVarianceFamilySpansBitIdentical(t *testing.T) {
 		state[o] = float64(rng.Intn(20))
 	}
 	snap := ldp.NewSnapshot(state, linalg.Sum(state), 1, ldp.MechanismInfoOf(agg))
-	ref := newScalarForm(recon.B, state, snap.Count())
+	ref := newScalarForm(recon.B, state)
 	explicit, err := ldp.NewWorkload("Edges", [][]float64{
 		{0, 0, 0, 1, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		{0, 0, 0, 1, -2, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -612,21 +613,20 @@ func TestVarianceFamilySpansBitIdentical(t *testing.T) {
 	}
 }
 
-// scalarForm is the strategy path's variance form in its direct form: u = B·y
-// row by row, each entry M_jk (k ≥ j) of the upper triangle a scalar sum
-// Σ_o y_o·B_jo·B_ko in ascending o, and each row's quadratic and linear terms
-// as dot products from the first column. Each entry is a fixed-order sum of
-// its own, so filling the triangle up front gives the bits a fill of only
-// the entries a row reaches gives.
+// scalarForm is the strategy path's variance form in its direct form: x̂ =
+// B·y row by row, each entry M_jk (k ≥ j) of the upper triangle a scalar sum
+// Σ_o y_o·B_jo·B_ko in ascending o, and each row's wᵀ(M − diag(x̂))w as dot
+// products from the first column. Each entry is a fixed-order sum of its own,
+// so filling the triangle up front gives the bits a fill of only the entries
+// a row reaches gives.
 type scalarForm struct {
-	count float64
-	u     []float64
-	m     [][]float64
+	xhat []float64
+	m    [][]float64
 }
 
-func newScalarForm(b *linalg.Matrix, y []float64, count float64) *scalarForm {
+func newScalarForm(b *linalg.Matrix, y []float64) *scalarForm {
 	n := b.Rows()
-	f := &scalarForm{count: count, u: b.MulVec(y), m: make([][]float64, n)}
+	f := &scalarForm{xhat: b.MulVec(y), m: make([][]float64, n)}
 	for j := range f.m {
 		f.m[j] = make([]float64, n)
 		bj := b.Row(j)
@@ -643,23 +643,18 @@ func newScalarForm(b *linalg.Matrix, y []float64, count float64) *scalarForm {
 }
 
 func (f *scalarForm) of(w []float64) float64 {
-	if f.count <= 0 {
-		return 0
-	}
 	hi := len(w)
 	for hi > 0 && w[hi-1] == 0 {
 		hi--
 	}
-	var quad float64
+	var v float64
 	for j, wj := range w[:hi] {
 		if wj == 0 {
 			continue
 		}
 		row := f.m[j][:hi]
-		quad += wj * (wj*row[j] + 2*linalg.Dot(w[j+1:hi], row[j+1:]))
+		v += wj * (wj*(row[j]-f.xhat[j]) + 2*linalg.Dot(w[j+1:hi], row[j+1:]))
 	}
-	lin := linalg.Dot(w[:hi], f.u[:hi])
-	v := quad - lin*lin/f.count
 	if v < 0 {
 		v = 0
 	}

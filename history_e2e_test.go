@@ -13,12 +13,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	ldp "repro"
 	"repro/internal/baselines"
+	"repro/internal/loadgen"
 	"repro/internal/transport"
 )
 
@@ -184,10 +186,9 @@ func TestSnapAtBitIdenticalPerRetainedEpoch(t *testing.T) {
 // (e1, e2] — Diff of two retained snapshots — must reconstruct exactly the
 // reports that arrived in that window, landing inside the mechanism's 6σ
 // per-cell envelope around the window's true histogram, with reports before
-// e1 and after e2 contributing nothing. Envelopes follow accept_test.go:
-// Theorem 3.4 variances for the strategy mechanism, N·VariancePerUser
-// (inflated by varSlack) for the oracles, both scaled to the WINDOW's report
-// count rather than the collector's lifetime total.
+// e1 and after e2 contributing nothing. The envelope is accept_test.go's
+// (loadgen.Score), read at the window's Diff snapshot, so the variances are
+// the WINDOW's rather than the collector's lifetime total's.
 func TestWindowEstimateWithinEnvelope(t *testing.T) {
 	const (
 		n           = 32
@@ -216,13 +217,7 @@ func TestWindowEstimateWithinEnvelope(t *testing.T) {
 	}
 	xB[n-1] += remaining
 
-	type windowCase struct {
-		name      string
-		rz        ldp.Randomizer
-		agg       ldp.Aggregator
-		cellSigma float64
-	}
-	var cases []windowCase
+	var cases []acceptCase
 	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	rz, err := ldp.NewRandomizer(s)
 	if err != nil {
@@ -232,17 +227,13 @@ func TestWindowEstimateWithinEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, err := s.Variances(w.Gram(), w.Queries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, windowCase{"strategy-rr", rz, agg, math.Sqrt(vp.OnData(xB))})
+	cases = append(cases, acceptCase{"strategy-rr", rz, agg})
 	for _, name := range []string{"OUE", "OLH", "RAPPOR"} {
 		o, err := ldp.OracleByName(name, n, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, windowCase{name, o, o, math.Sqrt(float64(windowUsers) * o.VariancePerUser() * varSlack)})
+		cases = append(cases, acceptCase{name, o, o})
 	}
 
 	for _, c := range cases {
@@ -309,26 +300,31 @@ func TestWindowEstimateWithinEnvelope(t *testing.T) {
 			if got := s2.Count() - s1.Count(); got != windowUsers {
 				t.Fatalf("window holds %v reports, want %d", got, windowUsers)
 			}
+			window, err := s2.Diff(s1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			xhat, err := est.WindowEstimate(s2, s1)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			cellBound := zSigma * c.cellSigma
-			var sum float64
-			for v := range xB {
-				sum += xhat[v]
-				if d := xhat[v] - xB[v]; math.Abs(d) > cellBound {
-					t.Errorf("window count[%d] estimate %.1f is %.1f off the truth %.0f — outside the %.1f envelope",
-						v, xhat[v], d, xB[v], cellBound)
-				}
+			direct, err := est.DataEstimate(window)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Total mass tracks the window's N: leakage from the pre/post
-			// populations would shift the sum by thousands.
-			if math.Abs(sum-windowUsers) > zSigma*math.Sqrt(float64(n))*c.cellSigma {
-				t.Errorf("window total %.1f drifts from the true %d reports", sum, windowUsers)
+			if !slices.Equal(xhat, direct) {
+				t.Fatalf("WindowEstimate %v, estimate at the Diff %v", xhat, direct)
 			}
-			t.Logf("%s: window of %d inside ±%.1f per cell (total %.1f)", c.name, windowUsers, cellBound, sum)
+			e, err := loadgen.Score(c.agg, window, xB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The envelope bounds the total too: leakage from the pre/post
+			// populations would shift it by thousands.
+			if !e.InEnvelope {
+				t.Errorf("window estimate outside the envelope: %+v", e)
+			}
+			t.Logf("%s: window of %d: %+v", c.name, windowUsers, e)
 		})
 	}
 }

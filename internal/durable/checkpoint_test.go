@@ -12,7 +12,7 @@ import (
 
 func sampleSnapshot() transport.Snapshot {
 	return transport.Snapshot{
-		State: []float64{0, 1.5, -2.25, 1e-300, 4096},
+		State: []float64{0, 1.5, 2.25, 1e-300, 4096},
 		Count: 4096,
 		Epoch: 19,
 		Info:  transport.Info{Mechanism: "strategy", Domain: 5, Epsilon: 1.25, Digest: "00f1e2d3c4b5a697"},

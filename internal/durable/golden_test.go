@@ -101,7 +101,7 @@ func TestManifestGoldenCompatibility(t *testing.T) {
 func TestCheckpointGoldenCompatibility(t *testing.T) {
 	wantSeq := uint64(7)
 	wantSnap := transport.Snapshot{
-		State: []float64{0, 1.5, -2.25, 1e-300},
+		State: []float64{0, 1.5, 2.25, 1e-300},
 		Count: 4096,
 		Epoch: 19,
 		Info:  transport.Info{Mechanism: "strategy", Domain: 4, Epsilon: 1.25, Digest: "00f1e2d3c4b5a697"},

@@ -17,7 +17,7 @@ import (
 // encoder remains as the reference codec precisely to pin this.
 func TestStreamedCheckpointMatchesBufferedEncoder(t *testing.T) {
 	snap := transport.Snapshot{
-		State: []float64{0, 1.5, -2.25, 1e-300},
+		State: []float64{0, 1.5, 2.25, 1e-300},
 		Count: 4096,
 		Epoch: 19,
 		Info:  transport.Info{Mechanism: "strategy", Domain: 4, Epsilon: 1.25, Digest: "00f1e2d3c4b5a697"},

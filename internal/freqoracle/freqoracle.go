@@ -10,9 +10,9 @@
 // (internal/protocol): protocol.Randomizer on the client and
 // protocol.Aggregator on the server, so the same Client/Collector
 // pipeline that serves strategy-matrix mechanisms serves these too. Each also
-// exposes the closed-form per-count variance from Wang et al., so they can be
-// compared against the factorization mechanisms on the Histogram workload at
-// any domain size.
+// exposes the exact variance of one count estimate (Wang et al.), so they can
+// be compared against the factorization mechanisms on the Histogram workload
+// at any domain size.
 package freqoracle
 
 import (
@@ -54,10 +54,19 @@ type Oracle interface {
 	protocol.Aggregator
 	// Name identifies the protocol ("OUE", "OLH", "RAPPOR").
 	Name() string
-	// VariancePerUser returns the estimator's variance contribution of one
-	// user to one count (the n·Var[ĉ_v]/N figure of merit, asymptotically
-	// independent of the true frequencies for these oracles).
-	VariancePerUser() float64
+	// CountVariance returns the variance of one count estimate ĉ_v when x of
+	// count reports have type v: (x·p(1−p) + (count−x)·q(1−q))/(p−q)², with p
+	// the probability that a report supports its own type and q that it
+	// supports another. CountVariance(0, 1) is the per-user figure of merit
+	// of Wang et al.
+	CountVariance(x, count float64) float64
+}
+
+// countVariance is CountVariance for support probabilities p (own type) and
+// q (any other type).
+func countVariance(p, q, x, count float64) float64 {
+	d := p - q
+	return (x*p*(1-p) + (count-x)*q*(1-q)) / (d * d)
 }
 
 // ByName constructs the named oracle ("OUE", "OLH", "RAPPOR") for domain n at
@@ -149,11 +158,10 @@ func (u *Unary) Randomize(v int, rng *rand.Rand) (protocol.Report, error) {
 	return protocol.Report{Bits: bits}, nil
 }
 
-// VariancePerUser returns q(1−q)/(p−q)² + [p(1−p) − q(1−q)]·f/(p−q)² with the
-// frequency term dropped (the standard approximate variance; exact for f→0).
-func (u *Unary) VariancePerUser() float64 {
-	d := u.p - u.q
-	return u.q * (1 - u.q) / (d * d)
+// CountVariance is exact: a report's bits are flipped independently, so the
+// ones at position v are two binomials, Bin(x, p) + Bin(count−x, q).
+func (u *Unary) CountVariance(x, count float64) float64 {
+	return countVariance(u.p, u.q, x, count)
 }
 
 // StateLen returns n: the accumulator holds per-position one-counts.
@@ -342,13 +350,14 @@ func (o *OLH) Randomize(v int, rng *rand.Rand) (protocol.Report, error) {
 	return protocol.Report{Seed: seed, Index: alt}, nil
 }
 
-// VariancePerUser is the Wang et al. figure of merit q'(1−q')/(p'−q')² with
-// p' the true-support probability and q' the family's exact false-support
-// probability (→ 1/g as the hash field grows; slightly below it at small
-// fields, which only helps).
-func (o *OLH) VariancePerUser() float64 {
-	d := o.p - o.qs
-	return o.qs * (1 - o.qs) / (d * d)
+// CountVariance uses p' the true-support probability and q' the family's
+// exact false-support probability (→ 1/g as the hash field grows; slightly
+// below it at small fields, which only helps). Each report supports v
+// independently of every other report, so one count's variance is exact;
+// two counts' supports share a report's hash, and their covariance is not
+// modeled.
+func (o *OLH) CountVariance(x, count float64) float64 {
+	return countVariance(o.p, o.qs, x, count)
 }
 
 // StateLen returns n: the accumulator holds per-type support counts.

@@ -148,7 +148,7 @@ func TestMetadata(t *testing.T) {
 		if o.Domain() != 10 || o.Epsilon() != 1.5 || o.Name() == "" {
 			t.Fatalf("%s metadata wrong", o.Name())
 		}
-		if o.VariancePerUser() <= 0 {
+		if o.CountVariance(0, 1) <= 0 {
 			t.Fatalf("%s variance constant not positive", o.Name())
 		}
 	}
@@ -197,27 +197,30 @@ func TestEstimatorsUnbiased(t *testing.T) {
 	}
 }
 
-// Empirical variance must approximate the closed-form constant.
+// Empirical variance must approximate the closed form, on the empty cells
+// (CountVariance(0, N)) and on the cell every user holds (CountVariance(N, N),
+// which is all frequency term).
 func TestVarianceMatchesClosedForm(t *testing.T) {
 	n := 4
-	// All users of type 0 — the variance formula's f→0 regime holds for the
-	// empty cells 1..3.
 	x := []float64{200, 0, 0, 0}
 	for _, o := range oracles(t, n, 1.0) {
-		var sumsq float64
+		var full, empty float64
 		const runs = 150
 		for r := 0; r < runs; r++ {
 			est, err := run(o, x, int64(1000+r))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Cell 1 is empty: its estimator has variance N·VariancePerUser.
-			sumsq += est[1] * est[1]
+			full += (est[0] - 200) * (est[0] - 200)
+			empty += est[1] * est[1]
 		}
-		empirical := sumsq / runs
-		want := 200 * o.VariancePerUser()
-		if empirical < 0.5*want || empirical > 1.7*want {
-			t.Fatalf("%s: empirical variance %v vs closed form %v", o.Name(), empirical, want)
+		for _, c := range []struct{ empirical, want float64 }{
+			{full / runs, o.CountVariance(200, 200)},
+			{empty / runs, o.CountVariance(0, 200)},
+		} {
+			if c.empirical < 0.5*c.want || c.empirical > 1.7*c.want {
+				t.Fatalf("%s: empirical variance %v vs closed form %v", o.Name(), c.empirical, c.want)
+			}
 		}
 	}
 }
@@ -228,12 +231,12 @@ func TestOUEBeatsRAPPOR(t *testing.T) {
 	for _, eps := range []float64{0.5, 1, 2, 4} {
 		rp, _ := NewRAPPOR(32, eps)
 		oue, _ := NewOUE(32, eps)
-		if oue.VariancePerUser() >= rp.VariancePerUser() {
+		if oue.CountVariance(0, 1) >= rp.CountVariance(0, 1) {
 			t.Fatalf("ε=%v: OUE variance %v not below RAPPOR %v",
-				eps, oue.VariancePerUser(), rp.VariancePerUser())
+				eps, oue.CountVariance(0, 1), rp.CountVariance(0, 1))
 		}
 		olh, _ := NewOLH(32, eps)
-		ratio := olh.VariancePerUser() / oue.VariancePerUser()
+		ratio := olh.CountVariance(0, 1) / oue.CountVariance(0, 1)
 		// The classic analysis puts OLH ≈ OUE (q' = 1/g). With the exact
 		// channel inversion over a small hash field the false-support
 		// probability drops below 1/g — at ε=4 (g=56, p=59 on n=32) to

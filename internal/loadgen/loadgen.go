@@ -167,43 +167,19 @@ func StormPlan() chaos.Plan {
 }
 
 // Mechanism bundles what the generator needs from one mechanism: the
-// randomizer clients report through, the aggregator the deployment absorbs
-// under, and the closed-form acceptance envelope (the same 6σ·1.5 bounds the
-// statistical acceptance tests enforce).
+// randomizer clients report through and the aggregator the deployment
+// absorbs under. The acceptance envelope is the aggregator's own served
+// variance (Score).
 type Mechanism struct {
 	Name string
 	Rz   ldp.Randomizer
 	Agg  ldp.Aggregator
-	// strategy is set for the strategy-matrix mechanism, whose envelope is
-	// Theorem 3.4's data-dependent expected error rather than a per-user
-	// variance constant.
-	strategy *ldp.Strategy
-	oracle   ldp.FrequencyOracle
-}
-
-// Envelope returns the statistical-acceptance bounds for an estimate over
-// users reports of ground truth x: the per-cell absolute bound (6σ with the
-// 1.5 variance slack) and the total-squared-error bound (4× the closed-form
-// expectation) — the same constants the repo's acceptance tests pin.
-func (m *Mechanism) Envelope(x []float64, users float64) (cellBound, tseBound float64, err error) {
-	const zSigma, varSlack, tseSlack = 6.0, 1.5, 4.0
-	if m.oracle != nil {
-		perCell := users * m.oracle.VariancePerUser() * varSlack
-		return zSigma * math.Sqrt(perCell), tseSlack * float64(m.Agg.Domain()) * perCell, nil
-	}
-	w := ldp.Histogram(m.Agg.Domain())
-	vp, err := m.strategy.Variances(w.Gram(), w.Queries())
-	if err != nil {
-		return 0, 0, fmt.Errorf("loadgen: strategy envelope: %w", err)
-	}
-	tse := vp.OnData(x)
-	return zSigma * math.Sqrt(tse), tseSlack * tse, nil
 }
 
 // BuildMechanism constructs the named mechanism at (n, eps). "strategy" is
 // the ε-parameterized randomized-response strategy matrix — deterministic to
 // build (no optimizer run), but exercising the full strategy aggregation and
-// Theorem 3.4 envelope path.
+// Theorem 3.4 variance path.
 func BuildMechanism(name string, n int, eps float64) (*Mechanism, error) {
 	switch name {
 	case "strategy":
@@ -216,13 +192,13 @@ func BuildMechanism(name string, n int, eps float64) (*Mechanism, error) {
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
-		return &Mechanism{Name: name, Rz: rz, Agg: agg, strategy: s}, nil
+		return &Mechanism{Name: name, Rz: rz, Agg: agg}, nil
 	case "oue", "olh", "rappor":
 		o, err := ldp.OracleByName(strings.ToUpper(name), n, eps)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
-		return &Mechanism{Name: name, Rz: o, Agg: o, oracle: o}, nil
+		return &Mechanism{Name: name, Rz: o, Agg: o}, nil
 	}
 	return nil, fmt.Errorf("loadgen: unknown mechanism %q (want oue, olh, rappor, or strategy)", name)
 }

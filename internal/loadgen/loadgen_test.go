@@ -154,9 +154,9 @@ func TestRunReproducible(t *testing.T) {
 	}
 	a := run()
 	if !a.Passed() {
-		t.Fatalf("run failed gate: exactly-once=%v (acked %d absorbed %d) in-envelope=%v (max cell err %.2f env %.2f)",
+		t.Fatalf("run failed gate: exactly-once=%v (acked %d absorbed %d) in-envelope=%v (%+v)",
 			a.Counts.ExactlyOnce, a.Counts.AckedReports, a.Counts.AbsorbedReports,
-			a.Estimates.InEnvelope, a.Estimates.MaxAbsCellError, a.Estimates.CellEnvelope)
+			a.Estimates.InEnvelope, a.Estimates)
 	}
 	if a.Counts.ScheduleFired != a.Counts.ScheduleEvents {
 		t.Fatalf("schedule fired %d of %d events", a.Counts.ScheduleFired, a.Counts.ScheduleEvents)

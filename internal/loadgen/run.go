@@ -219,8 +219,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 	}
 	card.Counts.AbsorbedReports = int64(snap.Count() + 0.5)
 	card.Counts.ExactlyOnce = card.Counts.AbsorbedReports == card.Counts.AckedReports
-	est := d.mech.Agg.EstimateCounts(snap.State(), snap.Count())
-	card.Estimates, err = scoreEstimates(d.mech, est, pop.Truth, snap.Count())
+	card.Estimates, err = Score(d.mech.Agg, snap, pop.Truth)
 	if err != nil {
 		return nil, err
 	}
@@ -250,9 +249,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		return nil, err
 	}
 
-	logf("scorecard: acked=%d absorbed=%d exactly-once=%v max-cell-err=%.1f (envelope %.1f) in-envelope=%v metrics-agree=%v",
+	logf("scorecard: acked=%d absorbed=%d exactly-once=%v worst-cell-err=%.1f (envelope %.1f) in-envelope=%v metrics-agree=%v",
 		card.Counts.AckedReports, card.Counts.AbsorbedReports, card.Counts.ExactlyOnce,
-		card.Estimates.MaxAbsCellError, card.Estimates.CellEnvelope, card.Estimates.InEnvelope,
+		card.Estimates.CellError, card.Estimates.CellEnvelope, card.Estimates.InEnvelope,
 		card.Ops.Metrics.Agree)
 	return card, nil
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"math"
 
+	ldp "repro"
 	"repro/internal/chaos"
 )
 
@@ -30,15 +31,17 @@ type Counts struct {
 }
 
 // Estimates scores the final merged estimate against ground truth under the
-// repo's statistical-acceptance envelope (6σ per cell with 1.5 variance
-// slack, 4× expected total squared error). Deterministic at a fixed seed.
+// acceptance envelope (Score). Deterministic at a fixed seed.
 type Estimates struct {
-	MaxAbsCellError float64 `json:"max_abs_cell_error"`
-	CellEnvelope    float64 `json:"cell_envelope"`
-	TSE             float64 `json:"tse"`
-	TSEBound        float64 `json:"tse_bound"`
-	EstimatedTotal  float64 `json:"estimated_total"`
-	InEnvelope      bool    `json:"in_envelope"`
+	// CellError and CellEnvelope are the worst cell's absolute error and
+	// bound: the cell whose error takes the largest share of its own bound.
+	CellError      float64 `json:"cell_error"`
+	CellEnvelope   float64 `json:"cell_envelope"`
+	TSE            float64 `json:"tse"`
+	TSEBound       float64 `json:"tse_bound"`
+	EstimatedTotal float64 `json:"estimated_total"`
+	TotalBound     float64 `json:"total_bound"`
+	InEnvelope     bool    `json:"in_envelope"`
 }
 
 // Ops is the operational (timing-dependent) half of the scorecard: WAL lag,
@@ -96,24 +99,48 @@ func (s *Scorecard) DeterministicEqual(o *Scorecard) bool {
 		s.Counts == o.Counts && s.Estimates == o.Estimates
 }
 
-// scoreEstimates fills the Estimates section from a final estimate vector,
-// ground truth, and the mechanism's envelope.
-func scoreEstimates(m *Mechanism, est, truth []float64, users float64) (Estimates, error) {
-	cellBound, tseBound, err := m.Envelope(truth, users)
+// The envelope's margins: zSigma standard deviations per cell and on the
+// total, and tseSlack times the expected total squared error — a Markov
+// margin. A mechanism regression moves estimates by O(N) and overshoots them
+// by orders of magnitude.
+const zSigma, tseSlack = 6.0, 4.0
+
+// Score holds the histogram estimate x̂ of agg at snap to the acceptance
+// envelope around the ground truth, with σ_v² the variance
+// Estimator.Variance serves for cell v at snap: every cell within zSigma·σ_v
+// of its truth, the total squared error within tseSlack·Σσ_v², and the
+// estimated total within zSigma·√Σσ_v² of the true one (Σσ_v² bounds the
+// total's variance: a strategy's total is exact, the unary encodings' cells
+// are independent, OLH's covary negatively).
+func Score(agg ldp.Aggregator, snap ldp.Snapshot, truth []float64) (Estimates, error) {
+	est, err := ldp.NewEstimator(agg, ldp.Histogram(agg.Domain()))
+	if err != nil {
+		return Estimates{}, err
+	}
+	xhat, err := est.Answers(snap)
+	if err != nil {
+		return Estimates{}, err
+	}
+	vars, err := est.Variance(snap)
 	if err != nil {
 		return Estimates{}, err
 	}
 	var e Estimates
-	e.CellEnvelope = cellBound
-	e.TSEBound = tseBound
-	for v := range truth {
-		d := est[v] - truth[v]
-		e.TSE += d * d
-		e.EstimatedTotal += est[v]
-		if a := math.Abs(d); a > e.MaxAbsCellError {
-			e.MaxAbsCellError = a
+	var total, sumVar float64
+	inCells := true
+	for v, x := range truth {
+		d, bound := math.Abs(xhat[v]-x), zSigma*math.Sqrt(vars[v])
+		inCells = inCells && d <= bound
+		if v == 0 || d*e.CellEnvelope > e.CellError*bound {
+			e.CellError, e.CellEnvelope = d, bound
 		}
+		e.TSE += d * d
+		e.EstimatedTotal += xhat[v]
+		total += x
+		sumVar += vars[v]
 	}
-	e.InEnvelope = e.MaxAbsCellError <= cellBound && e.TSE <= tseBound
+	e.TSEBound = tseSlack * sumVar
+	e.TotalBound = zSigma * math.Sqrt(sumVar)
+	e.InEnvelope = inCells && e.TSE <= e.TSEBound && math.Abs(e.EstimatedTotal-total) <= e.TotalBound
 	return e, nil
 }

@@ -986,8 +986,9 @@ func (c *Collector) replayInto(acc []float64, reports []Report) error {
 		},
 	},
 	// Per-query variance has one implementation: varianceForm in estimator.go
-	// (w_iᵀ(B·diag(y)·Bᵀ)w_i − (w_iᵀu)²/N per snapshot; the oracle's
-	// N·v·‖w_i‖² beside it). Variance, VarianceStream, AnswerStream,
+	// (w_iᵀ·Ĉov(x̂)·w_i per snapshot, with Ĉov = B·diag(y)·Bᵀ − diag(B·y) for
+	// a strategy and the diagonal of CountVariance(x̂_j, N) for an oracle).
+	// Variance, VarianceStream, AnswerStream,
 	// ConfidenceIntervals, AnswerBatch and POST /query collect that one loop.
 	// A second way to compute the same number — a materialized V = W·B, a
 	// per-row rebuild, a row cache, a size refusal — brings back the

@@ -543,7 +543,11 @@ func DecodeSnapshotFrame(r io.Reader) (Snapshot, error) {
 			return Snapshot{}, fmt.Errorf("transport: snapshot frame truncated in its state: %w", err)
 		}
 		for i := off; i < end; i++ {
-			s.State[i] = math.Float64frombits(binary.BigEndian.Uint64(chunk[8*(i-off):]))
+			v := math.Float64frombits(binary.BigEndian.Uint64(chunk[8*(i-off):]))
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return Snapshot{}, fmt.Errorf("transport: snapshot state entry %d is %v, not a non-negative finite number", i, v)
+			}
+			s.State[i] = v
 		}
 	}
 	return s, nil

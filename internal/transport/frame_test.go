@@ -260,7 +260,7 @@ func TestDecodeReportsAllocShape(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	state := []float64{0, 1.5, -2.25, math.MaxFloat64, 1e-300}
+	state := []float64{0, 1.5, 2.25, math.MaxFloat64, 1e-300}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, state, 12345); err != nil {
 		t.Fatal(err)

@@ -2,16 +2,18 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 func sampleSnapshot() Snapshot {
 	return Snapshot{
-		State: []float64{0, 1.5, -2.25, math.MaxFloat64, 1e-300},
+		State: []float64{0, 1.5, 2.25, math.MaxFloat64, 1e-300},
 		Count: 12345,
 		Epoch: 42,
 		Info:  Info{Mechanism: "strategy", Domain: 5, Epsilon: 1.25, Digest: "00f1e2d3c4b5a697"},
@@ -24,7 +26,7 @@ func multiChunkSnapshot() Snapshot {
 	s := sampleSnapshot()
 	s.State = make([]float64, 2*snapshotChunkFloats+3)
 	for i := range s.State {
-		s.State[i] = float64(i) - 0.5
+		s.State[i] = float64(i) + 0.5
 	}
 	return s
 }
@@ -162,6 +164,28 @@ func TestDecodeSnapshotFrameRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := DecodeSnapshotFrame(bytes.NewReader(data)); err == nil {
 			t.Fatalf("%s: decoded without error", name)
+		}
+	}
+}
+
+// A state entry no accumulator can hold — NaN, ±Inf, negative — is refused
+// by name, wherever in the state it sits: a corrupt shard's /snapshot or
+// checkpoint would otherwise reach the read path and serve a NaN interval.
+func TestDecodeSnapshotFrameRejectsCorruptState(t *testing.T) {
+	for name, v := range map[string]float64{
+		"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1), "negative": -0.5,
+	} {
+		for _, at := range []int{0, snapshotChunkFloats + 1} {
+			s := multiChunkSnapshot()
+			s.State[at] = v
+			var buf bytes.Buffer
+			if err := EncodeSnapshotFrame(&buf, s); err != nil {
+				t.Fatal(err)
+			}
+			_, err := DecodeSnapshotFrame(&buf)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("entry %d ", at)) {
+				t.Fatalf("%s state entry %d: decode error %v, want one naming the entry", name, at, err)
+			}
 		}
 	}
 }

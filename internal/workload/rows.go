@@ -173,22 +173,38 @@ func (s *Stacked) QueryRow(i int, dst []float64) (lo, hi int) {
 // rule that a zero A entry leaves its whole block +0 (0·(−1) would be −0,
 // which is a different digest). The non-zeros lie between the first
 // factors' product and the last factors' product, unless one underflows.
+//
+// The factor rows are read into dst itself, A's into its last n₁ entries and
+// B's into its first n₂, and the blocks are written from u₁ = 1 up, block 0
+// last over B's row: block u₁ ends before A's entries past u₁ begin, so
+// nothing is overwritten before it is read and the row allocates nothing.
+// A's first entry is read out first, since with n₂ = 1 or n₁ = 1 the two
+// factor rows share dst's first or last entry.
 func (p *Product) QueryRow(r int, dst []float64) (lo, hi int) {
 	checkRow(r, p.Queries())
 	n1, n2 := p.a.Domain(), p.b.Domain()
 	checkLen(len(dst), n1*n2)
 	p2 := p.b.Queries()
-	arow := make([]float64, n1)
-	brow := make([]float64, n2)
+	arow := dst[n1*n2-n1:]
 	alo, ahi := p.a.QueryRow(r/p2, arow)
-	blo, bhi := p.b.QueryRow(r%p2, brow)
-	clear(dst)
-	for u1, av := range arow {
+	a0 := arow[0]
+	blo, bhi := p.b.QueryRow(r%p2, dst[:n2])
+	brow := dst[:n2]
+	for u1 := 1; u1 < n1; u1++ {
+		av, block := arow[u1], dst[u1*n2:(u1+1)*n2]
 		if av == 0 {
+			clear(block)
 			continue
 		}
 		for u2, bv := range brow {
-			dst[u1*n2+u2] = av * bv
+			block[u2] = av * bv
+		}
+	}
+	if a0 == 0 {
+		clear(brow)
+	} else {
+		for u2, bv := range brow {
+			brow[u2] = a0 * bv
 		}
 	}
 	if alo == ahi || blo == bhi {

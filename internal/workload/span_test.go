@@ -122,3 +122,40 @@ func TestQueryRowSpan(t *testing.T) {
 		})
 	}
 }
+
+// A Product row is linalg.Kron's row, bit for bit, written with the factor
+// rows read into dst itself: a row allocates nothing. Domain-1 factors, whose
+// two factor rows share an entry of dst, negative entries beside zeros (a
+// zero A entry leaves +0, not −0), and a nested product are the edges.
+func TestProductQueryRowInPlace(t *testing.T) {
+	signs := explicitRows("Signs", []float64{0, -1, 2}, []float64{-3, 0, 0}, []float64{0, 0, 0})
+	for _, p := range []*Product{
+		NewProduct(NewAllRange(16), NewAllRange(16)),
+		NewProduct(NewHistogram(1), NewPrefix(5)),
+		NewProduct(NewPrefix(5), NewHistogram(1)),
+		NewProduct(NewHistogram(1), NewHistogram(1)),
+		NewProduct(signs, signs),
+		NewProduct(NewWidthRange(3, 2), NewProduct(signs, NewPrefix(2))),
+	} {
+		want := linalg.Kron(Materialize(p.a), Materialize(p.b))
+		row := make([]float64, p.Domain())
+		for i := 0; i < p.Queries(); i++ {
+			for j := range row {
+				row[j] = math.NaN()
+			}
+			p.QueryRow(i, row)
+			for j, v := range want.Row(i) {
+				if math.Float64bits(row[j]) != math.Float64bits(v) {
+					t.Fatalf("%s row %d = %v, want %v", p.Name(), i, row, want.Row(i))
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			for i := 0; i < p.Queries(); i++ {
+				p.QueryRow(i, row)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: %v allocations per read of all %d rows, want 0", p.Name(), allocs, p.Queries())
+		}
+	}
+}

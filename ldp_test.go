@@ -466,7 +466,7 @@ func TestFrequencyOracleFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oue.VariancePerUser() >= rp.VariancePerUser() {
+	if oue.CountVariance(0, 1) >= rp.CountVariance(0, 1) {
 		t.Fatal("OUE should beat RAPPOR in variance")
 	}
 }

@@ -180,26 +180,16 @@ func NewEstimatorPool(opts ...PoolOption) *EstimatorPool {
 	return p
 }
 
-// enableMetrics exposes the pool's cache counters as scrape-time counter
-// families on reg — the same atomics Stats() snapshots, renamed into the
-// metric namespace, so a dashboard sees cold-vs-warm cache behavior without
-// new plumbing on the resolve paths.
+// enableMetrics exposes the pool's estimator-cache counters as scrape-time
+// counter families on reg — the same atomics Stats() snapshots, renamed into
+// the metric namespace. Its one caller is NewCollectorService, whose /query
+// path resolves estimators and nothing else, so only those two series can
+// move there; the other PoolStats fields stay for library callers.
 func (p *EstimatorPool) enableMetrics(reg *obs.Registry) {
-	for _, m := range []struct {
-		name, help string
-		v          *atomic.Uint64
-	}{
-		{"ldp_pool_estimator_builds_total", "Estimator resolutions that built a fresh instance.", &p.stats.estimatorBuilds},
-		{"ldp_pool_estimator_hits_total", "Estimator resolutions served from the cache.", &p.stats.estimatorHits},
-		{"ldp_pool_optimizer_runs_total", "Strategy optimizer (Algorithm 1/2) executions.", &p.stats.optimizerRuns},
-		{"ldp_pool_strategy_mem_hits_total", "Strategy resolutions served from the in-memory cache.", &p.stats.strategyMemHits},
-		{"ldp_pool_strategy_disk_hits_total", "Strategy resolutions served from the persisted cache directory.", &p.stats.strategyDiskHits},
-		{"ldp_pool_answer_hits_total", "Workloads answered from the snapshot-pinned answer cache.", &p.stats.answerHits},
-		{"ldp_pool_answer_invalidations_total", "Cached answer sets dropped because the observed snapshot advanced.", &p.stats.answerInvalidations},
-	} {
-		v := m.v
-		reg.CounterFunc(m.name, m.help, func() float64 { return float64(v.Load()) })
-	}
+	reg.CounterFunc("ldp_pool_estimator_builds_total", "Estimator resolutions that built a fresh instance.",
+		func() float64 { return float64(p.stats.estimatorBuilds.Load()) })
+	reg.CounterFunc("ldp_pool_estimator_hits_total", "Estimator resolutions served from the cache.",
+		func() float64 { return float64(p.stats.estimatorHits.Load()) })
 }
 
 // Stats returns a snapshot of the pool's cache counters.

@@ -70,7 +70,7 @@ func FuzzLoadOracle(f *testing.F) {
 		if !(o.Epsilon() > 0) {
 			t.Fatalf("accepted oracle with ε=%v", o.Epsilon())
 		}
-		if v := o.VariancePerUser(); !(v > 0) {
+		if v := o.CountVariance(0, 1); !(v > 0) {
 			t.Fatalf("accepted oracle with variance constant %v", v)
 		}
 		var buf bytes.Buffer
