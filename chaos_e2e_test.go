@@ -114,7 +114,6 @@ func TestChaosFanInUnderFailure(t *testing.T) {
 			MaxAttempts:       8,
 			InitialBackoff:    time.Millisecond,
 			MaxBackoff:        20 * time.Millisecond,
-			Multiplier:        2,
 			Jitter:            0.5,
 			PerAttemptTimeout: 10 * time.Second,
 		}),

@@ -284,7 +284,6 @@ func newFed(t *testing.T, agg ldp.Aggregator, endpoints []string, out, errw io.W
 		MaxAttempts:    1,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     time.Millisecond,
-		Multiplier:     1,
 		Sleep:          func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}))
 	if err != nil {

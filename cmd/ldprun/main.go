@@ -58,10 +58,8 @@ func main() {
 	// Build the mechanism's two protocol halves. Strategy mechanisms adapt a
 	// matrix; oracles are their own Randomizer and Aggregator.
 	var (
-		rz       ldp.Randomizer
-		agg      ldp.Aggregator
-		mechName string
-		digest   string
+		rz  ldp.Randomizer
+		agg ldp.Aggregator
 	)
 	switch strings.ToLower(*mech) {
 	case "optimize", "optimized":
@@ -93,8 +91,6 @@ func main() {
 		if agg, err = ldp.NewAggregator(strat); err != nil {
 			fatal(err)
 		}
-		mechName = "strategy"
-		digest = ldp.StrategyDigest(strat)
 	case "oue", "olh", "rappor":
 		o, err := ldp.OracleByName(strings.ToUpper(*mech), *n, *eps)
 		if err != nil {
@@ -102,7 +98,6 @@ func main() {
 		}
 		fmt.Printf("frequency oracle %s (n=%d, ε=%g)\n", o.Name(), *n, *eps)
 		rz, agg = o, o
-		mechName = o.Name()
 	default:
 		fatal(fmt.Errorf("unknown mechanism %q", *mech))
 	}
@@ -150,9 +145,8 @@ func main() {
 			fatal(err)
 		}
 		// Refuse to stream through a server aggregating under a different
-		// configuration; rz.Epsilon() is the mechanism's actual budget and
-		// the digest pins the exact strategy matrix.
-		if err := rcol.Verify(ctx, mechName, rz.Epsilon(), digest); err != nil {
+		// configuration (the digest pins the exact strategy matrix).
+		if err := rcol.Verify(ctx); err != nil {
 			fatal(err)
 		}
 		drive(func(rep ldp.Report) error { return rcol.Ingest(ctx, rep) })

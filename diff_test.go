@@ -135,6 +135,23 @@ func TestSnapshotDiffRefusals(t *testing.T) {
 	if _, err := older.Diff(newer); err == nil || !strings.Contains(err.Error(), "epoch inversion") {
 		t.Fatalf("epoch inversion accepted: %v", err)
 	}
+	// Count inversion: a baseline merged over a shard the newer cut lacks
+	// holds more reports than the newer cut, though its epoch is not newer.
+	shard, err := ldp.NewCollector(aggs["OUE"], w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(shard, rz, 7)
+	baseline, err := older.Merge(shard.Snap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseline.Epoch() > newer.Epoch() || baseline.Count() <= newer.Count() {
+		t.Fatalf("fixture: baseline epoch %d count %v, newer epoch %d count %v", baseline.Epoch(), baseline.Count(), newer.Epoch(), newer.Count())
+	}
+	if _, err := newer.Diff(baseline); err == nil || !strings.Contains(err.Error(), "count inversion") {
+		t.Fatalf("count inversion accepted: %v", err)
+	}
 	// Mechanism identity conflict: two different mechanisms never share a
 	// timeline.
 	other, err := ldp.NewCollector(aggs["RAPPOR"], w, 0)

@@ -128,11 +128,8 @@ func (c *Collector) openDurable(cfg collectorConfig) error {
 	d := &durableState{ckptEvery: cfg.ckptEvery, fsync: cfg.fsync}
 	var ckptEpoch uint64
 	restore := func(snap transport.Snapshot) error {
-		if len(snap.State) != c.agg.StateLen() {
-			return fmt.Errorf("checkpoint has %d state entries, mechanism expects %d", len(snap.State), c.agg.StateLen())
-		}
-		if err := infoMismatch(c.info, snap.Info); err != nil {
-			return fmt.Errorf("checkpoint was written under a different mechanism configuration: %w", err)
+		if _, err := admit("checkpoint", c.info, c.agg.StateLen(), snap.Info, len(snap.State)); err != nil {
+			return err
 		}
 		for i, v := range snap.State {
 			sh.acc[i] += v
@@ -310,13 +307,7 @@ func (c *Collector) snapAt(epoch uint64, nearest bool) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("ldp: %w", err)
 	}
-	if len(ts.State) != c.agg.StateLen() {
-		return Snapshot{}, fmt.Errorf("ldp: retained checkpoint has %d state entries, mechanism expects %d", len(ts.State), c.agg.StateLen())
-	}
-	if err := infoMismatch(c.info, ts.Info); err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: retained checkpoint was written under a different mechanism configuration: %w", err)
-	}
-	return Snapshot{state: ts.State, count: ts.Count, epoch: ts.Epoch, info: mergeInfo(ts.Info, c.info)}, nil
+	return admitSnapshot("retained checkpoint", c.info, c.agg.StateLen(), ts)
 }
 
 // historySnapshotAt is the transport-facing SnapAt: same semantics, transport

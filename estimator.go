@@ -56,16 +56,10 @@ func (e *Estimator) Workload() Workload { return e.work }
 func (e *Estimator) Info() MechanismInfo { return e.info }
 
 // Check verifies that a snapshot was aggregated under this estimator's
-// mechanism: the accumulator width must match exactly, and every identity
-// field both sides declare (mechanism, domain, ε, digest) must agree.
+// mechanism, through the one identity door (admit).
 func (e *Estimator) Check(s Snapshot) error {
-	if s.StateLen() != e.agg.StateLen() {
-		return fmt.Errorf("ldp: snapshot has %d state entries, mechanism expects %d — mechanism mismatch", s.StateLen(), e.agg.StateLen())
-	}
-	if err := infoMismatch(e.info, s.info); err != nil {
-		return fmt.Errorf("ldp: snapshot aggregated under a different mechanism configuration: %w", err)
-	}
-	return nil
+	_, err := admit("snapshot", e.info, e.agg.StateLen(), s.info, len(s.state))
+	return err
 }
 
 // DataEstimate returns the unbiased estimate of the data vector from a

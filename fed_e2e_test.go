@@ -77,7 +77,7 @@ func TestFedMergeMatchesSingleCollector(t *testing.T) {
 				ctx := context.Background()
 				// The fan-in handshake: verify the shard's identity (digest
 				// included) before trusting its snapshot.
-				if err := rcol.Verify(ctx, info.Mechanism, info.Epsilon, info.Digest); err != nil {
+				if err := rcol.Verify(ctx); err != nil {
 					t.Fatal(err)
 				}
 				if err := rcol.IngestBatch(ctx, part); err != nil {

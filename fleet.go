@@ -483,7 +483,7 @@ func (f *Fleet) Register(ctx context.Context, endpoint string) error {
 		rc:       rc,
 		breaker:  retry.NewBreaker(bp),
 	}
-	if err := rc.Verify(ctx, f.info.Mechanism, f.info.Epsilon, f.info.Digest); err != nil {
+	if err := rc.Verify(ctx); err != nil {
 		if definitive(err) || errors.Is(err, errMechanismMismatch) {
 			// The shard answered and it is the wrong mechanism: refuse.
 			return fmt.Errorf("ldp: register %s: %w", endpoint, err)
@@ -657,7 +657,7 @@ func (f *Fleet) probeMember(ctx context.Context, m *fleetMember) {
 			// First successful contact with a shard admitted unreachable:
 			// complete the handshake before routing to it.
 			m.mu.Unlock()
-			verr := m.rc.Verify(ctx, f.info.Mechanism, f.info.Epsilon, f.info.Digest)
+			verr := m.rc.Verify(ctx)
 			m.mu.Lock()
 			if verr != nil {
 				m.ready, m.reason = false, fmt.Sprintf("mechanism handshake failed: %v", verr)

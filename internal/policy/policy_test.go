@@ -788,10 +788,11 @@ func identsContaining(tr *tree, files []*srcFile, msg string, names ...string) [
 	return out
 }
 
-// selections type-checks the tree's non-test files of the package in dir,
-// the ones the host builds plus any a fixture added, against the module's
-// already-checked packages, and returns what each selector selects.
-func (tr *tree) selections(dir string) (map[*ast.SelectorExpr]*types.Selection, error) {
+// typeInfo type-checks the tree's non-test files of the package in dir, the
+// ones the host builds plus any a fixture added, against the module's
+// already-checked packages, and returns what each selector selects and each
+// expression's type.
+func (tr *tree) typeInfo(dir string) (*types.Info, error) {
 	ip := modulePath
 	if dir != "." {
 		ip = path.Join(modulePath, dir)
@@ -808,7 +809,10 @@ func (tr *tree) selections(dir string) (map[*ast.SelectorExpr]*types.Selection, 
 			files = append(files, f.ast)
 		}
 	}
-	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	info := &types.Info{
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}
 	conf := types.Config{Importer: importerFunc(func(p string) (*types.Package, error) {
 		if pk, ok := tr.m.pkgs[p]; ok {
 			return pk.types, nil
@@ -818,7 +822,7 @@ func (tr *tree) selections(dir string) (map[*ast.SelectorExpr]*types.Selection, 
 	if _, err := conf.Check(ip, tr.fset, files, info); err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", ip, err)
 	}
-	return info.Selections, nil
+	return info, nil
 }
 
 // callSites flags every call of a function or method named name.
@@ -915,13 +919,13 @@ type KeyedBackend interface{ IngestKeyed(key string) error }
 	{
 		name: "One absorb loop",
 		check: func(tr *tree) []string {
-			sels, err := tr.selections(".")
+			ti, err := tr.typeInfo(".")
 			if err != nil {
 				return []string{err.Error()}
 			}
 			agg := tr.m.pkgs[modulePath+"/internal/protocol"].types.Scope().Lookup("Aggregator").Type().Underlying().(*types.Interface)
 			sites := map[string][]string{}
-			for sel, s := range sels {
+			for sel, s := range ti.Selections {
 				name := s.Obj().Name()
 				if s.Kind() != types.MethodVal || (name != "Check" && name != "Absorb") {
 					continue
@@ -1267,12 +1271,12 @@ func persist(tmp, path string) error { return os.Rename(tmp, path) }
 			fleet := types.NewPointer(tr.m.pkgs[modulePath].types.Scope().Lookup("Fleet").Type())
 			var out []string
 			for dir := range dirs {
-				sels, err := tr.selections(dir)
+				ti, err := tr.typeInfo(dir)
 				if err != nil {
 					out = append(out, err.Error())
 					continue
 				}
-				for sel, s := range sels {
+				for sel, s := range ti.Selections {
 					if name := s.Obj().Name(); s.Kind() == types.MethodVal && (name == "Snap" || name == "SnapAt") && types.Identical(s.Recv(), fleet) {
 						out = append(out, tr.site(sel, "read a fleet's merged snapshot through ldpquery -servers instead of a second fan-in command"))
 					}
@@ -1325,7 +1329,11 @@ func (f *fed) mergeAndReport(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		answers, err := f.est.WindowAnswers(merged, hist)
+		window, err := merged.Diff(hist)
+		if err != nil {
+			return err
+		}
+		answers, err := f.est.Answers(window)
 		if err != nil {
 			return err
 		}
@@ -1601,6 +1609,73 @@ import "container/list"
 type idemCache struct {
 	order *list.List
 	byKey map[string]*list.Element
+}
+`},
+		},
+	},
+	// One identity door: "was this snapshot aggregated under my mechanism?"
+	// is decided in snapshot.go's admit alone — the width, then every
+	// identity field both sides declare, an undeclared (v1) field passing.
+	// Every crossing goes through it: a remote /snapshot and /healthz, a
+	// checkpoint and a retained one, Merge, Diff, Estimator.Check and
+	// FleetServer.EnableQueries. A call of infoMismatch or mergeInfo
+	// elsewhere, or a MechanismInfo compared whole with == or != (which
+	// refuses a v1 frame's undeclared fields), is a second statement of the
+	// rule. The comparison is matched by type in the root package's non-test
+	// files.
+	{
+		name: "One identity door",
+		check: func(tr *tree) []string {
+			const msg = "check a foreign identity through admit (snapshot.go) instead of a second statement of the rule"
+			ti, err := tr.typeInfo(".")
+			if err != nil {
+				return []string{err.Error()}
+			}
+			info := tr.m.pkgs[modulePath+"/internal/transport"].types.Scope().Lookup("Info").Type()
+			var out []string
+			for _, f := range tr.goFiles(and(nonTest, under("."))) {
+				for _, d := range f.ast.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "admit" {
+						continue
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						switch x := n.(type) {
+						case *ast.CallExpr:
+							if name := calleeName(x); name == "infoMismatch" || name == "mergeInfo" {
+								out = append(out, tr.site(x, msg))
+							}
+						case *ast.BinaryExpr:
+							if t := ti.TypeOf(x.X); (x.Op == token.EQL || x.Op == token.NEQ) && t != nil && types.Identical(t, info) {
+								out = append(out, tr.site(x, msg))
+							}
+						}
+						return true
+					})
+				}
+			}
+			return out
+		},
+		fixtures: []fixture{
+			{"router_fixture.go", `package ldp
+
+import "fmt"
+
+func (s *FleetServer) enableQueriesStrict(agg Aggregator) error {
+	if got, want := MechanismInfoOf(agg), s.fleet.Info(); got != want {
+		return fmt.Errorf("ldp: query aggregator is %+v, fleet aggregates under %+v — mechanism mismatch", got, want)
+	}
+	return nil
+}
+`},
+			{"estimator_fixture.go", `package ldp
+
+import "fmt"
+
+func (e *Estimator) checkIdentity(s Snapshot) error {
+	if err := infoMismatch(e.info, s.info); err != nil {
+		return fmt.Errorf("ldp: snapshot aggregated under a different mechanism configuration: %w", err)
+	}
+	return nil
 }
 `},
 		},

@@ -27,10 +27,9 @@ type Policy struct {
 	MaxAttempts int
 	// InitialBackoff is the pause after the first failed attempt.
 	InitialBackoff time.Duration
-	// MaxBackoff caps the grown pause. 0 means no cap.
+	// MaxBackoff caps the pause, which doubles after each failed attempt.
+	// 0 means no cap.
 	MaxBackoff time.Duration
-	// Multiplier grows the pause between attempts (values < 1 mean 2).
-	Multiplier float64
 	// Jitter randomizes each pause within ±Jitter×pause (clamped to [0,1]).
 	// Jittered clients that failed together do not retry together.
 	Jitter float64
@@ -83,13 +82,9 @@ func (p Policy) attempts() int {
 
 // Backoff returns the pause after failed attempt i (0-based), jitter applied.
 func (p Policy) Backoff(i int) time.Duration {
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(p.InitialBackoff)
 	for k := 0; k < i; k++ {
-		d *= mult
+		d *= 2
 		if p.MaxBackoff > 0 && d >= float64(p.MaxBackoff) {
 			d = float64(p.MaxBackoff)
 			break

@@ -8,12 +8,11 @@ import (
 )
 
 // The backoff schedule must be the textbook jittered exponential: initial ×
-// multiplier^i, capped, spread ±jitter. Pinned rand makes it exact.
+// 2^i, capped, spread ±jitter. Pinned rand makes it exact.
 func TestBackoffSchedule(t *testing.T) {
 	p := Policy{
 		InitialBackoff: 100 * time.Millisecond,
 		MaxBackoff:     2 * time.Second,
-		Multiplier:     2,
 		Jitter:         0, // deterministic
 	}
 	want := []time.Duration{
@@ -57,7 +56,6 @@ func TestDoRetriesUntilAttemptsExhausted(t *testing.T) {
 	p := Policy{
 		MaxAttempts:    4,
 		InitialBackoff: 10 * time.Millisecond,
-		Multiplier:     2,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil

@@ -20,7 +20,6 @@ func deterministic(maxBackoff time.Duration) (Policy, *[]time.Duration) {
 		MaxAttempts:    4,
 		InitialBackoff: 100 * time.Millisecond,
 		MaxBackoff:     maxBackoff,
-		Multiplier:     2,
 		Jitter:         0, // deterministic schedule
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			*sleeps = append(*sleeps, d)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	ldp "repro"
 	"repro/internal/baselines"
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 var updateObsGolden = flag.Bool("update-golden", false, "rewrite the metrics catalog goldens")
@@ -59,6 +61,61 @@ func familyCatalog(text string) string {
 	return strings.Join(fams, "\n") + "\n"
 }
 
+// familySeries groups an exposition's samples by the family its "# TYPE"
+// line declares, _bucket/_sum/_count lines under their histogram.
+func familySeries(t *testing.T, text string) map[string]map[string]float64 {
+	t.Helper()
+	samples, err := obs.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("parse exposition: %v", err)
+	}
+	fams := map[string]map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fams[strings.Fields(rest)[0]] = map[string]float64{}
+		}
+	}
+	for _, s := range samples {
+		fam := s.Name
+		if _, ok := fams[fam]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if f, cut := strings.CutSuffix(s.Name, suffix); cut {
+					fam = f
+					break
+				}
+			}
+		}
+		if series, ok := fams[fam]; ok {
+			series[s.Name+s.Labels] = s.Value
+		}
+	}
+	return fams
+}
+
+// checkFamiliesMove requires every family served after a scripted scenario
+// to have moved since the scrape before it — some series changed value or
+// appeared — unless idle names it with the reason it cannot move there. A
+// listed family that moves, or one no longer served, fails too, so the list
+// stays true.
+func checkFamiliesMove(t *testing.T, before, after string, idle map[string]string) {
+	t.Helper()
+	was, now := familySeries(t, before), familySeries(t, after)
+	for fam, series := range now {
+		reason, listed := idle[fam]
+		switch moved := !maps.Equal(was[fam], series); {
+		case !moved && !listed:
+			t.Errorf("%s did not move under the scripted traffic: make it move, or list it idle with the reason", fam)
+		case moved && listed:
+			t.Errorf("%s is listed idle (%s) but moved: take it off the list", fam, reason)
+		}
+	}
+	for fam := range idle {
+		if _, ok := now[fam]; !ok {
+			t.Errorf("the idle list names %s, which is not served", fam)
+		}
+	}
+}
+
 func checkCatalogGolden(t *testing.T, name, text string) {
 	t.Helper()
 	if problems := obs.Lint(text); len(problems) != 0 {
@@ -81,8 +138,10 @@ func checkCatalogGolden(t *testing.T, name, text string) {
 }
 
 // The collector service's /metrics is a complete, lint-clean, golden-pinned
-// catalog, and the core series move with real traffic: ingested report
-// counts, ingest HTTP requests, WAL appends, and the build-info pin.
+// catalog, and every family it serves moves under a scripted scenario —
+// ingest, a replayed keyed batch, a refused frame, queries, a checkpoint —
+// but the ones listed idle with their reason; the core series read exact
+// values.
 func TestCollectorServiceMetrics(t *testing.T) {
 	const domain, total = 16, 60
 	w := ldp.Histogram(domain)
@@ -101,6 +160,7 @@ func TestCollectorServiceMetrics(t *testing.T) {
 	}
 	hs := httptest.NewServer(svc.Handler())
 	defer hs.Close()
+	before, _ := scrape(t, hs.URL)
 
 	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(10),
 		ldp.WithRemoteHTTPClient(hs.Client()))
@@ -119,16 +179,49 @@ func TestCollectorServiceMetrics(t *testing.T) {
 	if _, err := rcol.Snap(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// The rest of the scripted traffic: a checkpoint, then a keyed batch
+	// retried once (one replay, and WAL lag past the checkpoint), a frame
+	// that does not decode, and the same query twice (one estimator build,
+	// one hit).
+	if err := col.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	keyed := []ldp.Report{{Index: 1}, {Index: 2}, {Index: 3}}
+	for range 2 {
+		if status, _ := postFrame(t, hs, "obs-keyed", keyed); status != http.StatusOK {
+			t.Fatalf("keyed batch = %d, want 200", status)
+		}
+	}
+	if status, _ := postBody(t, hs, "", []byte("not a frame")); status != http.StatusBadRequest {
+		t.Fatalf("garbage frame = %d, want 400", status)
+	}
+	qc, err := transport.NewClient(hs.URL, hs.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		q := transport.QueryRequest{Workload: "Histogram", Domain: domain, Digest: ldp.WorkloadDigest(w)}
+		if _, err := qc.PostQuery(ctx, q, func(transport.QueryRow) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	text, samples := scrape(t, hs.URL)
 	checkCatalogGolden(t, "metrics_catalog_collector.golden", text)
+	checkFamiliesMove(t, before, text, map[string]string{
+		"ldp_build_info":                  "pinned at startup",
+		"ldp_recovery_restored":           "pinned at open; only a restart moves it",
+		"ldp_recovery_replayed_records":   "pinned at open; only a restart moves it",
+		"ldp_recovery_replayed_reports":   "pinned at open; only a restart moves it",
+		"ldp_recovery_dropped_tail_bytes": "pinned at open; only a restart moves it",
+	})
 
 	for _, probe := range []struct {
 		name, labels string
 		want         float64
 	}{
-		{"ldp_collector_ingest_reports_total", "", total},
-		{"ldp_collector_reports", "", total},
+		{"ldp_collector_ingest_reports_total", "", total + 3},
+		{"ldp_collector_reports", "", total + 3},
 		{"ldp_build_info", "", 1},
 	} {
 		if got, ok := obs.SampleValue(samples, probe.name, probe.labels); !ok || got != probe.want {
@@ -148,11 +241,12 @@ func TestCollectorServiceMetrics(t *testing.T) {
 }
 
 // The router's /metrics mirrors the same guarantees for the fan-in tier:
-// lint-clean golden catalog, fleet membership gauges, and merge/forward
-// counters that move with routed traffic.
+// lint-clean golden catalog, every family moving under routed traffic but the
+// ones listed idle, and exact fleet membership, probe and merge values.
 func TestFleetServerMetrics(t *testing.T) {
 	const domain, total = 16, 40
 	_, fs, hs, _, agg, w := routerFixture(t, domain, 3)
+	before, _ := scrape(t, hs.URL)
 	fs.Probe(context.Background()) // populate the probe-outcome and per-shard gauge families
 
 	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(8),
@@ -176,6 +270,14 @@ func TestFleetServerMetrics(t *testing.T) {
 
 	text, samples := scrape(t, hs.URL)
 	checkCatalogGolden(t, "metrics_catalog_router.golden", text)
+	checkFamiliesMove(t, before, text, map[string]string{
+		"ldp_build_info":                  "pinned at startup",
+		"ldp_fleet_members":               "every shard registers before the first scrape, and none leaves",
+		"ldp_fleet_ready_members":         "every shard registers ready before the first scrape, and stays ready",
+		"ldp_fleet_coverage_stale":        "every shard answers, so no merge serves a stale one",
+		"ldp_fleet_coverage_missing":      "every shard answers, so no merge misses one",
+		"ldp_fleet_forward_retries_total": "no forward fails, so none is retried",
+	})
 
 	for _, probe := range []struct {
 		name, labels string

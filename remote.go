@@ -115,7 +115,6 @@ func DefaultRemoteRetryPolicy() RetryPolicy {
 		MaxAttempts:       4,
 		InitialBackoff:    100 * time.Millisecond,
 		MaxBackoff:        2 * time.Second,
-		Multiplier:        2,
 		Jitter:            0.5,
 		PerAttemptTimeout: 30 * time.Second,
 	}
@@ -195,30 +194,18 @@ func NewRemoteCollector(baseURL string, agg Aggregator, w Workload, opts ...Remo
 	return rc, nil
 }
 
-// Verify asks the server for its identity and rejects a mechanism mismatch —
-// reports randomized under one configuration must not be aggregated under
-// another. Each field is matched when both sides declare it: mechanism name,
-// ε, and — for strategy matrices, where name/domain/ε cannot distinguish two
-// different matrices — the StrategyDigest of the exact channel.
-func (rc *RemoteCollector) Verify(ctx context.Context, mechanism string, eps float64, digest string) error {
+// Verify asks the server for its identity and refuses a mechanism mismatch
+// through the same door as every snapshot (admit): reports randomized under
+// one configuration must not be aggregated under another. /healthz states no
+// accumulator, so the width it is held to is its declared domain.
+func (rc *RemoteCollector) Verify(ctx context.Context) error {
 	h, err := rc.client.Healthz(ctx)
 	if err != nil {
 		return fmt.Errorf("ldp: remote collector unreachable: %w", err)
 	}
-	if h.Domain != rc.agg.Domain() {
-		return fmt.Errorf("%w: remote collector domain %d, local mechanism domain %d", errMechanismMismatch, h.Domain, rc.agg.Domain())
-	}
-	if err := infoMismatch(h.Info, MechanismInfo{Mechanism: mechanism, Epsilon: eps, Digest: digest}); err != nil {
-		return fmt.Errorf("%w: remote collector aggregates under a different mechanism configuration: %w", errMechanismMismatch, err)
-	}
-	return nil
+	_, err = admit("remote collector", rc.info, rc.agg.Domain(), h.Info, h.Domain)
+	return err
 }
-
-// errMechanismMismatch marks both of Verify's identity rejections — the shard
-// answered and declared a different domain or mechanism — apart from the
-// shard being unreachable, so Fleet.Register refuses the one and admits the
-// other gated-out without reading message text.
-var errMechanismMismatch = errors.New("ldp: mechanism mismatch")
 
 // Ingest buffers one client report, shipping a frame when the batch size is
 // reached. Call Flush before reading estimates.
@@ -441,8 +428,8 @@ func (rc *RemoteCollector) snapAt(ctx context.Context, epoch uint64, nearest boo
 // fetch is the one fetch-and-verify behind Snap and SnapAt: get runs under
 // the retry policy (a truncated or garbled frame reads as a decode error, not
 // a status: it is transient, the next fetch re-reads, so it retries too), and
-// the answer is accepted only when its state width and declared mechanism
-// identity match the local mechanism. what names the read in the error.
+// the answer is accepted only through admit. what names the read in the
+// error.
 func (rc *RemoteCollector) fetch(ctx context.Context, what string, get func(context.Context) (transport.Snapshot, error)) (Snapshot, error) {
 	var ts transport.Snapshot
 	err := retry.Do(ctx, rc.policy, func(actx context.Context) error {
@@ -455,14 +442,7 @@ func (rc *RemoteCollector) fetch(ctx context.Context, what string, get func(cont
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("ldp: %s: %w", what, err)
 	}
-	if len(ts.State) != rc.agg.StateLen() {
-		return Snapshot{}, fmt.Errorf("ldp: remote snapshot has %d state entries, local mechanism expects %d — mechanism mismatch", len(ts.State), rc.agg.StateLen())
-	}
-	if err := infoMismatch(rc.info, ts.Info); err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: remote snapshot aggregated under a different mechanism configuration: %w", err)
-	}
-	// ts.State is freshly decoded and exclusively ours — no defensive copy.
-	return Snapshot{state: ts.State, count: ts.Count, epoch: ts.Epoch, info: mergeInfo(ts.Info, rc.info)}, nil
+	return admitSnapshot("remote snapshot", rc.info, rc.agg.StateLen(), ts)
 }
 
 // collectorBackend adapts a Collector to the transport's Backend contract by

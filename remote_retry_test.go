@@ -20,7 +20,6 @@ func fastRetryPolicy(attempts int, slept *[]time.Duration) ldp.RetryPolicy {
 		MaxAttempts:    attempts,
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     80 * time.Millisecond,
-		Multiplier:     2,
 		Jitter:         0,
 		Rand:           func() float64 { return 0 },
 		Sleep: func(ctx context.Context, d time.Duration) error {

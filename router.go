@@ -216,8 +216,8 @@ func (s *FleetServer) EnableQueries(agg Aggregator, opts ...PoolOption) error {
 	if agg == nil {
 		return errors.New("ldp: nil aggregator")
 	}
-	if got, want := MechanismInfoOf(agg), s.fleet.Info(); got != want {
-		return fmt.Errorf("ldp: query aggregator is %+v, fleet aggregates under %+v — mechanism mismatch", got, want)
+	if _, err := admit("query aggregator", s.fleet.info, s.fleet.agg.StateLen(), MechanismInfoOf(agg), agg.StateLen()); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.queryAgg = agg

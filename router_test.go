@@ -54,8 +54,7 @@ func TestRouterTransparentToRemoteCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	info := ldp.MechanismInfoOf(agg)
-	if err := rcol.Verify(ctx, info.Mechanism, info.Epsilon, info.Digest); err != nil {
+	if err := rcol.Verify(ctx); err != nil {
 		t.Fatalf("identity handshake through the router: %v", err)
 	}
 	for i := 0; i < total; i++ {

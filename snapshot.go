@@ -42,28 +42,64 @@ func MechanismInfoOf(agg Aggregator) MechanismInfo {
 	return info
 }
 
+// errMechanismMismatch marks every refusal of admit: the other side answered
+// and is a different mechanism. Callers tell that apart from weather without
+// reading message text (Fleet.Register refuses the one and admits the other
+// gated-out).
+var errMechanismMismatch = errors.New("ldp: mechanism mismatch")
+
+// admit is the one door a snapshot from elsewhere passes before it is read
+// under a local mechanism: a shard's /snapshot or /healthz, a checkpoint, a
+// second snapshot to merge or diff, a snapshot handed to an Estimator, a query
+// aggregator joining a fleet. The reconstruction is unbiased only under the
+// mechanism that randomized the reports, so the rule is stated here once:
+// the width must be equal, then every identity field both sides declare must
+// agree (infoMismatch). door names the crossing in the refusal, which wraps
+// errMechanismMismatch. On success admit returns the combined identity,
+// declared fields preferred, so a v1 snapshot merged with a v2 one keeps the
+// richer identity.
+func admit(door string, want MechanismInfo, width int, got MechanismInfo, gotWidth int) (MechanismInfo, error) {
+	if gotWidth != width {
+		return MechanismInfo{}, fmt.Errorf("%w: %s is %d wide, want %d", errMechanismMismatch, door, gotWidth, width)
+	}
+	if err := infoMismatch(want, got); err != nil {
+		return MechanismInfo{}, fmt.Errorf("%w: %s declares %w", errMechanismMismatch, door, err)
+	}
+	return mergeInfo(want, got), nil
+}
+
+// admitSnapshot passes a decoded transport snapshot through admit and wraps
+// it. ts.State is freshly decoded and exclusively the caller's, so it is not
+// copied.
+func admitSnapshot(door string, want MechanismInfo, width int, ts transport.Snapshot) (Snapshot, error) {
+	info, err := admit(door, want, width, ts.Info, len(ts.State))
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return Snapshot{state: ts.State, count: ts.Count, epoch: ts.Epoch, info: info}, nil
+}
+
 // infoMismatch compares two identities field-wise, each field only when both
-// sides declare it (a zero value means undeclared). It returns a descriptive
-// error on the first conflict — the digest check is what keeps two different
-// strategy matrices with identical name/domain/ε from being conflated.
-func infoMismatch(a, b MechanismInfo) error {
-	if a.Domain != 0 && b.Domain != 0 && a.Domain != b.Domain {
-		return fmt.Errorf("domain %d vs %d", a.Domain, b.Domain)
+// sides declare it (a zero value means undeclared). It names the first
+// conflicting field — the digest check is what keeps two different strategy
+// matrices with identical name/domain/ε from being conflated.
+func infoMismatch(want, got MechanismInfo) error {
+	if want.Domain != 0 && got.Domain != 0 && want.Domain != got.Domain {
+		return fmt.Errorf("domain %d, want %d", got.Domain, want.Domain)
 	}
-	if a.Mechanism != "" && b.Mechanism != "" && a.Mechanism != b.Mechanism {
-		return fmt.Errorf("mechanism %q vs %q", a.Mechanism, b.Mechanism)
+	if want.Mechanism != "" && got.Mechanism != "" && want.Mechanism != got.Mechanism {
+		return fmt.Errorf("mechanism %q, want %q", got.Mechanism, want.Mechanism)
 	}
-	if a.Epsilon > 0 && b.Epsilon > 0 && a.Epsilon != b.Epsilon {
-		return fmt.Errorf("ε %v vs %v", a.Epsilon, b.Epsilon)
+	if want.Epsilon > 0 && got.Epsilon > 0 && want.Epsilon != got.Epsilon {
+		return fmt.Errorf("ε %v, want %v", got.Epsilon, want.Epsilon)
 	}
-	if a.Digest != "" && b.Digest != "" && a.Digest != b.Digest {
-		return fmt.Errorf("mechanism digest %s vs %s", a.Digest, b.Digest)
+	if want.Digest != "" && got.Digest != "" && want.Digest != got.Digest {
+		return fmt.Errorf("mechanism digest %s, want %s", got.Digest, want.Digest)
 	}
 	return nil
 }
 
-// mergeInfo combines two compatible identities, preferring declared fields —
-// so merging a v2 snapshot with a v1 one keeps the richer identity.
+// mergeInfo combines two compatible identities, preferring declared fields.
 func mergeInfo(a, b MechanismInfo) MechanismInfo {
 	out := a
 	if out.Mechanism == "" {
@@ -135,11 +171,9 @@ func (s Snapshot) Info() MechanismInfo { return s.info }
 // included) or an accumulator-width mismatch; reports randomized under one
 // configuration must never be summed under another.
 func (s Snapshot) Merge(other Snapshot) (Snapshot, error) {
-	if err := infoMismatch(s.info, other.info); err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: cannot merge snapshots: %w", err)
-	}
-	if len(s.state) != len(other.state) {
-		return Snapshot{}, fmt.Errorf("ldp: cannot merge snapshots: state width %d vs %d", len(s.state), len(other.state))
+	info, err := admit("merged snapshot", s.info, len(s.state), other.info, len(other.state))
+	if err != nil {
+		return Snapshot{}, err
 	}
 	merged := make([]float64, len(s.state))
 	for i := range merged {
@@ -153,7 +187,7 @@ func (s Snapshot) Merge(other Snapshot) (Snapshot, error) {
 		state: merged,
 		count: s.count + other.count,
 		epoch: epoch,
-		info:  mergeInfo(s.info, other.info),
+		info:  info,
 	}, nil
 }
 
@@ -165,19 +199,21 @@ func (s Snapshot) Merge(other Snapshot) (Snapshot, error) {
 // a.Diff(b).Merge(b) is bit-identical to a.
 //
 // Diff rejects a mechanism-identity conflict or width mismatch like Merge,
-// and additionally refuses epoch inversion (other.Epoch() > s.Epoch()): a
-// window's endpoints must be ordered, and subtracting a newer snapshot from
-// an older one would fabricate negative report counts. The result keeps the
-// newer endpoint's epoch.
+// and additionally refuses an inverted window: an older epoch
+// (other.Epoch() > s.Epoch()) or an older count (other.Count() > s.Count())
+// past the newer one. Either fabricates negative report counts — a fleet
+// merge that lost a shard the baseline had is the count case. The result
+// keeps the newer endpoint's epoch.
 func (s Snapshot) Diff(other Snapshot) (Snapshot, error) {
-	if err := infoMismatch(s.info, other.info); err != nil {
-		return Snapshot{}, fmt.Errorf("ldp: cannot diff snapshots: %w", err)
-	}
-	if len(s.state) != len(other.state) {
-		return Snapshot{}, fmt.Errorf("ldp: cannot diff snapshots: state width %d vs %d", len(s.state), len(other.state))
+	info, err := admit("older snapshot", s.info, len(s.state), other.info, len(other.state))
+	if err != nil {
+		return Snapshot{}, err
 	}
 	if other.epoch > s.epoch {
 		return Snapshot{}, fmt.Errorf("ldp: cannot diff snapshots: epoch inversion (older epoch %d > newer epoch %d)", other.epoch, s.epoch)
+	}
+	if other.count > s.count {
+		return Snapshot{}, fmt.Errorf("ldp: cannot diff snapshots: count inversion (older count %g > newer count %g)", other.count, s.count)
 	}
 	diff := make([]float64, len(s.state))
 	for i := range diff {
@@ -187,7 +223,7 @@ func (s Snapshot) Diff(other Snapshot) (Snapshot, error) {
 		state: diff,
 		count: s.count - other.count,
 		epoch: s.epoch,
-		info:  mergeInfo(s.info, other.info),
+		info:  info,
 	}, nil
 }
 

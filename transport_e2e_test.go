@@ -121,7 +121,7 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			if err := rcol.Verify(ctx, name, m.rz.Epsilon(), m.digest); err != nil {
+			if err := rcol.Verify(ctx); err != nil {
 				t.Fatal(err)
 			}
 			if err := rcol.IngestBatch(ctx, reports); err != nil {
@@ -183,18 +183,25 @@ func TestVerifyRejectsStrategyDigestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := startCollectorServer(t, agg, w, ldp.MechanismInfo{
-		Mechanism: "strategy", Domain: n, Epsilon: 1, Digest: ldp.StrategyDigest(served),
-	})
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
+	otherAgg, err := ldp.NewAggregator(other)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hs := startCollectorServer(t, agg, w, ldp.MechanismInfo{
+		Mechanism: "strategy", Domain: n, Epsilon: 1, Digest: ldp.StrategyDigest(served),
+	})
+	client := func(a ldp.Aggregator) *ldp.RemoteCollector {
+		rcol, err := ldp.NewRemoteCollector(hs.URL, a, w, ldp.WithRemoteHTTPClient(hs.Client()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rcol
+	}
 	ctx := context.Background()
-	if err := rcol.Verify(ctx, "strategy", 1, ldp.StrategyDigest(other)); err == nil {
+	if err := client(otherAgg).Verify(ctx); err == nil {
 		t.Fatal("client with a different strategy matrix passed the handshake")
 	}
-	if err := rcol.Verify(ctx, "strategy", 1, ldp.StrategyDigest(served)); err != nil {
+	if err := client(agg).Verify(ctx); err != nil {
 		t.Fatalf("matching strategy rejected: %v", err)
 	}
 }

@@ -8,33 +8,9 @@ import (
 // Windowed estimation: every read-path method works on any Snapshot, and
 // Snapshot.Diff of two snapshots from the same timeline IS a snapshot of the
 // reports that arrived between them (accumulators are integer-valued sums, so
-// the subtraction is exact). The helpers here just package the idiom — diff,
-// then estimate — and the trend detector runs it across a retained epoch
+// the subtraction is exact). A window's estimate is Diff, then any Estimator
+// read; the trend detector here runs that idiom across a retained epoch
 // ladder.
-
-// WindowEstimate returns the unbiased data-vector estimate for the reports
-// that arrived in the window (older, newer]: newer.Diff(older) reconstructed
-// exactly as DataEstimate would for a collector that absorbed only those
-// reports. Both snapshots must come from the same timeline (one collector or
-// one fleet merge set) — the Diff refuses mismatched identities and epoch
-// inversion.
-func (e *Estimator) WindowEstimate(newer, older Snapshot) ([]float64, error) {
-	d, err := newer.Diff(older)
-	if err != nil {
-		return nil, err
-	}
-	return e.DataEstimate(d)
-}
-
-// WindowAnswers returns the unbiased workload answers W·x̂ for the reports
-// that arrived in the window (older, newer].
-func (e *Estimator) WindowAnswers(newer, older Snapshot) ([]float64, error) {
-	d, err := newer.Diff(older)
-	if err != nil {
-		return nil, err
-	}
-	return e.Answers(d)
-}
 
 // WindowStat describes one window (From, To] of a trend scan: its epoch
 // bounds, the report count that arrived in it, and the clamped, normalized
@@ -105,8 +81,10 @@ func (e *Estimator) windowFreq(d Snapshot) ([]float64, error) {
 // a frequency profile, and consecutive windows are compared: the per-cell
 // rate of change says which cells are moving, the L∞/TV scores say how much
 // the distribution as a whole moved. Rungs that add no epochs or no reports
-// are skipped (an empty window has no distribution to compare). At least two
-// windows — three effective rungs — are needed for one TrendPoint.
+// are skipped (an empty window has no distribution to compare); a rung with
+// fewer reports than the one before is an error (Diff refuses the count
+// inversion). At least two windows — three effective rungs — are needed for
+// one TrendPoint.
 func (e *Estimator) Trend(ladder []Snapshot) (Trend, error) {
 	var tr Trend
 	if len(ladder) < 2 {
