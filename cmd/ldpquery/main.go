@@ -409,9 +409,8 @@ func (f *fanIn) epochsAdvanced(ctx context.Context) bool {
 }
 
 // printRows prints est's rows over snap from the streams POST /query
-// answers with: AnswerStream when CIs are asked for (it refuses a level
-// outside (0,1)), Answers beside VarianceStream for variances, Answers
-// alone otherwise.
+// answers with: Answers alone, or AnswerStream at level (0 for variances
+// without CIs; it refuses a level outside [0, 1)).
 func printRows(out io.Writer, est *ldp.Estimator, snap ldp.Snapshot, level float64, variance bool, head int) error {
 	withCI := level != 0
 	withVar := variance || withCI
@@ -422,7 +421,7 @@ func printRows(out io.Writer, est *ldp.Estimator, snap ldp.Snapshot, level float
 		printRow(out, row, withVar, withCI)
 		return true
 	}
-	if withCI {
+	if withVar {
 		return est.AnswerStream(snap, level, func(a ldp.QueryAnswer) bool {
 			return emit(transport.QueryRow{Index: a.Index, Answer: a.Answer, Variance: a.Variance, Low: a.CI.Low, High: a.CI.High})
 		})
@@ -430,11 +429,6 @@ func printRows(out io.Writer, est *ldp.Estimator, snap ldp.Snapshot, level float
 	answers, err := est.Answers(snap)
 	if err != nil {
 		return err
-	}
-	if withVar {
-		return est.VarianceStream(snap, func(i int, v float64) bool {
-			return emit(transport.QueryRow{Index: i, Answer: answers[i], Variance: v})
-		})
 	}
 	for i, a := range answers {
 		if !emit(transport.QueryRow{Index: i, Answer: a}) {

@@ -358,11 +358,14 @@ func (e *Estimator) VarianceStream(s Snapshot, fn func(i int, v float64) bool) e
 // AnswerStream streams the full read path — unbiased answer, closed-form
 // variance, and the confidence interval at the given two-sided level — one
 // query row at a time, calling fn per row in query order until fn returns
-// false or the workload is exhausted. The answers are the same values (bit
-// for bit) Answers returns, the variances the ones VarianceStream yields.
+// false or the workload is exhausted. Level 0 asks for no interval: the rows
+// carry a zero CI. The answers are the same values (bit for bit) Answers
+// returns, the variances the ones VarianceStream yields.
 func (e *Estimator) AnswerStream(s Snapshot, level float64, fn func(QueryAnswer) bool) error {
-	if math.IsNaN(level) || level <= 0 || level >= 1 {
-		return fmt.Errorf("ldp: confidence level %v outside (0, 1)", level)
+	if level != 0 {
+		if err := checkLevel(level); err != nil {
+			return err
+		}
 	}
 	answers, err := e.Answers(s)
 	if err != nil {
@@ -370,10 +373,21 @@ func (e *Estimator) AnswerStream(s Snapshot, level float64, fn func(QueryAnswer)
 	}
 	z := math.Sqrt2 * math.Erfinv(level)
 	return e.VarianceStream(s, func(i int, v float64) bool {
-		half := z * math.Sqrt(v)
-		a := answers[i]
-		return fn(QueryAnswer{Index: i, Answer: a, Variance: v, CI: Interval{Low: a - half, High: a + half}})
+		qa := QueryAnswer{Index: i, Answer: answers[i], Variance: v}
+		if level != 0 {
+			half := z * math.Sqrt(v)
+			qa.CI = Interval{Low: qa.Answer - half, High: qa.Answer + half}
+		}
+		return fn(qa)
 	})
+}
+
+// checkLevel refuses a two-sided confidence level outside (0, 1).
+func checkLevel(level float64) error {
+	if math.IsNaN(level) || level <= 0 || level >= 1 {
+		return fmt.Errorf("ldp: confidence level %v outside (0, 1)", level)
+	}
+	return nil
 }
 
 // ConfidenceIntervals returns per-query normal-approximation confidence
@@ -383,6 +397,9 @@ func (e *Estimator) AnswerStream(s Snapshot, level float64, fn func(QueryAnswer)
 // justified by the CLT: every answer is a sum of N independent per-user
 // contributions.
 func (e *Estimator) ConfidenceIntervals(s Snapshot, level float64) ([]Interval, error) {
+	if err := checkLevel(level); err != nil {
+		return nil, err
+	}
 	out := make([]Interval, 0, e.work.Queries())
 	if err := e.AnswerStream(s, level, func(a QueryAnswer) bool { out = append(out, a.CI); return true }); err != nil {
 		return nil, err

@@ -61,9 +61,6 @@ type Options struct {
 	// ε and column count n. When nil, the random initialization of Section 4
 	// is used.
 	Init *strategy.Strategy
-	// Tol stops early when the relative objective improvement over 25
-	// iterations falls below it (default 1e-8).
-	Tol float64
 	// OnIteration, when non-nil, observes (iteration, objective) pairs: once
 	// per accepted iteration of the main run, in order. When the main run
 	// resumes the winning step-size pilot, the pilot's iterations are
@@ -87,9 +84,6 @@ func (o *Options) withDefaults(n int) Options {
 	}
 	if out.Iters <= 0 {
 		out.Iters = 500
-	}
-	if out.Tol <= 0 {
-		out.Tol = 1e-8
 	}
 	return out
 }
@@ -189,7 +183,6 @@ func searchStepSize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) 
 	best, bestObj := 0.0, math.Inf(1)
 	var winner *descent
 	pilot := o
-	pilot.Tol = 1e-12
 	// Pilot iterations are an implementation detail: observers see only the
 	// main run's monotone iteration stream. Cancellation still applies —
 	// advance checks Ctx every iteration.
@@ -238,7 +231,7 @@ func searchStepSize(gram *linalg.Matrix, eps float64, o Options, ws *Workspace) 
 type descent struct {
 	gram  *linalg.Matrix
 	eps   float64
-	o     Options // advance reads Tol, OnIteration and Ctx
+	o     Options // advance reads OnIteration and Ctx
 	ws    *Workspace
 	prior []float64
 
@@ -349,8 +342,8 @@ func (d *descent) project(z []float64) error {
 // the main run's first pilotIters, bit for bit, when it never halved β (the
 // restart begins at the pilot's final β, and a halving is the only thing
 // that separates the two trajectories) and the main run is at least that
-// long. Tol first acts at iteration checkEvery > pilotIters, so from there
-// only the observer differs.
+// long. The stall check first acts at iteration checkEvery > pilotIters, so
+// from there only the observer differs.
 func (d *descent) resumable(iters int) bool {
 	return d != nil && !d.halved && iters >= pilotIters
 }
@@ -450,7 +443,7 @@ func (d *descent) advance(iters int) error {
 			d.o.OnIteration(t, d.obj)
 		}
 		if d.t%checkEvery == 0 {
-			if d.lastCheck-d.bestObj <= d.o.Tol*math.Abs(d.lastCheck) {
+			if d.lastCheck-d.bestObj <= stallTol*math.Abs(d.lastCheck) {
 				// Stalled: decay the step ("smaller step sizes typically work
 				// better in later iterations", Section 4) and keep going; stop
 				// only after repeated fruitless decays.
@@ -469,6 +462,11 @@ func (d *descent) advance(iters int) error {
 
 // checkEvery is the stall-check period, in iterations.
 const checkEvery = 50
+
+// stallTol is the stall check's bound: when the best objective improved by
+// no more than stallTol relative to the last check, checkEvery iterations
+// ago, β is halved, and nine halvings in a row stop the run.
+const stallTol = 1e-8
 
 // result reads the descent's outcome off it. The Strategy aliases the
 // workspace's best-iterate buffer, so the workspace must not start another

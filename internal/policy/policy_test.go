@@ -992,9 +992,9 @@ func (c *Collector) replayInto(acc []float64, reports []Report) error {
 	// Per-query variance has one implementation: varianceForm in estimator.go
 	// (w_iᵀ·Ĉov(x̂)·w_i per snapshot, with Ĉov = B·diag(y)·Bᵀ − diag(B·y) for
 	// a strategy and the diagonal of CountVariance(x̂_j, N) for an oracle).
-	// Variance, VarianceStream, AnswerStream,
-	// ConfidenceIntervals, AnswerBatch and POST /query collect that one loop.
-	// A second way to compute the same number — a materialized V = W·B, a
+	// Variance, VarianceStream, AnswerStream and ConfidenceIntervals collect
+	// that one loop; AnswerBatch, POST /query and ldpquery read it through
+	// them. A second way to compute the same number — a materialized V = W·B, a
 	// per-row rebuild, a row cache, a size refusal — brings back the
 	// bit-identity contract between them.
 	{
@@ -1007,6 +1007,120 @@ func (c *Collector) replayInto(acc []float64, reports []Report) error {
 		fixtures: []fixture{{"fixture.go", `package ldp
 
 const maxVarianceElems = 1 << 24
+`}},
+	},
+	// One read path: the unbiased answers W·x̂ and their variances are read
+	// through an Estimator alone. In the root package x̂ is computed
+	// (Aggregator.EstimateCounts) and the variance form built
+	// (newVarianceForm) only in estimator.go; AnswerBatch, POST /query and
+	// ldpquery call the pooled estimator's reads. A batch path with its own x̂,
+	// its own shared form and a snapshot-pinned answer cache beside it was a
+	// second statement of every read, held bit-equal to the first by tests.
+	{
+		name: "One read path",
+		check: func(tr *tree) []string {
+			const msg = "read answers and variances through the Estimator (estimator.go) instead of the second read path above"
+			var out []string
+			each(tr.goFiles(and(nonTest, under("."))), func(f *srcFile, c *ast.CallExpr) {
+				if name := calleeName(c); (name == "EstimateCounts" || name == "newVarianceForm") && path.Base(f.rel) != "estimator.go" {
+					out = append(out, tr.site(c, msg))
+				}
+			})
+			return append(out, identsContaining(tr, tr.goFiles(anyFile), msg,
+				"answerHolder", "cachedAnswer", "hashRow", "AnswerHits", "AnswerInvalidations")...)
+		},
+		fixtures: []fixture{{"pool_batch.go", `package ldp
+
+func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Workload, opts ...BatchOption) ([]BatchAnswer, error) {
+	var cfg batchConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if len(workloads) == 0 {
+		return nil, nil
+	}
+	// Resolve every estimator first: identity and domain checks fail the
+	// batch before any computation, and the pool guarantees each distinct
+	// workload builds at most once.
+	digests := make([]string, len(workloads))
+	for i, w := range workloads {
+		est, err := p.Estimator(agg, w)
+		if err != nil {
+			return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
+		}
+		if err := est.Check(s); err != nil {
+			return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
+		}
+		digests[i] = p.workloadDigest(w)
+	}
+	// The answer cache pins one snapshot per mechanism identity: a batch
+	// observing a different snapshot (epoch advance, or any state change the
+	// fingerprint catches) invalidates the identity's cached answers first.
+	ik := p.identityKeyOf(agg)
+	hkey := answerHolderKey{epoch: s.epoch, countBits: math.Float64bits(s.count), stateHash: hashRow(s.state)}
+	holder := p.answerHolder(ik, hkey)
+
+	// The shared subexpression every workload needs: x̂ once, not k times —
+	// skipped when every workload in the batch is a cache hit.
+	var xh []float64
+	estimate := func() []float64 {
+		if xh == nil {
+			xh = agg.EstimateCounts(s.state, s.count)
+		}
+		return xh
+	}
+
+	// Likewise the variance form, built by the first miss that wants it.
+	var form *varianceForm
+	out := make([]BatchAnswer, len(workloads))
+	firstByDigest := make(map[string]int, len(workloads))
+	for i, w := range workloads {
+		ckey := digests[i]
+		if cfg.variance {
+			ckey += "|v"
+		}
+		if ca, ok := holder.lookup(p, ckey); ok {
+			out[i] = BatchAnswer{Workload: w, Digest: digests[i],
+				Answers: append([]float64(nil), ca.answers...)}
+			if ca.variance != nil {
+				out[i].Variance = append([]float64(nil), ca.variance...)
+			}
+			p.stats.answerHits.Add(1)
+			if _, seen := firstByDigest[digests[i]]; !seen {
+				firstByDigest[digests[i]] = i
+			}
+			continue
+		}
+		if j, ok := firstByDigest[digests[i]]; ok {
+			// Same digest, same workload: share the computation, copy the
+			// slices so callers own their results independently.
+			out[i] = BatchAnswer{Workload: w, Digest: digests[i],
+				Answers: append([]float64(nil), out[j].Answers...)}
+			if out[j].Variance != nil {
+				out[i].Variance = append([]float64(nil), out[j].Variance...)
+			}
+			continue
+		}
+		firstByDigest[digests[i]] = i
+		ba := BatchAnswer{Workload: w, Digest: digests[i], Answers: w.MatVec(estimate())}
+		if cfg.variance {
+			if form == nil {
+				var err error
+				if form, err = newVarianceForm(agg, s); err != nil {
+					return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
+				}
+			}
+			ba.Variance = make([]float64, w.Queries())
+			form.each(w, func(q int, v float64) bool { ba.Variance[q] = v; return true })
+		}
+		out[i] = ba
+		holder.store(p, ckey, cachedAnswer{
+			answers:  append([]float64(nil), ba.Answers...),
+			variance: append([]float64(nil), ba.Variance...),
+		})
+	}
+	return out, nil
+}
 `}},
 	},
 	// One M form: M = QᵀD_p⁻¹Q is formed in one place — strategy.NormalForm's
@@ -1617,8 +1731,9 @@ type idemCache struct {
 	// is decided in snapshot.go's admit alone — the width, then every
 	// identity field both sides declare, an undeclared (v1) field passing.
 	// Every crossing goes through it: a remote /snapshot and /healthz, a
-	// checkpoint and a retained one, Merge, Diff, Estimator.Check and
-	// FleetServer.EnableQueries. A call of infoMismatch or mergeInfo
+	// checkpoint and a retained one, Merge, Diff, Estimator.Check,
+	// FleetServer.EnableQueries and the identity NewCollectorService serves.
+	// A call of infoMismatch or mergeInfo
 	// elsewhere, or a MechanismInfo compared whole with == or != (which
 	// refuses a v1 frame's undeclared fields), is a second statement of the
 	// rule. The comparison is matched by type in the root package's non-test

@@ -169,6 +169,91 @@ func FuzzDecodeQueryFrame(f *testing.F) {
 	})
 }
 
+// FuzzDecodeQueryResult feeds arbitrary bytes to the query-result stream
+// decoder ldpquery -server reads a server's answer with. It must return an
+// error or a result — never panic — and a clean decode's rows, written back
+// through QueryResultWriter cut where the input's frames cut them, must be the
+// bytes the decoder read.
+func FuzzDecodeQueryResult(f *testing.F) {
+	// seed writes rows through a QueryResultWriter, flushing a frame after
+	// each of the given row counts, and seeds the stream less its last drop
+	// bytes.
+	seed := func(info QueryResultInfo, cuts []int, drop int) {
+		var buf bytes.Buffer
+		qw, err := NewQueryResultWriter(&buf, info)
+		if err != nil {
+			f.Fatal(err)
+		}
+		row := 0
+		for _, c := range append(cuts, info.TotalRows) {
+			for ; row < c; row++ {
+				v := float64(row) + 0.5
+				if err := qw.WriteRow(QueryRow{Answer: -v, Variance: v * v, Low: -2 * v, High: 0}); err != nil {
+					f.Fatal(err)
+				}
+			}
+			if c < info.TotalRows {
+				if err := qw.flush(); err != nil {
+					f.Fatal(err)
+				}
+			}
+		}
+		if err := qw.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes()[:buf.Len()-drop])
+	}
+	for _, flags := range []struct{ variance, ci bool }{{false, false}, {true, false}, {true, true}} {
+		info := QueryResultInfo{Count: 600, Epoch: 9, TotalRows: 5, HasVariance: flags.variance, HasCI: flags.ci}
+		seed(info, nil, 0)         // one frame
+		seed(info, []int{2, 2}, 0) // several frames, one of them empty
+		seed(info, []int{3}, 5)    // a stream truncated inside its last frame
+		seed(QueryResultInfo{HasVariance: flags.variance, HasCI: flags.ci}, nil, 0)
+	}
+	f.Add([]byte("LDPF"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rows []QueryRow
+		r := bytes.NewReader(data)
+		info, err := DecodeQueryResult(r, func(row QueryRow) bool { rows = append(rows, row); return true })
+		if err != nil {
+			return
+		}
+		read := data[:len(data)-r.Len()]
+		var out bytes.Buffer
+		qw, err := NewQueryResultWriter(&out, info)
+		if err != nil {
+			t.Fatalf("decoded header %+v refused by the writer: %v", info, err)
+		}
+		for frames := bytes.NewReader(read); frames.Len() > 0; {
+			payload, err := readFrame(frames, kindQueryResult)
+			if err != nil {
+				t.Fatalf("a frame the decoder read fails to read again: %v", err)
+			}
+			_, start, n, err := decodeQueryResultFrame(payload, func(QueryRow) bool { return true })
+			if err != nil {
+				t.Fatalf("a frame the decoder read fails to decode again: %v", err)
+			}
+			for _, row := range rows[start : start+n] {
+				if err := qw.WriteRow(row); err != nil {
+					t.Fatalf("decoded row %d failed to re-encode: %v", row.Index, err)
+				}
+			}
+			if frames.Len() > 0 {
+				if err := qw.flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := qw.Close(); err != nil {
+			t.Fatalf("decoded result failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), read) {
+			t.Fatalf("result changed across re-encode:\n got %x\nread %x", out.Bytes(), read)
+		}
+	})
+}
+
 func sampleReportsF() []protocol.Report {
 	return []protocol.Report{
 		{Index: 3},

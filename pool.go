@@ -43,10 +43,6 @@ type EstimatorPool struct {
 	named flightCache[Workload]
 
 	mu sync.Mutex
-	// answers caches AnswerBatch results per mechanism identity, valid for
-	// exactly one observed snapshot: an advance of the snapshot (epoch, count,
-	// state fingerprint) drops the identity's entries wholesale.
-	answers map[string]*answerHolder
 	// digests memoizes WorkloadDigest per workload instance: the digest hashes
 	// every entry of W (O(p·n) time, ≈ 0.1 s for AllRange(256)), far too
 	// expensive to recompute on every pool lookup of a long-lived workload value.
@@ -103,32 +99,14 @@ func (c *flightCache[V]) get(key string, build func() (V, error)) (v V, hit bool
 	return call.v, false, call.err
 }
 
-// answerHolder is one mechanism identity's cached batch answers, pinned to a
-// single snapshot. entries are keyed by (workload digest, variance flag).
-type answerHolder struct {
-	epoch     uint64
-	countBits uint64
-	stateHash uint64
-	entries   map[string]cachedAnswer
-}
-
-// cachedAnswer holds the immutable master copies; hits hand out fresh
-// slices so callers own their results, exactly as uncached answers do.
-type cachedAnswer struct {
-	answers  []float64
-	variance []float64
-}
-
 // poolCounters backs PoolStats with atomics so the hot path never takes the
 // pool lock just to count.
 type poolCounters struct {
-	estimatorBuilds     atomic.Uint64
-	estimatorHits       atomic.Uint64
-	optimizerRuns       atomic.Uint64
-	strategyMemHits     atomic.Uint64
-	strategyDiskHits    atomic.Uint64
-	answerHits          atomic.Uint64
-	answerInvalidations atomic.Uint64
+	estimatorBuilds  atomic.Uint64
+	estimatorHits    atomic.Uint64
+	optimizerRuns    atomic.Uint64
+	strategyMemHits  atomic.Uint64
+	strategyDiskHits atomic.Uint64
 }
 
 // PoolStats is a point-in-time snapshot of the pool's cache behavior —
@@ -145,14 +123,8 @@ type PoolStats struct {
 	StrategyMemHits  uint64
 	StrategyDiskHits uint64
 	// SharedRowHits is retired and always 0: the batch row cache it counted
-	// is gone (one n×n variance form per batch replaced it). The field stays
-	// only because bench/ still reads it.
+	// is gone. The field stays only because bench/ still reads it.
 	SharedRowHits uint64
-	// AnswerHits counts AnswerBatch workloads served from the snapshot-pinned
-	// answer cache; AnswerInvalidations counts identities whose cached answers
-	// were dropped because the observed snapshot advanced.
-	AnswerHits          uint64
-	AnswerInvalidations uint64
 }
 
 // PoolOption configures an EstimatorPool.
@@ -170,7 +142,6 @@ func WithPoolCacheDir(dir string) PoolOption {
 // NewEstimatorPool returns an empty pool.
 func NewEstimatorPool(opts ...PoolOption) *EstimatorPool {
 	p := &EstimatorPool{
-		answers: make(map[string]*answerHolder),
 		digests: make(map[Workload]string),
 		idkeys:  make(map[Aggregator]string),
 	}
@@ -195,13 +166,11 @@ func (p *EstimatorPool) enableMetrics(reg *obs.Registry) {
 // Stats returns a snapshot of the pool's cache counters.
 func (p *EstimatorPool) Stats() PoolStats {
 	return PoolStats{
-		EstimatorBuilds:     p.stats.estimatorBuilds.Load(),
-		EstimatorHits:       p.stats.estimatorHits.Load(),
-		OptimizerRuns:       p.stats.optimizerRuns.Load(),
-		StrategyMemHits:     p.stats.strategyMemHits.Load(),
-		StrategyDiskHits:    p.stats.strategyDiskHits.Load(),
-		AnswerHits:          p.stats.answerHits.Load(),
-		AnswerInvalidations: p.stats.answerInvalidations.Load(),
+		EstimatorBuilds:  p.stats.estimatorBuilds.Load(),
+		EstimatorHits:    p.stats.estimatorHits.Load(),
+		OptimizerRuns:    p.stats.optimizerRuns.Load(),
+		StrategyMemHits:  p.stats.strategyMemHits.Load(),
+		StrategyDiskHits: p.stats.strategyDiskHits.Load(),
 	}
 }
 
@@ -437,35 +406,16 @@ type batchConfig struct {
 // BatchOption configures AnswerBatch.
 type BatchOption func(*batchConfig)
 
-// WithBatchVariance makes AnswerBatch fill each result's Variance slice from
-// the mechanism's closed-form model, built once per batch.
+// WithBatchVariance makes AnswerBatch fill each result's Variance slice with
+// the closed-form per-query variances Estimator.Variance returns.
 func WithBatchVariance() BatchOption {
 	return func(c *batchConfig) { c.variance = true }
 }
 
-// hashRow mixes a vector's IEEE-754 bits a word at a time (FNV-style multiply
-// plus a shift-xor to spread high bits). It is the answer cache's state
-// fingerprint, not a wire format, so a fast 8-bytes-per-step mix beats
-// byte-accurate FNV.
-func hashRow(row []float64) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, v := range row {
-		h ^= math.Float64bits(v)
-		h *= prime64
-		h ^= h >> 29
-	}
-	return h
-}
-
-// AnswerBatch answers heterogeneous workloads over one snapshot with shared
-// computation: the data estimate x̂ (the dominant B·y reconstruction) is
-// computed once for the whole batch instead of once per workload, workloads
-// with equal digests are answered once, and — with WithBatchVariance — the
-// snapshot's n×n variance form is built once and read by every workload.
-// Results are returned in input order; answers and variances are
-// byte-identical to each workload's own Estimator read against the same
-// snapshot.
+// AnswerBatch answers heterogeneous workloads over one snapshot, one
+// workload at a time through the pool's estimator for it: each result's
+// Answers are that estimator's Answers and, with WithBatchVariance, its
+// Variance is that estimator's Variance. Results are returned in input order.
 func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Workload, opts ...BatchOption) ([]BatchAnswer, error) {
 	var cfg batchConfig
 	for _, o := range opts {
@@ -474,134 +424,19 @@ func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Work
 	if len(workloads) == 0 {
 		return nil, nil
 	}
-	// Resolve every estimator first: identity and domain checks fail the
-	// batch before any computation, and the pool guarantees each distinct
-	// workload builds at most once.
-	digests := make([]string, len(workloads))
+	out := make([]BatchAnswer, len(workloads))
 	for i, w := range workloads {
 		est, err := p.Estimator(agg, w)
+		if err == nil {
+			out[i].Answers, err = est.Answers(s)
+		}
+		if err == nil && cfg.variance {
+			out[i].Variance, err = est.Variance(s)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
 		}
-		if err := est.Check(s); err != nil {
-			return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
-		}
-		digests[i] = p.workloadDigest(w)
-	}
-	// The answer cache pins one snapshot per mechanism identity: a batch
-	// observing a different snapshot (epoch advance, or any state change the
-	// fingerprint catches) invalidates the identity's cached answers first.
-	ik := p.identityKeyOf(agg)
-	hkey := answerHolderKey{epoch: s.epoch, countBits: math.Float64bits(s.count), stateHash: hashRow(s.state)}
-	holder := p.answerHolder(ik, hkey)
-
-	// The shared subexpression every workload needs: x̂ once, not k times —
-	// skipped when every workload in the batch is a cache hit.
-	var xh []float64
-	estimate := func() []float64 {
-		if xh == nil {
-			xh = agg.EstimateCounts(s.state, s.count)
-		}
-		return xh
-	}
-
-	// Likewise the variance form, built by the first miss that wants it.
-	var form *varianceForm
-	out := make([]BatchAnswer, len(workloads))
-	firstByDigest := make(map[string]int, len(workloads))
-	for i, w := range workloads {
-		ckey := digests[i]
-		if cfg.variance {
-			ckey += "|v"
-		}
-		if ca, ok := holder.lookup(p, ckey); ok {
-			out[i] = BatchAnswer{Workload: w, Digest: digests[i],
-				Answers: append([]float64(nil), ca.answers...)}
-			if ca.variance != nil {
-				out[i].Variance = append([]float64(nil), ca.variance...)
-			}
-			p.stats.answerHits.Add(1)
-			if _, seen := firstByDigest[digests[i]]; !seen {
-				firstByDigest[digests[i]] = i
-			}
-			continue
-		}
-		if j, ok := firstByDigest[digests[i]]; ok {
-			// Same digest, same workload: share the computation, copy the
-			// slices so callers own their results independently.
-			out[i] = BatchAnswer{Workload: w, Digest: digests[i],
-				Answers: append([]float64(nil), out[j].Answers...)}
-			if out[j].Variance != nil {
-				out[i].Variance = append([]float64(nil), out[j].Variance...)
-			}
-			continue
-		}
-		firstByDigest[digests[i]] = i
-		ba := BatchAnswer{Workload: w, Digest: digests[i], Answers: w.MatVec(estimate())}
-		if cfg.variance {
-			if form == nil {
-				var err error
-				if form, err = newVarianceForm(agg, s); err != nil {
-					return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)
-				}
-			}
-			ba.Variance = make([]float64, w.Queries())
-			form.each(w, func(q int, v float64) bool { ba.Variance[q] = v; return true })
-		}
-		out[i] = ba
-		holder.store(p, ckey, cachedAnswer{
-			answers:  append([]float64(nil), ba.Answers...),
-			variance: append([]float64(nil), ba.Variance...),
-		})
+		out[i].Workload, out[i].Digest = w, p.workloadDigest(w)
 	}
 	return out, nil
-}
-
-// answerHolderKey is the snapshot fingerprint an answer cache entry is
-// pinned to: the producing collector's epoch plus the exact count bits and
-// an FNV fingerprint of the state, so two different snapshots that happen to
-// share an epoch (distinct shards, hand-merged values) can never alias.
-type answerHolderKey struct {
-	epoch     uint64
-	countBits uint64
-	stateHash uint64
-}
-
-// answerHolder returns the identity's holder for exactly this snapshot key,
-// dropping (invalidating) a holder pinned to an older snapshot.
-func (p *EstimatorPool) answerHolder(ik string, k answerHolderKey) *answerHolder {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	h, ok := p.answers[ik]
-	if ok && (h.epoch != k.epoch || h.countBits != k.countBits || h.stateHash != k.stateHash) {
-		ok = false
-		p.stats.answerInvalidations.Add(1)
-	}
-	if !ok {
-		h = &answerHolder{epoch: k.epoch, countBits: k.countBits, stateHash: k.stateHash,
-			entries: make(map[string]cachedAnswer)}
-		p.answers[ik] = h
-	}
-	return h
-}
-
-// lookup reads one cached answer under the pool lock.
-func (h *answerHolder) lookup(p *EstimatorPool, key string) (cachedAnswer, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ca, ok := h.entries[key]
-	return ca, ok
-}
-
-// store publishes one answer under the pool lock. The holder may already
-// have been invalidated and replaced by a concurrent batch on a newer
-// snapshot; storing into the orphaned holder is harmless — nobody can reach
-// it again.
-func (h *answerHolder) store(p *EstimatorPool, key string, ca cachedAnswer) {
-	if ca.variance != nil && len(ca.variance) == 0 {
-		ca.variance = nil // append(nil, empty...) yields nil already, but be explicit
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	h.entries[key] = ca
 }

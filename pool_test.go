@@ -249,9 +249,8 @@ func TestPoolEstimatorSingleflightRace(t *testing.T) {
 }
 
 // AnswerBatch must return, per workload, exactly what that workload's own
-// estimator returns — byte-identical answers and variances — while sharing
-// x̂ and the variance form across the batch, and deduplicating workloads with
-// equal digests.
+// estimator returns — byte-identical answers and variances — building each
+// distinct workload's estimator once.
 func TestAnswerBatchMatchesIndividualReads(t *testing.T) {
 	const n, users = 32, 600
 	for _, mech := range []string{"oracle", "strategy"} {

@@ -53,22 +53,12 @@ func answerQuery(pool *EstimatorPool, agg Aggregator, snap Snapshot, q transport
 		return err
 	}
 	var werr error
-	switch {
-	case q.WantCI:
+	if info.HasVariance {
 		err = est.AnswerStream(snap, q.Level, func(a QueryAnswer) bool {
 			werr = qw.WriteRow(transport.QueryRow{Answer: a.Answer, Variance: a.Variance, Low: a.CI.Low, High: a.CI.High})
 			return werr == nil
 		})
-	case q.WantVariance:
-		var answers []float64
-		answers, err = est.Answers(snap)
-		if err == nil {
-			err = est.VarianceStream(snap, func(i int, v float64) bool {
-				werr = qw.WriteRow(transport.QueryRow{Answer: answers[i], Variance: v})
-				return werr == nil
-			})
-		}
-	default:
+	} else {
 		var answers []float64
 		answers, err = est.Answers(snap)
 		for _, a := range answers {

@@ -513,7 +513,8 @@ func WithSlowRequestThreshold(d time.Duration) ServiceOption {
 // NewCollectorService binds an in-process Collector to the HTTP transport
 // and returns the service handle. info describes the mechanism for /healthz
 // and the snapshot frames; pass MechanismInfoOf(agg) unless the deployment
-// has a reason to declare less.
+// has a reason to declare less. An info that conflicts with the collector's
+// own identity is refused with a mechanism mismatch.
 //
 // The service is fully instrumented: GET /metrics serves per-endpoint
 // request counts and latency histograms, the collector's ingest counters
@@ -524,6 +525,16 @@ func WithSlowRequestThreshold(d time.Duration) ServiceOption {
 func NewCollectorService(c *Collector, info transport.Info, opts ...ServiceOption) (*CollectorService, error) {
 	if c == nil {
 		return nil, errors.New("ldp: nil collector")
+	}
+	// The identity the service declares must not conflict with the one the
+	// collector aggregates under. An undeclared field passes, the domain
+	// (which admit reads as the width) included.
+	domain := info.Domain
+	if domain == 0 {
+		domain = c.agg.Domain()
+	}
+	if _, err := admit("service identity", c.info, c.agg.Domain(), info, domain); err != nil {
+		return nil, err
 	}
 	var cfg serviceConfig
 	for _, o := range opts {
