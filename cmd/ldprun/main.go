@@ -140,7 +140,7 @@ func main() {
 	var snap ldp.Snapshot
 	if *remote != "" {
 		ctx := context.Background()
-		rcol, err := ldp.NewRemoteCollector(*remote, agg, w)
+		rcol, err := ldp.NewRemoteCollector(*remote, agg)
 		if err != nil {
 			fatal(err)
 		}

@@ -176,14 +176,15 @@ type varianceForm struct {
 }
 
 // newVarianceForm prepares the variance form of agg at snapshot s, which the
-// caller has already Checked against the mechanism.
-func newVarianceForm(agg Aggregator, s Snapshot) (*varianceForm, error) {
+// caller has already Checked against the mechanism, and at x, the caller's
+// x̂ of s (DataEstimate). x is read, never written.
+func newVarianceForm(agg Aggregator, s Snapshot, x []float64) (*varianceForm, error) {
 	switch a := agg.(type) {
 	case interface{ ReconT() *linalg.Matrix }:
-		return &varianceForm{reconT: a.ReconT(), y: s.state, x: agg.EstimateCounts(s.state, s.count)}, nil
+		return &varianceForm{reconT: a.ReconT(), y: s.state, x: x}, nil
 	case FrequencyOracle:
-		c := agg.EstimateCounts(s.state, s.count)
-		for j, xj := range c {
+		c := make([]float64, len(x))
+		for j, xj := range x {
 			c[j] = a.CountVariance(xj, s.count)
 		}
 		return &varianceForm{cdiag: c}, nil
@@ -344,10 +345,17 @@ type QueryAnswer struct {
 // the number of queries: one workload row at a time passes through the n×n
 // variance form.
 func (e *Estimator) VarianceStream(s Snapshot, fn func(i int, v float64) bool) error {
-	if err := e.Check(s); err != nil {
+	x, err := e.DataEstimate(s)
+	if err != nil {
 		return err
 	}
-	f, err := newVarianceForm(e.agg, s)
+	return e.varianceStream(s, x, fn)
+}
+
+// varianceStream is VarianceStream at the caller's x̂ of s, so a read that
+// needs both the answers and their variances checks s and computes x̂ once.
+func (e *Estimator) varianceStream(s Snapshot, x []float64, fn func(i int, v float64) bool) error {
+	f, err := newVarianceForm(e.agg, s, x)
 	if err != nil {
 		return err
 	}
@@ -367,12 +375,13 @@ func (e *Estimator) AnswerStream(s Snapshot, level float64, fn func(QueryAnswer)
 			return err
 		}
 	}
-	answers, err := e.Answers(s)
+	x, err := e.DataEstimate(s)
 	if err != nil {
 		return err
 	}
+	answers := e.work.MatVec(x)
 	z := math.Sqrt2 * math.Erfinv(level)
-	return e.VarianceStream(s, func(i int, v float64) bool {
+	return e.varianceStream(s, x, func(i int, v float64) bool {
 		qa := QueryAnswer{Index: i, Answer: answers[i], Variance: v}
 		if level != 0 {
 			half := z * math.Sqrt(v)

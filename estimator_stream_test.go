@@ -660,3 +660,52 @@ func (f *scalarForm) of(w []float64) float64 {
 	}
 	return v
 }
+
+// countingOracle counts the data estimates x̂ computed through it.
+type countingOracle struct {
+	ldp.FrequencyOracle
+	estimates int
+}
+
+func (c *countingOracle) EstimateCounts(state []float64, count float64) []float64 {
+	c.estimates++
+	return c.FrequencyOracle.EstimateCounts(state, count)
+}
+
+func (c *countingOracle) Epsilon() float64 {
+	return c.FrequencyOracle.(interface{ Epsilon() float64 }).Epsilon()
+}
+
+// A read that yields answers and variances checks its snapshot and computes
+// x̂ once, the answers and the variance form both reading it: AnswerStream at
+// any level, and AnswerBatch with variances once per workload.
+func TestReadsEstimateOnce(t *testing.T) {
+	const n = 32
+	oue, err := ldp.NewOUE(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := ingestSkewed(t, oue, ldp.Histogram(n), 600, 5)
+	agg := &countingOracle{FrequencyOracle: oue}
+	est, err := ldp.NewEstimator(agg, ldp.Prefix(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []float64{0, 0.95} {
+		agg.estimates = 0
+		if err := est.AnswerStream(snap, level, func(ldp.QueryAnswer) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if agg.estimates != 1 {
+			t.Fatalf("AnswerStream at level %v computed x̂ %d times, want 1", level, agg.estimates)
+		}
+	}
+	workloads := []ldp.Workload{ldp.Histogram(n), ldp.Prefix(n), ldp.AllRange(n)}
+	agg.estimates = 0
+	if _, err := ldp.NewEstimatorPool().AnswerBatch(agg, snap, workloads, ldp.WithBatchVariance()); err != nil {
+		t.Fatal(err)
+	}
+	if agg.estimates != len(workloads) {
+		t.Fatalf("AnswerBatch with variances over %d workloads computed x̂ %d times, want %d", len(workloads), agg.estimates, len(workloads))
+	}
+}

@@ -69,7 +69,7 @@ func TestFedMergeMatchesSingleCollector(t *testing.T) {
 			half := len(reports) / 2
 			for i, part := range [][]ldp.Report{reports[:half], reports[half:]} {
 				hs := startCollectorServer(t, m.agg, w, info)
-				rcol, err := ldp.NewRemoteCollector(hs.URL, m.agg, w,
+				rcol, err := ldp.NewRemoteCollector(hs.URL, m.agg,
 					ldp.WithRemoteBatch(113), ldp.WithRemoteHTTPClient(hs.Client()))
 				if err != nil {
 					t.Fatal(err)
@@ -162,7 +162,7 @@ func TestFedMergeConcurrent(t *testing.T) {
 	for s := 0; s < servers; s++ {
 		hs := startCollectorServer(t, mech.agg, w, info)
 		newShardClient[s] = func() (*ldp.RemoteCollector, error) {
-			return ldp.NewRemoteCollector(hs.URL, mech.agg, w,
+			return ldp.NewRemoteCollector(hs.URL, mech.agg,
 				ldp.WithRemoteBatch(64), ldp.WithRemoteHTTPClient(hs.Client()))
 		}
 	}

@@ -213,7 +213,6 @@ func (m *fleetMember) setReady(ready bool, reason string) {
 // A Fleet is safe for concurrent use.
 type Fleet struct {
 	agg            Aggregator
-	w              Workload
 	info           MechanismInfo
 	policy         RetryPolicy
 	breakerPolicy  BreakerPolicy
@@ -400,17 +399,17 @@ func WithFleetBindingLog(path string) FleetOption {
 	return func(f *Fleet) { f.bindingLogPath = path }
 }
 
-// NewFleet prepares an empty fleet aggregating under agg's mechanism and
-// answering w. Register shards with Register; route with IngestKeyed; read
-// with Snap.
+// NewFleet prepares an empty fleet aggregating under agg's mechanism, whose
+// domain must be w's — checked as NewCollector checks it. Register shards
+// with Register; route with IngestKeyed; read with Snap.
 func NewFleet(agg Aggregator, w Workload, opts ...FleetOption) (*Fleet, error) {
-	if agg == nil {
-		return nil, errors.New("ldp: nil aggregator")
+	info, err := checkedInfo(agg, w)
+	if err != nil {
+		return nil, err
 	}
 	f := &Fleet{
 		agg:            agg,
-		w:              w,
-		info:           MechanismInfoOf(agg),
+		info:           info,
 		policy:         DefaultRemoteRetryPolicy(),
 		staleFallback:  true,
 		unhealthyAfter: 2,
@@ -466,7 +465,7 @@ func (f *Fleet) Register(ctx context.Context, endpoint string) error {
 	if f.hc != nil {
 		opts = append(opts, WithRemoteHTTPClient(f.hc))
 	}
-	rc, err := NewRemoteCollector(endpoint, f.agg, f.w, opts...)
+	rc, err := NewRemoteCollector(endpoint, f.agg, opts...)
 	if err != nil {
 		return err
 	}

@@ -330,7 +330,7 @@ func TestRemoteSnapAtEndToEnd(t *testing.T) {
 	})
 	hs := httptest.NewServer(handler)
 	defer hs.Close()
-	rc, err := ldp.NewRemoteCollector(hs.URL, m.agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
+	rc, err := ldp.NewRemoteCollector(hs.URL, m.agg, ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,6 @@ func (b *scriptedHistory) setHist(count float64, epoch uint64, n int) {
 // regression high-water mark in either direction.
 func TestRemoteSnapAtRegressionAndHighWaterMark(t *testing.T) {
 	const n = 8
-	w := ldp.Histogram(n)
 	agg, err := ldp.NewAggregator(baselines.RandomizedResponse(n, 1.0).Strategy())
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +460,7 @@ func TestRemoteSnapAtRegressionAndHighWaterMark(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	rc, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
+	rc, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,6 +194,22 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // runs BEFORE the CRC verdict, so a file refused at its last byte has already
 // streamed every key: collect into something the caller discards on error.
 func readCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, reports int64)) (transport.Snapshot, bool, error) {
+	return readCheckpoint(path, wantSeq, eachKey, false)
+}
+
+// readCheckpointEpoch returns the epoch checkpoint file path pins, read from
+// its fixed-size head alone: envelope header, sequence, snapshot-frame
+// header, count, epoch. The state and the key table are never read, and the
+// CRC is not checked — SnapshotAt reads the file whole, and validates it,
+// before it serves it.
+func readCheckpointEpoch(path string, wantSeq uint64) (uint64, error) {
+	head, _, err := readCheckpoint(path, wantSeq, nil, true)
+	return head.Epoch, err
+}
+
+// readCheckpoint is readCheckpointFile, or with headOnly readCheckpointEpoch:
+// one envelope opener for both.
+func readCheckpoint(path string, wantSeq uint64, eachKey func(key []byte, reports int64), headOnly bool) (transport.Snapshot, bool, error) {
 	fail := func(format string, args ...any) (transport.Snapshot, bool, error) {
 		return transport.Snapshot{}, false, fmt.Errorf("%w: %s", errInvalidCheckpoint, fmt.Sprintf(format, args...))
 	}
@@ -210,8 +226,12 @@ func readCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, re
 	if err != nil {
 		return fail("%v", err)
 	}
+	bufSize := 1 << 16
+	if headOnly {
+		bufSize = 512 // the head is a few dozen bytes
+	}
 	cr := &crcReader{r: io.LimitReader(f, int64(plen)), crc: crc32.NewIEEE()}
-	var body io.Reader = bufio.NewReaderSize(cr, 1<<16)
+	var body io.Reader = bufio.NewReaderSize(cr, bufSize)
 	compressed := version == checkpointV2
 	var gz *gzip.Reader
 	if compressed {
@@ -227,6 +247,16 @@ func readCheckpointFile(path string, wantSeq uint64, eachKey func(key []byte, re
 		return fail("truncated at its sequence")
 	}
 	seq := binary.BigEndian.Uint64(seqBuf[:])
+	if headOnly {
+		if seq != wantSeq {
+			return fail("envelope sequence %d does not match filename sequence %d", seq, wantSeq)
+		}
+		head, err := transport.DecodeSnapshotHead(body)
+		if err != nil {
+			return fail("%v", err)
+		}
+		return head, compressed, nil
+	}
 	snap, err := transport.DecodeSnapshotFrame(body)
 	if err != nil {
 		return fail("%v", err)

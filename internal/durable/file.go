@@ -9,9 +9,9 @@ import (
 )
 
 // Every file kind this package writes — WAL records, binding records,
-// checkpoints, the manifest — frames its payload in the same envelope:
+// checkpoints — frames its payload in the same envelope:
 //
-//	magic   [4]byte  per kind ("LDPW", "LDPC", "LDPH")
+//	magic   [4]byte  per kind ("LDPW", "LDPC")
 //	version uint8
 //	crc     uint32   big-endian IEEE CRC-32 of the payload
 //	length  uint32   big-endian payload byte count

@@ -10,33 +10,35 @@ import (
 
 // ReplaceFile is the one atomic replace behind every file this package
 // writes (and the strategy cache): a successful replace swaps in the new
-// content — here through writeManifest, over an older manifest — and a write
-// callback that fails leaves the old file byte for byte and no temp file
-// behind.
+// content over an older file, and a write callback that fails leaves the old
+// file byte for byte and no temp file behind.
 func TestReplaceFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := writeManifest(dir, sampleManifest()[:2]); err != nil {
+	const name = "replaced.bin"
+	path := filepath.Join(dir, name)
+	replace := func(content string) error {
+		return ReplaceFile(path, func(f *os.File) error {
+			_, err := f.Write([]byte(content))
+			return err
+		})
+	}
+	if err := replace("old content"); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeManifest(dir, sampleManifest()); err != nil {
+	if err := replace("the new, longer content"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleManifest()) {
-		t.Fatalf("replace left %+v", got)
-	}
-	path := filepath.Join(dir, manifestName)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(before) != "the new, longer content" {
+		t.Fatalf("replace left %q", before)
+	}
 
 	boom := errors.New("write failed")
 	err = ReplaceFile(path, func(f *os.File) error {
-		if _, err := f.Write([]byte("half a new manifest")); err != nil {
+		if _, err := f.Write([]byte("half a new file")); err != nil {
 			return err
 		}
 		return boom
@@ -55,11 +57,11 @@ func TestReplaceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != manifestName {
+	if len(entries) != 1 || entries[0].Name() != name {
 		var names []string
 		for _, e := range entries {
 			names = append(names, e.Name())
 		}
-		t.Fatalf("directory holds %v, want only %s (no temp file left behind)", names, manifestName)
+		t.Fatalf("directory holds %v, want only %s (no temp file left behind)", names, name)
 	}
 }

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"testing"
 
@@ -118,59 +117,6 @@ func FuzzDecodeBinding(f *testing.F) {
 			if back != b {
 				t.Fatalf("binding changed across re-encode: %+v != %+v", back, b)
 			}
-		}
-	})
-}
-
-// FuzzDecodeManifest feeds arbitrary bytes to the manifest decoder — the
-// index a historical read trusts to find its checkpoint. The decoder must
-// return an error or a valid entry list, never panic, and never allocate
-// proportionally to a hostile count prefix; anything it accepts must
-// re-encode and re-decode to the identical entries, because SnapshotAt's
-// correctness rests on the index being unambiguous.
-func FuzzDecodeManifest(f *testing.F) {
-	seed := func(entries []manifestEntry) {
-		data, err := encodeManifest(entries)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	seed(nil)
-	seed(sampleManifest())
-	seed([]manifestEntry{{Seq: 0, Epoch: 0, Count: 0}})
-	seed([]manifestEntry{
-		{Seq: 1, Epoch: 1 << 40, Count: math.MaxFloat64, Compressed: true},
-		{Seq: 1 << 62, Epoch: 1 << 41, Count: 0.5},
-	})
-	f.Add([]byte("LDPH"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeManifest(bytes.NewReader(data))
-		if err != nil {
-			return // short, corrupt, out of order — all fine, no panic is the point
-		}
-		reenc, err := encodeManifest(entries)
-		if err != nil {
-			t.Fatalf("decoded manifest failed to re-encode: %v", err)
-		}
-		back, err := decodeManifest(bytes.NewReader(reenc))
-		if err != nil {
-			t.Fatalf("re-encoded manifest failed to decode: %v", err)
-		}
-		if len(back) != len(entries) {
-			t.Fatalf("manifest changed across re-encode: %d entries != %d", len(back), len(entries))
-		}
-		for i := range entries {
-			if back[i].Seq != entries[i].Seq || back[i].Epoch != entries[i].Epoch ||
-				math.Float64bits(back[i].Count) != math.Float64bits(entries[i].Count) ||
-				back[i].Compressed != entries[i].Compressed {
-				t.Fatalf("entry %d changed across re-encode: %+v != %+v", i, back[i], entries[i])
-			}
-		}
-		if len(entries) == 0 && !reflect.DeepEqual(entries, []manifestEntry{}) && entries != nil {
-			t.Fatalf("empty manifest decoded to non-empty value %v", entries)
 		}
 	})
 }

@@ -79,23 +79,6 @@ func TestBindingRecordGoldenCompatibility(t *testing.T) {
 	}
 }
 
-func TestManifestGoldenCompatibility(t *testing.T) {
-	want := sampleManifest()
-	enc, err := encodeManifest(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := golden(t, "manifest_v1.golden", enc)
-	pinBytes(t, "manifest_v1.golden", enc, data)
-	got, err := decodeManifest(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("golden manifest no longer decodes: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden manifest decoded to %+v, want %+v", got, want)
-	}
-}
-
 // checkpoint_v1.golden predates the streaming codec and still decodes
 // through the buffered reference codec.
 func TestCheckpointGoldenCompatibility(t *testing.T) {

@@ -1,11 +1,16 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,8 +120,8 @@ func TestStoreSnapshotAtServesEveryRetainedEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A reopened store serves the identical history: the manifest (or the
-		// rebuild) carries the retained set across the restart.
+		// A reopened store serves the identical history: Open rebuilds the
+		// index from the checkpoint files.
 		s2, _, err := Open(dir, Options{HistoryKeep: 2, Gzip: gz})
 		if err != nil {
 			t.Fatal(err)
@@ -203,59 +208,385 @@ func TestStoreGzipSegmentsReplay(t *testing.T) {
 	}
 }
 
-// The satellite's crash-consistency sweep at the store level: whatever byte
-// the manifest is truncated at — including deleted entirely — a reopened
-// store must still retain and serve every epoch the checkpoint files hold.
-// The manifest is an index, never ground truth.
-func TestStoreManifestCrashConsistency(t *testing.T) {
+// The checkpoint files are the only record of the retained history: a store
+// writes nothing beside its wal-* and checkpoint-* files, and a history.manifest
+// left in the directory by an older build — whatever it holds, truncated at
+// any byte included — is neither read nor removed. A reopened store retains
+// and serves every epoch the checkpoint files hold.
+func TestStoreIgnoresLeftoverManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := historyStore(t, dir, Options{HistoryKeep: 2}, 8)
 	wantEpochs := s.RetainedEpochs()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	manifestPath := filepath.Join(dir, manifestName)
-	intact, err := os.ReadFile(manifestPath)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range entries {
+		if n := e.Name(); !strings.HasPrefix(n, "wal-") && !strings.HasPrefix(n, "checkpoint-") {
+			t.Fatalf("store wrote %s beside its WAL segments and checkpoints", n)
+		}
+	}
 
-	check := func(label string) {
-		t.Helper()
+	leftover := filepath.Join(dir, "history.manifest")
+	stale := []byte("an epoch index an older build kept beside its checkpoints")
+	for cut := 0; cut <= len(stale); cut++ {
+		if err := os.WriteFile(leftover, stale[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
 		s2, _, err := Open(dir, Options{HistoryKeep: 2})
 		if err != nil {
-			t.Fatalf("%s: open: %v", label, err)
+			t.Fatalf("leftover manifest cut at %d: open: %v", cut, err)
 		}
-		defer s2.Close()
 		if got := s2.RetainedEpochs(); !reflect.DeepEqual(got, wantEpochs) {
-			t.Fatalf("%s: retained %v, want %v — a damaged manifest silently lost epochs", label, got, wantEpochs)
+			t.Fatalf("leftover manifest cut at %d: retained %v, want %v", cut, got, wantEpochs)
 		}
 		for _, e := range wantEpochs {
 			snap, err := s2.SnapshotAt(e, false)
 			if err != nil || snap.Epoch != e || snap.Count != float64(e) {
-				t.Fatalf("%s: SnapshotAt(%d) = %+v, %v", label, e, snap, err)
+				t.Fatalf("leftover manifest cut at %d: SnapshotAt(%d) = %+v, %v", cut, e, snap, err)
+			}
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(leftover); err != nil || !bytes.Equal(got, stale[:cut]) {
+			t.Fatalf("leftover manifest cut at %d was touched: %q, %v", cut, got, err)
+		}
+	}
+}
+
+// checkpointHeadLen is the length of a raw checkpoint's head, the bytes Open
+// reads from every retained checkpoint but the restored one: envelope header,
+// sequence, snapshot-frame header, count, epoch.
+const checkpointHeadLen = envelopeHeaderLen + 8 + 10 + 8 + 8
+
+// Open indexes each older retained checkpoint from its head alone. One
+// truncated anywhere inside its head stays out of the index and on disk, and
+// every other retained epoch still serves.
+func TestOpenIndexSkipsCheckpointTruncatedInItsHead(t *testing.T) {
+	for _, gz := range []bool{false, true} {
+		src := t.TempDir()
+		s := historyStore(t, src, Options{HistoryKeep: 2, Gzip: gz}, 8)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A gzipped head ends wherever the compressor put it; cutting right
+		// after the gzip header (10 bytes) leaves none of it.
+		cuts := []int{envelopeHeaderLen + 10}
+		if !gz {
+			cuts = cuts[:0]
+			for cut := 0; cut < checkpointHeadLen; cut++ {
+				cuts = append(cuts, cut)
+			}
+		}
+		for _, cut := range cuts {
+			dir := t.TempDir()
+			copyDir(t, src, dir)
+			oldest := filepath.Join(dir, checkpointName(4))
+			if err := os.Truncate(oldest, int64(cut)); err != nil {
+				t.Fatal(err)
+			}
+			s2, _, err := Open(dir, Options{HistoryKeep: 2, Gzip: gz})
+			if err != nil {
+				t.Fatalf("gzip=%v cut=%d: open: %v", gz, cut, err)
+			}
+			if got, want := s2.RetainedEpochs(), []uint64{6, 7, 8}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("gzip=%v cut=%d: retained %v, want %v", gz, cut, got, want)
+			}
+			for _, e := range []uint64{6, 7, 8} {
+				if snap, err := s2.SnapshotAt(e, false); err != nil || snap.Epoch != e || snap.State[0] != float64(e) {
+					t.Fatalf("gzip=%v cut=%d: SnapshotAt(%d) = %+v, %v", gz, cut, e, snap, err)
+				}
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := os.Stat(oldest); err != nil || fi.Size() != int64(cut) {
+				t.Fatalf("gzip=%v cut=%d: the unindexed checkpoint did not stay on disk as it was: %v", gz, cut, err)
 			}
 		}
 	}
+}
 
-	for cut := 0; cut <= len(intact); cut++ {
-		if err := os.WriteFile(manifestPath, intact[:cut], 0o644); err != nil {
+// A retained checkpoint damaged after its head is indexed — its head parses —
+// but SnapshotAt validates the whole file before it serves, so reading it is
+// an error, never a wrong snapshot, and never the typed miss. The failed read
+// takes it out of the index; the file stays on disk.
+func TestOpenIndexListsCheckpointDamagedAfterItsHead(t *testing.T) {
+	for _, gz := range []bool{false, true} {
+		dir := t.TempDir()
+		s := historyStore(t, dir, Options{HistoryKeep: 2, Gzip: gz}, 8)
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		check("truncated manifest")
+		path := filepath.Join(dir, checkpointName(4))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, _, err := Open(dir, Options{HistoryKeep: 2, Gzip: gz})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s2.RetainedEpochs(), []uint64{4, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("gzip=%v: retained %v, want %v", gz, got, want)
+		}
+		var enr *transport.EpochNotRetainedError
+		if snap, err := s2.SnapshotAt(4, false); err == nil || errors.As(err, &enr) {
+			t.Fatalf("gzip=%v: SnapshotAt over a damaged checkpoint = %+v, %v; want a read error", gz, snap, err)
+		}
+		if got, want := s2.RetainedEpochs(), []uint64{6, 7, 8}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("gzip=%v: after the failed read, retained %v, want %v", gz, got, want)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("gzip=%v: the damaged checkpoint left the disk: %v", gz, err)
+		}
+		for _, e := range []uint64{6, 7, 8} {
+			if snap, err := s2.SnapshotAt(e, false); err != nil || snap.Epoch != e {
+				t.Fatalf("gzip=%v: SnapshotAt(%d) = %+v, %v", gz, e, snap, err)
+			}
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.Remove(manifestPath); err != nil {
+}
+
+// No CRC has checked an older checkpoint's head when Open indexes it, so a
+// damaged head can carry any epoch. It must never hide an intact checkpoint:
+// heads out of ascending order make Open validate every older file, which
+// leaves the damaged one out, and a wrong epoch that keeps the order is taken
+// out of the index by the first read that fails, a nearest read then serving
+// the next older checkpoint.
+func TestOpenIndexSurvivesDamagedHeadEpoch(t *testing.T) {
+	src := t.TempDir()
+	s := historyStore(t, src, Options{HistoryKeep: 2}, 8) // retains epochs 4 6 7 8, each in the checkpoint of that sequence
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("missing manifest")
-	// The rebuild also rewrites the manifest, so the NEXT restart is indexed
-	// again without reading every checkpoint.
-	rebuilt, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatalf("manifest was not rewritten after a rebuild: %v", err)
+	for _, c := range []struct {
+		seq, epoch uint64   // the checkpoint whose head is damaged, and the epoch it then declares
+		listed     []uint64 // RetainedEpochs after Open
+		nearest    uint64   // what SnapshotAt(seq, nearest) serves: the newest intact epoch below seq
+		after      []uint64 // RetainedEpochs after that read
+	}{
+		{7, 2, []uint64{4, 6, 8}, 6, []uint64{4, 6, 8}},    // below an intact older epoch
+		{7, 6, []uint64{4, 6, 8}, 6, []uint64{4, 6, 8}},    // equal to an intact older epoch
+		{7, 9, []uint64{4, 6, 8}, 6, []uint64{4, 6, 8}},    // past the restored checkpoint's epoch
+		{6, 5, []uint64{4, 5, 7, 8}, 4, []uint64{4, 7, 8}}, // in order: listed until a read fails
+	} {
+		label := fmt.Sprintf("checkpoint %d declaring epoch %d", c.seq, c.epoch)
+		dir := t.TempDir()
+		copyDir(t, src, dir)
+		path := filepath.Join(dir, checkpointName(c.seq))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint64(data[checkpointHeadLen-8:], c.epoch)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, _, err := Open(dir, Options{HistoryKeep: 2})
+		if err != nil {
+			t.Fatalf("%s: open: %v", label, err)
+		}
+		if got := s2.RetainedEpochs(); !reflect.DeepEqual(got, c.listed) {
+			t.Fatalf("%s: retained %v, want %v", label, got, c.listed)
+		}
+		for _, e := range []uint64{4, 6, 7, 8} {
+			if e == c.seq {
+				continue
+			}
+			if snap, err := s2.SnapshotAt(e, false); err != nil || snap.Epoch != e || snap.State[0] != float64(e) {
+				t.Fatalf("%s: SnapshotAt(%d) = %+v, %v", label, e, snap, err)
+			}
+		}
+		if snap, err := s2.SnapshotAt(c.seq, true); err != nil || snap.Epoch != c.nearest || snap.State[0] != float64(c.nearest) {
+			t.Fatalf("%s: SnapshotAt(%d, nearest) = %+v, %v; want epoch %d", label, c.seq, snap, err, c.nearest)
+		}
+		if got := s2.RetainedEpochs(); !reflect.DeepEqual(got, c.after) {
+			t.Fatalf("%s: after the nearest read, retained %v, want %v", label, got, c.after)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: the damaged checkpoint left the disk: %v", label, err)
+		}
 	}
-	if !reflect.DeepEqual(rebuilt, intact) {
-		t.Fatalf("rebuilt manifest differs from the original:\n got %x\nwant %x", rebuilt, intact)
+}
+
+// The same state checkpointed twice pins one epoch in two files. Their heads
+// are then not strictly ascending, so Open validates the older checkpoints
+// whole, and both stay indexed as they were before the restart.
+func TestOpenIndexKeepsRepeatedEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s := historyStore(t, dir, Options{HistoryKeep: 2}, 8)
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(transport.Snapshot{State: []float64{8}, Count: 8, Epoch: 8}); err != nil {
+		t.Fatal(err)
+	}
+	want := s.RetainedEpochs()
+	if n := len(want); n < 2 || want[n-1] != 8 || want[n-2] != 8 {
+		t.Fatalf("retained %v, want epoch 8 twice at the end", want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _, err := Open(dir, Options{HistoryKeep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.RetainedEpochs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened: retained %v, want %v", got, want)
+	}
+	for _, e := range want {
+		if snap, err := s2.SnapshotAt(e, false); err != nil || snap.Epoch != e {
+			t.Fatalf("SnapshotAt(%d) = %+v, %v", e, snap, err)
+		}
+	}
+}
+
+// A corrupt checkpoint newer than the one Open restored stays out of the
+// index, and on disk: the restore loop already refused it.
+func TestOpenIndexExcludesCorruptNewerCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := historyStore(t, dir, Options{HistoryKeep: 2}, 8)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newest := filepath.Join(dir, checkpointName(8))
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec, err := Open(dir, Options{HistoryKeep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !rec.HasCheckpoint || rec.CheckpointSeq != 7 {
+		t.Fatalf("recovery %+v, want the fallback to checkpoint 7", rec)
+	}
+	if got, want := s2.RetainedEpochs(), []uint64{4, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("retained %v, want %v", got, want)
+	}
+	var enr *transport.EpochNotRetainedError
+	if _, err := s2.SnapshotAt(8, false); !errors.As(err, &enr) {
+		t.Fatalf("SnapshotAt(8) = %v, want EpochNotRetainedError", err)
+	}
+	if _, err := os.Stat(newest); err != nil {
+		t.Fatalf("the refused checkpoint left the disk: %v", err)
+	}
+}
+
+// Open reads each older retained checkpoint's head and nothing more, so what
+// it allocates does not depend on how many keys or state entries those
+// checkpoints carry. Only the restored checkpoint, held fixed here, is read
+// whole. The allocation count is pinned for raw checkpoints; a gzipped head
+// costs the flate decoder's Huffman tables, whose count follows the shape of
+// the first block's code rather than the file's size. The allocated bytes
+// are pinned for both: a full read of the older checkpoints would allocate
+// their state, 3·7m·8 bytes more at 8m entries.
+func TestOpenAllocsIndependentOfOlderCheckpoints(t *testing.T) {
+	const m = 512
+	restored := transport.Snapshot{State: make([]float64, m), Count: 9, Epoch: 9}
+	full := make([]transport.KeyCount, transport.IdempotencyHorizon)
+	for i := range full {
+		full[i] = transport.KeyCount{Key: fmt.Sprintf("key-%08d", i), Reports: 1}
+	}
+	for _, gz := range []bool{false, true} {
+		// openCost returns Open's allocations and allocated bytes per call
+		// over three older checkpoints of stateLen entries and keys.
+		openCost := func(stateLen int, keys []transport.KeyCount) (allocs, heap float64) {
+			dir := t.TempDir()
+			for seq := uint64(1); seq <= 3; seq++ {
+				older := transport.Snapshot{State: make([]float64, stateLen), Count: float64(seq), Epoch: seq}
+				if _, err := writeCheckpointFile(dir, seq, older, keys, gz); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := writeCheckpointFile(dir, 4, restored, nil, gz); err != nil {
+				t.Fatal(err)
+			}
+			open := func() {
+				s, _, err := Open(dir, Options{Gzip: gz})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := s.RetainedEpochs(); len(got) != 4 {
+					t.Fatalf("gzip=%v: retained %v, want 4 epochs", gz, got)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The least of three measurements: under -race sync.Pool drops a
+			// share of its Puts (fmt's, for every file name), at random.
+			allocs, heap = math.Inf(1), math.Inf(1)
+			for range 3 {
+				allocs = min(allocs, testing.AllocsPerRun(10, open))
+				const runs = 10
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					open()
+				}
+				runtime.ReadMemStats(&after)
+				heap = min(heap, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+			}
+			return allocs, heap
+		}
+		baseAllocs, baseBytes := openCost(m, nil)
+		for _, c := range []struct {
+			what     string
+			stateLen int
+			keys     []transport.KeyCount
+		}{{fmt.Sprintf("%d keys", len(full)), m, full}, {fmt.Sprintf("%d state entries", 8*m), 8 * m, nil}} {
+			allocs, heap := openCost(c.stateLen, c.keys)
+			// Equal, give or take a dropped pooled object per file and a few
+			// KiB of map and slice growth; a full read of the 8m-entry states
+			// would add 3·7m·8 = 84 KiB.
+			if !gz && allocs > baseAllocs+6 {
+				t.Fatalf("Open allocates %v times over older checkpoints of %s, %v over %d-entry keyless ones", allocs, c.what, baseAllocs, m)
+			}
+			if heap > baseBytes+16<<10 {
+				t.Fatalf("gzip=%v: Open allocates %.0f bytes over older checkpoints of %s, %.0f over %d-entry keyless ones", gz, heap, c.what, baseBytes, m)
+			}
+		}
+	}
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

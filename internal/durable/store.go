@@ -21,13 +21,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Directory layout: numbered WAL segments, the checkpoints that precede
-// them, and the manifest indexing the retained epoch history.
+// Directory layout: numbered WAL segments and the checkpoints that precede
+// them, which are also the retained epoch history.
 //
 //	<dir>/wal-00000003.log        records appended since checkpoint 3
 //	<dir>/wal-00000002.log.gz     a closed segment, gzipped (Options.Gzip)
 //	<dir>/checkpoint-00000003.ckpt state of all segments < 3
-//	<dir>/history.manifest        epoch → checkpoint index (manifest.go)
 //
 // The active segment is the highest-numbered one and is never compressed. A
 // checkpoint rotates the WAL to a fresh segment and then pins the
@@ -169,11 +168,11 @@ type Store struct {
 	// checkpoints and closed-segment compression.
 	ladder   ladder
 	compress bool
-	// histMu guards hist, the in-memory mirror of the on-disk manifest:
-	// the retained checkpoints, sequence-ascending. SnapshotAt resolves
-	// epochs against it.
+	// histMu guards hist, the epoch index: the retained checkpoints,
+	// sequence-ascending. SnapshotAt resolves epochs against it. It is
+	// rebuilt from the checkpoint files at every Open and kept nowhere else.
 	histMu sync.Mutex
-	hist   []manifestEntry
+	hist   []histEntry
 
 	// sm is the armed metrics handle set (nil until SetMetrics).
 	sm atomic.Pointer[storeMetrics]
@@ -213,7 +212,7 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	// attempt fills a table of its own and only a validated file's is adopted
 	// — a refused checkpoint leaves none of its keys behind.
 	keys := newKeyTable()
-	base := uint64(0)
+	var base, baseEpoch uint64
 	for i := len(ckptSeqs) - 1; i >= 0; i-- {
 		attempt := newKeyTable()
 		snap, _, err := readCheckpointFile(filepath.Join(dir, checkpointName(ckptSeqs[i])), ckptSeqs[i],
@@ -229,7 +228,7 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 		keys = attempt
 		rec.HasCheckpoint = true
 		rec.CheckpointSeq = ckptSeqs[i]
-		base = ckptSeqs[i]
+		base, baseEpoch = ckptSeqs[i], snap.Epoch
 		break
 	}
 	if !rec.HasCheckpoint && len(ckptSeqs) > 0 {
@@ -282,51 +281,51 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	s.totalRecords.Store(rec.ReplayedRecords)
 	s.totalBytes.Store(totalBytes)
 	s.ckptSeq.Store(rec.CheckpointSeq)
-	s.hist = reconcileManifest(dir, ckptSeqs, rec.CheckpointSeq, rec.HasCheckpoint)
+	s.hist = indexHistory(dir, ckptSeqs, base, baseEpoch)
 	return s, rec, nil
 }
 
-// reconcileManifest builds the in-memory epoch index at Open: the manifest is
-// consulted first (it is an index, not ground truth), every on-disk
-// checkpoint it does not cover is read to rebuild its entry, entries without
-// files are dropped, and checkpoints newer than the one that validated during
-// restore are excluded — the restore loop already proved them corrupt. When
-// the result differs from what was on disk, the manifest is rewritten
-// best-effort.
-func reconcileManifest(dir string, ckptSeqs []uint64, base uint64, hasCkpt bool) []manifestEntry {
-	if !hasCkpt {
-		// No valid checkpoint ⇒ no retained history; clear a stale manifest.
-		if m, err := loadManifest(dir); err == nil && m != nil {
-			writeManifest(dir, nil)
+// histEntry is one retained checkpoint in the epoch index: its sequence (its
+// filename) and the snapshot epoch it pins.
+type histEntry struct {
+	Seq, Epoch uint64
+}
+
+// indexHistory builds the epoch index at Open from the checkpoint files, the
+// one record of what is retained. The restored checkpoint, sequence base,
+// gives the epoch of its full read; each older one gives the epoch in its
+// head (readCheckpointEpoch). A file whose head does not parse stays out of
+// the index and on disk for the operator, as does every checkpoint newer than
+// base — the restore loop proved them corrupt. With no checkpoint, ckptSeqs
+// is empty and so is the index.
+//
+// No CRC has checked a head's epoch yet, and a damaged one can carry any
+// value. Intact checkpoints pin strictly ascending epochs unless the same
+// state was cut twice, so heads out of that order mean a damaged file or a
+// repeat, and an out-of-order entry could shadow an intact checkpoint's epoch
+// in resolveEpoch. The heads cannot tell which: then every older checkpoint
+// is read whole and validated, and only the files that pass are indexed.
+func indexHistory(dir string, ckptSeqs []uint64, base, baseEpoch uint64) []histEntry {
+	index := func(epochOf func(path string, seq uint64) (uint64, error)) []histEntry {
+		var hist []histEntry
+		for _, c := range ckptSeqs {
+			if c == base {
+				return append(hist, histEntry{Seq: c, Epoch: baseEpoch})
+			}
+			if epoch, err := epochOf(filepath.Join(dir, checkpointName(c)), c); err == nil {
+				hist = append(hist, histEntry{Seq: c, Epoch: epoch})
+			}
 		}
-		return nil
+		return hist
 	}
-	manifest, err := loadManifest(dir) // damaged ⇒ rebuild from files
-	bySeq := make(map[uint64]manifestEntry, len(manifest))
-	for _, e := range manifest {
-		bySeq[e.Seq] = e
-	}
-	dirty := err != nil || len(manifest) != len(ckptSeqs)
-	var hist []manifestEntry
-	for _, c := range ckptSeqs {
-		if c > base {
-			dirty = true // proved corrupt during restore
-			continue
+	hist := index(readCheckpointEpoch)
+	for i := 1; i < len(hist); i++ {
+		if hist[i-1].Epoch >= hist[i].Epoch {
+			return index(func(path string, seq uint64) (uint64, error) {
+				snap, _, err := readCheckpointFile(path, seq, nil)
+				return snap.Epoch, err
+			})
 		}
-		if e, ok := bySeq[c]; ok {
-			hist = append(hist, e)
-			continue
-		}
-		snap, compressed, err := readCheckpointFile(filepath.Join(dir, checkpointName(c)), c, nil)
-		if err != nil {
-			dirty = true // unservable; leave the file for the operator
-			continue
-		}
-		hist = append(hist, manifestEntry{Seq: c, Epoch: snap.Epoch, Count: snap.Count, Compressed: compressed})
-		dirty = true
-	}
-	if dirty {
-		writeManifest(dir, hist) // best-effort; files stay ground truth
 	}
 	return hist
 }
@@ -343,16 +342,9 @@ func scanDir(dir string) (ckpts, segs []uint64, err error) {
 	for _, e := range entries {
 		if seq, ok := parseSeq(e.Name(), "checkpoint-", ".ckpt"); ok {
 			ckpts = append(ckpts, seq)
-		} else if seq, ok := parseSeq(e.Name(), "wal-", ".log"); ok {
-			if !seen[seq] {
-				seen[seq] = true
-				segs = append(segs, seq)
-			}
-		} else if seq, ok := parseSeq(e.Name(), "wal-", ".log.gz"); ok {
-			if !seen[seq] {
-				seen[seq] = true
-				segs = append(segs, seq)
-			}
+		} else if seq, ok := parseSeq(strings.TrimSuffix(e.Name(), ".gz"), "wal-", ".log"); ok && !seen[seq] {
+			seen[seq] = true
+			segs = append(segs, seq)
 		}
 	}
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
@@ -504,10 +496,10 @@ func (s *Store) Rotate() error {
 // one (the caller took snap in the exclusion window of the latest Rotate),
 // then applies the retention ladder: non-retained checkpoints and the WAL
 // segments no retained checkpoint needs are deleted, closed retained raw
-// segments are gzipped when compression is on, and the manifest is rewritten
-// to index what remains. The checkpoint is fsynced before anything is pruned,
-// in every fsync mode — losing a checkpoint is harmless only while the WAL it
-// replaces still exists.
+// segments are gzipped when compression is on, and the epoch index lists what
+// remains. The checkpoint is fsynced before anything is pruned, in every
+// fsync mode — losing a checkpoint is harmless only while the WAL it replaces
+// still exists.
 func (s *Store) WriteCheckpoint(snap transport.Snapshot) error {
 	if m := s.sm.Load(); m != nil {
 		start := time.Now()
@@ -530,23 +522,22 @@ func (s *Store) writeCheckpoint(snap transport.Snapshot) error {
 	s.ckptSeq.Store(seq)
 	s.coveredRecords.Store(cutRecords)
 	s.coveredBytes.Store(cutBytes)
-	return s.updateHistory(seq, snap)
+	s.updateHistory(seq, snap.Epoch)
+	return nil
 }
 
 // updateHistory admits the just-written checkpoint into the epoch index,
-// prunes by the retention ladder, compresses what the ladder retains, and
-// rewrites the manifest. File removal and segment compression are
-// best-effort (a leftover is retried at the next checkpoint); a manifest
-// write failure is returned — without it a restart would reindex, which is
-// correct but defeats the point of the index.
-func (s *Store) updateHistory(seq uint64, snap transport.Snapshot) error {
+// prunes by the retention ladder and compresses the closed segments recovery
+// may still replay. File removal and segment compression are best-effort: a
+// leftover is retried at the next checkpoint.
+func (s *Store) updateHistory(seq, epoch uint64) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	hist := s.hist
 	if n := len(hist); n > 0 && hist[n-1].Seq == seq {
 		hist = hist[:n-1] // re-checkpoint of the same segment (no new epoch)
 	}
-	hist = append(hist, manifestEntry{Seq: seq, Epoch: snap.Epoch, Count: snap.Count, Compressed: s.compress})
+	hist = append(hist, histEntry{Seq: seq, Epoch: epoch})
 
 	seqs := make([]uint64, len(hist))
 	for i, e := range hist {
@@ -586,10 +577,6 @@ func (s *Store) updateHistory(seq uint64, snap transport.Snapshot) error {
 			}
 		}
 	}
-	if err := writeManifest(s.dir, s.hist); err != nil {
-		return fmt.Errorf("durable: write history manifest: %w", err)
-	}
-	return nil
 }
 
 // compressSegment gzips one closed raw segment into its .gz name (an atomic
@@ -636,10 +623,15 @@ func (s *Store) SnapshotAt(epoch uint64, nearest bool) (transport.Snapshot, erro
 		// The index lock is not held across the read, so a checkpoint cut in
 		// between may have coarsened seq away and removed its file. That is
 		// the same definitive miss one instant early: resolve again against
-		// the index as it is now. A file missing while the index still lists
-		// it is damage and stays loud.
-		if errors.Is(err, os.ErrNotExist) && !s.retains(seq) {
-			continue
+		// the index as it is now. A file missing or failing validation while
+		// the index still lists it is damage: it leaves the index, as Open
+		// leaves out one whose head does not parse, and stays loud — but a
+		// nearest read resolves again, because an unchecked head may have
+		// indexed the file under a wrong epoch where an older one serves.
+		if errors.Is(err, os.ErrNotExist) || errors.Is(err, errInvalidCheckpoint) {
+			if !s.unindex(seq) || nearest {
+				continue
+			}
 		}
 		return transport.Snapshot{}, fmt.Errorf("durable: read retained checkpoint %d: %w", seq, err)
 	}
@@ -669,11 +661,14 @@ func (s *Store) resolveEpoch(epoch uint64, nearest bool) (uint64, error) {
 	return 0, miss
 }
 
-// retains reports whether the epoch index still lists checkpoint seq.
-func (s *Store) retains(seq uint64) bool {
+// unindex drops checkpoint seq from the epoch index, reporting whether it
+// was listed; its file, if any, stays on disk for the operator.
+func (s *Store) unindex(seq uint64) bool {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
-	return slices.ContainsFunc(s.hist, func(e manifestEntry) bool { return e.Seq == seq })
+	n := len(s.hist)
+	s.hist = slices.DeleteFunc(s.hist, func(e histEntry) bool { return e.Seq == seq })
+	return len(s.hist) < n
 }
 
 // RetainedEpochs lists the epochs SnapshotAt can serve, ascending.

@@ -11,10 +11,10 @@
 //
 // The package owns every file of a shard's data directory and the router's
 // binding log. Checkpoints double as the bounded epoch history: the
-// retention ladder decides which a directory keeps (ladder.go), the manifest
-// indexes the retained epochs so any of them is served without replay
-// (manifest.go), and checkpoints are read and written streaming
-// (checkpoint.go). All file kinds share one envelope writer and header check
+// retention ladder decides which a directory keeps (ladder.go), an in-memory
+// index that Open rebuilds from each checkpoint's head resolves a retained
+// epoch to its file so it is served without replay (store.go), and
+// checkpoints are read and written streaming (checkpoint.go). All file kinds share one envelope writer and header check
 // and one atomic replace (file.go); the two append-only logs share one tail
 // policy (truncateTornTail).
 //

@@ -85,8 +85,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		policy.MaxBackoff = 250 * time.Millisecond
 	}
 
-	w := ldp.Histogram(scn.Domain)
-
 	// One RemoteCollector per worker: private buffers (deterministic batch
 	// composition from the static client partition).
 	collectors := make([]*ldp.RemoteCollector, scn.Workers)
@@ -95,7 +93,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Scorecard, error) {
 		if scn.Batch > 0 {
 			opts = append(opts, ldp.WithRemoteBatch(scn.Batch))
 		}
-		rc, err := ldp.NewRemoteCollector(d.RouterURL, d.mech.Agg, w, opts...)
+		rc, err := ldp.NewRemoteCollector(d.RouterURL, d.mech.Agg, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}

@@ -1328,8 +1328,8 @@ func reopen(path string) {
 		},
 	},
 	// One file discipline: every file this system replaces whole — a
-	// checkpoint, the history manifest, a compacted binding log, a gzipped
-	// WAL segment, a strategy-cache entry — goes through durable.ReplaceFile:
+	// checkpoint, a compacted binding log, a gzipped WAL segment, a
+	// strategy-cache entry — goes through durable.ReplaceFile:
 	// temp file, write, fsync, close, rename, directory fsync, the temp file
 	// removed on any failure. A second os.CreateTemp or os.Rename is a second
 	// replace sequence to keep equal to the first. The one exception is

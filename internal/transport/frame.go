@@ -451,56 +451,87 @@ func SnapshotFrameLen(s Snapshot) (int, error) {
 	return headerLen + meta + 8*len(s.State), nil
 }
 
+// DecodeSnapshotHead reads the fixed-size head of one snapshot frame of
+// either version from r — the frame header, the count and, in a version-2
+// frame, the epoch — and nothing after it. The Snapshot it returns holds only
+// that Count (unvalidated) and Epoch: a reader that needs only a frame's
+// epoch stops here, and DecodeSnapshotFrame goes on from the same head.
+func DecodeSnapshotHead(r io.Reader) (Snapshot, error) {
+	s, _, _, err := decodeSnapshotHead(r)
+	return s, err
+}
+
+// decodeSnapshotHead is DecodeSnapshotHead that also returns the frame
+// version and a reader limited to the rest of the payload.
+func decodeSnapshotHead(r io.Reader) (Snapshot, byte, *io.LimitedReader, error) {
+	var buf [headerLen + 16]byte
+	hdr := buf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF {
+			return Snapshot{}, 0, nil, errors.New("transport: empty snapshot response")
+		}
+		return Snapshot{}, 0, nil, fmt.Errorf("transport: truncated frame header: %w", err)
+	}
+	if string(hdr[:4]) != frameMagic {
+		return Snapshot{}, 0, nil, fmt.Errorf("transport: bad frame magic %q", hdr[:4])
+	}
+	version := hdr[4]
+	if version < 1 || version > snapshotVersion {
+		return Snapshot{}, 0, nil, fmt.Errorf("transport: unsupported frame version %d (this library reads versions 1..%d)", version, snapshotVersion)
+	}
+	if hdr[5] != kindSnapshot {
+		return Snapshot{}, 0, nil, fmt.Errorf("transport: frame kind %d, want %d", hdr[5], kindSnapshot)
+	}
+	plen := binary.BigEndian.Uint32(hdr[6:])
+	if int64(plen) > int64(MaxSnapshotPayload) {
+		return Snapshot{}, 0, nil, fmt.Errorf("transport: %d-byte payload exceeds the %d-byte frame limit", plen, MaxSnapshotPayload)
+	}
+	lr := &io.LimitedReader{R: r, N: int64(plen)}
+	head := buf[headerLen:] // count, then the epoch version 1 lacks
+	if version < snapshotVersion {
+		head = head[:8]
+	}
+	if n, err := io.ReadFull(lr, head); err != nil {
+		if n < 8 {
+			return Snapshot{}, 0, nil, truncatedAt("count")
+		}
+		return Snapshot{}, 0, nil, truncatedAt("epoch")
+	}
+	s := Snapshot{Count: math.Float64frombits(binary.BigEndian.Uint64(head))}
+	if version >= snapshotVersion {
+		s.Epoch = binary.BigEndian.Uint64(head[8:])
+	}
+	return s, version, lr, nil
+}
+
+// truncatedAt names the field a snapshot frame's payload ended inside.
+func truncatedAt(what string) error {
+	return fmt.Errorf("transport: snapshot frame truncated at its %s", what)
+}
+
 // DecodeSnapshotFrame reads one snapshot frame of either version directly
 // from r, converting the state chunk by chunk — it never holds a second
 // whole-state byte buffer. Version-1 frames decode with zero Epoch and Info —
 // the state and count are all they carry.
 func DecodeSnapshotFrame(r io.Reader) (Snapshot, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Snapshot{}, errors.New("transport: empty snapshot response")
-		}
-		return Snapshot{}, fmt.Errorf("transport: truncated frame header: %w", err)
+	s, version, lr, err := decodeSnapshotHead(r)
+	if err != nil {
+		return Snapshot{}, err
 	}
-	if string(hdr[:4]) != frameMagic {
-		return Snapshot{}, fmt.Errorf("transport: bad frame magic %q", hdr[:4])
-	}
-	version := hdr[4]
-	if version < 1 || version > snapshotVersion {
-		return Snapshot{}, fmt.Errorf("transport: unsupported frame version %d (this library reads versions 1..%d)", version, snapshotVersion)
-	}
-	if hdr[5] != kindSnapshot {
-		return Snapshot{}, fmt.Errorf("transport: frame kind %d, want %d", hdr[5], kindSnapshot)
-	}
-	plen := binary.BigEndian.Uint32(hdr[6:])
-	if int64(plen) > int64(MaxSnapshotPayload) {
-		return Snapshot{}, fmt.Errorf("transport: %d-byte payload exceeds the %d-byte frame limit", plen, MaxSnapshotPayload)
-	}
-	lr := &io.LimitedReader{R: r, N: int64(plen)}
-	var s Snapshot
-	scratch := make([]byte, min(int(plen), 8*snapshotChunkFloats))
+	scratch := make([]byte, min(int(lr.N), 8*snapshotChunkFloats))
 	take := func(n int, what string) ([]byte, error) {
 		// n <= lr.N also keeps n within scratch: the identity fields are at
 		// most 255 bytes and scratch is the smaller of a chunk and the payload.
 		if int64(n) > lr.N {
-			return nil, fmt.Errorf("transport: snapshot frame truncated at its %s", what)
+			return nil, truncatedAt(what)
 		}
 		if _, err := io.ReadFull(lr, scratch[:n]); err != nil {
-			return nil, fmt.Errorf("transport: snapshot frame truncated at its %s", what)
+			return nil, truncatedAt(what)
 		}
 		return scratch[:n], nil
 	}
-	b, err := take(8, "count")
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s.Count = math.Float64frombits(binary.BigEndian.Uint64(b))
+	var b []byte
 	if version >= snapshotVersion {
-		if b, err = take(8, "epoch"); err != nil {
-			return Snapshot{}, err
-		}
-		s.Epoch = binary.BigEndian.Uint64(b)
 		if b, err = take(4, "domain"); err != nil {
 			return Snapshot{}, err
 		}

@@ -202,3 +202,55 @@ func TestEncodeSnapshotFrameRejectsOversizedIdentity(t *testing.T) {
 		t.Fatal("oversized mechanism name accepted")
 	}
 }
+
+// DecodeSnapshotHead stops after the epoch: it returns the count and epoch
+// of either version's frame, and every byte after them is still unread, in
+// the reader it hands on to DecodeSnapshotFrame and in the source. A frame
+// cut inside its head is refused, naming the field it ends in.
+func TestDecodeSnapshotHeadReadsOnlyTheHead(t *testing.T) {
+	var v1 bytes.Buffer
+	if err := EncodeSnapshot(&v1, []float64{1, 2, 3}, 11); err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := EncodeSnapshotFrame(&v2, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		frame   []byte
+		version byte
+		count   float64
+		epoch   uint64
+		headLen int
+	}{
+		{v1.Bytes(), 1, 11, 0, headerLen + 8},
+		{v2.Bytes(), 2, sampleSnapshot().Count, sampleSnapshot().Epoch, headerLen + 16},
+	} {
+		src := bytes.NewReader(c.frame)
+		head, version, rest, err := decodeSnapshotHead(src)
+		if err != nil {
+			t.Fatalf("v%d: %v", c.version, err)
+		}
+		if version != c.version || head.Count != c.count || head.Epoch != c.epoch || head.State != nil || head.Info != (Info{}) {
+			t.Fatalf("v%d: head %+v, version %d", c.version, head, version)
+		}
+		if left := len(c.frame) - c.headLen; src.Len() != left || rest.N != int64(left) {
+			t.Fatalf("v%d: %d source bytes and %d payload bytes left, want %d", c.version, src.Len(), rest.N, left)
+		}
+		for cut := 0; cut < c.headLen; cut++ {
+			_, err := DecodeSnapshotHead(bytes.NewReader(c.frame[:cut]))
+			if err == nil {
+				t.Fatalf("v%d: a frame cut at byte %d inside its head decoded", c.version, cut)
+			}
+			want := "" // inside the frame header, whose refusals say so their own way
+			if cut >= headerLen+8 {
+				want = "truncated at its epoch"
+			} else if cut >= headerLen {
+				want = "truncated at its count"
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d: a frame cut at byte %d: %v, want %q", c.version, cut, err, want)
+			}
+		}
+	}
+}

@@ -162,7 +162,7 @@ func TestCollectorServiceMetrics(t *testing.T) {
 	defer hs.Close()
 	before, _ := scrape(t, hs.URL)
 
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(10),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(10),
 		ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
@@ -245,11 +245,11 @@ func TestCollectorServiceMetrics(t *testing.T) {
 // ones listed idle, and exact fleet membership, probe and merge values.
 func TestFleetServerMetrics(t *testing.T) {
 	const domain, total = 16, 40
-	_, fs, hs, _, agg, w := routerFixture(t, domain, 3)
+	_, fs, hs, _, agg, _ := routerFixture(t, domain, 3)
 	before, _ := scrape(t, hs.URL)
 	fs.Probe(context.Background()) // populate the probe-outcome and per-shard gauge families
 
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(8),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(8),
 		ldp.WithRemoteHTTPClient(hs.Client()),
 		ldp.WithRemoteRetryPolicy(fastRetryPolicy(2, nil)))
 	if err != nil {
@@ -363,7 +363,7 @@ func TestRequestIDPropagatesClientRouterShard(t *testing.T) {
 	routerSrv := httptest.NewServer(fs.Handler())
 	defer routerSrv.Close()
 
-	rcol, err := ldp.NewRemoteCollector(routerSrv.URL, agg, w, ldp.WithRemoteBatch(4),
+	rcol, err := ldp.NewRemoteCollector(routerSrv.URL, agg, ldp.WithRemoteBatch(4),
 		ldp.WithRemoteHTTPClient(routerSrv.Client()),
 		ldp.WithRemoteRetryPolicy(fastRetryPolicy(2, nil)))
 	if err != nil {

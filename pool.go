@@ -414,8 +414,10 @@ func WithBatchVariance() BatchOption {
 
 // AnswerBatch answers heterogeneous workloads over one snapshot, one
 // workload at a time through the pool's estimator for it: each result's
-// Answers are that estimator's Answers and, with WithBatchVariance, its
-// Variance is that estimator's Variance. Results are returned in input order.
+// Answers are that estimator's Answers. With WithBatchVariance they are the
+// Answer and Variance columns of its AnswerStream at level 0 instead — the
+// same values Answers and Variance return, read from one x̂. Results are
+// returned in input order.
 func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Workload, opts ...BatchOption) ([]BatchAnswer, error) {
 	var cfg batchConfig
 	for _, o := range opts {
@@ -427,11 +429,16 @@ func (p *EstimatorPool) AnswerBatch(agg Aggregator, s Snapshot, workloads []Work
 	out := make([]BatchAnswer, len(workloads))
 	for i, w := range workloads {
 		est, err := p.Estimator(agg, w)
-		if err == nil {
+		switch {
+		case err == nil && cfg.variance:
+			a, v := make([]float64, 0, w.Queries()), make([]float64, 0, w.Queries())
+			err = est.AnswerStream(s, 0, func(q QueryAnswer) bool {
+				a, v = append(a, q.Answer), append(v, q.Variance)
+				return true
+			})
+			out[i].Answers, out[i].Variance = a, v
+		case err == nil:
 			out[i].Answers, err = est.Answers(s)
-		}
-		if err == nil && cfg.variance {
-			out[i].Variance, err = est.Variance(s)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("ldp: batch workload %d (%s): %w", i, w.Name(), err)

@@ -174,16 +174,15 @@ func WithRemoteRetryPolicy(p RetryPolicy) RemoteOption {
 // ("host:port" or a full http:// URL). The aggregator must match the
 // mechanism the server was started with — Verify (or a /healthz check)
 // confirms it.
-func NewRemoteCollector(baseURL string, agg Aggregator, w Workload, opts ...RemoteOption) (*RemoteCollector, error) {
-	info, err := checkedInfo(agg, w)
-	if err != nil {
-		return nil, err
+func NewRemoteCollector(baseURL string, agg Aggregator, opts ...RemoteOption) (*RemoteCollector, error) {
+	if agg == nil {
+		return nil, errors.New("ldp: nil aggregator")
 	}
 	tc, err := transport.NewClient(baseURL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ldp: %w", err)
 	}
-	rc := &RemoteCollector{client: tc, agg: agg, info: info,
+	rc := &RemoteCollector{client: tc, agg: agg, info: MechanismInfoOf(agg),
 		batch: DefaultRemoteBatch, policy: DefaultRemoteRetryPolicy()}
 	for _, o := range opts {
 		o(rc)

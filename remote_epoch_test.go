@@ -64,7 +64,6 @@ func (b *epochBackend) set(count float64, epoch uint64) {
 // undercount.
 func TestRemoteSnapDetectsEpochRegression(t *testing.T) {
 	const n = 8
-	w := ldp.Histogram(n)
 	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
@@ -77,7 +76,7 @@ func TestRemoteSnapDetectsEpochRegression(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	rc, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
+	rc, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
 	}

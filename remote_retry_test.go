@@ -34,15 +34,14 @@ func fastRetryPolicy(attempts int, slept *[]time.Duration) ldp.RetryPolicy {
 // retryHarness builds a collector behind an outer handler that kills the
 // response of selected POSTs after the collector has fully absorbed them —
 // the lost-response failure idempotency keys exist for.
-func retryHarness(t *testing.T, n int, loseResponse func(post int64) bool) (*ldp.Collector, *httptest.Server, ldp.Aggregator, ldp.Workload) {
+func retryHarness(t *testing.T, n int, loseResponse func(post int64) bool) (*ldp.Collector, *httptest.Server, ldp.Aggregator) {
 	t.Helper()
-	w := ldp.Histogram(n)
 	s := baselines.RandomizedResponse(n, 1.0).Strategy()
 	agg, err := ldp.NewAggregator(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := ldp.NewCollector(agg, w, 0)
+	col, err := ldp.NewCollector(agg, ldp.Histogram(n), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func retryHarness(t *testing.T, n int, loseResponse func(post int64) bool) (*ldp
 	})
 	hs := httptest.NewServer(outer)
 	t.Cleanup(hs.Close)
-	return col, hs, agg, w
+	return col, hs, agg
 }
 
 // The at-least-once regression the idempotency keys exist for, under the
@@ -66,9 +65,9 @@ func retryHarness(t *testing.T, n int, loseResponse func(post int64) bool) (*ldp
 // — and the caller-driven retry must land exactly once via key replay.
 func TestRemoteRetryAfterLostResponseAbsorbsOnce(t *testing.T) {
 	const n, total = 16, 95
-	col, hs, agg, w := retryHarness(t, n, func(post int64) bool { return post == 1 })
+	col, hs, agg := retryHarness(t, n, func(post int64) bool { return post == 1 })
 
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(512),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(512),
 		ldp.WithRemoteHTTPClient(hs.Client()),
 		ldp.WithRemoteRetryPolicy(fastRetryPolicy(1, nil)))
 	if err != nil {
@@ -103,10 +102,10 @@ func TestRemoteRetryAfterLostResponseAbsorbsOnce(t *testing.T) {
 // pinned deterministic policy also asserts the backoff schedule taken.
 func TestRemoteRetryPolicyRetriesLostResponseInternally(t *testing.T) {
 	const n, total = 16, 95
-	col, hs, agg, w := retryHarness(t, n, func(post int64) bool { return post == 1 })
+	col, hs, agg := retryHarness(t, n, func(post int64) bool { return post == 1 })
 
 	var slept []time.Duration
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(512),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(512),
 		ldp.WithRemoteHTTPClient(hs.Client()),
 		ldp.WithRemoteRetryPolicy(fastRetryPolicy(4, &slept)))
 	if err != nil {
@@ -135,9 +134,9 @@ func TestRemoteRetryPolicyRetriesLostResponseInternally(t *testing.T) {
 // every other response dying.
 func TestRemoteRetryInterleavedWithIngestion(t *testing.T) {
 	const n, total = 16, 95
-	col, hs, agg, w := retryHarness(t, n, func(post int64) bool { return post%2 == 1 })
+	col, hs, agg := retryHarness(t, n, func(post int64) bool { return post%2 == 1 })
 
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(10),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(10),
 		ldp.WithRemoteHTTPClient(hs.Client()),
 		ldp.WithRemoteRetryPolicy(fastRetryPolicy(4, nil)))
 	if err != nil {

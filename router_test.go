@@ -45,9 +45,9 @@ func routerFixture(t *testing.T, domain, n int, opts ...ldp.FleetOption) (*ldp.F
 // land exactly once across the shards, and reads the merged snapshot back.
 func TestRouterTransparentToRemoteCollector(t *testing.T) {
 	const domain, total = 16, 120
-	_, _, hs, shards, agg, w := routerFixture(t, domain, 3)
+	_, _, hs, shards, agg, _ := routerFixture(t, domain, 3)
 
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(10),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(10),
 		ldp.WithRemoteHTTPClient(hs.Client()),
 		ldp.WithRemoteRetryPolicy(fastRetryPolicy(2, nil)))
 	if err != nil {

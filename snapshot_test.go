@@ -230,7 +230,7 @@ func TestHealthzAndSnapshotAgreeOnEpoch(t *testing.T) {
 	}
 	info := ldp.MechanismInfoOf(agg)
 	hs := startCollectorServer(t, agg, w, info)
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 				Mechanism: name, Domain: m.agg.Domain(), Epsilon: m.rz.Epsilon(),
 				Digest: m.digest,
 			})
-			rcol, err := ldp.NewRemoteCollector(hs.URL, m.agg, w, ldp.WithRemoteBatch(97),
+			rcol, err := ldp.NewRemoteCollector(hs.URL, m.agg, ldp.WithRemoteBatch(97),
 				ldp.WithRemoteHTTPClient(hs.Client()))
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +191,7 @@ func TestVerifyRejectsStrategyDigestMismatch(t *testing.T) {
 		Mechanism: "strategy", Domain: n, Epsilon: 1, Digest: ldp.StrategyDigest(served),
 	})
 	client := func(a ldp.Aggregator) *ldp.RemoteCollector {
-		rcol, err := ldp.NewRemoteCollector(hs.URL, a, w, ldp.WithRemoteHTTPClient(hs.Client()))
+		rcol, err := ldp.NewRemoteCollector(hs.URL, a, ldp.WithRemoteHTTPClient(hs.Client()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 	hs := httptest.NewServer(outer)
 	t.Cleanup(hs.Close)
 
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(10),
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(10),
 		ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(reports []ldp.Report) {
 			defer wg.Done()
-			rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteBatch(64),
+			rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteBatch(64),
 				ldp.WithRemoteHTTPClient(hs.Client()))
 			if err != nil {
 				errs <- err
@@ -353,7 +353,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 	for _, batch := range all {
 		ref.add(t, batch...)
 	}
-	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
+	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, ldp.WithRemoteHTTPClient(hs.Client()))
 	if err != nil {
 		t.Fatal(err)
 	}
